@@ -49,13 +49,12 @@ from repro import obs
 from repro.config import (
     ExperimentConfig,
     NocConfig,
-    ONOC_CIRCUIT_MESH,
-    ONOC_CROSSBAR,
+    ONOC_TOPOLOGIES,
     OnocConfig,
     SystemConfig,
     TraceConfig,
 )
-from repro.core import Trace, replay_trace
+from repro.core import replay_trace
 from repro.harness import (
     SweepRunner,
     accuracy_rows_parallel,
@@ -172,18 +171,15 @@ def cmd_capture(args: argparse.Namespace) -> int:
     return 0
 
 
-_OPTICAL_TARGETS = {
-    "crossbar": ONOC_CROSSBAR,
-    "circuit_mesh": ONOC_CIRCUIT_MESH,
-    "swmr_crossbar": "swmr_crossbar",
-    "awgr": "awgr",
-}
+#: ``replay --target`` / ``sweep --network`` choices: the electrical
+#: baseline plus every optical backend the config layer knows.
+_NETWORK_CHOICES = ("electrical", *ONOC_TOPOLOGIES)
 
 
 def _target_factory(args: argparse.Namespace, exp: ExperimentConfig):
     if args.target == "electrical":
         return electrical_factory(exp.noc, exp.seed)
-    onoc = replace(exp.onoc, topology=_OPTICAL_TARGETS[args.target])
+    onoc = replace(exp.onoc, topology=args.target)
     return optical_factory(onoc, exp.seed)
 
 
@@ -395,9 +391,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.core import profile_trace, sharing_summary
+    from repro.core import load_trace, profile_trace, sharing_summary
 
-    trace = Trace.from_json(pathlib.Path(args.trace).read_text())
+    trace = load_trace(pathlib.Path(args.trace))   # JSON or binary, by magic
     meta = ", ".join(f"{k}={v}" for k, v in trace.meta.items())
     print(f"trace: {args.trace} ({meta})")
     print(format_table(profile_trace(trace).as_rows(), title="Profile"))
@@ -731,10 +727,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_obs_flags(p)
     p.add_argument("--trace", required=True)
-    p.add_argument("--target",
-                   choices=("electrical", "crossbar", "circuit_mesh",
-                            "swmr_crossbar", "awgr"),
-                   default="crossbar")
+    p.add_argument("--target", choices=_NETWORK_CHOICES, default="crossbar")
     p.add_argument("--mode", choices=("naive", "self_correcting"),
                    default="self_correcting")
     p.add_argument("--engine", choices=("event", "generational"),
@@ -820,8 +813,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_obs_flags(p)
     _add_sweep_flags(p)
     p.add_argument("--pattern", choices=sorted(PATTERNS), default="uniform")
-    p.add_argument("--network",
-                   choices=("electrical", "crossbar", "circuit_mesh"),
+    p.add_argument("--network", choices=_NETWORK_CHOICES,
                    default="electrical")
     p.add_argument("--rates", default="0.02,0.05,0.1,0.2,0.3")
     p.set_defaults(fn=cmd_sweep)

@@ -25,10 +25,11 @@ array-wide operations instead:
    generation at a time) alternating with a vectorized network scan until
    injections, latencies and deliveries are mutually consistent.
 
-The network scans replicate the event models' arithmetic operation for
-operation (same ``math.ceil`` chains via scalar-exact lookup tables), so a
-generational replay is *numerically* equivalent to the event path, not
-just statistically close.  Remaining intentional deviations:
+The network scans read every serialization, propagation, token-travel and
+setup-walk number from the backend's :mod:`repro.onoc.timing` object — the
+very tables the event entities index per message — so a generational
+replay is *numerically* equivalent to the event path, not just
+statistically close.  Remaining intentional deviations:
 
 * same-cycle FIFO ties break by ``msg_id`` (the event engine breaks them
   by event-queue order);
@@ -47,7 +48,6 @@ so peak memory is O(chunk + resources) regardless of trace length.
 
 from __future__ import annotations
 
-import math
 import time as _walltime
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,10 +57,7 @@ import numpy as np
 from repro.config import (
     GAP_POLICY_CAPTURED,
     GAP_POLICY_INTERP,
-    ONOC_AWGR,
     ONOC_CIRCUIT_MESH,
-    ONOC_CROSSBAR,
-    ONOC_SWMR,
     ONOC_TOPOLOGIES,
     OnocConfig,
     TRACE_NAIVE,
@@ -74,7 +71,7 @@ from repro.core.replay import (
     _estimate_exec_time,
 )
 from repro.core.trace import DEGRADED_RECORDS_META_KEY, Trace
-from repro.onoc.devices import SerpentineLayout, mesh_link_length_cm
+from repro.onoc.timing import timing_for
 
 __all__ = ["replay_trace_generational", "stream_naive_summary"]
 
@@ -262,51 +259,19 @@ def _release_sorted(inj_s: np.ndarray, occ_s: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# Scalar-exact timing tables
-# --------------------------------------------------------------------------
-
-def _ser_vector(cfg: OnocConfig, size: np.ndarray) -> np.ndarray:
-    """Per-message serialization cycles via scalar-exact unique-size lookup."""
-    uniq, inv = np.unique(size, return_inverse=True)
-    table = np.fromiter(
-        (cfg.serialization_cycles(int(s)) for s in uniq),
-        dtype=np.int64, count=len(uniq))
-    return table[inv]
-
-
-def _awgr_lane_ser_vector(cfg: OnocConfig, size: np.ndarray) -> np.ndarray:
-    """AWGR lane serialization (mirrors OpticalAwgr.lane_serialization_cycles)."""
-    lanes_per_pair = cfg.num_wavelengths // (cfg.num_nodes - 1)
-    gbps = lanes_per_pair * cfg.bitrate_gbps
-
-    def lane_ser(size_bytes: int) -> int:
-        ns = (size_bytes * 8) / gbps
-        return max(1, math.ceil(ns * cfg.clock_ghz))
-
-    uniq, inv = np.unique(size, return_inverse=True)
-    table = np.fromiter((lane_ser(int(s)) for s in uniq),
-                        dtype=np.int64, count=len(uniq))
-    return table[inv]
-
-
-def _prop_pair_vector(cfg: OnocConfig, layout: SerpentineLayout,
-                      src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Per-message serpentine propagation cycles via an exact pair table."""
-    n = cfg.num_nodes
-    table = np.zeros((n, n), dtype=np.int64)
-    for s in range(n):
-        for d in range(n):
-            if s != d:
-                table[s, d] = cfg.propagation_cycles(layout.distance_cm(s, d))
-    return table[src, dst]
-
-
-# --------------------------------------------------------------------------
 # Backend contention models (vectorized scans)
 # --------------------------------------------------------------------------
+#
+# A model holds one message set's per-message vectors, gathered from the
+# backend's timing object (:mod:`repro.onoc.timing` — the same tables the
+# event entities read), plus the per-resource channel state.  The timing
+# object itself is not kept: its pair table is n x n, so in-memory replays
+# drop it before the solve, while the streaming replay holds it across
+# chunks.
 
 class _FifoModel:
-    """Shared scan for the three FIFO backends (swmr / awgr / crossbar)."""
+    """The FIFO backends (crossbar / swmr / awgr): one carry-state segment
+    scan, parameterised by the timing object."""
 
     #: Degradation overlay (repro.resilience); attached by
     #: ``replay_trace_generational`` when a fault timeseries is configured.
@@ -314,32 +279,45 @@ class _FifoModel:
     #: bound for the windowed solver with the overlay active.
     degrade = None
 
-    def __init__(self, cols: _Columns) -> None:
-        self.cols = cols
+    def __init__(self, timing, ids: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray, size: np.ndarray) -> None:
+        self.ids, self.src, self.dst = ids, src, dst
+        self.num_nodes = timing.cfg.num_nodes
+        self.res = timing.resource(src, dst)       # FIFO channel per message
+        self.res_size = timing.num_resources
+        # Serialization: the static part of the occupancy, and the count the
+        # matching event backend feeds to ``DegradationOverlay.adjust``.
+        self.ser = timing.serialization(size)
+        self.extra = timing.tail(src, dst)         # deliver - release
+        self.token_travel = timing.token_travel    # None: occupancy = ser
 
-    # Subclasses set: self.res (resource per message), self.res_size
-    # (resource id space), self.occ_static (occupancy, or None for the
-    # crossbar where it depends on order), self.extra (deliver - release),
-    # self.base (uncontended latency), self.gain_lb (per-message lower
-    # bound on deliver - inject, for the windowed solver's safe horizon),
-    # self.deg_ser (the serialization count the matching event backend
-    # feeds to ``DegradationOverlay.adjust`` — lane ser for the AWGR).
+    @property
+    def gain_lb(self) -> np.ndarray:
+        """Uncontended latency.  Token travel is >= 0, so this also
+        lower-bounds deliver - inject for the windowed solver's horizon."""
+        return self.ser + self.extra
 
-    def base_latency(self) -> np.ndarray:
-        return self.base
-
-    def begin(self) -> None:
-        """Reset per-resource carry state for a windowed/streamed solve."""
-        self._carry = np.zeros(self.res_size, dtype=np.int64)
+    def begin(self, state: Optional[tuple] = None) -> tuple:
+        """Start serving from ``state`` — by default idle channels with
+        every token parked at its channel's reader.  Returns the state
+        (last release per resource, token parking node per channel), which
+        ``serve_batch`` updates in place, so a streamed solve can hand it
+        to the model of the next chunk."""
+        if state is None:
+            state = (np.zeros(self.res_size, dtype=np.int64),
+                     np.arange(self.num_nodes, dtype=np.int64))
+        self._carry, self._token_at = state
+        return state
 
     def serve_batch(self, b: np.ndarray, inject: np.ndarray,
                     deliver: np.ndarray) -> None:
-        """FIFO-serve one horizon batch against the carried channel state.
+        """FIFO-serve one batch against the carried channel state.
 
-        ``b`` must arrive sorted by (inject, record index) and every later
-        batch must inject no earlier than this one — the windowed solver
-        guarantees both, which is what lets the per-resource closed form
-        run incrementally with just a carried last-release time.
+        ``b`` must arrive sorted by (inject, msg_id) and every later batch
+        must inject no earlier than this one — the windowed solver, the
+        chunk order of canonical traces and a single full-trace batch all
+        guarantee both, which is what lets the per-resource closed form run
+        incrementally with just a carried last-release time.
         """
         inj = inject[b]
         res = self.res[b]
@@ -348,165 +326,58 @@ class _FifoModel:
         seg_start = np.empty(len(bs), dtype=bool)
         seg_start[0] = True
         seg_start[1:] = res_s[1:] != res_s[:-1]
-        occ_s = self._occupancy_batch(bs, res_s, seg_start)
+        # One message per resource is the common small-batch case: every
+        # element is both head and tail of its segment.
+        single = bool(seg_start.all())
+        tails = (slice(None) if single else np.flatnonzero(
+            np.concatenate((seg_start[1:], [True]))))
+        ser_s = self.ser[bs]
+        occ_s = ser_s
+        if self.token_travel is not None:
+            # The token stays parked at the channel's last writer across
+            # idle periods and batches.
+            src_s = self.src[bs]
+            prev = np.empty_like(src_s)
+            prev[1:] = src_s[:-1]
+            prev[seg_start] = self._token_at[res_s[seg_start]]
+            self._token_at[res_s[tails]] = src_s[tails]
+            occ_s = self.token_travel(prev, src_s) + ser_s
         lat_x = None
         if self.degrade is not None:
             occ_x, lat_x = self.degrade.adjust_vec(
-                inj_s, self.cols.src[bs], self.cols.dst[bs],
-                self.deg_ser[bs])
+                inj_s, self.src[bs], self.dst[bs], ser_s)
             occ_s = occ_s + occ_x      # degraded resource held longer
-        if seg_start.all():
-            # Common small-batch case: one message per resource — the
-            # recurrence collapses to a single elementwise step.
+        if single:
+            # The recurrence collapses to a single elementwise step.
             release_s = np.maximum(inj_s, self._carry[res_s]) + occ_s
-            self._carry[res_s] = release_s
         else:
             release_s = _release_sorted(inj_s, occ_s, seg_start,
                                         carry_s=self._carry[res_s])
-            tails = np.flatnonzero(np.concatenate((seg_start[1:], [True])))
-            self._carry[res_s[tails]] = release_s[tails]
+        self._carry[res_s[tails]] = release_s[tails]
         deliver[bs] = release_s + self.extra[bs]
         if lat_x is not None:
             deliver[bs] += lat_x       # detour flight delays delivery only
 
-    def _occupancy(self, order: np.ndarray, res_s: np.ndarray,
-                   seg_start: np.ndarray) -> np.ndarray:
-        return self.occ_static[order]
-
-    def _occupancy_batch(self, bs: np.ndarray, res_s: np.ndarray,
-                         seg_start: np.ndarray) -> np.ndarray:
-        return self._occupancy(bs, res_s, seg_start)
-
     def scan(self, inject: np.ndarray, active_idx: np.ndarray) -> np.ndarray:
-        cols = self.cols
-        deliver = np.full(cols.n, _NEG, dtype=np.int64)
-        if len(active_idx) == 0:
-            return deliver
-        inj = inject[active_idx]
-        res = self.res[active_idx]
-        mid = cols.ids[active_idx]
-        order = np.lexsort((mid, inj, res))
-        res_s = res[order]
-        seg_start = np.empty(len(order), dtype=bool)
-        seg_start[0] = True
-        seg_start[1:] = res_s[1:] != res_s[:-1]
-        tgt = active_idx[order]
-        occ_s = self._occupancy(tgt, res_s, seg_start)
-        lat_x = 0
-        if self.degrade is not None:
-            occ_x, lat_x = self.degrade.adjust_vec(
-                inj[order], self.cols.src[tgt], self.cols.dst[tgt],
-                self.deg_ser[tgt])
-            occ_s = occ_s + occ_x
-        release_s = _release_sorted(inj[order], occ_s, seg_start)
-        deliver[tgt] = release_s + self.extra[tgt] + lat_x
+        """Deliver times of the active messages served from idle channels:
+        the batch form over the whole (inject, msg_id)-sorted set."""
+        deliver = np.full(len(self.ids), _NEG, dtype=np.int64)
+        if len(active_idx):
+            self.begin()
+            order = np.lexsort((self.ids[active_idx], inject[active_idx]))
+            self.serve_batch(active_idx[order], inject, deliver)
         return deliver
 
 
-class _SwmrModel(_FifoModel):
-    """Firefly SWMR: one FIFO channel per *source*, occupancy = ser."""
-
-    def __init__(self, cfg: OnocConfig, cols: _Columns) -> None:
-        super().__init__(cols)
-        layout = SerpentineLayout(cfg)
-        ser = _ser_vector(cfg, cols.size)
-        prop = _prop_pair_vector(cfg, layout, cols.src, cols.dst)
-        self.res = cols.src
-        self.res_size = cfg.num_nodes
-        self.occ_static = ser
-        self.deg_ser = ser
-        self.extra = prop + 2 * cfg.conversion_cycles
-        self.base = ser + self.extra
-        self.gain_lb = self.base
-
-
-class _AwgrModel(_FifoModel):
-    """Passive λ-router: one FIFO lane per (src, dst), occupancy = lane ser."""
-
-    def __init__(self, cfg: OnocConfig, cols: _Columns) -> None:
-        super().__init__(cols)
-        layout = SerpentineLayout(cfg)
-        lane_ser = _awgr_lane_ser_vector(cfg, cols.size)
-        prop = _prop_pair_vector(cfg, layout, cols.src, cols.dst)
-        self.res = cols.src * cfg.num_nodes + cols.dst
-        self.res_size = cfg.num_nodes * cfg.num_nodes
-        self.occ_static = lane_ser
-        self.deg_ser = lane_ser
-        self.extra = prop + 2 * cfg.conversion_cycles
-        self.base = lane_ser + self.extra
-        self.gain_lb = self.base
-
-
-class _CrossbarModel(_FifoModel):
-    """Corona MWSR: one token channel per *destination*; occupancy =
-    token travel (from the previous writer's parking spot) + ser."""
-
-    def __init__(self, cfg: OnocConfig, cols: _Columns) -> None:
-        super().__init__(cols)
-        layout = SerpentineLayout(cfg)
-        n = cfg.num_nodes
-        self.num_nodes = n
-        self.ser = _ser_vector(cfg, cols.size)
-        self.deg_ser = self.ser
-        prop = _prop_pair_vector(cfg, layout, cols.src, cols.dst)
-        self.res = cols.dst
-        self.res_size = n
-        self.src = cols.src
-        self.extra = prop + 2 * cfg.conversion_cycles
-        # travel[h]: token propagation over h ring hops (0 when parked here).
-        travel = np.zeros(n, dtype=np.int64)
-        for h in range(1, n):
-            travel[h] = (cfg.propagation_cycles(h * layout.spacing_cm)
-                         + h * cfg.token_hop_cycles)
-        self.travel = travel
-        self.base = self.ser + self.extra
-        # Token travel is >= 0, so ser + extra lower-bounds deliver - inject.
-        self.gain_lb = self.ser + self.extra
-
-    def _occupancy(self, sorted_idx: np.ndarray, res_s: np.ndarray,
-                   seg_start: np.ndarray) -> np.ndarray:
-        src_s = self.src[sorted_idx]
-        prev = np.empty_like(src_s)
-        prev[1:] = src_s[:-1]
-        # The token starts parked at the channel's reader (its destination)
-        # and stays at the last writer across idle periods — a single
-        # per-resource segment preserves that, so only the first message of
-        # each destination sees the reader as the previous holder.
-        prev[seg_start] = res_s[seg_start]
-        hops = (src_s - prev) % self.num_nodes
-        return self.travel[hops] + self.ser[sorted_idx]
-
-    def begin(self) -> None:
-        super().begin()
-        self._token_at = np.arange(self.num_nodes, dtype=np.int64)
-
-    def _occupancy_batch(self, bs: np.ndarray, res_s: np.ndarray,
-                         seg_start: np.ndarray) -> np.ndarray:
-        src_s = self.src[bs]
-        prev = np.empty_like(src_s)
-        prev[1:] = src_s[:-1]
-        # Across batches the token parks at the last writer of the previous
-        # batch, carried in ``_token_at`` exactly like ``_StreamScanner``.
-        prev[seg_start] = self._token_at[res_s[seg_start]]
-        hops = (src_s - prev) % self.num_nodes
-        tails = np.flatnonzero(np.concatenate((seg_start[1:], [True])))
-        self._token_at[res_s[tails]] = src_s[tails]
-        return self.travel[hops] + self.ser[bs]
-
-
 class _CircuitModel:
-    """Circuit-switched mesh, contention-free closed form of the setup walk.
+    """Circuit-switched mesh, contention-free closed form of the setup walk
+    (:meth:`repro.onoc.timing.CircuitMeshTiming.latency`).
 
     The event model arbitrates directed link segments hop by hop; the
-    uncontended latency of a circuit is exact and constant:
-
-        deliver = inject + R + hops*(L+R)        (setup walk)
-                  + hops*L + 1                   (ack)
-                  + 2*conversion + ser + prop    (payload stream)
-
-    Segment contention between overlapping circuits is *not* modelled —
-    the documented approximation for this backend (the event path remains
-    the reference; see docs/TRACE_FORMAT.md).
+    uncontended latency of a circuit is exact and constant.  Segment
+    contention between overlapping circuits is *not* modelled — the
+    documented approximation for this backend (the event path remains the
+    reference; see docs/TRACE_FORMAT.md).
     """
 
     #: Degradation overlay; see :class:`_FifoModel`.  Circuit-mesh
@@ -515,57 +386,35 @@ class _CircuitModel:
     #: contention does not grow): deliver = inject + const + occ + lat.
     degrade = None
 
-    def __init__(self, cfg: OnocConfig, cols: _Columns) -> None:
-        self.cols = cols
-        side = cfg.mesh_side
-        link = mesh_link_length_cm(cfg)
-        xs, ys = cols.src % side, cols.src // side
-        xd, yd = cols.dst % side, cols.dst // side
-        hops = np.abs(xs - xd) + np.abs(ys - yd)
-        max_h = 2 * (side - 1) if side > 1 else 1
-        prop_h = np.zeros(max(int(hops.max(initial=0)), max_h) + 1,
-                          dtype=np.int64)
-        for h in range(1, len(prop_h)):
-            prop_h[h] = cfg.propagation_cycles(h * link)
-        ser = _ser_vector(cfg, cols.size)
-        self.deg_ser = ser
-        r, lnk = cfg.setup_router_latency, cfg.setup_link_latency
-        self.const = (r + hops * (2 * lnk + r) + 1
-                      + 2 * cfg.conversion_cycles + ser + prop_h[hops])
+    def __init__(self, timing, ids: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray, size: np.ndarray) -> None:
+        self.src, self.dst = src, dst
+        self.ser = timing.serialization(size)
+        self.const = timing.latency(src, dst, self.ser)
         self.gain_lb = self.const
 
-    def _degrade_terms(self, b: np.ndarray, inj: np.ndarray) -> np.ndarray:
-        occ, lat = self.degrade.adjust_vec(
-            inj, self.cols.src[b], self.cols.dst[b], self.deg_ser[b])
-        return occ + lat
-
-    def base_latency(self) -> np.ndarray:
-        return self.const.copy()
-
-    def begin(self) -> None:
-        pass                       # contention-free: no carry state
+    def begin(self, state=None) -> None:
+        return None                # contention-free: no carry state
 
     def serve_batch(self, b: np.ndarray, inject: np.ndarray,
                     deliver: np.ndarray) -> None:
         deliver[b] = inject[b] + self.const[b]
         if self.degrade is not None:
-            deliver[b] += self._degrade_terms(b, inject[b])
+            occ, lat = self.degrade.adjust_vec(
+                inject[b], self.src[b], self.dst[b], self.ser[b])
+            deliver[b] += occ + lat
 
     def scan(self, inject: np.ndarray, active_idx: np.ndarray) -> np.ndarray:
-        deliver = np.full(self.cols.n, _NEG, dtype=np.int64)
-        deliver[active_idx] = inject[active_idx] + self.const[active_idx]
-        if self.degrade is not None:
-            deliver[active_idx] += self._degrade_terms(
-                active_idx, inject[active_idx])
+        deliver = np.full(len(self.const), _NEG, dtype=np.int64)
+        self.serve_batch(active_idx, inject, deliver)
         return deliver
 
 
-_MODELS = {
-    ONOC_SWMR: _SwmrModel,
-    ONOC_AWGR: _AwgrModel,
-    ONOC_CROSSBAR: _CrossbarModel,
-    ONOC_CIRCUIT_MESH: _CircuitModel,
-}
+def _model_for(timing, ids: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               size: np.ndarray):
+    cls = (_CircuitModel if timing.cfg.topology == ONOC_CIRCUIT_MESH
+           else _FifoModel)
+    return cls(timing, ids, src, dst, size)
 
 
 # --------------------------------------------------------------------------
@@ -882,7 +731,7 @@ def _solve_relaxation(
     the DAG pass / network scan pair iterates to a fixed point instead.
     Returns ``(inject, deliver, iterations, converged)``.
     """
-    lat = model.base_latency().copy()
+    lat = model.gain_lb.copy()     # start from the uncontended latency
     prev_inject: Optional[np.ndarray] = None
     inject = np.full(cols.n, _NEG, dtype=np.int64)
     deliver = np.full(cols.n, _NEG, dtype=np.int64)
@@ -1113,7 +962,8 @@ def replay_trace_generational(
     cols = _Columns.of(trace)
     if cols.n and onoc.num_nodes <= int(max(cols.src.max(), cols.dst.max())):
         raise ValueError("target network too small for trace endpoints")
-    model = _MODELS[onoc.topology](onoc, cols)
+    model = _model_for(timing_for(onoc), cols.ids, cols.src, cols.dst,
+                       cols.size)
     overlay = None
     if cfg.fault_events:
         from repro.resilience.overlay import DegradationOverlay
@@ -1216,106 +1066,18 @@ def replay_trace_generational(
 # Out-of-core streaming replay (binary traces)
 # --------------------------------------------------------------------------
 
-class _StreamScanner:
-    """Chunk-at-a-time network scan with per-resource carry state.
-
-    The FIFO closed form extends across chunk boundaries by carrying each
-    resource's last release time (and, for the crossbar, the token's
-    parking node) — so replaying a binary trace needs only one chunk of
-    columns plus O(resources) state resident at a time.  Assumes records
-    arrive sorted by ``(t_inject, msg_id)``, which canonical captures are.
-    """
-
-    def __init__(self, cfg: OnocConfig) -> None:
-        self.cfg = cfg
-        n = cfg.num_nodes
-        self.topology = cfg.topology
-        if cfg.topology == ONOC_CIRCUIT_MESH:
-            self.side = cfg.mesh_side
-            link = mesh_link_length_cm(cfg)
-            max_h = max(1, 2 * (self.side - 1))
-            self.prop_h = np.zeros(max_h + 1, dtype=np.int64)
-            for h in range(1, max_h + 1):
-                self.prop_h[h] = cfg.propagation_cycles(h * link)
-            return
-        layout = SerpentineLayout(cfg)
-        self.prop = np.zeros((n, n), dtype=np.int64)
-        for s in range(n):
-            for d in range(n):
-                if s != d:
-                    self.prop[s, d] = cfg.propagation_cycles(
-                        layout.distance_cm(s, d))
-        if cfg.topology == ONOC_AWGR:
-            self.carry = np.zeros(n * n, dtype=np.int64)
-        else:
-            self.carry = np.zeros(n, dtype=np.int64)
-        if cfg.topology == ONOC_CROSSBAR:
-            self.travel = np.zeros(n, dtype=np.int64)
-            for h in range(1, n):
-                self.travel[h] = (cfg.propagation_cycles(h * layout.spacing_cm)
-                                  + h * cfg.token_hop_cycles)
-            self.token_at = np.arange(n, dtype=np.int64)
-
-    def _ser(self, size: np.ndarray) -> np.ndarray:
-        if self.topology == ONOC_AWGR:
-            return _awgr_lane_ser_vector(self.cfg, size)
-        return _ser_vector(self.cfg, size)
-
-    def scan_chunk(self, mid: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                   size: np.ndarray, inj: np.ndarray) -> np.ndarray:
-        """Deliver times for one chunk (in the chunk's record order)."""
-        cfg = self.cfg
-        if self.topology == ONOC_CIRCUIT_MESH:
-            xs, ys = src % self.side, src // self.side
-            xd, yd = dst % self.side, dst // self.side
-            hops = np.abs(xs - xd) + np.abs(ys - yd)
-            r, lnk = cfg.setup_router_latency, cfg.setup_link_latency
-            return (inj + r + hops * (2 * lnk + r) + 1
-                    + 2 * cfg.conversion_cycles
-                    + _ser_vector(cfg, size) + self.prop_h[hops])
-        if self.topology == ONOC_SWMR:
-            res = src
-        elif self.topology == ONOC_AWGR:
-            res = src * cfg.num_nodes + dst
-        else:
-            res = dst
-        ser = self._ser(size)
-        order = np.lexsort((mid, inj, res))
-        res_s = res[order]
-        seg_start = np.empty(len(order), dtype=bool)
-        seg_start[0] = True
-        seg_start[1:] = res_s[1:] != res_s[:-1]
-        if self.topology == ONOC_CROSSBAR:
-            src_s = src[order]
-            prev = np.empty_like(src_s)
-            prev[1:] = src_s[:-1]
-            prev[seg_start] = self.token_at[res_s[seg_start]]
-            hops = (src_s - prev) % cfg.num_nodes
-            occ_s = self.travel[hops] + ser[order]
-        else:
-            occ_s = ser[order]
-        release_s = _release_sorted(inj[order], occ_s, seg_start,
-                                    carry_s=self.carry[res_s])
-        # Carry each resource's tail state into the next chunk.
-        tails = np.flatnonzero(
-            np.concatenate((seg_start[1:], [True])))
-        self.carry[res_s[tails]] = release_s[tails]
-        if self.topology == ONOC_CROSSBAR:
-            self.token_at[res_s[tails]] = src_s[tails]
-        deliver = np.empty(len(order), dtype=np.int64)
-        deliver[order] = (release_s + self.prop[src[order], dst[order]]
-                          + 2 * cfg.conversion_cycles)
-        return deliver
-
-
 def stream_naive_summary(path, onoc: OnocConfig) -> dict:
     """Naive-replay a *binary* trace file chunk by chunk, out of core.
 
     Returns aggregate results (exec-time estimate, message count, mean
-    latency) computed with the same closed-form network scans as the
-    generational engine, while keeping only one record chunk plus
-    O(resources) carry state in memory — the basis of the sublinear-RSS
-    claim benchmarked by ``benchmarks/bench_replay_vector.py``.
+    latency) computed by the generational engine's own models: each chunk
+    is one more batch served against the channel state the previous chunk
+    left behind (last release per resource and, on the crossbar, the
+    token's parking node).  Only one record chunk, the backend's timing
+    tables and that O(resources) state are resident — the RSS that
+    ``benchmarks/pipeline`` workload ``synth_stream_300k`` measures against
+    the in-memory replay.  Assumes records arrive sorted by
+    ``(t_inject, msg_id)``, which canonical captures are.
     """
     from repro.core import tracebin
 
@@ -1330,7 +1092,8 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
         dtype=np.int64)
     cause_deliveries: dict[int, int] = {}
 
-    scanner = _StreamScanner(onoc)
+    timing = timing_for(onoc)      # held across chunks, pair table and all
+    state = None
     messages = 0
     total_bytes = 0
     latency_sum = 0
@@ -1343,7 +1106,10 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
         max_endpoint = max(max_endpoint, hi)
         if onoc.num_nodes <= hi:
             raise ValueError("target network too small for trace endpoints")
-        deliver = scanner.scan_chunk(mid, src, dst, size, inj)
+        model = _model_for(timing, mid, src, dst, size)
+        state = model.begin(state)
+        deliver = np.empty(len(mid), dtype=np.int64)
+        model.serve_batch(np.lexsort((mid, inj)), inj, deliver)
         messages += len(mid)
         total_bytes += int(size.sum())
         latency_sum += int((deliver - inj).sum())

@@ -10,7 +10,11 @@ Two 2012-era ONOC architectures are provided behind the same
   photonic mesh with an electrical control plane that reserves microring
   switch points hop-by-hop (Phastlane/path-setup style).
 
-The physical layer (insertion-loss budget, laser power, ring census) lives in
+Every backend's per-message arithmetic (serialization, propagation, resource
+key, token travel, setup walk) lives once, in :mod:`repro.onoc.timing`; the
+event entities here and the vectorized engine in
+:mod:`repro.core.generational` both read it.  The physical layer
+(insertion-loss budget, laser power, ring census) lives in
 :mod:`repro.onoc.devices` and :mod:`repro.onoc.loss`.
 """
 
@@ -25,6 +29,7 @@ from repro.onoc.network import (
     topology_in_order_channels,
 )
 from repro.onoc.swmr import OpticalSwmrCrossbar, swmr_ring_census
+from repro.onoc.timing import timing_for
 
 __all__ = [
     "CircuitSwitchedMesh",
@@ -41,5 +46,6 @@ __all__ = [
     "crossbar_ring_census",
     "mesh_ring_census",
     "swmr_ring_census",
+    "timing_for",
     "topology_in_order_channels",
 ]

@@ -16,17 +16,9 @@ design-space-exploration story.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Optional
-
-from repro.config import OnocConfig
-from repro.engine import Simulator
-from repro.net import Message
-from repro.obs.probes import net_probe
-from repro.onoc.devices import RingCensus, SerpentineLayout
-from repro.stats import LatencyRecorder, NetworkStats
-
-FLIT_BYTES_EQUIV = 16
+from repro.config import ONOC_AWGR
+from repro.onoc.devices import RingCensus
+from repro.onoc.entity import FifoChannelNetwork
 
 
 def awgr_ring_census(num_nodes: int, num_wavelengths: int) -> RingCensus:
@@ -41,123 +33,18 @@ def awgr_ring_census(num_nodes: int, num_wavelengths: int) -> RingCensus:
     )
 
 
-class _Lane:
-    """FIFO transmission state of one (src, dst) wavelength lane."""
+class OpticalAwgr(FifoChannelNetwork):
+    """Passive λ-router implementing :class:`repro.net.NetworkAdapter`:
+    one FIFO lane per (src, dst) pair, whose λ subset serves a single
+    message at a time."""
 
-    __slots__ = ("queue", "busy")
+    topology = ONOC_AWGR
 
-    def __init__(self) -> None:
-        self.queue: deque[Message] = deque()
-        self.busy = False
-
-
-class OpticalAwgr:
-    """Passive λ-router implementing :class:`repro.net.NetworkAdapter`."""
-
-    #: Each (src, dst) pair owns one FIFO lane and its full λ subset serves
-    #: a single message at a time, so same-pair messages deliver in
-    #: injection order.
-    in_order_channels = True
-
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: OnocConfig,
-        keep_per_message_latency: bool = False,
-    ) -> None:
-        if cfg.num_wavelengths < cfg.num_nodes - 1:
-            raise ValueError(
-                f"AWGR needs >= num_nodes-1 wavelengths to give every lane "
-                f"at least one λ; got {cfg.num_wavelengths} for "
-                f"{cfg.num_nodes} nodes"
-            )
-        self.sim = sim
-        self.cfg = cfg
-        self.layout = SerpentineLayout(cfg)
-        self.lanes_per_pair = cfg.num_wavelengths // (cfg.num_nodes - 1)
-        self._lanes: dict[tuple[int, int], _Lane] = {}
-        self.stats = NetworkStats(
-            latency=LatencyRecorder(keep_per_message=keep_per_message_latency)
-        )
-        self._delivery_handler: Optional[Callable[[Message], None]] = None
-        # None unless repro.obs instrumentation was enabled at build time.
-        self._probe = net_probe("awgr")
-        # Degradation overlay (repro.resilience); attached by replay_trace
-        # when a fault timeseries is configured, None = pristine fabric.
-        self.degrade = None
-        self.bits_transmitted = 0
-
-    # ------------------------------------------------------ adapter API
     @property
-    def num_nodes(self) -> int:
-        return self.cfg.num_nodes
+    def lanes_per_pair(self) -> int:
+        return self.timing.lanes_per_pair
 
     def lane_serialization_cycles(self, size_bytes: int) -> int:
         """Serialization on one (src, dst) lane: only its λ subset is
         available, so bits / (lanes_per_pair * bitrate)."""
-        import math
-
-        bits = size_bytes * 8
-        gbps = self.lanes_per_pair * self.cfg.bitrate_gbps
-        ns = bits / gbps
-        return max(1, math.ceil(ns * self.cfg.clock_ghz))
-
-    def send(self, msg: Message) -> None:
-        n = self.cfg.num_nodes
-        if not (0 <= msg.src < n and 0 <= msg.dst < n):
-            raise ValueError(f"message endpoints out of range: {msg}")
-        if msg.src == msg.dst:
-            raise ValueError(f"self-send not routed through the network: {msg}")
-        msg.inject_time = self.sim.now
-        self.stats.messages_sent += 1
-        if self._probe is not None:
-            self._probe.on_inject(self.sim.now, msg)
-        lane = self._lanes.setdefault((msg.src, msg.dst), _Lane())
-        lane.queue.append(msg)
-        if not lane.busy:
-            self._transmit_next(msg.src, msg.dst, lane)
-
-    def set_delivery_handler(self, fn: Callable[[Message], None]) -> None:
-        self._delivery_handler = fn
-
-    # ------------------------------------------------------ transmission
-    def _transmit_next(self, src: int, dst: int, lane: _Lane) -> None:
-        if not lane.queue:
-            lane.busy = False
-            return
-        lane.busy = True
-        msg = lane.queue.popleft()
-        now = self.sim.now
-        ser = self.lane_serialization_cycles(msg.size_bytes)
-        lat_extra = 0
-        if self.degrade is not None:
-            occ_extra, lat_extra = self.degrade.adjust(
-                msg.inject_time, src, dst, ser)
-            ser += occ_extra            # degraded lane held longer
-        prop = self.cfg.propagation_cycles(self.layout.distance_cm(src, dst))
-        self.stats.queueing_delay.add(now - msg.inject_time)
-        self.sim.schedule(now + ser + prop + 2 * self.cfg.conversion_cycles
-                          + lat_extra, self._deliver, (msg,))
-        self.sim.schedule(now + ser, self._transmit_next, (src, dst, lane))
-
-    def _deliver(self, msg: Message) -> None:
-        msg.deliver_time = self.sim.now
-        st = self.stats
-        st.messages_delivered += 1
-        st.bytes_delivered += msg.size_bytes
-        st.flits_delivered += max(1, -(-msg.size_bytes // FLIT_BYTES_EQUIV))
-        st.latency.record(msg.id, msg.latency)
-        st.hop_count.add(1)
-        self.bits_transmitted += msg.size_bytes * 8
-        if self._probe is not None:
-            self._probe.on_deliver(self.sim.now, msg)
-        if msg.on_delivery is not None:
-            msg.on_delivery(msg)
-        if self._delivery_handler is not None:
-            self._delivery_handler(msg)
-
-    # ------------------------------------------------------------ queries
-    def quiescent(self) -> bool:
-        return self.stats.in_flight() == 0 and all(
-            not lane.busy and not lane.queue for lane in self._lanes.values()
-        )
+        return self.timing.serialization(size_bytes)

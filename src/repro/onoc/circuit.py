@@ -13,18 +13,14 @@ segments are torn down after the tail passes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.config import MESH, NocConfig, OnocConfig, ROUTING_XY
+from repro.config import MESH, NocConfig, ONOC_CIRCUIT_MESH, OnocConfig, ROUTING_XY
 from repro.engine import Simulator
 from repro.net import Message
-from repro.obs.probes import net_probe
 from repro.noc.routing import route_port
 from repro.noc.topology import Topology
-from repro.onoc.devices import mesh_link_length_cm
-from repro.stats import LatencyRecorder, NetworkStats
-
-FLIT_BYTES_EQUIV = 16
+from repro.onoc.entity import OpticalEntity
 
 
 class _Segment:
@@ -50,8 +46,10 @@ class _SetupWalker:
         self.held: list[tuple[int, int]] = []
 
 
-class CircuitSwitchedMesh:
+class CircuitSwitchedMesh(OpticalEntity):
     """Photonic circuit-switched mesh implementing the NetworkAdapter API."""
+
+    topology = ONOC_CIRCUIT_MESH
 
     #: Same-pair circuits can reorder: a teardown wakes one segment waiter,
     #: and if that waiter loses the same-cycle re-acquisition race to a
@@ -65,8 +63,7 @@ class CircuitSwitchedMesh:
         cfg: OnocConfig,
         keep_per_message_latency: bool = False,
     ) -> None:
-        self.sim = sim
-        self.cfg = cfg
+        super().__init__(sim, cfg, keep_per_message_latency)
         side = cfg.mesh_side
         # Reuse the electrical topology/routing machinery for the control
         # plane's XY walk; only wiring and port math are borrowed.
@@ -74,37 +71,13 @@ class CircuitSwitchedMesh:
                                   routing=ROUTING_XY)
         self.topo = Topology(self._ctl_cfg)
         self.segments: dict[tuple[int, int], _Segment] = {}
-        self.link_length_cm = mesh_link_length_cm(cfg)
-        self.stats = NetworkStats(
-            latency=LatencyRecorder(keep_per_message=keep_per_message_latency)
-        )
-        self._delivery_handler: Optional[Callable[[Message], None]] = None
-        # None unless repro.obs instrumentation was enabled at build time.
-        self._probe = net_probe("circuit_mesh")
-        # Degradation overlay (repro.resilience); attached by replay_trace
-        # when a fault timeseries is configured, None = pristine fabric.
-        self.degrade = None
+        self.link_length_cm = self.timing.link_length_cm
         self._next_cid = 0
         # Power-model counters.
-        self.bits_transmitted = 0
         self.setup_hops_total = 0
         self.circuits_completed = 0
 
-    # ------------------------------------------------------ adapter API
-    @property
-    def num_nodes(self) -> int:
-        return self.cfg.num_nodes
-
-    def send(self, msg: Message) -> None:
-        n = self.cfg.num_nodes
-        if not (0 <= msg.src < n and 0 <= msg.dst < n):
-            raise ValueError(f"message endpoints out of range: {msg}")
-        if msg.src == msg.dst:
-            raise ValueError(f"self-send not routed through the network: {msg}")
-        msg.inject_time = self.sim.now
-        self.stats.messages_sent += 1
-        if self._probe is not None:
-            self._probe.on_inject(self.sim.now, msg)
+    def _inject(self, msg: Message) -> None:
         walker = _SetupWalker(self._next_cid, msg, self._xy_path(msg.src, msg.dst))
         self._next_cid += 1
         # First control-plane hop: the setup flit leaves the source NI.
@@ -113,9 +86,6 @@ class CircuitSwitchedMesh:
             self._advance,
             (walker,),
         )
-
-    def set_delivery_handler(self, fn: Callable[[Message], None]) -> None:
-        self._delivery_handler = fn
 
     # ----------------------------------------------------------- routing
     def _xy_path(self, src: int, dst: int) -> list[tuple[int, int]]:
@@ -166,8 +136,7 @@ class CircuitSwitchedMesh:
         hops = len(walker.path)
         now = self.sim.now
         self.stats.queueing_delay.add(now - msg.inject_time)  # setup latency
-        ack = hops * self.cfg.setup_link_latency + 1
-        ser = self.cfg.serialization_cycles(msg.size_bytes)
+        ser = self.timing.serialization(msg.size_bytes)
         degrade_extra = 0
         if self.degrade is not None:
             occ_extra, lat_extra = self.degrade.adjust(
@@ -179,8 +148,7 @@ class CircuitSwitchedMesh:
             # equivalence bound — this backend's degradation is therefore
             # latency-only by contract (see docs/RESILIENCE.md).
             degrade_extra = occ_extra + lat_extra
-        prop = self.cfg.propagation_cycles(hops * self.link_length_cm)
-        data_end = now + ack + 2 * self.cfg.conversion_cycles + ser + prop
+        data_end = now + int(self.timing.stream_cycles(hops)) + ser
         self.sim.schedule(data_end + degrade_extra, self._deliver, (msg, hops))
         self.sim.schedule(
             data_end + self.cfg.teardown_latency, self._teardown, (walker,)
@@ -198,23 +166,6 @@ class CircuitSwitchedMesh:
                 # The waiter re-attempts this same segment now that it's free.
                 self.sim.schedule(self.sim.now, self._advance, (nxt,))
         walker.held.clear()
-
-    # ---------------------------------------------------------- delivery
-    def _deliver(self, msg: Message, hops: int) -> None:
-        msg.deliver_time = self.sim.now
-        st = self.stats
-        st.messages_delivered += 1
-        st.bytes_delivered += msg.size_bytes
-        st.flits_delivered += max(1, -(-msg.size_bytes // FLIT_BYTES_EQUIV))
-        st.latency.record(msg.id, msg.latency)
-        st.hop_count.add(hops)
-        self.bits_transmitted += msg.size_bytes * 8
-        if self._probe is not None:
-            self._probe.on_deliver(self.sim.now, msg)
-        if msg.on_delivery is not None:
-            msg.on_delivery(msg)
-        if self._delivery_handler is not None:
-            self._delivery_handler(msg)
 
     # ------------------------------------------------------------ queries
     def quiescent(self) -> bool:

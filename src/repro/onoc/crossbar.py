@@ -17,152 +17,27 @@ grant latency) without simulating individual wavelengths.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Optional
-
-from repro.config import OnocConfig
-from repro.engine import Simulator
+from repro.config import ONOC_CROSSBAR
 from repro.net import Message
-from repro.obs.probes import net_probe
-from repro.onoc.devices import SerpentineLayout
-from repro.stats import LatencyRecorder, NetworkStats
-
-# Stats-only flit equivalence so electrical/optical throughputs are
-# comparable in the same units.
-FLIT_BYTES_EQUIV = 16
+from repro.onoc.entity import FifoChannelNetwork, _Channel
 
 
-class _TokenChannel:
-    """Arbitration state of one destination's home channel."""
+class OpticalCrossbar(FifoChannelNetwork):
+    """MWSR WDM crossbar implementing :class:`repro.net.NetworkAdapter`:
+    one token-arbitrated FIFO channel per destination."""
 
-    __slots__ = ("dst", "queue", "busy", "token_at", "token_free_time")
+    topology = ONOC_CROSSBAR
 
-    def __init__(self, dst: int) -> None:
-        self.dst = dst
-        self.queue: deque[Message] = deque()
-        self.busy = False
-        # The token parks at the last writer; it starts at the reader node.
-        self.token_at = dst
-        self.token_free_time = 0
-
-
-class OpticalCrossbar:
-    """MWSR WDM crossbar implementing :class:`repro.net.NetworkAdapter`."""
-
-    #: Token arbitration grants each destination channel FIFO, and
-    #: propagation per (src, dst) pair is fixed, so same-pair messages
-    #: deliver in injection order.
-    in_order_channels = True
-
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: OnocConfig,
-        keep_per_message_latency: bool = False,
-    ) -> None:
-        self.sim = sim
-        self.cfg = cfg
-        self.layout = SerpentineLayout(cfg)
-        self.channels = [_TokenChannel(d) for d in range(cfg.num_nodes)]
-        self.stats = NetworkStats(
-            latency=LatencyRecorder(keep_per_message=keep_per_message_latency)
-        )
-        self._delivery_handler: Optional[Callable[[Message], None]] = None
-        # None unless repro.obs instrumentation was enabled at build time.
-        self._probe = net_probe("crossbar")
-        # Degradation overlay (repro.resilience); attached by replay_trace
-        # when a fault timeseries is configured, None = pristine fabric.
-        self.degrade = None
-        # Power-model counters.
-        self.bits_transmitted = 0
-        self.token_travel_cycles = 0
-
-    # ------------------------------------------------------ adapter API
-    @property
-    def num_nodes(self) -> int:
-        return self.cfg.num_nodes
-
-    def send(self, msg: Message) -> None:
-        n = self.cfg.num_nodes
-        if not (0 <= msg.src < n and 0 <= msg.dst < n):
-            raise ValueError(f"message endpoints out of range: {msg}")
-        if msg.src == msg.dst:
-            raise ValueError(f"self-send not routed through the network: {msg}")
-        msg.inject_time = self.sim.now
-        self.stats.messages_sent += 1
-        if self._probe is not None:
-            self._probe.on_inject(self.sim.now, msg)
-        ch = self.channels[msg.dst]
-        ch.queue.append(msg)
-        if not ch.busy:
-            self._grant_next(ch)
-
-    def set_delivery_handler(self, fn: Callable[[Message], None]) -> None:
-        self._delivery_handler = fn
-
-    # ------------------------------------------------------- arbitration
-    def _token_travel(self, ch: _TokenChannel, writer: int) -> int:
+    def _token_travel(self, ch: _Channel, writer: int) -> int:
         """Token travel time from its parking node to ``writer``.
 
         The token circulates optically, so travel is waveguide propagation
         over the ring distance plus any configured per-node electrical
         overhead.  Zero when the writer already holds the token.
         """
-        hops = (writer - ch.token_at) % self.cfg.num_nodes
-        if hops == 0:
-            return 0
-        distance = hops * self.layout.spacing_cm
-        return (self.cfg.propagation_cycles(distance)
-                + hops * self.cfg.token_hop_cycles)
+        return int(self.timing.token_travel(ch.token_at, writer))
 
-    def _grant_next(self, ch: _TokenChannel) -> None:
-        """Grant the channel to the next queued writer (FIFO)."""
-        if not ch.queue:
-            ch.busy = False
-            return
-        ch.busy = True
-        msg = ch.queue.popleft()
-        now = self.sim.now
+    def _acquire(self, ch: _Channel, msg: Message) -> int:
         travel = self._token_travel(ch, msg.src)
-        grant = max(now, ch.token_free_time) + travel
-        ser = self.cfg.serialization_cycles(msg.size_bytes)
-        lat_extra = 0
-        if self.degrade is not None:
-            occ_extra, lat_extra = self.degrade.adjust(
-                msg.inject_time, msg.src, msg.dst, ser)
-            ser += occ_extra            # degraded channel held longer
-        release = grant + ser
-        prop = self.cfg.propagation_cycles(self.layout.distance_cm(msg.src, msg.dst))
-        deliver = grant + ser + prop + 2 * self.cfg.conversion_cycles + lat_extra
-
         ch.token_at = msg.src
-        ch.token_free_time = release
-        self.token_travel_cycles += travel
-        self.stats.queueing_delay.add(grant - msg.inject_time)
-
-        self.sim.schedule(deliver, self._deliver, (msg,))
-        self.sim.schedule(release, self._grant_next, (ch,))
-
-    # ---------------------------------------------------------- delivery
-    def _deliver(self, msg: Message) -> None:
-        msg.deliver_time = self.sim.now
-        st = self.stats
-        st.messages_delivered += 1
-        st.bytes_delivered += msg.size_bytes
-        st.flits_delivered += max(1, -(-msg.size_bytes // FLIT_BYTES_EQUIV))
-        st.latency.record(msg.id, msg.latency)
-        st.hop_count.add(1)  # single optical hop by construction
-        self.bits_transmitted += msg.size_bytes * 8
-        if self._probe is not None:
-            self._probe.on_deliver(self.sim.now, msg)
-        if msg.on_delivery is not None:
-            msg.on_delivery(msg)
-        if self._delivery_handler is not None:
-            self._delivery_handler(msg)
-
-    # ------------------------------------------------------------ queries
-    def quiescent(self) -> bool:
-        """True when no channel is busy or backlogged."""
-        return self.stats.in_flight() == 0 and all(
-            not ch.busy and not ch.queue for ch in self.channels
-        )
+        return travel

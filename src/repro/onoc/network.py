@@ -4,13 +4,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from repro.config import (
-    ONOC_AWGR,
-    ONOC_CIRCUIT_MESH,
-    ONOC_CROSSBAR,
-    ONOC_SWMR,
-    OnocConfig,
-)
+from repro.config import OnocConfig
 from repro.engine import Simulator
 from repro.onoc.awgr import OpticalAwgr
 from repro.onoc.circuit import CircuitSwitchedMesh
@@ -21,10 +15,9 @@ OpticalNetwork = Union[OpticalCrossbar, CircuitSwitchedMesh,
                        OpticalSwmrCrossbar, OpticalAwgr]
 
 _TOPOLOGY_CLASSES = {
-    ONOC_CROSSBAR: OpticalCrossbar,
-    ONOC_CIRCUIT_MESH: CircuitSwitchedMesh,
-    ONOC_SWMR: OpticalSwmrCrossbar,
-    ONOC_AWGR: OpticalAwgr,
+    cls.topology: cls
+    for cls in (OpticalCrossbar, CircuitSwitchedMesh, OpticalSwmrCrossbar,
+                OpticalAwgr)
 }
 
 

@@ -18,17 +18,9 @@ transmission is a contention-free circuit.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Optional
-
-from repro.config import OnocConfig
-from repro.engine import Simulator
-from repro.net import Message
-from repro.obs.probes import net_probe
-from repro.onoc.devices import RingCensus, SerpentineLayout
-from repro.stats import LatencyRecorder, NetworkStats
-
-FLIT_BYTES_EQUIV = 16
+from repro.config import ONOC_SWMR
+from repro.onoc.devices import RingCensus
+from repro.onoc.entity import FifoChannelNetwork
 
 
 def swmr_ring_census(num_nodes: int, num_wavelengths: int) -> RingCensus:
@@ -43,114 +35,10 @@ def swmr_ring_census(num_nodes: int, num_wavelengths: int) -> RingCensus:
     )
 
 
-class _SourceChannel:
-    """Transmission state of one source's home channel."""
+class OpticalSwmrCrossbar(FifoChannelNetwork):
+    """SWMR WDM crossbar implementing :class:`repro.net.NetworkAdapter`:
+    one FIFO channel per source.  No arbitration — the writer owns the
+    channel, so consecutive messages from one source serialize back to
+    back."""
 
-    __slots__ = ("src", "queue", "busy")
-
-    def __init__(self, src: int) -> None:
-        self.src = src
-        self.queue: deque[Message] = deque()
-        self.busy = False
-
-
-class OpticalSwmrCrossbar:
-    """SWMR WDM crossbar implementing :class:`repro.net.NetworkAdapter`."""
-
-    #: Each source's home channel is a single FIFO transmitter, and
-    #: propagation per (src, dst) pair is fixed, so same-pair messages
-    #: deliver in injection order.
-    in_order_channels = True
-
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: OnocConfig,
-        keep_per_message_latency: bool = False,
-    ) -> None:
-        self.sim = sim
-        self.cfg = cfg
-        self.layout = SerpentineLayout(cfg)
-        self.channels = [_SourceChannel(s) for s in range(cfg.num_nodes)]
-        self.stats = NetworkStats(
-            latency=LatencyRecorder(keep_per_message=keep_per_message_latency)
-        )
-        self._delivery_handler: Optional[Callable[[Message], None]] = None
-        # None unless repro.obs instrumentation was enabled at build time.
-        self._probe = net_probe("swmr_crossbar")
-        # Degradation overlay (repro.resilience); attached by replay_trace
-        # when a fault timeseries is configured, None = pristine fabric.
-        self.degrade = None
-        self.bits_transmitted = 0
-
-    # ------------------------------------------------------ adapter API
-    @property
-    def num_nodes(self) -> int:
-        return self.cfg.num_nodes
-
-    def send(self, msg: Message) -> None:
-        n = self.cfg.num_nodes
-        if not (0 <= msg.src < n and 0 <= msg.dst < n):
-            raise ValueError(f"message endpoints out of range: {msg}")
-        if msg.src == msg.dst:
-            raise ValueError(f"self-send not routed through the network: {msg}")
-        msg.inject_time = self.sim.now
-        self.stats.messages_sent += 1
-        if self._probe is not None:
-            self._probe.on_inject(self.sim.now, msg)
-        ch = self.channels[msg.src]
-        ch.queue.append(msg)
-        if not ch.busy:
-            self._transmit_next(ch)
-
-    def set_delivery_handler(self, fn: Callable[[Message], None]) -> None:
-        self._delivery_handler = fn
-
-    # ------------------------------------------------------ transmission
-    def _transmit_next(self, ch: _SourceChannel) -> None:
-        """Start the next queued transmission on this source channel.
-
-        No arbitration: the writer owns the channel; consecutive messages
-        from one source serialize back to back.
-        """
-        if not ch.queue:
-            ch.busy = False
-            return
-        ch.busy = True
-        msg = ch.queue.popleft()
-        now = self.sim.now
-        ser = self.cfg.serialization_cycles(msg.size_bytes)
-        lat_extra = 0
-        if self.degrade is not None:
-            occ_extra, lat_extra = self.degrade.adjust(
-                msg.inject_time, msg.src, msg.dst, ser)
-            ser += occ_extra            # degraded channel held longer
-        prop = self.cfg.propagation_cycles(
-            self.layout.distance_cm(msg.src, msg.dst))
-        release = now + ser
-        deliver = now + ser + prop + 2 * self.cfg.conversion_cycles + lat_extra
-        self.stats.queueing_delay.add(now - msg.inject_time)
-        self.sim.schedule(deliver, self._deliver, (msg,))
-        self.sim.schedule(release, self._transmit_next, (ch,))
-
-    def _deliver(self, msg: Message) -> None:
-        msg.deliver_time = self.sim.now
-        st = self.stats
-        st.messages_delivered += 1
-        st.bytes_delivered += msg.size_bytes
-        st.flits_delivered += max(1, -(-msg.size_bytes // FLIT_BYTES_EQUIV))
-        st.latency.record(msg.id, msg.latency)
-        st.hop_count.add(1)
-        self.bits_transmitted += msg.size_bytes * 8
-        if self._probe is not None:
-            self._probe.on_deliver(self.sim.now, msg)
-        if msg.on_delivery is not None:
-            msg.on_delivery(msg)
-        if self._delivery_handler is not None:
-            self._delivery_handler(msg)
-
-    # ------------------------------------------------------------ queries
-    def quiescent(self) -> bool:
-        return self.stats.in_flight() == 0 and all(
-            not ch.busy and not ch.queue for ch in self.channels
-        )
+    topology = ONOC_SWMR

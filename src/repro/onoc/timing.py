@@ -1,0 +1,242 @@
+"""Per-backend timing: the one place each optical backend's arithmetic lives.
+
+A timing object is a pure function of an :class:`~repro.config.OnocConfig`.
+It owns, exactly once per backend, everything that turns a message
+``(src, dst, size_bytes)`` into cycles:
+
+* the **serialization** rule (lane-narrowed for the AWGR),
+* the serpentine **pair-propagation table** and the release-to-delivery
+  **tail** built from it,
+* the **resource key** — which FIFO channel a message occupies
+  (``dst`` / ``src`` / ``src * n + dst``),
+* the crossbar's **token-travel** table,
+* the circuit mesh's hop count, setup walk and payload-stream closed form.
+
+Every method is written with operators that take a Python int or an
+``ndarray`` alike, so the event entities (:mod:`repro.onoc.entity`) call it
+per message and the vectorized engine (:mod:`repro.core.generational`)
+calls it per array off the *same* tables — the two engines cannot drift.
+Table lookups on ints return NumPy integer scalars; the event entities wrap
+them in ``int()`` before they reach the scheduler.
+
+:meth:`OnocConfig.serialization_cycles`, :meth:`OnocConfig.propagation_cycles`
+and :class:`~repro.onoc.devices.SerpentineLayout` stay the scalar
+definitions the tables are built from; ``tests/test_onoc_timing.py`` pins
+every table against them.
+
+Adding a backend is one timing class here (registered in :data:`TIMINGS`),
+one entity hook in :mod:`repro.onoc` and one topology constant in
+:mod:`repro.config`.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import cached_property, partial
+
+import numpy as np
+
+from repro.config import (
+    ONOC_AWGR,
+    ONOC_CIRCUIT_MESH,
+    ONOC_CROSSBAR,
+    ONOC_SWMR,
+    OnocConfig,
+)
+from repro.onoc.devices import SerpentineLayout, mesh_link_length_cm
+
+__all__ = [
+    "AwgrTiming",
+    "CircuitMeshTiming",
+    "CrossbarTiming",
+    "SerpentineTiming",
+    "SwmrTiming",
+    "TIMINGS",
+    "timing_for",
+]
+
+
+def _per_unique(rule, values: np.ndarray) -> np.ndarray:
+    """Apply the scalar ``rule`` to an int array via a unique-value table
+    (scalar-exact: the same ``math.ceil`` chain as a per-message call)."""
+    uniq, inv = np.unique(values, return_inverse=True)
+    table = np.fromiter((rule(int(v)) for v in uniq),
+                        dtype=np.int64, count=len(uniq))
+    return table[inv]
+
+
+def _ring_travel(table: np.ndarray, token_at, writer):
+    """Token flight from its parking node to ``writer`` along the ring."""
+    return table[(writer - token_at) % len(table)]
+
+
+class _Timing:
+    """What every backend shares: the config and the serialization rule."""
+
+    def __init__(self, cfg: OnocConfig) -> None:
+        self.cfg = cfg
+
+    def _serialization(self, size_bytes: int) -> int:
+        return self.cfg.serialization_cycles(size_bytes)
+
+    def serialization(self, size_bytes):
+        """Cycles a message of ``size_bytes`` occupies its channel (for the
+        circuit mesh: streams over its established circuit)."""
+        if isinstance(size_bytes, np.ndarray):
+            return _per_unique(self._serialization, size_bytes)
+        return self._serialization(size_bytes)
+
+
+class SerpentineTiming(_Timing):
+    """Timing shared by the backends laid out on the serpentine waveguide.
+
+    A granted transmission is a contention-free circuit: the message holds
+    its FIFO channel (:meth:`resource`) for :meth:`serialization` cycles and
+    is delivered :meth:`tail` cycles after it releases the channel.
+    """
+
+    #: ``token_travel(token_at, writer)`` for token-arbitrated channels;
+    #: ``None`` when the writer owns the channel (occupancy = serialization).
+    token_travel = None
+
+    def __init__(self, cfg: OnocConfig) -> None:
+        super().__init__(cfg)
+        self.layout = SerpentineLayout(cfg)
+        self.num_resources = cfg.num_nodes
+
+    @cached_property
+    def propagation_table(self) -> np.ndarray:
+        """``[src, dst]`` propagation cycles along the fixed light direction.
+
+        Built array-wide with the IEEE-754 operations of
+        ``cfg.propagation_cycles(layout.distance_cm(src, dst))`` in the same
+        order, so every entry is bit-identical to the scalar definition.
+        ``n x n`` int64 — 8 MiB at 1024 nodes — and cached on this object:
+        hold the timing object only as long as the table is wanted.
+        """
+        cfg, layout = self.cfg, self.layout
+        n = cfg.num_nodes
+        pos = np.arange(n) * layout.spacing_cm
+        table = np.empty((n, n), dtype=np.int64)
+        for a in range(0, n, 128):      # row blocks bound the float scratch
+            dist = pos[None, :] - pos[a:a + 128, None]
+            dist = np.where(dist <= 0, dist + layout.total_length_cm, dist)
+            ns = dist / cfg.devices.group_velocity_cm_ns
+            table[a:a + 128] = np.maximum(1, np.ceil(ns * cfg.clock_ghz))
+        return table
+
+    def tail(self, src, dst):
+        """Delivery minus channel release: flight plus the E/O + O/E pair."""
+        return self.propagation_table[src, dst] + 2 * self.cfg.conversion_cycles
+
+    def resource(self, src, dst):
+        """Index of the FIFO channel a ``src -> dst`` message occupies."""
+        raise NotImplementedError
+
+
+class CrossbarTiming(SerpentineTiming):
+    """Corona MWSR: one token channel per *destination*; a writer first
+    waits for the token to travel from the previous writer's node."""
+
+    def __init__(self, cfg: OnocConfig) -> None:
+        super().__init__(cfg)
+        spacing = self.layout.spacing_cm
+        # travel[h]: optical flight over h ring hops plus the configured
+        # per-node electrical overhead; 0 when the writer holds the token.
+        travel = np.zeros(cfg.num_nodes, dtype=np.int64)
+        for h in range(1, cfg.num_nodes):
+            travel[h] = (cfg.propagation_cycles(h * spacing)
+                         + h * cfg.token_hop_cycles)
+        # A partial over the small table only, so holding the rule does not
+        # pin the pair table.
+        self.token_travel = partial(_ring_travel, travel)
+
+    def resource(self, src, dst):
+        return dst
+
+
+class SwmrTiming(SerpentineTiming):
+    """Firefly SWMR: one channel per *source*, no write arbitration."""
+
+    def resource(self, src, dst):
+        return src
+
+
+class AwgrTiming(SerpentineTiming):
+    """Passive λ-router: one lane per (src, dst) pair carrying only its
+    ``num_wavelengths // (num_nodes - 1)`` wavelength subset."""
+
+    def __init__(self, cfg: OnocConfig) -> None:
+        if cfg.num_wavelengths < cfg.num_nodes - 1:
+            raise ValueError(
+                f"AWGR needs >= num_nodes-1 wavelengths to give every lane "
+                f"at least one λ; got {cfg.num_wavelengths} for "
+                f"{cfg.num_nodes} nodes"
+            )
+        super().__init__(cfg)
+        self.num_resources = cfg.num_nodes * cfg.num_nodes
+        self.lanes_per_pair = cfg.num_wavelengths // (cfg.num_nodes - 1)
+
+    def _serialization(self, size_bytes: int) -> int:
+        gbps = self.lanes_per_pair * self.cfg.bitrate_gbps
+        ns = (size_bytes * 8) / gbps
+        return max(1, math.ceil(ns * self.cfg.clock_ghz))
+
+    def resource(self, src, dst):
+        return src * self.cfg.num_nodes + dst
+
+
+class CircuitMeshTiming(_Timing):
+    """Circuit-switched mesh: XY hop count, the uncontended setup walk and
+    the payload stream, whose sum is the contention-free closed form
+
+        deliver = inject + R + hops*(L+R)                 (setup walk)
+                  + hops*L + 1 + 2*conversion + prop      (ack, stream)
+                  + ser
+    """
+
+    def __init__(self, cfg: OnocConfig) -> None:
+        super().__init__(cfg)
+        self.side = cfg.mesh_side
+        self.link_length_cm = mesh_link_length_cm(cfg)
+        # Flight over h mesh links, up to the XY diameter.
+        self._prop = np.zeros(max(1, 2 * (self.side - 1)) + 1, dtype=np.int64)
+        for h in range(1, len(self._prop)):
+            self._prop[h] = cfg.propagation_cycles(h * self.link_length_cm)
+
+    def hops(self, src, dst):
+        """Length of the XY route."""
+        side = self.side
+        return abs(src % side - dst % side) + abs(src // side - dst // side)
+
+    def setup_cycles(self, hops):
+        """Uncontended control-plane walk from injection to path complete."""
+        cfg = self.cfg
+        return (cfg.setup_router_latency
+                + hops * (cfg.setup_link_latency + cfg.setup_router_latency))
+
+    def stream_cycles(self, hops):
+        """Path complete to delivery, less serialization: the ack's return,
+        the E/O + O/E pair and the flight over the whole circuit."""
+        cfg = self.cfg
+        return (hops * cfg.setup_link_latency + 1
+                + 2 * cfg.conversion_cycles + self._prop[hops])
+
+    def latency(self, src, dst, ser):
+        """Contention-free delivery latency given serialization ``ser``."""
+        hops = self.hops(src, dst)
+        return self.setup_cycles(hops) + self.stream_cycles(hops) + ser
+
+
+#: Timing class per ``OnocConfig.topology`` (every ``ONOC_TOPOLOGIES`` entry).
+TIMINGS = {
+    ONOC_CROSSBAR: CrossbarTiming,
+    ONOC_CIRCUIT_MESH: CircuitMeshTiming,
+    ONOC_SWMR: SwmrTiming,
+    ONOC_AWGR: AwgrTiming,
+}
+
+
+def timing_for(cfg: OnocConfig):
+    """The timing object of ``cfg.topology``."""
+    return TIMINGS[cfg.topology](cfg)

@@ -42,14 +42,13 @@ simplification that keeps both engines exactly equal.)
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.config import ONOC_AWGR, OnocConfig
-from repro.onoc.devices import SerpentineLayout
+from repro.onoc.timing import SerpentineTiming, timing_for
 from repro.resilience.policies import (
     DISABLE_THRESHOLD_PM,
     LEVEL_CAP_PM,
@@ -148,7 +147,7 @@ class DegradationOverlay:
         if self.onoc.topology == ONOC_AWGR:
             # Cyclic λ assignment: lane(s, d) = (d - s) mod n - 1 owns the
             # wavelengths {w : w mod (n-1) == lane} below lpp*(n-1).
-            lpp = W // (n - 1)
+            lpp = timing_for(self.onoc).lanes_per_pair
             lane_sum = np.zeros(n - 1)
             for w, sev in wl_sev.items():
                 if w < lpp * (n - 1):
@@ -169,21 +168,16 @@ class DegradationOverlay:
         penalty model, not backend geometry.)"""
         onoc = self.onoc
         n = onoc.num_nodes
-        layout = SerpentineLayout(onoc)
-        out = np.zeros((n, n), dtype=np.int64)
         if n < 3:
-            return out
-        for s in range(n):
-            for d in range(n):
-                if s == d:
-                    continue
-                r = 0
-                while r == s or r == d:
-                    r += 1
-                direct = onoc.propagation_cycles(layout.distance_cm(s, d))
-                via = (onoc.propagation_cycles(layout.distance_cm(s, r))
-                       + onoc.propagation_cycles(layout.distance_cm(r, d)))
-                out[s, d] = max(0, via - direct) + 2 * onoc.conversion_cycles
+            return np.zeros((n, n), dtype=np.int64)
+        prop = SerpentineTiming(onoc).propagation_table
+        s, d = np.indices((n, n))
+        # Lowest-numbered node that is neither endpoint.
+        relay = np.where((s != 0) & (d != 0), 0,
+                         np.where((s != 1) & (d != 1), 1, 2))
+        via = prop[s, relay] + prop[relay, d]
+        out = np.maximum(0, via - prop) + 2 * onoc.conversion_cycles
+        np.fill_diagonal(out, 0)
         return out
 
     def _fill_tables(self) -> None:
@@ -286,26 +280,6 @@ class DegradationOverlay:
                + self._occ_add[rows, src, dst])
         return occ, self._lat_add[rows, src, dst]
 
-    # ------------------------------------------------------ serialization
-    def ser_scalar(self, size_bytes: int) -> int:
-        """The serving backend's per-message serialization cycles — the
-        ``ser`` the engines feed to :meth:`adjust` (AWGR uses its narrower
-        per-lane λ subset)."""
-        onoc = self.onoc
-        if onoc.topology == ONOC_AWGR:
-            lpp = onoc.num_wavelengths // (onoc.num_nodes - 1)
-            gbps = lpp * onoc.bitrate_gbps
-            return max(1, math.ceil(size_bytes * 8 / gbps * onoc.clock_ghz))
-        return onoc.serialization_cycles(size_bytes)
-
-    def ser_vector(self, sizes: np.ndarray) -> np.ndarray:
-        """Scalar-exact vectorized :meth:`ser_scalar` (unique-value table)."""
-        uniq, inv = np.unique(np.asarray(sizes, dtype=np.int64),
-                              return_inverse=True)
-        vals = np.asarray([self.ser_scalar(int(s)) for s in uniq],
-                          dtype=np.int64)
-        return vals[inv]
-
     # ----------------------------------------------------------- metrics
     def path_diversity(self, row: int) -> float:
         """Worst-case path diversity of the *raw* fabric in epoch ``row``:
@@ -334,7 +308,10 @@ def penalty_summary(
     inj = np.asarray(injects, dtype=np.int64)
     src = np.asarray(srcs, dtype=np.int64)
     dst = np.asarray(dsts, dtype=np.int64)
-    ser = overlay.ser_vector(np.asarray(sizes, dtype=np.int64))
+    # The serving backend's serialization: the ``ser`` the engines feed to
+    # ``adjust`` (the AWGR's is narrowed to its per-lane λ subset).
+    ser = timing_for(overlay.onoc).serialization(
+        np.asarray(sizes, dtype=np.int64))
     if inj.size == 0:
         breakdown = PenaltyBreakdown(mitigation=overlay.mitigation)
         return breakdown, []

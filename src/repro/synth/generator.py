@@ -6,7 +6,7 @@ trace in memory: each chain is an independent sequential process whose
 next injection time is always known (last delivery + a drawn gap), so a
 heap merge across chains emits records *already in canonical
 ``(t_inject, msg_id)`` order* — exactly what the streaming readers and
-``_StreamScanner`` assume — while keeping only O(chains + pending
+``stream_naive_summary`` assume — while keeping only O(chains + pending
 fan-out children + nodes) state resident.  :func:`generate_to_file`
 feeds the records straight into the chunked
 :class:`~repro.core.tracebin.BinaryTraceWriter`, so a million-message

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_experiment, main, make_parser
+from repro.config import ONOC_TOPOLOGIES
 
 
 def run_cli(capsys, *argv: str) -> str:
@@ -81,14 +82,28 @@ def test_sweep_command(capsys):
     assert "avg_latency" in out
 
 
+@pytest.mark.parametrize("network", ("electrical", *ONOC_TOPOLOGIES))
+def test_every_backend_is_a_cli_choice(capsys, network):
+    """The CLI's network lists are derived from ``ONOC_TOPOLOGIES``: every
+    backend ``load_latency_point`` runs is sweepable and replayable."""
+    args = make_parser().parse_args(
+        ["replay", "--trace", "x.json", "--target", network])
+    assert args.target == network
+    out = run_cli(capsys, "sweep", "--network", network,
+                  "--rates", "0.05", *SMALL)
+    assert f"{network} / uniform load-latency" in out
+    assert "avg_latency" in out
+
+
 def test_analyze_command(tmp_path, capsys):
-    out_file = tmp_path / "t.json"
-    run_cli(capsys, "capture", "--workload", "randshare",
-            "--out", str(out_file), *SMALL)
-    out = run_cli(capsys, "analyze", "--trace", str(out_file))
-    assert "dependency depth" in out
-    assert "Line sharing" in out
-    assert "workload=randshare" in out
+    for fmt, name in (("json", "t.json"), ("binary", "t.rtrc")):
+        out_file = tmp_path / name
+        run_cli(capsys, "capture", "--workload", "randshare",
+                "--format", fmt, "--out", str(out_file), *SMALL)
+        out = run_cli(capsys, "analyze", "--trace", str(out_file))
+        assert "dependency depth" in out
+        assert "Line sharing" in out
+        assert "workload=randshare" in out
 
 
 # --------------------------------------------------------- trace utilities

@@ -7,6 +7,13 @@ invariance (the same trace split into many RECORDS chunks summarizes
 identically to the single-chunk encoding), agreement with the in-memory
 naive generational replay, and a hot-destination trace whose one
 contended FIFO spans every chunk boundary.
+
+The FIFO segment scan has one definition (``_FifoModel.serve_batch``) and
+three callers — the full naive scan, the windowed solver's horizon batches
+and the file chunks here — so ``test_one_scan_three_callers`` drives the
+same schedule through all three, and ``test_degraded_engines_agree_exactly``
+pins event ``adjust`` against generational ``adjust_vec`` now that both
+take their serialization from :mod:`repro.onoc.timing`.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import (
+    ONOC_CIRCUIT_MESH,
     ONOC_TOPOLOGIES,
     TRACE_NAIVE,
     TraceConfig,
@@ -21,6 +29,7 @@ from repro.config import (
 from repro.core import replay_trace, stream_naive_summary, tracebin
 from repro.core.trace import EndMarker, Trace, TraceRecord
 from repro.harness.builders import optical_factory
+from repro.resilience import MITIGATIONS, generate_timeseries
 from repro.synth import default_profile, generate, synth_onoc
 
 NODES = 16
@@ -136,3 +145,78 @@ def test_tiny_chunks_still_agree(synth_trace, tmp_path):
     assert tiny["chunks"] > 40
     for key in SUMMARY_KEYS:
         assert tiny[key] == ref[key], key
+
+
+def _pinned_at(trace: Trace, result) -> Trace:
+    """The same messages as timestamp-driven roots at ``result``'s
+    schedule, in canonical (t_inject, msg_id) order."""
+    records = sorted(
+        (TraceRecord(
+            msg_id=r.msg_id, key=r.key, src=r.src, dst=r.dst,
+            size_bytes=r.size_bytes, kind=r.kind,
+            t_inject=result.injections[r.msg_id],
+            t_deliver=result.deliveries[r.msg_id],
+            cause_id=-1, gap=result.injections[r.msg_id])
+         for r in trace.records),
+        key=lambda r: (r.t_inject, r.msg_id))
+    end = max(r.t_deliver for r in records)
+    markers = [EndMarker(0, end, -1, 0)]
+    markers += [EndMarker(node, 0, -1, 0) for node in range(1, NODES)]
+    pinned = Trace(records=records, end_markers=markers, exec_time=end,
+                   meta=dict(trace.meta))
+    pinned.validate()
+    return pinned
+
+
+@pytest.mark.parametrize("topology", ONOC_TOPOLOGIES)
+def test_one_scan_three_callers(tmp_path, topology):
+    trace = generate(default_profile(NODES, 1200), seed=6)
+    onoc = synth_onoc(topology, NODES)
+    factory = optical_factory(onoc, 7)
+    # Caller 1: the windowed solver serves the trace in horizon batches.
+    windowed = replay_trace(trace, factory, TraceConfig(engine="generational"))
+    assert windowed.messages_replayed == len(trace)
+    assert windowed.extra["iterations"] > 8        # many batches, not one
+    # Caller 2: one full scan of the same messages at the same injections.
+    pinned = _pinned_at(trace, windowed)
+    full = replay_trace(
+        pinned, factory, TraceConfig(mode=TRACE_NAIVE, engine="generational"))
+    assert full.injections == windowed.injections
+    assert full.deliveries == windowed.deliveries
+    # Caller 3: file chunks, from one record per chunk to one chunk.
+    latency_sum = sum(windowed.deliveries[m] - windowed.injections[m]
+                      for m in windowed.deliveries)
+    for chunk_records in (1, 7, tracebin.CHUNK_RECORDS):
+        path = tmp_path / f"pinned-{chunk_records}.rtrc"
+        tracebin.write_file(pinned, path, chunk_records=chunk_records)
+        summary = stream_naive_summary(path, onoc)
+        assert summary["chunks"] == -(-len(trace) // chunk_records)
+        assert summary["messages"] == len(trace)
+        assert summary["max_deliver"] == max(windowed.deliveries.values())
+        assert round(summary["mean_latency"] * len(trace)) == latency_sum
+
+
+@pytest.mark.parametrize("topology,mitigation", [
+    (t, MITIGATIONS[i % len(MITIGATIONS)])
+    for i, t in enumerate(t for t in ONOC_TOPOLOGIES
+                          if t != ONOC_CIRCUIT_MESH)])
+def test_degraded_engines_agree_exactly(synth_trace, topology, mitigation):
+    """One degraded cell per FIFO backend, naive mode so the schedule is
+    fixed: the event entity's per-message ``adjust`` and the generational
+    model's ``adjust_vec`` must stretch the same serialization."""
+    onoc = synth_onoc(topology, NODES)
+    series = generate_timeseries(
+        "thermal_drift+corruption_bursts", seed=3, num_nodes=NODES,
+        horizon=max(r.t_inject for r in synth_trace.records), intensity=0.9)
+    results = [
+        replay_trace(
+            synth_trace, optical_factory(onoc, 7),
+            TraceConfig(mode=TRACE_NAIVE, engine=engine,
+                        fault_events=series.as_tuples(),
+                        mitigation=mitigation))
+        for engine in ("event", "generational")]
+    event, generational = results
+    assert event.deliveries == generational.deliveries
+    assert (event.extra["resilience"]["penalty"]
+            == generational.extra["resilience"]["penalty"])
+    assert event.extra["resilience"]["penalty"]["total_cycles"] > 0
