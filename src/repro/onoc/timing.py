@@ -108,21 +108,17 @@ class SerpentineTiming(_Timing):
     def propagation_table(self) -> np.ndarray:
         """``[src, dst]`` propagation cycles along the fixed light direction.
 
-        Built array-wide with the IEEE-754 operations of
-        ``cfg.propagation_cycles(layout.distance_cm(src, dst))`` in the same
-        order, so every entry is bit-identical to the scalar definition.
+        Filled entry by entry from the scalar definition,
+        ``cfg.propagation_cycles(layout.distance_cm(src, dst))``.
         ``n x n`` int64 — 8 MiB at 1024 nodes — and cached on this object:
         hold the timing object only as long as the table is wanted.
         """
         cfg, layout = self.cfg, self.layout
         n = cfg.num_nodes
-        pos = np.arange(n) * layout.spacing_cm
         table = np.empty((n, n), dtype=np.int64)
-        for a in range(0, n, 128):      # row blocks bound the float scratch
-            dist = pos[None, :] - pos[a:a + 128, None]
-            dist = np.where(dist <= 0, dist + layout.total_length_cm, dist)
-            ns = dist / cfg.devices.group_velocity_cm_ns
-            table[a:a + 128] = np.maximum(1, np.ceil(ns * cfg.clock_ghz))
+        for s in range(n):
+            table[s] = [cfg.propagation_cycles(layout.distance_cm(s, d))
+                        for d in range(n)]
         return table
 
     def tail(self, src, dst):
