@@ -8,9 +8,10 @@ Subcommands::
                --engine selects event-driven vs generational replay)
     trace      trace-file utilities: convert between JSON and binary,
                print header info without loading the records
-    accuracy   capture + reference + both replay modes, print the report
-    casestudy  execution-driven ONOC vs electrical comparison
-    sweep      synthetic load-latency series for one network/pattern
+    accuracy, casestudy, sweep
+               legacy spellings of ``exp run accuracy | case_study |
+               load_latency``: their flags map onto catalogue parameters
+               and the printed table is the catalogue's rows
     validate   differential validation + invariant checks + golden corpus
     serve      run the resident simulation service (see docs/SERVING.md)
     submit     submit a job to a running service and print the result
@@ -18,9 +19,9 @@ Subcommands::
     metrics    pretty-print a metrics JSON written with --metrics-out
     info       print the resolved configuration (Table-1 style)
     exp        declarative experiment layer: list the catalog and configs,
-               run a YAML/JSON config (archiving provenance), diff two
-               archives (``--gate`` for CI regression checks) — see
-               docs/EXPERIMENTS_LAYER.md
+               run a catalogue experiment by name or a YAML/JSON config
+               (archiving provenance), diff two archives (``--gate`` for CI
+               regression checks) — see docs/EXPERIMENTS_LAYER.md
 
 Sweep-shaped subcommands (``sweep``, ``accuracy``) accept ``--jobs N`` to
 shard independent simulations across processes and ``--cache-dir DIR`` (or
@@ -42,53 +43,38 @@ from __future__ import annotations
 import argparse
 import math
 import pathlib
+import re
 import sys
 from dataclasses import replace
 
 from repro import obs
-from repro.config import (
-    ExperimentConfig,
-    NocConfig,
-    ONOC_TOPOLOGIES,
-    OnocConfig,
-    SystemConfig,
-    TraceConfig,
-)
+from repro.config import ExperimentConfig, ONOC_TOPOLOGIES, TraceConfig
 from repro.core import replay_trace
 from repro.harness import (
     SweepRunner,
-    accuracy_rows_parallel,
     cache_clear,
     cache_info,
-    case_study,
     default_cache_dir,
     electrical_factory,
+    experiment_from_params,
     format_table,
-    load_latency_sweep_parallel,
     optical_factory,
     run_execution_driven,
 )
 from repro.traffic import PATTERNS
 
 
-def _square_side(cores: int) -> int:
-    side = math.isqrt(cores)
-    if side * side != cores:
-        raise SystemExit(f"--cores must be a perfect square, got {cores}")
-    return side
+def _common_params(args: argparse.Namespace) -> dict:
+    """The catalogue's common parameters from the common CLI flags."""
+    if math.isqrt(args.cores) ** 2 != args.cores:
+        raise SystemExit(f"--cores must be a perfect square, got {args.cores}")
+    return {"cores": args.cores, "seed": args.seed,
+            "wavelengths": args.wavelengths}
 
 
 def build_experiment(args: argparse.Namespace) -> ExperimentConfig:
     """Experiment config from common CLI flags."""
-    side = _square_side(args.cores)
-    return ExperimentConfig(
-        system=SystemConfig(num_cores=args.cores,
-                            num_mem_ctrls=max(1, args.cores // 4)),
-        noc=NocConfig(width=side, height=side),
-        onoc=OnocConfig(num_nodes=args.cores,
-                        num_wavelengths=args.wavelengths),
-        seed=args.seed,
-    )
+    return experiment_from_params(**_common_params(args))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -189,14 +175,12 @@ def _resolve_degrade(spec: str, trace, cores: int, seed: int,
     file is parsed, anything else is treated as a ``family[+family]``
     generator spec seeded from ``--seed`` with the horizon tied to the
     trace's injection span."""
-    from repro.resilience import FaultTimeseries, generate_timeseries
+    from repro.resilience import FaultTimeseries, timeseries_for_trace
 
     path = pathlib.Path(spec)
     if path.is_file():
         return FaultTimeseries.from_text(path.read_text())
-    horizon = max((r.t_inject for r in trace.records), default=1)
-    return generate_timeseries(spec, seed=seed, num_nodes=cores,
-                               horizon=max(1, horizon), intensity=intensity)
+    return timeseries_for_trace(spec, trace, seed, cores, intensity)
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -335,58 +319,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     rows = [{"statistic": k, "value": round(v, 4) if isinstance(v, float)
              else v} for k, v in stats.items()]
     print(format_table(rows, title=f"fidelity statistics {src}"))
-    return 0
-
-
-def cmd_accuracy(args: argparse.Namespace) -> int:
-    exp = build_experiment(args)
-    workloads = [w for w in args.workload.split(",") if w]
-    acc_rows = accuracy_rows_parallel(_runner(args), exp, workloads,
-                                      scale=args.scale)
-    for row in acc_rows:
-        rows = [
-            {"mode": "naive", "estimate": row.naive_estimate,
-             "exec_err_%": round(row.naive.exec_time_error_pct, 2),
-             "mean_lat_err_%": round(row.naive.mean_latency_error_pct, 2)},
-            {"mode": "self_correcting",
-             "estimate": row.self_correcting_estimate,
-             "exec_err_%": round(row.self_correcting.exec_time_error_pct, 2),
-             "mean_lat_err_%": round(
-                 row.self_correcting.mean_latency_error_pct, 2)},
-        ]
-        print(format_table(
-            rows,
-            title=f"{row.workload}: reference exec {row.ref_exec_time} cycles"))
-    return 0
-
-
-def cmd_casestudy(args: argparse.Namespace) -> int:
-    exp = build_experiment(args)
-    r = case_study(exp, args.workload, scale=args.scale)
-    print(format_table([{
-        "workload": r.workload,
-        "exec_electrical": r.exec_electrical,
-        "exec_optical": r.exec_optical,
-        "speedup_x": round(r.speedup, 3),
-        "lat_reduction_%": round(r.latency_reduction_pct, 1),
-    }], title="Case study"))
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    exp = build_experiment(args)
-    rates = [float(r) for r in args.rates.split(",")]
-    points = load_latency_sweep_parallel(
-        _runner(args), args.network, exp, args.pattern, rates)
-    rows = [{
-        "rate": p.injection_rate,
-        "avg_latency": round(p.avg_latency, 1),
-        "p99": p.p99_latency,
-        "throughput": round(p.throughput_flits_cycle, 3),
-        "saturated": p.saturated,
-    } for p in points]
-    print(format_table(rows,
-                       title=f"{args.network} / {args.pattern} load-latency"))
     return 0
 
 
@@ -624,7 +556,10 @@ def cmd_exp_list(args: argparse.Namespace) -> int:
         rows.append({
             "experiment": name,
             "parameters": len(base.schema.specs),
-            "description": base.description.split(".")[0] + ".",
+            # first sentence: a period, then whitespace and a capital
+            # ("(Fig. 4)" is not a sentence end)
+            "description": re.split(r"(?<=\.)\s+(?=[A-Z])",
+                                    base.description)[0],
         })
     print(format_table(rows, title="Experiment catalog"))
     configs_root = pathlib.Path(args.configs)
@@ -646,11 +581,14 @@ def cmd_exp_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_exp_run(args: argparse.Namespace) -> int:
+def run_catalogue(args: argparse.Namespace, config: str,
+                  overrides: dict) -> int:
+    """Resolve ``config`` (a catalogue name or a config file) with
+    ``overrides``, run it and print the catalogue's rows: the one function
+    behind ``exp run`` and its legacy spellings."""
     from repro import exp as E
 
-    overrides = E.parse_set_override(args.set or [])
-    cfg = E.resolve_config(args.config, overrides)
+    cfg = E.resolve_config(config, overrides)
     tasks = E.compile_config(cfg)
     print(f"{cfg.name}: experiment={cfg.experiment} "
           f"hash={cfg.config_hash[:10]} tasks={len(tasks)}")
@@ -685,6 +623,23 @@ def cmd_exp_run(args: argparse.Namespace) -> int:
     if args.baseline_out:
         print(f"baseline: {args.baseline_out}")
     return 0
+
+
+def cmd_exp_run(args: argparse.Namespace) -> int:
+    from repro.exp import parse_set_override
+
+    return run_catalogue(args, args.config, parse_set_override(args.set or []))
+
+
+def _alias(p: argparse.ArgumentParser, experiment: str, params) -> None:
+    """Make subparser ``p`` a legacy spelling of ``exp run <experiment>``:
+    ``params(args)`` maps its flags onto catalogue parameters; the
+    ``exp run`` options it has no flag for stay at their defaults."""
+    p.set_defaults(
+        fn=lambda args: run_catalogue(
+            args, experiment, {**_common_params(args), **params(args)}),
+        jobs=1, cache_dir=None, cache=False, dry_run=False, serve=None,
+        timeout=None, archive_root=None, baseline_out=None)
 
 
 def cmd_exp_diff(args: argparse.Namespace) -> int:
@@ -794,21 +749,28 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("file", help="profile JSON, or a trace (JSON/binary)")
     sp.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("accuracy", help="full accuracy experiment")
+    p = sub.add_parser("accuracy",
+                       help="alias of `exp run accuracy` (Fig. 4)")
     _add_common(p)
     _add_obs_flags(p)
     _add_sweep_flags(p)
     p.add_argument("--workload", required=True,
                    help="kernel name, or comma-separated list")
-    p.set_defaults(fn=cmd_accuracy)
+    _alias(p, "accuracy", lambda a: {
+        "workloads": [w for w in a.workload.split(",") if w],
+        "scale": a.scale})
 
-    p = sub.add_parser("casestudy", help="ONOC vs electrical case study")
+    p = sub.add_parser("casestudy",
+                       help="alias of `exp run case_study` (Table 3)")
     _add_common(p)
     _add_obs_flags(p)
     p.add_argument("--workload", required=True)
-    p.set_defaults(fn=cmd_casestudy)
+    _alias(p, "case_study", lambda a: {
+        "workloads": [a.workload], "scale": a.scale})
 
-    p = sub.add_parser("sweep", help="synthetic load-latency sweep")
+    p = sub.add_parser("sweep",
+                       help="alias of `exp run load_latency` for one "
+                            "network/pattern (Fig. 3)")
     _add_common(p)
     _add_obs_flags(p)
     _add_sweep_flags(p)
@@ -816,7 +778,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", choices=_NETWORK_CHOICES,
                    default="electrical")
     p.add_argument("--rates", default="0.02,0.05,0.1,0.2,0.3")
-    p.set_defaults(fn=cmd_sweep)
+    _alias(p, "load_latency", lambda a: {
+        "patterns": [a.pattern], "networks": [a.network],
+        "labels": [a.network],
+        "rates": [float(r) for r in a.rates.split(",")]})
 
     p = sub.add_parser(
         "validate",
@@ -977,10 +942,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     ep = esub.add_parser(
         "run",
-        help="run one YAML/JSON config and archive the outcome")
+        help="run one catalogue experiment or YAML/JSON config and "
+             "archive the outcome")
     _add_obs_flags(ep)
     _add_sweep_flags(ep)
-    ep.add_argument("config", help="config file (.yaml/.yml/.json)")
+    ep.add_argument("config",
+                    help="catalogue experiment name (schema defaults) or "
+                         "config file (.yaml/.yml/.json)")
     ep.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override one parameter (JSON-parsed value; "
                          "repeatable)")

@@ -6,8 +6,10 @@ Each :class:`BaseExperiment` bundles
 * ``compile(params) -> list[SweepTask]`` — the experiment as a flat list of
   content-addressed sweep tasks, *identical* to the tasks the original
   hand-written bench scripts built (same functions, same argument shapes),
-  so existing result-cache entries keep hitting and serve nodes accept the
-  tasks unchanged, and
+  so existing result-cache entries keep hitting,
+* ``points`` — the module-level point function(s) those tasks call, under
+  their wire alias; :func:`serve_operations` turns the registry's points
+  into the serve whitelist, so a node accepts the tasks unchanged, and
 * ``postprocess(params, results) -> (rows, metrics)`` — the table rows the
   bench scripts used to format by hand, plus a flat ``{metric: number}``
   snapshot that makes two runs machine-diffable (``repro exp diff``).
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, Union
 
 from repro.config import (
     ENGINE_EVENT,
@@ -54,7 +56,7 @@ from repro.harness.experiments import (
     seed_accuracy_point,
     simtime_experiment,
 )
-from repro.harness.parallel import SweepTask
+from repro.harness.parallel import SweepTask, callable_ref
 
 #: The full application-kernel catalogue (the paper's case study used one
 #: real application; the benches sweep the suite).
@@ -82,6 +84,9 @@ class BaseExperiment:
     schema: ParamSchema
     compile: Callable[[dict], list[SweepTask]]
     postprocess: Callable[[dict, list], tuple[Rows, Metrics]]
+    #: Wire alias -> point function ``compile`` emits tasks for (a dotted
+    #: ``module:qualname`` string for the lazily imported modules).
+    points: dict[str, Union[str, Callable]]
     #: Metric-name globs that are measured wall-clock (never gateable).
     volatile: tuple[str, ...] = field(default_factory=tuple)
 
@@ -112,6 +117,16 @@ def get_experiment(name: str) -> BaseExperiment:
 
 def experiment_names() -> list[str]:
     return sorted(_REGISTRY)
+
+
+def serve_operations() -> dict[str, str]:
+    """``alias -> module:qualname`` of every registered point function: the
+    experiment half of the serve whitelist (:mod:`repro.serve.ops`)."""
+    return {
+        alias: callable_ref(fn)
+        for exp in _REGISTRY.values()
+        for alias, fn in exp.points.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +235,7 @@ register(
         ),
         compile=_accuracy_compile,
         postprocess=_accuracy_post,
+        points={"accuracy": accuracy_experiment},
     )
 )
 
@@ -297,6 +313,7 @@ register(
         ),
         compile=_load_latency_compile,
         postprocess=_load_latency_post,
+        points={"load_latency_point": load_latency_point},
     )
 )
 
@@ -346,6 +363,7 @@ register(
         ),
         compile=_case_study_compile,
         postprocess=_case_study_post,
+        points={"casestudy": case_study},
     )
 )
 
@@ -395,6 +413,7 @@ register(
         ),
         compile=_simtime_compile,
         postprocess=_simtime_post,
+        points={"simtime": simtime_experiment},
         volatile=("*",),
     )
 )
@@ -439,6 +458,7 @@ register(
         ),
         compile=_power_compile,
         postprocess=_power_post,
+        points={"power": power_experiment},
     )
 )
 
@@ -465,6 +485,7 @@ register(
         schema=specs(*_COMMON),
         compile=_area_compile,
         postprocess=_area_post,
+        points={"area_rows": area_rows},
     )
 )
 
@@ -524,6 +545,7 @@ register(
         ),
         compile=_ablation_deps_compile,
         postprocess=_ablation_deps_post,
+        points={"ablation_deps": ablation_dep_fraction},
     )
 )
 
@@ -571,6 +593,7 @@ register(
         ),
         compile=_ablation_mismatch_compile,
         postprocess=_ablation_mismatch_post,
+        points={"ablation_mismatch": ablation_network_mismatch},
     )
 )
 
@@ -613,6 +636,7 @@ register(
         ),
         compile=_scalability_compile,
         postprocess=_scalability_post,
+        points={"scalability_point": scalability_point},
     )
 )
 
@@ -669,6 +693,7 @@ register(
         ),
         compile=_seed_sensitivity_compile,
         postprocess=_seed_sensitivity_post,
+        points={"seed_accuracy_point": seed_accuracy_point},
     )
 )
 
@@ -722,6 +747,7 @@ register(
         ),
         compile=_convergence_compile,
         postprocess=_convergence_post,
+        points={"convergence": convergence_experiment},
         volatile=("*.wall_clock_s",),
     )
 )
@@ -791,6 +817,7 @@ register(
         ),
         compile=_resilience_compile,
         postprocess=_resilience_post,
+        points={"resilience_point": resilience_point},
     )
 )
 
@@ -883,6 +910,7 @@ register(
         ),
         compile=_fault_matrix_compile,
         postprocess=_fault_matrix_post,
+        points={"scenario": "repro.validate.scenario:run_scenario"},
     )
 )
 
@@ -916,6 +944,7 @@ register(
         ),
         compile=_latency_error_compile,
         postprocess=_latency_error_post,
+        points={"latency_fidelity": latency_fidelity_rows},
     )
 )
 
@@ -969,6 +998,8 @@ register(
         ),
         compile=_scalability_synth_compile,
         postprocess=_scalability_synth_post,
+        points={"synth_scalability_point":
+                "repro.synth.experiment:synth_scalability_point"},
         volatile=("*.replay_wall_s", "*.msgs_per_s"),
     )
 )

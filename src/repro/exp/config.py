@@ -40,11 +40,6 @@ from typing import Any, Optional, Union
 
 from repro.exp.schema import SchemaError
 
-try:  # optional dependency: .yaml configs need PyYAML, .json never does
-    import yaml as _yaml
-except ImportError:  # pragma: no cover - exercised only without PyYAML
-    _yaml = None
-
 #: Keys a config file may contain at the top level.
 CONFIG_KEYS = ("name", "description", "extend", "experiment", "parameters", "gate")
 
@@ -173,11 +168,15 @@ def load_config_file(path: Union[str, Path]) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigFileError(f"{path}: invalid JSON: {exc}") from exc
     elif path.suffix in (".yaml", ".yml"):
-        if _yaml is None:
+        # Optional dependency, imported on first use: the serve node imports
+        # this package for the catalogue and never reads a config file.
+        try:
+            import yaml as _yaml
+        except ImportError:  # pragma: no cover - only without PyYAML
             raise ConfigFileError(
                 f"{path}: YAML configs need PyYAML (pip install pyyaml); "
                 "JSON configs work without it"
-            )
+            ) from None
         try:
             raw = _yaml.safe_load(text)
         except _yaml.YAMLError as exc:
@@ -238,13 +237,23 @@ def resolve_config(
 ) -> ResolvedConfig:
     """Flatten the ``extend:`` chain of ``path`` and validate the result.
 
+    ``path`` may also be a bare catalogue name (``"accuracy"``): the
+    experiment's schema defaults, as if a one-line config file naming it.
     ``overrides`` (e.g. ``repro exp run --set key=value``) are applied after
     the whole file chain, as if a final one-off child config.
     """
-    from repro.exp.catalog import get_experiment
+    from repro.exp.catalog import experiment_names, get_experiment
 
     path = Path(path)
-    chain = _load_chain(path)
+    if str(path) in experiment_names():
+        chain = [(path, {"experiment": str(path)})]
+    elif not path.is_file():
+        raise ConfigFileError(
+            f"{path}: neither a config file nor a catalogue experiment "
+            f"(known: {experiment_names()})"
+        )
+    else:
+        chain = _load_chain(path)
 
     experiment: Optional[str] = None
     declared_in: Optional[Path] = None

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from repro.config import (
     ENGINE_EVENT,
     ExperimentConfig,
-    NocConfig,
-    OnocConfig,
     TRACE_NAIVE,
     TRACE_SELF_CORRECTING,
     TraceConfig,
@@ -21,6 +19,7 @@ from repro.core import (
     replay_trace,
 )
 from repro.harness.builders import (
+    experiment_from_params,
     make_electrical,
     make_optical,
     optical_factory,
@@ -34,7 +33,30 @@ from repro.power import (
 from repro.stats import ErrorReport
 from repro.traffic import SyntheticTrafficGenerator, TrafficResult
 
-from dataclasses import replace
+
+def _capture_and_reference(
+    exp: ExperimentConfig, workload: str, scale: float,
+    reference: Optional[str] = "trace",
+):
+    """The preamble the trace experiments share.
+
+    Captures ``workload`` on the electrical baseline and runs the
+    execution-driven ground truth on ``exp``'s ONOC: ``reference="trace"``
+    captures its trace too, ``"result"`` runs it plain (its wall clock is
+    then that of an ordinary execution-driven run), ``None`` skips it.
+    Returns ``(trace, cap_res, ref_res, ref_trace, factory)``, ``factory``
+    building a fresh ONOC per replay pass.
+    """
+    cap_res, trace, _ = run_execution_driven(exp, workload, "electrical",
+                                             scale=scale)
+    assert trace is not None
+    ref_res = ref_trace = None
+    if reference is not None:
+        ref_res, ref_trace, _ = run_execution_driven(
+            exp, workload, "optical", capture=reference == "trace",
+            scale=scale)
+    return (trace, cap_res, ref_res, ref_trace,
+            optical_factory(exp.onoc, exp.seed))
 
 
 # ---------------------------------------------------------------- Fig. 3
@@ -87,11 +109,8 @@ def accuracy_experiment(
 ) -> AccuracyRow:
     """Capture on the electrical baseline, replay both modes on the ONOC,
     compare against the execution-driven ONOC reference."""
-    _, trace, _ = run_execution_driven(exp, workload, "electrical", scale=scale)
-    ref_res, ref_trace, _ = run_execution_driven(exp, workload, "optical",
-                                                 scale=scale)
-    assert trace is not None and ref_trace is not None
-    factory = optical_factory(exp.onoc, exp.seed)
+    trace, _, ref_res, ref_trace, factory = _capture_and_reference(
+        exp, workload, scale)
     naive = replay_trace(trace, factory,
                          TraceConfig(mode=TRACE_NAIVE, engine=engine))
     sc = replay_trace(trace, factory,
@@ -138,66 +157,12 @@ def load_latency_point(
     return gen.run(warmup=warmup, measure=measure)
 
 
-def load_latency_sweep_parallel(
-    runner,
-    network: str,
-    exp: ExperimentConfig,
-    pattern: str,
-    rates: Sequence[float],
-    message_bytes: int = 64,
-    warmup: int = 500,
-    measure: int = 3000,
-) -> list[TrafficResult]:
-    """Parallel/cached version of :func:`load_latency_sweep`.
-
-    All rate points run concurrently; the returned series is then truncated
-    just past the first saturated point, matching the serial driver's
-    early-stop output exactly.
-    """
-    from repro.harness.parallel import SweepTask
-
-    results = runner.run([
-        SweepTask.make(load_latency_point, network, exp, pattern, rate,
-                       message_bytes=message_bytes, warmup=warmup,
-                       measure=measure)
-        for rate in rates
-    ])
-    out: list[TrafficResult] = []
-    for res in results:
-        out.append(res)
-        if res.saturated:
-            break
-    return out
-
-
-def accuracy_rows_parallel(
-    runner, exp: ExperimentConfig, workloads: Sequence[str],
-    scale: float = 1.0,
-) -> list[AccuracyRow]:
-    """One :func:`accuracy_experiment` per workload, sharded across workers."""
-    return runner.map(accuracy_experiment, [(exp, wl) for wl in workloads],
-                      scale=scale)
-
-
-def scaled_experiment(cores: int, seed: int) -> ExperimentConfig:
-    """A square-mesh experiment config scaled to ``cores`` cores."""
-    from repro.config import SystemConfig
-
-    side = int(round(cores ** 0.5))
-    return ExperimentConfig(
-        system=SystemConfig(num_cores=cores, num_mem_ctrls=max(1, cores // 4)),
-        noc=NocConfig(width=side, height=side),
-        onoc=OnocConfig(num_nodes=cores),
-        seed=seed,
-    )
-
-
 def scalability_point(
     cores: int, seed: int, workload: str, with_accuracy: bool = True,
     engine: str = ENGINE_EVENT,
 ) -> dict:
     """One core-count point of the Fig. 9 scalability sweep."""
-    exp = scaled_experiment(cores, seed)
+    exp = experiment_from_params(cores=cores, seed=seed)
     cs = case_study(exp, workload)
     entry: dict = {
         "cores": cores,
@@ -226,11 +191,8 @@ def latency_fidelity_rows(
 ) -> list[dict]:
     """Per-message latency fidelity of both replay modes for one workload:
     the two Fig. 5 table rows (naive, self_correcting)."""
-    _, trace, _ = run_execution_driven(exp, workload, "electrical", scale=scale)
-    _, ref_trace, _ = run_execution_driven(exp, workload, "optical",
-                                           scale=scale)
-    assert trace is not None and ref_trace is not None
-    factory = optical_factory(exp.onoc, exp.seed)
+    trace, _, _, ref_trace, factory = _capture_and_reference(
+        exp, workload, scale)
     rows = []
     for mode in (TRACE_NAIVE, TRACE_SELF_CORRECTING):
         rep = compare_to_reference(
@@ -287,13 +249,11 @@ def convergence_experiment(
     damping: float = 0.5,
 ) -> tuple[list[IterationInfo], int]:
     """Offline iterative self-correction history + the reference exec time."""
-    _, trace, _ = run_execution_driven(exp, workload, "electrical", scale=scale)
-    ref_res, _, _ = run_execution_driven(exp, workload, "optical",
-                                         capture=False, scale=scale)
-    assert trace is not None
+    trace, _, ref_res, _, factory = _capture_and_reference(
+        exp, workload, scale, reference="result")
     refiner = IterativeRefiner(
         trace,
-        optical_factory(exp.onoc, exp.seed),
+        factory,
         max_iterations=max_iterations,
         convergence_tol=exp.trace.convergence_tol,
         damping=damping,
@@ -329,12 +289,8 @@ def simtime_experiment(
     """Wall-clock comparison on the *optical* target network: full-system
     execution-driven vs trace replays ("not substantially extend the total
     simulation time")."""
-    cap_res, trace, _ = run_execution_driven(exp, workload, "electrical",
-                                             scale=scale)
-    ref_res, _, _ = run_execution_driven(exp, workload, "optical",
-                                         capture=False, scale=scale)
-    assert trace is not None
-    factory = optical_factory(exp.onoc, exp.seed)
+    trace, cap_res, ref_res, _, factory = _capture_and_reference(
+        exp, workload, scale, reference="result")
     naive = replay_trace(trace, factory,
                          TraceConfig(mode=TRACE_NAIVE, engine=engine))
     sc = replay_trace(trace, factory,
@@ -417,10 +373,8 @@ def ablation_dep_fraction(
     sensitivity).  ``gap_policy`` selects the degraded-gap policy applied to
     the ablated records (default: the TraceConfig default, ``neighbor_gap``).
     """
-    _, trace, _ = run_execution_driven(exp, workload, "electrical", scale=scale)
-    _, ref_trace, _ = run_execution_driven(exp, workload, "optical", scale=scale)
-    assert trace is not None and ref_trace is not None
-    factory = optical_factory(exp.onoc, exp.seed)
+    trace, _, _, ref_trace, factory = _capture_and_reference(
+        exp, workload, scale)
     out = []
     for frac in fractions:
         cfg = TraceConfig(mode=TRACE_SELF_CORRECTING, keep_dep_fraction=frac)
@@ -452,17 +406,14 @@ def resilience_point(
     file); otherwise ``degrade`` names '+'-joined generator families
     seeded by ``exp.seed`` over the trace's injection span.
     """
-    _, trace, _ = run_execution_driven(exp, workload, "electrical",
-                                       scale=scale)
-    assert trace is not None
+    trace, _, _, _, factory = _capture_and_reference(
+        exp, workload, scale, reference=None)
     if not fault_events and degrade:
-        from repro.resilience import generate_timeseries
+        from repro.resilience import timeseries_for_trace
 
-        horizon = max((r.t_inject for r in trace.records), default=1)
-        fault_events = generate_timeseries(
-            degrade, seed=exp.seed, num_nodes=exp.onoc.num_nodes,
-            horizon=max(1, horizon), intensity=intensity).as_tuples()
-    factory = optical_factory(exp.onoc, exp.seed)
+        fault_events = timeseries_for_trace(
+            degrade, trace, exp.seed, exp.onoc.num_nodes,
+            intensity).as_tuples()
     stock = replay_trace(
         trace, factory,
         TraceConfig(mode=TRACE_SELF_CORRECTING, engine=engine))
@@ -503,15 +454,12 @@ def ablation_network_mismatch(
     against a fresh execution-driven reference on that ONOC.  Returns
     ``(wavelengths, naive_report, self_correcting_report)`` triples.
     """
-    _, trace, _ = run_execution_driven(exp, workload, "electrical", scale=scale)
-    assert trace is not None
+    trace, *_ = _capture_and_reference(exp, workload, scale, reference=None)
     out = []
     for wl_count in wavelength_counts:
         onoc = replace(exp.onoc, num_wavelengths=wl_count)
-        exp_v = replace(exp, onoc=onoc)
-        _, ref_trace, _ = run_execution_driven(exp_v, workload, "optical",
-                                               scale=scale)
-        assert ref_trace is not None
+        _, ref_trace, _ = run_execution_driven(
+            replace(exp, onoc=onoc), workload, "optical", scale=scale)
         factory = optical_factory(onoc, exp.seed)
         naive = replay_trace(trace, factory, TraceConfig(mode=TRACE_NAIVE))
         sc = replay_trace(trace, factory,

@@ -12,15 +12,7 @@ import time
 from typing import Sequence
 
 from repro.config import ExperimentConfig
-from repro.harness.experiments import (
-    accuracy_experiment,
-    case_study,
-    power_experiment,
-    simtime_experiment,
-)
-from repro.onoc import awgr_ring_census, crossbar_ring_census, mesh_ring_census
-from repro.onoc.swmr import swmr_ring_census
-from repro.power import electrical_area, optical_area
+from repro.harness.experiments import area_rows
 
 
 def _md_table(rows: Sequence[dict]) -> str:
@@ -53,68 +45,28 @@ def generate_report(
                  f"({o.num_wavelengths} λ x {o.bitrate_gbps} Gb/s), "
                  f"seed {exp.seed}, workload scale {scale}.\n")
 
-    # ---------------------------------------------------------- case study
+    # Every section is a catalogue experiment: its point function run on
+    # the caller's ``exp``, its rows the catalogue's own postprocess rows.
+    # (Imported here so repro.harness -> repro.exp stays a call-time edge.)
+    from repro.exp.catalog import get_experiment
+
+    def section(name: str, wls: Sequence[str]) -> str:
+        base = get_experiment(name)
+        (point,) = base.points.values()
+        results = [point(exp, wl, scale=scale) for wl in wls]
+        rows, _ = base.postprocess({"workloads": list(wls)}, results)
+        return _md_table(rows) + "\n"
+
     lines.append("## Case study: ONOC vs electrical baseline\n")
-    cs_rows = []
-    for wl in workloads:
-        r = case_study(exp, wl, scale=scale)
-        cs_rows.append({
-            "workload": r.workload,
-            "exec electrical": r.exec_electrical,
-            "exec optical": r.exec_optical,
-            "speedup": f"{r.speedup:.2f}x",
-            "latency cut": f"{r.latency_reduction_pct:.1f}%",
-        })
-    lines.append(_md_table(cs_rows) + "\n")
-
-    # ------------------------------------------------------------ accuracy
+    lines.append(section("case_study", workloads))
     lines.append("## Trace-model accuracy (replay onto the ONOC)\n")
-    acc_rows = []
-    for wl in workloads:
-        r = accuracy_experiment(exp, wl, scale=scale)
-        acc_rows.append({
-            "workload": wl,
-            "naive err": f"{r.naive.exec_time_error_pct:.2f}%",
-            "self-correcting err":
-                f"{r.self_correcting.exec_time_error_pct:.2f}%",
-            "messages": r.extra["trace_messages"],
-        })
-    lines.append(_md_table(acc_rows) + "\n")
-
-    # ------------------------------------------------------ simulation time
+    lines.append(section("accuracy", workloads))
     lines.append("## Simulation wall-clock time\n")
-    st_rows = []
-    for wl in workloads:
-        r = simtime_experiment(exp, wl, scale=scale)
-        st_rows.append({
-            "workload": wl,
-            "exec-driven": f"{r.exec_driven_s:.2f}s",
-            "self-correcting replay": f"{r.self_correcting_s:.2f}s",
-            "speedup": f"{r.replay_speedup:.1f}x",
-        })
-    lines.append(_md_table(st_rows) + "\n")
-
-    # -------------------------------------------------------------- energy
+    lines.append(section("simtime", workloads))
     lines.append("## Energy (first workload)\n")
-    rep_e, rep_o = power_experiment(exp, workloads[0], scale=scale)
-    lines.append(_md_table([rep_e.as_row(), rep_o.as_row()]) + "\n")
-
-    # ---------------------------------------------------------------- area
+    lines.append(section("power", workloads[:1]))
     lines.append("## Area (mm^2)\n")
-    area_rows = [electrical_area(exp.noc).as_row()]
-    census_fns = {
-        "crossbar": crossbar_ring_census,
-        "swmr_crossbar": swmr_ring_census,
-        "awgr": awgr_ring_census,
-        "circuit_mesh": mesh_ring_census,
-    }
-    census = census_fns.get(o.topology, crossbar_ring_census)(
-        o.num_nodes, o.num_wavelengths)
-    area_rows.append(optical_area(o, census).as_row())
-    # Per-row component keys differ; normalise to name/total.
-    area_rows = [{"network": r["network"], "total mm^2": r["total_mm2"]}
-                 for r in area_rows]
-    lines.append(_md_table(area_rows) + "\n")
+    lines.append(_md_table(area_rows(exp)) + "\n")
 
     lines.append(f"*Report generated in {time.perf_counter() - t0:.1f}s "
                  "of simulation.*\n")

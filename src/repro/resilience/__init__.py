@@ -28,6 +28,7 @@ event backends and vectorized by the generational models.
 from repro.resilience.generators import (
     GENERATOR_FAMILIES,
     generate_timeseries,
+    timeseries_for_trace,
 )
 from repro.resilience.overlay import (
     DegradationOverlay,
@@ -61,4 +62,5 @@ __all__ = [
     "TimeseriesError",
     "generate_timeseries",
     "penalty_summary",
+    "timeseries_for_trace",
 ]

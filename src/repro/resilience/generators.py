@@ -173,3 +173,13 @@ def generate_timeseries(family: str, seed: int, num_nodes: int,
         series = series.merged(
             fn(sub_seed, num_nodes, horizon, intensity, **kwargs))
     return series
+
+
+def timeseries_for_trace(family: str, trace, seed: int, num_nodes: int,
+                         intensity: float = 0.5) -> FaultTimeseries:
+    """:func:`generate_timeseries` with the horizon tied to ``trace``'s
+    injection span, so a (families, seed, nodes, intensity) spec always
+    gives the same trace the same fabric weather."""
+    horizon = max((r.t_inject for r in trace.records), default=1)
+    return generate_timeseries(family, seed=seed, num_nodes=num_nodes,
+                               horizon=max(1, horizon), intensity=intensity)

@@ -6,8 +6,9 @@ to a module-level function (the same ``module:qualname`` form
 :class:`repro.harness.SweepTask` uses, so the resolved reference is part of
 the content-addressed cache key and serve shares cache entries with batch
 sweeps).  Servers can extend the registry at construction time
-(``SimulationServer(operations={...})``); the defaults below cover the
-repository's experiment surface.
+(``SimulationServer(operations={...})``); the defaults cover the
+repository's experiment surface, derived from the one experiment registry
+(:func:`repro.exp.catalog.serve_operations`).
 
 JSON-friendly wrappers: CLI clients (``repro submit``) send plain-JSON
 parameter objects, so for config-heavy entry points this module provides
@@ -22,35 +23,20 @@ import time
 from dataclasses import asdict
 from typing import Any
 
+from repro.exp.catalog import serve_operations
 from repro.harness.builders import experiment_from_params as _experiment_from_params
 
-#: Default alias -> dotted-reference registry.
+#: Default alias -> dotted-reference registry: the service plumbing and the
+#: JSON front ends below, plus every point function the experiment
+#: catalogue registers (shared with SweepRunner-driven runs, so an
+#: experiment config submits its tasks unchanged — same dotted refs, same
+#: args, same content keys — and cache entries are interchangeable).
 DEFAULT_OPERATIONS: dict[str, str] = {
-    # Service plumbing / diagnostics.
     "echo": "repro.serve.ops:echo",
     "resolve_config": "repro.serve.ops:resolve_config",
-    # Experiment surface (shared with SweepRunner-driven benchmarks, so
-    # cache entries are interchangeable).
-    "scenario": "repro.validate.scenario:run_scenario",
     "scenario_json": "repro.serve.ops:run_scenario_json",
-    "accuracy": "repro.harness.experiments:accuracy_experiment",
     "accuracy_json": "repro.serve.ops:accuracy_json",
-    "casestudy": "repro.harness.experiments:case_study",
-    "load_latency_point": "repro.harness.experiments:load_latency_point",
-    # The rest of the sweep-task surface compiled by repro.exp configs, so
-    # an experiment config can submit its tasks to a serve node unchanged
-    # (same dotted refs, same args, same content keys as a local run).
-    "simtime": "repro.harness.experiments:simtime_experiment",
-    "power": "repro.harness.experiments:power_experiment",
-    "convergence": "repro.harness.experiments:convergence_experiment",
-    "ablation_deps": "repro.harness.experiments:ablation_dep_fraction",
-    "ablation_mismatch": "repro.harness.experiments:ablation_network_mismatch",
-    "scalability_point": "repro.harness.experiments:scalability_point",
-    "seed_accuracy_point": "repro.harness.experiments:seed_accuracy_point",
-    "latency_fidelity": "repro.harness.experiments:latency_fidelity_rows",
-    "area_rows": "repro.harness.experiments:area_rows",
-    "resilience_point": "repro.harness.experiments:resilience_point",
-    "synth_scalability_point": "repro.synth.experiment:synth_scalability_point",
+    **serve_operations(),
 }
 
 

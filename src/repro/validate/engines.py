@@ -47,7 +47,7 @@ from repro.config import (
 from repro.core.replay import ReplayResult, replay_trace
 from repro.core.trace import Trace
 from repro.harness.builders import backend_in_order_channels, optical_factory
-from repro.resilience import generate_timeseries
+from repro.resilience import timeseries_for_trace
 from repro.validate import invariants as inv
 from repro.validate.faults import apply_faults, parse_fault_specs
 from repro.validate.golden import GOLDEN_SCENARIOS, _trace_path
@@ -261,11 +261,9 @@ def check_engines(golden_dir: Path,
         # Degraded cell: one per backend, identical fault timeseries through
         # both engines (cycling the mitigation policy across the corpus so
         # each one is engine-pinned somewhere).
-        horizon = max((r.t_inject for r in trace.records), default=1)
-        series = generate_timeseries(
-            ENGINE_DEGRADE_FAMILY, seed=scenario.seed,
-            num_nodes=scenario.cores, horizon=max(1, horizon),
-            intensity=ENGINE_DEGRADE_INTENSITY)
+        series = timeseries_for_trace(
+            ENGINE_DEGRADE_FAMILY, trace, scenario.seed, scenario.cores,
+            ENGINE_DEGRADE_INTENSITY)
         mitigation = MITIGATIONS[cell_idx % len(MITIGATIONS)]
         cfg = TraceConfig(mode=TRACE_SELF_CORRECTING,
                           fault_events=series.as_tuples(),

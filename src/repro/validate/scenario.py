@@ -24,20 +24,18 @@ from repro.config import (
     GAP_POLICY_NEIGHBOR,
     MITIGATION_NONE,
     MITIGATIONS,
-    NocConfig,
-    OnocConfig,
     ONOC_TOPOLOGIES,
-    SystemConfig,
     TRACE_NAIVE,
     TRACE_SELF_CORRECTING,
     TraceConfig,
 )
 from repro.core import compare_to_reference, replay_trace
-from repro.resilience import GENERATOR_FAMILIES, generate_timeseries
+from repro.resilience import GENERATOR_FAMILIES, timeseries_for_trace
 from repro.validate.faults import FaultModel, apply_faults
 from repro.harness.builders import (
     backend_in_order_channels,
     electrical_factory,
+    experiment_from_params,
     optical_factory,
     run_execution_driven,
 )
@@ -127,16 +125,8 @@ class Scenario:
                 f"{degrade}")
 
     def experiment(self) -> ExperimentConfig:
-        side = math.isqrt(self.cores)
-        return ExperimentConfig(
-            system=SystemConfig(num_cores=self.cores,
-                                num_mem_ctrls=max(1, self.cores // 4)),
-            noc=NocConfig(width=side, height=side),
-            onoc=OnocConfig(num_nodes=self.cores,
-                            num_wavelengths=self.wavelengths,
-                            topology=self.target),
-            seed=self.seed,
-        )
+        return experiment_from_params(self.cores, self.seed, self.wavelengths,
+                                      topology=self.target)
 
 
 @dataclass(frozen=True)
@@ -272,16 +262,13 @@ def run_scenario(
         trace, fault_reports = apply_faults(
             trace, scenario.faults, scenario.fault_seed)
 
-    # Degradation timeseries: deterministic in (families, seed, cores) with
-    # the horizon tied to the captured injection span, so the same scenario
-    # always replays under the same fabric weather.
+    # Degradation timeseries: deterministic in (families, seed, cores) over
+    # the (possibly fault-damaged) trace's injection span.
     fault_events: tuple = ()
     if scenario.degrade:
-        horizon = max((r.t_inject for r in trace.records), default=1)
-        fault_events = generate_timeseries(
-            scenario.degrade, seed=scenario.seed,
-            num_nodes=scenario.cores, horizon=max(1, horizon),
-            intensity=scenario.degrade_intensity).as_tuples()
+        fault_events = timeseries_for_trace(
+            scenario.degrade, trace, scenario.seed, scenario.cores,
+            scenario.degrade_intensity).as_tuples()
 
     ref_res, ref_trace, _ = run_execution_driven(
         exp, scenario.workload, "optical", scale=scenario.scale)

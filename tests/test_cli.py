@@ -66,14 +66,35 @@ def test_replay_naive_mode(tmp_path, capsys):
 
 
 def test_accuracy_command(capsys):
+    # The legacy spellings print the catalogue's rows (exp run <name>).
     out = run_cli(capsys, "accuracy", "--workload", "randshare", *SMALL)
-    assert "self_correcting" in out
-    assert "exec_err_%" in out
+    assert "experiment=accuracy" in out
+    assert "randshare" in out and "gmean" in out
+    assert "naive_err_%" in out and "selfcorr_err_%" in out
 
 
 def test_casestudy_command(capsys):
     out = run_cli(capsys, "casestudy", "--workload", "prodcons", *SMALL)
+    assert "experiment=case_study" in out
     assert "speedup_x" in out
+
+
+def test_alias_shares_cache_with_exp_run(tmp_path, capsys):
+    """``repro accuracy`` and ``repro exp run accuracy`` are one function:
+    the same flags-as-parameters hit the same content keys."""
+    cache = str(tmp_path / "cache")
+    run_cli(capsys, "accuracy", "--workload", "lu", "--cache-dir", cache,
+            *SMALL)
+    out = run_cli(capsys, "exp", "run", "accuracy", "--cache-dir", cache,
+                  "--set", 'workloads=["lu"]', "--set", "cores=4",
+                  "--set", "seed=3", "--set", "wavelengths=16",
+                  "--set", "scale=0.5")
+    assert "tasks: 0 executed, 1 cached" in out
+
+
+def test_alias_keeps_square_cores_message():
+    with pytest.raises(SystemExit, match="perfect square"):
+        main(["sweep", "--cores", "6"])
 
 
 def test_sweep_command(capsys):
@@ -91,7 +112,7 @@ def test_every_backend_is_a_cli_choice(capsys, network):
     assert args.target == network
     out = run_cli(capsys, "sweep", "--network", network,
                   "--rates", "0.05", *SMALL)
-    assert f"{network} / uniform load-latency" in out
+    assert f"uniform | {network}" in out       # the catalogue's key columns
     assert "avg_latency" in out
 
 

@@ -11,6 +11,7 @@ Two properties carry the whole layer:
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
@@ -18,8 +19,11 @@ import pytest
 from repro.cli import main
 from repro.config import default_16core_config
 from repro.exp import (
+    SchemaError,
+    ServeExecutor,
     compile_config,
     diff_archives,
+    discover_configs,
     load_archive,
     resolve_config,
     run_experiment,
@@ -30,6 +34,7 @@ from repro.harness.experiments import (
     area_rows,
     scalability_point,
 )
+from repro.serve import ServeClient, SimulationServer
 
 SMALL = {"cores": 4, "seed": 3, "wavelengths": 16}
 
@@ -83,6 +88,68 @@ def test_scalability_compiles_to_legacy_tasks(tmp_path):
     ]
     assert [t.cache_key() for t in tasks] == [
         t.cache_key() for t in legacy]
+
+
+# ------------------------------------------------------- serve whitelist
+#: The hand-written whitelist as of the last commit that kept one (PR 13):
+#: wire clients and cached content keys depend on every pair.
+OPERATIONS_AT_PR13 = {
+    "echo": "repro.serve.ops:echo",
+    "resolve_config": "repro.serve.ops:resolve_config",
+    "scenario": "repro.validate.scenario:run_scenario",
+    "scenario_json": "repro.serve.ops:run_scenario_json",
+    "accuracy": "repro.harness.experiments:accuracy_experiment",
+    "accuracy_json": "repro.serve.ops:accuracy_json",
+    "casestudy": "repro.harness.experiments:case_study",
+    "load_latency_point": "repro.harness.experiments:load_latency_point",
+    "simtime": "repro.harness.experiments:simtime_experiment",
+    "power": "repro.harness.experiments:power_experiment",
+    "convergence": "repro.harness.experiments:convergence_experiment",
+    "ablation_deps": "repro.harness.experiments:ablation_dep_fraction",
+    "ablation_mismatch": "repro.harness.experiments:ablation_network_mismatch",
+    "scalability_point": "repro.harness.experiments:scalability_point",
+    "seed_accuracy_point": "repro.harness.experiments:seed_accuracy_point",
+    "latency_fidelity": "repro.harness.experiments:latency_fidelity_rows",
+    "area_rows": "repro.harness.experiments:area_rows",
+    "resilience_point": "repro.harness.experiments:resilience_point",
+    "synth_scalability_point": "repro.synth.experiment:synth_scalability_point",
+}
+
+
+def test_every_checked_in_config_compiles_to_whitelisted_tasks():
+    """The whitelist is derived from the catalogue's ``points``; this is the
+    guard that a registration's points cover what its compile emits."""
+    operations = SimulationServer(port=0).operations
+    assert OPERATIONS_AT_PR13.items() <= operations.items()
+    admitted = set(operations.values())
+    configs = discover_configs("benchmarks/experiments")
+    assert len(configs) >= 36
+    for path in configs:
+        tasks = compile_config(resolve_config(path))
+        assert tasks, path
+        assert {t.fn for t in tasks} <= admitted, path
+
+
+def test_serve_executor_matches_local_run(runner):
+    cfg = resolve_config("area", SMALL)
+    local = run_experiment(cfg, runner)
+
+    def submit_all(port):
+        with ServeClient(port=port) as client:
+            return run_experiment(cfg, ServeExecutor(client))
+
+    async def serve():
+        server = SimulationServer(port=0, workers=1)
+        await server.start()
+        try:
+            return await asyncio.to_thread(submit_all, server.port)
+        finally:
+            await server.aclose()
+
+    served = asyncio.run(serve())
+    assert served.rows == local.rows
+    assert served.metrics == local.metrics
+    assert served.stats.executed == len(compile_config(cfg))
 
 
 # ------------------------------------------------------- end-to-end runs
@@ -154,6 +221,10 @@ def test_cli_exp_list(capsys):
     assert rc == 0
     assert "accuracy" in out and "area" in out
     assert "fig4_accuracy" in out  # discovered configs listed with hashes
+    # descriptions are cut at the sentence end, not at the period in "Fig."
+    (accuracy_row,) = [ln for ln in out.splitlines()
+                       if ln.startswith("accuracy ")]
+    assert "Fig. 4" in accuracy_row
 
 
 def test_cli_exp_run_dry(tmp_path, capsys):
@@ -162,6 +233,17 @@ def test_cli_exp_run_dry(tmp_path, capsys):
     assert rc == 0
     assert "tasks=1" in out
     assert "key=" in out  # each task listed with its cache key prefix
+
+
+def test_cli_exp_run_by_name_matches_one_line_config(tmp_path, capsys):
+    """A bare catalogue name is the config file that only names it."""
+    p = write_cfg(tmp_path, {"experiment": "accuracy"})
+    _, by_file = run_cli(capsys, "exp", "run", str(p), "--dry-run")
+    _, by_name = run_cli(capsys, "exp", "run", "accuracy", "--dry-run")
+    assert "key=" in by_name
+    assert by_name.splitlines()[1:] == by_file.splitlines()[1:]  # task keys
+    with pytest.raises(SchemaError, match="catalogue experiment"):
+        main(["exp", "run", "accurcy", "--dry-run"])
 
 
 def test_cli_exp_run_and_gated_diff(tmp_path, capsys):
@@ -194,8 +276,6 @@ def test_cli_exp_run_and_gated_diff(tmp_path, capsys):
 
 
 def test_cli_exp_run_set_override_rejects_typo(tmp_path):
-    from repro.exp import SchemaError
-
     p = write_cfg(tmp_path, {"experiment": "area", "parameters": SMALL})
     with pytest.raises(SchemaError, match="unknown parameter"):
         main(["exp", "run", str(p), "--dry-run", "--set", "coers=8"])

@@ -1,4 +1,6 @@
-"""Experiment-driver tests (small configs so the whole file stays fast)."""
+"""Harness building-block tests (small configs so the whole file stays fast);
+the experiment drivers themselves are covered per catalogue entry in
+tests/test_experiments.py."""
 
 from __future__ import annotations
 
@@ -12,18 +14,11 @@ from repro.config import (
     SystemConfig,
 )
 from repro.harness import (
-    ablation_dep_fraction,
-    ablation_network_mismatch,
-    accuracy_experiment,
-    case_study,
-    convergence_experiment,
     format_table,
     load_latency_sweep,
     make_electrical,
     make_optical,
-    power_experiment,
     run_execution_driven,
-    simtime_experiment,
 )
 from repro.noc import ElectricalNetwork
 
@@ -55,58 +50,6 @@ def test_run_execution_driven_targets(exp):
 def test_run_execution_driven_no_capture(exp):
     _, trace, _ = run_execution_driven(exp, "lu", "electrical", capture=False)
     assert trace is None
-
-
-def test_accuracy_experiment_shape(exp):
-    row = accuracy_experiment(exp, "randshare")
-    assert row.workload == "randshare"
-    assert row.ref_exec_time > 0
-    assert row.self_correcting.exec_time_error_pct <= row.naive.exec_time_error_pct
-    assert row.extra["trace_messages"] > 0
-
-
-def test_simtime_experiment_shape(exp):
-    row = simtime_experiment(exp, "stencil")
-    assert row.exec_driven_s > 0
-    assert row.naive_replay_s > 0
-    assert row.self_correcting_s > 0
-    assert row.replay_speedup > 0
-
-
-def test_case_study_shape(exp):
-    row = case_study(exp, "fft")
-    assert row.exec_electrical > 0 and row.exec_optical > 0
-    assert row.speedup == pytest.approx(row.exec_electrical / row.exec_optical)
-    assert row.messages > 0
-
-
-def test_power_experiment_shape(exp):
-    r_e, r_o = power_experiment(exp, "fft")
-    assert r_e.total_energy_uj > 0
-    assert r_o.total_energy_uj > 0
-    assert "laser" in r_o.static_mw
-
-
-def test_convergence_experiment(exp):
-    history, ref = convergence_experiment(exp, "randshare", max_iterations=4)
-    assert 1 <= len(history) <= 4
-    assert ref > 0
-
-
-def test_ablation_dep_fraction(exp):
-    rows = ablation_dep_fraction(exp, "randshare", fractions=[1.0, 0.0])
-    assert len(rows) == 2
-    full_err = rows[0][1].exec_time_error_pct
-    none_err = rows[1][1].exec_time_error_pct
-    assert full_err < none_err
-
-
-def test_ablation_network_mismatch(exp):
-    rows = ablation_network_mismatch(exp, "randshare",
-                                     wavelength_counts=[4, 64])
-    assert len(rows) == 2
-    for _, naive_rep, sc_rep in rows:
-        assert sc_rep.exec_time_error_pct <= naive_rep.exec_time_error_pct + 1.0
 
 
 def test_load_latency_sweep_stops_at_saturation(exp):
