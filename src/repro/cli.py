@@ -829,9 +829,10 @@ def make_parser() -> argparse.ArgumentParser:
                         "(default neighbor_gap)")
     p.add_argument("--engines", action="store_true",
                    help="run the generational-vs-event engine differential "
-                        "on the golden corpus (all backends x gap policies "
-                        "x fault matrix + degraded cells + binary/JSON "
-                        "identity) and exit")
+                        "on the golden corpus (all backends x the captured/"
+                        "neighbor_gap gap policies x fault slice + degraded "
+                        "cells + binary/JSON identity; interp is event-"
+                        "engine only) and exit")
     _add_degrade_flags(p, spec_only=True)
     p.set_defaults(fn=cmd_validate)
 

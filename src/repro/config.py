@@ -294,7 +294,8 @@ TRACE_MODES = (TRACE_NAIVE, TRACE_SELF_CORRECTING)
 #   anchored to the node's corrected local timeline.
 # * ``interp``        — ``neighbor_gap`` with the delta rescaled by the
 #   node-local time-warp observed between the two most recent surviving
-#   (dependency-intact) injections on that node.
+#   (dependency-intact) injections on that node.  Event engine only: the
+#   warp is measured online, so ``engine="generational"`` refuses it.
 GAP_POLICY_CAPTURED = "captured"
 GAP_POLICY_NEIGHBOR = "neighbor_gap"
 GAP_POLICY_INTERP = "interp"
@@ -307,12 +308,13 @@ GAP_POLICIES = (GAP_POLICY_CAPTURED, GAP_POLICY_NEIGHBOR, GAP_POLICY_INTERP)
 #   against any backend including the electrical mesh, and is the only
 #   engine for network-in-the-loop experiments.
 # * ``generational`` — the vectorized engine (:mod:`repro.core.generational`):
-#   layers the dependency DAG once (Kahn generations), then resolves whole
-#   generations with NumPy array sweeps and a closed-form FIFO model of the
+#   classifies the dependency DAG once, then solves it in one exact windowed
+#   sweep of NumPy array batches against a closed-form FIFO model of the
 #   optical backends.  Orders of magnitude fewer Python dispatches; optical
-#   targets only.  Its equivalence contract with the event engine is
-#   specified in ``docs/TRACE_FORMAT.md`` and enforced by
-#   :mod:`repro.validate.engines`.
+#   targets only, and it refuses the options only the event engine
+#   implements (the ``interp`` gap policy, ``awgr_occupancy_hint``).  Its
+#   equivalence contract with the event engine is specified in
+#   ``docs/TRACE_FORMAT.md`` and enforced by :mod:`repro.validate.engines`.
 ENGINE_EVENT = "event"
 ENGINE_GENERATIONAL = "generational"
 REPLAY_ENGINES = (ENGINE_EVENT, ENGINE_GENERATIONAL)
@@ -333,6 +335,8 @@ class TraceConfig:
     """Replay behaviour of the trace model."""
 
     mode: str = TRACE_SELF_CORRECTING
+    # No reader left in src/ (the iterative refiner takes its own argument);
+    # kept because every cache key hashes it — goes with the next CACHE_SALT.
     max_iterations: int = 5
     convergence_tol: float = 1e-3      # relative exec-time change between passes
     keep_dep_fraction: float = 1.0     # ablation: fraction of dependency edges kept

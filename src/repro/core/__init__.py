@@ -23,8 +23,8 @@ Pipeline (mirrors the paper's methodology):
    execution-driven reference on the same target network.
 
 Two performance-oriented paths sit beside the event-driven replayers:
-:mod:`repro.core.generational` resolves the dependency DAG in vectorized
-Kahn generations (``TraceConfig(engine="generational")``), and
+:mod:`repro.core.generational` solves the dependency DAG in one exact
+windowed sweep of array batches (``TraceConfig(engine="generational")``), and
 :mod:`repro.core.tracebin` is the chunked binary trace format whose
 streaming readers keep million-message traces out of memory (see
 ``docs/TRACE_FORMAT.md``).

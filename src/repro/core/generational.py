@@ -1,4 +1,4 @@
-"""Generational (Kahn-layer) vectorized replay engine.
+"""Generational (vectorized) replay engine: one exact solver.
 
 The event-driven replayers in :mod:`repro.core.replay` pay per-message
 Python dispatch: every injection, arbitration grant and delivery is a heap
@@ -8,38 +8,33 @@ array-wide operations instead:
 1. **Classify** records exactly as :class:`SelfCorrectingReplayer` does
    (roots / dependents / degraded-anchored, ablation draws from the same
    RNG stream, cycle demotion via the same Tarjan helper).
-2. **Layer** the dependency DAG once with a vectorized Kahn sweep: every
-   record's generation is ``1 + max(generation of its trigger edges)``.
-3. **Solve** the coupled DAG/network timing.  For the ``captured`` and
-   ``neighbor_gap`` policies (and naive mode) every edge weight is known
-   up front, so a *windowed sweep* (:func:`_solve_windowed`) computes the
+2. **Solve** the coupled DAG/network timing with the paper's single-pass
+   earliest-start rule in batch form.  Every edge weight is known up
+   front, so a *windowed sweep* (:func:`_solve_windowed`) computes the
    event engine's schedule exactly in one pass: released messages advance
    through safe time horizons (min frontier inject + a per-backend lower
    bound on latency), each horizon batch is FIFO-served with the
    closed-form recurrence against per-resource carry state, and
-   deliveries release dependent records — no fixed-point iteration at
-   all.  The ``interp`` policy's warp heuristic couples anchor deltas to
-   the replayed timeline node-globally, so it instead iterates a damped
-   layered Gauss-Seidel fixed point (:func:`_solve_relaxation`): DAG pass
-   (``inject = max over edges (deliver(trigger) + edge_gap)``, one
-   generation at a time) alternating with a vectorized network scan until
-   injections, latencies and deliveries are mutually consistent.
+   deliveries release dependent records — no fixed-point iteration.
+3. **Assemble** the :class:`ReplayResult` through the same function the
+   event replayers use (:func:`repro.core.replay._assemble_result`).
 
 The network scans read every serialization, propagation, token-travel and
 setup-walk number from the backend's :mod:`repro.onoc.timing` object — the
 very tables the event entities index per message — so a generational
 replay is *numerically* equivalent to the event path, not just
-statistically close.  Remaining intentional deviations:
+statistically close.  Two intentional deviations remain:
 
 * same-cycle FIFO ties break by ``msg_id`` (the event engine breaks them
   by event-queue order);
 * ``circuit_mesh`` uses the contention-free closed form of the setup walk
-  (segment contention between overlapping circuits is not modelled);
-* the ``interp`` gap policy estimates each node-local time warp from the
-  previous relaxation pass's injection times rather than online, and may
-  settle on a different — equally self-consistent — FIFO schedule.
+  (segment contention between overlapping circuits is not modelled).
 
-The differential harness in :mod:`repro.validate.engines` bounds all three.
+The differential harness in :mod:`repro.validate.engines` bounds both.
+What the solver cannot compute exactly it refuses: the ``interp`` gap
+policy (its anchor deltas depend on the replayed timeline, so they are not
+known up front) and the AWGR occupancy hint raise ``ValueError`` pointing
+at ``engine='event'``.
 
 Out-of-core replay: :func:`stream_naive_summary` replays a *binary* trace
 (:mod:`repro.core.tracebin`) chunk by chunk with per-resource carry state,
@@ -61,14 +56,14 @@ from repro.config import (
     ONOC_TOPOLOGIES,
     OnocConfig,
     TRACE_NAIVE,
-    TRACE_SELF_CORRECTING,
     TraceConfig,
 )
 from repro.core.replay import (
-    FaultExposure,
     ReplayResult,
+    _assemble_result,
+    _Correction,
     _cycle_members,
-    _estimate_exec_time,
+    _finish_from_markers,
 )
 from repro.core.trace import DEGRADED_RECORDS_META_KEY, Trace
 from repro.onoc.timing import timing_for
@@ -77,21 +72,6 @@ __all__ = ["replay_trace_generational", "stream_naive_summary"]
 
 #: Sentinel for "not scheduled"; quarter of int64 min so sums stay negative.
 _NEG = np.iinfo(np.int64).min // 4
-
-#: Matches ``SelfCorrectingReplayer._STALL_DETAIL_CAP``.
-_STALL_DETAIL_CAP = 50
-
-#: Matches ``SelfCorrectingReplayer._WARP_CLAMP``.
-_WARP_CLAMP = (0.25, 4.0)
-
-#: Hard internal iteration cap.  The Gauss-Seidel sequence is monotone from
-#: the uncontended lower bound over integer times, so it terminates; the cap
-#: only bounds pathological contention chains.
-# The damped relaxation contracts geometrically but can need low hundreds
-# of passes on FIFO-heavy traces; passes are cheap array sweeps, so the
-# engine always allows at least this many regardless of the (event-engine
-# oriented) ``cfg.max_iterations``.
-_MIN_ITERATION_CAP = 512
 
 
 # --------------------------------------------------------------------------
@@ -418,7 +398,7 @@ def _model_for(timing, ids: np.ndarray, src: np.ndarray, dst: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# Self-correction plan: classification, anchors, demotion, Kahn layering
+# Self-correction plan: classification, anchors, demotion
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -428,22 +408,47 @@ class _Plan:
     root: np.ndarray            # bool: timestamp-driven (incl. fallback/demoted)
     dependent: np.ndarray       # bool: in the trigger-edge machinery
     anchored: np.ndarray        # bool: degraded, riding a neighbor anchor
-    degraded: np.ndarray        # bool: all degraded (anchored + fallback)
     root_time: np.ndarray       # schedule time for roots
-    pred: np.ndarray            # anchor predecessor index (-1 none)
-    layer: np.ndarray           # Kahn generation, -1 = never fires
-    # Edges sorted by child layer: parallel arrays + per-layer slices.
-    e_parent: np.ndarray
-    e_child: np.ndarray
-    e_gap: np.ndarray
-    e_anchor: np.ndarray        # bool: anchor edge (fires at parent *inject*)
-    e_delta: np.ndarray         # anchor edges: captured inter-send delta
-    layer_bounds: list          # [(start, end)] per layer 1..L in order
-    dropped_deps: int
-    missing_triggers: int
-    marked_degraded: int
-    fallback_captured: int
-    demoted: list               # demoted cycle members (msg_ids, sorted)
+    prereq: np.ndarray          # trigger edges a record waits on (0: roots)
+    # Deliver edges (child fires ``gap`` after the parent's delivery) and
+    # anchor edges (child fires ``delta`` after the parent's *injection*);
+    # only edges into records that can ever fire.
+    d_parent: np.ndarray
+    d_child: np.ndarray
+    d_gap: np.ndarray
+    a_parent: np.ndarray
+    a_child: np.ndarray
+    a_delta: np.ndarray
+    counts: dict                # the classification counts of ``_Correction``
+
+
+def _deliver_edges(cols: _Columns, dependent: np.ndarray):
+    """``(parent, child, gap)`` of the dependents' cause and bound edges
+    whose trigger record is present in the trace."""
+    dep = np.flatnonzero(dependent)
+    ce = cols.cause_idx[dep] >= 0
+    be = (cols.bound_id[dep] != -1) & (cols.bound_idx[dep] >= 0)
+    return (np.concatenate([cols.cause_idx[dep[ce]], cols.bound_idx[dep[be]]]),
+            np.concatenate([dep[ce], dep[be]]),
+            np.concatenate([cols.gap[dep[ce]], cols.bound_gap[dep[be]]]))
+
+
+def _fires(root: np.ndarray, prereq: np.ndarray, indptr: np.ndarray,
+           child_csr: np.ndarray) -> np.ndarray:
+    """Records that can ever fire: the roots, plus every record all
+    ``prereq`` of whose trigger edges (parent-keyed CSR) lead back to one."""
+    left = prereq.copy()
+    fired = root.copy()
+    frontier = np.flatnonzero(root)
+    while len(frontier):
+        children = _gather_ranges(indptr, child_csr, frontier)
+        if not len(children):
+            break
+        np.subtract.at(left, children, 1)
+        cand = np.unique(children)
+        frontier = cand[(left[cand] == 0) & ~fired[cand]]
+        fired[frontier] = True
+    return fired
 
 
 def _classify(trace: Trace, cols: _Columns, cfg: TraceConfig) -> _Plan:
@@ -501,31 +506,14 @@ def _classify(trace: Trace, cols: _Columns, cfg: TraceConfig) -> _Plan:
 
     # ---- cycle demotion (mirror of _demote_cycles: the fixpoint runs over
     # roots and deliver-edges only; anchored records never fire in it)
-    dep_idx = np.flatnonzero(dependent)
-    dp = np.concatenate([
-        cols.cause_idx[dep_idx], cols.bound_idx[dep_idx]])
-    dc = np.concatenate([dep_idx, dep_idx])
-    has_bound = np.concatenate([
-        np.ones(len(dep_idx), dtype=bool), cols.bound_id[dep_idx] != -1])
-    present = (dp >= 0) & has_bound
-    dp, dc = dp[present], dc[present]
-    indptr, eorder = _csr(dp, n)
-    dc_csr = dc[eorder]
+    d_parent, d_child, d_gap = _deliver_edges(cols, dependent)
+    indptr, eorder = _csr(d_parent, n)
+    dc_csr = d_child[eorder]
 
-    indeg = np.zeros(n, dtype=np.int64)
-    indeg[dependent] = 1 + (cols.bound_id[dependent] != -1)
-    fired = root.copy()
-    frontier = np.flatnonzero(root)
-    while len(frontier):
-        children = _gather_ranges(indptr, dc_csr, frontier)
-        if not len(children):
-            break
-        np.subtract.at(indeg, children, 1)
-        cand = np.unique(children)
-        newly = cand[(indeg[cand] == 0) & ~fired[cand]]
-        fired[newly] = True
-        frontier = newly
-    blocked = dependent & ~fired
+    prereq = np.zeros(n, dtype=np.int64)
+    prereq[dependent] = 1 + (cols.bound_id[dependent] != -1)
+    prereq[anchored] = 1
+    blocked = dependent & ~_fires(root, prereq, indptr, dc_csr)
 
     demoted: list[int] = []
     if blocked.any():
@@ -552,235 +540,42 @@ def _classify(trace: Trace, cols: _Columns, cfg: TraceConfig) -> _Plan:
             dem_mask = np.isin(cols.ids, dem_arr)
             dependent = dependent & ~dem_mask
             root = root | dem_mask
+            prereq[dem_mask] = 0
+            d_parent, d_child, d_gap = _deliver_edges(cols, dependent)
 
-    # ---- final edges + Kahn layering
-    dep_idx = np.flatnonzero(dependent)
-    ce_ok = cols.cause_idx[dep_idx] >= 0
-    be_ok = (cols.bound_id[dep_idx] != -1) & (cols.bound_idx[dep_idx] >= 0)
+    # ---- anchor edges; then keep only edges whose child can ever fire: a
+    # dead edge must not narrow its parent's horizon slack in the solver
     anc_idx = np.flatnonzero(anchored)
-    e_parent = np.concatenate([
-        cols.cause_idx[dep_idx[ce_ok]],
-        cols.bound_idx[dep_idx[be_ok]],
-        pred[anc_idx],
-    ])
-    e_child = np.concatenate([dep_idx[ce_ok], dep_idx[be_ok], anc_idx])
-    e_gap = np.concatenate([
-        cols.gap[dep_idx[ce_ok]],
-        cols.bound_gap[dep_idx[be_ok]],
-        np.zeros(len(anc_idx), dtype=np.int64),
-    ])
-    e_anchor = np.concatenate([
-        np.zeros(int(ce_ok.sum()) + int(be_ok.sum()), dtype=bool),
-        np.ones(len(anc_idx), dtype=bool),
-    ])
-    e_delta = np.zeros(len(e_parent), dtype=np.int64)
-    if len(anc_idx):
-        e_delta[e_anchor] = cols.t_inject[anc_idx] - \
-            cols.t_inject[pred[anc_idx]]
+    a_parent = pred[anc_idx]
+    a_delta = cols.t_inject[anc_idx] - cols.t_inject[a_parent]
 
-    layer = np.full(n, -1, dtype=np.int64)
-    layer[root] = 0
-    indeg = np.zeros(n, dtype=np.int64)
-    indeg[dependent] = 1 + (cols.bound_id[dependent] != -1)
-    indeg[anchored] = 1
-    indptr, eorder = _csr(e_parent, n)
-    child_csr = e_child[eorder]
-    frontier = np.flatnonzero(root)
-    level = 0
-    while len(frontier):
-        children = _gather_ranges(indptr, child_csr, frontier)
-        if not len(children):
-            break
-        np.subtract.at(indeg, children, 1)
-        cand = np.unique(children)
-        newly = cand[(indeg[cand] == 0) & (layer[cand] == -1)]
-        if not len(newly):
-            break
-        level += 1
-        layer[newly] = level
-        frontier = newly
-
-    # Sort edges by child layer; drop edges into never-firing children.
-    live = layer[e_child] >= 1
-    e_parent, e_child = e_parent[live], e_child[live]
-    e_gap, e_anchor, e_delta = e_gap[live], e_anchor[live], e_delta[live]
-    esort = np.argsort(layer[e_child], kind="stable")
-    e_parent, e_child = e_parent[esort], e_child[esort]
-    e_gap, e_anchor, e_delta = e_gap[esort], e_anchor[esort], e_delta[esort]
-    child_layers = layer[e_child]
-    lvls = np.unique(child_layers)
-    starts = np.searchsorted(child_layers, lvls, side="left")
-    ends = np.searchsorted(child_layers, lvls, side="right")
-    bounds = list(zip(starts.tolist(), ends.tolist()))
+    e_child = np.concatenate([d_child, anc_idx])
+    indptr, eorder = _csr(np.concatenate([d_parent, a_parent]), n)
+    fires = _fires(root, prereq, indptr, e_child[eorder])
+    d_live, a_live = fires[d_child], fires[anc_idx]
 
     return _Plan(
         root=root, dependent=dependent, anchored=anchored,
-        degraded=degraded, root_time=root_time, pred=pred, layer=layer,
-        e_parent=e_parent, e_child=e_child, e_gap=e_gap,
-        e_anchor=e_anchor, e_delta=e_delta, layer_bounds=bounds,
-        dropped_deps=int(dropped.sum()), missing_triggers=missing_triggers,
-        marked_degraded=marked_degraded, fallback_captured=fallback,
-        demoted=[int(m) for m in demoted],
+        root_time=root_time, prereq=prereq,
+        d_parent=d_parent[d_live], d_child=d_child[d_live],
+        d_gap=d_gap[d_live],
+        a_parent=a_parent[a_live], a_child=anc_idx[a_live],
+        a_delta=a_delta[a_live],
+        counts=dict(
+            dropped_deps=int(dropped.sum()),
+            missing_triggers=missing_triggers,
+            marked_degraded=marked_degraded, fallback_captured=fallback,
+            demoted_cyclic=len(demoted)),
     )
 
 
 # --------------------------------------------------------------------------
-# Layered DAG pass + interp warp estimation
+# Exact windowed solver
 # --------------------------------------------------------------------------
 
-def _dag_pass(plan: _Plan, cols: _Columns, lat: np.ndarray,
-              e_delta: np.ndarray) -> np.ndarray:
-    """One generational sweep of the DAG earliest-start rule.
-
-    ``inject[child] = max over edges (deliver(parent) + edge_gap)`` with
-    ``deliver(parent) = inject[parent] + lat[parent]`` (latency from the
-    previous network scan); anchor edges contribute
-    ``inject[parent] + delta`` instead (anchored records fire off their
-    anchor's *injection*, exactly like the event engine's ``_send`` hook).
-    Parents always sit in earlier generations, so each generation is one
-    vectorized ``maximum.at``.
-    """
-    inject = np.full(cols.n, _NEG, dtype=np.int64)
-    inject[plan.root] = plan.root_time[plan.root]
-    for a, b in plan.layer_bounds:
-        p = plan.e_parent[a:b]
-        contrib = np.where(
-            plan.e_anchor[a:b],
-            inject[p] + e_delta[a:b],
-            inject[p] + lat[p] + plan.e_gap[a:b],
-        )
-        np.maximum.at(inject, plan.e_child[a:b], contrib)
-    return inject
-
-
-def _interp_deltas(plan: _Plan, cols: _Columns,
-                   inj_prev: np.ndarray) -> np.ndarray:
-    """Anchor deltas rescaled by the node-local time warp (interp policy).
-
-    The event engine estimates each warp online from the two most recent
-    dependency-intact injections on the node at the moment the anchor
-    fires; here the estimate uses the previous iteration's injection times
-    (converging to the same values as the fixed point stabilises).  On the
-    first pass ``inj_prev`` is the captured timeline, so every warp is 1.
-    """
-    e_delta = plan.e_delta.copy()
-    anc_pos = np.flatnonzero(plan.e_anchor)
-    if not len(anc_pos):
-        return e_delta
-    intact = ~plan.degraded & (plan.layer >= 0)
-    i_idx = np.flatnonzero(intact)
-    if not len(i_idx):
-        return e_delta
-    # Intact entries sorted by (src, prev inject, msg_id).
-    io = i_idx[np.lexsort((cols.ids[i_idx], inj_prev[i_idx],
-                           cols.src[i_idx]))]
-    counts = np.bincount(cols.src[io], minlength=int(cols.src.max()) + 2)
-    grp_start = np.concatenate(([0], np.cumsum(counts)))
-
-    # Rank each anchor parent among the intact entries of its node: a
-    # merged sort where intact entries (tag 0) precede an equal-keyed query
-    # (tag 1), so a parent that is itself intact counts inclusively — the
-    # event engine appends the anchor's own history entry before releasing
-    # its dependents.
-    parents = plan.e_parent[anc_pos]
-    q = len(parents)
-    all_src = np.concatenate([cols.src[io], cols.src[parents]])
-    all_inj = np.concatenate([inj_prev[io], inj_prev[parents]])
-    all_id = np.concatenate([cols.ids[io], cols.ids[parents]])
-    tag = np.concatenate([np.zeros(len(io), dtype=np.int64),
-                          np.ones(q, dtype=np.int64)])
-    morder = np.lexsort((tag, all_id, all_inj, all_src))
-    cum_intact = np.cumsum(tag[morder] == 0)
-    pos_of = np.empty(len(morder), dtype=np.int64)
-    pos_of[morder] = np.arange(len(morder))
-    rank = cum_intact[pos_of[len(io):]]            # inclusive global rank
-
-    rel = rank - grp_start[cols.src[parents]]      # rank within the node
-    ok = rel >= 2
-    if not ok.any():
-        return e_delta
-    i2 = io[grp_start[cols.src[parents[ok]]] + rel[ok] - 1]
-    i1 = io[grp_start[cols.src[parents[ok]]] + rel[ok] - 2]
-    c1, c2 = cols.t_inject[i1], cols.t_inject[i2]
-    t1, t2 = inj_prev[i1], inj_prev[i2]
-    lo, hi = _WARP_CLAMP
-    warp = np.ones(int(ok.sum()))
-    pos_span = c2 > c1
-    warp[pos_span] = np.clip(
-        (t2[pos_span] - t1[pos_span]) / (c2[pos_span] - c1[pos_span]),
-        lo, hi)
-    scaled = np.maximum(
-        0, np.round(plan.e_delta[anc_pos[ok]] * warp)).astype(np.int64)
-    e_delta[anc_pos[ok]] = scaled
-    return e_delta
-
-
-# --------------------------------------------------------------------------
-# Damped fixed-point solver (interp policy)
-# --------------------------------------------------------------------------
-
-def _solve_relaxation(
-    cols: _Columns, model, plan: _Plan, cfg: TraceConfig,
-    active_idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Layered Gauss-Seidel fixed point for the ``interp`` gap policy.
-
-    The interp warp couples anchor deltas to the *replayed* injection
-    timeline of every intact record on the node, so the edge weights are
-    not known up front and the one-pass windowed solver does not apply —
-    the DAG pass / network scan pair iterates to a fixed point instead.
-    Returns ``(inject, deliver, iterations, converged)``.
-    """
-    lat = model.gain_lb.copy()     # start from the uncontended latency
-    prev_inject: Optional[np.ndarray] = None
-    inject = np.full(cols.n, _NEG, dtype=np.int64)
-    deliver = np.full(cols.n, _NEG, dtype=np.int64)
-    inj_for_warp = cols.t_inject
-    converged = False
-    iterations = 0
-    cap = max(cfg.max_iterations, _MIN_ITERATION_CAP)
-    while iterations < cap:
-        iterations += 1
-        e_delta = _interp_deltas(plan, cols, inj_for_warp)
-        inject = _dag_pass(plan, cols, lat, e_delta)
-        if (prev_inject is not None
-                and np.array_equal(inject[active_idx],
-                                   prev_inject[active_idx])
-                and np.array_equal(lat[active_idx],
-                                   deliver[active_idx]
-                                   - inject[active_idx])):
-            # Fixed point: ``deliver`` came from scanning this very
-            # injection vector, the latency estimate has settled onto
-            # ``deliver - inject`` exactly, and ``inject`` is the DAG pass
-            # of that latency — the three are mutually consistent.
-            converged = True
-            break
-        deliver = model.scan(inject, active_idx)
-        # Damped (midpoint) relaxation.  The undamped update rings: the
-        # FIFO service order at each resource is re-derived from the
-        # injection guesses every scan, so contending messages swap queue
-        # positions between passes and the latency feedback oscillates
-        # between two slowly-contracting bands instead of settling.
-        # Averaging the latency estimate toward the scan's observation
-        # kills the ring while preserving every true fixed point (the
-        # midpoint of equal values is itself); ``np.round`` rather than
-        # floor division so the estimate reaches the target exactly from
-        # either side once the scan result is stable.
-        target = deliver[active_idx] - inject[active_idx]
-        lat[active_idx] = target + np.round(
-            (lat[active_idx] - target) / 2.0).astype(np.int64)
-        prev_inject = inject
-        inj_for_warp = inject
-    final = prev_inject if prev_inject is not None else inject
-    return final, deliver, iterations, converged
-
-
-# --------------------------------------------------------------------------
-# Exact windowed solver (captured / neighbor_gap policies)
-# --------------------------------------------------------------------------
-
-def _solve_windowed(cols: _Columns, model,
-                    plan: _Plan) -> tuple[np.ndarray, np.ndarray, int]:
+def _solve_windowed(
+    cols: _Columns, model, plan: _Plan,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """One-pass exact solve of the self-correction timing, no iteration.
 
     The trace DAG and the FIFO channels are solved *together* by advancing
@@ -815,28 +610,25 @@ def _solve_windowed(cols: _Columns, model,
     order — the exact service order of the event engine's fixed point (and
     of the full ``scan``'s lexsort) — so the result is the event-driven
     schedule itself, not an approximation.  Returns
-    ``(inject, deliver, rounds)``; never-released records keep ``_NEG``.
+    ``(inject, deliver, released, rounds)``; records the ``released`` mask
+    leaves out never fired and keep ``_NEG``.
     """
     n = cols.n
     inject = np.full(n, _NEG, dtype=np.int64)
     deliver = np.full(n, _NEG, dtype=np.int64)
     contrib = np.where(plan.root, plan.root_time, _NEG)
-    prereq = np.zeros(n, dtype=np.int64)
-    prereq[plan.dependent] = 1 + (cols.bound_id[plan.dependent] != -1)
-    prereq[plan.anchored] = 1
+    prereq = plan.prereq.copy()
     released = np.zeros(n, dtype=bool)
 
-    # Parent-keyed CSRs over the live edges, split by firing time:
-    # anchor edges fire at parent release, deliver edges at parent service.
-    anc = plan.e_anchor
-    has_anchors = bool(anc.any())
-    aptr, aord = _csr(plan.e_parent[anc], n)
-    a_child = plan.e_child[anc][aord]
-    a_delta = plan.e_delta[anc][aord]
-    d_parent, d_gap_raw = plan.e_parent[~anc], plan.e_gap[~anc]
-    dptr, dord = _csr(d_parent, n)
-    d_child = plan.e_child[~anc][dord]
-    d_gap = d_gap_raw[dord]
+    # Parent-keyed CSRs over the two edge sets: anchor edges fire at parent
+    # release, deliver edges at parent service.
+    has_anchors = bool(len(plan.a_parent))
+    aptr, aord = _csr(plan.a_parent, n)
+    a_child = plan.a_child[aord]
+    a_delta = plan.a_delta[aord]
+    dptr, dord = _csr(plan.d_parent, n)
+    d_child = plan.d_child[dord]
+    d_gap = plan.d_gap[dord]
 
     def _release(newly: np.ndarray) -> np.ndarray:
         if not has_anchors:
@@ -872,8 +664,7 @@ def _solve_windowed(cols: _Columns, model,
     # negative gap.
     _BIG = np.int64(1) << 40
     min_out_gap = np.full(n, _BIG, dtype=np.int64)
-    if len(d_parent):
-        np.minimum.at(min_out_gap, d_parent, d_gap_raw)
+    np.minimum.at(min_out_gap, plan.d_parent, plan.d_gap)
     slack = np.maximum(1, model.gain_lb + min_out_gap)
     edge_idx = np.arange(len(d_child), dtype=np.int64)
     # Channel state for the dynamic horizon key (None for the
@@ -906,38 +697,12 @@ def _solve_windowed(cols: _Columns, model,
         newly = _release(cand[(prereq[cand] == 0) & ~released[cand]])
         if len(newly):
             frontier = np.concatenate((frontier, newly))
-    return inject, deliver, rounds
+    return inject, deliver, released, rounds
 
 
 # --------------------------------------------------------------------------
 # Engine entry point
 # --------------------------------------------------------------------------
-
-def _resilience_payload(overlay, cols: _Columns, inject: np.ndarray,
-                        active_idx: np.ndarray) -> dict:
-    """Penalty accounting + obs export over the final injection schedule
-    of the replayed messages (same funnel as the event engine)."""
-    from repro.resilience.overlay import resilience_extra
-
-    return resilience_extra(
-        overlay,
-        inject[active_idx],
-        cols.src[active_idx],
-        cols.dst[active_idx],
-        cols.size[active_idx],
-    )
-
-
-def _result_dicts(cols: _Columns, inject: np.ndarray, deliver: np.ndarray,
-                  active_idx: np.ndarray):
-    idx_list = active_idx.tolist()
-    ids = cols.ids[active_idx].tolist()
-    injections = dict(zip(ids, inject[active_idx].tolist()))
-    deliveries = dict(zip(ids, deliver[active_idx].tolist()))
-    lats = dict(zip(map(cols.keys.__getitem__, idx_list),
-                    (deliver[active_idx] - inject[active_idx]).tolist()))
-    return injections, deliveries, lats
-
 
 def replay_trace_generational(
     trace: Trace,
@@ -950,10 +715,23 @@ def replay_trace_generational(
     optical backends (the event engine remains the path for electrical
     targets and network-in-the-loop experiments).  Honours ``cfg.mode``,
     ``keep_dep_fraction`` / ``dep_drop_seed`` (same RNG stream as the event
-    engine) and ``degraded_gap_policy``.  ``extra`` reports
-    ``{"engine": "generational", "iterations": k, "converged": bool}``.
+    engine) and the ``captured`` / ``neighbor_gap`` degraded-gap policies;
+    options only the event engine implements are refused, never
+    approximated.  ``extra`` reports ``{"engine": "generational",
+    "iterations": horizon batches, "converged": True}``.
     """
     cfg = cfg or TraceConfig()
+    if cfg.awgr_occupancy_hint:
+        raise ValueError(
+            "awgr_occupancy_hint is event-engine only (use engine='event'): "
+            "the generational windowed solver prices lanes at injection "
+            "time and has no release-order reservation state")
+    if cfg.degraded_gap_policy == GAP_POLICY_INTERP:
+        raise ValueError(
+            "degraded_gap_policy='interp' is event-engine only (use "
+            "engine='event'): its node-local warp is measured online from "
+            "the replayed timeline, so the edge weights the one-pass "
+            "windowed solver needs up front do not exist")
     if onoc.topology not in ONOC_TOPOLOGIES:
         raise ValueError(
             f"generational replay has no model for topology "
@@ -971,94 +749,36 @@ def replay_trace_generational(
         overlay = DegradationOverlay.build(
             cfg.fault_events, onoc, cfg.mitigation)
         model.degrade = overlay       # None when the timeseries is empty
-    full_idx = np.arange(cols.n, dtype=np.int64)
 
     if cfg.mode == TRACE_NAIVE:
-        inject = cols.t_inject.copy()
-        deliver = model.scan(inject, full_idx)
-        injections, deliveries, lats = _result_dicts(
-            cols, inject, deliver, full_idx)
-        extra = {"engine": "generational", "iterations": 1,
-                 "converged": True}
-        if overlay is not None:
-            extra["resilience"] = _resilience_payload(
-                overlay, cols, inject, full_idx)
-        return ReplayResult(
-            mode=TRACE_NAIVE,
-            exec_time_estimate=_estimate_exec_time(trace, deliveries),
-            latencies_by_key=lats,
-            deliveries=deliveries,
-            injections=injections,
-            messages_replayed=cols.n,
-            messages_unreplayed=0,
-            wall_clock_s=_walltime.perf_counter() - t0,
-            sim_events=0,
-            extra=extra,
-        )
-
-    plan = _classify(trace, cols, cfg)
-    active_idx = np.flatnonzero(plan.layer >= 0)
-    interp = cfg.degraded_gap_policy == GAP_POLICY_INTERP
-
-    if not interp:
-        # captured / neighbor_gap: every edge weight is known up front, so
-        # the windowed solver computes the event engine's schedule exactly
-        # in one pass.  ``iterations`` reports the horizon-batch count.
-        final_inject, deliver, iterations = _solve_windowed(cols, model, plan)
-        converged = True
+        active = np.arange(cols.n, dtype=np.int64)
+        inject = cols.t_inject
+        deliver = model.scan(inject, active)
+        iterations = 1
+        correction = None
     else:
-        final_inject, deliver, iterations, converged = _solve_relaxation(
-            cols, model, plan, cfg, active_idx)
-
-    injections, deliveries, lats = _result_dicts(
-        cols, final_inject, deliver, active_idx)
-
-    stalled_mask = plan.dependent & (plan.layer == -1)
-    stalled_all = np.sort(cols.ids[stalled_mask]).tolist()
-    stalled_on: dict[int, list[int]] = {}
-    for mid in stalled_all[:_STALL_DETAIL_CAP]:
-        i = int(np.flatnonzero(cols.ids == mid)[0])
-        stalled_on[mid] = [
-            int(t) for t in (cols.cause_id[i], cols.bound_id[i])
-            if t != -1 and int(t) not in deliveries
-        ]
-    rederived_ids = tuple(sorted(
-        cols.ids[plan.anchored & (plan.layer >= 0)].tolist()))
-
-    exposure = FaultExposure(
-        policy=cfg.degraded_gap_policy,
-        ablated=plan.dropped_deps,
-        marked_degraded=plan.marked_degraded,
-        missing_triggers=plan.missing_triggers,
-        rederived=len(rederived_ids),
-        fallback_captured=plan.fallback_captured,
-        rederived_msg_ids=rederived_ids,
-    )
-    rederive = cfg.degraded_gap_policy != GAP_POLICY_CAPTURED
-    extra = {"engine": "generational", "iterations": iterations,
-             "converged": converged}
-    if overlay is not None:
-        extra["resilience"] = _resilience_payload(
-            overlay, cols, final_inject, active_idx)
-    return ReplayResult(
-        mode=TRACE_SELF_CORRECTING,
-        exec_time_estimate=_estimate_exec_time(
-            trace, deliveries, rederive_markers=rederive),
-        latencies_by_key=lats,
-        deliveries=deliveries,
-        injections=injections,
-        messages_replayed=len(active_idx),
-        messages_unreplayed=cols.n - len(active_idx),
-        wall_clock_s=_walltime.perf_counter() - t0,
-        sim_events=0,
-        dropped_deps=plan.dropped_deps,
-        demoted_cyclic=len(plan.demoted),
-        stalled_count=len(stalled_all),
-        stalled_msg_ids=stalled_all[:_STALL_DETAIL_CAP],
-        stalled_on=stalled_on,
-        rederived_records=len(rederived_ids),
-        fault_exposure=exposure,
-        extra=extra,
+        # Every edge weight is known up front, so the windowed solver
+        # computes the event engine's schedule exactly in one pass;
+        # ``iterations`` reports its horizon-batch count.
+        plan = _classify(trace, cols, cfg)
+        inject, deliver, released, iterations = _solve_windowed(
+            cols, model, plan)
+        active = np.flatnonzero(released)
+        correction = _Correction(
+            policy=cfg.degraded_gap_policy,
+            **plan.counts,
+            stalled=np.sort(cols.ids[plan.dependent & ~released]).tolist(),
+            anchored=cols.ids[plan.anchored & released].tolist(),
+        )
+    ids = cols.ids[active].tolist()
+    return _assemble_result(
+        trace, cfg.mode,
+        dict(zip(ids, inject[active].tolist())),
+        dict(zip(ids, deliver[active].tolist())),
+        t0,
+        extra={"engine": "generational", "iterations": iterations,
+               "converged": True},
+        correction=correction, overlay=overlay,
     )
 
 
@@ -1076,8 +796,9 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
     token's parking node).  Only one record chunk, the backend's timing
     tables and that O(resources) state are resident — the RSS that
     ``benchmarks/pipeline`` workload ``synth_stream_300k`` measures against
-    the in-memory replay.  Assumes records arrive sorted by
-    ``(t_inject, msg_id)``, which canonical captures are.
+    the in-memory replay.  Chunks must follow each other in inject-time
+    order, which canonical captures do; a container whose chunks go back in
+    time is refused with a ``ValueError`` naming the chunk.
     """
     from repro.core import tracebin
 
@@ -1098,14 +819,21 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
     total_bytes = 0
     latency_sum = 0
     max_deliver = 0
-    max_endpoint = -1
-    for chunk in tracebin.iter_chunks(path):
+    last_inject = 0
+    for k, chunk in enumerate(tracebin.iter_chunks(path)):
         mid, src, dst = chunk.msg_id, chunk.src, chunk.dst
         size, inj = chunk.size_bytes, chunk.t_inject
-        hi = int(max(src.max(), dst.max()))
-        max_endpoint = max(max_endpoint, hi)
-        if onoc.num_nodes <= hi:
+        if onoc.num_nodes <= int(max(src.max(), dst.max())):
             raise ValueError("target network too small for trace endpoints")
+        # The carried channel state is only valid going forward in time
+        # (see ``serve_batch``); order *within* a chunk is the lexsort's job.
+        if int(inj.min()) < last_inject:
+            raise ValueError(
+                f"chunk {k} injects at {int(inj.min())}, before the previous "
+                f"chunk's last injection at {last_inject}: streaming replay "
+                f"needs chunks in inject-time order (load the trace and "
+                f"replay it in memory instead)")
+        last_inject = int(inj.max())
         model = _model_for(timing, mid, src, dst, size)
         state = model.begin(state)
         deliver = np.empty(len(mid), dtype=np.int64)
@@ -1120,16 +848,8 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
             for m, d in zip(mid[hit].tolist(), deliver[hit].tolist()):
                 cause_deliveries[m] = d
 
-    best = 0
-    for m in markers:
-        if m.cause_id == -1:
-            t = m.t_finish
-        else:
-            d = cause_deliveries.get(m.cause_id)
-            t = d + m.gap if d is not None else m.t_finish
-        best = max(best, t)
-    if not markers and messages:
-        best = max_deliver
+    best = (_finish_from_markers(markers, cause_deliveries, {}) if markers
+            else max_deliver)
     return {
         "mode": TRACE_NAIVE,
         "engine": "generational-streaming",

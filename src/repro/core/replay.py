@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time as _walltime
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class ReplayResult:
       only; a validated :class:`Trace` is guaranteed acyclic);
     * ``stalled_count`` / ``stalled_msg_ids`` / ``stalled_on`` — records whose
       trigger messages never delivered (msg-id lists are capped at
-      ``SelfCorrectingReplayer._STALL_DETAIL_CAP`` entries; the count is not).
+      ``_STALL_DETAIL_CAP`` entries; the count is not).
 
     ``extra`` remains for experiment-level annotations (e.g. the iterative
     refiner's convergence history).
@@ -124,18 +124,44 @@ def _make_message(r: TraceRecord) -> Message:
                    msg_id=r.msg_id)
 
 
+def _finish_from_markers(end_markers, deliveries: dict[int, int],
+                         node_last: dict[int, TraceRecord]) -> int:
+    """Latest per-core finish: ``deliver(marker cause) + gap``.
+
+    A marker whose cause message was never delivered falls back to the
+    captured finish time — unless ``node_last`` names a surviving delivery
+    to that core: then the finish is re-derived from it, keeping the
+    captured tail offset (``t_finish - captured deliver``).
+    """
+    best = 0
+    for m in end_markers:
+        if m.cause_id == -1:
+            t = m.t_finish
+        else:
+            d = deliveries.get(m.cause_id)
+            if d is not None:
+                t = d + m.gap
+            elif m.node in node_last:
+                anchor = node_last[m.node]
+                t = max(0, deliveries[anchor.msg_id]
+                        + (m.t_finish - anchor.t_deliver))
+            else:
+                t = m.t_finish
+        best = max(best, t)
+    return best
+
+
 def _estimate_exec_time(trace: Trace, deliveries: dict[int, int],
                         rederive_markers: bool = False) -> int:
     """Apply end markers to observed deliveries.
 
-    A marker whose cause message was never delivered (trace damage, record
-    loss) falls back to the captured finish time — unless
-    ``rederive_markers``: then the finish is re-derived from the latest
-    surviving delivery to that core, keeping the captured tail offset
-    (``t_finish - captured deliver``), mirroring the neighbor-anchor policy
-    the degraded replayer applies to injections.
+    With ``rederive_markers`` a marker whose cause never delivered (trace
+    damage, record loss) is re-derived from the latest surviving delivery
+    to that core, mirroring the neighbor-anchor policy the degraded
+    replayer applies to injections; otherwise it keeps the captured finish.
     """
-    best = 0
+    if not trace.end_markers:
+        return max(deliveries.values(), default=0)
     node_last: dict[int, TraceRecord] = {}
     if rederive_markers:
         for r in trace.records:
@@ -145,23 +171,109 @@ def _estimate_exec_time(trace: Trace, deliveries: dict[int, int],
             if prev is None or (r.t_deliver, r.msg_id) > (prev.t_deliver,
                                                           prev.msg_id):
                 node_last[r.dst] = r
-    for m in trace.end_markers:
-        if m.cause_id == -1:
-            t = m.t_finish
-        else:
-            d = deliveries.get(m.cause_id)
-            if d is not None:
-                t = d + m.gap
-            elif rederive_markers and m.node in node_last:
-                anchor = node_last[m.node]
-                t = max(0, deliveries[anchor.msg_id]
-                        + (m.t_finish - anchor.t_deliver))
-            else:
-                t = m.t_finish
-        best = max(best, t)
-    if not trace.end_markers and deliveries:
-        best = max(deliveries.values())
-    return best
+    return _finish_from_markers(trace.end_markers, deliveries, node_last)
+
+
+#: Cap on per-message stall detail so a badly broken dependency graph
+#: cannot blow up the result object.
+_STALL_DETAIL_CAP = 50
+
+
+@dataclass(frozen=True)
+class _Correction:
+    """What a self-correcting engine knows beyond its schedule: the
+    classification counts, and which records were left waiting."""
+
+    policy: str
+    dropped_deps: int
+    marked_degraded: int
+    missing_triggers: int
+    fallback_captured: int
+    demoted_cyclic: int
+    stalled: list[int]          # dependents still waiting on a trigger, sorted
+    anchored: Iterable[int]     # degraded records riding a neighbor anchor
+
+
+def _assemble_result(
+    trace: Trace,
+    mode: str,
+    injections: dict[int, int],
+    deliveries: dict[int, int],
+    t0: float,
+    *,
+    sim_events: int = 0,
+    extra: Optional[dict] = None,
+    correction: Optional[_Correction] = None,
+    overlay=None,
+) -> ReplayResult:
+    """The one place a :class:`ReplayResult` is built: both engines hand in
+    the schedule they solved (``msg_id -> time``) and everything derived
+    from it — latencies, the exec-time estimate, stall post-mortem, fault
+    exposure, resilience accounting — is computed here.
+
+    *Stalled* records are dependents whose cause (or bound) never delivered,
+    because the dependency graph references msg_ids missing from the trace
+    or because they wait transitively behind such a record; ``stalled_on``
+    names the undelivered triggers.  The resilience payload is computed from
+    the *final* injection schedule, never inside a serve loop.
+    """
+    by_id = {r.msg_id: r for r in trace.records}
+    diagnostics: dict = {}
+    if correction is not None:
+        c = correction
+        shown = c.stalled[:_STALL_DETAIL_CAP]
+        rederived = tuple(sorted(
+            mid for mid in c.anchored if mid in injections))
+        diagnostics = dict(
+            dropped_deps=c.dropped_deps,
+            demoted_cyclic=c.demoted_cyclic,
+            stalled_count=len(c.stalled),
+            stalled_msg_ids=shown,
+            stalled_on={
+                mid: [t for t in (by_id[mid].cause_id, by_id[mid].bound_id)
+                      if t != -1 and t not in deliveries]
+                for mid in shown},
+            rederived_records=len(rederived),
+            fault_exposure=FaultExposure(
+                policy=c.policy,
+                ablated=c.dropped_deps,
+                marked_degraded=c.marked_degraded,
+                missing_triggers=c.missing_triggers,
+                rederived=len(rederived),
+                fallback_captured=c.fallback_captured,
+                rederived_msg_ids=rederived,
+            ),
+        )
+    extra = dict(extra or {})
+    if overlay is not None:
+        from repro.resilience.overlay import resilience_extra
+        recs = [r for r in trace.records if r.msg_id in injections]
+        extra["resilience"] = resilience_extra(
+            overlay,
+            [injections[r.msg_id] for r in recs],
+            [r.src for r in recs],
+            [r.dst for r in recs],
+            [r.size_bytes for r in recs],
+        )
+    return ReplayResult(
+        mode=mode,
+        exec_time_estimate=_estimate_exec_time(
+            trace, deliveries,
+            # Non-captured policies also re-derive end markers whose cause
+            # never delivered.
+            rederive_markers=(correction is not None
+                              and correction.policy != GAP_POLICY_CAPTURED)),
+        latencies_by_key={by_id[mid].key: t - injections[mid]
+                          for mid, t in deliveries.items()},
+        deliveries=deliveries,
+        injections=injections,
+        messages_replayed=len(injections),
+        messages_unreplayed=len(trace.records) - len(injections),
+        wall_clock_s=_walltime.perf_counter() - t0,
+        sim_events=sim_events,
+        extra=extra,
+        **diagnostics,
+    )
 
 
 class _ReplayerBase:
@@ -179,11 +291,9 @@ class _ReplayerBase:
         self.net = net
         self.deliveries: dict[int, int] = {}
         self.injections: dict[int, int] = {}
-        # Self-correcting runs under a non-captured degraded-gap policy
-        # re-derive end markers whose cause never delivered (see
-        # ``_estimate_exec_time``); all other replayers keep the captured
-        # fallback.
-        self._rederive_markers = False
+        # The degradation overlay ``_attach_degradation`` hung on the
+        # serving layer, if any: its penalties are accounted in the result.
+        self._overlay = getattr(getattr(net, "optical", net), "degrade", None)
         # repro.obs scope (None while instrumentation is disabled).
         self._obs = replay_scope(self.mode)
         net.set_delivery_handler(self._on_deliver)
@@ -195,26 +305,11 @@ class _ReplayerBase:
     def _on_deliver(self, msg: Message) -> None:
         self.deliveries[msg.id] = msg.deliver_time
 
-    def _result(self, wall: float, **diagnostics) -> ReplayResult:
-        key_of = {r.msg_id: r.key for r in self.trace.records}
-        lats = {
-            key_of[mid]: t - self.injections[mid]
-            for mid, t in self.deliveries.items()
-        }
-        result = ReplayResult(
-            mode=self.mode,
-            exec_time_estimate=_estimate_exec_time(
-                self.trace, self.deliveries,
-                rederive_markers=self._rederive_markers),
-            latencies_by_key=lats,
-            deliveries=dict(self.deliveries),
-            injections=dict(self.injections),
-            messages_replayed=len(self.injections),
-            messages_unreplayed=len(self.trace.records) - len(self.injections),
-            wall_clock_s=wall,
-            sim_events=self.sim.event_count,
-            **diagnostics,
-        )
+    def _result(self, t0: float, **kwargs) -> ReplayResult:
+        result = _assemble_result(
+            self.trace, self.mode, dict(self.injections),
+            dict(self.deliveries), t0, sim_events=self.sim.event_count,
+            overlay=self._overlay, **kwargs)
         if self._obs is not None:
             self._publish_metrics(result)
         return result
@@ -238,7 +333,7 @@ class NaiveReplayer(_ReplayerBase):
         self.sim.schedule_many(
             (r.t_inject, self._send, (r,)) for r in self.trace.records)
         self.sim.run()
-        return self._result(_walltime.perf_counter() - t0)
+        return self._result(t0)
 
 
 class FixedScheduleReplayer(_ReplayerBase):
@@ -261,7 +356,7 @@ class FixedScheduleReplayer(_ReplayerBase):
             (self.schedule[r.msg_id], self._send, (r,))
             for r in self.trace.records)
         self.sim.run()
-        return self._result(_walltime.perf_counter() - t0)
+        return self._result(t0)
 
 
 def _cycle_members(nodes, out_edges) -> set:
@@ -386,7 +481,6 @@ class SelfCorrectingReplayer(_ReplayerBase):
                 f"(expected one of {GAP_POLICIES})")
         self._gap_policy = degraded_gap_policy
         use_anchor = degraded_gap_policy != GAP_POLICY_CAPTURED
-        self._rederive_markers = use_anchor
         self._dependents: dict[int, list[TraceRecord]] = {}
         self._roots: list[TraceRecord] = []
         # Records waiting on both a cause and a bound: remaining trigger
@@ -541,34 +635,24 @@ class SelfCorrectingReplayer(_ReplayerBase):
             ((r.gap if r.cause_id == -1 else r.t_inject), self._send, (r,))
             for r in self._roots)
         self.sim.run()
-        stalled_count, stalled_ids, stalled_on = self._stall_diagnostics()
-        rederived_ids = tuple(sorted(
-            mid for mid in self._anchored_ids if mid in self.injections))
-        exposure = FaultExposure(
-            policy=self._gap_policy,
-            ablated=self.dropped_deps,
-            marked_degraded=self._marked_degraded,
-            missing_triggers=self._missing_triggers,
-            rederived=len(rederived_ids),
-            fallback_captured=self._fallback_captured,
-            rederived_msg_ids=rederived_ids,
-        )
-        result = self._result(
-            _walltime.perf_counter() - t0,
-            dropped_deps=self.dropped_deps,
-            demoted_cyclic=len(self.demoted_cyclic),
-            stalled_count=stalled_count,
-            stalled_msg_ids=stalled_ids,
-            stalled_on=stalled_on,
-            rederived_records=len(rederived_ids),
-            fault_exposure=exposure,
-        )
+        extra = {}
         if self._lane_ser is not None:
-            result.extra["occupancy_hint"] = {
+            extra["occupancy_hint"] = {
                 "deferred": self._hint_deferred,
                 "deferred_cycles": self._hint_deferred_cycles,
             }
-        return result
+        return self._result(t0, extra=extra, correction=_Correction(
+            policy=self._gap_policy,
+            dropped_deps=self.dropped_deps,
+            marked_degraded=self._marked_degraded,
+            missing_triggers=self._missing_triggers,
+            fallback_captured=self._fallback_captured,
+            demoted_cyclic=len(self.demoted_cyclic),
+            # The queue drained while these still waited on a trigger edge.
+            stalled=sorted(mid for mid, left in self._prereqs_left.items()
+                           if left > 0),
+            anchored=self._anchored_ids,
+        ))
 
     def _node_warp(self, node: int) -> float:
         """``interp`` policy: local replayed-vs-captured time dilation on
@@ -627,37 +711,6 @@ class SelfCorrectingReplayer(_ReplayerBase):
         for mid in corrected:
             shift.observe(self._start_time[mid] - captured[mid])
 
-    # Cap on per-message stall detail so a badly broken dependency graph
-    # cannot blow up the result object.
-    _STALL_DETAIL_CAP = 50
-
-    def _stall_diagnostics(self) -> tuple[int, list[int], dict[int, list[int]]]:
-        """Post-mortem for records whose prerequisites never delivered.
-
-        A dependent record is *stalled* when the queue drained while it was
-        still waiting on one or more trigger edges — its cause (or bound)
-        message was never delivered because the dependency graph references
-        msg_ids missing from the trace, or because it stalled transitively
-        behind such a record.  Without this, such records only surface as an
-        opaque ``messages_unreplayed`` count.  Returns ``(count, msg_ids,
-        stalled_on)`` with the id lists capped at ``_STALL_DETAIL_CAP``.
-        """
-        stalled = sorted(
-            mid for mid, left in self._prereqs_left.items() if left > 0
-        )
-        if not stalled:
-            return 0, [], {}
-        by_id = {r.msg_id: r for r in self.trace.records}
-        detail: dict[int, list[int]] = {}
-        for mid in stalled[: self._STALL_DETAIL_CAP]:
-            r = by_id[mid]
-            detail[mid] = [
-                trigger
-                for trigger in (r.cause_id, r.bound_id)
-                if trigger != -1 and trigger not in self.deliveries
-            ]
-        return len(stalled), stalled[: self._STALL_DETAIL_CAP], detail
-
     def _on_deliver(self, msg: Message) -> None:
         super()._on_deliver(msg)
         for dep in self._dependents.get(msg.id, ()):
@@ -704,11 +757,6 @@ def replay_trace(
     """
     cfg = cfg or TraceConfig()
     if cfg.engine == ENGINE_GENERATIONAL:
-        if cfg.awgr_occupancy_hint:
-            raise ValueError(
-                "awgr_occupancy_hint is event-engine only: the generational "
-                "windowed solver prices lanes at injection time and has no "
-                "release-order reservation state")
         onoc = getattr(network_factory, "onoc", None)
         if onoc is None:
             raise ValueError(
@@ -719,33 +767,30 @@ def replay_trace(
         from repro.core.generational import replay_trace_generational
         return replay_trace_generational(trace, onoc, cfg)
     sim, net = network_factory()
-    overlay = _attach_degradation(net, cfg)
+    _attach_degradation(net, cfg)
     if cfg.mode == TRACE_NAIVE:
-        result = NaiveReplayer(trace, sim, net).run()
-    else:
-        result = SelfCorrectingReplayer(
-            trace, sim, net,
-            keep_dep_fraction=cfg.keep_dep_fraction,
-            dep_drop_seed=cfg.dep_drop_seed,
-            degraded_gap_policy=cfg.degraded_gap_policy,
-            awgr_occupancy_hint=cfg.awgr_occupancy_hint,
-        ).run()
-    if overlay is not None:
-        _record_resilience(trace, result, overlay)
-    return result
+        return NaiveReplayer(trace, sim, net).run()
+    return SelfCorrectingReplayer(
+        trace, sim, net,
+        keep_dep_fraction=cfg.keep_dep_fraction,
+        dep_drop_seed=cfg.dep_drop_seed,
+        degraded_gap_policy=cfg.degraded_gap_policy,
+        awgr_occupancy_hint=cfg.awgr_occupancy_hint,
+    ).run()
 
 
-def _attach_degradation(net: NetworkAdapter, cfg: TraceConfig):
+def _attach_degradation(net: NetworkAdapter, cfg: TraceConfig) -> None:
     """Build the degradation overlay from ``cfg.fault_events`` and attach it
     to the optical serving layer (a hybrid degrades its ``.optical``
-    sublayer; the electrical layer has no photonic drift to model).
+    sublayer; the electrical layer has no photonic drift to model), where
+    the backend prices it per message and the replayer finds it for the
+    result's penalty accounting.
 
-    Returns the overlay, or ``None`` when the timeseries is empty — in
-    which case the network is left completely untouched, preserving the
-    byte-identical stock replay path.
+    An empty timeseries leaves the network completely untouched,
+    preserving the byte-identical stock replay path.
     """
     if not cfg.fault_events:
-        return None
+        return
     target = getattr(net, "optical", net)
     if not hasattr(target, "degrade"):
         raise ValueError(
@@ -755,22 +800,3 @@ def _attach_degradation(net: NetworkAdapter, cfg: TraceConfig):
     overlay = DegradationOverlay.build(cfg.fault_events, target.cfg,
                                        cfg.mitigation)
     target.degrade = overlay
-    return overlay
-
-
-def _record_resilience(trace: Trace, result: ReplayResult, overlay) -> None:
-    """Post-hoc penalty accounting into ``result.extra['resilience']``.
-
-    Computed from the *final* injection schedule — never inside the serve
-    loop — so the accounting is identical for both engines and immune to
-    relaxation-pass re-scans.
-    """
-    from repro.resilience.overlay import resilience_extra
-    recs = [r for r in trace.records if r.msg_id in result.injections]
-    result.extra["resilience"] = resilience_extra(
-        overlay,
-        [result.injections[r.msg_id] for r in recs],
-        [r.src for r in recs],
-        [r.dst for r in recs],
-        [r.size_bytes for r in recs],
-    )

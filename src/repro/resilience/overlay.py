@@ -267,18 +267,27 @@ class DegradationOverlay:
             occ += _ceil_div(ser * echo, 1000)
         return occ, lat
 
-    def adjust_vec(self, t: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                   ser: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`adjust` (generational engine).  Same integer
+    def _terms(self, t: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               ser: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-message ``(epoch row, slowdown, echo, occ_add, lat_add)`` —
+        the vectorized form of :meth:`adjust`'s terms, same integer
         semantics element-for-element."""
         rows = np.searchsorted(self._times, t, side="right")
-        stretch = self._stretch_pm[rows, src, dst]
-        echo = self._echo_pm[rows, src, dst]
         ser = ser.astype(np.int64, copy=False)
-        occ = (_ceil_div(ser * 1000, 1000 - stretch) - ser
-               + _ceil_div(ser * echo, 1000)
-               + self._occ_add[rows, src, dst])
-        return occ, self._lat_add[rows, src, dst]
+        return (
+            rows,
+            _ceil_div(ser * 1000, 1000 - self._stretch_pm[rows, src, dst])
+            - ser,
+            _ceil_div(ser * self._echo_pm[rows, src, dst], 1000),
+            self._occ_add[rows, src, dst],
+            self._lat_add[rows, src, dst],
+        )
+
+    def adjust_vec(self, t: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                   ser: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`adjust` (generational engine)."""
+        _, slow, echo, occ_add, lat_add = self._terms(t, src, dst, ser)
+        return slow + echo + occ_add, lat_add
 
     # ----------------------------------------------------------- metrics
     def path_diversity(self, row: int) -> float:
@@ -300,8 +309,8 @@ def penalty_summary(
 ) -> tuple[PenaltyBreakdown, list[dict]]:
     """Post-hoc penalty accounting over the *final* injection schedule.
 
-    Both engines call this once after solving (never during relaxation
-    passes, which would overcount re-scanned messages) with the replayed
+    The result assembly (:func:`repro.core.replay._assemble_result`) calls
+    this once per replay, whichever engine solved it, with the replayed
     messages' injection times and endpoints.  Returns the typed breakdown
     plus the per-epoch curve rows the resilience bench/metrics export.
     """
@@ -315,13 +324,8 @@ def penalty_summary(
     if inj.size == 0:
         breakdown = PenaltyBreakdown(mitigation=overlay.mitigation)
         return breakdown, []
-    rows = np.searchsorted(overlay._times, inj, side="right")
-    stretch = overlay._stretch_pm[rows, src, dst]
-    echo = overlay._echo_pm[rows, src, dst]
-    occ_add = overlay._occ_add[rows, src, dst]
-    lat_add = overlay._lat_add[rows, src, dst]
-    slow = _ceil_div(ser * 1000, 1000 - stretch) - ser
-    detour = _ceil_div(ser * echo, 1000) + lat_add
+    rows, slow, echo, occ_add, lat_add = overlay._terms(inj, src, dst, ser)
+    detour = echo + lat_add
     total = slow + detour + occ_add
     breakdown = PenaltyBreakdown(
         mitigation=overlay.mitigation,

@@ -18,6 +18,7 @@ from repro.config import (
     ExperimentConfig,
     NocConfig,
     OnocConfig,
+    REPLAY_ENGINES,
     SystemConfig,
     TraceConfig,
 )
@@ -184,6 +185,22 @@ def test_replay_result_latencies_match_deliveries(setting):
 
 
 # ----------------------------------------------------- stall diagnostics
+@pytest.fixture
+def self_correct(setting):
+    """Self-correcting replay on the optical target, once per engine: the
+    stall / demotion diagnostics below come out of the one result-assembly
+    function, fed by the event replayer and by the generational solver.
+    (A loop rather than ``params=`` so the test ids stay as they were.)"""
+    exp, *_ = setting
+
+    def run(trace, **cfg):
+        return [replay_trace(trace, optical_factory(exp.onoc, exp.seed),
+                             TraceConfig(engine=engine, **cfg))
+                for engine in REPLAY_ENGINES]
+
+    return run
+
+
 def _orphan_trace():
     """A trace whose record 2 depends on msg_id 99 that never delivers
     (and record 3 depends on the stalled record 2 — a stall chain).
@@ -207,56 +224,49 @@ def _orphan_trace():
     return Trace(records=records, end_markers=[], exec_time=55, meta={})
 
 
-def test_stalled_dependents_are_diagnosed(setting):
+def test_stalled_dependents_are_diagnosed(self_correct):
     """Under the ``captured`` degraded-gap policy a missing trigger still
     stalls its whole dependency chain, with diagnostics naming the culprit."""
-    exp, *_ = setting
-    trace = _orphan_trace()
-    sim, net = optical_factory(exp.onoc, exp.seed)()
-    r = SelfCorrectingReplayer(trace, sim, net,
-                               degraded_gap_policy="captured").run()
-    assert r.messages_replayed == 2
-    assert r.messages_unreplayed == 2
-    assert r.stalled_count == 2
-    assert r.stalled_msg_ids == [2, 3]
-    # Record 2 names its missing trigger; record 3 names its stalled cause.
-    assert r.stalled_on == {2: [99], 3: [2]}
-    # Missing triggers are a data bug, not a cycle: nothing is demoted.
-    assert r.demoted_cyclic == 0
-    assert r.fault_exposure.policy == "captured"
-    assert r.fault_exposure.missing_triggers == 1
-    assert r.fault_exposure.rederived == 0
+    for r in self_correct(_orphan_trace(), degraded_gap_policy="captured"):
+        assert r.messages_replayed == 2
+        assert r.messages_unreplayed == 2
+        assert r.stalled_count == 2
+        assert r.stalled_msg_ids == [2, 3]
+        # Record 2 names its missing trigger; record 3 names its stalled cause.
+        assert r.stalled_on == {2: [99], 3: [2]}
+        # Missing triggers are a data bug, not a cycle: nothing is demoted.
+        assert r.demoted_cyclic == 0
+        assert r.fault_exposure.policy == "captured"
+        assert r.fault_exposure.missing_triggers == 1
+        assert r.fault_exposure.rederived == 0
 
 
-def test_missing_trigger_rederived_under_neighbor_policy(setting):
+def test_missing_trigger_rederived_under_neighbor_policy(self_correct):
     """The default ``neighbor_gap`` policy re-derives the orphaned record
     from its same-node predecessor instead of stalling the chain."""
-    exp, *_ = setting
-    trace = _orphan_trace()
-    sim, net = optical_factory(exp.onoc, exp.seed)()
-    r = SelfCorrectingReplayer(trace, sim, net).run()
-    assert r.messages_replayed == 4
-    assert r.messages_unreplayed == 0
-    assert r.stalled_count == 0
-    assert r.fault_exposure.missing_triggers == 1
-    assert r.fault_exposure.rederived_msg_ids == (2,)
-    assert r.rederived_records == 1
-    # The anchor chain preserves the captured inter-send delta on node 0:
-    # record 2 fires 15 cycles after record 1's *replayed* injection.
-    assert r.injections[2] == r.injections[1] + 15
-    # Record 3's dependency on 2 is intact, so it still obeys the
-    # earliest-start rule off 2's re-derived delivery.
-    assert r.injections[3] == r.deliveries[2] + 5
+    for r in self_correct(_orphan_trace()):
+        assert r.messages_replayed == 4
+        assert r.messages_unreplayed == 0
+        assert r.stalled_count == 0
+        assert r.fault_exposure.missing_triggers == 1
+        assert r.fault_exposure.rederived_msg_ids == (2,)
+        assert r.rederived_records == 1
+        # The anchor chain preserves the captured inter-send delta on node 0:
+        # record 2 fires 15 cycles after record 1's *replayed* injection.
+        assert r.injections[2] == r.injections[1] + 15
+        # Record 3's dependency on 2 is intact, so it still obeys the
+        # earliest-start rule off 2's re-derived delivery.
+        assert r.injections[3] == r.deliveries[2] + 5
 
 
-def test_no_stall_diagnostics_on_clean_replay(setting):
-    exp, _, trace, _, _ = setting
-    r = replay_trace(trace, optical_factory(exp.onoc, exp.seed))
-    assert r.messages_unreplayed == 0
-    assert r.stalled_count == 0
-    assert r.stalled_msg_ids == []
-    assert r.stalled_on == {}
-    assert r.demoted_cyclic == 0
+def test_no_stall_diagnostics_on_clean_replay(setting, self_correct):
+    _, _, trace, _, _ = setting
+    for r in self_correct(trace):
+        assert r.messages_unreplayed == 0
+        assert r.stalled_count == 0
+        assert r.stalled_msg_ids == []
+        assert r.stalled_on == {}
+        assert r.demoted_cyclic == 0
 
 
 # ------------------------------------------------- degenerate dependency graphs
@@ -289,40 +299,36 @@ def test_validate_rejects_dependency_cycle():
         _cyclic_trace().validate()
 
 
-def test_cyclic_records_demoted_not_unreplayed(setting):
+def test_cyclic_records_demoted_not_unreplayed(self_correct):
     """Regression: a rootless cycle (vacuously, 'all roots share offset 0')
     replayed on an empty network used to stall silently with
     messages_unreplayed > 0; cycle members now fall back to their captured
     timestamps and everything replays."""
-    exp, *_ = setting
-    sim, net = optical_factory(exp.onoc, exp.seed)()
-    r = SelfCorrectingReplayer(_cyclic_trace(), sim, net).run()
-    assert r.messages_unreplayed == 0
-    assert r.messages_replayed == 2
-    assert r.demoted_cyclic == 2
-    assert r.stalled_count == 0
-    # Demoted records replay at their captured timestamps.
-    assert r.injections == {0: 5, 1: 5}
+    for r in self_correct(_cyclic_trace()):
+        assert r.messages_unreplayed == 0
+        assert r.messages_replayed == 2
+        assert r.demoted_cyclic == 2
+        assert r.stalled_count == 0
+        # Demoted records replay at their captured timestamps.
+        assert r.injections == {0: 5, 1: 5}
 
 
-def test_cycle_descendants_fire_after_demotion(setting):
+def test_cycle_descendants_fire_after_demotion(self_correct):
     """A record *downstream* of a cycle is not demoted — it self-corrects
     off the demoted members' actual deliveries."""
     from repro.core.trace import Trace
 
-    exp, *_ = setting
     records = [
         _rec(0, 1, 5, 0, t_deliver=5, src=0, dst=1),
         _rec(1, 0, 5, 0, t_deliver=5, src=1, dst=0),
         _rec(2, 0, 10, 5, src=1, dst=2),        # caused by cycle member 0
     ]
     trace = Trace(records=records, end_markers=[], exec_time=0, meta={})
-    sim, net = optical_factory(exp.onoc, exp.seed)()
-    r = SelfCorrectingReplayer(trace, sim, net).run()
-    assert r.messages_unreplayed == 0
-    assert r.demoted_cyclic == 2
-    # Record 2 was injected gap cycles after record 0's simulated delivery.
-    assert r.injections[2] == r.deliveries[0] + 5
+    for r in self_correct(trace):
+        assert r.messages_unreplayed == 0
+        assert r.demoted_cyclic == 2
+        # Record 2 was injected gap cycles after record 0's simulated delivery.
+        assert r.injections[2] == r.deliveries[0] + 5
 
 
 def test_offset_zero_roots_all_replay_on_idle_network(setting):

@@ -1,6 +1,6 @@
 """Generational vs event-driven replay: per-commit differential subset.
 
-The full 40-cell matrix (all gap policies + the fault slice) backs
+The full 36-cell matrix (both solvable gap policies + the fault slice) backs
 ``repro validate --engines`` and the CI validation leg; this file runs the
 fast subset on every commit plus targeted unit checks of the generational
 engine's contract — exact schedule equality where the windowed solver
@@ -23,7 +23,7 @@ from repro.config import (
     TRACE_SELF_CORRECTING,
     TraceConfig,
 )
-from repro.core import Trace, replay_trace
+from repro.core import Trace, replay_trace, replay_trace_generational
 from repro.core.trace import EndMarker, TraceRecord
 from repro.harness.builders import electrical_factory, optical_factory
 from repro.validate.engines import check_engines
@@ -103,3 +103,74 @@ def test_generational_binary_and_json_identical_on_golden():
     assert a.exec_time_estimate == b.exec_time_estimate
     assert a.injections == b.injections
     assert a.deliveries == b.deliveries
+
+
+# ------------------------------------------- one exact solver, or a refusal
+@pytest.mark.parametrize("option", [
+    pytest.param({"degraded_gap_policy": "interp"}, id="interp"),
+    pytest.param({"awgr_occupancy_hint": True}, id="awgr_occupancy_hint"),
+])
+def test_generational_refuses_event_only_options(option):
+    """Outside its exact domain the generational engine raises — pointing at
+    the event engine — through the dispatcher and when called directly."""
+    trace = _chain_trace()
+    onoc = OnocConfig(num_nodes=4, topology="awgr")
+    cfg = TraceConfig(engine=ENGINE_GENERATIONAL, **option)
+    with pytest.raises(ValueError, match="engine='event'"):
+        replay_trace(trace, optical_factory(onoc, 3), cfg)
+    with pytest.raises(ValueError, match="engine='event'"):
+        replay_trace_generational(trace, onoc, cfg)
+    # ... and the event engine serves the very same config.
+    ev = replay_trace(trace, optical_factory(onoc, 3),
+                      dataclasses.replace(cfg, engine="event"))
+    assert ev.messages_unreplayed == 0
+
+
+def test_event_engine_interp_unchanged_on_degraded_golden():
+    """``interp`` stays fully supported on the reference engine: its result
+    on the fft->crossbar golden trace with 10% of the dependency edges
+    ablated is pinned (measured at the commit that fenced the policy off
+    the generational engine)."""
+    scenario = GOLDEN_SCENARIOS[0]
+    trace = Trace.from_json(_trace_path(GOLDEN_DIR, scenario).read_text())
+    onoc = OnocConfig(num_nodes=scenario.cores,
+                      num_wavelengths=scenario.wavelengths,
+                      topology=scenario.target)
+    r = replay_trace(
+        trace, optical_factory(onoc, scenario.seed),
+        TraceConfig(degraded_gap_policy="interp", keep_dep_fraction=0.9,
+                    dep_drop_seed=7))
+    assert r.exec_time_estimate == 4394
+    assert r.rederived_records == 324
+    assert r.fault_exposure.policy == "interp"
+    assert r.messages_unreplayed == 0
+
+
+def test_dead_edges_do_not_narrow_the_solver_horizon():
+    """Record 1 can never fire (its bound trigger 77 is not in the trace),
+    so its zero-gap edge from record 0 must not shrink record 0's horizon
+    slack: records 0 and 3 leave in one batch, their children in a second.
+    Pins why ``_classify`` keeps a reachability sweep."""
+    def rec(msg_id, cause_id, t_inject, gap, src, dst, bound_id=-1):
+        return TraceRecord(
+            msg_id=msg_id, key=(src, dst, "data", msg_id, 0), src=src,
+            dst=dst, size_bytes=64, kind="data", t_inject=t_inject,
+            t_deliver=t_inject + 10, cause_id=cause_id, gap=gap,
+            bound_id=bound_id)
+
+    trace = Trace(records=[
+        rec(0, -1, 0, 0, 0, 1),
+        rec(1, 0, 20, 0, 1, 2, bound_id=77),
+        rec(2, 0, 1020, 1000, 1, 3),
+        rec(3, -1, 50, 50, 2, 3),
+        rec(4, 3, 70, 0, 3, 0),
+    ], end_markers=[], exec_time=0)
+    onoc = OnocConfig(num_nodes=4, topology="crossbar")
+    cfg = TraceConfig(degraded_gap_policy="captured")
+    ev = replay_trace(trace, optical_factory(onoc, 3), cfg)
+    gen = replay_trace(trace, optical_factory(onoc, 3),
+                       dataclasses.replace(cfg, engine=ENGINE_GENERATIONAL))
+    assert gen.extra["iterations"] == 2
+    assert gen.injections == ev.injections
+    assert gen.deliveries == ev.deliveries
+    assert gen.stalled_on == ev.stalled_on == {1: [77]}

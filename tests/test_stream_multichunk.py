@@ -220,3 +220,35 @@ def test_degraded_engines_agree_exactly(synth_trace, topology, mitigation):
     assert (event.extra["resilience"]["penalty"]
             == generational.extra["resilience"]["penalty"])
     assert event.extra["resilience"]["penalty"]["total_cycles"] > 0
+
+
+def test_chunks_going_back_in_time_are_refused(tmp_path):
+    """The carried channel state only works forward in time.  A container
+    whose second chunk injects before the first one ended used to be
+    answered — wrongly — and is now refused, naming the chunk; the
+    canonical encoding of the same messages is untouched."""
+    trace = _hot_destination_trace(600)
+    onoc = synth_onoc("crossbar", NODES)
+    canonical = tmp_path / "canonical.rtrc"
+    tracebin.write_file(trace, canonical, chunk_records=300)
+    summary = stream_naive_summary(canonical, onoc)
+    assert summary["chunks"] == 2
+    result = replay_trace(
+        trace, optical_factory(onoc, 7),
+        TraceConfig(mode=TRACE_NAIVE, engine="generational"))
+    assert summary["exec_time_estimate"] == result.exec_time_estimate
+    assert summary["max_deliver"] == max(result.deliveries.values())
+
+    swapped = Trace(records=trace.records[300:] + trace.records[:300],
+                    end_markers=trace.end_markers,
+                    exec_time=trace.exec_time, meta=dict(trace.meta))
+    backwards = tmp_path / "backwards.rtrc"
+    tracebin.write_file(swapped, backwards, chunk_records=300)
+    with pytest.raises(ValueError, match="chunk 1 .*inject-time order"):
+        stream_naive_summary(backwards, onoc)
+    # Out of order *within* one chunk is the scan's own sort, not an error.
+    one_chunk = tmp_path / "one-chunk.rtrc"
+    tracebin.write_file(swapped, one_chunk)
+    unsorted = stream_naive_summary(one_chunk, onoc)
+    for key in SUMMARY_KEYS:
+        assert unsorted[key] == summary[key], key
