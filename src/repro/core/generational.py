@@ -20,10 +20,11 @@ array-wide operations instead:
    event replayers use (:func:`repro.core.replay._assemble_result`).
 
 The network scans read every serialization, propagation, token-travel and
-setup-walk number from the backend's :mod:`repro.onoc.timing` object — the
-very tables the event entities index per message — so a generational
-replay is *numerically* equivalent to the event path, not just
-statistically close.  Two intentional deviations remain:
+setup-walk number — and, on a degraded fabric, the ``penalty`` rule — from
+the backend's :mod:`repro.onoc.timing` object, the very tables the event
+entities index per message, so a generational replay is *numerically*
+equivalent to the event path, not just statistically close.  Two
+intentional deviations remain:
 
 * same-cycle FIFO ties break by ``msg_id`` (the event engine breaks them
   by event-queue order);
@@ -253,23 +254,18 @@ class _FifoModel:
     """The FIFO backends (crossbar / swmr / awgr): one carry-state segment
     scan, parameterised by the timing object."""
 
-    #: Degradation overlay (repro.resilience); attached by
-    #: ``replay_trace_generational`` when a fault timeseries is configured.
-    #: Its adjustments are non-negative, so ``gain_lb`` stays a valid lower
-    #: bound for the windowed solver with the overlay active.
-    degrade = None
-
     def __init__(self, timing, ids: np.ndarray, src: np.ndarray,
                  dst: np.ndarray, size: np.ndarray) -> None:
         self.ids, self.src, self.dst = ids, src, dst
         self.num_nodes = timing.cfg.num_nodes
         self.res = timing.resource(src, dst)       # FIFO channel per message
         self.res_size = timing.num_resources
-        # Serialization: the static part of the occupancy, and the count the
-        # matching event backend feeds to ``DegradationOverlay.adjust``.
-        self.ser = timing.serialization(size)
+        self.ser = timing.serialization(size)      # static part of occupancy
         self.extra = timing.tail(src, dst)         # deliver - release
         self.token_travel = timing.token_travel    # None: occupancy = ser
+        # None: pristine fabric.  Penalties are non-negative, so ``gain_lb``
+        # stays a valid lower bound for the windowed solver under one.
+        self.penalty = timing.penalty
 
     @property
     def gain_lb(self) -> np.ndarray:
@@ -323,8 +319,8 @@ class _FifoModel:
             self._token_at[res_s[tails]] = src_s[tails]
             occ_s = self.token_travel(prev, src_s) + ser_s
         lat_x = None
-        if self.degrade is not None:
-            occ_x, lat_x = self.degrade.adjust_vec(
+        if self.penalty is not None:
+            occ_x, lat_x = self.penalty(
                 inj_s, self.src[bs], self.dst[bs], ser_s)
             occ_s = occ_s + occ_x      # degraded resource held longer
         if single:
@@ -360,18 +356,13 @@ class _CircuitModel:
     reference; see docs/TRACE_FORMAT.md).
     """
 
-    #: Degradation overlay; see :class:`_FifoModel`.  Circuit-mesh
-    #: degradation is latency-only by contract (the event model tears the
-    #: circuit down on the stock schedule, so the unmodelled segment
-    #: contention does not grow): deliver = inject + const + occ + lat.
-    degrade = None
-
     def __init__(self, timing, ids: np.ndarray, src: np.ndarray,
                  dst: np.ndarray, size: np.ndarray) -> None:
         self.src, self.dst = src, dst
         self.ser = timing.serialization(size)
         self.const = timing.latency(src, dst, self.ser)
         self.gain_lb = self.const
+        self.penalty = timing.penalty              # see _FifoModel
 
     def begin(self, state=None) -> None:
         return None                # contention-free: no carry state
@@ -379,10 +370,12 @@ class _CircuitModel:
     def serve_batch(self, b: np.ndarray, inject: np.ndarray,
                     deliver: np.ndarray) -> None:
         deliver[b] = inject[b] + self.const[b]
-        if self.degrade is not None:
-            occ, lat = self.degrade.adjust_vec(
+        if self.penalty is not None:
+            # ``const`` counts the stock stream; a degraded payload streams
+            # ``ser_x`` cycles longer and lands ``lat_x`` after that.
+            ser_x, lat_x = self.penalty(
                 inject[b], self.src[b], self.dst[b], self.ser[b])
-            deliver[b] += occ + lat
+            deliver[b] += ser_x + lat_x
 
     def scan(self, inject: np.ndarray, active_idx: np.ndarray) -> np.ndarray:
         deliver = np.full(len(self.const), _NEG, dtype=np.int64)
@@ -708,6 +701,7 @@ def replay_trace_generational(
     trace: Trace,
     onoc: OnocConfig,
     cfg: Optional[TraceConfig] = None,
+    timing=None,
 ) -> ReplayResult:
     """Vectorized replay of ``trace`` on the optical network ``onoc``.
 
@@ -719,8 +713,18 @@ def replay_trace_generational(
     options only the event engine implements are refused, never
     approximated.  ``extra`` reports ``{"engine": "generational",
     "iterations": horizon batches, "converged": True}``.
+
+    ``timing`` is ``onoc``'s timing object when the caller already holds
+    one — :func:`~repro.core.replay.replay_trace` does, having priced it
+    for ``cfg.fault_events``; a fault timeseries with no such timing is
+    refused rather than replayed pristine.
     """
     cfg = cfg or TraceConfig()
+    if cfg.fault_events and timing is None:
+        raise ValueError(
+            "a fault timeseries is priced by replay_trace, on the timing "
+            "object it hands this engine: call replay_trace(..., "
+            "TraceConfig(engine='generational', fault_events=...))")
     if cfg.awgr_occupancy_hint:
         raise ValueError(
             "awgr_occupancy_hint is event-engine only (use engine='event'): "
@@ -740,15 +744,8 @@ def replay_trace_generational(
     cols = _Columns.of(trace)
     if cols.n and onoc.num_nodes <= int(max(cols.src.max(), cols.dst.max())):
         raise ValueError("target network too small for trace endpoints")
-    model = _model_for(timing_for(onoc), cols.ids, cols.src, cols.dst,
-                       cols.size)
-    overlay = None
-    if cfg.fault_events:
-        from repro.resilience.overlay import DegradationOverlay
-
-        overlay = DegradationOverlay.build(
-            cfg.fault_events, onoc, cfg.mitigation)
-        model.degrade = overlay       # None when the timeseries is empty
+    model = _model_for(timing or timing_for(onoc), cols.ids, cols.src,
+                       cols.dst, cols.size)
 
     if cfg.mode == TRACE_NAIVE:
         active = np.arange(cols.n, dtype=np.int64)
@@ -778,7 +775,7 @@ def replay_trace_generational(
         t0,
         extra={"engine": "generational", "iterations": iterations,
                "converged": True},
-        correction=correction, overlay=overlay,
+        correction=correction,
     )
 
 

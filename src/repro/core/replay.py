@@ -39,6 +39,7 @@ from repro.config import (
 from repro.engine import Simulator
 from repro.net import Message, NetworkAdapter
 from repro.obs.probes import replay_scope, timeline_or_none
+from repro.onoc.timing import timing_for
 from repro.core.trace import (
     DEGRADED_RECORDS_META_KEY,
     SemanticKey,
@@ -204,18 +205,17 @@ def _assemble_result(
     sim_events: int = 0,
     extra: Optional[dict] = None,
     correction: Optional[_Correction] = None,
-    overlay=None,
 ) -> ReplayResult:
     """The one place a :class:`ReplayResult` is built: both engines hand in
     the schedule they solved (``msg_id -> time``) and everything derived
     from it — latencies, the exec-time estimate, stall post-mortem, fault
-    exposure, resilience accounting — is computed here.
+    exposure — is computed here.  (:func:`replay_trace` adds the resilience
+    payload of a degraded replay: neither engine knows about that.)
 
     *Stalled* records are dependents whose cause (or bound) never delivered,
     because the dependency graph references msg_ids missing from the trace
     or because they wait transitively behind such a record; ``stalled_on``
-    names the undelivered triggers.  The resilience payload is computed from
-    the *final* injection schedule, never inside a serve loop.
+    names the undelivered triggers.
     """
     by_id = {r.msg_id: r for r in trace.records}
     diagnostics: dict = {}
@@ -244,17 +244,6 @@ def _assemble_result(
                 rederived_msg_ids=rederived,
             ),
         )
-    extra = dict(extra or {})
-    if overlay is not None:
-        from repro.resilience.overlay import resilience_extra
-        recs = [r for r in trace.records if r.msg_id in injections]
-        extra["resilience"] = resilience_extra(
-            overlay,
-            [injections[r.msg_id] for r in recs],
-            [r.src for r in recs],
-            [r.dst for r in recs],
-            [r.size_bytes for r in recs],
-        )
     return ReplayResult(
         mode=mode,
         exec_time_estimate=_estimate_exec_time(
@@ -271,7 +260,7 @@ def _assemble_result(
         messages_unreplayed=len(trace.records) - len(injections),
         wall_clock_s=_walltime.perf_counter() - t0,
         sim_events=sim_events,
-        extra=extra,
+        extra=dict(extra or {}),
         **diagnostics,
     )
 
@@ -291,9 +280,6 @@ class _ReplayerBase:
         self.net = net
         self.deliveries: dict[int, int] = {}
         self.injections: dict[int, int] = {}
-        # The degradation overlay ``_attach_degradation`` hung on the
-        # serving layer, if any: its penalties are accounted in the result.
-        self._overlay = getattr(getattr(net, "optical", net), "degrade", None)
         # repro.obs scope (None while instrumentation is disabled).
         self._obs = replay_scope(self.mode)
         net.set_delivery_handler(self._on_deliver)
@@ -309,7 +295,7 @@ class _ReplayerBase:
         result = _assemble_result(
             self.trace, self.mode, dict(self.injections),
             dict(self.deliveries), t0, sim_events=self.sim.event_count,
-            overlay=self._overlay, **kwargs)
+            **kwargs)
         if self._obs is not None:
             self._publish_metrics(result)
         return result
@@ -754,9 +740,16 @@ def replay_trace(
     which the harness factories expose as a ``.onoc`` attribute
     (``None`` on electrical factories — the generational engine only models
     the optical backends).
+
+    A fault timeseries (``cfg.fault_events``) is priced here, once, for
+    whichever engine runs: the target's timing object is degraded before
+    the engine sees it, and the penalties it charged are accounted in
+    ``extra["resilience"]`` afterwards.  An empty timeseries touches
+    nothing, preserving the byte-identical stock replay path.
     """
     cfg = cfg or TraceConfig()
-    if cfg.engine == ENGINE_GENERATIONAL:
+    generational = cfg.engine == ENGINE_GENERATIONAL
+    if generational:
         onoc = getattr(network_factory, "onoc", None)
         if onoc is None:
             raise ValueError(
@@ -765,38 +758,36 @@ def replay_trace(
                 "repro.harness.builders.optical_factory, or pass "
                 "engine='event' for electrical targets)")
         from repro.core.generational import replay_trace_generational
-        return replay_trace_generational(trace, onoc, cfg)
-    sim, net = network_factory()
-    _attach_degradation(net, cfg)
-    if cfg.mode == TRACE_NAIVE:
-        return NaiveReplayer(trace, sim, net).run()
-    return SelfCorrectingReplayer(
-        trace, sim, net,
-        keep_dep_fraction=cfg.keep_dep_fraction,
-        dep_drop_seed=cfg.dep_drop_seed,
-        degraded_gap_policy=cfg.degraded_gap_policy,
-        awgr_occupancy_hint=cfg.awgr_occupancy_hint,
-    ).run()
-
-
-def _attach_degradation(net: NetworkAdapter, cfg: TraceConfig) -> None:
-    """Build the degradation overlay from ``cfg.fault_events`` and attach it
-    to the optical serving layer (a hybrid degrades its ``.optical``
-    sublayer; the electrical layer has no photonic drift to model), where
-    the backend prices it per message and the replayer finds it for the
-    result's penalty accounting.
-
-    An empty timeseries leaves the network completely untouched,
-    preserving the byte-identical stock replay path.
-    """
-    if not cfg.fault_events:
-        return
-    target = getattr(net, "optical", net)
-    if not hasattr(target, "degrade"):
-        raise ValueError(
-            "degradation timeseries need an optical (or hybrid) target; "
-            f"{type(target).__name__} has no degradation hook")
-    from repro.resilience.overlay import DegradationOverlay
-    overlay = DegradationOverlay.build(cfg.fault_events, target.cfg,
-                                       cfg.mitigation)
-    target.degrade = overlay
+    else:
+        sim, net = network_factory()
+    timing = overlay = None
+    if cfg.fault_events:
+        from repro.resilience.overlay import (
+            DegradationOverlay,
+            resilience_extra,
+        )
+        # A hybrid degrades its optical sublayer; the electrical layer has
+        # no photonic drift to model.
+        timing = (timing_for(onoc) if generational else
+                  getattr(getattr(net, "optical", net), "timing", None))
+        if timing is None:
+            raise ValueError(
+                "degradation timeseries need an optical (or hybrid) target; "
+                f"{type(net).__name__} has no optical timing to degrade")
+        overlay = DegradationOverlay.build(
+            cfg.fault_events, timing, cfg.mitigation)
+    if generational:
+        result = replay_trace_generational(trace, onoc, cfg, timing)
+    elif cfg.mode == TRACE_NAIVE:
+        result = NaiveReplayer(trace, sim, net).run()
+    else:
+        result = SelfCorrectingReplayer(
+            trace, sim, net,
+            keep_dep_fraction=cfg.keep_dep_fraction,
+            dep_drop_seed=cfg.dep_drop_seed,
+            degraded_gap_policy=cfg.degraded_gap_policy,
+            awgr_occupancy_hint=cfg.awgr_occupancy_hint,
+        ).run()
+    if overlay is not None:
+        result.extra["resilience"] = resilience_extra(overlay)
+    return result

@@ -136,20 +136,16 @@ class CircuitSwitchedMesh(OpticalEntity):
         hops = len(walker.path)
         now = self.sim.now
         self.stats.queueing_delay.add(now - msg.inject_time)  # setup latency
-        ser = self.timing.serialization(msg.size_bytes)
-        degrade_extra = 0
-        if self.degrade is not None:
-            occ_extra, lat_extra = self.degrade.adjust(
+        timing = self.timing
+        ser = timing.serialization(msg.size_bytes)
+        lat_extra = 0
+        if timing.penalty is not None:
+            occ_extra, lat_extra = timing.penalty(
                 msg.inject_time, msg.src, msg.dst, ser)
-            # Both terms delay only the payload *delivery*; the circuit is
-            # torn down on the stock schedule.  Extending the segment hold
-            # window would amplify precisely the contention the generational
-            # circuit model documents as unmodelled, breaking the engine
-            # equivalence bound — this backend's degradation is therefore
-            # latency-only by contract (see docs/RESILIENCE.md).
-            degrade_extra = occ_extra + lat_extra
-        data_end = now + int(self.timing.stream_cycles(hops)) + ser
-        self.sim.schedule(data_end + degrade_extra, self._deliver, (msg, hops))
+            ser += int(occ_extra)       # degraded payload streams longer
+            lat_extra = int(lat_extra)
+        data_end = now + int(timing.stream_cycles(hops)) + ser
+        self.sim.schedule(data_end + lat_extra, self._deliver, (msg, hops))
         self.sim.schedule(
             data_end + self.cfg.teardown_latency, self._teardown, (walker,)
         )

@@ -1,15 +1,17 @@
 """Event-driven optical network entities: the parts every backend shares.
 
 :class:`OpticalEntity` is the :class:`repro.net.NetworkAdapter` boilerplate —
-send validation, stats, the obs probe, the degradation-overlay slot and the
-delivery funnel.  :class:`FifoChannelNetwork` adds the message-granularity
+send validation, stats, the obs probe, the timing object and the delivery
+funnel.  :class:`FifoChannelNetwork` adds the message-granularity
 model the serpentine backends share: a granted transmission is a
 contention-free circuit, so each FIFO channel (which one is the timing
 object's ``resource`` key) serves its queue one message at a time and a
 backend differs only in what a writer waits for before it may serialize
 (:meth:`FifoChannelNetwork._acquire`).
 
-Per-message arithmetic comes from :mod:`repro.onoc.timing`; the scheduling
+Per-message arithmetic comes from :mod:`repro.onoc.timing` — on a degraded
+fabric that includes the timing object's ``penalty`` rule, the only form in
+which a fault timeseries reaches an entity; the scheduling
 here — event queue, FIFO deques — is the reference the vectorized engine is
 checked against and shares nothing with it.
 """
@@ -53,9 +55,6 @@ class OpticalEntity:
         self._delivery_handler: Optional[Callable[[Message], None]] = None
         # None unless repro.obs instrumentation was enabled at build time.
         self._probe = net_probe(self.topology)
-        # Degradation overlay (repro.resilience); attached by replay_trace
-        # when a fault timeseries is configured, None = pristine fabric.
-        self.degrade = None
         # Power-model counter.
         self.bits_transmitted = 0
 
@@ -162,16 +161,15 @@ class FifoChannelNetwork(OpticalEntity):
         timing = self.timing
         start = self.sim.now + self._acquire(ch, msg)
         ser = timing.serialization(msg.size_bytes)
-        lat_extra = 0
-        if self.degrade is not None:
-            occ_extra, lat_extra = self.degrade.adjust(
+        tail = int(timing.tail(msg.src, msg.dst))
+        if timing.penalty is not None:
+            occ_extra, lat_extra = timing.penalty(
                 msg.inject_time, msg.src, msg.dst, ser)
-            ser += occ_extra            # degraded channel held longer
+            ser += int(occ_extra)       # degraded channel held longer
+            tail += int(lat_extra)
         release = start + ser
         self.stats.queueing_delay.add(start - msg.inject_time)
-        self.sim.schedule(
-            release + int(timing.tail(msg.src, msg.dst)) + lat_extra,
-            self._deliver, (msg,))
+        self.sim.schedule(release + tail, self._deliver, (msg,))
         self.sim.schedule(release, self._serve_next, (ch,))
 
     # ------------------------------------------------------------ queries

@@ -10,7 +10,10 @@ It owns, exactly once per backend, everything that turns a message
 * the **resource key** — which FIFO channel a message occupies
   (``dst`` / ``src`` / ``src * n + dst``),
 * the crossbar's **token-travel** table,
-* the circuit mesh's hop count, setup walk and payload-stream closed form.
+* the circuit mesh's hop count, setup walk and payload-stream closed form,
+* how the backend's wavelengths divide among its (src, dst) pairs
+  (:meth:`wavelength_share`, :meth:`spare_capacity_pm`),
+* the **penalty** rule of a degraded fabric (``None`` when pristine).
 
 Every method is written with operators that take a Python int or an
 ``ndarray`` alike, so the event entities (:mod:`repro.onoc.entity`) call it
@@ -24,9 +27,15 @@ and :class:`~repro.onoc.devices.SerpentineLayout` stay the scalar
 definitions the tables are built from; ``tests/test_onoc_timing.py`` pins
 every table against them.
 
+A fault timeseries degrades a replay by installing a :attr:`penalty` rule
+on the timing object (``repro.resilience.overlay.DegradationOverlay.build``,
+the only writer; nothing here imports it).  Both engines read the rule off the
+timing object they already hold, in the ``token_travel = None`` idiom, so
+neither scheduler knows the resilience layer exists.
+
 Adding a backend is one timing class here (registered in :data:`TIMINGS`),
 one entity hook in :mod:`repro.onoc` and one topology constant in
-:mod:`repro.config`.
+:mod:`repro.config`; degradation comes with the timing class.
 """
 
 from __future__ import annotations
@@ -71,10 +80,33 @@ def _ring_travel(table: np.ndarray, token_at, writer):
 
 
 class _Timing:
-    """What every backend shares: the config and the serialization rule."""
+    """What every backend shares: the config, the serialization rule and
+    the shared-WDM-channel wavelength split."""
+
+    #: ``penalty(inject_time, src, dst, ser) -> (occ_extra, lat_extra)`` on a
+    #: degraded fabric: ``occ_extra`` more cycles of serialization (the
+    #: message holds its serving resource that much longer), ``lat_extra``
+    #: more cycles before delivery only.  Ints or arrays alike, never
+    #: negative.  ``None`` on a pristine fabric — the engines then run no
+    #: penalty arithmetic at all.
+    penalty = None
 
     def __init__(self, cfg: OnocConfig) -> None:
         self.cfg = cfg
+
+    def wavelength_share(self, weights: dict[int, float]) -> np.ndarray:
+        """``[src, dst]`` bandwidth-share-weighted sum of the per-wavelength
+        ``weights`` (``{wavelength: weight}``).  A shared WDM channel
+        spreads every pair over all ``W`` wavelengths, ``1/W`` each."""
+        n = self.cfg.num_nodes
+        return np.full((n, n),
+                       sum(weights.values()) / self.cfg.num_wavelengths)
+
+    def spare_capacity_pm(self, budget_pm: int) -> int:
+        """Per mille of a pair's bandwidth the fabric can shift onto it when
+        it degrades.  Arbitrated backends re-route over spare
+        path/wavelength budget: the caller's ``budget_pm`` of the channel."""
+        return budget_pm
 
     def _serialization(self, size_bytes: int) -> int:
         return self.cfg.serialization_cycles(size_bytes)
@@ -180,6 +212,29 @@ class AwgrTiming(SerpentineTiming):
 
     def resource(self, src, dst):
         return src * self.cfg.num_nodes + dst
+
+    def wavelength_share(self, weights: dict[int, float]) -> np.ndarray:
+        """Cyclic λ assignment: ``lane(s, d) = (d - s) mod n - 1`` owns the
+        wavelengths ``{w : w mod (n-1) == lane}`` below
+        ``lanes_per_pair * (n-1)``, ``1/lanes_per_pair`` of the pair's
+        bandwidth each; the wavelengths above are stranded."""
+        n, lpp = self.cfg.num_nodes, self.lanes_per_pair
+        lane_sum = np.zeros(n - 1)
+        for w, weight in weights.items():
+            if w < lpp * (n - 1):
+                lane_sum[w % (n - 1)] += weight
+        s, d = np.indices((n, n))
+        out = lane_sum[(d - s) % n - 1] / lpp
+        np.fill_diagonal(out, 0.0)
+        return out
+
+    def spare_capacity_pm(self, budget_pm: int) -> int:
+        """The ``W mod (N-1)`` stranded wavelengths: re-tuning a degraded
+        lane onto them recovers their bandwidth share (a floor of half the
+        budget models borrowing idle headroom from neighbouring lanes)."""
+        stranded = self.cfg.num_wavelengths % (self.cfg.num_nodes - 1)
+        return max((stranded * 1000) // self.cfg.num_wavelengths,
+                   budget_pm // 2)
 
 
 class CircuitMeshTiming(_Timing):

@@ -14,7 +14,9 @@ directed (src, dst) pair, four small integer tables:
                 propagation + extra conversion pair)
 
 The per-message effect is then a pure integer function of
-``(epoch(inject_time), src, dst, ser)``::
+``(epoch(inject_time), src, dst, ser)``, written once
+(:meth:`DegradationOverlay.price`) with operators that take Python ints
+and int64 arrays alike::
 
     occ_extra = ceil(ser*1000 / (1000 - stretch)) - ser     # bandwidth loss
               + ceil(ser * echo / 1000)                     # retransmission
@@ -24,15 +26,18 @@ The per-message effect is then a pure integer function of
 ``occ_extra`` extends how long the message *holds its serving resource*
 (token channel, source channel, λ-lane) so degradation cascades
 contention onto healthy traffic; ``lat_extra`` only delays the delivery.
-Exception: the circuit mesh applies *both* terms as delivery delay and
-tears circuits down on the stock schedule — extending segment holds would
-amplify the contention the generational circuit model documents as
-unmodelled and break the engine-equivalence bound.
-The event backends call :meth:`DegradationOverlay.adjust` per message; the
-generational models call :meth:`DegradationOverlay.adjust_vec` on whole
-inject batches — both read the same tables, which is what makes the
-engines agree under degradation.  Every adjustment is non-negative, so
-the generational windowed solver's gain lower bound stays valid.
+
+Neither engine names the overlay.  :meth:`DegradationOverlay.build` — one
+call site, in :func:`repro.core.replay.replay_trace` before it picks an
+engine — builds the overlay *from* the target's :mod:`repro.onoc.timing`
+object and installs :meth:`DegradationOverlay.price` as that object's
+``penalty`` rule; the event entities call the rule per message, the
+generational models per inject batch.  Same function, same tables: that is
+what makes the engines agree under degradation.  Every adjustment is
+non-negative, so the generational windowed solver's gain lower bound stays
+valid.  The overlay logs the terms of every message it prices and the
+accounting (:func:`penalty_summary`) reads that log — so it counts exactly
+the messages the degraded fabric served (on a hybrid, the optical layer's).
 
 Epochs are keyed on **injection time**: the degradation a message sees is
 the fabric state when it entered the network.  (A message serialized
@@ -42,13 +47,11 @@ simplification that keeps both engines exactly equal.)
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.config import ONOC_AWGR, OnocConfig
-from repro.onoc.timing import SerpentineTiming, timing_for
+from repro.onoc.timing import CircuitMeshTiming, SerpentineTiming
 from repro.resilience.policies import (
     DISABLE_THRESHOLD_PM,
     LEVEL_CAP_PM,
@@ -76,40 +79,26 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-def spare_capacity_pm(onoc: OnocConfig) -> int:
-    """Per-mille capacity ``reallocate`` can shift to a degraded pair.
-
-    AWGR: the cyclic lane assignment strands ``W mod (N-1)`` wavelengths;
-    re-tuning a degraded lane onto them recovers their bandwidth share (a
-    floor of half the default models borrowing idle headroom from
-    neighbouring lanes).  Arbitrated backends re-route over spare
-    path/wavelength budget, a fixed fraction of the channel.
-    """
-    if onoc.topology == ONOC_AWGR:
-        leftover = onoc.num_wavelengths % (onoc.num_nodes - 1)
-        return max((leftover * 1000) // onoc.num_wavelengths,
-                   REALLOCATE_DEFAULT_SPARE_PM // 2)
-    return REALLOCATE_DEFAULT_SPARE_PM
-
-
 class DegradationOverlay:
     """Precomputed per-epoch penalty tables for one (timeseries, backend,
-    mitigation) triple.  Build via :meth:`DegradationOverlay.build`."""
+    mitigation) triple, plus the log of what they priced.  Build (and
+    install) via :meth:`DegradationOverlay.build`."""
 
-    __slots__ = ("onoc", "mitigation", "series", "_times", "_times_list",
-                 "level_pm", "_stretch_pm", "_echo_pm", "_occ_add",
-                 "_lat_add")
+    __slots__ = ("onoc", "mitigation", "series", "_times", "level_pm",
+                 "_stretch_pm", "_echo_pm", "_occ_add", "_lat_add",
+                 "_priced")
 
-    def __init__(self, onoc: OnocConfig, mitigation: str,
+    def __init__(self, timing, mitigation: str,
                  series: FaultTimeseries) -> None:
-        self.onoc = onoc
+        # The timing object is read while the tables are filled and not
+        # kept: the pricing rule a model holds must not pin its pair table.
+        self.onoc = timing.cfg
         self.mitigation = check_mitigation(mitigation)
         self.series = series
-        n = onoc.num_nodes
-        times = sorted({e.time for e in series.events})
-        self._times = np.asarray(times, dtype=np.int64)
-        self._times_list = times
-        shape = (len(times) + 1, n, n)
+        n = self.onoc.num_nodes
+        self._times = np.asarray(sorted({e.time for e in series.events}),
+                                 dtype=np.int64)
+        shape = (len(self._times) + 1, n, n)
         # Row 0 is the pristine pre-first-event epoch; row e+1 covers
         # [times[e], times[e+1]).
         self.level_pm = np.zeros(shape, dtype=np.int64)
@@ -117,60 +106,52 @@ class DegradationOverlay:
         self._echo_pm = np.zeros(shape, dtype=np.int64)
         self._occ_add = np.zeros(shape, dtype=np.int64)
         self._lat_add = np.zeros(shape, dtype=np.int64)
-        self._fill_tables()
+        # ``(epoch row, slowdown, echo, occ_add, lat_add)`` per ``price``
+        # call (ints or arrays).
+        self._priced: list[tuple] = []
+        self._fill_tables(timing)
 
     # ------------------------------------------------------------ building
     @classmethod
     def build(
         cls,
         fault_events: Union[FaultTimeseries, Sequence[Sequence]],
-        onoc: OnocConfig,
+        timing,
         mitigation: str = MITIGATION_NONE,
     ) -> Optional["DegradationOverlay"]:
-        """Overlay for ``fault_events``, or ``None`` when the timeseries is
-        empty — the caller then takes the stock (byte-identical) path."""
+        """Degrade the fabric ``timing`` (a :mod:`repro.onoc.timing`
+        object) serves: build the overlay from it and install the overlay's
+        pricing as ``timing.penalty``, which is all either replay engine
+        sees of a fault timeseries.  Returns the overlay for the result's
+        accounting (:func:`resilience_extra`) — ``None``, with ``timing``
+        untouched, for an empty timeseries: the stock (byte-identical)
+        path."""
         if isinstance(fault_events, FaultTimeseries):
             series = fault_events
         else:
             series = FaultTimeseries.from_tuples(fault_events)
         if not series.events:
             return None
-        return cls(onoc, mitigation, series)
+        overlay = cls(timing, mitigation, series)
+        timing.penalty = (overlay.price_delivery_only
+                          if isinstance(timing, CircuitMeshTiming)
+                          else overlay.price)
+        return overlay
 
-    def _wavelength_matrix(self, wl_sev: dict) -> np.ndarray:
-        """Bandwidth-share-weighted wavelength contribution per pair."""
-        n = self.onoc.num_nodes
-        W = self.onoc.num_wavelengths
-        out = np.zeros((n, n))
-        if not wl_sev:
-            return out
-        if self.onoc.topology == ONOC_AWGR:
-            # Cyclic λ assignment: lane(s, d) = (d - s) mod n - 1 owns the
-            # wavelengths {w : w mod (n-1) == lane} below lpp*(n-1).
-            lpp = timing_for(self.onoc).lanes_per_pair
-            lane_sum = np.zeros(n - 1)
-            for w, sev in wl_sev.items():
-                if w < lpp * (n - 1):
-                    lane_sum[w % (n - 1)] += sev
-            for s in range(n):
-                for d in range(n):
-                    if s != d:
-                        out[s, d] = lane_sum[(d - s) % n - 1] / lpp
-        else:
-            # Shared WDM channel: each λ carries 1/W of the bandwidth.
-            out[:, :] = sum(wl_sev.values()) / W
-        return out
-
-    def _detour_latency(self) -> np.ndarray:
+    @staticmethod
+    def _detour_latency(timing) -> np.ndarray:
         """Per-pair ``disable`` detour cost: extra flight time via the
         lowest-numbered healthy relay plus one extra conversion pair.
         (Serpentine distances are used for every backend — a first-order
-        penalty model, not backend geometry.)"""
-        onoc = self.onoc
+        penalty model, not backend geometry — so a serpentine backend's own
+        pair table is the table.)"""
+        onoc = timing.cfg
         n = onoc.num_nodes
         if n < 3:
             return np.zeros((n, n), dtype=np.int64)
-        prop = SerpentineTiming(onoc).propagation_table
+        if not isinstance(timing, SerpentineTiming):
+            timing = SerpentineTiming(onoc)
+        prop = timing.propagation_table
         s, d = np.indices((n, n))
         # Lowest-numbered node that is neither endpoint.
         relay = np.where((s != 0) & (d != 0), 0,
@@ -180,7 +161,7 @@ class DegradationOverlay:
         np.fill_diagonal(out, 0)
         return out
 
-    def _fill_tables(self) -> None:
+    def _fill_tables(self, timing) -> None:
         onoc = self.onoc
         n = onoc.num_nodes
         W = onoc.num_wavelengths
@@ -189,9 +170,9 @@ class DegradationOverlay:
         link_sev: dict[tuple[int, int], float] = {}
         wl_sev: dict[int, float] = {}
         detour = None
-        spare = spare_capacity_pm(onoc)
+        spare = timing.spare_capacity_pm(REALLOCATE_DEFAULT_SPARE_PM)
         can_detour = n >= 3
-        for i, t in enumerate(self._times_list):
+        for i, t in enumerate(self._times.tolist()):
             for e in self.series.events:
                 if e.time != t:
                     continue
@@ -221,9 +202,11 @@ class DegradationOverlay:
                                                node_sev[None, :]))
             for (s, d), sev in link_sev.items():
                 base[s, d] = max(base[s, d], sev)
-            raw = np.minimum(1.0, base + self._wavelength_matrix(wl_sev))
-            lvl = np.minimum(LEVEL_CAP_PM,
-                             np.rint(raw * 1000).astype(np.int64))
+            if wl_sev:
+                base = base + timing.wavelength_share(wl_sev)
+            lvl = np.minimum(
+                LEVEL_CAP_PM,
+                np.rint(np.minimum(1.0, base) * 1000).astype(np.int64))
             np.fill_diagonal(lvl, 0)
             self.level_pm[i + 1] = lvl
 
@@ -233,7 +216,7 @@ class DegradationOverlay:
             elif self.mitigation == MITIGATION_DISABLE:
                 dropped = (lvl >= DISABLE_THRESHOLD_PM) & can_detour
                 if detour is None:
-                    detour = self._detour_latency()
+                    detour = self._detour_latency(timing)
                 self._stretch_pm[row] = np.where(dropped, 0, lvl)
                 self._echo_pm[row] = np.where(dropped, 1000, 0)
                 self._lat_add[row] = np.where(dropped, detour, 0)
@@ -242,52 +225,37 @@ class DegradationOverlay:
                 self._occ_add[row] = np.where(
                     (lvl > 0) & (spare > 0), REALLOCATE_RETUNE_CYCLES, 0)
 
-    # ----------------------------------------------------------- querying
+    # ------------------------------------------------------------- pricing
     @property
     def epoch_times(self) -> list[int]:
         """Epoch boundary times (epoch ``e+1`` starts at ``times[e]``)."""
-        return list(self._times_list)
+        return self._times.tolist()
 
-    def epoch_of(self, t: int) -> int:
-        """Table row for injection time ``t`` (0 = pristine prefix)."""
-        return bisect_right(self._times_list, t)
-
-    def adjust(self, t: int, src: int, dst: int,
-               ser: int) -> tuple[int, int]:
-        """Scalar ``(occ_extra, lat_extra)`` for one message (event engine)."""
-        e = bisect_right(self._times_list, t)
-        stretch = int(self._stretch_pm[e, src, dst])
-        echo = int(self._echo_pm[e, src, dst])
-        occ_add = int(self._occ_add[e, src, dst])
-        lat = int(self._lat_add[e, src, dst])
-        occ = occ_add
-        if stretch:
-            occ += _ceil_div(ser * 1000, 1000 - stretch) - ser
-        if echo:
-            occ += _ceil_div(ser * echo, 1000)
-        return occ, lat
-
-    def _terms(self, t: np.ndarray, src: np.ndarray, dst: np.ndarray,
-               ser: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-message ``(epoch row, slowdown, echo, occ_add, lat_add)`` —
-        the vectorized form of :meth:`adjust`'s terms, same integer
-        semantics element-for-element."""
-        rows = np.searchsorted(self._times, t, side="right")
-        ser = ser.astype(np.int64, copy=False)
-        return (
-            rows,
-            _ceil_div(ser * 1000, 1000 - self._stretch_pm[rows, src, dst])
-            - ser,
-            _ceil_div(ser * self._echo_pm[rows, src, dst], 1000),
-            self._occ_add[rows, src, dst],
-            self._lat_add[rows, src, dst],
-        )
-
-    def adjust_vec(self, t: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                   ser: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`adjust` (generational engine)."""
-        _, slow, echo, occ_add, lat_add = self._terms(t, src, dst, ser)
+    def price(self, t, src, dst, ser) -> tuple:
+        """The ``penalty`` rule of a degraded timing object (see
+        :attr:`repro.onoc.timing._Timing.penalty`): ``(occ_extra,
+        lat_extra)`` of messages injected at ``t`` on ``src -> dst`` with
+        stock serialization ``ser`` — the one place the penalty formula is
+        written.  Python ints give NumPy integer scalars, int arrays give
+        int64 arrays, the same integers element for element (an epoch
+        starts *at* its event time: ``side="right"``).  Logs the terms for
+        :func:`penalty_summary`, so call it once per message served."""
+        at = (np.searchsorted(self._times, t, side="right"), src, dst)
+        slow = _ceil_div(ser * 1000, 1000 - self._stretch_pm[at]) - ser
+        echo = _ceil_div(ser * self._echo_pm[at], 1000)
+        occ_add, lat_add = self._occ_add[at], self._lat_add[at]
+        self._priced.append((at[0], slow, echo, occ_add, lat_add))
         return slow + echo + occ_add, lat_add
+
+    def price_delivery_only(self, t, src, dst, ser) -> tuple:
+        """:meth:`price` for the circuit mesh, whose degradation is
+        latency-only by contract: both terms delay the payload *delivery*
+        and the circuit is torn down on the stock schedule.  Extending the
+        segment hold window would amplify precisely the contention the
+        generational circuit model documents as unmodelled, breaking the
+        engine-equivalence bound (see docs/RESILIENCE.md)."""
+        occ_extra, lat_extra = self.price(t, src, dst, ser)
+        return 0, occ_extra + lat_extra
 
     # ----------------------------------------------------------- metrics
     def path_diversity(self, row: int) -> float:
@@ -302,29 +270,18 @@ class DegradationOverlay:
 
 def penalty_summary(
     overlay: DegradationOverlay,
-    injects: Sequence[int],
-    srcs: Sequence[int],
-    dsts: Sequence[int],
-    sizes: Sequence[int],
 ) -> tuple[PenaltyBreakdown, list[dict]]:
-    """Post-hoc penalty accounting over the *final* injection schedule.
+    """Penalty accounting over the messages ``overlay`` priced.
 
-    The result assembly (:func:`repro.core.replay._assemble_result`) calls
-    this once per replay, whichever engine solved it, with the replayed
-    messages' injection times and endpoints.  Returns the typed breakdown
-    plus the per-epoch curve rows the resilience bench/metrics export.
+    :func:`repro.core.replay.replay_trace` calls this (through
+    :func:`resilience_extra`) once per replay, whichever engine solved it.
+    Returns the typed breakdown plus the per-epoch curve rows the
+    resilience bench/metrics export.
     """
-    inj = np.asarray(injects, dtype=np.int64)
-    src = np.asarray(srcs, dtype=np.int64)
-    dst = np.asarray(dsts, dtype=np.int64)
-    # The serving backend's serialization: the ``ser`` the engines feed to
-    # ``adjust`` (the AWGR's is narrowed to its per-lane λ subset).
-    ser = timing_for(overlay.onoc).serialization(
-        np.asarray(sizes, dtype=np.int64))
-    if inj.size == 0:
-        breakdown = PenaltyBreakdown(mitigation=overlay.mitigation)
-        return breakdown, []
-    rows, slow, echo, occ_add, lat_add = overlay._terms(inj, src, dst, ser)
+    if not overlay._priced:
+        return PenaltyBreakdown(mitigation=overlay.mitigation), []
+    rows, slow, echo, occ_add, lat_add = (
+        np.hstack(col) for col in zip(*overlay._priced))
     detour = echo + lat_add
     total = slow + detour + occ_add
     breakdown = PenaltyBreakdown(
@@ -333,7 +290,7 @@ def penalty_summary(
         detour_cycles=int(detour.sum()),
         retune_cycles=int(occ_add.sum()),
         messages_affected=int((total > 0).sum()),
-        messages_total=int(inj.size),
+        messages_total=int(rows.size),
     )
     curve: list[dict] = []
     boundaries = [0] + overlay.epoch_times
@@ -350,13 +307,7 @@ def penalty_summary(
     return breakdown, curve
 
 
-def resilience_extra(
-    overlay: DegradationOverlay,
-    injects: Sequence[int],
-    srcs: Sequence[int],
-    dsts: Sequence[int],
-    sizes: Sequence[int],
-) -> dict:
+def resilience_extra(overlay: DegradationOverlay) -> dict:
     """The ``ReplayResult.extra['resilience']`` payload for one replay:
     the typed penalty breakdown plus the per-epoch timeseries curve.
 
@@ -366,7 +317,7 @@ def resilience_extra(
     """
     from repro import obs
 
-    breakdown, curve = penalty_summary(overlay, injects, srcs, dsts, sizes)
+    breakdown, curve = penalty_summary(overlay)
     scope = obs.metrics("resilience")
     scope.counter("fault_events").inc(len(overlay.series))
     scope.counter("messages_affected").inc(breakdown.messages_affected)

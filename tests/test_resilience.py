@@ -11,8 +11,12 @@ optical backends, so the degradation hook provably costs nothing when off.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+from bisect import bisect_right
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -22,19 +26,27 @@ from repro.config import (
     MITIGATION_NONE,
     MITIGATION_REALLOCATE,
     MITIGATIONS,
+    NocConfig,
     OnocConfig,
+    TRACE_NAIVE,
+    TRACE_SELF_CORRECTING,
     TraceConfig,
 )
 from repro.core.replay import replay_trace
 from repro.core.trace import Trace
-from repro.harness.builders import optical_factory
+from repro.engine import Simulator
+from repro.harness.builders import electrical_factory, optical_factory
+from repro.onoc import HybridConfig, HybridNetwork
+from repro.onoc.timing import timing_for
 from repro.resilience import (
+    DegradationOverlay,
     FaultEvent,
     FaultTimeseries,
     GENERATOR_FAMILIES,
     TimeseriesError,
     generate_timeseries,
 )
+from repro.resilience.policies import LEVEL_CAP_PM
 from repro.validate.engines import (
     ENGINE_DEGRADE_FAMILY,
     ENGINE_DEGRADE_INTENSITY,
@@ -158,6 +170,78 @@ class TestRoundTrip:
     @given(series=timeseries())
     def test_tuple_roundtrip(self, series):
         assert FaultTimeseries.from_tuples(series.as_tuples()) == series
+
+
+# ---------------------------------------------------------------------------
+# One pricing rule, two call shapes
+# ---------------------------------------------------------------------------
+
+#: Epoch boundaries 100 / 200 / 300 on an 8-node crossbar: node 2 dead
+#: (capped at ``LEVEL_CAP_PM``), link 0->1 past the disable threshold, link
+#: 3->4 mildly degraded, everything restored at 300 except a faint global.
+PRICING_SERIES = FaultTimeseries([
+    FaultEvent(100, "node:2", 1.0),
+    FaultEvent(100, "link:0-1", 0.8),
+    FaultEvent(200, "link:3-4", 0.3),
+    FaultEvent(200, "wl:5", 0.5),
+    FaultEvent(300, "node:2", 0.0),
+    FaultEvent(300, "link:0-1", 0.0),
+    FaultEvent(300, "global", 0.05),
+])
+PRICING_OVERLAYS = {
+    m: DegradationOverlay.build(
+        PRICING_SERIES, timing_for(OnocConfig(num_nodes=8)), m)
+    for m in MITIGATIONS}
+
+_pricing_message = st.tuples(
+    # Injection times on, next to and away from every epoch boundary.
+    st.one_of(st.sampled_from([0, 99, 100, 101, 199, 200, 201, 299, 300]),
+              st.integers(min_value=0, max_value=1000)),
+    st.sampled_from([(0, 1), (2, 6), (5, 2), (3, 4), (6, 7), (1, 0)]),
+    st.integers(min_value=1, max_value=5000),
+)
+
+
+class TestOnePricingRule:
+    def test_tables_hold_every_edge_case(self):
+        """The property below is only as strong as the tables it draws
+        from: the cap, a zero stretch, a zero and a full echo, a retune."""
+        none, disable, reallocate = (
+            PRICING_OVERLAYS[m] for m in
+            (MITIGATION_NONE, MITIGATION_DISABLE, MITIGATION_REALLOCATE))
+        assert none.level_pm[1, 2, 6] == LEVEL_CAP_PM
+        assert none._stretch_pm[1, 2, 6] == LEVEL_CAP_PM
+        assert none._stretch_pm[1, 6, 7] == 0
+        assert disable._echo_pm[1, 0, 1] == 1000
+        assert disable._stretch_pm[1, 0, 1] == 0
+        assert disable._lat_add[1, 0, 1] > 0
+        assert disable._echo_pm[2, 3, 4] == 0 < disable._stretch_pm[2, 3, 4]
+        assert reallocate._occ_add[1, 0, 1] > 0
+        assert reallocate._occ_add[1, 6, 7] == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(mitigation=st.sampled_from(MITIGATIONS),
+           msgs=st.lists(_pricing_message, min_size=1, max_size=30))
+    def test_ints_and_arrays_price_alike(self, mitigation, msgs):
+        """``price`` on int64 arrays, ``price`` on Python ints and the
+        formula spelled out with ``bisect_right`` and ``//`` agree element
+        for element."""
+        ov = PRICING_OVERLAYS[mitigation]
+        t, pairs, ser = zip(*msgs)
+        src, dst = zip(*pairs)
+        occ_v, lat_v = ov.price(*(np.asarray(col, dtype=np.int64)
+                                  for col in (t, src, dst, ser)))
+        for k, (ti, (s, d), n) in enumerate(msgs):
+            e = bisect_right(ov.epoch_times, ti)
+            stretch, echo, occ_add, lat_add = (
+                int(tab[e, s, d]) for tab in
+                (ov._stretch_pm, ov._echo_pm, ov._occ_add, ov._lat_add))
+            want = (-(-n * 1000 // (1000 - stretch)) - n
+                    + -(-n * echo // 1000) + occ_add, lat_add)
+            occ, lat = ov.price(ti, s, d, n)
+            assert (int(occ), int(lat)) == want
+            assert (int(occ_v[k]), int(lat_v[k])) == want
+            assert want[0] >= 0 and want[1] >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +370,45 @@ class TestDegradedReplay:
             faults=f"degrade/{mitigation}")
         assert cell.passed, cell.describe()
 
+    def test_hybrid_accounts_only_its_optical_layer(self):
+        """A hybrid degrades its optical sublayer only, so only the messages
+        ``route_optical`` sends there are priced — and accounted.  (The
+        payload used to be computed over every replayed record: 3894 total
+        / 2211 affected against 1020 optical sends on fft@0.3.)"""
+        scenario = GOLDEN_SCENARIOS[0]          # fft, 16 cores
+        trace, onoc = _golden(scenario)
+        series = _series_for(trace, scenario, family="thermal_drift")
+        nets = []
+
+        def hybrid_factory():
+            sim = Simulator(seed=scenario.seed)
+            nets.append(HybridNetwork(sim, HybridConfig(
+                NocConfig(width=4, height=4), onoc, optical_threshold=4)))
+            return sim, nets[-1]
+
+        res = replay_trace(
+            trace, hybrid_factory,
+            TraceConfig(mode=TRACE_NAIVE, fault_events=series.as_tuples(),
+                        mitigation=MITIGATION_NONE))
+        net, = nets
+        assert 0 < net.sent_optical < res.messages_replayed
+        payload = res.extra["resilience"]
+        pen = payload["penalty"]
+        assert pen["messages_total"] == net.sent_optical
+        assert 0 < pen["messages_affected"] <= net.sent_optical
+        assert sum(row["messages"] for row in payload["curve"]) \
+            == net.sent_optical
+
+    def test_electrical_target_refuses_a_fault_timeseries(self):
+        scenario = GOLDEN_SCENARIOS[0]
+        trace, _ = _golden(scenario)
+        series = _series_for(trace, scenario, family="thermal_drift")
+        with pytest.raises(ValueError, match="optical \\(or hybrid\\) target"):
+            replay_trace(
+                trace,
+                electrical_factory(NocConfig(width=4, height=4), 1),
+                TraceConfig(fault_events=series.as_tuples()))
+
     def test_degraded_result_is_deterministic(self):
         scenario = GOLDEN_SCENARIOS[1]          # radix -> awgr
         trace, onoc = _golden(scenario)
@@ -298,3 +421,60 @@ class TestDegradedReplay:
         assert runs[0].injections == runs[1].injections
         assert runs[0].deliveries == runs[1].deliveries
         assert runs[0].extra["resilience"] == runs[1].extra["resilience"]
+
+
+# ---------------------------------------------------------------------------
+# Degraded replay is byte-identical to the recorded schedule
+# ---------------------------------------------------------------------------
+
+#: sha256 per cell of ``_degraded_digest``.  Recorded at commit ff7ac75 (the
+#: parent of the PR that moved degradation pricing onto the timing object),
+#: before any ``src/`` edit; a refactor of the pricing path must reproduce
+#: every one.  Re-record (only for an intended schedule or payload change)
+#: with ``PYTHONPATH=src python tests/test_resilience.py``.
+DIGESTS_FILE = GOLDEN_DIR / "degraded_digests.json"
+
+DIGEST_CELLS = [
+    (scenario, engine, mitigation, mode)
+    for scenario in GOLDEN_SCENARIOS
+    for engine in (ENGINE_EVENT, ENGINE_GENERATIONAL)
+    for mitigation in MITIGATIONS
+    for mode in (TRACE_NAIVE, TRACE_SELF_CORRECTING)]
+
+
+def _cell_id(cell) -> str:
+    scenario, engine, mitigation, mode = cell
+    return f"{scenario.target}-{engine}-{mitigation}-{mode}"
+
+
+def _degraded_digest(scenario, engine, mitigation, mode) -> str:
+    """Canonical-JSON sha256 of everything a degraded replay decides: the
+    schedule, the exec-time estimate and the resilience payload."""
+    trace, onoc = _golden(scenario)
+    series = _series_for(trace, scenario)
+    horizon = max(r.t_inject for r in trace.records)
+    # No generator emits wavelength faults; add two so the per-backend
+    # lane-share rule is inside the pin.
+    series = FaultTimeseries(list(series) + [
+        FaultEvent(horizon // 3, "wl:0", 0.4),
+        FaultEvent(horizon // 2, "wl:17", 0.6)])
+    res = replay_trace(
+        trace, optical_factory(onoc, scenario.seed),
+        TraceConfig(mode=mode, engine=engine,
+                    fault_events=series.as_tuples(), mitigation=mitigation))
+    doc = [sorted(res.injections.items()), sorted(res.deliveries.items()),
+           res.exec_time_estimate, res.extra["resilience"]]
+    return hashlib.sha256(json.dumps(
+        doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cell", DIGEST_CELLS, ids=_cell_id)
+def test_degraded_replay_matches_recorded_digest(cell):
+    recorded = json.loads(DIGESTS_FILE.read_text())
+    assert _degraded_digest(*cell) == recorded[_cell_id(cell)]
+
+
+if __name__ == "__main__":
+    DIGESTS_FILE.write_text(json.dumps(
+        {_cell_id(c): _degraded_digest(*c) for c in DIGEST_CELLS},
+        indent=1, sort_keys=True) + "\n")

@@ -12,8 +12,8 @@ The FIFO segment scan has one definition (``_FifoModel.serve_batch``) and
 three callers — the full naive scan, the windowed solver's horizon batches
 and the file chunks here — so ``test_one_scan_three_callers`` drives the
 same schedule through all three, and ``test_degraded_engines_agree_exactly``
-pins event ``adjust`` against generational ``adjust_vec`` now that both
-take their serialization from :mod:`repro.onoc.timing`.
+pins the event entities against the generational models under a degraded
+timing object's ``penalty`` rule, which both read off :mod:`repro.onoc.timing`.
 """
 
 from __future__ import annotations
@@ -196,21 +196,50 @@ def test_one_scan_three_callers(tmp_path, topology):
         assert round(summary["mean_latency"] * len(trace)) == latency_sum
 
 
+def _sparse_trace(n_records: int, spacing: int) -> Trace:
+    """Timestamp-driven roots ``spacing`` cycles apart, endpoints and sizes
+    rotating: with ``spacing`` above a circuit's lifetime no two messages
+    are ever in the network together, so even the circuit mesh — whose
+    generational model is the contention-free closed form — has one exact
+    schedule."""
+    records = []
+    for i in range(n_records):
+        src = i % NODES
+        dst = (src + 1 + i % (NODES - 1)) % NODES
+        t = i * spacing
+        records.append(TraceRecord(
+            msg_id=i, key=(src, dst, "data", i, 0), src=src, dst=dst,
+            size_bytes=(8, 64, 512)[i % 3], kind="data",
+            t_inject=t, t_deliver=t + 12, cause_id=-1, gap=t))
+    end = records[-1].t_deliver
+    markers = [EndMarker(0, end, -1, 0)]
+    markers += [EndMarker(node, 0, -1, 0) for node in range(1, NODES)]
+    trace = Trace(records=records, end_markers=markers, exec_time=end,
+                  meta={"workload": "sparse"})
+    trace.validate()
+    return trace
+
+
 @pytest.mark.parametrize("topology,mitigation", [
     (t, MITIGATIONS[i % len(MITIGATIONS)])
     for i, t in enumerate(t for t in ONOC_TOPOLOGIES
-                          if t != ONOC_CIRCUIT_MESH)])
+                          if t != ONOC_CIRCUIT_MESH)
+] + [(ONOC_CIRCUIT_MESH, m) for m in MITIGATIONS])
 def test_degraded_engines_agree_exactly(synth_trace, topology, mitigation):
-    """One degraded cell per FIFO backend, naive mode so the schedule is
-    fixed: the event entity's per-message ``adjust`` and the generational
-    model's ``adjust_vec`` must stretch the same serialization."""
+    """One degraded cell per FIFO backend and every mitigation on the
+    circuit mesh, naive mode so the schedule is fixed: the event entity
+    (one ``penalty`` call per message) and the generational model (one per
+    batch) must stretch the same serialization.  The circuit cells replay
+    a contention-free trace — the domain where its two engines are equal."""
+    trace = (_sparse_trace(400, 2000) if topology == ONOC_CIRCUIT_MESH
+             else synth_trace)
     onoc = synth_onoc(topology, NODES)
     series = generate_timeseries(
         "thermal_drift+corruption_bursts", seed=3, num_nodes=NODES,
-        horizon=max(r.t_inject for r in synth_trace.records), intensity=0.9)
+        horizon=max(r.t_inject for r in trace.records), intensity=0.9)
     results = [
         replay_trace(
-            synth_trace, optical_factory(onoc, 7),
+            trace, optical_factory(onoc, 7),
             TraceConfig(mode=TRACE_NAIVE, engine=engine,
                         fault_events=series.as_tuples(),
                         mitigation=mitigation))
