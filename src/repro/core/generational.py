@@ -21,8 +21,8 @@ array-wide operations instead:
 
 The network scans read every serialization, propagation, token-travel and
 setup-walk number — and, on a degraded fabric, the ``penalty`` rule — from
-the backend's :mod:`repro.onoc.timing` object, the very tables the event
-entities index per message, so a generational replay is *numerically*
+the backend's :mod:`repro.onoc.timing` object, the very rules the event
+entities call per message, so a generational replay is *numerically*
 equivalent to the event path, not just statistically close.  Two
 intentional deviations remain:
 
@@ -244,10 +244,10 @@ def _release_sorted(inj_s: np.ndarray, occ_s: np.ndarray,
 # --------------------------------------------------------------------------
 #
 # A model holds one message set's per-message vectors, gathered from the
-# backend's timing object (:mod:`repro.onoc.timing` — the same tables the
-# event entities read), plus the per-resource channel state.  The timing
-# object itself is not kept: its pair table is n x n, so in-memory replays
-# drop it before the solve, while the streaming replay holds it across
+# backend's timing object (:mod:`repro.onoc.timing` — the same rules the
+# event entities call), plus the per-resource channel state.  The timing
+# object itself is not kept: a model needs nothing of it after the gather.
+# It is O(nodes), so the streaming replay builds one and holds it across
 # chunks.
 
 class _FifoModel:
@@ -790,12 +790,14 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
     latency) computed by the generational engine's own models: each chunk
     is one more batch served against the channel state the previous chunk
     left behind (last release per resource and, on the crossbar, the
-    token's parking node).  Only one record chunk, the backend's timing
-    tables and that O(resources) state are resident — the RSS that
+    token's parking node).  Only one record chunk, the backend's O(nodes)
+    timing object and that O(resources) state are resident — the RSS that
     ``benchmarks/pipeline`` workload ``synth_stream_300k`` measures against
     the in-memory replay.  Chunks must follow each other in inject-time
     order, which canonical captures do; a container whose chunks go back in
-    time is refused with a ``ValueError`` naming the chunk.
+    time, or that holds a record :func:`~repro.core.tracebin.load_trace`
+    refuses (a self-send, an empty payload), is refused with a
+    ``ValueError`` naming the chunk.
     """
     from repro.core import tracebin
 
@@ -810,7 +812,7 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
         dtype=np.int64)
     cause_deliveries: dict[int, int] = {}
 
-    timing = timing_for(onoc)      # held across chunks, pair table and all
+    timing = timing_for(onoc)      # O(nodes); one for every chunk
     state = None
     messages = 0
     total_bytes = 0
@@ -822,6 +824,13 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
         size, inj = chunk.size_bytes, chunk.t_inject
         if onoc.num_nodes <= int(max(src.max(), dst.max())):
             raise ValueError("target network too small for trace endpoints")
+        # No ``TraceRecord`` is built here, so its checks are made per chunk.
+        if (src == dst).any():
+            raise ValueError(f"bad endpoints in chunk {k}: a record sends "
+                             f"to its own node")
+        if int(size.min()) < 1:
+            raise ValueError(f"bad size in chunk {k}: a record carries "
+                             f"{int(size.min())} bytes")
         # The carried channel state is only valid going forward in time
         # (see ``serve_batch``); order *within* a chunk is the lexsort's job.
         if int(inj.min()) < last_inject:

@@ -5,8 +5,8 @@ It owns, exactly once per backend, everything that turns a message
 ``(src, dst, size_bytes)`` into cycles:
 
 * the **serialization** rule (lane-narrowed for the AWGR),
-* the serpentine **pair-propagation table** and the release-to-delivery
-  **tail** built from it,
+* the serpentine **propagation** rule and the release-to-delivery **tail**
+  built from it,
 * the **resource key** — which FIFO channel a message occupies
   (``dst`` / ``src`` / ``src * n + dst``),
 * the crossbar's **token-travel** table,
@@ -15,17 +15,20 @@ It owns, exactly once per backend, everything that turns a message
   (:meth:`wavelength_share`, :meth:`spare_capacity_pm`),
 * the **penalty** rule of a degraded fabric (``None`` when pristine).
 
-Every method is written with operators that take a Python int or an
-``ndarray`` alike, so the event entities (:mod:`repro.onoc.entity`) call it
-per message and the vectorized engine (:mod:`repro.core.generational`)
-calls it per array off the *same* tables — the two engines cannot drift.
-Table lookups on ints return NumPy integer scalars; the event entities wrap
-them in ``int()`` before they reach the scheduler.
+Every method takes Python ints or ``ndarray``s alike, so the event entities
+(:mod:`repro.onoc.entity`) call it per message and the vectorized engine
+(:mod:`repro.core.generational`) calls it per array off the *same* rules —
+the two engines cannot drift.  Nothing here is sized by node *pairs* except
+what is inherently per pair (:meth:`wavelength_share`): set-up and memory
+are O(nodes) and every per-message vector is O(messages).  Table lookups on
+ints (token travel, mesh flight) return NumPy integer scalars; the event
+entities wrap them in ``int()`` before they reach the scheduler.
 
 :meth:`OnocConfig.serialization_cycles`, :meth:`OnocConfig.propagation_cycles`
 and :class:`~repro.onoc.devices.SerpentineLayout` stay the scalar
-definitions the tables are built from; ``tests/test_onoc_timing.py`` pins
-every table against them.
+definitions: an int call *is* the definition, an array call runs the
+definition's own float operations in the definition's own order, and
+``tests/test_onoc_timing.py`` pins the two bit for bit.
 
 A fault timeseries degrades a replay by installing a :attr:`penalty` rule
 on the timing object (``repro.resilience.overlay.DegradationOverlay.build``,
@@ -41,7 +44,7 @@ one entity hook in :mod:`repro.onoc` and one topology constant in
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -135,27 +138,32 @@ class SerpentineTiming(_Timing):
         super().__init__(cfg)
         self.layout = SerpentineLayout(cfg)
         self.num_resources = cfg.num_nodes
+        # ``layout.position_cm(k)`` for every node: the float64 products
+        # the scalar definition forms, so array flights match it bit for bit.
+        self._position_cm = np.arange(cfg.num_nodes) * self.layout.spacing_cm
 
-    @cached_property
-    def propagation_table(self) -> np.ndarray:
-        """``[src, dst]`` propagation cycles along the fixed light direction.
+    def propagation(self, src, dst):
+        """Flight cycles ``src -> dst`` along the fixed light direction.
 
-        Filled entry by entry from the scalar definition,
-        ``cfg.propagation_cycles(layout.distance_cm(src, dst))``.
-        ``n x n`` int64 — 8 MiB at 1024 nodes — and cached on this object:
-        hold the timing object only as long as the table is wanted.
+        Two ints: the scalar definition itself,
+        ``cfg.propagation_cycles(layout.distance_cm(src, dst))``, returning
+        a plain ``int``.  Arrays (or an int against an array, broadcast):
+        the same IEEE-754 operations in the same order on the O(n) position
+        vector, bit-identical to the scalar and O(messages) in time and
+        memory — no ``[src, dst]`` table exists.
         """
-        cfg, layout = self.cfg, self.layout
-        n = cfg.num_nodes
-        table = np.empty((n, n), dtype=np.int64)
-        for s in range(n):
-            table[s] = [cfg.propagation_cycles(layout.distance_cm(s, d))
-                        for d in range(n)]
-        return table
+        if not (isinstance(src, np.ndarray) or isinstance(dst, np.ndarray)):
+            return self.cfg.propagation_cycles(
+                self.layout.distance_cm(src, dst))
+        cfg = self.cfg
+        d = self._position_cm[dst] - self._position_cm[src]
+        d = np.where(d <= 0, d + self.layout.total_length_cm, d)
+        ns = d / cfg.devices.group_velocity_cm_ns
+        return np.maximum(1, np.ceil(ns * cfg.clock_ghz)).astype(np.int64)
 
     def tail(self, src, dst):
         """Delivery minus channel release: flight plus the E/O + O/E pair."""
-        return self.propagation_table[src, dst] + 2 * self.cfg.conversion_cycles
+        return self.propagation(src, dst) + 2 * self.cfg.conversion_cycles
 
     def resource(self, src, dst):
         """Index of the FIFO channel a ``src -> dst`` message occupies."""
@@ -175,8 +183,8 @@ class CrossbarTiming(SerpentineTiming):
         for h in range(1, cfg.num_nodes):
             travel[h] = (cfg.propagation_cycles(h * spacing)
                          + h * cfg.token_hop_cycles)
-        # A partial over the small table only, so holding the rule does not
-        # pin the pair table.
+        # A partial over the table, not a bound method: a model that holds
+        # the rule holds n ints, not the timing object.
         self.token_travel = partial(_ring_travel, travel)
 
     def resource(self, src, dst):

@@ -91,7 +91,8 @@ class DegradationOverlay:
     def __init__(self, timing, mitigation: str,
                  series: FaultTimeseries) -> None:
         # The timing object is read while the tables are filled and not
-        # kept: the pricing rule a model holds must not pin its pair table.
+        # kept: ``build`` installs this overlay's pricing *on* that object,
+        # so a reference back would tie the two into a cycle.
         self.onoc = timing.cfg
         self.mitigation = check_mitigation(mitigation)
         self.series = series
@@ -144,20 +145,20 @@ class DegradationOverlay:
         lowest-numbered healthy relay plus one extra conversion pair.
         (Serpentine distances are used for every backend — a first-order
         penalty model, not backend geometry — so a serpentine backend's own
-        pair table is the table.)"""
+        ``propagation`` rule prices the flights.)"""
         onoc = timing.cfg
         n = onoc.num_nodes
         if n < 3:
             return np.zeros((n, n), dtype=np.int64)
         if not isinstance(timing, SerpentineTiming):
             timing = SerpentineTiming(onoc)
-        prop = timing.propagation_table
+        prop = timing.propagation
         s, d = np.indices((n, n))
         # Lowest-numbered node that is neither endpoint.
         relay = np.where((s != 0) & (d != 0), 0,
                          np.where((s != 1) & (d != 1), 1, 2))
-        via = prop[s, relay] + prop[relay, d]
-        out = np.maximum(0, via - prop) + 2 * onoc.conversion_cycles
+        via = prop(s, relay) + prop(relay, d)
+        out = np.maximum(0, via - prop(s, d)) + 2 * onoc.conversion_cycles
         np.fill_diagonal(out, 0)
         return out
 

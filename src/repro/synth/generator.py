@@ -13,11 +13,13 @@ feeds the records straight into the chunked
 trace costs one chunk of buffering, not a million records.
 
 Determinism: every random decision is a pure splitmix64 hash of
-``(seed, chain, step, tag)`` — the per-decision discipline shared with
+``(seed, tag, chain, step)`` — the per-decision discipline shared with
 ``repro.validate.faults`` and ``repro.resilience.generators`` — plus one
 PCG64 stream per chain for the destination patterns that need an rng
-(consumed in fixed per-chain order).  Same profile + same seed therefore
-means byte-identical binary output, which the property suite pins.
+(consumed in fixed per-chain order).  The hash state after ``(seed, tag,
+chain)`` is kept per tag and chain (O(chains)), so a decision folds in
+one part, not four.  Same profile + same seed therefore means
+byte-identical binary output, which the property suite pins.
 
 Capture invariants hold by construction: roots carry ``gap ==
 t_inject``, every dependent injects at exactly ``cause.t_deliver + gap``
@@ -43,24 +45,32 @@ from repro.traffic.patterns import PATTERNS
 _MASK64 = (1 << 64) - 1
 
 
+def _fold(x: int, p: int) -> int:
+    """One splitmix64 finalizer round: absorb the int ``p`` into state ``x``."""
+    x ^= p & _MASK64
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
 def _mix64(*parts) -> int:
     """Deterministic 64-bit hash (splitmix64 finalizer chain) — the same
     discipline as ``repro.validate.faults._mix64``, duplicated so the
-    generator never imports the validation stack."""
+    generator never imports the validation stack.  The hash of a prefix is
+    the state the next part is folded into:
+    ``_mix64(*parts, p) == _fold(_mix64(*parts), p)``."""
     x = 0x9E3779B97F4A7C15
     for p in parts:
         if isinstance(p, str):
             p = int.from_bytes(p.encode("utf-8"), "little")
-        x = (x ^ (p & _MASK64)) & _MASK64
-        x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        x ^= x >> 31
-    return x & _MASK64
+        x = _fold(x, p)
+    return x
 
 
-def _unit(*parts) -> float:
-    """Uniform [0, 1) draw from the hash of ``parts``."""
-    return _mix64(*parts) / float(1 << 64)
+def _unit(prefix: int, step: int) -> float:
+    """Uniform [0, 1) draw from the hash of ``(*parts, step)``, given
+    ``prefix = _mix64(*parts)``."""
+    return _fold(prefix, step) / float(1 << 64)
 
 
 def _draw_gap(profile: SynthProfile, u: float) -> int:
@@ -71,14 +81,22 @@ def _draw_gap(profile: SynthProfile, u: float) -> int:
     return min(profile.gap_max, gap)
 
 
-def _draw_size(profile: SynthProfile, u: float) -> int:
+def _size_thresholds(profile: SynthProfile) -> list[tuple[float, int]]:
+    """``(cumulative share, size)`` per ``size_mix`` entry, in its order."""
     total = sum(w for _, w in profile.size_mix)
     acc = 0.0
+    out = []
     for size, weight in profile.size_mix:
         acc += weight / total
+        out.append((acc, size))
+    return out
+
+
+def _draw_size(thresholds: list[tuple[float, int]], u: float) -> int:
+    for acc, size in thresholds:
         if u < acc:
             return size
-    return profile.size_mix[-1][0]
+    return thresholds[-1][1]
 
 
 def _latency(profile: SynthProfile, size: int) -> int:
@@ -128,6 +146,12 @@ def iter_records(profile: SynthProfile, scale: float = 1.0,
     chains = min(profile.chains, n_messages)
     rngs = [np.random.Generator(np.random.PCG64(_mix64(seed, "chain", c)))
             for c in range(chains)]
+    # The hash state after ``(seed, tag, chain)``, per decision tag and
+    # chain: a decision folds only its ``step`` into it.
+    size_at, fan_at, fgap_at, gap_at = (
+        [_mix64(seed, tag, c) for c in range(chains)]
+        for tag in ("size", "fan", "fgap", "gap"))
+    sizes = _size_thresholds(profile)
 
     # Heap entries: (t_inject, flag, uid, item).  flag orders chain steps
     # before children on injection-time ties; uid makes ordering total and
@@ -147,7 +171,7 @@ def iter_records(profile: SynthProfile, scale: float = 1.0,
         if flag == 0:
             c, step, cur, cause_id, gap = item
             dst = _dest(profile, cur, rngs[c])
-            size = _draw_size(profile, _unit(seed, "size", c, step))
+            size = _draw_size(sizes, _unit(size_at[c], step))
             t_del = t + _latency(profile, size)
             msg_id = emitted
             yield TraceRecord(
@@ -155,13 +179,13 @@ def iter_records(profile: SynthProfile, scale: float = 1.0,
                 src=cur, dst=dst, size_bytes=size, kind="data",
                 t_inject=t, t_deliver=t_del, cause_id=cause_id, gap=gap)
             emitted += 1
-            if _unit(seed, "fan", c, step) < profile.fanout_prob:
+            if _unit(fan_at[c], step) < profile.fanout_prob:
                 third = _dest(profile, dst, rngs[c])
-                g2 = _draw_gap(profile, _unit(seed, "fgap", c, step))
+                g2 = _draw_gap(profile, _unit(fgap_at[c], step))
                 heapq.heappush(heap, (t_del + g2, 1, uid,
                                       (dst, third, 64, msg_id, g2)))
                 uid += 1
-            g = _draw_gap(profile, _unit(seed, "gap", c, step))
+            g = _draw_gap(profile, _unit(gap_at[c], step))
             heapq.heappush(heap, (t_del + g, 0, uid,
                                   (c, step + 1, dst, msg_id, g)))
             uid += 1

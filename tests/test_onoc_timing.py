@@ -2,11 +2,13 @@
 
 Both replay engines read :mod:`repro.onoc.timing`, so "two independent
 copies agree" no longer guards this arithmetic; these tests do.  Every
-table is compared with ``OnocConfig.serialization_cycles`` /
+rule is compared with ``OnocConfig.serialization_cycles`` /
 ``propagation_cycles``, ``SerpentineLayout`` and the event entities' own
-accessors — exhaustively at 16 and 64 nodes, on sampled rows (wrap-around
-pairs included) at 1024 — and every method is checked to give the same
-answer for a Python int as for a length-1 array.
+accessors — exhaustively up to 256 nodes, on sampled rows (wrap-around
+pairs and the ``s == d`` full lap included) at 1024 and 4096 — and every
+method is checked to give the same answer for a Python int as for a
+length-1 array.  Bit identity is the pin: the array form of the
+propagation rule is the scalar definition's own float operations.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ SIZES = (1, 8, 64, 72, 720, 4096)
 
 
 def _rows(n: int) -> list[int]:
-    """Every source at small sizes; first, last and a spread at 1024."""
-    return list(range(n)) if n <= 64 else [0, 1, 17, 511, 512, 1000, n - 1]
+    """Every source at small sizes; first, last and a spread above."""
+    return list(range(n)) if n <= 256 else [0, 1, 17, 511, 512, 1000, n - 1]
 
 
 def _onoc(topology: str, n: int) -> OnocConfig:
@@ -50,20 +52,38 @@ def test_every_topology_has_a_timing_class():
         assert type(timing_for(_onoc(topology, 16))) is TIMINGS[topology]
 
 
-@pytest.mark.parametrize("n", (16, 64, 1024))
+@pytest.mark.parametrize("n", (16, 64, 256, 1024, 4096))
 @pytest.mark.parametrize("topology", SERPENTINE)
 def test_pair_table_matches_scalar_propagation(topology, n):
+    """There is no pair table: what is pinned is that the array rule
+    answers every pair exactly as the scalar definition does."""
     cfg = _onoc(topology, n)
     timing, layout = timing_for(cfg), SerpentineLayout(cfg)
-    table = timing.propagation_table
-    assert table.shape == (n, n) and table.dtype == np.int64
     dsts = np.arange(n)
     for s in _rows(n):
         want = [cfg.propagation_cycles(layout.distance_cm(s, d))
-                for d in range(n)]
-        assert table[s].tolist() == want          # d < s wraps the loop
+                for d in range(n)]                # d < s wraps, d == s laps
+        got = timing.propagation(s, dsts)
+        assert got.dtype == np.int64 and got.tolist() == want
         assert (timing.tail(s, dsts)
                 == np.asarray(want) + 2 * cfg.conversion_cycles).all()
+
+
+@pytest.mark.parametrize("topology", SERPENTINE)
+def test_propagation_int_array_and_mixed_calls_agree(topology):
+    timing = timing_for(_onoc(topology, 64))
+    srcs = np.asarray([0, 63, 40, 5, 9], dtype=np.int64)
+    dsts = np.asarray([1, 0, 7, 6, 9], dtype=np.int64)   # 9 -> 9: full lap
+    want = [timing.propagation(int(s), int(d)) for s, d in zip(srcs, dsts)]
+    assert all(type(w) is int for w in want)      # ints stay off NumPy
+    assert type(timing.tail(40, 7)) is int
+    assert timing.propagation(srcs, dsts).tolist() == want
+    for i, (s, d) in enumerate(zip(srcs.tolist(), dsts.tolist())):
+        assert timing.propagation(srcs[i:i + 1], dsts[i:i + 1]).tolist() == [
+            want[i]]
+        # An int against an array broadcasts through the array path.
+        assert timing.propagation(s, dsts)[i] == want[i]
+        assert timing.propagation(srcs, d)[i] == want[i]
 
 
 @pytest.mark.parametrize("n", (16, 64, 1024))

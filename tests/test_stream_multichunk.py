@@ -281,3 +281,45 @@ def test_chunks_going_back_in_time_are_refused(tmp_path):
     unsorted = stream_naive_summary(one_chunk, onoc)
     for key in SUMMARY_KEYS:
         assert unsorted[key] == summary[key], key
+
+
+def _unchecked_record(good: TraceRecord, **fields) -> TraceRecord:
+    """``good`` with ``fields`` overwritten *past* ``__post_init__`` — the
+    record a foreign writer could put in a container."""
+    bad = object.__new__(TraceRecord)
+    for name in TraceRecord.__dataclass_fields__:
+        object.__setattr__(bad, name, fields.get(name, getattr(good, name)))
+    return bad
+
+
+def _write_with_bad_record(path, **fields) -> None:
+    """Four records in two chunks; record 2 (chunk 1) carries ``fields``."""
+    trace = _hot_destination_trace(4)
+    trace.records[2] = _unchecked_record(trace.records[2], **fields)
+    tracebin.write_file(trace, path, chunk_records=2)
+
+
+@pytest.mark.parametrize("fields, refusal", [
+    ({"src": 3, "dst": 3}, "bad endpoints in chunk 1"),
+    ({"size_bytes": 0}, "bad size in chunk 1"),
+], ids=["self_send", "empty_payload"])
+@pytest.mark.parametrize("topology", ("crossbar", "awgr", ONOC_CIRCUIT_MESH))
+def test_records_the_loader_refuses_are_refused(tmp_path, topology, fields,
+                                                refusal):
+    """The stream builds no ``TraceRecord``, so it used to replay what
+    ``load_trace`` rejects — a self-send priced as a full lap of the
+    serpentine, an empty payload as one cycle.  It now refuses per chunk,
+    naming the chunk."""
+    path = tmp_path / "bad.rtrc"
+    _write_with_bad_record(path, **fields)
+    with pytest.raises(ValueError, match="bad (endpoints|size) in record 2"):
+        tracebin.load_trace(path)
+    with pytest.raises(ValueError, match=refusal):
+        stream_naive_summary(path, synth_onoc(topology, NODES))
+
+
+def test_negative_endpoints_never_reach_a_container(tmp_path):
+    """The third ``TraceRecord`` endpoint check needs no stream-side twin:
+    ``src`` / ``dst`` are unsigned columns and the writer refuses them."""
+    with pytest.raises(tracebin.TraceBinError, match="unsigned column"):
+        _write_with_bad_record(tmp_path / "negative.rtrc", src=-1)

@@ -17,6 +17,8 @@ freedom), even though exec estimates legitimately diverge on the mesh.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.config import (
@@ -25,6 +27,8 @@ from repro.config import (
     TRACE_SELF_CORRECTING,
     TraceConfig,
 )
+from repro.core import replay_trace, stream_naive_summary, tracebin
+from repro.harness.builders import optical_factory
 from repro.synth import default_profile, generate, synth_onoc
 from repro.validate.engines import compare_engines
 
@@ -88,3 +92,44 @@ def test_counts_match_even_under_heavy_contention(topology):
     assert cell.count_mismatches == ()
     assert cell.violations == ()
     assert cell.converged
+
+
+@pytest.mark.parametrize("topology", ("crossbar", "swmr_crossbar"))
+def test_4096_node_cell_agrees_and_allocates_nothing_pairwise(tmp_path,
+                                                              topology):
+    """A node count a ``[src, dst]`` propagation table priced out (1.7x10^7
+    scalar calls and 128 MiB per replay): the three naive replays agree
+    exactly, self-correction agrees through the usual cell, and the
+    generational and streamed replays, timing objects included, stay far
+    below what any n x n array would take.  (AWGR is left out of the
+    bound only: one carry slot per lane *is* n^2.)"""
+    nodes = 4096
+    trace = generate(default_profile(nodes, 3000, pattern="uniform"), seed=5)
+    onoc = synth_onoc(topology, nodes)
+
+    def naive(engine):
+        return replay_trace(trace, optical_factory(onoc, 7),
+                            TraceConfig(mode=TRACE_NAIVE, engine=engine))
+
+    event = naive("event")
+    path = tmp_path / "cell.rtrc"
+    tracebin.write_file(trace, path)
+    # Both replays build the backend's timing object; the stream holds its
+    # one across every chunk.
+    tracemalloc.start()
+    try:
+        generational = naive("generational")
+        summary = stream_naive_summary(path, onoc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+    assert event.deliveries == generational.deliveries
+    assert (summary["exec_time_estimate"] == generational.exec_time_estimate
+            == event.exec_time_estimate)
+    assert summary["max_deliver"] == max(event.deliveries.values())
+
+    cell = compare_engines(
+        trace, onoc, TraceConfig(mode=TRACE_SELF_CORRECTING), 7,
+        scenario=f"synth/{topology}/{nodes}")
+    assert cell.passed, cell.describe()
