@@ -308,13 +308,16 @@ GAP_POLICIES = (GAP_POLICY_CAPTURED, GAP_POLICY_NEIGHBOR, GAP_POLICY_INTERP)
 #   against any backend including the electrical mesh, and is the only
 #   engine for network-in-the-loop experiments.
 # * ``generational`` — the vectorized engine (:mod:`repro.core.generational`):
-#   classifies the dependency DAG once, then solves it in one exact windowed
-#   sweep of NumPy array batches against a closed-form FIFO model of the
-#   optical backends.  Orders of magnitude fewer Python dispatches; optical
-#   targets only, and it refuses the options only the event engine
-#   implements (the ``interp`` gap policy, ``awgr_occupancy_hint``).  Its
-#   equivalence contract with the event engine is specified in
-#   ``docs/TRACE_FORMAT.md`` and enforced by :mod:`repro.validate.engines`.
+#   solves the dependency DAG in one exact windowed sweep of NumPy array
+#   batches against a closed-form FIFO model of the optical backends.  The
+#   timing arithmetic (:mod:`repro.onoc.timing`) and the dependency plan
+#   (:mod:`repro.core.plan` — which records are roots, dependents or
+#   anchored) are shared with the event engine; only scheduling differs.
+#   Orders of magnitude fewer Python dispatches; optical targets only, and
+#   it refuses the options only the event engine implements (the ``interp``
+#   gap policy, ``awgr_occupancy_hint``).  Its equivalence contract with the
+#   event engine is specified in ``docs/TRACE_FORMAT.md`` and enforced by
+#   :mod:`repro.validate.engines`.
 ENGINE_EVENT = "event"
 ENGINE_GENERATIONAL = "generational"
 REPLAY_ENGINES = (ENGINE_EVENT, ENGINE_GENERATIONAL)

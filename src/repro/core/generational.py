@@ -2,12 +2,12 @@
 
 The event-driven replayers in :mod:`repro.core.replay` pay per-message
 Python dispatch: every injection, arbitration grant and delivery is a heap
-event with a callback.  This module replays the same trace with NumPy
-array-wide operations instead:
+event with a callback.  This module schedules the same dependency plan with
+NumPy array-wide operations instead:
 
-1. **Classify** records exactly as :class:`SelfCorrectingReplayer` does
-   (roots / dependents / degraded-anchored, ablation draws from the same
-   RNG stream, cycle demotion via the same Tarjan helper).
+1. **Classify** — not here: :func:`repro.core.plan.classify` decides which
+   records are roots, dependents or anchored, once, and the event replayer
+   reads the very same :class:`~repro.core.plan.Plan`.
 2. **Solve** the coupled DAG/network timing with the paper's single-pass
    earliest-start rule in batch form.  Every edge weight is known up
    front, so a *windowed sweep* (:func:`_solve_windowed`) computes the
@@ -17,7 +17,11 @@ array-wide operations instead:
    closed-form recurrence against per-resource carry state, and
    deliveries release dependent records — no fixed-point iteration.
 3. **Assemble** the :class:`ReplayResult` through the same function the
-   event replayers use (:func:`repro.core.replay._assemble_result`).
+   event replayers use (:func:`repro.core.replay._assemble_result`), which
+   reads the stall / re-derivation diagnostics off the plan.
+
+This module is therefore the backend models, the windowed solver and the
+entry points — scheduling, and nothing a scheduler does not decide.
 
 The network scans read every serialization, propagation, token-travel and
 setup-walk number — and, on a degraded fabric, the ``penalty`` rule — from
@@ -45,13 +49,11 @@ so peak memory is O(chunk + resources) regardless of trace length.
 from __future__ import annotations
 
 import time as _walltime
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.config import (
-    GAP_POLICY_CAPTURED,
     GAP_POLICY_INTERP,
     ONOC_CIRCUIT_MESH,
     ONOC_TOPOLOGIES,
@@ -59,14 +61,13 @@ from repro.config import (
     TRACE_NAIVE,
     TraceConfig,
 )
+from repro.core.plan import Columns, Plan, classify, csr, gather_ranges
 from repro.core.replay import (
     ReplayResult,
     _assemble_result,
-    _Correction,
-    _cycle_members,
     _finish_from_markers,
 )
-from repro.core.trace import DEGRADED_RECORDS_META_KEY, Trace
+from repro.core.trace import Trace
 from repro.onoc.timing import timing_for
 
 __all__ = ["replay_trace_generational", "stream_naive_summary"]
@@ -76,118 +77,8 @@ _NEG = np.iinfo(np.int64).min // 4
 
 
 # --------------------------------------------------------------------------
-# Columnar trace view
+# FIFO recurrence, closed form
 # --------------------------------------------------------------------------
-
-@dataclass
-class _Columns:
-    """The trace as parallel int64 arrays (records order preserved)."""
-
-    n: int
-    ids: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    size: np.ndarray
-    t_inject: np.ndarray
-    cause_id: np.ndarray
-    gap: np.ndarray
-    bound_id: np.ndarray
-    bound_gap: np.ndarray
-    keys: list
-    cause_idx: np.ndarray = field(init=False)   # index, -1 none, -2 missing
-    bound_idx: np.ndarray = field(init=False)
-
-    @staticmethod
-    def of(trace: Trace) -> "_Columns":
-        """Columns for ``trace``, memoised on the trace instance.
-
-        Sweeps, the validation matrix and iterative refinement all replay
-        one capture under many configs; traces are treated as immutable
-        everywhere (fault injection clones), so the columnar view is a
-        per-trace one-time cost.  The cache key guards against the one
-        mutation pattern that exists in tests (rebinding ``records``).
-        """
-        key = (len(trace.records), id(trace.records))
-        cached = trace.__dict__.get("_columns_cache")
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        cols = _Columns.from_trace(trace)
-        trace.__dict__["_columns_cache"] = (key, cols)
-        return cols
-
-    @staticmethod
-    def from_trace(trace: Trace) -> "_Columns":
-        rs = trace.records
-        n = len(rs)
-        # One python pass over the records; reshape beats nine fromiter
-        # sweeps by ~3x on large traces.
-        flat = np.fromiter(
-            (v for r in rs
-             for v in (r.msg_id, r.src, r.dst, r.size_bytes, r.t_inject,
-                       r.cause_id, r.gap, r.bound_id, r.bound_gap)),
-            dtype=np.int64, count=n * 9).reshape(n, 9)
-        cols = _Columns(
-            n=n,
-            ids=flat[:, 0].copy(),
-            src=flat[:, 1].copy(),
-            dst=flat[:, 2].copy(),
-            size=flat[:, 3].copy(),
-            t_inject=flat[:, 4].copy(),
-            cause_id=flat[:, 5].copy(),
-            gap=flat[:, 6].copy(),
-            bound_id=flat[:, 7].copy(),
-            bound_gap=flat[:, 8].copy(),
-            keys=[r.key for r in rs],
-        )
-        return cols
-
-    def __post_init__(self) -> None:
-        order = np.argsort(self.ids, kind="stable")
-        ids_sorted = self.ids[order]
-        self.cause_idx = _index_of(ids_sorted, order, self.cause_id)
-        self.bound_idx = _index_of(ids_sorted, order, self.bound_id)
-
-
-def _index_of(ids_sorted: np.ndarray, order: np.ndarray,
-              query: np.ndarray) -> np.ndarray:
-    """Map msg_ids to record indices: -1 for the -1 sentinel, -2 if absent."""
-    out = np.full(query.shape, -2, dtype=np.int64)
-    none = query == -1
-    if len(ids_sorted):
-        pos = np.searchsorted(ids_sorted, query)
-        pos_c = np.minimum(pos, len(ids_sorted) - 1)
-        hit = (ids_sorted[pos_c] == query) & ~none
-        out[hit] = order[pos_c[hit]]
-    out[none] = -1
-    return out
-
-
-# --------------------------------------------------------------------------
-# Array-graph helpers
-# --------------------------------------------------------------------------
-
-def _csr(parents: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group edge indices by parent: returns (indptr, edge_order)."""
-    order = np.argsort(parents, kind="stable")
-    counts = np.bincount(parents, minlength=n_nodes)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return indptr, order
-
-
-def _gather_ranges(indptr: np.ndarray, data: np.ndarray,
-                   nodes: np.ndarray) -> np.ndarray:
-    """Concatenate ``data[indptr[v]:indptr[v+1]]`` for every v in nodes."""
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=data.dtype)
-    starts = indptr[nodes]
-    cum = np.cumsum(counts)
-    prev = cum - counts
-    idx = (np.arange(total, dtype=np.int64)
-           - np.repeat(prev, counts) + np.repeat(starts, counts))
-    return data[idx]
-
 
 def _segmented_cummax(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
     """Per-segment running maximum (segments marked by ``seg_start``)."""
@@ -391,183 +282,11 @@ def _model_for(timing, ids: np.ndarray, src: np.ndarray, dst: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# Self-correction plan: classification, anchors, demotion
-# --------------------------------------------------------------------------
-
-@dataclass
-class _Plan:
-    """Vectorized mirror of ``SelfCorrectingReplayer``'s preprocessing."""
-
-    root: np.ndarray            # bool: timestamp-driven (incl. fallback/demoted)
-    dependent: np.ndarray       # bool: in the trigger-edge machinery
-    anchored: np.ndarray        # bool: degraded, riding a neighbor anchor
-    root_time: np.ndarray       # schedule time for roots
-    prereq: np.ndarray          # trigger edges a record waits on (0: roots)
-    # Deliver edges (child fires ``gap`` after the parent's delivery) and
-    # anchor edges (child fires ``delta`` after the parent's *injection*);
-    # only edges into records that can ever fire.
-    d_parent: np.ndarray
-    d_child: np.ndarray
-    d_gap: np.ndarray
-    a_parent: np.ndarray
-    a_child: np.ndarray
-    a_delta: np.ndarray
-    counts: dict                # the classification counts of ``_Correction``
-
-
-def _deliver_edges(cols: _Columns, dependent: np.ndarray):
-    """``(parent, child, gap)`` of the dependents' cause and bound edges
-    whose trigger record is present in the trace."""
-    dep = np.flatnonzero(dependent)
-    ce = cols.cause_idx[dep] >= 0
-    be = (cols.bound_id[dep] != -1) & (cols.bound_idx[dep] >= 0)
-    return (np.concatenate([cols.cause_idx[dep[ce]], cols.bound_idx[dep[be]]]),
-            np.concatenate([dep[ce], dep[be]]),
-            np.concatenate([cols.gap[dep[ce]], cols.bound_gap[dep[be]]]))
-
-
-def _fires(root: np.ndarray, prereq: np.ndarray, indptr: np.ndarray,
-           child_csr: np.ndarray) -> np.ndarray:
-    """Records that can ever fire: the roots, plus every record all
-    ``prereq`` of whose trigger edges (parent-keyed CSR) lead back to one."""
-    left = prereq.copy()
-    fired = root.copy()
-    frontier = np.flatnonzero(root)
-    while len(frontier):
-        children = _gather_ranges(indptr, child_csr, frontier)
-        if not len(children):
-            break
-        np.subtract.at(left, children, 1)
-        cand = np.unique(children)
-        frontier = cand[(left[cand] == 0) & ~fired[cand]]
-        fired[frontier] = True
-    return fired
-
-
-def _classify(trace: Trace, cols: _Columns, cfg: TraceConfig) -> _Plan:
-    n = cols.n
-    use_anchor = cfg.degraded_gap_policy != GAP_POLICY_CAPTURED
-    has_cause = cols.cause_id != -1
-
-    marked_ids = np.asarray(
-        sorted(set(trace.meta.get(DEGRADED_RECORDS_META_KEY, ()))),
-        dtype=np.int64)
-    marked = (np.isin(cols.ids, marked_ids) if len(marked_ids)
-              else np.zeros(n, dtype=bool))
-    marked_degraded = int(marked.sum())
-
-    # Ablation draws replicate the event engine: one RNG draw per
-    # cause-bearing record in records order, only when the fraction < 1
-    # (``default_rng(seed).random(k)`` equals k successive scalar draws).
-    keep_mask = np.ones(n, dtype=bool)
-    if cfg.keep_dep_fraction < 1.0:
-        rng = np.random.default_rng(cfg.dep_drop_seed)
-        draws = rng.random(int(has_cause.sum()))
-        keep_mask[has_cause] = draws < cfg.keep_dep_fraction
-
-    kept = has_cause & keep_mask
-    dropped = has_cause & ~keep_mask
-    missing = (cols.cause_idx == -2) | \
-        ((cols.bound_id != -1) & (cols.bound_idx == -2))
-    missing_triggers = int((kept & missing).sum())
-
-    if use_anchor:
-        degraded = dropped | (kept & (missing | marked)) | (~has_cause & marked)
-        dependent = kept & ~(missing | marked)
-        root = ~has_cause & ~marked
-    else:
-        degraded = np.zeros(n, dtype=bool)
-        dependent = kept
-        root = ~has_cause | dropped
-
-    root_time = np.where(cols.cause_id == -1, cols.gap, cols.t_inject)
-
-    # ---- anchors: predecessor on the same source in (t_inject, id) order
-    pred = np.full(n, -1, dtype=np.int64)
-    fallback = 0
-    if degraded.any():
-        order = np.lexsort((cols.ids, cols.t_inject))
-        g = np.argsort(cols.src[order], kind="stable")
-        seq = order[g]
-        same = cols.src[seq[1:]] == cols.src[seq[:-1]]
-        deg_later = degraded[seq[1:]] & same
-        pred[seq[1:][deg_later]] = seq[:-1][deg_later]
-        no_pred = degraded & (pred == -1)
-        fallback = int(no_pred.sum())
-        root = root | no_pred          # captured-timestamp fallback roots
-    anchored = degraded & (pred != -1)
-
-    # ---- cycle demotion (mirror of _demote_cycles: the fixpoint runs over
-    # roots and deliver-edges only; anchored records never fire in it)
-    d_parent, d_child, d_gap = _deliver_edges(cols, dependent)
-    indptr, eorder = _csr(d_parent, n)
-    dc_csr = d_child[eorder]
-
-    prereq = np.zeros(n, dtype=np.int64)
-    prereq[dependent] = 1 + (cols.bound_id[dependent] != -1)
-    prereq[anchored] = 1
-    blocked = dependent & ~_fires(root, prereq, indptr, dc_csr)
-
-    demoted: list[int] = []
-    if blocked.any():
-        taint = np.zeros(n, dtype=bool)
-        frontier = np.flatnonzero(blocked & missing)
-        while len(frontier):
-            taint[frontier] = True
-            children = _gather_ranges(indptr, dc_csr, frontier)
-            cand = np.unique(children) if len(children) else children
-            frontier = cand[blocked[cand] & ~taint[cand]] if len(cand) \
-                else cand
-        sub_idx = np.flatnonzero(blocked & ~taint)
-        if len(sub_idx):
-            sub_ids = set(cols.ids[sub_idx].tolist())
-            trig = {
-                int(cols.ids[i]): tuple(
-                    t for t in (int(cols.cause_id[i]), int(cols.bound_id[i]))
-                    if t in sub_ids)
-                for i in sub_idx
-            }
-            demoted = sorted(_cycle_members(sorted(sub_ids), trig.__getitem__))
-        if demoted:
-            dem_arr = np.asarray(demoted, dtype=np.int64)
-            dem_mask = np.isin(cols.ids, dem_arr)
-            dependent = dependent & ~dem_mask
-            root = root | dem_mask
-            prereq[dem_mask] = 0
-            d_parent, d_child, d_gap = _deliver_edges(cols, dependent)
-
-    # ---- anchor edges; then keep only edges whose child can ever fire: a
-    # dead edge must not narrow its parent's horizon slack in the solver
-    anc_idx = np.flatnonzero(anchored)
-    a_parent = pred[anc_idx]
-    a_delta = cols.t_inject[anc_idx] - cols.t_inject[a_parent]
-
-    e_child = np.concatenate([d_child, anc_idx])
-    indptr, eorder = _csr(np.concatenate([d_parent, a_parent]), n)
-    fires = _fires(root, prereq, indptr, e_child[eorder])
-    d_live, a_live = fires[d_child], fires[anc_idx]
-
-    return _Plan(
-        root=root, dependent=dependent, anchored=anchored,
-        root_time=root_time, prereq=prereq,
-        d_parent=d_parent[d_live], d_child=d_child[d_live],
-        d_gap=d_gap[d_live],
-        a_parent=a_parent[a_live], a_child=anc_idx[a_live],
-        a_delta=a_delta[a_live],
-        counts=dict(
-            dropped_deps=int(dropped.sum()),
-            missing_triggers=missing_triggers,
-            marked_degraded=marked_degraded, fallback_captured=fallback,
-            demoted_cyclic=len(demoted)),
-    )
-
-
-# --------------------------------------------------------------------------
 # Exact windowed solver
 # --------------------------------------------------------------------------
 
 def _solve_windowed(
-    cols: _Columns, model, plan: _Plan,
+    cols: Columns, model, plan: Plan,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """One-pass exact solve of the self-correction timing, no iteration.
 
@@ -616,10 +335,10 @@ def _solve_windowed(
     # Parent-keyed CSRs over the two edge sets: anchor edges fire at parent
     # release, deliver edges at parent service.
     has_anchors = bool(len(plan.a_parent))
-    aptr, aord = _csr(plan.a_parent, n)
+    aptr, aord = csr(plan.a_parent, n)
     a_child = plan.a_child[aord]
     a_delta = plan.a_delta[aord]
-    dptr, dord = _csr(plan.d_parent, n)
+    dptr, dord = csr(plan.d_parent, n)
     d_child = plan.d_child[dord]
     d_gap = plan.d_gap[dord]
 
@@ -634,10 +353,10 @@ def _solve_windowed(
             inject[newly] = contrib[newly]
             out.append(newly)
             counts = aptr[newly + 1] - aptr[newly]
-            ach = _gather_ranges(aptr, a_child, newly)
+            ach = gather_ranges(aptr, a_child, newly)
             if not len(ach):
                 break
-            adl = _gather_ranges(aptr, a_delta, newly)
+            adl = gather_ranges(aptr, a_delta, newly)
             apar = np.repeat(newly, counts)
             np.maximum.at(contrib, ach, inject[apar] + adl)
             np.subtract.at(prereq, ach, 1)
@@ -679,7 +398,7 @@ def _solve_windowed(
         b = batch[np.lexsort((cols.ids[batch], inject[batch]))]
         model.serve_batch(b, inject, deliver)
         counts = dptr[b + 1] - dptr[b]
-        eidx = _gather_ranges(dptr, edge_idx, b)
+        eidx = gather_ranges(dptr, edge_idx, b)
         if not len(eidx):
             continue
         dch = d_child[eidx]
@@ -741,7 +460,7 @@ def replay_trace_generational(
             f"generational replay has no model for topology "
             f"{onoc.topology!r} (expected one of {ONOC_TOPOLOGIES})")
     t0 = _walltime.perf_counter()
-    cols = _Columns.of(trace)
+    cols = Columns.of(trace)
     if cols.n and onoc.num_nodes <= int(max(cols.src.max(), cols.dst.max())):
         raise ValueError("target network too small for trace endpoints")
     model = _model_for(timing or timing_for(onoc), cols.ids, cols.src,
@@ -752,21 +471,17 @@ def replay_trace_generational(
         inject = cols.t_inject
         deliver = model.scan(inject, active)
         iterations = 1
-        correction = None
+        plan = None
     else:
         # Every edge weight is known up front, so the windowed solver
         # computes the event engine's schedule exactly in one pass;
         # ``iterations`` reports its horizon-batch count.
-        plan = _classify(trace, cols, cfg)
+        plan = classify(trace, keep_dep_fraction=cfg.keep_dep_fraction,
+                        dep_drop_seed=cfg.dep_drop_seed,
+                        degraded_gap_policy=cfg.degraded_gap_policy)
         inject, deliver, released, iterations = _solve_windowed(
             cols, model, plan)
         active = np.flatnonzero(released)
-        correction = _Correction(
-            policy=cfg.degraded_gap_policy,
-            **plan.counts,
-            stalled=np.sort(cols.ids[plan.dependent & ~released]).tolist(),
-            anchored=cols.ids[plan.anchored & released].tolist(),
-        )
     ids = cols.ids[active].tolist()
     return _assemble_result(
         trace, cfg.mode,
@@ -775,7 +490,7 @@ def replay_trace_generational(
         t0,
         extra={"engine": "generational", "iterations": iterations,
                "converged": True},
-        correction=correction,
+        plan=plan,
     )
 
 

@@ -14,6 +14,13 @@ Both drive a trace into any :class:`repro.net.NetworkAdapter`:
   itself to the target network.  Roots (no cause) keep their captured
   offsets.
 
+Which records are roots, which keep their trigger edges and which ride a
+neighbour anchor is not decided here: :func:`repro.core.plan.classify`
+computes that plan once, from the trace and the ablation / gap-policy
+scalars, and :class:`SelfCorrectingReplayer` only schedules it — as does
+the vectorized engine in :mod:`repro.core.generational`, from the same
+plan.  Both hand their schedule to :func:`_assemble_result`.
+
 The execution-time estimate in both cases applies the per-core end markers
 to the *observed* deliveries: ``finish(core) = deliver(last_cause) + gap``.
 """
@@ -22,9 +29,7 @@ from __future__ import annotations
 
 import time as _walltime
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from repro.config import (
     ENGINE_GENERATIONAL,
@@ -40,12 +45,8 @@ from repro.engine import Simulator
 from repro.net import Message, NetworkAdapter
 from repro.obs.probes import replay_scope, timeline_or_none
 from repro.onoc.timing import timing_for
-from repro.core.trace import (
-    DEGRADED_RECORDS_META_KEY,
-    SemanticKey,
-    Trace,
-    TraceRecord,
-)
+from repro.core.plan import Plan, classify
+from repro.core.trace import SemanticKey, Trace, TraceRecord
 
 # A factory producing a fresh (simulator, network) pair per replay pass.
 NetworkFactory = Callable[[], tuple[Simulator, NetworkAdapter]]
@@ -180,21 +181,6 @@ def _estimate_exec_time(trace: Trace, deliveries: dict[int, int],
 _STALL_DETAIL_CAP = 50
 
 
-@dataclass(frozen=True)
-class _Correction:
-    """What a self-correcting engine knows beyond its schedule: the
-    classification counts, and which records were left waiting."""
-
-    policy: str
-    dropped_deps: int
-    marked_degraded: int
-    missing_triggers: int
-    fallback_captured: int
-    demoted_cyclic: int
-    stalled: list[int]          # dependents still waiting on a trigger, sorted
-    anchored: Iterable[int]     # degraded records riding a neighbor anchor
-
-
 def _assemble_result(
     trace: Trace,
     mode: str,
@@ -204,30 +190,36 @@ def _assemble_result(
     *,
     sim_events: int = 0,
     extra: Optional[dict] = None,
-    correction: Optional[_Correction] = None,
+    plan: Optional[Plan] = None,
 ) -> ReplayResult:
     """The one place a :class:`ReplayResult` is built: both engines hand in
-    the schedule they solved (``msg_id -> time``) and everything derived
-    from it — latencies, the exec-time estimate, stall post-mortem, fault
-    exposure — is computed here.  (:func:`replay_trace` adds the resilience
-    payload of a degraded replay: neither engine knows about that.)
+    the schedule they solved (``msg_id -> time``) and, for a self-correcting
+    run, the :class:`~repro.core.plan.Plan` they scheduled; everything
+    derived from the two — latencies, the exec-time estimate, stall
+    post-mortem, fault exposure — is computed here.  (:func:`replay_trace`
+    adds the resilience payload of a degraded replay: neither engine knows
+    about that.)
 
-    *Stalled* records are dependents whose cause (or bound) never delivered,
-    because the dependency graph references msg_ids missing from the trace
-    or because they wait transitively behind such a record; ``stalled_on``
-    names the undelivered triggers.
+    *Stalled* records are dependents the schedule never injected: their
+    cause (or bound) never delivered, because the dependency graph
+    references msg_ids missing from the trace or because they wait
+    transitively behind such a record; ``stalled_on`` names the undelivered
+    triggers.  *Re-derived* records are the anchored ones it did inject.
     """
     by_id = {r.msg_id: r for r in trace.records}
     diagnostics: dict = {}
-    if correction is not None:
-        c = correction
-        shown = c.stalled[:_STALL_DETAIL_CAP]
+    if plan is not None:
+        ids = plan.cols.ids
+        stalled = [] if len(injections) == len(trace.records) else sorted(
+            mid for mid in ids[plan.dependent].tolist()
+            if mid not in injections)
+        shown = stalled[:_STALL_DETAIL_CAP]
         rederived = tuple(sorted(
-            mid for mid in c.anchored if mid in injections))
+            mid for mid in ids[plan.anchored].tolist() if mid in injections))
         diagnostics = dict(
-            dropped_deps=c.dropped_deps,
-            demoted_cyclic=c.demoted_cyclic,
-            stalled_count=len(c.stalled),
+            dropped_deps=plan.dropped_deps,
+            demoted_cyclic=len(plan.demoted),
+            stalled_count=len(stalled),
             stalled_msg_ids=shown,
             stalled_on={
                 mid: [t for t in (by_id[mid].cause_id, by_id[mid].bound_id)
@@ -235,12 +227,12 @@ def _assemble_result(
                 for mid in shown},
             rederived_records=len(rederived),
             fault_exposure=FaultExposure(
-                policy=c.policy,
-                ablated=c.dropped_deps,
-                marked_degraded=c.marked_degraded,
-                missing_triggers=c.missing_triggers,
+                policy=plan.policy,
+                ablated=plan.dropped_deps,
+                marked_degraded=plan.marked_degraded,
+                missing_triggers=plan.missing_triggers,
                 rederived=len(rederived),
-                fallback_captured=c.fallback_captured,
+                fallback_captured=plan.fallback_captured,
                 rederived_msg_ids=rederived,
             ),
         )
@@ -250,8 +242,8 @@ def _assemble_result(
             trace, deliveries,
             # Non-captured policies also re-derive end markers whose cause
             # never delivered.
-            rederive_markers=(correction is not None
-                              and correction.policy != GAP_POLICY_CAPTURED)),
+            rederive_markers=(plan is not None
+                              and plan.policy != GAP_POLICY_CAPTURED)),
         latencies_by_key={by_id[mid].key: t - injections[mid]
                           for mid, t in deliveries.items()},
         deliveries=deliveries,
@@ -345,59 +337,6 @@ class FixedScheduleReplayer(_ReplayerBase):
         return self._result(t0)
 
 
-def _cycle_members(nodes, out_edges) -> set:
-    """Nodes of ``nodes`` on a dependency cycle (including self-loops).
-
-    Iterative Tarjan SCC over ``out_edges(node)``; a node is on a cycle iff
-    its strongly connected component has more than one member or it has a
-    self-edge.
-    """
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    scc_stack: list = []
-    members: set = set()
-    counter = 0
-    for start in nodes:
-        if start in index:
-            continue
-        work = [(start, iter(out_edges(start)))]
-        while work:
-            node, it = work[-1]
-            if node not in index:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                scc_stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for succ in it:
-                if succ == node:
-                    members.add(node)          # self-loop
-                elif succ not in index:
-                    work.append((succ, iter(out_edges(succ))))
-                    advanced = True
-                    break
-                elif succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                scc = []
-                while True:
-                    w = scc_stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                if len(scc) > 1:
-                    members.update(scc)
-    return members
-
-
 class SelfCorrectingReplayer(_ReplayerBase):
     """The paper's model: online dependency-driven injection.
 
@@ -427,7 +366,13 @@ class SelfCorrectingReplayer(_ReplayerBase):
 
     Degraded records with no predecessor on their node fall back to the
     captured timestamp (counted in ``FaultExposure.fallback_captured``).
-    Demoted cycle members keep the captured fallback under every policy.
+    Dependency-cycle members (hand-built traces only) are demoted to
+    captured-timestamp roots under every policy and reported in
+    ``ReplayResult.demoted_cyclic``.
+
+    The classification itself — ablation draw, anchors, cycle demotion — is
+    :func:`repro.core.plan.classify`'s; this class turns the plan into
+    event-queue callbacks.  A replayer runs once.
     """
 
     mode = TRACE_SELF_CORRECTING
@@ -466,160 +411,55 @@ class SelfCorrectingReplayer(_ReplayerBase):
                 f"unknown degraded_gap_policy {degraded_gap_policy!r} "
                 f"(expected one of {GAP_POLICIES})")
         self._gap_policy = degraded_gap_policy
-        use_anchor = degraded_gap_policy != GAP_POLICY_CAPTURED
+        # What drives each record is decided once, by ``classify``; the
+        # tables below only index its plan by msg_id for the callbacks.
+        plan = classify(trace, keep_dep_fraction=keep_dep_fraction,
+                        dep_drop_seed=dep_drop_seed,
+                        degraded_gap_policy=degraded_gap_policy)
+        self._plan = plan
+        self.dropped_deps = plan.dropped_deps
+        self.demoted_cyclic = plan.demoted
+        records = trace.records
+        # Trigger msg_id -> the records waiting on its delivery, in plan
+        # order (same-time releases are scheduled in it); per waiting
+        # record, the remaining trigger count and the running
+        # earliest-start maximum.  Keys are the records' own msg_id objects,
+        # not fresh ints off the arrays (peak RSS again, see ``run``).
         self._dependents: dict[int, list[TraceRecord]] = {}
-        self._roots: list[TraceRecord] = []
-        # Records waiting on both a cause and a bound: remaining trigger
-        # count and the running earliest-start maximum.
         self._prereqs_left: dict[int, int] = {}
         self._start_time: dict[int, int] = {}
+        prereq = plan.prereq.tolist()
+        for p, c in zip(plan.d_parent.tolist(), plan.d_child.tolist()):
+            dep = records[c]
+            self._dependents.setdefault(records[p].msg_id, []).append(dep)
+            self._prereqs_left[dep.msg_id] = prereq[c]
         # Degraded-record machinery: anchor msg_id -> [(record, captured
         # inter-send delta)], plus interp's per-node (captured, replayed)
         # injection history for intact records.
         self._anchored: dict[int, list[tuple[TraceRecord, int]]] = {}
-        self._anchored_ids: set[int] = set()
+        for p, c, delta in zip(plan.a_parent.tolist(), plan.a_child.tolist(),
+                               plan.a_delta.tolist()):
+            self._anchored.setdefault(records[p].msg_id, []).append(
+                (records[c], delta))
         self._degraded_ids: set[int] = set()
+        if degraded_gap_policy == GAP_POLICY_INTERP:
+            self._degraded_ids = {
+                r.msg_id for r, d in zip(records, plan.degraded.tolist()) if d}
         self._warp_hist: dict[int, list[tuple[int, int]]] = {}
-        self._fallback_captured = 0
-
-        by_id = {r.msg_id: r for r in trace.records}
-        marked = set(trace.meta.get(DEGRADED_RECORDS_META_KEY, ()))
-        self._marked_degraded = len(marked & set(by_id))
-        drop_rng = np.random.default_rng(dep_drop_seed)
-        dropped = 0
-        missing_triggers = 0
-        degraded: list[TraceRecord] = []
-        for r in trace.records:
-            if r.cause_id != -1:
-                keep = (keep_dep_fraction >= 1.0
-                        or drop_rng.random() < keep_dep_fraction)
-                if not keep:
-                    dropped += 1
-                    (degraded if use_anchor else self._roots).append(r)
-                    continue
-                missing = any(t != -1 and t not in by_id
-                              for t in (r.cause_id, r.bound_id))
-                if missing:
-                    missing_triggers += 1
-                if use_anchor and (missing or r.msg_id in marked):
-                    degraded.append(r)
-                    continue
-                # captured policy keeps today's behaviour: kept records with
-                # missing triggers enter the machinery and stall (diagnosed).
-                self._dependents.setdefault(r.cause_id, []).append(r)
-                prereqs = 1
-                if r.bound_id != -1:
-                    self._dependents.setdefault(r.bound_id, []).append(r)
-                    prereqs = 2
-                self._prereqs_left[r.msg_id] = prereqs
-            elif use_anchor and r.msg_id in marked:
-                degraded.append(r)
-            else:
-                self._roots.append(r)
-        self.dropped_deps = dropped
-        self._missing_triggers = missing_triggers
-        self._assign_anchors(degraded)
-        self.demoted_cyclic = self._demote_cycles()
         # Bound once: per-correction timeline tracing (opt-in, None normally).
         self._tl = timeline_or_none()
 
-    def _assign_anchors(self, degraded: list[TraceRecord]) -> None:
-        """Anchor each degraded record to its predecessor on the same source
-        node in captured ``(t_inject, msg_id)`` order.
-
-        The predecessor may itself be degraded — the chain telescopes, which
-        is exactly what makes the all-degraded limit coincide with naive
-        replay.  A degraded record with no predecessor becomes a captured-
-        timestamp root (``fallback_captured``).
-        """
-        if not degraded:
-            return
-        self._degraded_ids = {r.msg_id for r in degraded}
-        prev: dict[int, TraceRecord] = {}
-        for r in sorted(self.trace.records,
-                        key=lambda r: (r.t_inject, r.msg_id)):
-            if r.msg_id in self._degraded_ids:
-                p = prev.get(r.src)
-                if p is None:
-                    self._fallback_captured += 1
-                    self._roots.append(r)
-                else:
-                    self._anchored.setdefault(p.msg_id, []).append(
-                        (r, r.t_inject - p.t_inject))
-                    self._anchored_ids.add(r.msg_id)
-            prev[r.src] = r
-
-    def _demote_cycles(self) -> list[int]:
-        """Demote dependency-cycle members to timestamp-driven roots.
-
-        A validated :class:`Trace` is acyclic, but this replayer also accepts
-        hand-built traces (ablation studies, adversarial tests).  A cycle of
-        zero-latency records would wait on itself forever and surface only as
-        an opaque ``messages_unreplayed`` count; instead, every record on a
-        cycle falls back to its captured timestamp — the same fallback
-        ``keep_dep_fraction`` ablation uses — and is reported in
-        ``ReplayResult.demoted_cyclic``.  Records stalled on triggers that
-        are *missing from the trace* are left alone: that is a diagnosable
-        data bug, reported via the ``stalled_*`` fields.
-        """
-        by_id = {r.msg_id: r for r in self.trace.records}
-        # Fixpoint: which dependents can ever fire given the roots.
-        left = dict(self._prereqs_left)
-        frontier = [r.msg_id for r in self._roots]
-        while frontier:
-            mid = frontier.pop()
-            for dep in self._dependents.get(mid, ()):
-                left[dep.msg_id] -= 1
-                if left[dep.msg_id] == 0:
-                    frontier.append(dep.msg_id)
-        blocked = {mid for mid, n in left.items() if n > 0}
-        if not blocked:
-            return []
-        # Blocked records tainted by a trigger missing from the trace stall
-        # legitimately; propagate the taint through their dependents.
-        taint: set[int] = set()
-        stack = [
-            mid for mid in blocked
-            if any(t != -1 and t not in by_id
-                   for t in (by_id[mid].cause_id, by_id[mid].bound_id))
-        ]
-        while stack:
-            mid = stack.pop()
-            if mid in taint:
-                continue
-            taint.add(mid)
-            stack.extend(
-                dep.msg_id for dep in self._dependents.get(mid, ())
-                if dep.msg_id in blocked and dep.msg_id not in taint
-            )
-        # The untainted blocked records each wait (directly or transitively)
-        # on a cycle.  Demote the actual cycle members; their descendants
-        # then fire normally off the demoted roots' deliveries.
-        subgraph = blocked - taint
-        demoted = sorted(_cycle_members(
-            subgraph,
-            lambda mid: (t for t in (by_id[mid].cause_id, by_id[mid].bound_id)
-                         if t in subgraph),
-        ))
-        for mid in demoted:
-            del self._prereqs_left[mid]
-            self._start_time.pop(mid, None)
-            rec = by_id[mid]
-            for trig in {rec.cause_id, rec.bound_id} - {-1}:
-                self._dependents[trig] = [
-                    d for d in self._dependents[trig] if d.msg_id != mid
-                ]
-            self._roots.append(rec)
-        return demoted
-
     def run(self) -> ReplayResult:
         t0 = _walltime.perf_counter()
-        # True roots re-fire at their captured offset; ablated records
-        # fall back to their absolute captured timestamp (same value —
-        # gap == t_inject only for true roots, so distinguish).
+        # The plan goes with the one run a replayer makes: the replayer sits
+        # in a reference cycle with its network until a full GC, so whatever
+        # it kept would count against the process's peak RSS.
+        plan, self._plan = self._plan, None
+        records = self.trace.records
         self.sim.schedule_many(
-            ((r.gap if r.cause_id == -1 else r.t_inject), self._send, (r,))
-            for r in self._roots)
+            (t, self._send, (records[i],))
+            for i, t in zip(plan.root_order.tolist(),
+                            plan.root_time[plan.root_order].tolist()))
         self.sim.run()
         extra = {}
         if self._lane_ser is not None:
@@ -627,18 +467,7 @@ class SelfCorrectingReplayer(_ReplayerBase):
                 "deferred": self._hint_deferred,
                 "deferred_cycles": self._hint_deferred_cycles,
             }
-        return self._result(t0, extra=extra, correction=_Correction(
-            policy=self._gap_policy,
-            dropped_deps=self.dropped_deps,
-            marked_degraded=self._marked_degraded,
-            missing_triggers=self._missing_triggers,
-            fallback_captured=self._fallback_captured,
-            demoted_cyclic=len(self.demoted_cyclic),
-            # The queue drained while these still waited on a trigger edge.
-            stalled=sorted(mid for mid, left in self._prereqs_left.items()
-                           if left > 0),
-            anchored=self._anchored_ids,
-        ))
+        return self._result(t0, extra=extra, plan=plan)
 
     def _node_warp(self, node: int) -> float:
         """``interp`` policy: local replayed-vs-captured time dilation on
@@ -678,31 +507,33 @@ class SelfCorrectingReplayer(_ReplayerBase):
         many dependents stalled waiting on undelivered triggers."""
         super()._publish_metrics(result)
         scope = self._obs
-        stalled = {
-            mid for mid, left in self._prereqs_left.items() if left > 0
-        }
-        corrected = [
-            mid for mid in self._start_time if mid not in stalled
-        ]
-        scope.counter("corrections_applied").inc(len(corrected))
-        scope.counter("stalled").inc(len(stalled))
-        scope.counter("dropped_deps").inc(self.dropped_deps)
-        scope.counter("demoted_cyclic").inc(len(self.demoted_cyclic))
+        exposure = result.fault_exposure
+        # ``_start_time`` holds exactly the dependents that fired: the plan
+        # lists no edge into a record that cannot.
+        scope.counter("corrections_applied").inc(len(self._start_time))
+        scope.counter("stalled").inc(result.stalled_count)
+        scope.counter("dropped_deps").inc(result.dropped_deps)
+        scope.counter("demoted_cyclic").inc(result.demoted_cyclic)
         scope.counter("rederived").inc(result.rederived_records)
-        scope.counter("fallback_captured").inc(self._fallback_captured)
-        scope.counter("missing_triggers").inc(self._missing_triggers)
-        scope.counter("marked_degraded").inc(self._marked_degraded)
+        scope.counter("fallback_captured").inc(exposure.fallback_captured)
+        scope.counter("missing_triggers").inc(exposure.missing_triggers)
+        scope.counter("marked_degraded").inc(exposure.marked_degraded)
         shift = scope.distribution("correction_shift_cycles")
         captured = {r.msg_id: r.t_inject for r in self.trace.records}
-        for mid in corrected:
-            shift.observe(self._start_time[mid] - captured[mid])
+        for mid, start in self._start_time.items():
+            shift.observe(start - captured[mid])
 
     def _on_deliver(self, msg: Message) -> None:
         super()._on_deliver(msg)
         for dep in self._dependents.get(msg.id, ()):
             # Earliest-start rule: each trigger edge contributes
             # deliver + its own capture-measured delay; the max wins.
-            edge_gap = dep.gap if msg.id == dep.cause_id else dep.bound_gap
+            if msg.id != dep.cause_id:
+                edge_gap = dep.bound_gap
+            elif msg.id != dep.bound_id:
+                edge_gap = dep.gap
+            else:       # the bound is the cause: both edges end here
+                edge_gap = max(dep.gap, dep.bound_gap)
             candidate = msg.deliver_time + edge_gap
             prev = self._start_time.get(dep.msg_id)
             if prev is None or candidate > prev:

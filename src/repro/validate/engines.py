@@ -10,9 +10,15 @@ deviations).  What the generational engine cannot solve exactly — the
 ``interp`` gap policy, the AWGR occupancy hint — it refuses, so those are
 not cells here.  This module pins the contract over the golden corpus:
 
-* **counts must match exactly** — messages replayed/unreplayed, ablated
-  dependency edges, demoted cyclic records, stalls, re-derived records are
-  all integer bookkeeping with no scheduling freedom;
+* **counts and identities must match exactly** — both engines schedule one
+  :class:`repro.core.plan.Plan`, so they must agree on *which* records, not
+  only how many.  Of ``COUNT_FIELDS``, ``dropped_deps`` and
+  ``demoted_cyclic`` are read off that plan and equal by construction;
+  ``messages_replayed`` / ``messages_unreplayed`` / ``stalled_count`` /
+  ``rederived_records`` still test the two schedulers (did each one inject
+  exactly the records that can fire?), and so do the id-level checks: the
+  replayed-id set, ``stalled_msg_ids``, ``stalled_on`` and the whole
+  ``fault_exposure`` (``rederived_msg_ids`` included);
 * **exec-time estimates must agree within one relative tolerance**
   (``EXEC_TOL_PCT``, 3%);
 * **the generational result must satisfy the invariant catalogue**
@@ -77,6 +83,9 @@ COUNT_FIELDS = (
     "stalled_count",
     "rederived_records",
 )
+
+#: ... and the fields naming *which* records, compared whole.
+ID_FIELDS = ("stalled_msg_ids", "stalled_on", "fault_exposure")
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,10 @@ def _counts_diff(ev: ReplayResult, gen: ReplayResult) -> tuple[str, ...]:
         a, b = getattr(ev, name), getattr(gen, name)
         if a != b:
             out.append(f"{name} {a}!={b}")
+    out += [name for name in ID_FIELDS
+            if getattr(ev, name) != getattr(gen, name)]
+    if ev.injections.keys() != gen.injections.keys():
+        out.append("replayed ids")
     return tuple(out)
 
 

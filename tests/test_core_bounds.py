@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import OnocConfig
-from repro.core import SelfCorrectingReplayer, Trace, TraceRecord
+from repro.config import OnocConfig, TraceConfig
+from repro.core import SelfCorrectingReplayer, Trace, TraceRecord, replay_trace
 from repro.core.iterate import IterativeRefiner
 from repro.engine import Simulator
+from repro.harness.builders import optical_factory
 from repro.onoc import build_optical_network
 
 
@@ -131,3 +132,20 @@ def test_dropping_dep_also_drops_bound():
     result = rep.run()
     # The bounded record fell back to its absolute timestamp.
     assert result.injections[2] == 70
+
+
+def test_bound_that_is_the_cause_takes_the_larger_gap_on_both_engines():
+    """A hand-built record may name one message as cause *and* bound
+    (``Trace.validate`` rejects it, the replayers accept hand-built traces).
+    The earliest-start rule is the max over edges, each priced with its own
+    gap: ``deliver(0) + max(5, 40)``, not ``deliver(0) + 5``."""
+    r0 = rec(0, 0, 1, 0, 20, size=64)
+    r1 = rec(1, 1, 2, 60, 80, cause=0, gap=5, bound=0, bound_gap=40, size=64)
+    t = Trace(records=[r0, r1], end_markers=[], exec_time=80)
+    onoc = OnocConfig(num_nodes=4, num_wavelengths=16)
+    for engine in ("event", "generational"):
+        result = replay_trace(t, optical_factory(onoc, 1),
+                              TraceConfig(engine=engine))
+        assert result.deliveries[0] == 11, engine
+        assert result.injections[1] == 51, engine
+        assert result.messages_unreplayed == 0, engine

@@ -105,6 +105,50 @@ def test_generational_binary_and_json_identical_on_golden():
     assert a.deliveries == b.deliveries
 
 
+@pytest.mark.parametrize("engine", ["event", ENGINE_GENERATIONAL])
+def test_record_replaced_in_place_is_replayed_as_edited(engine):
+    """Both engines read one columnar view memoised on the trace; swapping a
+    record inside the same ``records`` list (same length, same list object
+    — the suite itself edits traces this way) must not be served the stale
+    columns."""
+    def rec(msg_id, cause_id, t_inject, gap, src, dst):
+        return TraceRecord(
+            msg_id=msg_id, key=(src, dst, "data", msg_id, 0), src=src,
+            dst=dst, size_bytes=64, kind="data", t_inject=t_inject,
+            t_deliver=t_inject + 10, cause_id=cause_id, gap=gap)
+
+    trace = Trace(records=[rec(0, -1, 0, 0, 0, 1), rec(1, 0, 15, 5, 1, 2)],
+                  end_markers=[], exec_time=0)
+    onoc = OnocConfig(num_nodes=4, num_wavelengths=16)
+    cfg = TraceConfig(engine=engine)
+    first = replay_trace(trace, optical_factory(onoc, 3), cfg)
+    assert (first.deliveries[0], first.injections[1]) == (11, 16)
+    trace.records[1] = rec(1, 0, 115, 105, 1, 2)
+    again = replay_trace(trace, optical_factory(onoc, 3), cfg)
+    assert again.injections[1] == 116
+
+
+def test_differential_compares_which_records_not_only_how_many():
+    """Same counts, different records: the id-level comparison notices."""
+    from repro.validate.engines import _counts_diff
+
+    trace = _chain_trace(n=10)
+    trace.records[5] = dataclasses.replace(trace.records[5], cause_id=77)
+    trace.records[6] = dataclasses.replace(trace.records[6], cause_id=78)
+    onoc = OnocConfig(num_nodes=4, topology="crossbar")
+    r = replay_trace(trace, optical_factory(onoc, 3),
+                     TraceConfig(degraded_gap_policy="neighbor_gap"))
+    assert r.fault_exposure.rederived_msg_ids == (5, 6)
+    assert _counts_diff(r, r) == ()
+    moved = dataclasses.replace(r, fault_exposure=dataclasses.replace(
+        r.fault_exposure, rederived_msg_ids=(5, 7)))
+    assert _counts_diff(r, moved) == ("fault_exposure",)
+    other = dict(r.injections)
+    other[99] = other.pop(9)
+    assert _counts_diff(r, dataclasses.replace(r, injections=other)) == (
+        "replayed ids",)
+
+
 # ------------------------------------------- one exact solver, or a refusal
 @pytest.mark.parametrize("option", [
     pytest.param({"degraded_gap_policy": "interp"}, id="interp"),
@@ -150,7 +194,7 @@ def test_dead_edges_do_not_narrow_the_solver_horizon():
     """Record 1 can never fire (its bound trigger 77 is not in the trace),
     so its zero-gap edge from record 0 must not shrink record 0's horizon
     slack: records 0 and 3 leave in one batch, their children in a second.
-    Pins why ``_classify`` keeps a reachability sweep."""
+    Pins why ``classify`` keeps a reachability sweep."""
     def rec(msg_id, cause_id, t_inject, gap, src, dst, bound_id=-1):
         return TraceRecord(
             msg_id=msg_id, key=(src, dst, "data", msg_id, 0), src=src,
