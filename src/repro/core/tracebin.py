@@ -247,17 +247,26 @@ class RecordChunk:
             raise TraceBinError(
                 "corrupt trace: kind index outside string table") from exc
 
+    @classmethod
+    def from_records(cls, records: list[TraceRecord]) -> "RecordChunk":
+        """The inverse of :meth:`to_records`, in one pass over the records.
 
-def _chunk_from_records(records: list[TraceRecord],
-                        kind_idx: dict[str, int]) -> np.ndarray:
-    return np.array(
-        [(r.msg_id, r.src, r.dst, r.size_bytes, kind_idx[r.kind],
-          r.t_inject, r.t_deliver - r.t_inject, r.cause_id, r.gap,
-          r.bound_id, r.bound_gap, r.key[0] - r.src, r.key[1] - r.dst,
-          kind_idx[r.key[2]], r.key[3], r.key[4])
-         for r in records],
-        dtype=np.int64,
-    ).reshape(len(records), len(_RECORD_COLUMNS))
+        ``kinds`` holds exactly the kinds these records use, in order of
+        first appearance (``kind`` before ``key[2]`` within a record).
+        """
+        table: dict[str, int] = {}
+        intern = table.setdefault
+        cols = np.array(
+            [(r.msg_id, r.src, r.dst, r.size_bytes,
+              intern(r.kind, len(table)), r.t_inject,
+              r.t_deliver - r.t_inject, r.cause_id, r.gap, r.bound_id,
+              r.bound_gap, r.key[0], r.key[1],
+              intern(r.key[2], len(table)), r.key[3], r.key[4])
+             for r in records],
+            dtype=np.int64,
+        ).reshape(len(records), len(_RECORD_COLUMNS)).T
+        # The fields are declared in the order of the rows built above.
+        return cls(*np.ascontiguousarray(cols), kinds=tuple(table))
 
 
 # ------------------------------------------------------------------ writer
@@ -268,12 +277,17 @@ class BinaryTraceWriter:
 
         with open(path, "wb") as fp:
             w = BinaryTraceWriter(fp, meta=trace.meta)
-            w.add_records(records)       # may be called repeatedly
+            w.add_records(records)       # may be called repeatedly ...
+            w.add_chunk(chunk)           # ... or whole column chunks
             w.add_markers(markers)
             w.close(exec_time)
 
-    Nothing proportional to the full trace is retained: at most one chunk
-    of pending records plus the kind string table.
+    ``add_records`` buffers up to ``chunk_records`` records per RECORDS
+    block; ``add_chunk`` takes a :class:`RecordChunk` — the reader's type
+    — and writes it as one block, so a producer that already holds
+    columns never builds a :class:`TraceRecord`.  Blocks land on disk in
+    call order.  Nothing proportional to the full trace is retained: at
+    most one chunk of pending records plus the kind string table.
     """
 
     def __init__(self, fp: BinaryIO, meta: Optional[dict] = None,
@@ -297,31 +311,52 @@ class BinaryTraceWriter:
         self._fp.write(_BLOCK_HEAD.pack(btype, len(payload)))
         self._fp.write(payload)
 
-    def _intern_kinds(self, records: list[TraceRecord]) -> None:
+    def _intern_kinds(self, chunk: RecordChunk) -> np.ndarray:
+        """Add the kinds ``chunk`` uses to the file's string table, in
+        order of first appearance (``kind`` before ``key[2]`` within a
+        record), and return the chunk-index -> file-index map."""
+        seq = np.stack((chunk.kind_idx, chunk.key_kind_idx), axis=1).ravel()
+        used, first = np.unique(seq, return_index=True)
+        remap = np.zeros(len(chunk.kinds), dtype=np.int64)
         new: list[str] = []
-        for r in records:
-            for kind in (r.kind, r.key[2]):
-                if kind not in self._kind_idx:
-                    self._kind_idx[kind] = len(self._kind_idx)
-                    new.append(kind)
+        for i in used[np.argsort(first)].tolist():
+            kind = chunk.kinds[i]
+            if kind not in self._kind_idx:
+                self._kind_idx[kind] = len(self._kind_idx)
+                new.append(kind)
+            remap[i] = self._kind_idx[kind]
         if new:
             self._write_block(_BLOCK_KINDS, json.dumps(new).encode())
+        return remap
 
-    def _flush_chunk(self) -> None:
-        records, self._pending = self._pending, []
-        if not records:
-            return
-        self._intern_kinds(records)
-        cols = _chunk_from_records(records, self._kind_idx)
+    def _write_chunk(self, chunk: RecordChunk) -> None:
+        remap = self._intern_kinds(chunk)
+        cols = {
+            "msg_id": chunk.msg_id, "src": chunk.src, "dst": chunk.dst,
+            "size_bytes": chunk.size_bytes,
+            "kind_idx": remap[chunk.kind_idx],
+            "t_inject": chunk.t_inject, "latency": chunk.latency,
+            "cause_id": chunk.cause_id, "gap": chunk.gap,
+            "bound_id": chunk.bound_id, "bound_gap": chunk.bound_gap,
+            "key_src_rel": chunk.key_src - chunk.src,
+            "key_dst_rel": chunk.key_dst - chunk.dst,
+            "key_kind_idx": remap[chunk.key_kind_idx],
+            "key_line": chunk.key_line, "key_occ": chunk.key_occ,
+        }
         out = io.BytesIO()
-        out.write(_U32.pack(len(records)))
-        for i, (name, coding) in enumerate(_RECORD_COLUMNS):
-            enc = _encode_column(cols[:, i], coding, name)
+        out.write(_U32.pack(len(chunk)))
+        for name, coding in _RECORD_COLUMNS:
+            enc = _encode_column(cols[name], coding, name)
             out.write(_U32.pack(len(enc)))
             out.write(enc)
         self._write_block(_BLOCK_RECORDS, out.getvalue())
-        self._record_count += len(records)
+        self._record_count += len(chunk)
         self._chunk_count += 1
+
+    def _flush_chunk(self) -> None:
+        records, self._pending = self._pending, []
+        if records:
+            self._write_chunk(RecordChunk.from_records(records))
 
     def add_records(self, records: Iterable[TraceRecord]) -> None:
         if self._closed:
@@ -330,6 +365,14 @@ class BinaryTraceWriter:
             self._pending.append(r)
             if len(self._pending) >= self._chunk_records:
                 self._flush_chunk()
+
+    def add_chunk(self, chunk: RecordChunk) -> None:
+        """Write ``chunk`` as one RECORDS block, after any pending records."""
+        if self._closed:
+            raise ValueError("writer already closed")
+        self._flush_chunk()
+        if len(chunk):
+            self._write_chunk(chunk)
 
     def add_markers(self, markers: Iterable[EndMarker]) -> None:
         if self._closed:

@@ -7,11 +7,17 @@ tunable fan-out, compute-gap distributions, and sharing patterns (reusing
 :data:`repro.traffic.PATTERNS`), fitted to a captured corpus trace via
 :func:`fit_profile` and emitted either in memory (:func:`generate`) or
 straight into the chunked binary container (:func:`generate_to_file`) so
-million-message traces never fully materialize.
+million-message traces never fully materialize.  The generator hashes
+its decisions in NumPy blocks ahead of a heap merge and writes column
+chunks, not records: resident state is O(chains x the step spread
+between the slowest and the fastest chain + one chunk), and
+:func:`iter_records` decodes those chunks for callers that want records.
 
 Quality gates: ``tests/test_synth_properties.py`` (byte-determinism, the
 full invariant catalogue, profile fidelity under
-:data:`FIDELITY_TOLERANCES`), ``tests/test_synth_engines.py`` (event vs
+:data:`FIDELITY_TOLERANCES`), ``tests/test_synth_generator.py`` (every
+record equal to the per-record reference generator, container bytes and
+the benchmark spine's digests), ``tests/test_synth_engines.py`` (event vs
 generational agreement at 64 and 1024 nodes), and
 ``benchmarks/bench_scale.py`` (replay throughput + peak RSS vs trace
 size).  See the "Synthetic traces" section of ``docs/TRACE_FORMAT.md``.

@@ -1,4 +1,4 @@
-"""Streaming synthetic trace generator (splitmix64-seeded, heap-merged).
+"""Streaming synthetic trace generator (block-hashed, heap-merged, columnar).
 
 The generator turns a :class:`~repro.synth.profile.SynthProfile` into a
 valid dependency-annotated trace of any size without ever holding the
@@ -6,20 +6,35 @@ trace in memory: each chain is an independent sequential process whose
 next injection time is always known (last delivery + a drawn gap), so a
 heap merge across chains emits records *already in canonical
 ``(t_inject, msg_id)`` order* — exactly what the streaming readers and
-``stream_naive_summary`` assume — while keeping only O(chains + pending
-fan-out children + nodes) state resident.  :func:`generate_to_file`
-feeds the records straight into the chunked
-:class:`~repro.core.tracebin.BinaryTraceWriter`, so a million-message
-trace costs one chunk of buffering, not a million records.
+``stream_naive_summary`` assume.
 
 Determinism: every random decision is a pure splitmix64 hash of
 ``(seed, tag, chain, step)`` — the per-decision discipline shared with
 ``repro.validate.faults`` and ``repro.resilience.generators`` — plus one
 PCG64 stream per chain for the destination patterns that need an rng
-(consumed in fixed per-chain order).  The hash state after ``(seed, tag,
-chain)`` is kept per tag and chain (O(chains)), so a decision folds in
-one part, not four.  Same profile + same seed therefore means
-byte-identical binary output, which the property suite pins.
+(consumed in fixed per-chain order).  Same profile + same seed therefore
+means byte-identical binary output, which the property suite pins.
+
+Because a hashed decision depends on nothing the merge produces, the
+decisions are not computed where they are used.  :class:`_Decisions`
+hashes size, latency, fan-out and both gaps for *all chains x the next
+few steps* in one NumPy pass (``uint64`` products wrap mod 2^64, which is
+the scalar hash's mask); the heap merge — the only per-record Python —
+pops an entry, makes the pattern's rng call(s), looks its decisions up
+and appends seven ints to column lists.  Two things stay scalar on
+purpose: ``math.log`` in the gap draw (``np.log`` is not guaranteed the
+same last bit, and a gap is ``int()`` of it) and the pattern call
+(``hotspot`` interleaves ``random()`` and ``integers()`` data-dependently
+on one PCG64 stream).  Every ``chunk_records`` emissions the lists become
+one :class:`~repro.core.tracebin.RecordChunk`, which
+:func:`generate_to_file` hands to the writer as it is: no
+:class:`~repro.core.trace.TraceRecord` exists between hash and file.
+
+Resident state is O(chains x live step spread + pending fan-out children
++ nodes + one chunk of column lists): a decision block is dropped when
+the last chain leaves it, so what is held is the spread between the
+slowest and the fastest chain, never the trace
+(``benchmarks/bench_scale.py`` gates the RSS).
 
 Capture invariants hold by construction: roots carry ``gap ==
 t_inject``, every dependent injects at exactly ``cause.t_deliver + gap``
@@ -38,16 +53,28 @@ from typing import Iterator, Union
 import numpy as np
 
 from repro.core.trace import EndMarker, Trace, TraceRecord
-from repro.core.tracebin import BinaryTraceWriter, CHUNK_RECORDS
+from repro.core.tracebin import BinaryTraceWriter, CHUNK_RECORDS, RecordChunk
 from repro.synth.profile import SynthProfile
 from repro.traffic.patterns import PATTERNS
 
 _MASK64 = (1 << 64) - 1
 
+#: Upper bound on the (chain, step) cells hashed ahead in one block.
+_BLOCK_CELLS = 16384
 
-def _fold(x: int, p: int) -> int:
-    """One splitmix64 finalizer round: absorb the int ``p`` into state ``x``."""
-    x ^= p & _MASK64
+#: A fan-out child is a fixed-size control message.
+_CTRL_BYTES = 64
+
+#: The generator's kind table; a record's ``kind_idx`` is its heap flag.
+_KINDS = ("data", "ctrl")
+
+
+def _fold(x, p):
+    """One splitmix64 finalizer round: absorb ``p`` into state ``x``.
+
+    Python ints or ``uint64`` arrays alike — an array product wraps mod
+    2^64, which is what the mask does to the int."""
+    x = x ^ (p & _MASK64)
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
@@ -67,40 +94,197 @@ def _mix64(*parts) -> int:
     return x
 
 
-def _unit(prefix: int, step: int) -> float:
-    """Uniform [0, 1) draw from the hash of ``(*parts, step)``, given
-    ``prefix = _mix64(*parts)``."""
-    return _fold(prefix, step) / float(1 << 64)
+def _unit(prefix: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1] draws from the hashes of ``(*parts, step)``, given
+    ``prefix = _mix64(*parts)`` as ``uint64``.  ``astype`` rounds to
+    nearest exactly as ``int / float`` does, so the 1024 hashes from
+    2^64 - 1024 up come out as 1.0 in both."""
+    return _fold(prefix, steps).astype(np.float64) / float(1 << 64)
 
 
-def _draw_gap(profile: SynthProfile, u: float) -> int:
-    """Truncated-exponential compute gap: mean ~``gap_mean``, >= 1,
-    clipped at ``gap_max``."""
+def _draw_gaps(profile: SynthProfile, units: list[float]) -> list[int]:
+    """Truncated-exponential compute gaps, one per unit draw: mean
+    ~``gap_mean``, >= 1, clipped at ``gap_max``.  ``u == 1.0`` (see
+    :func:`_unit`) has no logarithm and takes the limit of its
+    neighbours."""
     scale = max(0.0, profile.gap_mean - 1.0)
-    gap = 1 + int(-math.log(1.0 - u) * scale)
-    return min(profile.gap_max, gap)
+    gap_max = profile.gap_max
+    limit = gap_max if scale > 0.0 else 1
+    log = math.log
+    return [min(gap_max, 1 + int(-log(1.0 - u) * scale)) if u < 1.0
+            else limit for u in units]
 
 
-def _size_thresholds(profile: SynthProfile) -> list[tuple[float, int]]:
-    """``(cumulative share, size)`` per ``size_mix`` entry, in its order."""
+def _size_thresholds(profile: SynthProfile) -> tuple[np.ndarray, np.ndarray]:
+    """``(cumulative shares, sizes)`` of ``size_mix``, in its order."""
     total = sum(w for _, w in profile.size_mix)
     acc = 0.0
-    out = []
-    for size, weight in profile.size_mix:
+    shares = []
+    for _, weight in profile.size_mix:
         acc += weight / total
-        out.append((acc, size))
-    return out
+        shares.append(acc)
+    return np.array(shares), np.array([s for s, _ in profile.size_mix])
 
 
-def _draw_size(thresholds: list[tuple[float, int]], u: float) -> int:
-    for acc, size in thresholds:
-        if u < acc:
-            return size
-    return thresholds[-1][1]
+def _draw_size(thresholds: tuple[np.ndarray, np.ndarray],
+               u: np.ndarray) -> np.ndarray:
+    """The size of the first share ``u`` falls under (the last one's when
+    rounding left the shares short of ``u``)."""
+    shares, sizes = thresholds
+    pick = np.searchsorted(shares, u, side="right")
+    return sizes[np.minimum(pick, len(sizes) - 1)]
 
 
-def _latency(profile: SynthProfile, size: int) -> int:
+def _latency(profile: SynthProfile, size):
+    """Capture-network latency of a ``size``-byte message (int or array)."""
     return profile.base_latency + size // 16
+
+
+class _Decisions:
+    """The hashed decisions of every ``(chain, step)``, a block ahead.
+
+    Block ``b`` covers steps ``[b * span, (b + 1) * span)`` of all chains:
+    ``enter(b)`` hashes it into ``live[b]``, a chain-major flat list of
+    ``(size, latency, gap, fan_gap)`` with ``fan_gap == 0`` meaning "no
+    fan-out child" (a drawn gap is >= 1); ``leave(b)`` is called once per
+    chain, after its last step in the block, and the block goes with the
+    last one.  ``span`` is sized by the trace, so a 100-message trace does
+    not pay for :data:`_BLOCK_CELLS` cells.
+    """
+
+    def __init__(self, profile: SynthProfile, seed: int, chains: int,
+                 n_messages: int) -> None:
+        self.span = max(1, min(_BLOCK_CELLS, n_messages) // chains)
+        self.live: dict[int, list[tuple[int, int, int, int]]] = {}
+        self._inside: dict[int, int] = {}
+        self._profile = profile
+        self._chains = chains
+        self._sizes = _size_thresholds(profile)
+        # The hash state after ``(seed, tag, chain)``, per decision tag
+        # and chain: a decision folds only its ``step`` into it.
+        index = np.arange(chains, dtype=np.uint64)[:, None]
+        self._size_at, self._fan_at, self._fgap_at, self._gap_at = (
+            _fold(_mix64(seed, tag), index)
+            for tag in ("size", "fan", "fgap", "gap"))
+
+    def enter(self, block: int) -> list[tuple[int, int, int, int]]:
+        profile, span = self._profile, self.span
+        steps = np.arange(block * span, (block + 1) * span,
+                          dtype=np.uint64)[None, :]
+        size = _draw_size(self._sizes, _unit(self._size_at, steps)).ravel()
+        fan = (_unit(self._fan_at, steps) < profile.fanout_prob).ravel()
+        fan_gap = np.zeros(len(fan), dtype=np.int64)
+        fan_gap[fan] = _draw_gaps(
+            profile, _unit(self._fgap_at, steps).ravel()[fan].tolist())
+        gap = _draw_gaps(profile,
+                         _unit(self._gap_at, steps).ravel().tolist())
+        rows = list(zip(size.tolist(), _latency(profile, size).tolist(),
+                        gap, fan_gap.tolist()))
+        self.live[block] = rows
+        self._inside[block] = self._chains
+        return rows
+
+    def leave(self, block: int) -> None:
+        self._inside[block] -= 1
+        if not self._inside[block]:
+            del self.live[block], self._inside[block]
+
+
+def _chunk(profile: SynthProfile, first: int,
+           *cols: list[int]) -> RecordChunk:
+    """The records ``first, first + 1, ...`` from the merge's seven column
+    lists; every other column of the container follows from them (the
+    semantic key of a synthetic message is ``(src, dst, kind, msg_id,
+    0)``, nothing has a secondary trigger)."""
+    src, dst, size, kind, t_inject, cause_id, gap = (
+        np.array(col, dtype=np.int64) for col in cols)
+    msg_id = np.arange(first, first + len(src), dtype=np.int64)
+    zeros = np.zeros(len(src), dtype=np.int64)
+    return RecordChunk(
+        msg_id=msg_id, src=src, dst=dst, size_bytes=size, kind_idx=kind,
+        t_inject=t_inject, latency=_latency(profile, size),
+        cause_id=cause_id, gap=gap, bound_id=zeros - 1, bound_gap=zeros,
+        key_src=src, key_dst=dst, key_kind_idx=kind, key_line=msg_id,
+        key_occ=zeros, kinds=_KINDS)
+
+
+def _iter_chunks(profile: SynthProfile, scale: float, seed: int,
+                 chunk_records: int) -> Iterator[RecordChunk]:
+    """The trace as column chunks of ``chunk_records`` records (the last
+    one shorter), in canonical ``(t_inject, msg_id)`` order.
+
+    ``msg_id`` is the emission index, so causes always precede dependents
+    and the stream is sorted by construction.
+    """
+    n_messages = profile.scaled_messages(scale)
+    n = profile.num_nodes
+    chains = min(profile.chains, n_messages)
+    pattern = PATTERNS[profile.pattern]
+    index = np.arange(chains, dtype=np.uint64)
+    rngs = [np.random.Generator(np.random.PCG64(s))
+            for s in _fold(_mix64(seed, "chain"), index).tolist()]
+    decisions = _Decisions(profile, seed, chains, n_messages)
+    span, live = decisions.span, decisions.live
+
+    # Heap entries start (t_inject, flag, uid): flag orders chain steps
+    # before children on injection-time ties; uid makes the order total
+    # and deterministic.  A chain entry continues (c, step, src, cause_id,
+    # gap), a child entry (src, dst, cause_id, gap).
+    t0 = (_fold(_mix64(seed, "root"), index) % profile.root_spread).tolist()
+    src0 = (_fold(_mix64(seed, "src"), index) % n).tolist()
+    heap = [(t0[c], 0, c, c, 0, src0[c], -1, t0[c]) for c in range(chains)]
+    heapq.heapify(heap)
+    uid = chains
+    pop, push = heapq.heappop, heapq.heappush
+
+    for first in range(0, n_messages, chunk_records):
+        cols = tuple([] for _ in range(7))
+        (add_src, add_dst, add_size, add_kind, add_t, add_cause,
+         add_gap) = (c.append for c in cols)
+        for msg_id in range(first, min(first + chunk_records, n_messages)):
+            entry = pop(heap)
+            if entry[1]:
+                t, flag, _, src, dst, cause_id, gap = entry
+                size = _CTRL_BYTES
+            else:
+                t, flag, _, c, step, src, cause_id, gap = entry
+                rng = rngs[c]
+                dst = pattern(src, n, rng)
+                if dst == src:  # e.g. the transpose diagonal
+                    dst = (dst + 1) % n
+                block, k = divmod(step, span)
+                rows = live.get(block) or decisions.enter(block)
+                size, latency, next_gap, fan_gap = rows[c * span + k]
+                if k + 1 == span:
+                    decisions.leave(block)
+                t_deliver = t + latency
+                if fan_gap:
+                    third = pattern(dst, n, rng)
+                    if third == dst:
+                        third = (third + 1) % n
+                    push(heap, (t_deliver + fan_gap, 1, uid,
+                                dst, third, msg_id, fan_gap))
+                    uid += 1
+                push(heap, (t_deliver + next_gap, 0, uid,
+                            c, step + 1, dst, msg_id, next_gap))
+                uid += 1
+            add_src(src)
+            add_dst(dst)
+            add_size(size)
+            add_kind(flag)
+            add_t(t)
+            add_cause(cause_id)
+            add_gap(gap)
+
+        yield _chunk(profile, first, *cols)
+
+
+def iter_records(profile: SynthProfile, scale: float = 1.0,
+                 seed: int = 0) -> Iterator[TraceRecord]:
+    """Yield the trace's records in canonical ``(t_inject, msg_id)`` order,
+    decoded a chunk at a time from the generator's columns."""
+    for chunk in _iter_chunks(profile, scale, seed, CHUNK_RECORDS):
+        yield from chunk.to_records()
 
 
 class _Markers:
@@ -110,10 +294,17 @@ class _Markers:
         self.last_deliver = np.full(num_nodes, -1, dtype=np.int64)
         self.last_msg = np.full(num_nodes, -1, dtype=np.int64)
 
-    def see(self, dst: int, t_deliver: int, msg_id: int) -> None:
-        if t_deliver > self.last_deliver[dst]:
-            self.last_deliver[dst] = t_deliver
-            self.last_msg[dst] = msg_id
+    def see(self, chunk: RecordChunk) -> None:
+        """Per destination, the first record to reach its latest delivery
+        — and only a strictly later delivery displaces an earlier chunk's."""
+        t_deliver = chunk.t_deliver
+        # Stable, so among equal deliveries the earliest record leads.
+        order = np.lexsort((-t_deliver, chunk.dst))
+        dst = chunk.dst[order]
+        lead = order[np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])]
+        lead = lead[t_deliver[lead] > self.last_deliver[chunk.dst[lead]]]
+        self.last_deliver[chunk.dst[lead]] = t_deliver[lead]
+        self.last_msg[chunk.dst[lead]] = chunk.msg_id[lead]
 
     def finish(self) -> list[EndMarker]:
         out = []
@@ -124,80 +315,6 @@ class _Markers:
                 out.append(EndMarker(node, int(self.last_deliver[node]) + 10,
                                      int(self.last_msg[node]), 10))
         return out
-
-
-def _dest(profile: SynthProfile, src: int, rng: np.random.Generator) -> int:
-    d = int(PATTERNS[profile.pattern](src, profile.num_nodes, rng))
-    if d == src:  # patterns may map to self (e.g. the transpose diagonal)
-        d = (d + 1) % profile.num_nodes
-    return d
-
-
-def iter_records(profile: SynthProfile, scale: float = 1.0,
-                 seed: int = 0) -> Iterator[TraceRecord]:
-    """Yield the trace's records in canonical ``(t_inject, msg_id)`` order.
-
-    ``msg_id`` is the emission index, so causes always precede dependents
-    and the stream is sorted by construction.  Memory is O(chains +
-    pending fan-out children); see the module docstring.
-    """
-    n_messages = profile.scaled_messages(scale)
-    n = profile.num_nodes
-    chains = min(profile.chains, n_messages)
-    rngs = [np.random.Generator(np.random.PCG64(_mix64(seed, "chain", c)))
-            for c in range(chains)]
-    # The hash state after ``(seed, tag, chain)``, per decision tag and
-    # chain: a decision folds only its ``step`` into it.
-    size_at, fan_at, fgap_at, gap_at = (
-        [_mix64(seed, tag, c) for c in range(chains)]
-        for tag in ("size", "fan", "fgap", "gap"))
-    sizes = _size_thresholds(profile)
-
-    # Heap entries: (t_inject, flag, uid, item).  flag orders chain steps
-    # before children on injection-time ties; uid makes ordering total and
-    # deterministic.  Chain item: (c, step, cur_node, cause_id, gap).
-    # Child item: (src, dst, size, cause_id, gap).
-    heap: list[tuple] = []
-    uid = 0
-    for c in range(chains):
-        t0 = _mix64(seed, "root", c) % profile.root_spread
-        src = _mix64(seed, "src", c) % n
-        heapq.heappush(heap, (t0, 0, uid, (c, 0, src, -1, t0)))
-        uid += 1
-
-    emitted = 0
-    while emitted < n_messages:
-        t, flag, _, item = heapq.heappop(heap)
-        if flag == 0:
-            c, step, cur, cause_id, gap = item
-            dst = _dest(profile, cur, rngs[c])
-            size = _draw_size(sizes, _unit(size_at[c], step))
-            t_del = t + _latency(profile, size)
-            msg_id = emitted
-            yield TraceRecord(
-                msg_id=msg_id, key=(cur, dst, "data", msg_id, 0),
-                src=cur, dst=dst, size_bytes=size, kind="data",
-                t_inject=t, t_deliver=t_del, cause_id=cause_id, gap=gap)
-            emitted += 1
-            if _unit(fan_at[c], step) < profile.fanout_prob:
-                third = _dest(profile, dst, rngs[c])
-                g2 = _draw_gap(profile, _unit(fgap_at[c], step))
-                heapq.heappush(heap, (t_del + g2, 1, uid,
-                                      (dst, third, 64, msg_id, g2)))
-                uid += 1
-            g = _draw_gap(profile, _unit(gap_at[c], step))
-            heapq.heappush(heap, (t_del + g, 0, uid,
-                                  (c, step + 1, dst, msg_id, g)))
-            uid += 1
-        else:
-            src, dst, size, cause_id, gap = item
-            t_del = t + _latency(profile, size)
-            msg_id = emitted
-            yield TraceRecord(
-                msg_id=msg_id, key=(src, dst, "ctrl", msg_id, 0),
-                src=src, dst=dst, size_bytes=size, kind="ctrl",
-                t_inject=t, t_deliver=t_del, cause_id=cause_id, gap=gap)
-            emitted += 1
 
 
 def _meta(profile: SynthProfile, scale: float, seed: int) -> dict:
@@ -220,9 +337,9 @@ def generate(profile: SynthProfile, scale: float = 1.0,
     """
     markers = _Markers(profile.num_nodes)
     records = []
-    for r in iter_records(profile, scale=scale, seed=seed):
-        markers.see(r.dst, r.t_deliver, r.msg_id)
-        records.append(r)
+    for chunk in _iter_chunks(profile, scale, seed, CHUNK_RECORDS):
+        markers.see(chunk)
+        records.extend(chunk.to_records())
     ends = markers.finish()
     trace = Trace(records=records, end_markers=ends,
                   exec_time=max((m.t_finish for m in ends), default=0),
@@ -233,15 +350,14 @@ def generate(profile: SynthProfile, scale: float = 1.0,
 
 def generate_to_file(profile: SynthProfile, path: Union[str, Path],
                      scale: float = 1.0, seed: int = 0,
-                     chunk_records: int = CHUNK_RECORDS,
-                     batch: int = 8192) -> dict:
+                     chunk_records: int = CHUNK_RECORDS) -> dict:
     """Stream the synthetic trace straight into the binary container.
 
     Emits the exact record stream :func:`generate` would produce (same
     profile, scale, seed => byte-identical file, and identical to
-    ``tracebin.dumps(generate(...))`` at equal ``chunk_records``), but
-    never holds more than ``chunk_records`` records — the path that makes
-    >=10^6-message traces cheap.  Returns a summary dict.
+    ``tracebin.dumps(generate(...))`` at equal ``chunk_records``), one
+    column chunk of ``chunk_records`` records at a time — the path that
+    makes >=10^6-message traces cheap.  Returns a summary dict.
     """
     path = Path(path)
     t0 = time.perf_counter()
@@ -250,15 +366,10 @@ def generate_to_file(profile: SynthProfile, path: Union[str, Path],
     with open(path, "wb") as fp:
         writer = BinaryTraceWriter(fp, meta=_meta(profile, scale, seed),
                                    chunk_records=chunk_records)
-        pending: list[TraceRecord] = []
-        for r in iter_records(profile, scale=scale, seed=seed):
-            markers.see(r.dst, r.t_deliver, r.msg_id)
-            pending.append(r)
-            n += 1
-            if len(pending) >= batch:
-                writer.add_records(pending)
-                pending.clear()
-        writer.add_records(pending)
+        for chunk in _iter_chunks(profile, scale, seed, chunk_records):
+            markers.see(chunk)
+            writer.add_chunk(chunk)
+            n += len(chunk)
         ends = markers.finish()
         writer.add_markers(ends)
         exec_time = max((m.t_finish for m in ends), default=0)

@@ -1,32 +1,54 @@
-"""The generator's per-decision hashing against its four-part definition.
+"""The block-hashed, columnar generator against its per-record definition.
 
-``iter_records`` keeps the splitmix64 state after ``(seed, tag, chain)``
-and folds only ``step`` into it per decision, and draws sizes from
-thresholds accumulated once.  Both are the same arithmetic as the
-definitions kept here as references — one round per part, one float
-accumulation per ``size_mix`` entry — so the pin is equality, plus one
-container digest recorded before the generator was touched.
+``repro.synth.generator`` hashes every ``(chain, step)`` decision in
+NumPy blocks ahead of the heap merge and writes ``RecordChunk`` columns
+straight into the container.  All of it is the same arithmetic as the
+definitions kept here as references — the four-part hash, one float
+accumulation per ``size_mix`` entry, and the per-record generator as it
+stood before the rewrite — so the pin is equality: every field of every
+record on a grid of profile shapes, the container bytes against
+``tracebin.dumps(generate(...))``, and the four container digests the
+benchmark spine checks.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
+import heapq
+import io
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
-from repro.synth import default_profile, generate_to_file
+import numpy as np
+import pytest
+
+from repro.core import tracebin
+from repro.core.trace import Trace, TraceRecord
+from repro.synth import (
+    default_profile,
+    fit_profile,
+    generate,
+    generate_to_file,
+    iter_records,
+)
+from repro.synth import generator
 from repro.synth.generator import (
+    _draw_gaps,
     _draw_size,
     _fold,
     _mix64,
     _size_thresholds,
     _unit,
 )
+from repro.traffic.patterns import PATTERNS
 
 _MASK64 = (1 << 64) - 1
 TAGS = ("size", "fan", "fgap", "gap", "root", "src", "chain")
 EDGES = (0, 1, 2, 63, 1 << 31, 1 << 63, _MASK64)
+REPO = Path(__file__).parent.parent
+GOLDEN = sorted((REPO / "tests" / "golden").glob("*.trace.json"))
 
 
 def _mix64_reference(*parts) -> int:
@@ -42,38 +64,287 @@ def _mix64_reference(*parts) -> int:
     return x & _MASK64
 
 
+def _draw_size_reference(profile, u):
+    """The size draw as first written: one float accumulation per
+    ``size_mix`` entry, every call."""
+    total = sum(w for _, w in profile.size_mix)
+    acc = 0.0
+    for size, weight in profile.size_mix:
+        acc += weight / total
+        if u < acc:
+            return size
+    return profile.size_mix[-1][0]
+
+
+def _iter_records_reference(profile, scale=1.0, seed=0):
+    """The per-record generator: the heap loop, push order and per-chain
+    rng order exactly as they stood before the block rewrite, with every
+    decision hashed from all four parts and one ``TraceRecord`` built per
+    message."""
+    def unit(tag, c, step):
+        return _mix64_reference(seed, tag, c, step) / float(1 << 64)
+
+    def draw_gap(u):
+        scale_ = max(0.0, profile.gap_mean - 1.0)
+        gap = 1 + int(-math.log(1.0 - u) * scale_)
+        return min(profile.gap_max, gap)
+
+    def latency(size):
+        return profile.base_latency + size // 16
+
+    def dest(src, rng):
+        d = int(PATTERNS[profile.pattern](src, profile.num_nodes, rng))
+        if d == src:
+            d = (d + 1) % profile.num_nodes
+        return d
+
+    n_messages = profile.scaled_messages(scale)
+    n = profile.num_nodes
+    chains = min(profile.chains, n_messages)
+    rngs = [np.random.Generator(np.random.PCG64(
+        _mix64_reference(seed, "chain", c))) for c in range(chains)]
+
+    heap: list[tuple] = []
+    uid = 0
+    for c in range(chains):
+        t0 = _mix64_reference(seed, "root", c) % profile.root_spread
+        src = _mix64_reference(seed, "src", c) % n
+        heapq.heappush(heap, (t0, 0, uid, (c, 0, src, -1, t0)))
+        uid += 1
+
+    emitted = 0
+    while emitted < n_messages:
+        t, flag, _, item = heapq.heappop(heap)
+        if flag == 0:
+            c, step, cur, cause_id, gap = item
+            dst = dest(cur, rngs[c])
+            size = _draw_size_reference(profile, unit("size", c, step))
+            t_del = t + latency(size)
+            msg_id = emitted
+            yield TraceRecord(
+                msg_id=msg_id, key=(cur, dst, "data", msg_id, 0),
+                src=cur, dst=dst, size_bytes=size, kind="data",
+                t_inject=t, t_deliver=t_del, cause_id=cause_id, gap=gap)
+            emitted += 1
+            if unit("fan", c, step) < profile.fanout_prob:
+                third = dest(dst, rngs[c])
+                g2 = draw_gap(unit("fgap", c, step))
+                heapq.heappush(heap, (t_del + g2, 1, uid,
+                                      (dst, third, 64, msg_id, g2)))
+                uid += 1
+            g = draw_gap(unit("gap", c, step))
+            heapq.heappush(heap, (t_del + g, 0, uid,
+                                  (c, step + 1, dst, msg_id, g)))
+            uid += 1
+        else:
+            src, dst, size, cause_id, gap = item
+            t_del = t + latency(size)
+            msg_id = emitted
+            yield TraceRecord(
+                msg_id=msg_id, key=(src, dst, "ctrl", msg_id, 0),
+                src=src, dst=dst, size_bytes=size, kind="ctrl",
+                t_inject=t, t_deliver=t_del, cause_id=cause_id, gap=gap)
+            emitted += 1
+
+
+# ------------------------------------------------------------------ hashing
+
 def test_folded_prefix_is_the_four_part_hash():
+    steps = EDGES + (7, 140_000)
+    step_row = np.array(steps, dtype=np.uint64)[None, :]
+    chain_col = np.array(EDGES, dtype=np.uint64)[:, None]
     for tag in TAGS:
-        for seed, chain in itertools.product(EDGES + (11, -1), EDGES):
-            prefix = _mix64(seed, tag, chain)
-            assert prefix == _mix64_reference(seed, tag, chain)
-            for step in EDGES + (7, 140_000):
-                want = _mix64_reference(seed, tag, chain, step)
-                assert _fold(prefix, step) == want
-                assert _mix64(seed, tag, chain, step) == want
-                assert _unit(prefix, step) == want / float(1 << 64)
+        for seed in EDGES + (11, -1):
+            want = [[_mix64_reference(seed, tag, chain, step)
+                     for step in steps] for chain in EDGES]
+            # One scalar round per part ...
+            for chain, row in zip(EDGES, want):
+                prefix = _mix64(seed, tag, chain)
+                assert prefix == _mix64_reference(seed, tag, chain)
+                for step, cell in zip(steps, row):
+                    assert _fold(prefix, step) == cell
+                    assert _mix64(seed, tag, chain, step) == cell
+            # ... and the same rounds over uint64 arrays: chains folded
+            # into the scalar (seed, tag) state, steps broadcast against
+            # the per-chain prefixes, as the generator's blocks do.
+            prefixes = _fold(_mix64(seed, tag), chain_col)
+            assert prefixes.dtype == np.uint64
+            assert _fold(prefixes, step_row).tolist() == want
+            assert _unit(prefixes, step_row).tolist() == [
+                [cell / float(1 << 64) for cell in row] for row in want]
 
 
 def test_hoisted_size_thresholds_draw_the_same_sizes():
-    def draw_reference(profile, u):
-        total = sum(w for _, w in profile.size_mix)
-        acc = 0.0
-        for size, weight in profile.size_mix:
-            acc += weight / total
-            if u < acc:
-                return size
-        return profile.size_mix[-1][0]
-
     for mix in (((64, 0.7), (512, 0.3)),
                 ((8, 1.0), (72, 3.0), (720, 0.1), (4096, 2.9)),
                 ((64, 0.1),) * 10):
         profile = default_profile(16, 100, size_mix=mix)
         thresholds = _size_thresholds(profile)
-        for k in range(2001):
-            u = k / 2000                          # 1.0: past every share
-            assert _draw_size(thresholds, u) == draw_reference(profile, u)
-        for acc, _ in thresholds:                 # the boundaries themselves
-            assert _draw_size(thresholds, acc) == draw_reference(profile, acc)
+        units = [k / 2000 for k in range(2001)]   # 1.0: past every share
+        units += thresholds[0].tolist()           # the boundaries themselves
+        assert _draw_size(thresholds, np.array(units)).tolist() == [
+            _draw_size_reference(profile, u) for u in units]
+
+
+def test_unit_draw_of_one_takes_the_gap_limit():
+    """``_unit`` is exactly 1.0 for the 1024 hashes from 2^64 - 1024 up,
+    where the gap formula has no logarithm (it raised ``math domain
+    error``); the draw takes the limit of its neighbours and no other
+    draw moves."""
+    top = np.array([_MASK64 - 1023, _MASK64], dtype=np.uint64)
+    assert (top.astype(np.float64) / float(1 << 64)).tolist() == [1.0, 1.0]
+    below = math.nextafter(1.0, 0.0)
+    p = default_profile(16, 100)
+    assert _draw_gaps(p, [below, 1.0]) == [p.gap_max, p.gap_max]
+    flat = replace(p, gap_mean=1.0)               # scale 0: every draw is 1
+    assert _draw_gaps(flat, [0.0, below, 1.0]) == [1, 1, 1]
+    wide = replace(p, gap_max=10**6)              # the clip is out of reach
+    assert _draw_gaps(wide, [0.25, below, 1.0]) == [
+        1 + int(-math.log(0.75) * 17.0), 1 + int(-math.log(2.0 ** -53) * 17.0),
+        10**6]
+
+
+# ----------------------------------------------- identity, record by record
+
+def _golden_fit(path: Path):
+    return fit_profile(Trace.from_json(path.read_text()))
+
+
+_ODD = dict(base_latency=1, gap_mean=1.0, gap_max=3, root_spread=1, chains=5,
+            size_mix=((1, .5), (16, .2), (700, .3)), fanout_prob=0.6)
+
+IDENTITY_GRID = [
+    pytest.param(lambda: default_profile(1024, 20_000), 1.0, id="uniform-1024"),
+    pytest.param(lambda: default_profile(1024, 20_000, pattern="hotspot"),
+                 1.0, id="hotspot-1024"),
+    *(pytest.param(lambda g=g: _golden_fit(g), 20.0,
+                   id=f"fit-{g.name.split('-')[0]}-x20") for g in GOLDEN),
+    pytest.param(lambda: default_profile(64, 6000, **_ODD), 1.0,
+                 id="unit-gaps-three-sizes"),
+    pytest.param(lambda: default_profile(64, 5000, fanout_prob=0.0), 1.0,
+                 id="no-fanout"),
+    pytest.param(lambda: default_profile(64, 5000, fanout_prob=0.9), 1.0,
+                 id="max-fanout"),
+    *(pytest.param(lambda pat=pat: default_profile(64, 3000, pattern=pat),
+                   1.0, id=pat)
+      for pat in ("bit_complement", "bit_reverse", "transpose", "neighbor",
+                  "tornado")),
+    pytest.param(lambda: default_profile(256, 40), 1.0,
+                 id="fewer-messages-than-chains"),
+    pytest.param(lambda: default_profile(256, 12_000), 0.37, id="scaled-down"),
+]
+
+
+@pytest.mark.parametrize("make_profile, scale", IDENTITY_GRID)
+def test_every_record_equals_the_per_record_reference(make_profile, scale):
+    profile = make_profile()
+    got = list(iter_records(profile, scale=scale, seed=5))
+    want = list(_iter_records_reference(profile, scale=scale, seed=5))
+    assert len(got) == len(want) == profile.scaled_messages(scale)
+    for a, b in zip(got, want):
+        assert a == b           # frozen dataclass: every field, key included
+
+
+def test_golden_corpus_is_on_the_grid():
+    assert len(GOLDEN) == 4
+    assert {_golden_fit(g).chains for g in GOLDEN} == {4, 16}
+
+
+def test_blocks_are_hashed_once_and_dropped_behind_the_slowest_chain(
+        monkeypatch):
+    """Blocks four steps wide under a ~1100-step trace, so the chains drift
+    across several blocks at once: each block is entered exactly once (a
+    dropped block is never needed again) and the live set follows the
+    spread between the slowest and the fastest chain, not the trace."""
+    spies = []
+
+    class Spy(generator._Decisions):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.entered, self.peak = [], 0
+            spies.append(self)
+
+        def enter(self, block):
+            rows = super().enter(block)
+            self.entered.append(block)
+            self.peak = max(self.peak, len(self.live))
+            return rows
+
+    profile = default_profile(64, 20_000, chains=16)
+    want = list(_iter_records_reference(profile, seed=3))
+    monkeypatch.setattr(generator, "_BLOCK_CELLS", 64)
+    monkeypatch.setattr(generator, "_Decisions", Spy)
+    assert list(iter_records(profile, seed=3)) == want
+    (spy,) = spies
+    assert spy.span == 4
+    assert len(spy.entered) > 250
+    assert spy.entered == list(range(len(spy.entered)))
+    assert 3 <= spy.peak <= 16
+    assert min(spy.live) > len(spy.entered) - 16  # the rest are long gone
+
+
+# ---------------------------------------------------------- container bytes
+
+def _block_types(blob: bytes) -> list[str]:
+    return [b["type"] for b in tracebin.scan_blocks(io.BytesIO(blob))["blocks"]]
+
+
+@pytest.mark.parametrize("chunk_records, messages", [
+    (7, 2100), (4096, 8192), (None, tracebin.CHUNK_RECORDS)])
+@pytest.mark.parametrize("fanout_prob", [0.0, 0.3])
+def test_streamed_container_is_the_dumped_trace(tmp_path, chunk_records,
+                                                messages, fanout_prob):
+    """``messages`` is a whole number of chunks: no empty trailing block."""
+    kwargs = {} if chunk_records is None else {"chunk_records": chunk_records}
+    size = chunk_records or tracebin.CHUNK_RECORDS
+    profile = default_profile(64, messages, fanout_prob=fanout_prob)
+    path = tmp_path / "s.rtrc"
+    generate_to_file(profile, path, seed=8, **kwargs)
+    blob = path.read_bytes()
+    assert blob == tracebin.dumps(generate(profile, seed=8), **kwargs)
+
+    types = _block_types(blob)
+    assert types.count("RECORDS") == messages // size
+    summary = tracebin.read_summary(path)
+    if fanout_prob == 0.0:
+        assert types.count("KINDS") == 1 and summary["kinds"] == ("data",)
+    else:
+        # The first seven records are roots, so at seven a chunk "ctrl"
+        # first shows up in a later chunk than "data" and gets its own
+        # KINDS block; a large first chunk names both at once.
+        assert types.count("KINDS") == (2 if size == 7 else 1)
+        assert summary["kinds"] == ("data", "ctrl")
+
+
+def test_add_chunk_after_add_records_keeps_call_order(tmp_path):
+    trace = generate(default_profile(16, 400, fanout_prob=0.5), seed=2)
+    records = trace.records
+    ctrl = next(i for i, r in enumerate(records) if r.kind == "ctrl")
+    assert ctrl > 5
+    # The chunk's own table starts with "ctrl"; the file's, by then, with
+    # "data" — the writer maps one onto the other.
+    chunk = tracebin.RecordChunk.from_records(records[ctrl:])
+    assert chunk.kinds == ("ctrl", "data")
+
+    out = io.BytesIO()
+    writer = tracebin.BinaryTraceWriter(out, meta=trace.meta,
+                                        chunk_records=4096)
+    writer.add_records(records[:5])
+    writer.add_chunk(tracebin.RecordChunk.from_records(records[5:ctrl]))
+    writer.add_records(())
+    writer.add_chunk(chunk)
+    writer.add_chunk(tracebin.RecordChunk.from_records([]))
+    writer.add_markers(trace.end_markers)
+    writer.close(trace.exec_time)
+
+    assert _block_types(out.getvalue()) == [
+        "META", "KINDS", "RECORDS", "RECORDS", "KINDS", "RECORDS",
+        "MARKERS", "END"]
+    sizes = [len(c) for c in tracebin.iter_chunks(io.BytesIO(out.getvalue()))]
+    assert sizes == [5, ctrl - 5, len(records) - ctrl]
+    loaded = tracebin.loads(out.getvalue())
+    assert loaded.records == records
+    assert loaded.end_markers == trace.end_markers
 
 
 def test_benchmark_container_digest_is_unchanged(tmp_path):
@@ -87,8 +358,24 @@ def test_benchmark_container_digest_is_unchanged(tmp_path):
                      path, seed=11)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded
     expected = json.loads(
-        (Path(__file__).parent.parent / "benchmarks" / "pipeline"
-         / "expected.json").read_text())
+        (REPO / "benchmarks" / "pipeline" / "expected.json").read_text())
     assert expected["seed"] == 11
     assert (expected["pins"]["full"]["synth_generational_1k"]
             ["container.sha256"] == recorded)
+
+
+@pytest.mark.parametrize("sizes, workload, pattern, messages", [
+    ("smoke", "synth_generational_1k", "uniform", 10_000),
+    ("smoke", "synth_stream_300k", "hotspot", 10_000),
+    ("full", "synth_stream_300k", "hotspot", 300_000)])
+def test_other_spine_container_pins_regenerate(tmp_path, sizes, workload,
+                                               pattern, messages):
+    """The spine's three other ``container.sha256`` pins, read here and
+    never written: regenerated at the spine's own sizes and seed."""
+    expected = json.loads(
+        (REPO / "benchmarks" / "pipeline" / "expected.json").read_text())
+    path = tmp_path / "container.rtrc"
+    generate_to_file(default_profile(1024, messages, pattern=pattern),
+                     path, seed=expected["seed"])
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == expected["pins"][sizes][workload]["container.sha256"])
