@@ -58,22 +58,18 @@ class Packet:
 class Flit:
     """One flow-control unit.  ``ready_time`` is stamped by each router on
     arrival: the cycle at which the flit has cleared that router's pipeline
-    and may compete for the switch."""
+    and may compete for the switch.  ``is_head``/``is_tail`` are fixed by the
+    flit's position in its packet and read on every grant, so they are
+    plain slots."""
 
-    __slots__ = ("packet", "index", "ready_time")
+    __slots__ = ("packet", "index", "ready_time", "is_head", "is_tail")
 
     def __init__(self, packet: Packet, index: int) -> None:
         self.packet = packet
         self.index = index
         self.ready_time = 0
-
-    @property
-    def is_head(self) -> bool:
-        return self.index == 0
-
-    @property
-    def is_tail(self) -> bool:
-        return self.index == self.packet.num_flits - 1
+        self.is_head = index == 0
+        self.is_tail = index == packet.num_flits - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         role = "H" if self.is_head else ("T" if self.is_tail else "B")

@@ -24,6 +24,7 @@ class NetworkInterface:
 
     __slots__ = (
         "node",
+        "key",
         "cfg",
         "net",
         "queue",
@@ -38,6 +39,7 @@ class NetworkInterface:
 
     def __init__(self, node: int, cfg: NocConfig, net: "ElectricalNetwork") -> None:
         self.node = node
+        self.key = cfg.num_nodes + node        # active-set key (after routers)
         self.cfg = cfg
         self.net = net
         self.queue: deque[Message] = deque()

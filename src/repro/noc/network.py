@@ -3,9 +3,24 @@
 Orchestration: components (routers, NIs) that have work are kept in an
 *active set*; a single network tick event per cycle runs ``cycle()`` on each
 active component in deterministic (sorted-key) order and reschedules itself
-only while anything remains active.  Flit and credit transfers are plain
-simulator events with sub-tick priority, so state landed by time *t* is
-visible to the tick at *t*.
+only while anything remains active.
+
+Flit and credit transfers do not cost a kernel event each.  A transfer is
+appended to the *landing bucket* of the absolute cycle it lands on, and the
+first transfer for a cycle schedules one ``_land(t)`` event with sub-tick
+priority that delivers the whole bucket in append order, so state landed by
+time *t* is visible to the tick at *t*.  This is the per-transfer event
+order exactly: a bucket's append order is the order the events would have
+been scheduled in, every ``(port, vc)`` buffer has one upstream, credits are
+counters, ``wake`` is idempotent, and every latency is >= 1 (config
+validation), so a landing never targets its own cycle.  The one exception is
+ejection: ``NetworkInterface.flit_eject`` keeps its own kernel event,
+because ``flit_eject -> deliver -> msg.on_delivery`` re-enters the system
+model and must keep its place among that model's same-cycle events.
+
+Which router input a link feeds, and which output a credit returns to, is
+wiring: it is resolved per ``(node, port)`` at construction, not asked of
+the topology per flit.
 """
 
 from __future__ import annotations
@@ -50,12 +65,29 @@ class ElectricalNetwork:
             latency=LatencyRecorder(keep_per_message=keep_per_message_latency)
         )
         self._delivery_handler: Optional[Callable[[Message], None]] = None
-        # Active set keyed by a stable integer: routers 0..N-1, NIs N..2N-1.
+        # Active set keyed by each component's ``key``: routers 0..N-1,
+        # NIs N..2N-1.
         self._active: dict[int, object] = {}
         self._tick_scheduled = False
         self._in_tick = False
         # Per-directed-link flit counters for utilisation reports.
         self.link_flits: dict[tuple[int, int], int] = {}
+        # Landing buckets: absolute cycle -> [(fn, args), ...] in send order.
+        self._landing: dict[int, list[tuple[Callable[..., None], tuple]]] = {}
+        # Wiring: _links[node][port] is the far end of the link on that port
+        # — (flit_arrive, credit_arrive, far_port, link_flits key), the
+        # neighbouring router's two landing methods and the port it sees
+        # this link on — or None for LOCAL and for a dead port.
+        self._links: list[list[Optional[tuple]]] = []
+        for node in range(cfg.num_nodes):
+            row: list[Optional[tuple]] = [None] * self.topo.num_ports
+            for port in self.topo.output_ports(node):
+                nbr, far_port = self.topo.neighbor(node, port)
+                far = self.routers[nbr]
+                row[port] = (
+                    far.flit_arrive, far.credit_arrive, far_port, (node, port)
+                )
+            self._links.append(row)
         # None unless repro.obs instrumentation was enabled at build time.
         self._probe = net_probe("electrical")
 
@@ -81,15 +113,9 @@ class ElectricalNetwork:
         self._delivery_handler = fn
 
     # -------------------------------------------------------- tick engine
-    def _key(self, comp: object) -> int:
-        if isinstance(comp, Router):
-            return comp.node
-        assert isinstance(comp, NetworkInterface)
-        return self.cfg.num_nodes + comp.node
-
     def wake(self, comp: object) -> None:
         """Mark a component as having work; guarantees a tick will run."""
-        self._active[self._key(comp)] = comp
+        self._active[comp.key] = comp  # type: ignore[attr-defined]
         if not self._tick_scheduled:
             self._tick_scheduled = True
             # A wake during the tick itself must target the *next* cycle.
@@ -100,12 +126,13 @@ class ElectricalNetwork:
         self._tick_scheduled = False
         self._in_tick = True
         try:
-            still_active: dict[int, object] = {}
-            for key in sorted(self._active):
-                comp = self._active[key]
+            # Swap first: a wake() made from inside a cycle() lands in the
+            # set the next tick reads, beside this tick's survivors.
+            active, self._active = self._active, {}
+            for key in sorted(active):
+                comp = active[key]
                 if comp.cycle():  # type: ignore[attr-defined]
-                    still_active[key] = comp
-            self._active = still_active
+                    self._active[key] = comp
         finally:
             self._in_tick = False
         if self._active and not self._tick_scheduled:
@@ -113,13 +140,25 @@ class ElectricalNetwork:
             self.sim.schedule(self.sim.now + 1, self._tick, priority=_PRIO_TICK)
 
     # -------------------------------------------------- transfer plumbing
+    def _land_at(self, t: int, fn: Callable[..., None], args: tuple) -> None:
+        """Deliver ``fn(*args)`` with the other transfers landing at ``t``."""
+        bucket = self._landing.get(t)
+        if bucket is None:
+            self._landing[t] = [(fn, args)]
+            self.sim.schedule(t, self._land, (t,), priority=_PRIO_TRANSFER)
+        else:
+            bucket.append((fn, args))
+
+    def _land(self, t: int) -> None:
+        for fn, args in self._landing.pop(t):
+            fn(*args)
+
     def inject_flit(self, node: int, vc: int, flit: Flit) -> None:
         """NI -> router LOCAL input port, one link latency away."""
-        self.sim.schedule(
+        self._land_at(
             self.sim.now + self.cfg.link_latency,
             self.routers[node].flit_arrive,
             (LOCAL, vc, flit),
-            priority=_PRIO_TRANSFER,
         )
 
     def send_flit(self, node: int, out_port: int, out_vc: int, flit: Flit) -> None:
@@ -134,48 +173,33 @@ class ElectricalNetwork:
             )
             # The NI sink always has room; recycle the ejection credit so the
             # LOCAL output VC can be atomically re-allocated.
-            self.sim.schedule(
+            self._land_at(
                 now + self.cfg.credit_latency,
                 self.routers[node].credit_arrive,
                 (LOCAL, out_vc),
-                priority=_PRIO_TRANSFER,
             )
         else:
-            nb = self.topo.neighbor(node, out_port)
-            if nb is None:
+            link = self._links[node][out_port]
+            if link is None:
                 raise RuntimeError(
                     f"router {node} routed out dead port {out_port} — routing bug"
                 )
-            nbr, in_port = nb
-            self.sim.schedule(
-                now + self.cfg.link_latency,
-                self.routers[nbr].flit_arrive,
-                (in_port, out_vc, flit),
-                priority=_PRIO_TRANSFER,
+            flit_arrive, _, in_port, key = link
+            self._land_at(
+                now + self.cfg.link_latency, flit_arrive, (in_port, out_vc, flit)
             )
-            key = (node, out_port)
             self.link_flits[key] = self.link_flits.get(key, 0) + 1
 
     def return_credit(self, node: int, in_port: int, in_vc: int) -> None:
         """Input buffer slot at ``node`` freed: credit the upstream sender."""
-        now = self.sim.now
+        t = self.sim.now + self.cfg.credit_latency
         if in_port == LOCAL:
-            self.sim.schedule(
-                now + self.cfg.credit_latency,
-                self.nis[node].credit_arrive,
-                (in_vc,),
-                priority=_PRIO_TRANSFER,
-            )
+            self._land_at(t, self.nis[node].credit_arrive, (in_vc,))
         else:
-            nb = self.topo.neighbor(node, in_port)
-            assert nb is not None, "credit for a dead port"
-            upstream, upstream_out_port = nb
-            self.sim.schedule(
-                now + self.cfg.credit_latency,
-                self.routers[upstream].credit_arrive,
-                (upstream_out_port, in_vc),
-                priority=_PRIO_TRANSFER,
-            )
+            link = self._links[node][in_port]
+            assert link is not None, "credit for a dead port"
+            _, credit_arrive, out_port, _ = link
+            self._land_at(t, credit_arrive, (out_port, in_vc))
 
     # ------------------------------------------------------------ delivery
     def deliver(self, msg: Message) -> None:

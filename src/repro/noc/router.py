@@ -10,10 +10,24 @@ classic BW/RC/VA/SA/ST stages into a fixed pipeline depth while preserving
    is granted only when empty, i.e. all credits present), so two packets
    never interleave in one buffer.
 2. **SA/ST** — input VCs holding an output VC bid for the switch.  Separable
-   allocation with a single round-robin priority pointer: at most one grant
-   per input port and per output port per cycle, gated on downstream credit.
-   Granted flits depart on the link (arriving ``link_latency`` later) and a
-   credit returns upstream ``credit_latency`` later.
+   allocation: at most one grant per input port and per output port per
+   cycle, gated on downstream credit.  Granted flits depart on the link
+   (arriving ``link_latency`` later) and a credit returns upstream
+   ``credit_latency`` later.
+
+Arbitration order: both walks visit ``n`` slots of the flattened input-VC
+list starting at a priority pointer, and the pointer *moves during the
+walk* — step ``i`` looks at slot ``(pointer + i) % n`` with the pointer's
+current value.  VA advances it past every VC it serves, SA past the first
+grant of the cycle, so after a success the remaining steps are re-based on
+the new pointer: within one cycle some VCs are passed over and some are
+looked at twice.  This is not a plain round-robin, and it is the order every
+recorded timing depends on (``tests/golden/noc_digests.json``); keep it.
+
+The router does nothing it can know is empty: ``_buffered`` counts the flits
+in all input buffers (``cycle`` returns at once at 0, and a credit landing
+on an empty router wakes nobody), ``_waiting`` counts the non-empty input
+VCs that hold no output VC (the VA walk runs only when one exists).
 
 Deadlock freedom:
 
@@ -64,15 +78,19 @@ class Router:
 
     __slots__ = (
         "node",
+        "key",
         "cfg",
         "topo",
         "net",
         "input_vcs",
         "out_alloc",
         "credits",
+        "_credit_cap",
         "_va_rr",
         "_sa_rr",
         "_all_ivcs",
+        "_buffered",
+        "_waiting",
         "flits_routed",
     )
 
@@ -80,6 +98,7 @@ class Router:
         self, node: int, cfg: NocConfig, topo: Topology, net: "ElectricalNetwork"
     ) -> None:
         self.node = node
+        self.key = node                        # active-set key (NIs follow)
         self.cfg = cfg
         self.topo = topo
         self.net = net
@@ -91,38 +110,46 @@ class Router:
         self.out_alloc: list[list[Optional[tuple[int, int]]]] = [
             [None] * nvcs for _ in range(nports)
         ]
-        self.credits = [[cfg.vc_depth] * nvcs for _ in range(nports)]
-        self.credits[LOCAL] = [EJECT_CREDITS] * nvcs
+        # Full credit count of an output VC, per port.
+        self._credit_cap = [cfg.vc_depth] * nports
+        self._credit_cap[LOCAL] = EJECT_CREDITS
+        self.credits = [[cap] * nvcs for cap in self._credit_cap]
         self._va_rr = 0
         self._sa_rr = 0
-        # Flattened, fixed iteration order for deterministic round-robin.
+        # Flattened, fixed slot order for the two arbitration walks.
         self._all_ivcs = [ivc for port_vcs in self.input_vcs for ivc in port_vcs]
+        self._buffered = 0     # flits in all input buffers
+        self._waiting = 0      # non-empty input VCs with out_vc is None
         self.flits_routed = 0
 
     # ------------------------------------------------------------ interface
     def flit_arrive(self, port: int, vc: int, flit: Flit) -> None:
-        """A flit lands in input buffer (port, vc); called by link events."""
+        """A flit lands in input buffer (port, vc) as its link transfer lands."""
         ivc = self.input_vcs[port][vc]
-        if len(ivc.flits) >= self.cfg.vc_depth and port != LOCAL:
+        flits = ivc.flits
+        if len(flits) >= self.cfg.vc_depth:
             raise RuntimeError(
                 f"router {self.node} input ({port},{vc}) overflow — "
                 "credit protocol violated"
             )
         flit.ready_time = self.net.sim.now + self.cfg.router_latency
-        ivc.flits.append(flit)
+        if not flits and ivc.out_vc is None:
+            self._waiting += 1
+        flits.append(flit)
+        self._buffered += 1
         self.net.wake(self)
 
     def credit_arrive(self, port: int, vc: int) -> None:
         """A downstream buffer slot freed up on output (port, vc)."""
-        self.credits[port][vc] += 1
-        if self.credits[port][vc] > self._credit_cap(port):
+        credits = self.credits[port]
+        credits[vc] += 1
+        if credits[vc] > self._credit_cap[port]:
             raise RuntimeError(
                 f"router {self.node} credit overflow on ({port},{vc})"
             )
-        self.net.wake(self)
-
-    def _credit_cap(self, port: int) -> int:
-        return EJECT_CREDITS if port == LOCAL else self.cfg.vc_depth
+        # A credit can only unblock a buffered flit.
+        if self._buffered:
+            self.net.wake(self)
 
     # ------------------------------------------------------------- VC rules
     def _vc_candidates(self, packet, out_port: int) -> list[int]:
@@ -169,10 +196,11 @@ class Router:
         for v in self._vc_candidates(packet, out_port):
             if (
                 self.out_alloc[out_port][v] is None
-                and self.credits[out_port][v] == self._credit_cap(out_port)
+                and self.credits[out_port][v] == self._credit_cap[out_port]
             ):
                 self.out_alloc[out_port][v] = (ivc.port, ivc.vc)
                 ivc.out_vc = v
+                self._waiting -= 1
                 return True
         # Adaptive fallback: if no adaptive VC anywhere, retry via escape
         # route next cycle by re-running route computation.
@@ -182,55 +210,56 @@ class Router:
 
     # ------------------------------------------------------------ main loop
     def cycle(self) -> bool:
-        """One clock edge; returns True if work remains pending."""
+        """One clock edge; returns True if work remains pending.
+
+        Both walks follow the moving-pointer order of the module docstring.
+        """
+        if not self._buffered:
+            return False
         now = self.net.sim.now
         ivcs = self._all_ivcs
         n = len(ivcs)
 
-        # --- VC allocation (round-robin over input VCs) -------------------
-        pending = False
-        for i in range(n):
-            ivc = ivcs[(self._va_rr + i) % n]
-            if ivc.flits and ivc.out_vc is None and ivc.flits[0].is_head:
-                if self._try_vc_alloc(ivc):
-                    self._va_rr = (self._va_rr + i + 1) % n
-                else:
-                    pending = True
+        # --- VC allocation -------------------------------------------------
+        if self._waiting:
+            rr = self._va_rr
+            for i in range(n):
+                ivc = ivcs[(rr + i) % n]
+                if ivc.out_vc is None and ivc.flits and ivc.flits[0].is_head:
+                    if self._try_vc_alloc(ivc):
+                        rr = self._va_rr = (rr + i + 1) % n
+                        if not self._waiting:
+                            break
 
         # --- Switch allocation + traversal --------------------------------
-        used_in: set[int] = set()
-        used_out: set[int] = set()
-        granted_any = False
+        used_in = used_out = 0      # bitmasks over input / output ports
+        rr = self._sa_rr
         for i in range(n):
-            ivc = ivcs[(self._sa_rr + i) % n]
-            if not ivc.flits or ivc.out_vc is None:
+            ivc = ivcs[(rr + i) % n]
+            out_vc = ivc.out_vc
+            if out_vc is None or not ivc.flits:
                 continue
             flit = ivc.flits[0]
             if flit.ready_time > now:
-                pending = True
                 continue
             out_port = ivc.route_out
             assert out_port is not None
-            if ivc.port in used_in or out_port in used_out:
-                pending = True
+            if used_in >> ivc.port & 1 or used_out >> out_port & 1:
                 continue
-            if self.credits[out_port][ivc.out_vc] <= 0:
-                pending = True
+            if self.credits[out_port][out_vc] <= 0:
                 continue
-            self._traverse(ivc, flit, out_port, ivc.out_vc)
-            used_in.add(ivc.port)
-            used_out.add(out_port)
-            if not granted_any:
-                self._sa_rr = (self._sa_rr + i + 1) % n
-                granted_any = True
-            if ivc.flits:
-                pending = True
+            self._traverse(ivc, flit, out_port, out_vc)
+            if not used_in:     # the cycle's first grant moves the pointer
+                rr = self._sa_rr = (rr + i + 1) % n
+            used_in |= 1 << ivc.port
+            used_out |= 1 << out_port
 
-        return pending or any(ivc.flits for ivc in ivcs)
+        return self._buffered > 0
 
     def _traverse(self, ivc: InputVC, flit: Flit, out_port: int, out_vc: int) -> None:
         """Move one granted flit through the switch onto the output link."""
         ivc.flits.popleft()
+        self._buffered -= 1
         self.credits[out_port][out_vc] -= 1
         self.flits_routed += 1
         packet = flit.packet
@@ -241,9 +270,12 @@ class Router:
 
         if flit.is_tail:
             # Release the output VC; the input VC becomes ready for the next
-            # packet's head.
-            self.out_alloc[out_port][ivc.out_vc] = None
+            # packet's head, which may already be queued behind this tail
+            # (the NI streams packets back to back into LOCAL).
+            self.out_alloc[out_port][out_vc] = None
             ivc.reset_packet_state()
+            if ivc.flits:
+                self._waiting += 1
 
         self.net.send_flit(self.node, out_port, out_vc, flit)
         self.net.return_credit(self.node, ivc.port, ivc.vc)

@@ -21,7 +21,7 @@ def _mesh_dx_dy(topo: Topology, cur: int, dst: int) -> tuple[int, int]:
 
     Ties (exactly half-way around) break toward the positive direction.
     """
-    a, b = topo.coord(cur), topo.coord(dst)
+    a, b = topo.coords[cur], topo.coords[dst]
     dx = b.x - a.x
     dy = b.y - a.y
     if topo.kind == TORUS:
@@ -66,9 +66,8 @@ def route_port(topo: Topology, algorithm: str, cur: int, dst: int) -> int:
     """
     if cur == dst:
         return LOCAL
-    ports = productive_ports(topo, cur, dst)
     if topo.kind == RING:
-        return ports[0]
+        return productive_ports(topo, cur, dst)[0]
     if topo.kind in (MESH, TORUS):
         dx, dy = _mesh_dx_dy(topo, cur, dst)
         if algorithm == ROUTING_YX:

@@ -56,6 +56,12 @@ class Topology:
             [None] * self.num_ports for _ in range(self.num_nodes)
         ]
         self._wire()
+        #: ``coords[node]`` is the node's :class:`Coord`, built once; route
+        #: computation indexes it directly (``coord()`` adds the range check).
+        self.coords = [
+            Coord(node % self.width, node // self.width)
+            for node in range(self.num_nodes)
+        ]
 
     # ------------------------------------------------------------- wiring
     def _wire(self) -> None:
@@ -91,7 +97,7 @@ class Topology:
     def coord(self, node: int) -> Coord:
         """Mesh/torus coordinate of ``node``."""
         self._check_node(node)
-        return Coord(node % self.width, node // self.width)
+        return self.coords[node]
 
     def node_at(self, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):

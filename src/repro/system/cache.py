@@ -31,14 +31,16 @@ class CacheArray:
     """One cache structure addressed by *line index* (byte addr / line size).
 
     The array tracks tags and states only — simulated data values are never
-    materialised (timing simulation does not need them).
+    materialised (timing simulation does not need them).  A set's ways are
+    built when the set is first addressed: a run touches a small part of a
+    large array, and an untouched set is all-INVALID by definition.
     """
 
     def __init__(self, cfg: CacheConfig) -> None:
         self.cfg = cfg
         self.num_sets = cfg.num_sets
         self.assoc = cfg.assoc
-        self._sets = [[_Line() for _ in range(cfg.assoc)] for _ in range(self.num_sets)]
+        self._sets: dict[int, list[_Line]] = {}    # set index -> ways
         self._tick = 0
         self.hits = 0
         self.misses = 0
@@ -48,7 +50,11 @@ class CacheArray:
     def _set_of(self, line_index: int) -> list[_Line]:
         if line_index < 0:
             raise ValueError(f"negative line index {line_index}")
-        return self._sets[line_index % self.num_sets]
+        index = line_index % self.num_sets
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = [_Line() for _ in range(self.assoc)]
+        return ways
 
     def lookup(self, line_index: int) -> CacheLineState:
         """State of ``line_index`` (INVALID if absent); touches LRU on hit."""
@@ -141,7 +147,7 @@ class CacheArray:
         """All resident line indices (test/inspection hook)."""
         return sorted(
             w.tag
-            for s in self._sets
+            for s in self._sets.values()
             for w in s
             if w.state != CacheLineState.INVALID
         )
@@ -149,5 +155,8 @@ class CacheArray:
     @property
     def occupancy(self) -> int:
         return sum(
-            1 for s in self._sets for w in s if w.state != CacheLineState.INVALID
+            1
+            for s in self._sets.values()
+            for w in s
+            if w.state != CacheLineState.INVALID
         )

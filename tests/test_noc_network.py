@@ -183,3 +183,28 @@ def test_backpressure_bounds_buffer_occupancy():
     sim.run()
     assert not overflow_seen
     assert net.quiescent()
+
+
+def test_wake_from_inside_a_tick_reaches_the_next_tick():
+    """A component woken by another's cycle() is cycled one tick later —
+    the wake must not land in the active set the running tick discards."""
+    sim = Simulator()
+    net = ElectricalNetwork(sim, NocConfig())
+    cycled = []
+
+    class Stub:
+        def __init__(self, key, then=None):
+            self.key = key
+            self.then = then
+
+        def cycle(self):
+            cycled.append((sim.now, self.key))
+            if self.then is not None:
+                net.wake(self.then)
+            return False
+
+    first = Stub(1001, then=Stub(1000))
+    sim.schedule(5, net.wake, (first,))
+    sim.run()
+    assert cycled == [(5, 1001), (6, 1000)]
+    assert net.quiescent()

@@ -7,11 +7,13 @@ test_noc_network.py.
 
 from __future__ import annotations
 
+import pytest
 
 from repro.config import NocConfig
 from repro.engine import Simulator
 from repro.net import Message
 from repro.noc import ElectricalNetwork
+from repro.noc.flit import Packet
 from repro.noc.router import EJECT_CREDITS
 from repro.noc.topology import EAST, LOCAL, WEST
 
@@ -141,3 +143,17 @@ def test_buffered_flits_zero_after_drain():
             sim.schedule(i, net.send, (Message(i % 16, (i * 3 + 1) % 16, 48),))
     sim.run()
     assert all(r.buffered_flits() == 0 for r in net.routers)
+
+
+def test_local_input_overflow_raises_like_any_port():
+    """The NI holds vc_depth credits per VC like any upstream router, so a
+    flit beyond that on LOCAL is a broken credit protocol, not a longer
+    queue."""
+    cfg = NocConfig()
+    _, net = make_net(cfg)
+    r = net.routers[0]
+    flits = Packet(0, 1, cfg.vc_depth + 1).make_flits()
+    for flit in flits[:cfg.vc_depth]:
+        r.flit_arrive(LOCAL, 0, flit)
+    with pytest.raises(RuntimeError, match=r"input \(0,0\) overflow"):
+        r.flit_arrive(LOCAL, 0, flits[-1])

@@ -123,3 +123,43 @@ def test_negative_line_rejected():
     c = tiny()
     with pytest.raises(ValueError):
         c.lookup(-1)
+
+
+# --- sets are built on first touch ---------------------------------------
+
+def test_fresh_array_holds_no_lines():
+    c = tiny(assoc=4, sets=64)
+    assert not c._sets
+    assert c.resident_lines() == [] and c.occupancy == 0
+
+
+def test_never_addressed_set_answers_invalid():
+    c = tiny(assoc=2, sets=4)
+    c.install(1, S)                  # set 1 only
+    assert c.peek(2) == INV
+    assert (c.hits, c.misses) == (0, 0)
+    assert c.lookup(3) == INV
+    assert (c.hits, c.misses) == (0, 1)
+    assert c.invalidate(0) == INV
+    with pytest.raises(KeyError):
+        c.set_state(4, M)
+    assert c.resident_lines() == [1]
+
+
+def test_fill_evict_refill_over_two_sets():
+    """Victims and residents recorded on the eagerly built array: sets 1
+    and 2 of 4 are used, sets 0 and 3 never addressed."""
+    c = tiny(assoc=2, sets=4)
+    victims = [c.install(line, st)
+               for line, st in [(1, S), (5, M), (2, S), (6, S)]]
+    c.lookup(1)                      # 1 becomes MRU of set 1
+    victims.append(c.install(9, S))
+    victims.append(c.install(10, M))
+    c.invalidate(9)
+    victims.append(c.install(13, S))   # the freed way, no victim
+    victims.append(c.install(5, S))    # refill set 1
+    victims.append(c.install(2, S))    # refill set 2
+    assert victims == [None, None, None, None, (5, M), (2, S), None,
+                       (1, S), (6, S)]
+    assert c.resident_lines() == [2, 5, 10, 13]
+    assert (c.occupancy, c.evictions, c.hits, c.misses) == (4, 4, 1, 0)
