@@ -57,7 +57,6 @@ class NocConfig:
     credit_latency: int = 1
     routing: str = ROUTING_XY
     clock_ghz: float = 2.0
-    max_packet_flits: int = 32
 
     def __post_init__(self) -> None:
         _require(self.topology in ELECTRICAL_TOPOLOGIES,
@@ -75,8 +74,6 @@ class NocConfig:
         _require(self.routing in ROUTING_ALGORITHMS,
                  f"unknown routing {self.routing!r}; expected one of {ROUTING_ALGORITHMS}")
         _require(self.clock_ghz > 0, f"clock_ghz must be > 0, got {self.clock_ghz}")
-        _require(self.max_packet_flits >= 1,
-                 f"max_packet_flits must be >= 1, got {self.max_packet_flits}")
         if self.topology in (MESH, TORUS) and self.routing == ROUTING_ADAPTIVE:
             _require(self.num_vcs >= 2,
                      "adaptive routing needs >= 2 VCs (one escape VC for deadlock freedom)")
@@ -253,7 +250,6 @@ class SystemConfig:
     )
     mem_latency: int = 100
     num_mem_ctrls: int = 4
-    core_clock_ghz: float = 2.0
     # Message sizes (bytes): control and data (control + one cache line)
     ctrl_msg_bytes: int = 8
     data_msg_bytes: int = 72
@@ -264,7 +260,6 @@ class SystemConfig:
         _require(self.num_mem_ctrls >= 1, "num_mem_ctrls must be >= 1")
         _require(self.num_mem_ctrls <= self.num_cores,
                  "num_mem_ctrls cannot exceed num_cores (controllers live at nodes)")
-        _require(self.core_clock_ghz > 0, "core_clock_ghz must be > 0")
         _require(self.l1.line_bytes == self.l2_slice.line_bytes,
                  "L1 and L2 line sizes must match")
         _require(self.ctrl_msg_bytes >= 1, "ctrl_msg_bytes must be >= 1")
@@ -338,10 +333,6 @@ class TraceConfig:
     """Replay behaviour of the trace model."""
 
     mode: str = TRACE_SELF_CORRECTING
-    # No reader left in src/ (the iterative refiner takes its own argument);
-    # kept because every cache key hashes it — goes with the next CACHE_SALT.
-    max_iterations: int = 5
-    convergence_tol: float = 1e-3      # relative exec-time change between passes
     keep_dep_fraction: float = 1.0     # ablation: fraction of dependency edges kept
     dep_drop_seed: int = 12345
     degraded_gap_policy: str = GAP_POLICY_NEIGHBOR
@@ -364,8 +355,6 @@ class TraceConfig:
         _require(self.engine in REPLAY_ENGINES,
                  f"unknown replay engine {self.engine!r}; "
                  f"expected one of {REPLAY_ENGINES}")
-        _require(self.max_iterations >= 1, "max_iterations must be >= 1")
-        _require(self.convergence_tol > 0, "convergence_tol must be > 0")
         _require(0.0 <= self.keep_dep_fraction <= 1.0,
                  f"keep_dep_fraction must be in [0, 1], got {self.keep_dep_fraction}")
         _require(self.degraded_gap_policy in GAP_POLICIES,

@@ -9,6 +9,11 @@ experiments depend on:
 * **Isolation** — adding a new random consumer does not perturb the streams
   of existing components, so accuracy comparisons between simulator variants
   see identical workloads.
+
+Beside the streams, :func:`mix64` is the one *stateless* hash: per-record
+decisions (fault models, degradation generators, the synthetic workload
+generator) that must survive reordering and composition are hashed from
+their coordinates rather than drawn from a stream.
 """
 
 from __future__ import annotations
@@ -16,6 +21,34 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+
+_MASK64 = (1 << 64) - 1
+
+
+def fold(x, p):
+    """One splitmix64 finalizer round: absorb ``p`` into state ``x``.
+
+    Python ints or ``uint64`` arrays alike — an array product wraps mod
+    2^64, which is what the mask does to the int."""
+    x = x ^ (p & _MASK64)
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def mix64(*parts) -> int:
+    """Deterministic 64-bit hash of ints/strings (splitmix64 finalizer chain).
+
+    Platform- and process-independent (unlike ``hash``), cheap enough to call
+    once per record, and stateless.  The hash of a prefix is the state the
+    next part is folded into: ``mix64(*parts, p) == fold(mix64(*parts), p)``.
+    """
+    x = 0x9E3779B97F4A7C15
+    for p in parts:
+        if isinstance(p, str):
+            p = int.from_bytes(p.encode("utf-8"), "little")
+        x = fold(x, p)
+    return x
 
 
 class RngFactory:

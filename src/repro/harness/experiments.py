@@ -255,7 +255,6 @@ def convergence_experiment(
         trace,
         factory,
         max_iterations=max_iterations,
-        convergence_tol=exp.trace.convergence_tol,
         damping=damping,
     )
     result = refiner.run()

@@ -22,20 +22,23 @@ Three pieces:
   deterministic submission order, and memoises each task under
   ``sha256(fn + args + kwargs + salt)`` as a JSON file.
 
-Cache invalidation: the key includes :data:`CACHE_SALT`, a code-version
-salt bumped whenever simulation semantics change, plus any user salt passed
-to the runner, plus :func:`repro.obs.cache_token` — the instrumentation
-state.  The token is empty while metrics are disabled (old caches stay
-valid) and non-empty while enabled, so turning metrics on can never be
-answered from a stale, metrics-less cache entry.  Clearing is just deleting
-the directory (or ``python -m repro cache --clear``).
+Cache invalidation: a result's key is its task — ``fn``, ``args``,
+``kwargs`` — plus :data:`CACHE_SALT`, a code-version salt bumped whenever
+simulation (or probe) semantics change, plus any user salt passed to the
+runner.  Nothing else: whether :mod:`repro.obs` is on does not select a
+cache population.  Clearing is just deleting the directory (or ``python -m
+repro cache --clear``).
 
-Metrics: when :mod:`repro.obs` instrumentation is enabled, every task —
-serial, parallel, or recalled from cache — carries a private registry
-snapshot alongside its result.  The runner folds the snapshots together in
-submission order (never completion order) into :attr:`SweepRunner.last_metrics`
-and the ambient global registry, so ``--jobs 1`` and ``--jobs N`` produce
-identical merged counters.
+Metrics: every executed task yields one *entry*, ``{"result": <encoded>,
+"obs": <registry snapshot> | None}`` — the snapshot is taken on a private
+registry when instrumentation is enabled and stored *beside* the result,
+on disk and in every serve tier.  :func:`answers` is the one rule for
+reusing an entry: with metrics off any entry answers; with metrics on only
+one that carries a snapshot does, otherwise the task is recomputed once and
+the same entry overwritten with the snapshot.  The runner folds the
+snapshots together in submission order (never completion order) into
+:attr:`SweepRunner.last_metrics` and the ambient global registry, so
+``--jobs 1`` and ``--jobs N``, cached and fresh, merge identical counters.
 
 Because simulations are bit-deterministic in (config, seed), a cached
 result is indistinguishable from a fresh one, and serial and parallel
@@ -58,11 +61,14 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 from repro import obs
 
 #: Bump when simulator semantics change so stale cached results are never
-#: returned for the new code.  (v2: tuple-keyed event kernel; v3: replay
-#: engine selection — results now depend on TraceConfig.engine; v4: the
-#: resilience subsystem — results now depend on TraceConfig.fault_events /
-#: mitigation and Scenario.degrade.)
-CACHE_SALT = "repro-kernel-v4"
+#: returned for the new code — also bump when probe semantics change, so
+#: stored snapshots are refreshed with them.  (v2: tuple-keyed event kernel;
+#: v3: replay engine selection — results now depend on TraceConfig.engine;
+#: v4: the resilience subsystem — results now depend on
+#: TraceConfig.fault_events / mitigation and Scenario.degrade; v5: four
+#: unread fields left the encoded configs, and the instrumentation state
+#: left the key — entries carry their snapshot in an ``obs`` field.)
+CACHE_SALT = "repro-kernel-v5"
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -231,21 +237,22 @@ def decode_task_call(t: SweepTask) -> tuple[str, tuple, dict]:
 
 def _execute_encoded(
     fn_ref: str, enc_args: Any, enc_kwargs: Any, with_obs: bool = False
-) -> Any:
-    """Worker entry point: decode → run → encode.
+) -> dict:
+    """Worker entry point: decode → run → encode, returned as an entry.
 
     Results cross the process boundary in encoded form, so the serial and
-    parallel paths return byte-identical structures.  With ``with_obs`` the
-    task runs under instrumentation on a *private* registry (isolated from
-    the caller's ambient metrics, whether this is a worker process or the
-    in-process serial path) and the return value is wrapped as
-    ``{"result": ..., "obs": <registry snapshot>}``.
+    parallel paths return byte-identical structures.  The entry is always
+    ``{"result": <encoded>, "obs": <registry snapshot> | None}``: with
+    ``with_obs`` the task runs under instrumentation on a *private* registry
+    (isolated from the caller's ambient metrics, whether this is a worker
+    process or the in-process serial path) whose snapshot rides beside the
+    result; without it ``obs`` is None.
     """
     fn = resolve_callable(fn_ref)
     args = decode_value(enc_args)
     kwargs = decode_value(enc_kwargs)
     if not with_obs:
-        return encode_value(fn(*args, **kwargs))
+        return {"result": encode_value(fn(*args, **kwargs)), "obs": None}
     was_enabled = obs.enabled()
     obs.enable(True)
     try:
@@ -256,6 +263,16 @@ def _execute_encoded(
         obs.enable(was_enabled)
 
 
+def answers(entry: Optional[dict], with_obs: bool) -> bool:
+    """Whether a stored ``entry`` may stand in for running its task.
+
+    Metrics off: any entry does.  Metrics on: only one that carries the
+    snapshot of the run that produced it — the caller otherwise recomputes
+    once and overwrites the same entry, snapshot included.
+    """
+    return entry is not None and (not with_obs or entry["obs"] is not None)
+
+
 # ---------------------------------------------------------------------------
 # On-disk result cache
 # ---------------------------------------------------------------------------
@@ -264,7 +281,8 @@ class ResultCache:
     """Content-addressed JSON result store shared by every execution front end.
 
     One entry per :meth:`SweepTask.cache_key`; the blob records the task
-    alongside its encoded result so entries are self-describing.  Both
+    alongside its encoded result (and the run's registry snapshot, or None,
+    under ``obs``) so entries are self-describing.  Both
     :class:`SweepRunner` (batch sweeps) and :class:`repro.serve` (the resident
     job service) read and write the same layout under the same keys, so a
     result computed by either is a cache hit for the other.
@@ -276,8 +294,9 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.cache_dir / f"{key}.json"
 
-    def load(self, key: str) -> Optional[Any]:
-        """The encoded result stored under ``key``, or None on miss.
+    def load(self, key: str) -> Optional[dict]:
+        """The blob stored under ``key`` — an entry (``"result"``, ``"obs"``)
+        plus the task it records — or None on miss.
 
         Corrupt or mismatched entries (torn writes, stale layouts) read as
         misses, so callers recompute and overwrite.
@@ -289,19 +308,22 @@ class ResultCache:
             blob = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None         # corrupt entry: recompute and overwrite
-        if blob.get("key") != key:
+        if (not isinstance(blob, dict) or blob.get("key") != key
+                or "result" not in blob):
             return None
+        blob.setdefault("obs", None)
         return blob
 
     def store(self, key: str, t: SweepTask, encoded_result: Any,
-              salt: str = "") -> None:
-        """Publish ``encoded_result`` under ``key`` atomically."""
+              salt: str = "", obs_snapshot: Optional[dict] = None) -> None:
+        """Publish ``encoded_result`` (and its snapshot) under ``key``
+        atomically."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(
             {"key": key, "fn": t.fn, "args": t.args, "kwargs": t.kwargs,
              "salt": CACHE_SALT + salt,
-             "result": encoded_result},
+             "result": encoded_result, "obs": obs_snapshot},
             sort_keys=True,
         )
         # Atomic publish so concurrent sweeps never see a torn file.
@@ -394,40 +416,39 @@ class SweepRunner:
         self.last_metrics: Optional[dict] = None
 
     # ------------------------------------------------------------- caching
-    def _cache_load(self, key: str) -> Optional[Any]:
+    def _cache_load(self, key: str) -> Optional[dict]:
         if self.cache is None:
             return None
         return self.cache.load(key)
 
-    def _cache_store(self, key: str, t: SweepTask, encoded_result: Any) -> None:
+    def _cache_store(self, key: str, t: SweepTask, entry: dict) -> None:
         if self.cache is None:
             return
-        self.cache.store(key, t, encoded_result,
-                         salt=self.salt + obs.cache_token())
+        self.cache.store(key, t, entry["result"], self.salt, entry["obs"])
 
     # ------------------------------------------------------------- running
     def run(self, tasks: Sequence[SweepTask]) -> list[Any]:
         """Execute (or recall) every task; results in submission order.
 
         While :mod:`repro.obs` instrumentation is enabled, each task's
-        registry snapshot travels with its result (including through the
-        cache) and the snapshots are merged in submission order into
-        :attr:`last_metrics` and the ambient global registry — identical
-        for any worker count and for cached vs fresh execution.
+        registry snapshot travels beside its result (including through the
+        cache, see :func:`answers`) and the snapshots are merged in
+        submission order into :attr:`last_metrics` and the ambient global
+        registry — identical for any worker count and for cached vs fresh
+        execution.
         """
         tasks = list(tasks)
         with_obs = obs.enabled()
-        salt = self.salt + obs.cache_token()
-        keys = [t.cache_key(salt) for t in tasks]
+        keys = [t.cache_key(self.salt) for t in tasks]
         results: list[Any] = [None] * len(tasks)
-        encoded: dict[int, Any] = {}
+        encoded: dict[int, dict] = {}       # task index -> entry
         misses: list[int] = []
         stats = SweepStats()
 
         for i, key in enumerate(keys):
-            blob = self._cache_load(key)
-            if blob is not None:
-                encoded[i] = blob["result"]
+            entry = self._cache_load(key)
+            if answers(entry, with_obs):
+                encoded[i] = entry
                 stats.cached += 1
             else:
                 misses.append(i)
@@ -439,8 +460,6 @@ class SweepRunner:
                     t = tasks[i]
                     encoded[i] = _execute_encoded(t.fn, t.args, t.kwargs,
                                                   with_obs)
-                for i in misses:
-                    self._cache_store(keys[i], tasks[i], encoded[i])
             else:
                 with ProcessPoolExecutor(
                     max_workers=min(self.workers, len(misses))
@@ -453,16 +472,14 @@ class SweepRunner:
                     ]
                     for i, fut in futs:
                         encoded[i] = fut.result()
-                for i in misses:
-                    self._cache_store(keys[i], tasks[i], encoded[i])
+            for i in misses:
+                self._cache_store(keys[i], tasks[i], encoded[i])
 
         merged = obs.Registry() if with_obs else None
         for i in range(len(tasks)):
-            enc = encoded[i]
             if with_obs:
-                merged.merge_snapshot(enc["obs"])
-                enc = enc["result"]
-            results[i] = decode_value(enc)
+                merged.merge_snapshot(encoded[i]["obs"])
+            results[i] = decode_value(encoded[i]["result"])
         if with_obs:
             self.last_metrics = merged.snapshot()
             obs.registry().merge_snapshot(self.last_metrics)

@@ -21,9 +21,9 @@ you.  See ``docs/OBSERVABILITY.md`` for the probe catalogue and workflow.
 Parallel sweeps: worker processes fill private registries whose snapshots
 are merged deterministically (submission order) by
 :class:`repro.harness.parallel.SweepRunner`, so ``--jobs 1`` and
-``--jobs N`` produce identical merged metrics.  :func:`cache_token` folds
-the instrumentation state into sweep cache keys so enabling metrics never
-serves a stale, metrics-less cached result.
+``--jobs N`` produce identical merged metrics.  A snapshot is stored beside
+the cached result, never in its key: observing a run cannot change which
+run you get.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ __all__ = [
     "Scope",
     "Timeline",
     "attach_kernel_probe",
-    "cache_token",
     "collecting",
     "disable",
     "disable_timeline",
@@ -191,18 +190,3 @@ def collecting(capacity: Optional[int] = None) -> Iterator[Registry]:
         _enabled = prev_enabled
         _timeline = prev_timeline
 
-
-#: Cache-key component versioning the instrumentation wiring itself; bump
-#: when probe semantics change so merged-metrics cache blobs are refreshed.
-_OBS_CACHE_VERSION = "obs-v1"
-
-
-def cache_token() -> str:
-    """Sweep-cache key component for the current instrumentation state.
-
-    Empty while disabled — disabled-path cache keys are identical to the
-    pre-instrumentation layout, so existing caches stay valid.  Non-empty
-    while enabled, so enabling metrics can never serve a cached result
-    that carries no metrics snapshot.
-    """
-    return f"+{_OBS_CACHE_VERSION}" if _enabled else ""

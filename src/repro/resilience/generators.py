@@ -24,29 +24,13 @@ intensity sweeps degradation monotonically.
 
 from __future__ import annotations
 
+from repro.engine.rng import mix64
 from repro.resilience.timeseries import FaultEvent, FaultTimeseries
-
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(*parts) -> int:
-    """Deterministic 64-bit hash (splitmix64 finalizer chain) — same
-    discipline as ``repro.validate.faults._mix64``, duplicated here so the
-    core replay path never imports the validation stack."""
-    x = 0x9E3779B97F4A7C15
-    for p in parts:
-        if isinstance(p, str):
-            p = int.from_bytes(p.encode("utf-8"), "little")
-        x = (x ^ (p & _MASK64)) & _MASK64
-        x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        x ^= x >> 31
-    return x & _MASK64
 
 
 def _unit(*parts) -> float:
     """Uniform [0, 1) draw from the hash of ``parts``."""
-    return _mix64(*parts) / float(1 << 64)
+    return mix64(*parts) / float(1 << 64)
 
 
 def _check_args(seed: int, num_nodes: int, horizon: int,
@@ -119,8 +103,8 @@ def corruption_bursts(seed: int, num_nodes: int, horizon: int,
         raise ValueError(f"bursts must be >= 1, got {bursts}")
     events: list[FaultEvent] = []
     for b in range(bursts):
-        src = _mix64(seed, "burst.src", b) % num_nodes
-        dst = _mix64(seed, "burst.dst", b) % (num_nodes - 1)
+        src = mix64(seed, "burst.src", b) % num_nodes
+        dst = mix64(seed, "burst.dst", b) % (num_nodes - 1)
         if dst >= src:
             dst += 1
         start = int(_unit(seed, "burst.start", b) * horizon * 0.8)
@@ -169,7 +153,7 @@ def generate_timeseries(family: str, seed: int, num_nodes: int,
             raise ValueError(
                 f"unknown degradation family {name!r}; expected one of "
                 f"{sorted(GENERATOR_FAMILIES)} (optionally '+'-joined)")
-        sub_seed = seed if len(names) == 1 else _mix64(seed, "family", name)
+        sub_seed = seed if len(names) == 1 else mix64(seed, "family", name)
         series = series.merged(
             fn(sub_seed, num_nodes, horizon, intensity, **kwargs))
     return series

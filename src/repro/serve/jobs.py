@@ -20,7 +20,7 @@ import asyncio
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.harness.parallel import SweepTask
 from repro.serve.protocol import RemoteError
@@ -56,9 +56,7 @@ class Job:
     created_s: float = 0.0         # event-loop clock timestamps
     started_s: float = 0.0
     finished_s: float = 0.0
-    result: Any = None             # encoded result (DONE only)
     error: Optional[RemoteError] = None
-    obs_snapshot: Optional[dict] = None
     _queues: list[asyncio.Queue] = field(default_factory=list, repr=False)
 
     @property

@@ -23,7 +23,7 @@ All of this runs on the server's event loop — no locks, no threads.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.serve import protocol as P
 from repro.serve.client import AsyncServeClient, ServerClosed
@@ -125,8 +125,9 @@ class PeerLink:
 
     # ------------------------------------------------------- interactions
     async def peer_fetch(self, key: str,
-                         timeout_s: float = PEER_CALL_TIMEOUT_S) -> Any:
-        """The peer's cached encoded payload for ``key``, or None.
+                         timeout_s: float = PEER_CALL_TIMEOUT_S
+                         ) -> Optional[dict]:
+        """The peer's cached ``result``/``obs`` entry for ``key``, or None.
 
         Misses, timeouts, and connection failures all read as None — the
         caller recomputes either way.
@@ -140,7 +141,7 @@ class PeerLink:
             return None
         if event.get("event") != P.EV_PEER_RESULT or not event.get("hit"):
             return None
-        return event.get("result")
+        return {"result": event.get("result"), "obs": event.get("obs")}
 
     async def announce(self, action: str, node: str, addr: str,
                        members: list,

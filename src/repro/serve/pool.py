@@ -67,16 +67,14 @@ def _run_guarded(fn_ref: str, enc_args: Any, enc_kwargs: Any,
                  with_obs: bool) -> dict:
     """Worker entry point: never raises; failures become data.
 
-    Success: ``{"ok": True, "result": <encoded>}`` where ``<encoded>`` is
-    exactly what :func:`repro.harness.parallel._execute_encoded` produces
-    (including the ``{"result", "obs"}`` wrapper under instrumentation), so
-    the caller can cache it under the same key layout SweepRunner uses.
+    Success: ``{"ok": True, "result": <encoded>, "obs": <snapshot>|None}``
+    — the entry :func:`repro.harness.parallel._execute_encoded` produces,
+    so the caller can cache it under the same key layout SweepRunner uses.
     Failure: ``{"ok": False, "error": {type, message, traceback}}``.
     """
     try:
         return {"ok": True,
-                "result": _execute_encoded(fn_ref, enc_args, enc_kwargs,
-                                           with_obs)}
+                **_execute_encoded(fn_ref, enc_args, enc_kwargs, with_obs)}
     except BaseException as exc:  # noqa: BLE001 - the whole point
         return {"ok": False, "error": {
             "type": type(exc).__qualname__,
@@ -159,8 +157,8 @@ class WorkerPool:
         with_obs: bool = False,
         timeout_s: Optional[float] = None,
         on_retry=None,
-    ) -> Any:
-        """Run ``task`` to completion; returns the encoded result.
+    ) -> dict:
+        """Run ``task`` to completion; returns its ``result``/``obs`` entry.
 
         Raises :class:`JobFailure` (worker exception, original traceback
         attached), :class:`JobTimeout` (deadline exceeded), or
@@ -198,8 +196,8 @@ class WorkerPool:
                 self.retries += 1
                 await self._backoff(attempt, on_retry)
                 continue
-            if outcome["ok"]:
-                return outcome["result"]
+            if outcome.pop("ok"):
+                return outcome
             raise JobFailure(RemoteError.from_dict(outcome["error"]))
         raise WorkerDied(self.max_retries)  # pragma: no cover - loop covers
 

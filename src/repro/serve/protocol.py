@@ -32,9 +32,11 @@ Fabric ops (node <-> node; protocol v2, see :mod:`repro.serve.peer`):
     breaks routing loops while membership views disagree.
 ``{"op": "peer_fetch", "req": 6, "key": "<sha256 hex>"}``
     Ask a peer for its cached result under a content key (both tiers:
-    in-memory LRU, then disk).  Answered with one ``peer_result`` event:
-    ``{"event": "peer_result", "hit": bool, "result": <encoded>|null}``.
-    A fetch never triggers computation on the answering node.
+    in-memory LRU, then disk).  Answered with one ``peer_result`` event
+    carrying the entry: ``{"event": "peer_result", "hit": bool, "result":
+    <encoded>|null, "obs": <registry snapshot>|null}`` — a missing ``obs``
+    reads as "no snapshot", which a node running under metrics treats as a
+    miss.  A fetch never triggers computation on the answering node.
 ``{"op": "membership", "req": 7, "action": "join"|"leave"|"sync",
 "node": "<id>", "addr": "host:port", "members": [[node, addr], ...]}``
     Gossip membership.  ``join`` adds the announcing node, ``leave``
@@ -50,9 +52,12 @@ Server -> client events for a ``submit`` (all tagged with ``req``):
 ``{"event": "state", "state": "running", "attempt": 1}``
     Live progress (suppressed by ``quiet``); also ``"retrying"`` after a
     worker death, with the backoff delay.
-``{"event": "done", "result": <encoded>, "cached": bool, ...}``
+``{"event": "done", "result": <encoded>, "obs": <snapshot>|null,
+"cached": bool, ...}``
     Terminal success; ``result`` decodes via
-    :func:`repro.harness.decode_value`.
+    :func:`repro.harness.decode_value`.  ``obs`` is the snapshot stored
+    beside the result, if any: clients ignore it, a forwarding node keeps
+    it with the result in its LRU.
 ``{"event": "failed", "error": {"type", "message", "traceback"}, ...}``
     Terminal failure.  ``traceback`` is the *original worker-side* traceback
     string, so remote failures debug like local ones.

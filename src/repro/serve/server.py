@@ -13,8 +13,11 @@ batch front ends rather than duplicated:
   **single-flight dedup** (identical in-flight requests coalesce onto one
   execution) and **cross-front-end caching** (a result computed by a batch
   sweep is a cache hit for the service, and vice versa) for free.
-* Per-job :mod:`repro.obs` snapshots merge into the service's registry in
-  job-completion order (registry merges are commutative, so totals are
+* Every tier holds one entry shape, ``{"result": <encoded>, "obs":
+  <registry snapshot> | None}``, under one key; :func:`repro.harness.
+  parallel.answers` decides whether an entry may answer.  When the service
+  was started under :mod:`repro.obs`, the snapshot of each entry it answers
+  with merges into its registry (merges are commutative, so totals are
   deterministic), surfacing on ``/metrics``.
 
 Robustness under load:
@@ -58,6 +61,7 @@ from repro import obs
 from repro.harness.parallel import (
     ResultCache,
     SweepTask,
+    answers,
     decode_value,
     encode_value,
 )
@@ -152,8 +156,9 @@ class SimulationServer:
         self.pool = WorkerPool(max_workers=self.workers,
                                max_retries=self._max_retries,
                                backoff_base_s=self._backoff_base_s)
-        # Snapshot the instrumentation state once: jobs run with obs iff the
-        # service started with it (matches SweepRunner's run()-time check).
+        # Snapshot the instrumentation state once: jobs run with obs, and
+        # entries need a snapshot to answer, iff the service started with it
+        # (matches SweepRunner's run()-time check).
         self._with_obs = obs.enabled()
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port,
@@ -497,19 +502,20 @@ class SimulationServer:
         except Exception as exc:  # bad alias / non-codec args
             await send(P.event_frame(req, P.EV_ERROR, error=str(exc)))
             return
-        key = task.cache_key(self.salt + obs.cache_token())
+        key = task.cache_key(self.salt)
 
         # Hot tier: an LRU hit answers immediately on any node — owner or
         # not — without touching admission control, the ring, or a worker.
-        encoded = self.lru.get(key)
-        if encoded is not None:
+        entry = self.lru.get(key)
+        if answers(entry, self._with_obs):
             self.table.stats.lru_hits += 1
             self._count("lru_hits")
+            self._merge_obs(entry)
             await send(P.event_frame(req, P.EV_ACCEPTED, job=key[:12],
                                      deduped=False, depth=self.table.depth,
                                      tier="lru"))
             await send(P.event_frame(req, P.EV_DONE, job=key[:12],
-                                     result=self._unwrap_obs(encoded),
+                                     **entry,
                                      cached=True, attempts=0, elapsed_s=0.0))
             return
 
@@ -560,7 +566,7 @@ class SimulationServer:
                               owner: str) -> bool:
         """Relay a submit to the key's owner; True once terminal relayed.
 
-        The owner's ``done`` result warms this node's LRU, so a hot key
+        The owner's ``done`` entry warms this node's LRU, so a hot key
         answers locally next time no matter which node it lands on.
         """
         addr = self.membership.addr_of(owner)
@@ -571,7 +577,8 @@ class SimulationServer:
 
         async def relay(event: dict) -> None:
             if event.get("event") == P.EV_DONE and "result" in event:
-                self.lru.put(key, event["result"])
+                self.lru.put(key, {"result": event["result"],
+                                   "obs": event.get("obs")})
             await send(event)
 
         fwd = dict(frame)
@@ -587,16 +594,12 @@ class SimulationServer:
     async def _handle_peer_fetch(self, req, frame: dict, send) -> None:
         """Answer a peer's cache probe from either tier; never computes."""
         key = frame.get("key")
-        encoded = None
+        entry = None
         if isinstance(key, str) and key:
-            encoded = self.lru.get(key)
-            if encoded is None and self.cache is not None:
-                blob = self.cache.load(key)
-                if blob is not None:
-                    encoded = blob["result"]
+            entry = self.lru.get(key) or self._disk(key)
         await send(P.event_frame(req, P.EV_PEER_RESULT, key=key,
-                                 hit=encoded is not None, result=encoded,
-                                 node=self.node_id))
+                                 hit=entry is not None, node=self.node_id,
+                                 **(entry or {"result": None, "obs": None})))
 
     async def _handle_membership(self, req, frame: dict, send) -> None:
         action = frame.get("action")
@@ -634,14 +637,12 @@ class SimulationServer:
         """Execute one fresh job: caches, then peers, then the pool."""
         # On-disk cache first — a completed identical request (from this
         # service or any SweepRunner sweep) answers without a worker.
-        if self.cache is not None:
-            blob = self.cache.load(job.key)
-            if blob is not None:
-                job.cached = True
-                self.table.stats.cache_hits += 1
-                self.lru.put(job.key, blob["result"])
-                self._complete(job, blob["result"])
-                return
+        entry = self._disk(job.key)
+        if answers(entry, self._with_obs):
+            job.cached = True
+            self.table.stats.cache_hits += 1
+            self._complete(job, entry)
+            return
         # Peer-fetch before recompute: after a membership change this node
         # may own keys a peer already computed — ask the fabric before
         # paying for a worker.  Any failure just reads as a miss.
@@ -653,11 +654,7 @@ class SimulationServer:
                 job.peer_fetched = True
                 self.table.stats.peer_fetch_hits += 1
                 self._count("peer_fetch_hits")
-                if self.cache is not None:
-                    self.cache.store(job.key, job.task, fetched,
-                                     salt=self.salt + obs.cache_token())
-                self.lru.put(job.key, fetched)
-                self._complete(job, fetched)
+                self._complete(job, fetched, store=True)
                 return
             self.table.stats.peer_fetch_misses += 1
             self._count("peer_fetch_misses")
@@ -679,7 +676,7 @@ class SimulationServer:
                                  "delay_s": round(delay_s, 4),
                                  "job": job.short_key})
 
-                encoded = await self.pool.execute(
+                entry = await self.pool.execute(
                     job.task, with_obs=self._with_obs,
                     timeout_s=timeout_s, on_retry=on_retry)
         except JobFailure as exc:
@@ -703,47 +700,41 @@ class SimulationServer:
                              traceback="").as_dict()})
             raise
         self.table.stats.executed += 1
-        if self.cache is not None:
-            self.cache.store(job.key, job.task, encoded,
-                             salt=self.salt + obs.cache_token())
-        self.lru.put(job.key, encoded)
-        self._complete(job, encoded)
+        self._complete(job, entry, store=True)
 
-    async def _peer_fetch(self, key: str) -> Any:
-        """Ask each other member for ``key``; first hit wins, else None."""
+    async def _peer_fetch(self, key: str) -> Optional[dict]:
+        """Ask each other member for ``key``; the first entry that may
+        answer wins, else None."""
         for node in self.membership.others():
             addr = self.membership.addr_of(node)
             if addr is None:
                 continue
-            encoded = await self._link(addr).peer_fetch(key)
-            if encoded is not None:
-                return encoded
+            entry = await self._link(addr).peer_fetch(key)
+            if answers(entry, self._with_obs):
+                return entry
         return None
 
-    def _unwrap_obs(self, encoded: Any) -> Any:
-        """Strip the ``{"result", "obs"}`` instrumentation wrapper.
+    def _disk(self, key: str) -> Optional[dict]:
+        """The disk tier's entry for ``key`` (its blob minus the task)."""
+        blob = self.cache.load(key) if self.cache is not None else None
+        return blob and {"result": blob["result"], "obs": blob["obs"]}
 
-        Under instrumentation the encoded payload (fresh, cached, or
-        peer-fetched) carries the worker's registry snapshot: it merges
-        into the service registry and the caller gets the bare result.
-        """
-        if self._with_obs and isinstance(encoded, dict) \
-                and set(encoded) == {"result", "obs"}:
-            obs.registry().merge_snapshot(encoded["obs"])
-            return encoded["result"]
-        return encoded
+    def _merge_obs(self, entry: dict) -> None:
+        """Fold the snapshot of an entry that answers into the registry."""
+        if self._with_obs:
+            obs.registry().merge_snapshot(entry["obs"])
 
-    def _complete(self, job: Job, encoded: Any) -> None:
-        """Record success and publish the terminal ``done`` event."""
-        if self._with_obs and isinstance(encoded, dict) \
-                and set(encoded) == {"result", "obs"}:
-            job.obs_snapshot = encoded["obs"]
-            obs.registry().merge_snapshot(encoded["obs"])
-            encoded = encoded["result"]
-        job.result = encoded
+    def _complete(self, job: Job, entry: dict, store: bool = False) -> None:
+        """Record success (``store``: on disk too, the entry is new here)
+        and publish the terminal ``done`` event."""
+        if store and self.cache is not None:
+            self.cache.store(job.key, job.task, entry["result"], self.salt,
+                             entry["obs"])
+        self.lru.put(job.key, entry)
+        self._merge_obs(entry)
         self.table.finish(job, DONE, time.monotonic())
         job.publish({"event": P.EV_DONE, "job": job.short_key,
-                     "result": encoded, "cached": job.cached,
+                     **entry, "cached": job.cached,
                      "attempts": job.attempts,
                      "elapsed_s": round(job.elapsed_s, 6)})
 

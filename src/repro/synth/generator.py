@@ -54,10 +54,9 @@ import numpy as np
 
 from repro.core.trace import EndMarker, Trace, TraceRecord
 from repro.core.tracebin import BinaryTraceWriter, CHUNK_RECORDS, RecordChunk
+from repro.engine.rng import fold, mix64
 from repro.synth.profile import SynthProfile
 from repro.traffic.patterns import PATTERNS
-
-_MASK64 = (1 << 64) - 1
 
 #: Upper bound on the (chain, step) cells hashed ahead in one block.
 _BLOCK_CELLS = 16384
@@ -69,37 +68,12 @@ _CTRL_BYTES = 64
 _KINDS = ("data", "ctrl")
 
 
-def _fold(x, p):
-    """One splitmix64 finalizer round: absorb ``p`` into state ``x``.
-
-    Python ints or ``uint64`` arrays alike — an array product wraps mod
-    2^64, which is what the mask does to the int."""
-    x = x ^ (p & _MASK64)
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _mix64(*parts) -> int:
-    """Deterministic 64-bit hash (splitmix64 finalizer chain) — the same
-    discipline as ``repro.validate.faults._mix64``, duplicated so the
-    generator never imports the validation stack.  The hash of a prefix is
-    the state the next part is folded into:
-    ``_mix64(*parts, p) == _fold(_mix64(*parts), p)``."""
-    x = 0x9E3779B97F4A7C15
-    for p in parts:
-        if isinstance(p, str):
-            p = int.from_bytes(p.encode("utf-8"), "little")
-        x = _fold(x, p)
-    return x
-
-
 def _unit(prefix: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Uniform [0, 1] draws from the hashes of ``(*parts, step)``, given
-    ``prefix = _mix64(*parts)`` as ``uint64``.  ``astype`` rounds to
+    ``prefix = mix64(*parts)`` as ``uint64``.  ``astype`` rounds to
     nearest exactly as ``int / float`` does, so the 1024 hashes from
     2^64 - 1024 up come out as 1.0 in both."""
-    return _fold(prefix, steps).astype(np.float64) / float(1 << 64)
+    return fold(prefix, steps).astype(np.float64) / float(1 << 64)
 
 
 def _draw_gaps(profile: SynthProfile, units: list[float]) -> list[int]:
@@ -164,7 +138,7 @@ class _Decisions:
         # and chain: a decision folds only its ``step`` into it.
         index = np.arange(chains, dtype=np.uint64)[:, None]
         self._size_at, self._fan_at, self._fgap_at, self._gap_at = (
-            _fold(_mix64(seed, tag), index)
+            fold(mix64(seed, tag), index)
             for tag in ("size", "fan", "fgap", "gap"))
 
     def enter(self, block: int) -> list[tuple[int, int, int, int]]:
@@ -222,7 +196,7 @@ def _iter_chunks(profile: SynthProfile, scale: float, seed: int,
     pattern = PATTERNS[profile.pattern]
     index = np.arange(chains, dtype=np.uint64)
     rngs = [np.random.Generator(np.random.PCG64(s))
-            for s in _fold(_mix64(seed, "chain"), index).tolist()]
+            for s in fold(mix64(seed, "chain"), index).tolist()]
     decisions = _Decisions(profile, seed, chains, n_messages)
     span, live = decisions.span, decisions.live
 
@@ -230,8 +204,8 @@ def _iter_chunks(profile: SynthProfile, scale: float, seed: int,
     # before children on injection-time ties; uid makes the order total
     # and deterministic.  A chain entry continues (c, step, src, cause_id,
     # gap), a child entry (src, dst, cause_id, gap).
-    t0 = (_fold(_mix64(seed, "root"), index) % profile.root_spread).tolist()
-    src0 = (_fold(_mix64(seed, "src"), index) % n).tolist()
+    t0 = (fold(mix64(seed, "root"), index) % profile.root_spread).tolist()
+    src0 = (fold(mix64(seed, "src"), index) % n).tolist()
     heap = [(t0[c], 0, c, c, 0, src0[c], -1, t0[c]) for c in range(chains)]
     heapq.heapify(heap)
     uid = chains

@@ -59,35 +59,16 @@ from repro.core.trace import (
     Trace,
     TraceRecord,
 )
-
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(*parts) -> int:
-    """Deterministic 64-bit hash of ints/strings (splitmix64 finalizer chain).
-
-    Platform- and process-independent (unlike ``hash``), cheap enough to call
-    once per record, and stateless — the foundation of per-record fault
-    decisions that survive reordering and composition.
-    """
-    x = 0x9E3779B97F4A7C15
-    for p in parts:
-        if isinstance(p, str):
-            p = int.from_bytes(p.encode("utf-8"), "little")
-        x = (x ^ (p & _MASK64)) & _MASK64
-        x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        x ^= x >> 31
-    return x
+from repro.engine.rng import mix64
 
 
 def _unit(*parts) -> float:
-    """Uniform float in [0, 1) derived from :func:`_mix64`."""
-    return _mix64(*parts) / 2.0**64
+    """Uniform float in [0, 1) derived from :func:`mix64`."""
+    return mix64(*parts) / 2.0**64
 
 
 def _gauss(*parts) -> float:
-    """Standard-normal draw derived from :func:`_mix64` (Box–Muller)."""
+    """Standard-normal draw derived from :func:`mix64` (Box–Muller)."""
     u1 = max(_unit(*parts, 1), 1e-12)
     u2 = _unit(*parts, 2)
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
@@ -462,7 +443,7 @@ class RewireDeps(FaultModel):
             if not candidates:
                 records.append(r)
                 continue
-            new_cause = candidates[_mix64(seed, r.msg_id, "pick")
+            new_cause = candidates[mix64(seed, r.msg_id, "pick")
                                    % len(candidates)]
             rewired.add(r.msg_id)
             records.append(_clone(
@@ -511,7 +492,7 @@ def apply_faults(
             raise TypeError(f"faults[{i}] is not a FaultModel: {fault!r}")
         nth = occurrence.get(fault.name, 0)
         occurrence[fault.name] = nth + 1
-        trace, report = fault.apply(trace, _mix64(seed, fault.name, nth))
+        trace, report = fault.apply(trace, mix64(seed, fault.name, nth))
         reports.append(report)
     return trace, tuple(reports)
 

@@ -56,7 +56,6 @@ def test_noc_bad_routing():
 @pytest.mark.parametrize("field,value", [
     ("width", 0), ("num_vcs", 0), ("vc_depth", 0), ("flit_bytes", 0),
     ("router_latency", 0), ("link_latency", 0), ("clock_ghz", 0.0),
-    ("max_packet_flits", 0),
 ])
 def test_noc_nonpositive_fields_rejected(field, value):
     with pytest.raises(ConfigError):

@@ -66,6 +66,13 @@ def test_load_misses(tmp_path):
     entry.write_text(json.dumps(blob))
     assert cache.load(key) is None                 # key mismatch: miss
 
+    entry.write_text("[]")
+    assert cache.load(key) is None                 # JSON, not an object: miss
+
+    del blob["result"]
+    entry.write_text(json.dumps({**blob, "key": key}))
+    assert cache.load(key) is None                 # right key, no result: miss
+
 
 def test_store_is_atomic_no_tmp_left_behind(tmp_path):
     cache = ResultCache(tmp_path)
@@ -140,19 +147,17 @@ def test_concurrent_cross_process_writers_converge(tmp_path):
     assert observed > 0                  # the race actually overlapped
 
 
-def test_obs_token_partitions_keys(tmp_path):
-    """Instrumented results live under different keys than bare ones, so
-    toggling obs can never serve a result captured under the other mode."""
+def test_obs_state_does_not_change_keys(tmp_path):
+    """A result's key is its task: an instrumented run is stored under the
+    key of the bare one, with its snapshot beside the result."""
     t = make_task(2, 5)
-    bare = t.cache_key()
-    instrumented = t.cache_key(salt=obs.cache_token())
-    assert obs.cache_token() == ""                 # obs off in tests
-    obs.enable(True)
-    try:
-        assert t.cache_key(salt=obs.cache_token()) != bare
-    finally:
-        obs.enable(False)
-    assert instrumented == bare                    # token empty when off
+    runner = SweepRunner(workers=1, cache_dir=tmp_path)
+    with obs.collecting():
+        assert runner.run([t]) == [7]
+    blob = runner.cache.load(t.cache_key())        # obs off here
+    assert blob["result"] == 7 and blob["obs"] is not None
+    assert [p.name for p in tmp_path.glob("*.json")] == [
+        t.cache_key() + ".json"]
 
 
 # ------------------------------------------- SweepRunner eviction paths

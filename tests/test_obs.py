@@ -200,7 +200,6 @@ def test_disabled_path_is_noop():
     scope.distribution("d").observe(2.0)
     assert obs.registry().snapshot() == {}
     assert obs.timeline() is None
-    assert obs.cache_token() == ""
 
 
 def test_disabled_probes_are_none():
@@ -217,7 +216,6 @@ def test_collecting_restores_ambient_state():
     with obs.collecting(capacity=8) as reg:
         assert obs.enabled()
         assert obs.timeline() is not None
-        assert obs.cache_token() == "+obs-v1"
         obs.metrics("x").counter("c").inc()
         assert reg.snapshot()["x.c"]["value"] == 1
     assert not obs.enabled()
@@ -277,7 +275,7 @@ def test_sweep_merges_into_ambient_registry():
         assert reg.snapshot()["task.calls"]["value"] == 1
 
 
-def test_cache_salt_keeps_obs_runs_separate(tmp_path):
+def test_obs_runs_share_one_cache_entry(tmp_path):
     cache = tmp_path / "cache"
     markers = tmp_path / "markers"
     runner = SweepRunner(workers=1, cache_dir=cache)
@@ -288,20 +286,23 @@ def test_cache_salt_keeps_obs_runs_separate(tmp_path):
     assert runner.last_stats.executed == 1
     assert runner.last_metrics is None
 
-    # Enabling metrics must NOT reuse the metrics-less cached blob.
+    # Enabling metrics cannot be answered by the snapshot-less entry: the
+    # task is recomputed once and the *same* entry gains the snapshot.
     with obs.collecting():
         assert runner.run(list(t)) == [2]
         assert runner.last_stats.executed == 1
-        assert runner.last_metrics["marker.runs"]["value"] == 1
+        fresh = runner.last_metrics
+        assert fresh["marker.runs"]["value"] == 1
 
-        # ... but a second enabled run hits the obs-aware cache entry and
-        # still reproduces the identical merged metrics from the blob.
+        # A second enabled run hits that entry and reproduces the
+        # identical merged metrics from its snapshot.
         assert runner.run(list(t)) == [2]
         assert runner.last_stats.cached == 1
-        assert runner.last_metrics["marker.runs"]["value"] == 1
+        assert runner.last_metrics == fresh
 
-    # Back to disabled: the original cache entry is still valid.
+    # Back to disabled: the one entry still answers.
     assert runner.run(list(t)) == [2]
     assert runner.last_stats.cached == 1
     assert runner.last_metrics is None
     assert len(list(markers.iterdir())) == 2
+    assert [p.name for p in cache.glob("*.json")] == [t[0].cache_key() + ".json"]

@@ -28,7 +28,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.harness import encode_value, task
+from repro.harness import SweepRunner, decode_value, encode_value, task
 from repro.harness.parallel import _execute_encoded
 from repro.serve import AsyncServeClient, SimulationServer
 from repro.serve import protocol as P
@@ -101,7 +101,7 @@ def _canon(value) -> str:
 
 def _local(payload, **kwargs) -> str:
     t = task(echo, payload, **kwargs)
-    return json.dumps(_execute_encoded(t.fn, t.args, t.kwargs, False),
+    return json.dumps(_execute_encoded(t.fn, t.args, t.kwargs, False)["result"],
                       sort_keys=True)
 
 
@@ -110,7 +110,7 @@ def _key_on(server, payload, **kwargs) -> str:
     t = server._canonical_task({
         "fn": "echo", "args": encode_value((payload,)),
         "kwargs": encode_value(kwargs)})
-    return t.cache_key(server.salt + obs.cache_token())
+    return t.cache_key(server.salt)
 
 
 def payload_owned_by(server, node_id: str, tag: str, **kwargs):
@@ -402,6 +402,51 @@ def test_obs_counters_per_node_forward_and_lru(tmp_path):
             assert snap["serve.n0.lru_hits"]["value"] == 0
 
         fabric_run(body, tmp_path=tmp_path, workers=1)
+    finally:
+        obs.enable(False)
+        obs.reset()
+
+
+def test_result_obs_shaped_payload_round_trips_on_every_tier(tmp_path):
+    """A payload that is itself ``{"result": ..., "obs": ...}`` is data, not
+    an instrumentation wrapper: under metrics it comes back intact from a
+    SweepRunner (fresh and cached) and from every serve tier — executed,
+    the forwarding node's LRU, the owner's LRU, disk, and a peer fetch."""
+    payload = {"result": 1, "obs": 2}
+    obs.enable(True)
+    obs.reset()
+    try:
+        runner = SweepRunner(workers=1, cache_dir=tmp_path / "sweep")
+        assert runner.run([task(echo, payload)]) == [payload]
+        assert runner.run([task(echo, payload)]) == [payload]
+        assert runner.last_stats.cached == 1
+
+        async def body(servers):
+            key = _key_on(servers[0], payload)
+            by_id = {s.node_id: s for s in servers}
+            owner = by_id.pop(servers[0].membership.owner(key))
+            entry, third = by_id.values()
+
+            async def ask(c):   # a mis-parsed payload must fail, not hang
+                return await asyncio.wait_for(c.submit("echo", payload), 20)
+
+            got = []
+            async with await AsyncServeClient.connect(port=entry.port) as c:
+                got.append(await ask(c))            # executed on the owner
+                got.append(await ask(c))            # the forwarder's LRU
+            async with await AsyncServeClient.connect(port=owner.port) as c:
+                got.append(await ask(c))            # the owner's LRU
+                owner.lru.clear()
+                got.append(await ask(c))            # disk
+            fetched = await third._peer_fetch(key)
+            got.append(decode_value(fetched["result"]))
+            assert fetched["obs"] is not None
+            assert (entry.table.stats.lru_hits, owner.table.stats.lru_hits,
+                    owner.table.stats.cache_hits) == (1, 1, 1)
+            assert sum(s.table.stats.executed for s in servers) == 1
+            return got
+
+        assert fabric_run(body, tmp_path=tmp_path, workers=1) == [payload] * 5
     finally:
         obs.enable(False)
         obs.reset()

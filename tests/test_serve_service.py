@@ -29,8 +29,9 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.cli import main
-from repro.harness import SweepRunner, encode_value, task
+from repro.harness import ResultCache, SweepRunner, encode_value, task
 from repro.harness.parallel import _execute_encoded
 from repro.serve import (
     AsyncServeClient,
@@ -91,7 +92,7 @@ def test_fifty_concurrent_submits_dedup_and_byte_identical(tmp_path):
     local = {}
     for i, payload in enumerate(payloads):
         t = task(echo, payload, sleep_s=sleep_s)
-        local[i] = json.dumps(_execute_encoded(t.fn, t.args, t.kwargs, False),
+        local[i] = json.dumps(_execute_encoded(t.fn, t.args, t.kwargs, False)["result"],
                               sort_keys=True)
     assert len(results) == 50
     for i, remote in enumerate(results):
@@ -141,6 +142,75 @@ def test_cache_shared_with_sweep_runner(tmp_path):
     assert stats["executed"] == 0
     done = [e for e in events if e.get("event") == P.EV_DONE]
     assert done and done[0]["cached"] is True
+
+
+def test_metrics_on_server_shares_entries_with_metrics_off(tmp_path):
+    """One key, one entry, whatever the obs state: a metrics-off server
+    populates the cache; a metrics-on server on the same directory finds the
+    entry snapshot-less, executes once, overwrites it, and from then on
+    every tier answers with the snapshot."""
+    ops = {"obs_task": "tests.test_obs:obs_task"}
+    t = task("tests.test_obs:obs_task", 6)
+    cache = ResultCache(tmp_path)
+
+    async def once(server):
+        async with await AsyncServeClient.connect(port=server.port) as c:
+            return await c.submit("obs_task", 6)
+
+    assert serve_run(once, workers=1, cache_dir=str(tmp_path),
+                     operations=ops) == 36
+    assert cache.load(t.cache_key())["obs"] is None
+
+    async def thrice(server):
+        async with await AsyncServeClient.connect(port=server.port) as c:
+            fresh = await c.submit("obs_task", 6)      # disk: no snapshot
+            server.lru.clear()
+            disk = await c.submit("obs_task", 6)
+            hot = await c.submit("obs_task", 6)
+        return [fresh, disk, hot], server.table.stats.as_dict()
+
+    try:
+        with obs.collecting() as reg:
+            results, stats = serve_run(thrice, workers=1, operations=ops,
+                                       cache_dir=str(tmp_path))
+            answered = reg.snapshot()["task.calls"]["value"]
+    finally:
+        obs.reset()
+    assert results == [36, 36, 36]
+    assert (stats["executed"], stats["cache_hits"], stats["lru_hits"]) == (
+        1, 1, 1)
+    assert answered == 3                  # each answer merged its snapshot
+    assert cache.load(t.cache_key())["obs"]["task.calls"]["value"] == 1
+    assert [p.name for p in tmp_path.glob("*.json")] == [
+        t.cache_key() + ".json"]
+
+
+def test_obs_enabled_after_start_keeps_key_and_entry_usable(tmp_path):
+    """Enabling obs under a running server changes neither the key it
+    stores under nor what its workers return (``_with_obs`` was snapshotted
+    in ``start()``): the entry is a plain snapshot-less one, which a
+    metrics-on SweepRunner recomputes once and then reuses."""
+    payload = {"late": "obs"}
+    t = task(echo, payload)
+
+    async def body(server):
+        obs.enable(True)
+        async with await AsyncServeClient.connect(port=server.port) as c:
+            return await c.submit("echo", payload)
+
+    try:
+        assert serve_run(body, workers=1, cache_dir=str(tmp_path)) == payload
+        assert ResultCache(tmp_path).load(t.cache_key())["obs"] is None
+        runner = SweepRunner(workers=1, cache_dir=tmp_path)
+        for executed in (1, 0):
+            assert runner.run([t]) == [payload]
+            assert runner.last_stats.executed == executed
+            assert runner.last_metrics == {}
+    finally:
+        obs.enable(False)
+        obs.reset()
+    assert [p.name for p in tmp_path.glob("*.json")] == [
+        t.cache_key() + ".json"]
 
 
 # ------------------------------------------------------ admission control

@@ -33,12 +33,11 @@ from repro.synth import (
     generate_to_file,
     iter_records,
 )
+from repro.engine.rng import fold, mix64
 from repro.synth import generator
 from repro.synth.generator import (
     _draw_gaps,
     _draw_size,
-    _fold,
-    _mix64,
     _size_thresholds,
     _unit,
 )
@@ -159,17 +158,17 @@ def test_folded_prefix_is_the_four_part_hash():
                      for step in steps] for chain in EDGES]
             # One scalar round per part ...
             for chain, row in zip(EDGES, want):
-                prefix = _mix64(seed, tag, chain)
+                prefix = mix64(seed, tag, chain)
                 assert prefix == _mix64_reference(seed, tag, chain)
                 for step, cell in zip(steps, row):
-                    assert _fold(prefix, step) == cell
-                    assert _mix64(seed, tag, chain, step) == cell
+                    assert fold(prefix, step) == cell
+                    assert mix64(seed, tag, chain, step) == cell
             # ... and the same rounds over uint64 arrays: chains folded
             # into the scalar (seed, tag) state, steps broadcast against
             # the per-chain prefixes, as the generator's blocks do.
-            prefixes = _fold(_mix64(seed, tag), chain_col)
+            prefixes = fold(mix64(seed, tag), chain_col)
             assert prefixes.dtype == np.uint64
-            assert _fold(prefixes, step_row).tolist() == want
+            assert fold(prefixes, step_row).tolist() == want
             assert _unit(prefixes, step_row).tolist() == [
                 [cell / float(1 << 64) for cell in row] for row in want]
 
