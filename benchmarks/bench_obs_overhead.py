@@ -1,17 +1,24 @@
 """Instrumentation overhead: events/sec with obs disabled vs enabled.
 
-The ``repro.obs`` contract is *zero cost when disabled*: a simulator with
-no probe attached runs the exact same hoisted loop it ran before the
-instrumentation layer existed (one ``is not None`` check per ``run()``
-call, not per event).  This benchmark pins that claim with numbers:
+The kernel has one run loop; a probe costs an ``is not None`` branch per
+event when absent and the heap high-water tracking under that branch when
+attached.  This benchmark puts numbers on both sides:
 
 * ``disabled``  — plain :class:`repro.engine.Simulator`, no probe.
 * ``enabled``   — the same workloads with a registry-backed
-  :class:`repro.obs.KernelProbe` attached (the instrumented run loop).
+  :class:`repro.obs.KernelProbe` attached.
 
-The interesting figure is ``disabled_vs_baseline`` staying ~1.0 (the
-driver-level acceptance gate is <2% regression vs ``BENCH_kernel.json``);
-``enabled_overhead_pct`` documents the opt-in price of kernel metrics.
+``enabled_overhead_pct`` documents the opt-in price of kernel metrics; the
+live kernel throughput is the spine's ``engine.events_per_s``
+(``BENCHMARK.json``).
+
+Two workload shapes:
+
+* ``preload`` — the replayer shape: bulk-load the whole schedule with one
+  ``schedule_many`` batch, then drain.
+* ``churn`` — the execution-driven shape: a fixed set of actors that each
+  reschedule themselves from inside their callback until the budget is
+  spent.
 
 Standalone::
 
@@ -24,19 +31,49 @@ test only — timing assertions on shared CI boxes would be flaky.
 
 from __future__ import annotations
 
-import pathlib
-import sys
 import time
+from typing import Callable
 
 from repro import obs
 from repro.engine import Simulator
 
-if __package__ in (None, ""):
-    # Standalone `python benchmarks/bench_obs_overhead.py` puts benchmarks/
-    # itself on sys.path; the namespace package needs the repo root there.
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from benchmarks.bench_kernel import WORKLOADS
+def workload_preload(sim: Simulator, n: int) -> int:
+    """Replayer shape: bulk-load the whole schedule, then drain."""
+    hits = [0]
+
+    def cb(i):
+        hits[0] += 1
+
+    # Deterministic non-monotonic times with heavy timestamp collisions —
+    # the tie-break (priority, seq) does real work here.
+    sim.schedule_many(((i * 7919) % (n // 8 + 1), cb, (i,)) for i in range(n))
+    sim.run()
+    assert hits[0] == n
+    return n
+
+
+def workload_churn(sim: Simulator, n: int) -> int:
+    """Execution-driven shape: 64 actors self-rescheduling until done."""
+    actors = 64
+    budget = [n]
+
+    def tick(delay):
+        budget[0] -= 1
+        if budget[0] > 0:
+            sim.schedule_after(delay, tick, (delay,))
+
+    for a in range(actors):
+        sim.schedule(a % 5, tick, (1 + a % 7,))
+    sim.run()
+    assert budget[0] <= 0
+    return n
+
+
+WORKLOADS: dict[str, Callable[[Simulator, int], int]] = {
+    "preload": workload_preload,
+    "churn": workload_churn,
+}
 
 
 def _events_per_sec(make_sim, workload, n: int, repeat: int) -> float:
@@ -76,8 +113,7 @@ def run_bench(events: int, repeat: int) -> dict:
 
 
 def test_disabled_path_is_uninstrumented():
-    """Without a probe the simulator keeps the PR-1 fast loop (probe check
-    happens once per run(), never per event)."""
+    """With obs off no probe is attached."""
     sim = Simulator()
     assert sim.probe is None
     assert obs.attach_kernel_probe(sim) is None      # obs off -> no-op
@@ -85,7 +121,7 @@ def test_disabled_path_is_uninstrumented():
 
 
 def test_enabled_and_disabled_agree_on_semantics():
-    """The instrumented loop fires the same events in the same order."""
+    """A probed run fires the same events and ends at the same time."""
     for name, workload in WORKLOADS.items():
         plain = Simulator()
         workload(plain, 5000)

@@ -93,6 +93,34 @@ class EndMarker:
             raise ValueError(f"end marker for node {self.node}: negative gap")
 
 
+def blocked_msg_ids(records: list[TraceRecord]) -> set[int]:
+    """The msg_ids that can never fire: the can-fire fixpoint.
+
+    Propagate "can fire" from the roots over cause and bound edges; a record
+    left unfired sits on a dependency cycle or downstream of one.  A trigger
+    that names no record in ``records`` is ignored, not waited for —
+    reporting absent triggers is the caller's business.
+    """
+    present = {r.msg_id for r in records}
+    prereqs: dict[int, int] = {}
+    dependents: dict[int, list[int]] = {}
+    for r in records:
+        n = 0
+        for trig in (r.cause_id, r.bound_id):
+            if trig != -1 and trig in present:
+                n += 1
+                dependents.setdefault(trig, []).append(r.msg_id)
+        prereqs[r.msg_id] = n
+    frontier = [mid for mid, n in prereqs.items() if n == 0]
+    while frontier:
+        mid = frontier.pop()
+        for dep in dependents.get(mid, ()):
+            prereqs[dep] -= 1
+            if prereqs[dep] == 0:
+                frontier.append(dep)
+    return {mid for mid, n in prereqs.items() if n > 0}
+
+
 @dataclass
 class Trace:
     """A complete captured trace plus provenance metadata."""
@@ -138,7 +166,16 @@ class Trace:
                     raise ValueError(
                         f"record {r.msg_id}: bound_gap {r.bound_gap} "
                         "inconsistent")
-        self._check_acyclic(by_id)
+        # The per-edge causality checks above admit cycles made entirely of
+        # zero-latency, equal-timestamp records (every edge gap 0) — a shape
+        # no real network can capture but one that would stall the
+        # self-correcting replayer forever.
+        cyclic = sorted(blocked_msg_ids(self.records))
+        if cyclic:
+            raise ValueError(
+                f"dependency cycle among msg_ids {cyclic[:10]}"
+                f"{'...' if len(cyclic) > 10 else ''}"
+            )
         for m in self.end_markers:
             if m.cause_id != -1 and m.cause_id not in by_id:
                 raise ValueError(
@@ -150,41 +187,6 @@ class Trace:
                 raise ValueError(
                     f"exec_time {self.exec_time} != max end marker {latest}"
                 )
-
-    def _check_acyclic(self, by_id: dict[int, "TraceRecord"]) -> None:
-        """Reject dependency cycles.
-
-        The per-edge causality checks above admit cycles made entirely of
-        zero-latency, equal-timestamp records (every edge gap 0) — a shape no
-        real network can capture but one that would stall the self-correcting
-        replayer forever.  Propagate "can fire" from the roots; any record
-        left unfired sits on a cycle (its triggers are all present, so
-        nothing else can block it).
-        """
-        prereqs = {
-            r.msg_id: (1 if r.cause_id != -1 else 0) + (1 if r.bound_id != -1 else 0)
-            for r in self.records
-        }
-        dependents: dict[int, list[int]] = {}
-        for r in self.records:
-            for trig in (r.cause_id, r.bound_id):
-                if trig != -1:
-                    dependents.setdefault(trig, []).append(r.msg_id)
-        frontier = [mid for mid, n in prereqs.items() if n == 0]
-        fired = 0
-        while frontier:
-            mid = frontier.pop()
-            fired += 1
-            for dep in dependents.get(mid, ()):
-                prereqs[dep] -= 1
-                if prereqs[dep] == 0:
-                    frontier.append(dep)
-        if fired != len(self.records):
-            cyclic = sorted(mid for mid, n in prereqs.items() if n > 0)
-            raise ValueError(
-                f"dependency cycle among msg_ids {cyclic[:10]}"
-                f"{'...' if len(cyclic) > 10 else ''}"
-            )
 
     # ------------------------------------------------------------- queries
     def __len__(self) -> int:

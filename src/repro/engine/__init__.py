@@ -4,31 +4,27 @@ This package provides the minimal, deterministic discrete-event core that
 every other subsystem (electrical NoC, optical NoC, CMP full-system model,
 trace replayers) is built on:
 
-* :class:`~repro.engine.events.Event` / :class:`~repro.engine.events.EventQueue`
-  — a binary-heap event queue with stable FIFO tie-breaking so that equal
-  timestamps are processed in schedule order, which makes whole-simulation
-  results bit-reproducible for a fixed seed.
-* :class:`~repro.engine.simulator.Simulator` — the event loop, simulated
-  clock, and scheduling API.
-* :class:`~repro.engine.entity.Entity` — base class for simulated components.
+* :class:`~repro.engine.events.EventQueue` — a binary heap of
+  ``(time, priority, seq, fn, args)`` tuples with stable FIFO tie-breaking,
+  so that equal timestamps are processed in schedule order, which makes
+  whole-simulation results bit-reproducible for a fixed seed.
+* :class:`~repro.engine.simulator.Simulator` — the one event loop, the
+  simulated clock, and the scheduling API (``schedule`` /
+  ``schedule_after`` / ``schedule_many``).
 * :class:`~repro.engine.rng.RngFactory` — hierarchical deterministic random
   streams (one independent stream per component).
+
+Simulated components are ordinary objects that hold the simulator they were
+built with; the builders in :mod:`repro.harness` wire them explicitly.
 """
 
-from repro.engine.entity import Entity
-from repro.engine.events import Event, EventQueue
-from repro.engine.process import Process, Signal, spawn
+from repro.engine.events import EventQueue
 from repro.engine.rng import RngFactory
 from repro.engine.simulator import SimulationError, Simulator
 
 __all__ = [
-    "Entity",
-    "Event",
     "EventQueue",
-    "Process",
     "RngFactory",
-    "Signal",
     "SimulationError",
     "Simulator",
-    "spawn",
 ]

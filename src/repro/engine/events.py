@@ -1,27 +1,18 @@
-"""Event and event-queue primitives for the discrete-event kernel.
+"""The event queue of the discrete-event kernel.
 
-The queue is a plain binary heap (``heapq``) keyed on ``(time, priority,
-seq)``.  ``seq`` is a monotonically increasing sequence number assigned at
-scheduling time; it guarantees a *stable* order among events that share a
-timestamp and priority, which in turn guarantees deterministic simulations —
-a hard requirement for the trace self-correction experiments, where two runs
-of the same configuration must produce identical message timings.
-
-Fast path
----------
-Heap entries are plain tuples, not :class:`Event` objects:
-
-* ``(time, priority, seq, fn, args)`` — the common, non-cancellable case;
-* ``(time, priority, seq, fn, args, event)`` — only when the caller asked
-  for a cancellable handle via :meth:`EventQueue.push_cancellable`.
+The queue is a plain binary heap (``heapq``) of ``(time, priority, seq, fn,
+args)`` tuples — the one entry shape.  ``seq`` is a monotonically increasing
+sequence number assigned at scheduling time; it guarantees a *stable* order
+among events that share a timestamp and priority, which in turn guarantees
+deterministic simulations — a hard requirement for the trace self-correction
+experiments, where two runs of the same configuration must produce identical
+message timings.
 
 Tuple comparison happens entirely in C and, because ``seq`` is unique, never
-reaches the ``fn``/``args`` slots — so ordering is exactly the old
-``(time, priority, seq)`` rule with none of the per-comparison Python-level
-``__lt__`` dispatch the previous :class:`Event`-on-heap design paid.  The
-two entry shapes share indices 0–4, so consumers read ``entry[0]`` (time),
-``entry[3]`` (fn) and ``entry[4]`` (args) without caring which kind they
-got; ``len(entry) == 6`` identifies a cancellable entry.
+reaches the ``fn``/``args`` slots, so ordering is exactly the ``(time,
+priority, seq)`` rule.  The one consumer, :meth:`repro.engine.Simulator.run`,
+pops the heap itself: it reads ``entry[0]`` (time), ``entry[3]`` (fn) and
+``entry[4]`` (args).
 
 :meth:`EventQueue.push_many` bulk-loads a whole schedule (the trace
 replayers' startup pattern) by appending raw entries and heapifying once —
@@ -31,66 +22,10 @@ O(n) instead of n heap-pushes from a Python loop.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
+from typing import Any, Callable, Iterable
 
-#: A heap entry: ``(time, priority, seq, fn, args[, event])``.
-Entry = Tuple[Any, ...]
-
-
-class Event:
-    """A cancellable handle to a scheduled callback.
-
-    Only created for callers that explicitly request cancellation rights
-    (:meth:`EventQueue.push_cancellable` /
-    :meth:`repro.engine.simulator.Simulator.schedule_cancellable`); the fast
-    scheduling path allocates no handle at all.  An event may be
-    *cancelled*, which leaves its entry in the heap but marks it dead; the
-    queue skips dead entries on pop.  This is the classic "lazy deletion"
-    scheme — O(1) cancel at the cost of transient heap garbage, which is
-    much cheaper than heap re-siftings for NoC workloads where timeouts are
-    frequently cancelled.
-    """
-
-    __slots__ = ("time", "priority", "seq", "fn", "args", "_alive", "_queue")
-
-    def __init__(
-        self,
-        time: int,
-        priority: int,
-        seq: int,
-        fn: Callable[..., None],
-        args: tuple[Any, ...],
-        queue: Optional["EventQueue"] = None,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self._alive = True
-        self._queue = queue
-
-    @property
-    def alive(self) -> bool:
-        """Whether the event is still pending (not cancelled, not fired)."""
-        return self._alive
-
-    def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when popped."""
-        if self._alive:
-            self._alive = False
-            q = self._queue
-            if q is not None:
-                q._live -= 1
-                q._cancelled += 1
-                self._queue = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "alive" if self._alive else "dead"
-        return (
-            f"Event(t={self.time}, prio={self.priority}, seq={self.seq}, "
-            f"fn={getattr(self.fn, '__qualname__', self.fn)!r}, {state})"
-        )
+#: A heap entry: ``(time, priority, seq, fn, args)``.
+Entry = tuple[int, int, int, Callable[..., None], tuple[Any, ...]]
 
 
 class EventQueue:
@@ -101,29 +36,16 @@ class EventQueue:
     :mod:`repro.harness.parallel` — never one event loop).
     """
 
-    __slots__ = ("_heap", "_seq", "_live", "_cancelled")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         self._heap: list[Entry] = []
         self._seq = 0
-        self._live = 0
-        self._cancelled = 0
 
     def __len__(self) -> int:
-        """Number of *live* (non-cancelled) pending events."""
-        return self._live
+        """Number of pending events."""
+        return len(self._heap)
 
-    @property
-    def cancelled_total(self) -> int:
-        """Events explicitly cancelled over the queue's lifetime (a cheap
-        lifetime counter read by the kernel probe; ``clear`` is not a
-        cancellation)."""
-        return self._cancelled
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    # -------------------------------------------------------------- pushing
     def push(
         self,
         time: int,
@@ -131,25 +53,9 @@ class EventQueue:
         args: tuple[Any, ...] = (),
         priority: int = 0,
     ) -> None:
-        """Schedule ``fn(*args)`` at ``time`` (fast path, no handle)."""
+        """Schedule ``fn(*args)`` at ``time``."""
         heapq.heappush(self._heap, (time, priority, self._seq, fn, args))
         self._seq += 1
-        self._live += 1
-
-    def push_cancellable(
-        self,
-        time: int,
-        fn: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``fn(*args)`` at ``time``; returns a cancellable handle."""
-        ev = Event(time, priority, self._seq, fn, args, self)
-        heapq.heappush(self._heap,
-                       (time, priority, self._seq, fn, args, ev))
-        self._seq += 1
-        self._live += 1
-        return ev
 
     def push_many(
         self,
@@ -163,67 +69,18 @@ class EventQueue:
         The heap is rebuilt with a single O(n) ``heapify`` instead of n
         sift-ups, which is the dominant cost when a replayer preloads an
         entire trace schedule.
+
+        All-or-nothing: the batch is built beside the heap and joins it only
+        once ``items`` is exhausted, so an iterable that raises part-way
+        leaves the queue and its sequence counter exactly as they were.
         """
-        heap = self._heap
         seq = self._seq
-        start = seq
-        for time, fn, args in items:
-            heap.append((time, priority, seq, fn, args))
-            seq += 1
-        n = seq - start
-        if n:
-            self._seq = seq
-            self._live += n
-            heapq.heapify(heap)
-        return n
-
-    # ------------------------------------------------------------ consuming
-    def cancel(self, ev: Event) -> None:
-        """Cancel a pending event (no-op if already dead)."""
-        ev.cancel()
-
-    def pop(self) -> Optional[Entry]:
-        """Remove and return the next live entry, or ``None`` if empty.
-
-        The entry is a ``(time, priority, seq, fn, args[, event])`` tuple;
-        dead (cancelled) entries are discarded transparently.
-        """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            if len(entry) == 6:
-                ev = entry[5]
-                if not ev._alive:
-                    continue
-                ev._alive = False  # consumed
-                ev._queue = None
-            self._live -= 1
-            return entry
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Timestamp of the next live event without popping it."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if len(head) == 6 and not head[5]._alive:
-                heapq.heappop(heap)
-                continue
-            return head[0]
-        return None
-
-    def clear(self) -> None:
-        """Drop all pending events."""
-        for entry in self._heap:
-            if len(entry) == 6:
-                entry[5]._alive = False
-                entry[5]._queue = None
-        self._heap.clear()
-        self._live = 0
-
-    def iter_pending(self) -> Iterator[Entry]:
-        """Iterate live entries in arbitrary (heap) order — for inspection."""
-        return (
-            entry for entry in self._heap
-            if len(entry) != 6 or entry[5]._alive
-        )
+        batch = [
+            (time, priority, seq + i, fn, args)
+            for i, (time, fn, args) in enumerate(items)
+        ]
+        if batch:
+            self._seq = seq + len(batch)
+            self._heap.extend(batch)
+            heapq.heapify(self._heap)
+        return len(batch)

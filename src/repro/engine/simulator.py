@@ -7,12 +7,12 @@ with slower clocks (e.g. a 2 GHz core on a 5 GHz network clock) schedule at
 multiples of their period.
 
 The run loop is the hottest code in the repository — every simulated cycle
-of every experiment goes through it — so it trades a little readability for
-speed: it operates directly on the queue's heap with hoisted locals instead
-of going through ``EventQueue.peek_time``/``pop`` (one heap access per
-event instead of two, no attribute lookups per iteration).  The observable
-semantics are identical to the method-call formulation and are pinned by
-the golden determinism tests in ``tests/test_engine_golden.py``.
+of every experiment goes through it — so it operates directly on the
+queue's heap with hoisted locals: one heap access per event, no attribute
+lookups per iteration.  There is one loop: an attached probe is read into a
+local once and costs an ``is not None`` branch per event, so the
+instrumented run is the measured run.  Firing order is pinned, with and
+without a probe, by ``tests/test_engine_golden.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from heapq import heappop
 from time import perf_counter
 from typing import Any, Callable, Iterable, Optional
 
-from repro.engine.events import Event, EventQueue
+from repro.engine.events import EventQueue
 from repro.engine.rng import RngFactory
 
 
@@ -63,7 +63,6 @@ class Simulator:
         "_event_count",
         "max_events",
         "rng",
-        "_end_hooks",
         "_probe",
     )
 
@@ -74,7 +73,6 @@ class Simulator:
         self._event_count = 0
         self.max_events = max_events
         self.rng = RngFactory(seed)
-        self._end_hooks: list[Callable[[], None]] = []
         self._probe = None
 
     # ------------------------------------------------------------------ time
@@ -88,11 +86,6 @@ class Simulator:
         """Total events executed so far (profiling / progress metric)."""
         return self._event_count
 
-    @property
-    def pending_events(self) -> int:
-        """Number of live events still scheduled."""
-        return len(self._queue)
-
     # ------------------------------------------------------------ scheduling
     def schedule(
         self,
@@ -101,32 +94,13 @@ class Simulator:
         args: tuple[Any, ...] = (),
         priority: int = 0,
     ) -> None:
-        """Schedule ``fn(*args)`` at absolute ``time`` (>= now).
-
-        Fast path: no handle is allocated.  Use
-        :meth:`schedule_cancellable` when the caller may need to cancel.
-        """
+        """Schedule ``fn(*args)`` at absolute ``time`` (>= now)."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} < now={self._now} "
                 f"(fn={getattr(fn, '__qualname__', fn)!r})"
             )
         self._queue.push(time, fn, args, priority)
-
-    def schedule_cancellable(
-        self,
-        time: int,
-        fn: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``fn(*args)`` at ``time``; returns a cancellable handle."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} < now={self._now} "
-                f"(fn={getattr(fn, '__qualname__', fn)!r})"
-            )
-        return self._queue.push_cancellable(time, fn, args, priority)
 
     def schedule_after(
         self,
@@ -140,19 +114,6 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         self._queue.push(self._now + delay, fn, args, priority)
 
-    def schedule_after_cancellable(
-        self,
-        delay: int,
-        fn: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        priority: int = 0,
-    ) -> Event:
-        """Like :meth:`schedule_after` but returns a cancellable handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self._queue.push_cancellable(self._now + delay, fn, args,
-                                            priority)
-
     def schedule_many(
         self,
         items: Iterable[tuple[int, Callable[..., None], tuple[Any, ...]]],
@@ -162,7 +123,8 @@ class Simulator:
 
         Equivalent to calling :meth:`schedule` once per item (same
         deterministic ordering) but heapifies the whole batch in one pass —
-        the trace replayers use this to preload an entire schedule.
+        the trace replayers use this to preload an entire schedule.  A batch
+        with any item in the past is refused whole: nothing is queued.
         """
         now = self._now
 
@@ -177,35 +139,22 @@ class Simulator:
 
         return self._queue.push_many(_checked(), priority)
 
-    def cancel(self, ev: Event) -> None:
-        """Cancel a previously scheduled (cancellable) event."""
-        ev.cancel()
-
-    def add_end_hook(self, fn: Callable[[], None]) -> None:
-        """Register a callback invoked once when :meth:`run` drains the queue."""
-        self._end_hooks.append(fn)
-
     # ---------------------------------------------------------- observability
     @property
     def probe(self):
-        """The attached kernel probe, or ``None`` (the zero-overhead default)."""
+        """The attached kernel probe, or ``None`` (the default)."""
         return self._probe
 
     def attach_probe(self, probe) -> None:
         """Attach a kernel probe (see :class:`repro.obs.KernelProbe`).
 
-        With a probe attached, :meth:`run` switches to an instrumented loop
-        that additionally tracks the heap high-water mark, events fired and
-        cancelled, and wall time, reporting them via ``probe.record_run``
-        after every run.  Without one (the default) the hot loop is
-        untouched — the disabled path costs a single ``is not None`` check
-        per ``run()`` call, not per event.
+        With a probe attached, :meth:`run` additionally tracks the heap
+        high-water mark, events fired, cycles and wall time, and reports
+        them via one ``probe.record_run`` call per run.  It is the same
+        loop either way; without a probe the only cost is one
+        ``is not None`` branch per event.
         """
         self._probe = probe
-
-    def detach_probe(self) -> None:
-        """Return to the uninstrumented run loop."""
-        self._probe = None
 
     # ------------------------------------------------------------- execution
     def run(self, until: Optional[int] = None) -> None:
@@ -216,83 +165,28 @@ class Simulator:
         interval), matching the usual "run N cycles" semantics of cycle
         simulators.
         """
-        if self._probe is not None:
-            return self._run_instrumented(until)
         if self._running:
             raise SimulationError("re-entrant Simulator.run() call")
         self._running = True
-        queue = self._queue
-        heap = queue._heap
+        heap = self._queue._heap
         pop = heappop
         max_events = self.max_events
+        probe = self._probe
+        if probe is not None:
+            start_events = self._event_count
+            start_now = self._now
+            high_water = len(heap)
+            wall_t0 = perf_counter()
         try:
             while heap:
-                entry = heap[0]
-                if len(entry) == 6 and not entry[5]._alive:
-                    pop(heap)       # discard dead (cancelled) entry
-                    continue
-                t = entry[0]
-                if until is not None and t > until:
-                    self._now = until
-                    return
-                pop(heap)
-                queue._live -= 1
-                if len(entry) == 6:
-                    ev = entry[5]
-                    ev._alive = False   # consumed
-                    ev._queue = None
-                self._now = t
-                count = self._event_count + 1
-                self._event_count = count
-                if count > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at t={t}"
-                    )
-                entry[3](*entry[4])
-            for hook in self._end_hooks:
-                hook()
-        finally:
-            self._running = False
-
-    def _run_instrumented(self, until: Optional[int] = None) -> None:
-        """:meth:`run` with kernel statistics collection (probe attached).
-
-        Observable simulation semantics are identical to the fast loop —
-        same event order, same clock behaviour, pinned by running the
-        golden determinism tests under an attached probe — plus heap
-        high-water tracking per iteration and one ``probe.record_run`` call
-        per run (covering early ``until`` exits and exceptions alike).
-        """
-        if self._running:
-            raise SimulationError("re-entrant Simulator.run() call")
-        self._running = True
-        queue = self._queue
-        heap = queue._heap
-        pop = heappop
-        max_events = self.max_events
-        start_events = self._event_count
-        start_now = self._now
-        start_cancelled = queue._cancelled
-        high_water = len(heap)
-        wall_t0 = perf_counter()
-        try:
-            while heap:
-                if len(heap) > high_water:
+                if probe is not None and len(heap) > high_water:
                     high_water = len(heap)
                 entry = heap[0]
-                if len(entry) == 6 and not entry[5]._alive:
-                    pop(heap)       # discard dead (cancelled) entry
-                    continue
                 t = entry[0]
                 if until is not None and t > until:
                     self._now = until
                     return
                 pop(heap)
-                queue._live -= 1
-                if len(entry) == 6:
-                    ev = entry[5]
-                    ev._alive = False   # consumed
-                    ev._queue = None
                 self._now = t
                 count = self._event_count + 1
                 self._event_count = count
@@ -301,43 +195,14 @@ class Simulator:
                         f"exceeded max_events={max_events} at t={t}"
                     )
                 entry[3](*entry[4])
-            for hook in self._end_hooks:
-                hook()
         finally:
             self._running = False
-            self._probe.record_run(
-                events=self._event_count - start_events,
-                cancelled=queue._cancelled - start_cancelled,
-                heap_high_water=high_water,
-                wall_s=perf_counter() - wall_t0,
-                cycles=self._now - start_now,
-            )
-
-    def step(self) -> bool:
-        """Execute exactly one event; return False if the queue was empty.
-
-        Semantics match :meth:`run` one event at a time: the ``max_events``
-        guard applies, and the end hooks fire when the step that consumed
-        the last event drains the queue.
-        """
-        entry = self._queue.pop()
-        if entry is None:
-            return False
-        self._now = entry[0]
-        count = self._event_count + 1
-        self._event_count = count
-        if count > self.max_events:
-            raise SimulationError(
-                f"exceeded max_events={self.max_events} at t={self._now}"
-            )
-        entry[3](*entry[4])
-        if not self._queue:
-            for hook in self._end_hooks:
-                hook()
-        return True
-
-    def reset(self) -> None:
-        """Clear all pending events and rewind the clock (RNG is untouched)."""
-        self._queue.clear()
-        self._now = 0
-        self._event_count = 0
+            # Here, not after the loop: an early ``until`` exit and a raising
+            # callback are runs too.
+            if probe is not None:
+                probe.record_run(
+                    events=self._event_count - start_events,
+                    heap_high_water=high_water,
+                    wall_s=perf_counter() - wall_t0,
+                    cycles=self._now - start_now,
+                )

@@ -34,7 +34,7 @@ def make_electrical(
     cfg: NocConfig, seed: int, keep_per_message_latency: bool = False
 ) -> tuple[Simulator, ElectricalNetwork]:
     sim = Simulator(seed=seed)
-    attach_kernel_probe(sim)        # no-op (and no run-loop cost) when obs is off
+    attach_kernel_probe(sim)        # no-op when obs is off
     return sim, ElectricalNetwork(sim, cfg, keep_per_message_latency)
 
 

@@ -67,8 +67,9 @@ from repro import obs
 #: v4: the resilience subsystem — results now depend on
 #: TraceConfig.fault_events / mitigation and Scenario.degrade; v5: four
 #: unread fields left the encoded configs, and the instrumentation state
-#: left the key — entries carry their snapshot in an ``obs`` field.)
-CACHE_SALT = "repro-kernel-v5"
+#: left the key — entries carry their snapshot in an ``obs`` field; v6: the
+#: kernel cannot cancel, so ``kernel.events_cancelled`` left the snapshot.)
+CACHE_SALT = "repro-kernel-v6"
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

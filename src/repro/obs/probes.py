@@ -4,13 +4,12 @@ Components never touch the registry directly on their hot paths.  Instead,
 at construction time they ask for a probe object; when instrumentation is
 disabled (the default) the factory returns ``None`` and the component's
 fast path pays exactly one ``is not None`` check per call site — the
-kernel's run loop pays a single check per ``run()`` invocation, not per
-event.
+kernel's run loop included: it is the same loop with or without a probe.
 
 Probe catalogue (metric names as they appear in ``repro metrics`` output):
 
 ``kernel.*``
-    ``events_fired``/``events_cancelled``/``cycles`` counters,
+    ``events_fired``/``cycles`` counters,
     ``heap_high_water`` gauge, ``run_wall_s`` and ``events_per_wall_s``
     distributions — published by :class:`KernelProbe` after every
     :meth:`repro.engine.Simulator.run`.
@@ -34,16 +33,16 @@ from repro.obs.timeline import Timeline
 class KernelProbe:
     """Accumulates event-kernel statistics across one simulator's runs.
 
-    The instrumented run loop (see :meth:`repro.engine.Simulator.run`)
-    tracks events fired, the heap high-water mark, and wall time for each
-    ``run()`` call, then reports them here; the probe folds them into its
+    With a probe attached, :meth:`repro.engine.Simulator.run` tracks events
+    fired, the heap high-water mark, and wall time for each ``run()`` call,
+    then reports them here exactly once — also when the run stops early at
+    ``until`` or a callback raises; the probe folds them into its
     own totals and, when built against a scope, the metrics registry.
     """
 
     __slots__ = (
         "scope",
         "events_fired",
-        "events_cancelled",
         "heap_high_water",
         "wall_s",
         "cycles",
@@ -53,7 +52,6 @@ class KernelProbe:
     def __init__(self, scope: Optional[Scope] = None) -> None:
         self.scope = scope
         self.events_fired = 0
-        self.events_cancelled = 0
         self.heap_high_water = 0
         self.wall_s = 0.0
         self.cycles = 0
@@ -62,14 +60,12 @@ class KernelProbe:
     def record_run(
         self,
         events: int,
-        cancelled: int,
         heap_high_water: int,
         wall_s: float,
         cycles: int,
     ) -> None:
         """Fold one completed ``run()`` into the totals (and the registry)."""
         self.events_fired += events
-        self.events_cancelled += cancelled
         self.heap_high_water = max(self.heap_high_water, heap_high_water)
         self.wall_s += wall_s
         self.cycles += cycles
@@ -77,7 +73,6 @@ class KernelProbe:
         scope = self.scope
         if scope is not None:
             scope.counter("events_fired").inc(events)
-            scope.counter("events_cancelled").inc(cancelled)
             scope.counter("cycles").inc(cycles)
             scope.gauge("heap_high_water").set_max(heap_high_water)
             scope.distribution("run_wall_s").observe(wall_s)
@@ -93,8 +88,8 @@ class KernelProbe:
 def attach_kernel_probe(sim, name: str = "kernel") -> Optional[KernelProbe]:
     """Attach a registry-backed :class:`KernelProbe` to ``sim``.
 
-    Returns ``None`` (and leaves the simulator on its zero-overhead run
-    loop) when instrumentation is disabled.
+    Returns ``None`` (and attaches nothing) when instrumentation is
+    disabled.
     """
     from repro import obs
 

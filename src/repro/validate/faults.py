@@ -58,6 +58,7 @@ from repro.core.trace import (
     EndMarker,
     Trace,
     TraceRecord,
+    blocked_msg_ids,
 )
 from repro.engine.rng import mix64
 
@@ -404,29 +405,6 @@ class RewireDeps(FaultModel):
     def severity(self) -> float:
         return self.fraction
 
-    @staticmethod
-    def _unfireable(records: list[TraceRecord]) -> set[int]:
-        """Records that can never fire given the roots (fire-fixpoint)."""
-        present = {r.msg_id for r in records}
-        prereqs = {
-            r.msg_id: sum(1 for t in (r.cause_id, r.bound_id)
-                          if t != -1 and t in present)
-            for r in records
-        }
-        dependents: dict[int, list[int]] = {}
-        for r in records:
-            for t in (r.cause_id, r.bound_id):
-                if t != -1 and t in present:
-                    dependents.setdefault(t, []).append(r.msg_id)
-        frontier = [mid for mid, n in prereqs.items() if n == 0]
-        while frontier:
-            mid = frontier.pop()
-            for dep in dependents.get(mid, ()):
-                prereqs[dep] -= 1
-                if prereqs[dep] == 0:
-                    frontier.append(dep)
-        return {mid for mid, n in prereqs.items() if n > 0}
-
     def apply(self, trace: Trace, seed: int) -> tuple[Trace, FaultReport]:
         originals = {r.msg_id: r for r in trace.records}
         deliveries = sorted((r.t_deliver, r.msg_id) for r in trace.records)
@@ -452,9 +430,9 @@ class RewireDeps(FaultModel):
                 bound_id=-1, bound_gap=0))
         # Revert any rewire that manufactured a cycle (pre-existing damage,
         # e.g. from composed record-loss faults, is left alone).
-        pre_existing = self._unfireable(list(trace.records))
+        pre_existing = blocked_msg_ids(trace.records)
         while True:
-            bad = (self._unfireable(records) - pre_existing) & rewired
+            bad = (blocked_msg_ids(records) - pre_existing) & rewired
             if not bad:
                 break
             records = [originals[r.msg_id] if r.msg_id in bad else r

@@ -74,7 +74,7 @@ from repro.core.replay import (
     SelfCorrectingReplayer,
     _estimate_exec_time,
 )
-from repro.core.trace import EndMarker, Trace, TraceRecord
+from repro.core.trace import EndMarker, Trace, TraceRecord, blocked_msg_ids
 
 # Invariant names (referenced by tests and repro reports).
 TRACE_UNIQUE_IDS = "trace.unique_ids"
@@ -209,37 +209,14 @@ def check_trace(trace: Trace, strict_fifo: bool = False) -> list[Violation]:
                     f"root gap {r.gap} != injection offset {r.t_inject}",
                     r.msg_id)
 
-    _check_acyclic(trace, by_id, out)
+    for mid in sorted(blocked_msg_ids(trace.records)):
+        out.add(TRACE_ACYCLICITY, "record sits on a dependency cycle", mid)
     _check_end_markers(trace, by_id, out)
     _check_channel_order(
         ((r.src, r.dst, r.t_inject, r.t_deliver, r.msg_id)
          for r in trace.records),
         TRACE_CHANNEL_ORDER, out, strict_fifo=strict_fifo)
     return out.violations
-
-
-def _check_acyclic(trace: Trace, by_id: dict[int, TraceRecord],
-                   out: _Collector) -> None:
-    prereqs = {
-        r.msg_id: sum(1 for t in (r.cause_id, r.bound_id)
-                      if t != -1 and t in by_id)
-        for r in trace.records
-    }
-    dependents: dict[int, list[int]] = {}
-    for r in trace.records:
-        for trig in (r.cause_id, r.bound_id):
-            if trig != -1 and trig in by_id:
-                dependents.setdefault(trig, []).append(r.msg_id)
-    frontier = [mid for mid, n in prereqs.items() if n == 0]
-    while frontier:
-        mid = frontier.pop()
-        for dep in dependents.get(mid, ()):
-            prereqs[dep] -= 1
-            if prereqs[dep] == 0:
-                frontier.append(dep)
-    cyclic = sorted(mid for mid, n in prereqs.items() if n > 0)
-    for mid in cyclic:
-        out.add(TRACE_ACYCLICITY, "record sits on a dependency cycle", mid)
 
 
 def _check_end_markers(trace: Trace, by_id: dict[int, TraceRecord],

@@ -1,21 +1,26 @@
-"""Unit tests for the event queue: ordering, cancellation, tie-breaking.
+"""Unit tests for the event queue: ordering, tie-breaking, bulk loading.
 
-The queue's fast path stores plain ``(time, priority, seq, fn, args)``
-tuples; cancellable events append their :class:`Event` handle as a sixth
-element.  These tests cover both entry shapes and the interactions between
-them (cancel-then-peek, ``_live`` accounting, bulk loading).
+The queue stores plain ``(time, priority, seq, fn, args)`` tuples and has
+no ``pop`` of its own: its one consumer, ``Simulator.run``, pops
+``queue._heap`` directly, and so do these tests.
 """
 
 from __future__ import annotations
 
+import heapq
 
 from repro.engine import EventQueue
+
+
+def pop(q: EventQueue):
+    """The next entry the way ``Simulator.run`` takes it, or ``None``."""
+    return heapq.heappop(q._heap) if q._heap else None
 
 
 def drain(q: EventQueue) -> list:
     """Pop everything, invoking each callback; return the popped entries."""
     out = []
-    while (entry := q.pop()) is not None:
+    while (entry := pop(q)) is not None:
         entry[3](*entry[4])
         out.append(entry)
     return out
@@ -25,8 +30,7 @@ def test_empty_queue():
     q = EventQueue()
     assert len(q) == 0
     assert not q
-    assert q.pop() is None
-    assert q.peek_time() is None
+    assert pop(q) is None
 
 
 def test_pop_in_time_order():
@@ -57,139 +61,14 @@ def test_priority_orders_within_same_time():
     assert order == ["high", "mid", "low"]
 
 
-def test_fast_and_cancellable_share_one_order():
-    """Mixed entry shapes obey the same (time, priority, seq) rule."""
-    q = EventQueue()
-    order = []
-    q.push(5, order.append, ("fast0",))
-    q.push_cancellable(5, order.append, ("canc0",))
-    q.push(5, order.append, ("fast1",))
-    q.push_cancellable(3, order.append, ("canc1",))
-    drain(q)
-    assert order == ["canc1", "fast0", "canc0", "fast1"]
-
-
-def test_cancel_skips_event():
-    q = EventQueue()
-    q.push(1, lambda: None)
-    drop = q.push_cancellable(0, lambda: None)
-    q.cancel(drop)
-    assert len(q) == 1
-    entry = q.pop()
-    assert entry is not None and entry[0] == 1
-    assert q.pop() is None
-
-
-def test_cancel_is_idempotent():
-    q = EventQueue()
-    ev = q.push_cancellable(1, lambda: None)
-    q.cancel(ev)
-    q.cancel(ev)
-    assert len(q) == 0
-
-
-def test_cancel_after_pop_does_not_corrupt_live_count():
-    """Cancelling an already-consumed handle must not touch ``_live``."""
-    q = EventQueue()
-    ev = q.push_cancellable(1, lambda: None)
-    q.push(2, lambda: None)
-    assert q.pop() is not None       # consumes ev
-    q.cancel(ev)                     # stale cancel: no-op
-    assert len(q) == 1
-    assert q.pop() is not None
-    assert len(q) == 0
-
-
-def test_peek_time_skips_cancelled_head():
-    q = EventQueue()
-    first = q.push_cancellable(1, lambda: None)
-    q.push(2, lambda: None)
-    q.cancel(first)
-    assert q.peek_time() == 2
-
-
-def test_cancel_then_peek_then_pop_consistent():
-    """Peek after cancel discards the dead head exactly once; the
-    subsequent pop sees the live ordering and ``_live`` stays exact."""
-    q = EventQueue()
-    a = q.push_cancellable(1, lambda: None)
-    b = q.push_cancellable(2, lambda: None)
-    q.push(3, lambda: None)
-    q.cancel(a)
-    assert q.peek_time() == 2
-    assert len(q) == 2
-    q.cancel(b)
-    assert q.peek_time() == 3
-    assert len(q) == 1
-    entry = q.pop()
-    assert entry[0] == 3
-    assert q.pop() is None
-    assert len(q) == 0
-
-
-def test_len_counts_only_live_events():
-    q = EventQueue()
-    evs = [q.push_cancellable(i, lambda: None) for i in range(5)]
-    q.cancel(evs[0])
-    q.cancel(evs[3])
-    assert len(q) == 3
-
-
-def test_live_accounting_through_mixed_operations():
-    q = EventQueue()
-    q.push(1, lambda: None)
-    ev = q.push_cancellable(2, lambda: None)
-    q.push_many([(3, (lambda: None), ()), (4, (lambda: None), ())])
-    assert len(q) == 4
-    q.cancel(ev)
-    assert len(q) == 3
-    q.pop()
-    assert len(q) == 2
-    q.clear()
-    assert len(q) == 0
-    assert not q
-
-
-def test_clear():
-    q = EventQueue()
-    for i in range(4):
-        q.push(i, lambda: None)
-    ev = q.push_cancellable(9, lambda: None)
-    q.clear()
-    assert len(q) == 0
-    assert q.pop() is None
-    assert not ev.alive              # cleared handles are dead
-    q.cancel(ev)                     # and stale cancels stay harmless
-    assert len(q) == 0
-
-
-def test_iter_pending_only_live():
-    q = EventQueue()
-    a = q.push_cancellable(1, lambda: None)
-    q.push_cancellable(2, lambda: None)
-    q.push(3, lambda: None)
-    q.cancel(a)
-    pending = sorted(entry[0] for entry in q.iter_pending())
-    assert pending == [2, 3]
-
-
-def test_event_alive_transitions():
-    q = EventQueue()
-    ev = q.push_cancellable(1, lambda: None)
-    assert ev.alive
-    entry = q.pop()
-    assert entry is not None and entry[5] is ev
-    assert not ev.alive  # consumed
-
-
 def test_interleaved_push_pop():
     q = EventQueue()
     out = []
     q.push(10, out.append, (10,))
-    entry = q.pop()
+    entry = pop(q)
     entry[3](*entry[4])
     q.push(5, out.append, (5,))   # earlier time pushed after a pop is fine
-    entry = q.pop()
+    entry = pop(q)
     entry[3](*entry[4])
     assert out == [10, 5]
 
@@ -231,7 +110,7 @@ def test_push_many_empty_iterable():
     q = EventQueue()
     assert q.push_many([]) == 0
     assert len(q) == 0
-    assert q.pop() is None
+    assert pop(q) is None
 
 
 def test_push_many_applies_priority():

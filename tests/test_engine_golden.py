@@ -6,12 +6,18 @@ the tuple-keyed rewrite fires events in the *identical* (time, priority,
 seq) order and that ``replay_trace`` produces bit-identical timings — the
 ISSUE-1 acceptance criterion that the optimisation does not perturb
 simulation results.
+
+Every case runs twice, without and with a kernel probe attached: the
+kernel has one run loop, and a probe must not move a single firing.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+from repro import obs
 from repro.config import OnocConfig, TraceConfig
 from repro.core import replay_trace
 from repro.core.trace import EndMarker, Trace, TraceRecord
@@ -50,9 +56,12 @@ GOLDEN_REPLAY = {
 }
 
 
-def run_scenario() -> list[tuple[int, str]]:
+def run_scenario(probed: bool) -> list[tuple[int, str]]:
     """Same-time collisions, mixed priorities, nested rescheduling."""
     sim = Simulator(seed=3)
+    probe = obs.KernelProbe() if probed else None
+    if probed:
+        sim.attach_probe(probe)
     fired: list[tuple[int, str]] = []
 
     def tag(name: str) -> None:
@@ -70,6 +79,8 @@ def run_scenario() -> list[tuple[int, str]]:
     for i in range(4):
         sim.schedule(15, tag, (f"t{i}",), priority=2)
     sim.run()
+    if probed:
+        assert (probe.runs, probe.events_fired) == (1, len(fired))
     return fired
 
 
@@ -104,22 +115,36 @@ def golden_trace() -> Trace:
                  meta={"synthetic": True})
 
 
+# ``probed`` is a loop inside each case, not a parametrize axis: one more
+# input to the same four tests, whose ids stay what they were.
+PROBED = (False, True)
+
+
 def test_golden_event_firing_order():
-    assert run_scenario() == GOLDEN_SCENARIO_ORDER
+    for probed in PROBED:
+        assert run_scenario(probed) == GOLDEN_SCENARIO_ORDER, probed
 
 
 def test_golden_event_firing_order_is_stable_across_runs():
-    assert run_scenario() == run_scenario()
+    for probed in PROBED:
+        assert run_scenario(probed) == run_scenario(probed), probed
 
 
 @pytest.mark.parametrize("mode", ["naive", "self_correcting"])
 def test_golden_replay_timings(mode):
     cfg = OnocConfig(num_nodes=4, num_wavelengths=16)
-    res = replay_trace(golden_trace(), optical_factory(cfg, seed=11),
-                       TraceConfig(mode=mode))
     exp = GOLDEN_REPLAY[mode]
-    assert res.exec_time_estimate == exp["exec_time_estimate"]
-    assert res.injections == exp["injections"]
-    assert res.deliveries == exp["deliveries"]
-    assert res.sim_events == exp["sim_events"]
-    assert res.messages_unreplayed == 0
+    for probed in PROBED:
+        # With obs collecting, the factory's make_optical attaches a
+        # registry-backed KernelProbe to the replay's simulator.
+        with obs.collecting() if probed else contextlib.nullcontext() as reg:
+            res = replay_trace(golden_trace(), optical_factory(cfg, seed=11),
+                               TraceConfig(mode=mode))
+            if probed:
+                fired = reg.snapshot()["kernel.events_fired"]["value"]
+                assert fired == exp["sim_events"]
+        assert res.exec_time_estimate == exp["exec_time_estimate"], probed
+        assert res.injections == exp["injections"], probed
+        assert res.deliveries == exp["deliveries"], probed
+        assert res.sim_events == exp["sim_events"], probed
+        assert res.messages_unreplayed == 0, probed

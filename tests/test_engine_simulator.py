@@ -1,4 +1,4 @@
-"""Unit tests for the Simulator: clock semantics, scheduling rules, hooks."""
+"""Unit tests for the Simulator: clock semantics, scheduling rules, guards."""
 
 from __future__ import annotations
 
@@ -57,50 +57,13 @@ def test_run_until_is_inclusive():
 
 def test_run_until_leaves_clock_at_until_when_idle():
     sim = Simulator()
-    sim.schedule(100, lambda: None)
+    out = []
+    sim.schedule(100, out.append, (100,))
     sim.run(until=50)
     assert sim.now == 50
-    assert sim.pending_events == 1
-
-
-def test_cancel_prevents_execution():
-    sim = Simulator()
-    out = []
-    ev = sim.schedule_cancellable(5, out.append, (5,))
-    sim.cancel(ev)
-    sim.run()
     assert out == []
-
-
-def test_schedule_cancellable_fires_when_not_cancelled():
-    sim = Simulator()
-    out = []
-    ev = sim.schedule_cancellable(5, out.append, (5,))
-    assert ev.alive
-    sim.run()
-    assert out == [5]
-    assert not ev.alive
-
-
-def test_schedule_after_cancellable():
-    sim = Simulator()
-    out = []
-
-    def arm():
-        ev = sim.schedule_after_cancellable(10, out.append, ("timeout",))
-        sim.schedule_after(5, sim.cancel, (ev,))
-
-    sim.schedule(3, arm)
-    sim.run()
-    assert out == []
-    assert sim.now == 8     # the cancel itself was the last event
-
-
-def test_schedule_cancellable_in_past_raises():
-    sim = Simulator()
-    sim.schedule(10, lambda: sim.schedule_cancellable(5, lambda: None))
-    with pytest.raises(SimulationError, match="cannot schedule"):
-        sim.run()
+    sim.run()                   # the event stayed queued
+    assert (sim.now, out) == (100, [100])
 
 
 def test_schedule_many_matches_individual_schedules():
@@ -118,10 +81,22 @@ def test_schedule_many_matches_individual_schedules():
 
 def test_schedule_many_in_past_raises():
     sim = Simulator()
+    out = []
     sim.schedule(10, lambda: None)
     sim.run()
+    sim.schedule(12, out.append, ("kept",))
     with pytest.raises(SimulationError, match="cannot schedule"):
-        sim.schedule_many([(20, lambda: None, ()), (5, lambda: None, ())])
+        sim.schedule_many([(20, out.append, ("refused0",)),
+                           (11, out.append, ("refused1",)),
+                           (5, out.append, ("past",))])
+    # A refused batch is refused whole: the queue is as it was (no entry,
+    # no sequence number taken), and only what was accepted fires.
+    queue = sim._queue
+    assert len(queue) == 1 and queue._seq == 2
+    sim.schedule(12, out.append, ("later",))
+    sim.run()
+    assert out == ["kept", "later"]
+    assert sim.now == 12
 
 
 def test_event_count_increments():
@@ -141,79 +116,6 @@ def test_max_events_guard():
     sim.schedule(0, loop)
     with pytest.raises(SimulationError, match="max_events"):
         sim.run()
-
-
-def test_end_hooks_fire_on_drain():
-    sim = Simulator()
-    out = []
-    sim.add_end_hook(lambda: out.append("end"))
-    sim.schedule(1, lambda: None)
-    sim.run()
-    assert out == ["end"]
-
-
-def test_end_hooks_not_fired_on_until_stop():
-    sim = Simulator()
-    out = []
-    sim.add_end_hook(lambda: out.append("end"))
-    sim.schedule(10, lambda: None)
-    sim.run(until=5)
-    assert out == []
-
-
-def test_step_single_event():
-    sim = Simulator()
-    out = []
-    sim.schedule(3, out.append, (3,))
-    sim.schedule(4, out.append, (4,))
-    assert sim.step()
-    assert out == [3]
-    assert sim.step()
-    assert not sim.step()
-
-
-def test_step_enforces_max_events():
-    sim = Simulator(max_events=2)
-    for i in range(3):
-        sim.schedule(i, lambda: None)
-    assert sim.step()
-    assert sim.step()
-    with pytest.raises(SimulationError, match="max_events"):
-        sim.step()
-
-
-def test_step_fires_end_hooks_on_drain():
-    sim = Simulator()
-    out = []
-    sim.add_end_hook(lambda: out.append("end"))
-    sim.schedule(1, out.append, ("a",))
-    sim.schedule(2, out.append, ("b",))
-    sim.step()
-    assert out == ["a"]          # queue not drained yet: no hook
-    sim.step()
-    assert out == ["a", "b", "end"]
-    assert not sim.step()
-    assert out == ["a", "b", "end"]   # empty-queue step does not re-fire
-
-
-def test_step_no_hooks_when_callback_reschedules():
-    sim = Simulator()
-    out = []
-    sim.add_end_hook(lambda: out.append("end"))
-    sim.schedule(1, lambda: sim.schedule(2, out.append, ("later",)))
-    sim.step()
-    assert out == []             # refilled by the callback: not drained
-    sim.step()
-    assert out == ["later", "end"]
-
-
-def test_reset_clears_state():
-    sim = Simulator()
-    sim.schedule(5, lambda: None)
-    sim.run()
-    sim.reset()
-    assert sim.now == 0
-    assert sim.pending_events == 0
 
 
 def test_reentrant_run_rejected():

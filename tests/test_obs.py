@@ -224,22 +224,40 @@ def test_collecting_restores_ambient_state():
 
 
 # ------------------------------------------------------------ kernel probe
-def test_kernel_probe_counts_events_and_cancellations():
+def _boom():
+    raise RuntimeError("boom")
+
+
+def test_kernel_probe_records_each_run_once():
+    """One ``record_run`` per ``run()`` — on drain, on an early ``until``
+    exit, and when a callback raises."""
     with obs.collecting() as reg:
         sim = Simulator()
-        assert obs.attach_kernel_probe(sim) is not None
+        probe = obs.attach_kernel_probe(sim)
+        assert probe is not None
         hits = []
         for t in range(10):
             sim.schedule(t, hits.append, (t,))
-        ev = sim.schedule_cancellable(99, hits.append, (99,))
-        sim.schedule(50, ev.cancel)  # cancelled mid-run -> probe sees it
-        sim.run()
+        sim.schedule(20, _boom)
+        sim.schedule(30, hits.append, (30,))
+
+        sim.run(until=4)  # early exit: t=0..4 fired
+        assert (probe.runs, probe.events_fired, probe.cycles) == (1, 5, 4)
+        assert probe.heap_high_water == 12
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()  # t=5..9, then the raising t=20
+        assert (probe.runs, probe.events_fired, probe.cycles) == (2, 11, 20)
+        sim.run()  # drain: t=30
+        assert (probe.runs, probe.events_fired, probe.cycles) == (3, 12, 30)
+        sim.run()  # an empty run is still a run
+        assert (probe.runs, probe.events_fired, probe.cycles) == (4, 12, 30)
         snap = reg.snapshot()
-    assert len(hits) == 10
-    assert snap["kernel.events_fired"]["value"] == sim.event_count
-    assert snap["kernel.events_cancelled"]["value"] == 1
-    assert snap["kernel.heap_high_water"]["value"] >= 1
-    assert snap["kernel.run_wall_s"]["count"] >= 1
+    assert hits == [*range(10), 30]
+    assert snap["kernel.events_fired"]["value"] == sim.event_count == 12
+    assert snap["kernel.cycles"]["value"] == sim.now == 30
+    assert snap["kernel.heap_high_water"]["value"] == 12
+    assert snap["kernel.run_wall_s"]["count"] == 4
+    assert not any("cancel" in name for name in snap)
 
 
 # ----------------------------------------------------- sweep merge + cache
