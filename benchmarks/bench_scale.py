@@ -12,13 +12,15 @@ gets there.  For each trace size on the ladder (10^4 - 10^6 messages at
   subprocess, sampling peak RSS via ``/proc/self/status`` VmHWM (reset at
   exec, so the child measures only itself);
 * **replays it fully in memory** (load + naive generational) in another
-  subprocess, as the contrast curve.
+  subprocess, as the contrast curve, and times the self-correcting replay
+  on both engines (``speedup_x`` = event / generational wall clock).
 
-The gate: streaming peak RSS must grow *sublinearly* in trace size — the
-last/first RSS ratio stays below the last/first file-size ratio.  The
-checked-in ``benchmarks/results/BENCH_scale.json`` records the full
-ladder; CI re-runs the two-point smoke shape per commit and the full
-ladder nightly.
+The gates: streaming peak RSS must grow *sublinearly* in trace size — the
+last/first RSS ratio stays below the last/first file-size ratio — and the
+generational engine must not be slower than the event engine (at least
+``SPEEDUP_FLOOR``x on the full ladder).  The checked-in
+``benchmarks/results/BENCH_scale.json`` records the full ladder; CI re-runs
+the two-point smoke shape per commit and the full ladder nightly.
 
 Standalone::
 
@@ -35,16 +37,23 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import timeit
 
+from repro.config import OnocConfig, TraceConfig
+from repro.core import load_trace, replay_trace
+from repro.harness.builders import optical_factory
 from repro.synth import default_profile, generate_to_file
 
 NODES = 1024
 TOPOLOGY = "crossbar"
 SEED = 20260808
-#: Full in-memory replay is skipped above this size by default: the point
-#: of the contrast curve is made long before the record list stops
-#: fitting comfortably in RAM.
+#: Full in-memory replay (and the engine timing, which loads the trace too)
+#: is skipped above this size by default: the point of the contrast curve
+#: is made long before the record list stops fitting comfortably in RAM.
 FULL_REPLAY_MAX = 200_000
+#: What the standalone full ladder demands of ``speedup_x`` (measured 8-11x
+#: at 10^4 and 10^5 messages); the smoke shape only demands "not slower".
+SPEEDUP_FLOOR = 5.0
 
 SMOKE_SIZES = (10_000, 40_000)
 LADDER_SIZES = (10_000, 100_000, 1_000_000)
@@ -105,6 +114,21 @@ def _child(mode: str, path: pathlib.Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def measure_speedup(path: pathlib.Path) -> float:
+    """Event / generational wall clock (best of two each) of the
+    self-correcting replay of one ladder trace."""
+    trace = load_trace(path)
+    onoc = OnocConfig(num_nodes=NODES)
+
+    def best(engine: str) -> float:
+        cfg = TraceConfig(mode="self_correcting", engine=engine)
+        return min(timeit.repeat(
+            lambda: replay_trace(trace, optical_factory(onoc, 1), cfg),
+            number=1, repeat=2))
+
+    return round(best("event") / best("generational"), 2)
+
+
 def measure_point(n_messages: int, tmp: pathlib.Path,
                   full_replay_max: int) -> dict:
     path = tmp / f"synth{n_messages}.rtrc"
@@ -124,6 +148,7 @@ def measure_point(n_messages: int, tmp: pathlib.Path,
         full = _child("full", path)
         row["full_rss_kib"] = full["rss_kib"]
         row["full_wall_s"] = full["wall_s"]
+        row["speedup_x"] = measure_speedup(path)
     path.unlink()
     return row
 
@@ -147,6 +172,8 @@ def run(sizes: list[int],
             last["stream_rss_kib"] / first["stream_rss_kib"], 3),
     }
     report["sublinear"] = report["rss_growth_x"] < report["trace_growth_x"]
+    report["speedup_x"] = min(p["speedup_x"] for p in points
+                              if "speedup_x" in p)
     return report
 
 
@@ -165,6 +192,8 @@ def test_scale_smoke(results_dir):
     # the smoke ladder, or the streaming path isn't buying anything.
     top = report["points"][-1]
     assert top["full_rss_kib"] > top["stream_rss_kib"], top
+    # Generational self-correcting replay is not slower than event-driven.
+    assert report["speedup_x"] >= 1.0, report
 
 
 # -------------------------------------------------------------- standalone
@@ -184,7 +213,8 @@ def main() -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     report = run(sizes, full_replay_max=int(args.full_replay_max))
     write_json_report(report, args.out)
-    return 0 if report["sublinear"] else 1
+    floor = 1.0 if args.smoke else SPEEDUP_FLOOR
+    return 0 if report["sublinear"] and report["speedup_x"] >= floor else 1
 
 
 if __name__ == "__main__":

@@ -19,22 +19,6 @@ from repro.config import default_16core_config
 from repro.harness import SweepRunner
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-EXPERIMENTS_DIR = pathlib.Path(__file__).parent / "experiments"
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--engine", action="store", default="event",
-        choices=("event", "generational"),
-        help="replay engine for the paper-figure benches (fig9, table2): "
-             "the reference event-driven path or the vectorized "
-             "generational path")
-
-
-@pytest.fixture(scope="session")
-def replay_engine(request) -> str:
-    """Engine selected with ``--engine`` (default: event-driven)."""
-    return request.config.getoption("--engine")
 
 
 @pytest.fixture(scope="session")
@@ -70,28 +54,6 @@ def save_and_print(results_dir: pathlib.Path, name: str, text: str) -> None:
     (results_dir / f"{name}.txt").write_text(text + "\n")
     print()
     print(text)
-
-
-# All eight application kernels (the paper's case study used one real
-# application; we sweep the full suite).  Canonically defined next to the
-# experiment catalog so configs and benches can never disagree.
-from repro.exp.catalog import ALL_WORKLOADS  # noqa: E402,F401
-
-
-def run_experiment_config(name: str, runner: SweepRunner, **overrides):
-    """Resolve and run one ``benchmarks/experiments/`` config.
-
-    The paper-figure benches are thin loaders over this: the config states
-    *what* to run, :mod:`repro.exp` compiles it to the same content-keyed
-    sweep tasks the old hand-written drivers built (so caches keep hitting),
-    and the returned :class:`repro.exp.RunOutcome` carries the table rows,
-    the flat metric snapshot, and the raw per-task results the shape
-    assertions inspect.
-    """
-    from repro.exp import resolve_config, run_experiment
-
-    cfg = resolve_config(EXPERIMENTS_DIR / name, overrides or None)
-    return run_experiment(cfg, runner)
 
 
 def standalone_parser(description: str, **flags):

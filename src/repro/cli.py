@@ -378,16 +378,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     if args.faults == "matrix":
         # Error-vs-severity sweep per fault family on the reference
-        # capture/target mismatch pair, gated on smooth degradation.
-        base = V.Scenario("fft", 16, 16, 0.1, "awgr", "crossbar",
-                          fault_seed=args.fault_seed,
-                          gap_policy=args.gap_policy)
-        matrix = V.run_fault_matrix(base, runner=_runner(args))
-        print(f"fault matrix on {base.name} "
+        # capture/target mismatch pair, gated on smooth degradation: the
+        # catalogue's fault_matrix experiment at its schema defaults.
+        from repro import exp as E
+
+        out = E.run_experiment(
+            E.resolve_config("fault_matrix",
+                             {"fault_seed": args.fault_seed,
+                              "gap_policy": args.gap_policy}),
+            _runner(args))
+        lines, passed = V.fault_matrix_verdict(out)
+        # results[0] is the shared severity-0 point: the base scenario.
+        print(f"fault matrix on {out.results[0].scenario.name} "
               f"(sc exec error by severity, policy={args.gap_policy}):")
-        for line in matrix.summary_lines():
+        for line in lines:
             print(line)
-        return 0 if matrix.passed else 1
+        return 0 if passed else 1
 
     if args.smoke:
         scenarios = V.smoke_scenarios()

@@ -155,19 +155,6 @@ class TraceCapture:
         trace.validate()
         return trace
 
-    def finalize_to_binary(self, path, meta: Optional[dict] = None) -> Trace:
-        """Finalize and stream the trace to a binary file at ``path``.
-
-        Canonical msg_ids require the global injection-order sort, so the
-        records are materialised once either way; the *write* side streams
-        chunk-by-chunk through :class:`repro.core.tracebin.BinaryTraceWriter`,
-        which is what keeps capture-to-disk memory bounded for large runs.
-        """
-        from repro.core import tracebin
-        trace = self.finalize(meta)
-        tracebin.write_file(trace, path)
-        return trace
-
     # ----------------------------------------------------------- queries
     @property
     def messages_captured(self) -> int:

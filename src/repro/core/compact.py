@@ -16,7 +16,7 @@ exploiting the dependency graph itself:
 Both return a *valid* :class:`~repro.core.trace.Trace` (``validate()`` is
 re-run), so compacted traces flow through every replayer unchanged.  The
 accuracy cost vs compression ratio is measured by
-``benchmarks/bench_fig9_compaction.py``.
+``benchmarks/bench_fig11_compaction.py``.
 """
 
 from __future__ import annotations

@@ -531,11 +531,35 @@ def _decode_marker_block(payload: bytes) -> list[EndMarker]:
             for n, t, c, g in zip(node, t_finish, cause_id, gap)]
 
 
+#: The END footer's fields, all written by :meth:`BinaryTraceWriter.close`.
+_FOOTER_FIELDS = ("exec_time", "record_count", "marker_count", "chunks")
+
+
+def _json_block(payload: bytes, what: str):
+    """Decode the JSON payload of a ``what`` (META / KINDS / END) block.
+
+    META and END are objects (END with all of ``_FOOTER_FIELDS`` as ints),
+    KINDS a list of strings; undecodable bytes, unparsable JSON or any
+    other shape is corruption, reported as :class:`TraceBinError` like
+    every other malformed block.
+    """
+    try:
+        obj = json.loads(payload.decode())
+    except ValueError as exc:       # UnicodeDecodeError, JSONDecodeError
+        raise TraceBinError(
+            f"corrupt trace: undecodable {what} block") from exc
+    if what == "KINDS":
+        ok = isinstance(obj, list) and all(isinstance(k, str) for k in obj)
+    else:
+        ok = isinstance(obj, dict) and (what != "END" or all(
+            type(obj.get(f)) is int for f in _FOOTER_FIELDS))
+    if not ok:
+        raise TraceBinError(f"corrupt trace: malformed {what} block")
+    return obj
+
+
 def _parse_kinds(payload: bytes, kinds: list[str]) -> None:
-    new = json.loads(payload.decode())
-    if not isinstance(new, list) or not all(isinstance(k, str) for k in new):
-        raise TraceBinError("corrupt trace: malformed KINDS block")
-    kinds.extend(new)
+    kinds.extend(_json_block(payload, "KINDS"))
 
 
 def _load_stream(fp: BinaryIO, validate: bool = True) -> Trace:
@@ -547,7 +571,7 @@ def _load_stream(fp: BinaryIO, validate: bool = True) -> Trace:
     footer: Optional[dict] = None
     for btype, payload, _ in _iter_blocks(fp):
         if btype == _BLOCK_META:
-            meta = json.loads(payload.decode())
+            meta = _json_block(payload, "META")
         elif btype == _BLOCK_KINDS:
             _parse_kinds(payload, kinds)
         elif btype == _BLOCK_RECORDS:
@@ -556,10 +580,10 @@ def _load_stream(fp: BinaryIO, validate: bool = True) -> Trace:
         elif btype == _BLOCK_MARKERS:
             markers = _decode_marker_block(payload)
         elif btype == _BLOCK_END:
-            footer = json.loads(payload.decode())
+            footer = _json_block(payload, "END")
     assert footer is not None
-    if footer.get("record_count") != len(records) \
-            or footer.get("marker_count") != len(markers):
+    if footer["record_count"] != len(records) \
+            or footer["marker_count"] != len(markers):
         raise TraceBinError(
             "corrupt trace: END footer counts disagree with decoded blocks")
     trace = Trace(records=records, end_markers=markers,
@@ -626,7 +650,7 @@ def read_summary(source: Union[str, Path, BinaryIO]) -> dict:
         for btype, payload, _ in _iter_blocks(
                 fp, skip_payloads=frozenset({_BLOCK_RECORDS})):
             if btype == _BLOCK_META:
-                meta = json.loads(payload.decode())
+                meta = _json_block(payload, "META")
             elif btype == _BLOCK_KINDS:
                 _parse_kinds(payload, kinds)
             elif btype == _BLOCK_RECORDS:
@@ -634,17 +658,17 @@ def read_summary(source: Union[str, Path, BinaryIO]) -> dict:
             elif btype == _BLOCK_MARKERS:
                 markers = _decode_marker_block(payload)
             elif btype == _BLOCK_END:
-                footer = json.loads(payload.decode())
-        if footer.get("chunks") != chunks:
+                footer = _json_block(payload, "END")
+        if footer["chunks"] != chunks:
             raise TraceBinError(
                 "corrupt trace: END footer chunk count disagrees with file")
         return {
             "meta": meta,
             "kinds": tuple(kinds),
             "markers": markers,
-            "exec_time": footer.get("exec_time", 0),
-            "record_count": footer.get("record_count", 0),
-            "marker_count": footer.get("marker_count", 0),
+            "exec_time": footer["exec_time"],
+            "record_count": footer["record_count"],
+            "marker_count": footer["marker_count"],
             "chunks": chunks,
             "version": VERSION,
         }
@@ -708,12 +732,13 @@ def scan_blocks(source: Union[str, Path, BinaryIO]) -> dict:
                 break
             if btype in (_BLOCK_META, _BLOCK_KINDS, _BLOCK_END):
                 payload = _read_exact(fp, length, f"block type {btype}")
+                block = _json_block(payload, _BLOCK_NAMES[btype])
                 if btype == _BLOCK_META:
-                    meta = json.loads(payload.decode())
+                    meta = block
                 elif btype == _BLOCK_KINDS:
-                    kinds_count += len(json.loads(payload.decode()))
+                    kinds_count += len(block)
                 else:
-                    footer = json.loads(payload.decode())
+                    footer = block
             else:
                 fp.seek(length, 1)
             blocks.append({"type": _BLOCK_NAMES[btype],

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 from repro.serve import protocol as P
 from repro.serve.client import AsyncServeClient, ServerClosed
-from repro.serve.ring import DEFAULT_VNODES, HashRing
+from repro.serve.ring import HashRing
 
 #: Deadline on peer control calls (fetch, announce).  Forwarded submits
 #: are bounded by the job's own deadline, not this.
@@ -45,12 +45,11 @@ def parse_addr(addr: str) -> tuple[str, int]:
 class Membership:
     """This node's view of the fabric and the ring derived from it."""
 
-    def __init__(self, node: str, addr: str,
-                 vnodes: int = DEFAULT_VNODES) -> None:
+    def __init__(self, node: str, addr: str) -> None:
         self.self_node = node
         self.self_addr = addr
         self.members: dict[str, str] = {node: addr}
-        self.ring = HashRing([node], vnodes=vnodes)
+        self.ring = HashRing([node])
         self.version = 0        # bumps on every change (convergence probe)
 
     # ------------------------------------------------------------ updates

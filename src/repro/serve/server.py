@@ -75,12 +75,11 @@ from repro.serve.jobs import (
     RUNNING,
     TIMEOUT,
 )
-from repro.serve.lru import DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES, LRUCache
+from repro.serve.lru import DEFAULT_MAX_ENTRIES, LRUCache
 from repro.serve.ops import DEFAULT_OPERATIONS
 from repro.serve.peer import Membership, PeerLink
 from repro.serve.pool import JobFailure, JobTimeout, WorkerDied, WorkerPool
 from repro.serve.protocol import RemoteError
-from repro.serve.ring import DEFAULT_VNODES
 
 
 class SimulationServer:
@@ -106,10 +105,7 @@ class SimulationServer:
         backoff_base_s: float = 0.05,
         node_id: Optional[str] = None,
         peers: Optional[Sequence[str]] = None,
-        vnodes: int = DEFAULT_VNODES,
         lru_entries: int = DEFAULT_MAX_ENTRIES,
-        lru_bytes: int = DEFAULT_MAX_BYTES,
-        peer_fetch: bool = True,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -131,10 +127,8 @@ class SimulationServer:
         # are built in start().
         self.node_id = node_id
         self.seed_peers: list[str] = list(peers or [])
-        self.vnodes = vnodes
-        self.peer_fetch = peer_fetch
         self.membership: Optional[Membership] = None
-        self.lru = LRUCache(max_entries=lru_entries, max_bytes=lru_bytes)
+        self.lru = LRUCache(max_entries=lru_entries)
         self._links: dict[str, PeerLink] = {}
 
         self.table = JobTable()
@@ -167,8 +161,7 @@ class SimulationServer:
         if self.node_id is None:
             self.node_id = f"{self.host}:{self.port}"
         self.membership = Membership(self.node_id,
-                                     f"{self.host}:{self.port}",
-                                     vnodes=self.vnodes)
+                                     f"{self.host}:{self.port}")
         scope = obs.metrics(f"serve.{self.node_id}")
         self._counters = {
             name: scope.counter(name)
@@ -246,13 +239,6 @@ class SimulationServer:
     async def wait_closed(self) -> None:
         """Block until the service has fully shut down."""
         await self._closed.wait()
-
-    async def serve_forever(self) -> None:
-        """start() + signal handlers + run until drained/closed."""
-        if self._server is None:
-            await self.start()
-        self.install_signal_handlers()
-        await self.wait_closed()
 
     # ------------------------------------------------------------- fabric
     def _count(self, name: str, n: int = 1) -> None:
@@ -646,8 +632,7 @@ class SimulationServer:
         # Peer-fetch before recompute: after a membership change this node
         # may own keys a peer already computed — ask the fabric before
         # paying for a worker.  Any failure just reads as a miss.
-        if self.peer_fetch and self.membership is not None \
-                and self.membership.others():
+        if self.membership is not None and self.membership.others():
             fetched = await self._peer_fetch(job.key)
             if fetched is not None:
                 job.cached = True

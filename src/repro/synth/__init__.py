@@ -19,8 +19,9 @@ full invariant catalogue, profile fidelity under
 record equal to the per-record reference generator, container bytes and
 the benchmark spine's digests), ``tests/test_synth_engines.py`` (event vs
 generational agreement at 64 and 1024 nodes), and
-``benchmarks/bench_scale.py`` (replay throughput + peak RSS vs trace
-size).  See the "Synthetic traces" section of ``docs/TRACE_FORMAT.md``.
+``benchmarks/bench_scale.py`` (replay throughput, peak RSS vs trace size
+and generational-vs-event speedup).  See the "Synthetic traces" section
+of ``docs/TRACE_FORMAT.md``.
 """
 
 from repro.synth.generator import generate, generate_to_file, iter_records

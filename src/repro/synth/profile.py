@@ -72,8 +72,7 @@ class SynthProfile:
     #: normalized at draw time.
     size_mix: tuple[tuple[int, float], ...] = ((64, 0.7), (512, 0.3))
     #: Capture-network latency model: ``t_deliver - t_inject =
-    #: base_latency + size_bytes // 16`` (the electrical-capture shape
-    #: ``benchmarks/bench_replay_vector.py`` established).
+    #: base_latency + size_bytes // 16`` (the electrical-capture shape).
     base_latency: int = 24
     #: Chain roots inject uniformly in ``[0, root_spread)`` cycles.
     root_spread: int = 200
@@ -138,8 +137,8 @@ class SynthProfile:
 def default_profile(num_nodes: int, messages: int,
                     pattern: str = "uniform", **overrides) -> SynthProfile:
     """A reasonable profile for ``num_nodes`` without a corpus to fit:
-    enough chains to keep every node busy, the bench-established gap and
-    size mixes."""
+    enough chains to keep every node busy, the default gap and size
+    mixes."""
     chains = max(32, min(num_nodes * 2, messages))
     return replace(
         SynthProfile(num_nodes=num_nodes, messages=messages,

@@ -26,13 +26,12 @@ from repro.validate.engines import (
 )
 from repro.validate.differential import (
     DifferentialReport,
-    FaultMatrixReport,
     check_fault_matrix_smooth,
     fault_matrix_scenarios,
+    fault_matrix_verdict,
     generate_scenarios,
     load_repro_scenario,
     run_differential,
-    run_fault_matrix,
     shrink,
     smoke_scenarios,
     write_repro,
@@ -81,7 +80,6 @@ __all__ = [
     "DropDepEdges",
     "ErrorEnvelope",
     "FAULT_FAMILIES",
-    "FaultMatrixReport",
     "FaultModel",
     "FaultReport",
     "GOLDEN_SCENARIOS",
@@ -101,12 +99,12 @@ __all__ = [
     "check_self_consistency",
     "check_trace",
     "fault_matrix_scenarios",
+    "fault_matrix_verdict",
     "generate_scenarios",
     "load_repro_scenario",
     "parse_fault_specs",
     "regen_golden",
     "run_differential",
-    "run_fault_matrix",
     "run_scenario",
     "scale_trace_gaps",
     "shrink",

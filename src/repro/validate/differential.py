@@ -177,71 +177,31 @@ def check_fault_matrix_smooth(
     return bad
 
 
-@dataclass
-class FaultMatrixReport:
-    """Per-family severity curves plus smoothness breaches."""
+def fault_matrix_verdict(out) -> tuple[list[str], bool]:
+    """Summary lines and pass/fail of one ``fault_matrix`` catalogue run.
 
-    curves: dict[str, list[tuple[float, ScenarioOutcome]]]
-    breaches: dict[str, list[str]] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return (not any(self.breaches.values())
-                and all(o.passed for pts in self.curves.values()
-                        for _, o in pts))
-
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for fam, pts in sorted(self.curves.items()):
-            curve = ", ".join(
-                f"{sev:g}:{o.sc_exec_error_pct:.1f}%" for sev, o in pts)
-            status = "ok  " if not self.breaches.get(fam) else "FAIL"
-            lines.append(f"  {status} {fam}: {curve}")
-            for b in self.breaches.get(fam, ()):
-                lines.append(f"       {b}")
-        return lines
-
-
-def run_fault_matrix(
-    base: Scenario,
-    families: Optional[tuple[str, ...]] = None,
-    severities: tuple[float, ...] = DEFAULT_FAULT_SEVERITIES,
-    fault_seed: int = 777,
-    runner=None,
-    envelope: Optional[ErrorEnvelope] = None,
-    max_slope_pct_per_unit: float = DEFAULT_MAX_SLOPE_PCT_PER_UNIT,
-) -> FaultMatrixReport:
-    """Sweep fault severity per family and check smooth degradation.
-
-    Scenarios across families are flattened into one batch (deduplicated on
-    the shared severity-0 point) so a SweepRunner can fan the whole matrix
-    out at once.
+    ``out`` is the experiment's :class:`repro.exp.RunOutcome`: one curve
+    line per family from its rows (``FAIL`` when the family's ``breaches``
+    column is non-zero, followed by what breached), and the run passes iff
+    no row breached and every :class:`ScenarioOutcome` in ``out.results``
+    passed its own invariants and envelope.
     """
-    envelope = envelope or ErrorEnvelope()
-    matrix = fault_matrix_scenarios(base, families, severities, fault_seed)
-    unique: dict[str, Scenario] = {}
-    for pts in matrix.values():
-        for _, s in pts:
-            unique.setdefault(s.name, s)
-    ordered = list(unique.values())
-    if runner is None:
-        results = [run_scenario(s, envelope) for s in ordered]
-    else:
-        results = runner.map(RUN_SCENARIO_REF,
-                             [(s,) for s in ordered], envelope=envelope)
-    by_name = {s.name: o for s, o in zip(ordered, results)}
-    curves = {
-        fam: [(sev, by_name[s.name]) for sev, s in pts]
-        for fam, pts in matrix.items()
-    }
-    breaches = {
-        fam: check_fault_matrix_smooth(
-            [(sev, o.sc_exec_error_pct) for sev, o in pts],
-            max_slope_pct_per_unit)
-        for fam, pts in curves.items()
-    }
-    return FaultMatrixReport(curves=curves,
-                             breaches={f: b for f, b in breaches.items() if b})
+    by_family: dict[str, list[dict]] = {}
+    for row in out.rows:
+        by_family.setdefault(row["family"], []).append(row)
+    lines = []
+    passed = all(o.passed for o in out.results)
+    for fam, rows in sorted(by_family.items()):
+        curve = ", ".join(f"{r['severity']:g}:{r['sc_err_%']:.1f}%"
+                          for r in rows)
+        breached = any(r["breaches"] for r in rows)
+        lines.append(f"  {'FAIL' if breached else 'ok  '} {fam}: {curve}")
+        if breached:
+            passed = False
+            lines.extend(f"       {b}" for b in check_fault_matrix_smooth(
+                [(r["severity"], r["sc_err_%"]) for r in rows],
+                out.resolved.parameters["max_slope"]))
+    return lines, passed
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ dependency DAGs.
 
 from __future__ import annotations
 
+import io
 import pathlib
 import struct
 
@@ -225,6 +226,40 @@ def test_trace_info_never_decodes_record_payloads(tmp_path):
     # The full loader must still reject the damaged payloads.
     with pytest.raises((TraceBinError, ValueError)):
         tracebin.read_file(path)
+
+
+def _with_payload(blob: bytes, block_type: int, payload: bytes) -> bytes:
+    """``blob`` with the first ``block_type`` block's payload replaced
+    (block head re-packed, so the framing stays intact)."""
+    off, _, length = next(
+        b for b in _block_offsets(blob) if b[1] == block_type)
+    return (blob[:off] + struct.pack("<BI", block_type, len(payload))
+            + payload + blob[off + 5 + length:])
+
+
+_META, _END = 1, 5
+
+
+@pytest.mark.parametrize("reader", [
+    tracebin.loads,
+    lambda blob: tracebin.read_summary(io.BytesIO(blob)),
+    lambda blob: tracebin.scan_blocks(io.BytesIO(blob)),
+], ids=["loads", "read_summary", "scan_blocks"])
+@pytest.mark.parametrize("block_type,payload", [
+    (_END, b"[]"),
+    (_END, b'{"record_count": 2, "marker_count": 2, "chunks": 1}'),
+    (_META, b"\xff\xfe"),
+    (_END, b"{"),
+    (_META, b"[1]"),
+], ids=["end-not-object", "end-no-exec_time", "meta-bad-utf8",
+        "end-bad-json", "meta-not-object"])
+def test_malformed_json_block_is_a_typed_error(block_type, payload, reader):
+    """A damaged META/END JSON payload is corruption like any other: every
+    reader reports it as TraceBinError, never a raw decode/lookup error —
+    and never accepts it."""
+    blob = _with_payload(tracebin.dumps(_sample()), block_type, payload)
+    with pytest.raises(TraceBinError, match="corrupt trace"):
+        reader(blob)
 
 
 # ------------------------------------------------------------- hypothesis

@@ -327,6 +327,62 @@ def test_fault_matrix_smoothness_gate():
     assert len(breaches) == 1 and "severity 0 and 0.1" in breaches[0]
 
 
+def test_fault_matrix_verdict_on_smoke_and_doctored_outcomes():
+    """The verdict `repro validate --faults matrix` exits on: PASS on the
+    smoke config's real outcome; a cliff in the rows or a scenario that
+    failed its own invariants each turn it to FAIL."""
+    import pathlib
+
+    from repro.exp import resolve_config, run_experiment
+    from repro.harness import SweepRunner
+    from repro.validate import fault_matrix_verdict
+
+    cfg = resolve_config(pathlib.Path(__file__).parent.parent / "benchmarks"
+                         / "experiments" / "smoke" / "fault_matrix.yaml")
+    out = run_experiment(cfg, SweepRunner(workers=1))
+    lines, passed = fault_matrix_verdict(out)
+    assert passed
+    assert [line.split(":")[0] for line in lines] == \
+        ["  ok   drop_deps", "  ok   truncate"]
+    assert lines[0].count("%") == len(cfg.parameters["severities"])
+
+    # One cliff: truncate's whole error range lands in the 0 -> 0.5 step.
+    rows = [dict(r) for r in out.rows]
+    for r in rows:
+        if r["family"] == "truncate":
+            r["breaches"] = 1
+            if r["severity"] == 0.5:
+                r["sc_err_%"] = 600.0
+    lines, passed = fault_matrix_verdict(dataclasses.replace(out, rows=rows))
+    assert not passed
+    assert lines[0].startswith("  ok   drop_deps")
+    assert lines[1].startswith("  FAIL truncate: 0:")
+    assert "between severity 0 and 0.5" in lines[2]
+
+    # One failed scenario, smooth curves: the lines stay ok, the run fails.
+    bad = dataclasses.replace(out.results[-1], violations=["causality: x"])
+    lines, passed = fault_matrix_verdict(
+        dataclasses.replace(out, results=[*out.results[:-1], bad]))
+    assert not passed
+    assert all(line.startswith("  ok   ") for line in lines)
+
+
+def test_validate_faults_matrix_cli_runs_the_catalogue_experiment(capsys):
+    """`--gap-policy` reaches the catalogue as a parameter override: under
+    ``captured`` the matrix shows the historical re-anchoring cliff, named
+    per family, and the command exits 1."""
+    from repro.cli import main
+
+    assert main(["validate", "--faults", "matrix",
+                 "--gap-policy", "captured"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("fault matrix on fft-c16-s16-x0.1-w32-awgr-to-crossbar"
+                      "-captured (sc exec error by severity, policy=captured):")
+    assert out[1].startswith("  FAIL drop_deps: 0:3.6%, 0.1:132.4%")
+    assert "between severity 0 and 0.1" in out[2]
+    assert any(line.startswith("  ok   jitter:") for line in out)
+
+
 # ------------------------------------------------- hypothesis properties
 
 hypothesis = pytest.importorskip("hypothesis")
