@@ -535,6 +535,8 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
     max_deliver = 0
     last_inject = 0
     for k, chunk in enumerate(tracebin.iter_chunks(path)):
+        if not len(chunk):
+            continue            # an empty RECORDS block: nothing to serve
         mid, src, dst = chunk.msg_id, chunk.src, chunk.dst
         size, inj = chunk.size_bytes, chunk.t_inject
         if onoc.num_nodes <= int(max(src.max(), dst.max())):
@@ -562,8 +564,7 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
         messages += len(mid)
         total_bytes += int(size.sum())
         latency_sum += int((deliver - inj).sum())
-        if len(deliver):
-            max_deliver = max(max_deliver, int(deliver.max()))
+        max_deliver = max(max_deliver, int(deliver.max()))
         if len(marker_causes):
             hit = np.isin(mid, marker_causes)
             for m, d in zip(mid[hit].tolist(), deliver[hit].tolist()):

@@ -27,19 +27,28 @@ tables from it, the generational windowed solver sweeps its edge arrays, and
 diagnostics from its masks.  So the two engines can only ever disagree about
 *scheduling*.
 
-:class:`Columns` is the trace as parallel int64 arrays, memoised on the
-trace instance; every index in a :class:`Plan` is a position in
-``trace.records``.
+:class:`Columns` is the solver's view of :attr:`Trace.chunk
+<repro.core.trace.Trace.chunk>` plus the trigger indices, memoised on the
+trace; every index in a :class:`Plan` is a position in records order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.config import GAP_POLICY_CAPTURED
-from repro.core.trace import DEGRADED_RECORDS_META_KEY, Trace
+from repro.core.trace import (
+    DEGRADED_RECORDS_META_KEY,
+    IdIndex,
+    RecordChunk,
+    Trace,
+    _distinct,
+    _fires,
+    csr,
+    gather_ranges,
+)
 
 __all__ = ["Columns", "Plan", "classify", "csr", "gather_ranges"]
 
@@ -48,108 +57,36 @@ __all__ = ["Columns", "Plan", "classify", "csr", "gather_ranges"]
 # Columnar trace view
 # --------------------------------------------------------------------------
 
-@dataclass
 class Columns:
-    """The trace as parallel int64 arrays (records order preserved)."""
+    """The solver's names for the trace's columns (records order), plus
+    each record's trigger indices: -1 none, -2 not in the trace."""
 
-    n: int
-    ids: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    size: np.ndarray
-    t_inject: np.ndarray
-    cause_id: np.ndarray
-    gap: np.ndarray
-    bound_id: np.ndarray
-    bound_gap: np.ndarray
-    cause_idx: np.ndarray = field(init=False)   # index, -1 none, -2 missing
-    bound_idx: np.ndarray = field(init=False)
+    def __init__(self, chunk: RecordChunk) -> None:
+        self.n = len(chunk)
+        self.ids, self.src, self.dst = chunk.msg_id, chunk.src, chunk.dst
+        self.size, self.t_inject = chunk.size_bytes, chunk.t_inject
+        self.cause_id, self.gap = chunk.cause_id, chunk.gap
+        self.bound_id, self.bound_gap = chunk.bound_id, chunk.bound_gap
+        #: Record index of each msg_id (-1 for -1, -2 if absent).
+        self.index_of = IdIndex(self.ids).of
+        self.cause_idx = self.index_of(self.cause_id)
+        self.bound_idx = self.index_of(self.bound_id)
 
     @staticmethod
     def of(trace: Trace) -> "Columns":
-        """Columns for ``trace``, memoised on the trace instance.
-
-        Sweeps, the validation matrix and iterative refinement all replay
-        one capture under many configs, so the columnar view is a per-trace
-        one-time cost.  A hit requires that the records the columns were
-        built from are still the trace's records — ``==`` on the kept list
-        is an identity check per record, so rebinding ``records``, growing
-        it and replacing one record in place all miss.
-        """
-        cached = trace.__dict__.get("_columns_cache")
-        if cached is not None and cached[0] == trace.records:
-            return cached[1]
-        cols = Columns.from_trace(trace)
-        trace.__dict__["_columns_cache"] = (list(trace.records), cols)
-        return cols
-
-    @staticmethod
-    def from_trace(trace: Trace) -> "Columns":
-        rs = trace.records
-        n = len(rs)
-        # One python pass over the records; reshape beats nine fromiter
-        # sweeps by ~3x on large traces.
-        flat = np.fromiter(
-            (v for r in rs
-             for v in (r.msg_id, r.src, r.dst, r.size_bytes, r.t_inject,
-                       r.cause_id, r.gap, r.bound_id, r.bound_gap)),
-            dtype=np.int64, count=n * 9).reshape(n, 9)
-        return Columns(n, *(flat[:, k].copy() for k in range(9)))
-
-    def __post_init__(self) -> None:
-        order = np.argsort(self.ids, kind="stable")
-        ids_sorted = self.ids[order]
-        self.cause_idx = _index_of(ids_sorted, order, self.cause_id)
-        self.bound_idx = _index_of(ids_sorted, order, self.bound_id)
-
-
-def _index_of(ids_sorted: np.ndarray, order: np.ndarray,
-              query: np.ndarray) -> np.ndarray:
-    """Map msg_ids to record indices: -1 for the -1 sentinel, -2 if absent."""
-    out = np.full(query.shape, -2, dtype=np.int64)
-    none = query == -1
-    if len(ids_sorted):
-        pos = np.searchsorted(ids_sorted, query)
-        pos_c = np.minimum(pos, len(ids_sorted) - 1)
-        hit = (ids_sorted[pos_c] == query) & ~none
-        out[hit] = order[pos_c[hit]]
-    out[none] = -1
-    return out
-
-
-# --------------------------------------------------------------------------
-# Array-graph helpers
-# --------------------------------------------------------------------------
-
-def csr(parents: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group edge indices by parent: returns (indptr, edge_order)."""
-    order = np.argsort(parents, kind="stable")
-    counts = np.bincount(parents, minlength=n_nodes)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return indptr, order
-
-
-def gather_ranges(indptr: np.ndarray, data: np.ndarray,
-                  nodes: np.ndarray) -> np.ndarray:
-    """Concatenate ``data[indptr[v]:indptr[v+1]]`` for every v in nodes."""
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=data.dtype)
-    starts = indptr[nodes]
-    cum = np.cumsum(counts)
-    prev = cum - counts
-    idx = (np.arange(total, dtype=np.int64)
-           - np.repeat(prev, counts) + np.repeat(starts, counts))
-    return data[idx]
-
-
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of ``x``, sorted.  (``np.unique`` imports
-    ``numpy.ma`` on first use — about a MiB of resident memory the event
-    engine's process would otherwise never load.)"""
-    x = np.sort(x)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
+        """Columns for ``trace``, memoised on the trace instance: sweeps,
+        the validation matrix and iterative refinement replay one capture
+        under many configs, so a record-built trace's chunk and the trigger
+        indices are a one-time cost.  A hit is :attr:`Trace.chunk`'s — the
+        records the chunk was built from are still the trace's."""
+        chunk = trace.chunk
+        held = trace.__dict__.get("_columns_cache")
+        if held is None or held[1] is not chunk or held[2] is None:
+            records = trace.__dict__.get("records")
+            held = trace.__dict__["_columns_cache"] = (
+                None if records is None else list(records), chunk,
+                Columns(chunk))
+        return held[2]
 
 
 def _cycle_members(nodes, out_edges) -> set:
@@ -259,24 +196,6 @@ def _deliver_edges(cols: Columns, dependent: np.ndarray):
     present = parent >= 0          # -1: no bound edge, -2: trigger absent
     return (parent[present], np.repeat(dep, 2)[present],
             np.stack((cols.gap[dep], cols.bound_gap[dep]), 1).ravel()[present])
-
-
-def _fires(root: np.ndarray, prereq: np.ndarray, indptr: np.ndarray,
-           child_csr: np.ndarray) -> np.ndarray:
-    """Records that can ever fire: the roots, plus every record all
-    ``prereq`` of whose trigger edges (parent-keyed CSR) lead back to one."""
-    left = prereq.copy()
-    fired = root.copy()
-    frontier = np.flatnonzero(root)
-    while len(frontier):
-        children = gather_ranges(indptr, child_csr, frontier)
-        if not len(children):
-            break
-        np.subtract.at(left, children, 1)
-        cand = _distinct(children)
-        frontier = cand[(left[cand] == 0) & ~fired[cand]]
-        fired[frontier] = True
-    return fired
 
 
 def classify(trace: Trace, *, keep_dep_fraction: float, dep_drop_seed: int,

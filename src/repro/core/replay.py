@@ -31,6 +31,8 @@ import time as _walltime
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.config import (
     ENGINE_GENERATIONAL,
     GAP_POLICIES,
@@ -45,7 +47,7 @@ from repro.engine import Simulator
 from repro.net import Message, NetworkAdapter
 from repro.obs.probes import replay_scope, timeline_or_none
 from repro.onoc.timing import timing_for
-from repro.core.plan import Plan, classify
+from repro.core.plan import Columns, Plan, classify
 from repro.core.trace import SemanticKey, Trace, TraceRecord
 
 # A factory producing a fresh (simulator, network) pair per replay pass.
@@ -127,13 +129,14 @@ def _make_message(r: TraceRecord) -> Message:
 
 
 def _finish_from_markers(end_markers, deliveries: dict[int, int],
-                         node_last: dict[int, TraceRecord]) -> int:
+                         node_last: dict[int, tuple[int, int]]) -> int:
     """Latest per-core finish: ``deliver(marker cause) + gap``.
 
     A marker whose cause message was never delivered falls back to the
     captured finish time — unless ``node_last`` names a surviving delivery
-    to that core: then the finish is re-derived from it, keeping the
-    captured tail offset (``t_finish - captured deliver``).
+    to that core, as ``(captured t_deliver, msg_id)``: then the finish is
+    re-derived from it, keeping the captured tail offset
+    (``t_finish - captured deliver``).
     """
     best = 0
     for m in end_markers:
@@ -144,9 +147,8 @@ def _finish_from_markers(end_markers, deliveries: dict[int, int],
             if d is not None:
                 t = d + m.gap
             elif m.node in node_last:
-                anchor = node_last[m.node]
-                t = max(0, deliveries[anchor.msg_id]
-                        + (m.t_finish - anchor.t_deliver))
+                captured, anchor = node_last[m.node]
+                t = max(0, deliveries[anchor] + (m.t_finish - captured))
             else:
                 t = m.t_finish
         best = max(best, t)
@@ -162,18 +164,20 @@ def _estimate_exec_time(trace: Trace, deliveries: dict[int, int],
     to that core, mirroring the neighbor-anchor policy the degraded
     replayer applies to injections; otherwise it keeps the captured finish.
     """
-    if not trace.end_markers:
+    markers = trace.end_markers
+    if not markers:
         return max(deliveries.values(), default=0)
-    node_last: dict[int, TraceRecord] = {}
-    if rederive_markers:
-        for r in trace.records:
-            if r.msg_id not in deliveries:
-                continue
-            prev = node_last.get(r.dst)
-            if prev is None or (r.t_deliver, r.msg_id) > (prev.t_deliver,
-                                                          prev.msg_id):
-                node_last[r.dst] = r
-    return _finish_from_markers(trace.end_markers, deliveries, node_last)
+    node_last: dict[int, tuple[int, int]] = {}
+    if rederive_markers and any(m.cause_id != -1
+                                and m.cause_id not in deliveries
+                                for m in markers):
+        # Per node, the delivered record latest by (t_deliver, msg_id).
+        c = trace.chunk
+        for mid, dst, t in zip(c.msg_id.tolist(), c.dst.tolist(),
+                               c.t_deliver.tolist()):
+            if mid in deliveries:
+                node_last[dst] = max(node_last.get(dst, (t, mid)), (t, mid))
+    return _finish_from_markers(markers, deliveries, node_last)
 
 
 #: Cap on per-message stall detail so a badly broken dependency graph
@@ -206,14 +210,18 @@ def _assemble_result(
     transitively behind such a record; ``stalled_on`` names the undelivered
     triggers.  *Re-derived* records are the anchored ones it did inject.
     """
-    by_id = {r.msg_id: r for r in trace.records}
+    cols = Columns.of(trace)
+    keys = trace.semantic_keys()
+    delivered = cols.index_of(
+        np.fromiter(deliveries, np.int64, len(deliveries)))
     diagnostics: dict = {}
     if plan is not None:
-        ids = plan.cols.ids
-        stalled = [] if len(injections) == len(trace.records) else sorted(
+        ids = cols.ids
+        stalled = [] if len(injections) == len(trace) else sorted(
             mid for mid in ids[plan.dependent].tolist()
             if mid not in injections)
         shown = stalled[:_STALL_DETAIL_CAP]
+        shown_at = cols.index_of(np.asarray(shown, dtype=np.int64))
         rederived = tuple(sorted(
             mid for mid in ids[plan.anchored].tolist() if mid in injections))
         diagnostics = dict(
@@ -222,9 +230,11 @@ def _assemble_result(
             stalled_count=len(stalled),
             stalled_msg_ids=shown,
             stalled_on={
-                mid: [t for t in (by_id[mid].cause_id, by_id[mid].bound_id)
+                mid: [t for t in triggers
                       if t != -1 and t not in deliveries]
-                for mid in shown},
+                for mid, *triggers in zip(
+                    shown, cols.cause_id[shown_at].tolist(),
+                    cols.bound_id[shown_at].tolist())},
             rederived_records=len(rederived),
             fault_exposure=FaultExposure(
                 policy=plan.policy,
@@ -244,12 +254,13 @@ def _assemble_result(
             # never delivered.
             rederive_markers=(plan is not None
                               and plan.policy != GAP_POLICY_CAPTURED)),
-        latencies_by_key={by_id[mid].key: t - injections[mid]
-                          for mid, t in deliveries.items()},
+        latencies_by_key=dict(zip(
+            map(keys.__getitem__, delivered.tolist()),
+            (t - injections[mid] for mid, t in deliveries.items()))),
         deliveries=deliveries,
         injections=injections,
         messages_replayed=len(injections),
-        messages_unreplayed=len(trace.records) - len(injections),
+        messages_unreplayed=len(trace) - len(injections),
         wall_clock_s=_walltime.perf_counter() - t0,
         sim_events=sim_events,
         extra=dict(extra or {}),

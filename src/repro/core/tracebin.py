@@ -32,16 +32,22 @@ a handful of array operations per column rather than per value.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.core.trace import EndMarker, Trace, TraceRecord
+from repro.core.trace import (
+    COLUMNS,
+    EndMarker,
+    RecordChunk,
+    Trace,
+    TraceBinError,
+)
 
 MAGIC = b"REPROTRC"
 VERSION = 1
@@ -62,10 +68,6 @@ _U32 = struct.Struct("<I")
 
 #: Longest varint encoding of a 64-bit value.
 _VARINT_MAX_LEN = 10
-
-
-class TraceBinError(ValueError):
-    """Malformed binary trace (bad magic, bad version, truncation, corruption)."""
 
 
 # ----------------------------------------------------------------- varints
@@ -135,9 +137,10 @@ def _unzigzag(u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- columns
-#: (name, coding) in on-disk order.  ``key_src``/``key_dst`` are stored
-#: relative to ``src``/``dst`` (usually zero), ``msg_id``/``t_inject`` as
-#: zigzag deltas; everything non-negative by Trace validation is raw.
+#: (name, coding) in on-disk order, which is the order of ``RecordChunk``'s
+#: column fields.  ``key_src``/``key_dst`` are stored relative to
+#: ``src``/``dst`` (usually zero), ``msg_id``/``t_inject`` as zigzag
+#: deltas; everything non-negative by Trace validation is raw.
 _RECORD_COLUMNS = (
     ("msg_id", "sdelta"),
     ("src", "unsigned"),
@@ -188,115 +191,27 @@ def _decode_column(data: bytes, count: int, coding: str,
     return np.cumsum(_unzigzag(u), dtype=np.int64)
 
 
-@dataclass
-class RecordChunk:
-    """One decoded RECORDS block as int64 column arrays.
-
-    ``kinds`` is the string table as of this chunk; ``kind_idx`` /
-    ``key_kind_idx`` index into it.  ``t_deliver`` is derived
-    (``t_inject + latency``) to match :class:`TraceRecord`.
-    """
-
-    msg_id: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    size_bytes: np.ndarray
-    kind_idx: np.ndarray
-    t_inject: np.ndarray
-    latency: np.ndarray
-    cause_id: np.ndarray
-    gap: np.ndarray
-    bound_id: np.ndarray
-    bound_gap: np.ndarray
-    key_src: np.ndarray
-    key_dst: np.ndarray
-    key_kind_idx: np.ndarray
-    key_line: np.ndarray
-    key_occ: np.ndarray
-    kinds: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.msg_id)
-
-    @property
-    def t_deliver(self) -> np.ndarray:
-        return self.t_inject + self.latency
-
-    def to_records(self) -> list[TraceRecord]:
-        kinds = self.kinds
-        rows = zip(self.msg_id.tolist(), self.src.tolist(), self.dst.tolist(),
-                   self.size_bytes.tolist(), self.kind_idx.tolist(),
-                   self.t_inject.tolist(), self.latency.tolist(),
-                   self.cause_id.tolist(), self.gap.tolist(),
-                   self.bound_id.tolist(), self.bound_gap.tolist(),
-                   self.key_src.tolist(), self.key_dst.tolist(),
-                   self.key_kind_idx.tolist(), self.key_line.tolist(),
-                   self.key_occ.tolist())
-        try:
-            return [
-                TraceRecord(
-                    msg_id=mid, key=(ks, kd, kinds[kk], kl, ko),
-                    src=src, dst=dst, size_bytes=size, kind=kinds[ki],
-                    t_inject=ti, t_deliver=ti + lat, cause_id=cid, gap=gap,
-                    bound_id=bid, bound_gap=bgap,
-                )
-                for (mid, src, dst, size, ki, ti, lat, cid, gap, bid, bgap,
-                     ks, kd, kk, kl, ko) in rows
-            ]
-        except IndexError as exc:
-            raise TraceBinError(
-                "corrupt trace: kind index outside string table") from exc
-
-    @classmethod
-    def from_records(cls, records: list[TraceRecord]) -> "RecordChunk":
-        """The inverse of :meth:`to_records`, in one pass over the records.
-
-        ``kinds`` holds exactly the kinds these records use, in order of
-        first appearance (``kind`` before ``key[2]`` within a record).
-        """
-        table: dict[str, int] = {}
-        intern = table.setdefault
-        cols = np.array(
-            [(r.msg_id, r.src, r.dst, r.size_bytes,
-              intern(r.kind, len(table)), r.t_inject,
-              r.t_deliver - r.t_inject, r.cause_id, r.gap, r.bound_id,
-              r.bound_gap, r.key[0], r.key[1],
-              intern(r.key[2], len(table)), r.key[3], r.key[4])
-             for r in records],
-            dtype=np.int64,
-        ).reshape(len(records), len(_RECORD_COLUMNS)).T
-        # The fields are declared in the order of the rows built above.
-        return cls(*np.ascontiguousarray(cols), kinds=tuple(table))
-
-
 # ------------------------------------------------------------------ writer
 class BinaryTraceWriter:
-    """Streaming writer: records are flushed chunk-by-chunk as they arrive.
+    """Streaming writer: chunks are written as they arrive.
 
     Usage::
 
         with open(path, "wb") as fp:
             w = BinaryTraceWriter(fp, meta=trace.meta)
-            w.add_records(records)       # may be called repeatedly ...
-            w.add_chunk(chunk)           # ... or whole column chunks
+            w.add_chunk(chunk)           # may be called repeatedly
             w.add_markers(markers)
             w.close(exec_time)
 
-    ``add_records`` buffers up to ``chunk_records`` records per RECORDS
-    block; ``add_chunk`` takes a :class:`RecordChunk` — the reader's type
-    — and writes it as one block, so a producer that already holds
-    columns never builds a :class:`TraceRecord`.  Blocks land on disk in
-    call order.  Nothing proportional to the full trace is retained: at
-    most one chunk of pending records plus the kind string table.
+    ``add_chunk`` takes a :class:`RecordChunk` — the reader's type, the
+    generator's and the trace's — and writes it as one RECORDS block, in
+    call order; a producer holding records hands in
+    ``RecordChunk.from_records(batch)``.  Nothing proportional to the full
+    trace is retained: the markers and the kind string table.
     """
 
-    def __init__(self, fp: BinaryIO, meta: Optional[dict] = None,
-                 chunk_records: int = CHUNK_RECORDS) -> None:
-        if chunk_records < 1:
-            raise ValueError("chunk_records must be positive")
+    def __init__(self, fp: BinaryIO, meta: Optional[dict] = None) -> None:
         self._fp = fp
-        self._chunk_records = chunk_records
-        self._pending: list[TraceRecord] = []
         self._markers: list[EndMarker] = []
         self._kind_idx: dict[str, int] = {}
         self._record_count = 0
@@ -331,46 +246,25 @@ class BinaryTraceWriter:
 
     def _write_chunk(self, chunk: RecordChunk) -> None:
         remap = self._intern_kinds(chunk)
-        cols = {
-            "msg_id": chunk.msg_id, "src": chunk.src, "dst": chunk.dst,
-            "size_bytes": chunk.size_bytes,
-            "kind_idx": remap[chunk.kind_idx],
-            "t_inject": chunk.t_inject, "latency": chunk.latency,
-            "cause_id": chunk.cause_id, "gap": chunk.gap,
-            "bound_id": chunk.bound_id, "bound_gap": chunk.bound_gap,
-            "key_src_rel": chunk.key_src - chunk.src,
-            "key_dst_rel": chunk.key_dst - chunk.dst,
-            "key_kind_idx": remap[chunk.key_kind_idx],
-            "key_line": chunk.key_line, "key_occ": chunk.key_occ,
-        }
+        stored = dataclasses.replace(
+            chunk, kind_idx=remap[chunk.kind_idx],
+            key_kind_idx=remap[chunk.key_kind_idx],
+            key_src=chunk.key_src - chunk.src,
+            key_dst=chunk.key_dst - chunk.dst)
         out = io.BytesIO()
         out.write(_U32.pack(len(chunk)))
-        for name, coding in _RECORD_COLUMNS:
-            enc = _encode_column(cols[name], coding, name)
+        for (name, coding), field in zip(_RECORD_COLUMNS, COLUMNS):
+            enc = _encode_column(getattr(stored, field), coding, name)
             out.write(_U32.pack(len(enc)))
             out.write(enc)
         self._write_block(_BLOCK_RECORDS, out.getvalue())
         self._record_count += len(chunk)
         self._chunk_count += 1
 
-    def _flush_chunk(self) -> None:
-        records, self._pending = self._pending, []
-        if records:
-            self._write_chunk(RecordChunk.from_records(records))
-
-    def add_records(self, records: Iterable[TraceRecord]) -> None:
-        if self._closed:
-            raise ValueError("writer already closed")
-        for r in records:
-            self._pending.append(r)
-            if len(self._pending) >= self._chunk_records:
-                self._flush_chunk()
-
     def add_chunk(self, chunk: RecordChunk) -> None:
-        """Write ``chunk`` as one RECORDS block, after any pending records."""
+        """Write ``chunk`` as one RECORDS block (nothing for an empty one)."""
         if self._closed:
             raise ValueError("writer already closed")
-        self._flush_chunk()
         if len(chunk):
             self._write_chunk(chunk)
 
@@ -382,7 +276,6 @@ class BinaryTraceWriter:
     def close(self, exec_time: int) -> None:
         if self._closed:
             return
-        self._flush_chunk()
         cols = np.array(
             [(m.node, m.t_finish, m.cause_id, m.gap) for m in self._markers],
             dtype=np.int64).reshape(len(self._markers), len(_MARKER_COLUMNS))
@@ -404,10 +297,13 @@ class BinaryTraceWriter:
 
 def dump(trace: Trace, fp: BinaryIO,
          chunk_records: int = CHUNK_RECORDS) -> None:
-    """Write ``trace`` to a binary file object."""
-    writer = BinaryTraceWriter(fp, meta=trace.meta,
-                               chunk_records=chunk_records)
-    writer.add_records(trace.records)
+    """Write ``trace`` to a binary file object, from its columns."""
+    if chunk_records < 1:
+        raise ValueError("chunk_records must be positive")
+    writer = BinaryTraceWriter(fp, meta=trace.meta)
+    chunk = trace.chunk
+    for first in range(0, len(chunk), chunk_records):
+        writer.add_chunk(chunk[first:first + chunk_records])
     writer.add_markers(trace.end_markers)
     writer.close(trace.exec_time)
 
@@ -484,7 +380,7 @@ def _decode_record_block(payload: bytes,
         raise TraceBinError("truncated trace: short RECORDS block")
     count = _U32.unpack_from(payload)[0]
     off = 4
-    cols: dict[str, np.ndarray] = {}
+    cols = []
     for name, coding in _RECORD_COLUMNS:
         if off + 4 > len(payload):
             raise TraceBinError("truncated trace: short RECORDS block")
@@ -492,22 +388,15 @@ def _decode_record_block(payload: bytes,
         off += 4
         if off + clen > len(payload):
             raise TraceBinError("truncated trace: short RECORDS column")
-        cols[name] = _decode_column(payload[off:off + clen], count, coding,
-                                    name)
+        cols.append(_decode_column(payload[off:off + clen], count, coding,
+                                   name))
         off += clen
     if off != len(payload):
         raise TraceBinError("corrupt trace: trailing bytes in RECORDS block")
-    return RecordChunk(
-        msg_id=cols["msg_id"], src=cols["src"], dst=cols["dst"],
-        size_bytes=cols["size_bytes"], kind_idx=cols["kind_idx"],
-        t_inject=cols["t_inject"], latency=cols["latency"],
-        cause_id=cols["cause_id"], gap=cols["gap"],
-        bound_id=cols["bound_id"], bound_gap=cols["bound_gap"],
-        key_src=cols["key_src_rel"] + cols["src"],
-        key_dst=cols["key_dst_rel"] + cols["dst"],
-        key_kind_idx=cols["key_kind_idx"], key_line=cols["key_line"],
-        key_occ=cols["key_occ"], kinds=kinds,
-    )
+    chunk = RecordChunk(*cols, kinds=kinds)
+    chunk.key_src += chunk.src
+    chunk.key_dst += chunk.dst
+    return chunk
 
 
 def _decode_marker_block(payload: bytes) -> list[EndMarker]:
@@ -562,11 +451,14 @@ def _parse_kinds(payload: bytes, kinds: list[str]) -> None:
     kinds.extend(_json_block(payload, "KINDS"))
 
 
-def _load_stream(fp: BinaryIO, validate: bool = True) -> Trace:
+def _load_stream(fp: BinaryIO) -> Trace:
+    """The container as a validated trace still held as columns.  Each
+    block is checked as it is decoded, its kind indices against the string
+    table as of that block: what building its records would refuse."""
     _check_header(fp)
     meta: dict = {}
     kinds: list[str] = []
-    records: list[TraceRecord] = []
+    blocks: list[RecordChunk] = []
     markers: list[EndMarker] = []
     footer: Optional[dict] = None
     for btype, payload, _ in _iter_blocks(fp):
@@ -575,21 +467,20 @@ def _load_stream(fp: BinaryIO, validate: bool = True) -> Trace:
         elif btype == _BLOCK_KINDS:
             _parse_kinds(payload, kinds)
         elif btype == _BLOCK_RECORDS:
-            records.extend(
-                _decode_record_block(payload, tuple(kinds)).to_records())
+            blocks.append(_decode_record_block(payload, tuple(kinds)))
+            blocks[-1].check()
         elif btype == _BLOCK_MARKERS:
             markers = _decode_marker_block(payload)
         elif btype == _BLOCK_END:
             footer = _json_block(payload, "END")
     assert footer is not None
-    if footer["record_count"] != len(records) \
+    if footer["record_count"] != sum(len(b) for b in blocks) \
             or footer["marker_count"] != len(markers):
         raise TraceBinError(
             "corrupt trace: END footer counts disagree with decoded blocks")
-    trace = Trace(records=records, end_markers=markers,
-                  exec_time=footer["exec_time"], meta=meta)
-    if validate:
-        trace.validate()
+    trace = Trace.from_chunk(RecordChunk.concat(blocks, tuple(kinds)),
+                             markers, footer["exec_time"], meta)
+    trace.validate()
     return trace
 
 

@@ -26,7 +26,7 @@ purpose: ``math.log`` in the gap draw (``np.log`` is not guaranteed the
 same last bit, and a gap is ``int()`` of it) and the pattern call
 (``hotspot`` interleaves ``random()`` and ``integers()`` data-dependently
 on one PCG64 stream).  Every ``chunk_records`` emissions the lists become
-one :class:`~repro.core.tracebin.RecordChunk`, which
+one :class:`~repro.core.trace.RecordChunk`, which
 :func:`generate_to_file` hands to the writer as it is: no
 :class:`~repro.core.trace.TraceRecord` exists between hash and file.
 
@@ -52,8 +52,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from repro.core.trace import EndMarker, Trace, TraceRecord
-from repro.core.tracebin import BinaryTraceWriter, CHUNK_RECORDS, RecordChunk
+from repro.core.trace import EndMarker, RecordChunk, Trace, TraceRecord
+from repro.core.tracebin import BinaryTraceWriter, CHUNK_RECORDS
 from repro.engine.rng import fold, mix64
 from repro.synth.profile import SynthProfile
 from repro.traffic.patterns import PATTERNS
@@ -190,6 +190,8 @@ def _iter_chunks(profile: SynthProfile, scale: float, seed: int,
     ``msg_id`` is the emission index, so causes always precede dependents
     and the stream is sorted by construction.
     """
+    if chunk_records < 1:
+        raise ValueError("chunk_records must be positive")
     n_messages = profile.scaled_messages(scale)
     n = profile.num_nodes
     chains = min(profile.chains, n_messages)
@@ -310,14 +312,15 @@ def generate(profile: SynthProfile, scale: float = 1.0,
     identical records into the binary container instead.
     """
     markers = _Markers(profile.num_nodes)
-    records = []
+    chunks = []
     for chunk in _iter_chunks(profile, scale, seed, CHUNK_RECORDS):
         markers.see(chunk)
-        records.extend(chunk.to_records())
+        chunks.append(chunk)
     ends = markers.finish()
-    trace = Trace(records=records, end_markers=ends,
-                  exec_time=max((m.t_finish for m in ends), default=0),
-                  meta=_meta(profile, scale, seed))
+    trace = Trace.from_chunk(
+        RecordChunk.concat(chunks, _KINDS), ends,
+        max((m.t_finish for m in ends), default=0),
+        _meta(profile, scale, seed))
     trace.validate()
     return trace
 
@@ -338,8 +341,7 @@ def generate_to_file(profile: SynthProfile, path: Union[str, Path],
     markers = _Markers(profile.num_nodes)
     n = 0
     with open(path, "wb") as fp:
-        writer = BinaryTraceWriter(fp, meta=_meta(profile, scale, seed),
-                                   chunk_records=chunk_records)
+        writer = BinaryTraceWriter(fp, meta=_meta(profile, scale, seed))
         for chunk in _iter_chunks(profile, scale, seed, chunk_records):
             markers.see(chunk)
             writer.add_chunk(chunk)

@@ -18,6 +18,9 @@ timing object's ``penalty`` rule, which both read off :mod:`repro.onoc.timing`.
 
 from __future__ import annotations
 
+import json
+import struct
+
 import pytest
 
 from repro.config import (
@@ -31,6 +34,7 @@ from repro.core.trace import EndMarker, Trace, TraceRecord
 from repro.harness.builders import optical_factory
 from repro.resilience import MITIGATIONS, generate_timeseries
 from repro.synth import default_profile, generate, synth_onoc
+from tests.test_tracebin_roundtrip import _block_offsets
 
 NODES = 16
 MESSAGES = 3000
@@ -323,3 +327,78 @@ def test_negative_endpoints_never_reach_a_container(tmp_path):
     ``src`` / ``dst`` are unsigned columns and the writer refuses them."""
     with pytest.raises(tracebin.TraceBinError, match="unsigned column"):
         _write_with_bad_record(tmp_path / "negative.rtrc", src=-1)
+
+
+# ------------------------------------------------------ empty RECORDS blocks
+def _with_empty_blocks(blob: bytes, where: set[int]) -> bytes:
+    """``blob`` with an empty RECORDS block (count 0, sixteen zero-length
+    columns) put in front of its ``k``-th RECORDS block for every ``k`` in
+    ``where`` — ``k`` = the number of RECORDS blocks means after the last
+    — and the END footer's chunk count brought up to date.  The writer
+    never emits such a block (``add_chunk`` skips an empty chunk), but the
+    format allows it and the loader accepts it."""
+    head = struct.Struct("<BI")
+    empty = head.pack(3, 17 * 4) + struct.pack("<I", 0) * 17
+    out, seen, added = [blob[:12]], 0, 0
+    for off, btype, length in _block_offsets(blob):
+        payload = blob[off + head.size:off + head.size + length]
+        if btype in (3, 4) and seen in where:   # RECORDS k, or MARKERS
+            out.append(empty)
+            where = where - {seen}
+            added += 1
+        seen += btype == 3
+        if btype == 5:
+            footer = json.loads(payload)
+            footer["chunks"] += added
+            payload = json.dumps(footer, sort_keys=True).encode()
+        out.append(head.pack(btype, len(payload)) + payload)
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("where", [{1}, {0, 2}, {0, 1, 2, 3}],
+                         ids=["between", "two_holes", "everywhere"])
+@pytest.mark.parametrize("topology", ("crossbar", ONOC_CIRCUIT_MESH))
+def test_empty_records_block_is_skipped_by_the_stream(tmp_path, topology,
+                                                      where):
+    """A RECORDS block of count 0 used to kill the streaming replay with
+    NumPy's "zero-size array to reduction operation maximum"; the loader
+    always took it.  Both now agree with the in-memory naive replay."""
+    trace = _hot_destination_trace(600)
+    path = tmp_path / "holes.rtrc"
+    path.write_bytes(_with_empty_blocks(
+        tracebin.dumps(trace, chunk_records=200), where))
+    assert tracebin.read_summary(path)["chunks"] == 3 + len(where)
+    assert [len(c) for c in tracebin.iter_chunks(path)].count(0) == len(where)
+    loaded = tracebin.load_trace(path)
+    assert loaded.records == trace.records
+
+    onoc = synth_onoc(topology, NODES)
+    summary = stream_naive_summary(path, onoc)
+    result = replay_trace(
+        loaded, optical_factory(onoc, 7),
+        TraceConfig(mode=TRACE_NAIVE, engine="generational"))
+    assert summary["messages"] == 600
+    assert summary["exec_time_estimate"] == result.exec_time_estimate
+    assert summary["max_deliver"] == max(result.deliveries.values())
+    plain = tmp_path / "plain.rtrc"
+    tracebin.write_file(trace, plain, chunk_records=200)
+    for key in SUMMARY_KEYS:
+        assert summary[key] == stream_naive_summary(plain, onoc)[key], key
+
+
+@pytest.mark.parametrize("engine", ("event", "generational"))
+@pytest.mark.parametrize("mode", (TRACE_NAIVE, "self_correcting"))
+def test_a_container_of_only_empty_blocks_is_an_empty_trace(tmp_path, engine,
+                                                            mode):
+    empty = Trace(records=[], end_markers=[], exec_time=0, meta={})
+    path = tmp_path / "empty.rtrc"
+    path.write_bytes(_with_empty_blocks(tracebin.dumps(empty), {0}))
+    assert tracebin.read_summary(path)["chunks"] == 1
+    loaded = tracebin.load_trace(path)
+    assert len(loaded) == 0 and loaded.records == []
+    onoc = synth_onoc("crossbar", NODES)
+    result = replay_trace(loaded, optical_factory(onoc, 7),
+                          TraceConfig(mode=mode, engine=engine))
+    assert result.exec_time_estimate == 0 and result.messages_replayed == 0
+    summary = stream_naive_summary(path, onoc)
+    assert (summary["messages"], summary["exec_time_estimate"]) == (0, 0)

@@ -315,7 +315,7 @@ def test_streamed_container_is_the_dumped_trace(tmp_path, chunk_records,
         assert summary["kinds"] == ("data", "ctrl")
 
 
-def test_add_chunk_after_add_records_keeps_call_order(tmp_path):
+def test_chunks_with_their_own_kind_tables_land_in_call_order(tmp_path):
     trace = generate(default_profile(16, 400, fanout_prob=0.5), seed=2)
     records = trace.records
     ctrl = next(i for i, r in enumerate(records) if r.kind == "ctrl")
@@ -326,11 +326,9 @@ def test_add_chunk_after_add_records_keeps_call_order(tmp_path):
     assert chunk.kinds == ("ctrl", "data")
 
     out = io.BytesIO()
-    writer = tracebin.BinaryTraceWriter(out, meta=trace.meta,
-                                        chunk_records=4096)
-    writer.add_records(records[:5])
+    writer = tracebin.BinaryTraceWriter(out, meta=trace.meta)
+    writer.add_chunk(tracebin.RecordChunk.from_records(records[:5]))
     writer.add_chunk(tracebin.RecordChunk.from_records(records[5:ctrl]))
-    writer.add_records(())
     writer.add_chunk(chunk)
     writer.add_chunk(tracebin.RecordChunk.from_records([]))
     writer.add_markers(trace.end_markers)

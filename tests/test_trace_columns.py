@@ -1,0 +1,253 @@
+"""A trace born as columns stays columns; its records are a view.
+
+``load_trace`` and ``synth.generate`` hand back a :class:`Trace` holding a
+:class:`RecordChunk`; validation, the writer and the generational solver
+read the columns, and ``.records`` builds the list on first touch, after
+which the list is authoritative exactly as for a record-built trace.
+None of that may be visible in a result — ``tests/test_replay_digests.py``
+and ``tests/test_trace_refusals.py`` pin the numbers and the refusals; this
+file pins the laziness itself and that nothing can tell.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+
+from repro.config import TraceConfig
+from repro.core import Trace, TraceRecord, load_trace, replay_trace, tracebin
+from repro.core.trace import RecordChunk, blocked_msg_ids
+from repro.harness.builders import optical_factory
+from repro.synth import default_profile, generate_to_file, synth_onoc
+from tests.test_core_plan import CYCLE, FORK, LOST, TAINTED
+from tests.test_core_replay import _cyclic_trace
+from tests.test_properties_trace import traces
+from tests.test_synth_generator import _iter_records_reference
+
+NODES = 64
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts every ``TraceRecord`` constructed while the test runs."""
+    calls = []
+    checked = TraceRecord.__post_init__
+
+    def counting(self):
+        calls.append(self.msg_id)
+        checked(self)
+
+    monkeypatch.setattr(TraceRecord, "__post_init__", counting)
+    return calls
+
+
+def _replay(trace, mode="self_correcting"):
+    return replay_trace(
+        trace, optical_factory(synth_onoc("crossbar", NODES), 1),
+        TraceConfig(mode=mode, engine="generational"))
+
+
+def _numbers(result) -> dict:
+    doc = dataclasses.asdict(result)
+    del doc["wall_clock_s"]
+    return doc
+
+
+def test_container_to_solver_builds_no_record(tmp_path, builds):
+    """File -> trace -> ``len`` -> bytes -> both generational replays
+    without one ``TraceRecord``; on the parent of this change the loader
+    alone built one per message."""
+    profile = default_profile(NODES, 3000, fanout_prob=0.3)
+    path = tmp_path / "s.rtrc"
+    generate_to_file(profile, path, seed=4, chunk_records=700)
+    trace = load_trace(path)
+    assert len(trace) == 3000
+    assert tracebin.dumps(trace, chunk_records=700) == path.read_bytes()
+    for mode in ("naive", "self_correcting"):
+        result = _replay(trace, mode)
+        assert result.messages_replayed == 3000
+        assert len(result.latencies_by_key) == 3000
+    assert builds == []
+
+    # First touch builds each record once; what it builds is what the
+    # per-record reference generator yields and what JSON round-trips.
+    records = trace.records
+    assert builds == list(range(3000))
+    assert trace.records is records and len(builds) == 3000
+    assert records == list(_iter_records_reference(profile, seed=4))
+    assert Trace.from_json(trace.to_json()) == trace
+
+
+def _progressive_kinds_trace() -> Trace:
+    """450 chained records whose kind changes every 110: at 100 records a
+    block, every block brings one more kind into the string table."""
+    records = []
+    for i in range(450):
+        kind = f"phase{i // 110}"
+        src = i % 4
+        records.append(TraceRecord(
+            msg_id=i, key=(src, (src + 1) % 4, kind, i, 0), src=src,
+            dst=(src + 1) % 4, size_bytes=8 + i % 5, kind=kind,
+            t_inject=12 * i, t_deliver=12 * i + 10,
+            cause_id=i - 1, gap=12 * i if i == 0 else 2,
+            bound_id=i - 2 if i % 7 == 3 else -1,
+            bound_gap=14 if i % 7 == 3 else 0))
+    return Trace(records=records, end_markers=[], exec_time=0,
+                 meta={"workload": "progressive"})
+
+
+def test_laziness_is_invisible_in_a_chunked_container():
+    born = _progressive_kinds_trace()
+    born.validate()
+    blob = tracebin.dumps(born, chunk_records=100)
+    blocks = [b["type"]
+              for b in tracebin.scan_blocks(io.BytesIO(blob))["blocks"]]
+    assert blocks.count("RECORDS") == 5 and blocks.count("KINDS") == 5
+
+    loaded = tracebin.loads(blob)
+    assert tracebin.dumps(loaded, chunk_records=100) == blob
+    assert _numbers(_replay(loaded)) == _numbers(_replay(born))
+    assert loaded.records == Trace.from_json(born.to_json()).records
+    assert loaded == born
+    # Touched: same bytes, same numbers.
+    assert tracebin.dumps(loaded, chunk_records=100) == blob
+    assert _numbers(_replay(loaded)) == _numbers(_replay(born))
+
+
+def _extra(msg_id: int, t_inject: int, cause_id: int = -1,
+           gap: int = None) -> TraceRecord:
+    return TraceRecord(
+        msg_id=msg_id, key=(0, 1, "late", msg_id, 0), src=0, dst=1,
+        size_bytes=8, kind="late", t_inject=t_inject,
+        t_deliver=t_inject + 10, cause_id=cause_id,
+        gap=t_inject if gap is None else gap)
+
+
+def _append_valid(records):
+    records.append(_extra(9000, 7000))
+
+
+def _append_dangling(records):
+    records.append(_extra(9000, 7000, cause_id=8888, gap=3))
+
+
+def _replace_in_place(records):
+    records[200] = dataclasses.replace(records[200], gap=records[200].gap + 1)
+
+
+@pytest.mark.parametrize("rebind", [False, True], ids=["in_list", "rebound"])
+@pytest.mark.parametrize("edit, refusal", [
+    (_append_valid, None),
+    (_append_dangling, "record 9000: cause 8888 not in trace"),
+    (_replace_in_place, "record 200: gap 3 inconsistent"),
+], ids=["append", "append_dangling", "replace_in_place"])
+def test_once_touched_the_list_is_authoritative(edit, refusal, rebind):
+    """An edit of ``.records`` on a loaded trace changes ``validate()``'s
+    verdict, ``dumps()``'s bytes and the generational result exactly as the
+    same edit changes them on the record-built trace."""
+    born = _progressive_kinds_trace()
+    loaded = tracebin.loads(tracebin.dumps(born))
+    before = tracebin.dumps(loaded)
+    _replay(loaded)                     # columns and plan memoised, untouched
+    for trace in (born, loaded):
+        if rebind:
+            trace.records = list(trace.records)
+        edit(trace.records)
+
+    def verdict(trace):
+        try:
+            trace.validate()
+        except ValueError as exc:
+            return str(exc)
+
+    assert verdict(loaded) == verdict(born) == refusal
+    assert len(loaded) == len(born)
+    assert tracebin.dumps(loaded) == tracebin.dumps(born) != before
+    assert _numbers(_replay(loaded)) == _numbers(_replay(born))
+    assert loaded.chunk is loaded.chunk         # and memoised again
+
+
+def test_a_chunk_born_trace_pickles_and_copies_as_columns(builds):
+    import copy
+    import pickle
+
+    loaded = tracebin.loads(tracebin.dumps(_progressive_kinds_trace()))
+    _replay(loaded)                     # the memo travels too
+    del builds[:]
+    for clone in (pickle.loads(pickle.dumps(loaded)), copy.deepcopy(loaded)):
+        assert len(clone) == 450 and clone.meta == loaded.meta
+        assert tracebin.dumps(clone) == tracebin.dumps(loaded)
+        assert builds == []
+    with pytest.raises(AttributeError, match="no attribute 'recordz'"):
+        loaded.recordz
+    assert [f.name for f in dataclasses.fields(Trace)] == [
+        "records", "end_markers", "exec_time", "meta"]
+
+
+# ------------------------------------------------- the can-fire fixpoint
+def _blocked_reference(records) -> set[int]:
+    """``blocked_msg_ids`` as it stood per record, before it became the
+    ids the array fixpoint leaves unfired."""
+    present = {r.msg_id for r in records}
+    prereqs: dict[int, int] = {}
+    dependents: dict[int, list[int]] = {}
+    for r in records:
+        n = 0
+        for trig in (r.cause_id, r.bound_id):
+            if trig != -1 and trig in present:
+                n += 1
+                dependents.setdefault(trig, []).append(r.msg_id)
+        prereqs[r.msg_id] = n
+    frontier = [mid for mid, n in prereqs.items() if n == 0]
+    while frontier:
+        mid = frontier.pop()
+        for dep in dependents.get(mid, ()):
+            prereqs[dep] -= 1
+            if prereqs[dep] == 0:
+                frontier.append(dep)
+    return {mid for mid, n in prereqs.items() if n > 0}
+
+
+@pytest.mark.parametrize("records, blocked", [
+    (FORK, set()),
+    (LOST, set()),                  # an absent trigger is not waited for
+    (CYCLE, {7, 4, 3}),
+    (TAINTED, {5, 6}),
+    (_cyclic_trace().records, {0, 1}),
+    ((), set()),
+], ids=["fork", "absent_trigger", "cycle", "tainted", "two_cycle", "empty"])
+def test_blocked_msg_ids_on_the_hand_built_traces(records, blocked):
+    assert blocked_msg_ids(list(records)) == blocked
+    assert _blocked_reference(list(records)) == blocked
+
+
+@given(traces())
+@settings(max_examples=60, deadline=None)
+def test_blocked_msg_ids_is_the_per_record_fixpoint(trace):
+    """Generated DAGs with every fifth record re-pointed at a later one (so
+    cycles, self-loops and dangling ids all occur) and bounds sprinkled."""
+    records = list(trace.records)
+    for i in range(0, len(records), 5):
+        r = records[i]
+        later = records[(i * 7 + 3) % len(records)].msg_id
+        records[i] = dataclasses.replace(
+            r, cause_id=later, gap=0,
+            bound_id=10**6 + i if i % 10 == 0 else r.msg_id,
+            bound_gap=0)
+    assert blocked_msg_ids(records) == _blocked_reference(records)
+
+
+def test_columns_and_records_are_one_converter_each_way():
+    born = _progressive_kinds_trace()
+    chunk = RecordChunk.from_records(born.records)
+    assert chunk.to_records() == born.records
+    assert chunk.keys == [r.key for r in born.records]
+    assert chunk[100:200].to_records() == born.records[100:200]
+    whole = RecordChunk.concat([chunk[:100], chunk[100:]], chunk.kinds)
+    assert whole.to_records() == born.records
+    columnar = Trace.from_chunk(chunk, [], 0, dict(born.meta))
+    assert json.loads(columnar.to_json()) == json.loads(born.to_json())
