@@ -20,32 +20,58 @@ Layers (bottom-up): :mod:`repro.engine` (event kernel), :mod:`repro.noc`
 (characterisation), :mod:`repro.harness` (per-figure experiment drivers).
 """
 
-from repro.config import (
-    CacheConfig,
-    ConfigError,
-    ExperimentConfig,
-    NocConfig,
-    OnocConfig,
-    PhotonicDeviceConfig,
-    SystemConfig,
-    TraceConfig,
-    default_16core_config,
-)
-from repro.core import (
-    IterativeRefiner,
-    NaiveReplayer,
-    SelfCorrectingReplayer,
-    Trace,
-    TraceCapture,
-    compare_to_reference,
-    replay_trace,
-)
-from repro.engine import Simulator
-from repro.harness import run_execution_driven
-from repro.net import Message, NetworkAdapter
-from repro.noc import ElectricalNetwork
-from repro.onoc import OpticalCrossbar, CircuitSwitchedMesh, build_optical_network
-from repro.system import FullSystem, build_workload
+import importlib
+import sys
+
+
+def lazy_exports(package: str, table: dict[str, str]):
+    """PEP 562 ``__getattr__`` / ``__dir__`` for a package of re-exports:
+    ``table`` maps each public name to its defining module, imported on the
+    name's first access (the name is then bound in the package).  Any other
+    name raises ``AttributeError``, so ``from package import submodule``
+    still falls back to importing the submodule."""
+
+    def __getattr__(name: str):
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(table[name]), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(vars(sys.modules[package]).keys() | table.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CacheConfig": "repro.config",
+    "ConfigError": "repro.config",
+    "ExperimentConfig": "repro.config",
+    "NocConfig": "repro.config",
+    "OnocConfig": "repro.config",
+    "PhotonicDeviceConfig": "repro.config",
+    "SystemConfig": "repro.config",
+    "TraceConfig": "repro.config",
+    "default_16core_config": "repro.config",
+    "IterativeRefiner": "repro.core",
+    "NaiveReplayer": "repro.core",
+    "SelfCorrectingReplayer": "repro.core",
+    "Trace": "repro.core",
+    "TraceCapture": "repro.core",
+    "compare_to_reference": "repro.core",
+    "replay_trace": "repro.core",
+    "Simulator": "repro.engine",
+    "run_execution_driven": "repro.harness",
+    "Message": "repro.net",
+    "NetworkAdapter": "repro.net",
+    "ElectricalNetwork": "repro.noc",
+    "OpticalCrossbar": "repro.onoc",
+    "CircuitSwitchedMesh": "repro.onoc",
+    "build_optical_network": "repro.onoc",
+    "FullSystem": "repro.system",
+    "build_workload": "repro.system",
+})
 
 __version__ = "1.0.0"
 

@@ -30,43 +30,44 @@ streaming readers keep million-message traces out of memory (see
 ``docs/TRACE_FORMAT.md``).
 """
 
-from repro.core.accuracy import compare_to_reference, reference_latencies
-from repro.core.analysis import (
-    TraceProfile,
-    critical_chain,
-    dependency_fanout,
-    destination_entropy,
-    injection_burstiness,
-    profile_trace,
-)
-from repro.core.capture import TraceCapture
-from repro.core.sharing import (
-    LineSharing,
-    SharingClass,
-    classify_lines,
-    sharing_summary,
-)
-from repro.core.compact import (
-    CompactionStats,
-    coalesce_leaves,
-    filter_leaf_control,
-    leaf_records,
-)
-from repro.core.generational import (
-    replay_trace_generational,
-    stream_naive_summary,
-)
-from repro.core.iterate import IterationInfo, IterativeRefiner
-from repro.core.replay import NaiveReplayer, ReplayResult, SelfCorrectingReplayer, replay_trace
-from repro.core.trace import EndMarker, Trace, TraceRecord
-from repro.core.tracebin import (
-    BinaryTraceWriter,
-    TraceBinError,
-    is_binary_trace,
-    load_trace,
-    scan_blocks,
-    trace_info,
-)
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "compare_to_reference": "repro.core.accuracy",
+    "reference_latencies": "repro.core.accuracy",
+    "TraceProfile": "repro.core.analysis",
+    "critical_chain": "repro.core.analysis",
+    "dependency_fanout": "repro.core.analysis",
+    "destination_entropy": "repro.core.analysis",
+    "injection_burstiness": "repro.core.analysis",
+    "profile_trace": "repro.core.analysis",
+    "TraceCapture": "repro.core.capture",
+    "LineSharing": "repro.core.sharing",
+    "SharingClass": "repro.core.sharing",
+    "classify_lines": "repro.core.sharing",
+    "sharing_summary": "repro.core.sharing",
+    "CompactionStats": "repro.core.compact",
+    "coalesce_leaves": "repro.core.compact",
+    "filter_leaf_control": "repro.core.compact",
+    "leaf_records": "repro.core.compact",
+    "replay_trace_generational": "repro.core.generational",
+    "stream_naive_summary": "repro.core.generational",
+    "IterationInfo": "repro.core.iterate",
+    "IterativeRefiner": "repro.core.iterate",
+    "NaiveReplayer": "repro.core.replay",
+    "ReplayResult": "repro.core.replay",
+    "SelfCorrectingReplayer": "repro.core.replay",
+    "replay_trace": "repro.core.replay",
+    "EndMarker": "repro.core.trace",
+    "Trace": "repro.core.trace",
+    "TraceRecord": "repro.core.trace",
+    "TraceBinError": "repro.core.trace",
+    "BinaryTraceWriter": "repro.core.tracebin",
+    "is_binary_trace": "repro.core.tracebin",
+    "load_trace": "repro.core.tracebin",
+    "scan_blocks": "repro.core.tracebin",
+    "trace_info": "repro.core.tracebin",
+})
 
 __all__ = [
     "CompactionStats",

@@ -65,8 +65,15 @@ class TraceCapture:
     # --------------------------------------------------------- finalise
     def finalize(self, meta: Optional[dict] = None) -> Trace:
         """Build the validated Trace (call after the simulation drains)."""
+        # Canonicalise msg_ids to 0..n-1 in injection order.  Raw Message
+        # ids come from a process-global counter, so without this the same
+        # (config, seed) capture would serialize differently depending on
+        # what ran earlier in the process — breaking byte-identical golden
+        # traces and content-addressed caching.
+        order = sorted(self._sent, key=lambda s: (s[0].inject_time, s[0].id))
+        remap = {s[0].id: i for i, s in enumerate(order)}
+        remap[-1] = -1
         records: list[TraceRecord] = []
-        captured_ids = set(self._keys)
         for msg, cause, bound in self._sent:
             if msg.deliver_time < 0:
                 raise RuntimeError(
@@ -74,19 +81,15 @@ class TraceCapture:
                     "network did not drain"
                 )
             for trig in (cause, bound):
-                if trig is not None and trig.id not in captured_ids:
+                if trig is not None and trig.id not in self._keys:
                     # A trigger outside the captured set would be a
                     # cause-threading bug (all network messages are captured).
                     raise RuntimeError(
                         f"message {msg.id} triggered by uncaptured "
                         f"message {trig.id}"
                     )
-            if cause is None:
-                gap = msg.inject_time
-                cause_id = -1
-                bound_id = -1
-                bound_gap = 0
-            else:
+            gap, cause_id, bound_id, bound_gap = msg.inject_time, -1, -1, 0
+            if cause is not None:
                 gap = msg.inject_time - cause.deliver_time
                 cause_id = cause.id
                 if gap < 0:
@@ -102,23 +105,16 @@ class TraceCapture:
                             f"message {msg.id} injected before its bound "
                             "was delivered — causality bug"
                         )
-                else:
-                    bound_id = -1
-                    bound_gap = 0
-            records.append(TraceRecord(
-                msg_id=msg.id,
-                key=self._keys[msg.id],
-                src=msg.src,
-                dst=msg.dst,
-                size_bytes=msg.size_bytes,
-                kind=msg.kind,
-                t_inject=msg.inject_time,
-                t_deliver=msg.deliver_time,
-                cause_id=cause_id,
-                gap=gap,
-                bound_id=bound_id,
-                bound_gap=bound_gap,
-            ))
+            head = (self._keys[msg.id], msg.src, msg.dst, msg.size_bytes,
+                    msg.kind, msg.inject_time, msg.deliver_time)
+            try:
+                records.append(TraceRecord(remap[msg.id], *head,
+                                           remap[cause_id], gap,
+                                           remap[bound_id], bound_gap))
+            except ValueError:
+                # The record's own refusal, naming the id the run gave it.
+                TraceRecord(msg.id, *head, cause_id, gap, bound_id, bound_gap)
+                raise
         markers: list[EndMarker] = []
         for node, t_finish, cause in self._finishes:
             if cause is None:
@@ -127,24 +123,8 @@ class TraceCapture:
                 markers.append(EndMarker(
                     node, t_finish, cause.id, t_finish - cause.deliver_time
                 ))
-        records.sort(key=lambda r: (r.t_inject, r.msg_id))
+        records.sort(key=lambda r: r.msg_id)
         markers.sort(key=lambda m: m.node)
-        # Canonicalise msg_ids to 0..n-1 in injection order.  Raw Message
-        # ids come from a process-global counter, so without this the same
-        # (config, seed) capture would serialize differently depending on
-        # what ran earlier in the process — breaking byte-identical golden
-        # traces and content-addressed caching.
-        remap = {r.msg_id: i for i, r in enumerate(records)}
-        remap[-1] = -1
-        records = [
-            TraceRecord(
-                msg_id=remap[r.msg_id], key=r.key, src=r.src, dst=r.dst,
-                size_bytes=r.size_bytes, kind=r.kind, t_inject=r.t_inject,
-                t_deliver=r.t_deliver, cause_id=remap[r.cause_id], gap=r.gap,
-                bound_id=remap[r.bound_id], bound_gap=r.bound_gap,
-            )
-            for r in records
-        ]
         markers = [
             EndMarker(m.node, m.t_finish, remap[m.cause_id], m.gap)
             for m in markers

@@ -18,9 +18,14 @@ Simulated components are ordinary objects that hold the simulator they were
 built with; the builders in :mod:`repro.harness` wire them explicitly.
 """
 
-from repro.engine.events import EventQueue
-from repro.engine.rng import RngFactory
-from repro.engine.simulator import SimulationError, Simulator
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "EventQueue": "repro.engine.events",
+    "RngFactory": "repro.engine.rng",
+    "SimulationError": "repro.engine.simulator",
+    "Simulator": "repro.engine.simulator",
+})
 
 __all__ = [
     "EventQueue",

@@ -15,47 +15,47 @@ and leaves behind a provenance archive that ``repro exp diff`` can compare
     out = run_experiment(cfg, SweepRunner(workers=4), archive_root="runs")
 """
 
-from repro.exp.archive import (
-    ARCHIVE_SCHEMA,
-    Archive,
-    ArchiveError,
-    load_archive,
-    load_rows,
-    provenance,
-    write_archive,
-    write_baseline,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ARCHIVE_SCHEMA": "repro.exp.archive",
+        "Archive": "repro.exp.archive",
+        "ArchiveError": "repro.exp.archive",
+        "load_archive": "repro.exp.archive",
+        "load_rows": "repro.exp.archive",
+        "provenance": "repro.exp.archive",
+        "write_archive": "repro.exp.archive",
+        "write_baseline": "repro.exp.archive",
+        "ALL_WORKLOADS": "repro.exp.catalog",
+        "BaseExperiment": "repro.exp.catalog",
+        "experiment_names": "repro.exp.catalog",
+        "get_experiment": "repro.exp.catalog",
+        "metrics_from_rows": "repro.exp.catalog",
+        "ConfigFileError": "repro.exp.config",
+        "GateSpec": "repro.exp.config",
+        "ResolvedConfig": "repro.exp.config",
+        "config_hash": "repro.exp.config",
+        "discover_configs": "repro.exp.config",
+        "load_config_file": "repro.exp.config",
+        "parse_set_override": "repro.exp.config",
+        "resolve_config": "repro.exp.config",
+        "DiffReport": "repro.exp.diff",
+        "MetricDelta": "repro.exp.diff",
+        "ParamDelta": "repro.exp.diff",
+        "diff_archives": "repro.exp.diff",
+        "format_diff": "repro.exp.diff",
+        "RunOutcome": "repro.exp.runner",
+        "ServeExecutor": "repro.exp.runner",
+        "compile_config": "repro.exp.runner",
+        "run_experiment": "repro.exp.runner",
+        "ParamSchema": "repro.exp.schema",
+        "ParamSpec": "repro.exp.schema",
+        "SchemaError": "repro.exp.schema",
+        "specs": "repro.exp.schema",
+    },
 )
-from repro.exp.catalog import (
-    ALL_WORKLOADS,
-    BaseExperiment,
-    experiment_names,
-    get_experiment,
-    metrics_from_rows,
-)
-from repro.exp.config import (
-    ConfigFileError,
-    GateSpec,
-    ResolvedConfig,
-    config_hash,
-    discover_configs,
-    load_config_file,
-    parse_set_override,
-    resolve_config,
-)
-from repro.exp.diff import (
-    DiffReport,
-    MetricDelta,
-    ParamDelta,
-    diff_archives,
-    format_diff,
-)
-from repro.exp.runner import (
-    RunOutcome,
-    ServeExecutor,
-    compile_config,
-    run_experiment,
-)
-from repro.exp.schema import ParamSchema, ParamSpec, SchemaError, specs
 
 __all__ = [
     "ALL_WORKLOADS",

@@ -6,10 +6,16 @@ credit-based VC flow control, dimension-order or minimal-adaptive routing,
 and mesh / torus / ring topologies.
 """
 
-from repro.noc.flit import Flit, Packet
-from repro.noc.network import ElectricalNetwork
-from repro.noc.routing import route_port
-from repro.noc.topology import Coord, Topology
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Flit": "repro.noc.flit",
+    "Packet": "repro.noc.flit",
+    "ElectricalNetwork": "repro.noc.network",
+    "route_port": "repro.noc.routing",
+    "Coord": "repro.noc.topology",
+    "Topology": "repro.noc.topology",
+})
 
 __all__ = [
     "Coord",

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from repro.config import MESH, NocConfig, RING, TORUS
 
 LOCAL = 0
@@ -133,17 +131,6 @@ class Topology:
         # ring
         d = abs(src - dst)
         return min(d, self.num_nodes - d)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Directed link graph (for analysis and invariant tests)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.num_nodes))
-        for node in range(self.num_nodes):
-            for port in range(1, self.num_ports):
-                nb = self._neighbors[node][port]
-                if nb is not None:
-                    g.add_edge(node, nb[0], out_port=port, in_port=nb[1])
-        return g
 
     def _check_node(self, node: int) -> None:
         if not (0 <= node < self.num_nodes):

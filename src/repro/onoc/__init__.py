@@ -18,18 +18,26 @@ event entities here and the vectorized engine in
 :mod:`repro.onoc.devices` and :mod:`repro.onoc.loss`.
 """
 
-from repro.onoc.awgr import OpticalAwgr, awgr_ring_census
-from repro.onoc.circuit import CircuitSwitchedMesh
-from repro.onoc.crossbar import OpticalCrossbar
-from repro.onoc.devices import RingCensus, SerpentineLayout, crossbar_ring_census, mesh_ring_census
-from repro.onoc.hybrid import HybridConfig, HybridNetwork
-from repro.onoc.loss import LossBudget
-from repro.onoc.network import (
-    build_optical_network,
-    topology_in_order_channels,
-)
-from repro.onoc.swmr import OpticalSwmrCrossbar, swmr_ring_census
-from repro.onoc.timing import timing_for
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "OpticalAwgr": "repro.onoc.awgr",
+    "awgr_ring_census": "repro.onoc.awgr",
+    "CircuitSwitchedMesh": "repro.onoc.circuit",
+    "OpticalCrossbar": "repro.onoc.crossbar",
+    "RingCensus": "repro.onoc.devices",
+    "SerpentineLayout": "repro.onoc.devices",
+    "crossbar_ring_census": "repro.onoc.devices",
+    "mesh_ring_census": "repro.onoc.devices",
+    "HybridConfig": "repro.onoc.hybrid",
+    "HybridNetwork": "repro.onoc.hybrid",
+    "LossBudget": "repro.onoc.loss",
+    "build_optical_network": "repro.onoc.network",
+    "topology_in_order_channels": "repro.onoc.network",
+    "OpticalSwmrCrossbar": "repro.onoc.swmr",
+    "swmr_ring_census": "repro.onoc.swmr",
+    "timing_for": "repro.onoc.timing",
+})
 
 __all__ = [
     "CircuitSwitchedMesh",

@@ -5,10 +5,18 @@ compare like for like: static power integrated over the run plus per-event
 dynamic energy.
 """
 
-from repro.power.area import AreaConfig, AreaReport, electrical_area, optical_area
-from repro.power.electrical import ElectricalEnergyConfig, electrical_energy_report
-from repro.power.optical import optical_energy_report
-from repro.power.report import EnergyReport
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "AreaConfig": "repro.power.area",
+    "AreaReport": "repro.power.area",
+    "electrical_area": "repro.power.area",
+    "optical_area": "repro.power.area",
+    "ElectricalEnergyConfig": "repro.power.electrical",
+    "electrical_energy_report": "repro.power.electrical",
+    "optical_energy_report": "repro.power.optical",
+    "EnergyReport": "repro.power.report",
+})
 
 __all__ = [
     "AreaConfig",

@@ -25,28 +25,24 @@ integer adjustments — every penalty is a pure function of
 event backends and vectorized by the generational models.
 """
 
-from repro.resilience.generators import (
-    GENERATOR_FAMILIES,
-    generate_timeseries,
-    timeseries_for_trace,
-)
-from repro.resilience.overlay import (
-    DegradationOverlay,
-    PenaltyBreakdown,
-    penalty_summary,
-)
-from repro.resilience.policies import (
-    DISABLE_THRESHOLD_PM,
-    MITIGATION_DISABLE,
-    MITIGATION_NONE,
-    MITIGATION_REALLOCATE,
-    MITIGATIONS,
-)
-from repro.resilience.timeseries import (
-    FaultEvent,
-    FaultTimeseries,
-    TimeseriesError,
-)
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "GENERATOR_FAMILIES": "repro.resilience.generators",
+    "generate_timeseries": "repro.resilience.generators",
+    "timeseries_for_trace": "repro.resilience.generators",
+    "DegradationOverlay": "repro.resilience.overlay",
+    "penalty_summary": "repro.resilience.overlay",
+    "DISABLE_THRESHOLD_PM": "repro.resilience.policies",
+    "MITIGATION_DISABLE": "repro.resilience.policies",
+    "MITIGATION_NONE": "repro.resilience.policies",
+    "MITIGATION_REALLOCATE": "repro.resilience.policies",
+    "MITIGATIONS": "repro.resilience.policies",
+    "PenaltyBreakdown": "repro.resilience.policies",
+    "FaultEvent": "repro.resilience.timeseries",
+    "FaultTimeseries": "repro.resilience.timeseries",
+    "TimeseriesError": "repro.resilience.timeseries",
+})
 
 __all__ = [
     "DISABLE_THRESHOLD_PM",

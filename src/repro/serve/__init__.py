@@ -24,27 +24,36 @@ or programmatically::
         outcome = c.submit("scenario", scenario)   # dataclasses encode fine
 """
 
-from repro.serve.client import (
-    AsyncServeClient,
-    JobFailed,
-    ServeClient,
-    ServeError,
-    ServerClosed,
-    Shed,
-)
-from repro.serve.jobs import Job, JobTable, ServiceStats
-from repro.serve.lru import LRUCache, LRUStats
-from repro.serve.ops import DEFAULT_OPERATIONS
-from repro.serve.peer import Membership, PeerLink, parse_addr
-from repro.serve.pool import JobFailure, JobTimeout, WorkerDied, WorkerPool
-from repro.serve.ring import DEFAULT_VNODES, HashRing
-from repro.serve.protocol import (
-    DEFAULT_PORT,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    RemoteError,
-)
-from repro.serve.server import SimulationServer
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "AsyncServeClient": "repro.serve.client",
+    "JobFailed": "repro.serve.client",
+    "ServeClient": "repro.serve.client",
+    "ServeError": "repro.serve.client",
+    "ServerClosed": "repro.serve.client",
+    "Shed": "repro.serve.client",
+    "Job": "repro.serve.jobs",
+    "JobTable": "repro.serve.jobs",
+    "ServiceStats": "repro.serve.jobs",
+    "LRUCache": "repro.serve.lru",
+    "LRUStats": "repro.serve.lru",
+    "DEFAULT_OPERATIONS": "repro.serve.ops",
+    "Membership": "repro.serve.peer",
+    "PeerLink": "repro.serve.peer",
+    "parse_addr": "repro.serve.peer",
+    "JobFailure": "repro.serve.pool",
+    "JobTimeout": "repro.serve.pool",
+    "WorkerDied": "repro.serve.pool",
+    "WorkerPool": "repro.serve.pool",
+    "DEFAULT_VNODES": "repro.serve.ring",
+    "HashRing": "repro.serve.ring",
+    "DEFAULT_PORT": "repro.serve.protocol",
+    "PROTOCOL_VERSION": "repro.serve.protocol",
+    "ProtocolError": "repro.serve.protocol",
+    "RemoteError": "repro.serve.protocol",
+    "SimulationServer": "repro.serve.server",
+})
 
 __all__ = [
     "AsyncServeClient",

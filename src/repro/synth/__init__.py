@@ -24,15 +24,21 @@ and generational-vs-event speedup).  See the "Synthetic traces" section
 of ``docs/TRACE_FORMAT.md``.
 """
 
-from repro.synth.generator import generate, generate_to_file, iter_records
-from repro.synth.profile import (
-    FIDELITY_TOLERANCES,
-    SynthProfile,
-    default_profile,
-    fit_profile,
-    trace_stats,
-)
-from repro.synth.topologies import SCALE_NODE_COUNTS, scale_configs, synth_onoc
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "generate": "repro.synth.generator",
+    "generate_to_file": "repro.synth.generator",
+    "iter_records": "repro.synth.generator",
+    "FIDELITY_TOLERANCES": "repro.synth.profile",
+    "SynthProfile": "repro.synth.profile",
+    "default_profile": "repro.synth.profile",
+    "fit_profile": "repro.synth.profile",
+    "trace_stats": "repro.synth.profile",
+    "SCALE_NODE_COUNTS": "repro.synth.topologies",
+    "scale_configs": "repro.synth.topologies",
+    "synth_onoc": "repro.synth.topologies",
+})
 
 __all__ = [
     "FIDELITY_TOLERANCES",

@@ -18,10 +18,21 @@ and no L2 recall — the L2 victim search skips lines with active directory
 state (serving such lines bypasses allocation instead).
 """
 
-from repro.system.cache import CacheArray, CacheLineState
-from repro.system.cmp import FullSystem, SystemResult
-from repro.system.ops import OP_BARRIER, OP_COMPUTE, OP_LOAD, OP_STORE, Program
-from repro.system.workloads import WORKLOADS, build_workload
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CacheArray": "repro.system.cache",
+    "CacheLineState": "repro.system.cache",
+    "FullSystem": "repro.system.cmp",
+    "SystemResult": "repro.system.cmp",
+    "OP_BARRIER": "repro.system.ops",
+    "OP_COMPUTE": "repro.system.ops",
+    "OP_LOAD": "repro.system.ops",
+    "OP_STORE": "repro.system.ops",
+    "Program": "repro.system.ops",
+    "WORKLOADS": "repro.system.workloads",
+    "build_workload": "repro.system.workloads",
+})
 
 __all__ = [
     "CacheArray",

@@ -18,57 +18,49 @@ Three layers, each usable on its own:
 CLI entry point: ``repro validate`` (see ``docs/VALIDATION.md``).
 """
 
-from repro.validate.engines import (
-    EngineCell,
-    EngineReport,
-    check_engines,
-    compare_engines,
-)
-from repro.validate.differential import (
-    DifferentialReport,
-    check_fault_matrix_smooth,
-    fault_matrix_scenarios,
-    fault_matrix_verdict,
-    generate_scenarios,
-    load_repro_scenario,
-    run_differential,
-    shrink,
-    smoke_scenarios,
-    write_repro,
-)
-from repro.validate.faults import (
-    FAULT_FAMILIES,
-    DropDepEdges,
-    FaultModel,
-    FaultReport,
-    NodeRecordLoss,
-    RewireDeps,
-    TimestampJitter,
-    TruncateTail,
-    apply_faults,
-    parse_fault_specs,
-)
-from repro.validate.golden import (
-    GOLDEN_SCENARIOS,
-    check_golden,
-    regen_golden,
-)
-from repro.validate.invariants import (
-    ALL_INVARIANTS,
-    Violation,
-    check_gap_scaling,
-    check_replay,
-    check_self_consistency,
-    check_trace,
-    scale_trace_gaps,
-)
-from repro.validate.scenario import (
-    SCENARIO_WORKLOADS,
-    ErrorEnvelope,
-    Scenario,
-    ScenarioOutcome,
-    run_scenario,
-)
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "EngineCell": "repro.validate.engines",
+    "EngineReport": "repro.validate.engines",
+    "check_engines": "repro.validate.engines",
+    "compare_engines": "repro.validate.engines",
+    "DifferentialReport": "repro.validate.differential",
+    "check_fault_matrix_smooth": "repro.validate.differential",
+    "fault_matrix_scenarios": "repro.validate.differential",
+    "fault_matrix_verdict": "repro.validate.differential",
+    "generate_scenarios": "repro.validate.differential",
+    "load_repro_scenario": "repro.validate.differential",
+    "run_differential": "repro.validate.differential",
+    "shrink": "repro.validate.differential",
+    "smoke_scenarios": "repro.validate.differential",
+    "write_repro": "repro.validate.differential",
+    "FAULT_FAMILIES": "repro.validate.faults",
+    "DropDepEdges": "repro.validate.faults",
+    "FaultModel": "repro.validate.faults",
+    "FaultReport": "repro.validate.faults",
+    "NodeRecordLoss": "repro.validate.faults",
+    "RewireDeps": "repro.validate.faults",
+    "TimestampJitter": "repro.validate.faults",
+    "TruncateTail": "repro.validate.faults",
+    "apply_faults": "repro.validate.faults",
+    "parse_fault_specs": "repro.validate.faults",
+    "GOLDEN_SCENARIOS": "repro.validate.golden",
+    "check_golden": "repro.validate.golden",
+    "regen_golden": "repro.validate.golden",
+    "ALL_INVARIANTS": "repro.validate.invariants",
+    "Violation": "repro.validate.invariants",
+    "check_gap_scaling": "repro.validate.invariants",
+    "check_replay": "repro.validate.invariants",
+    "check_self_consistency": "repro.validate.invariants",
+    "check_trace": "repro.validate.invariants",
+    "scale_trace_gaps": "repro.validate.invariants",
+    "SCENARIO_WORKLOADS": "repro.validate.scenario",
+    "ErrorEnvelope": "repro.validate.scenario",
+    "Scenario": "repro.validate.scenario",
+    "ScenarioOutcome": "repro.validate.scenario",
+    "run_scenario": "repro.validate.scenario",
+})
 
 __all__ = [
     "ALL_INVARIANTS",
