@@ -48,7 +48,17 @@ import sys
 from dataclasses import replace
 
 from repro import obs
-from repro.config import ExperimentConfig, ONOC_TOPOLOGIES, TraceConfig
+from repro.config import (
+    ENGINE_EVENT,
+    GAP_POLICIES,
+    GAP_POLICY_NEIGHBOR,
+    ONOC_TOPOLOGIES,
+    REPLAY_ENGINES,
+    TRACE_MODES,
+    TRACE_SELF_CORRECTING,
+    ExperimentConfig,
+    TraceConfig,
+)
 from repro.core import replay_trace
 from repro.harness import (
     SweepRunner,
@@ -198,8 +208,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     result = replay_trace(
         trace, _target_factory(args, exp),
         TraceConfig(mode=args.mode, engine=args.engine,
-                    fault_events=fault_events, mitigation=args.mitigation,
-                    awgr_occupancy_hint=args.occupancy_hint))
+                    fault_events=fault_events, mitigation=args.mitigation))
     print(f"mode={result.mode} target={args.target} engine={args.engine}")
     print(f"predicted exec time : {result.exec_time_estimate} cycles")
     print(f"messages replayed   : {result.messages_replayed} "
@@ -215,10 +224,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
               f"(slowdown {pen['slowdown_cycles']}, detour "
               f"{pen['detour_cycles']}, retune {pen['retune_cycles']}; "
               f"{pen['messages_affected']}/{pen['messages_total']} messages)")
-    hint = result.extra.get("occupancy_hint")
-    if hint is not None:
-        print(f"occupancy hint      : {hint['deferred']} injections "
-              f"deferred ({hint['deferred_cycles']} cycles)")
     return 0
 
 
@@ -402,7 +407,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                      if args.workloads else V.SCENARIO_WORKLOADS)
         scenarios = V.generate_scenarios(args.n, args.seed,
                                          workloads=workloads)
-    if args.faults or args.gap_policy != "neighbor_gap" or args.degrade:
+    if args.faults or args.gap_policy != GAP_POLICY_NEIGHBOR or args.degrade:
         from dataclasses import replace as _replace
         faults = V.parse_fault_specs(args.faults) if args.faults else ()
         scenarios = [
@@ -689,18 +694,11 @@ def make_parser() -> argparse.ArgumentParser:
     _add_obs_flags(p)
     p.add_argument("--trace", required=True)
     p.add_argument("--target", choices=_NETWORK_CHOICES, default="crossbar")
-    p.add_argument("--mode", choices=("naive", "self_correcting"),
-                   default="self_correcting")
-    p.add_argument("--engine", choices=("event", "generational"),
-                   default="event",
+    p.add_argument("--mode", choices=TRACE_MODES, default=TRACE_SELF_CORRECTING)
+    p.add_argument("--engine", choices=REPLAY_ENGINES, default=ENGINE_EVENT,
                    help="replay implementation: reference event-driven, or "
                         "vectorized generational (optical targets only)")
     _add_degrade_flags(p)
-    p.add_argument("--occupancy-hint", action="store_true",
-                   help="online λ-lane occupancy hint (event engine, "
-                        "per-pair-lane targets): reserve lanes at "
-                        "dependency-release time; workload-specific, see "
-                        "the awgr-occupancy-hint envelope note")
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("trace",
@@ -829,16 +827,15 @@ def make_parser() -> argparse.ArgumentParser:
                         "the smooth-degradation gate instead")
     p.add_argument("--fault-seed", type=int, default=777,
                    help="seed for fault-injection decisions")
-    p.add_argument("--gap-policy", default="neighbor_gap",
-                   choices=("captured", "neighbor_gap", "interp"),
+    p.add_argument("--gap-policy", default=GAP_POLICY_NEIGHBOR,
+                   choices=GAP_POLICIES,
                    help="degraded-gap policy for self-correcting replays "
                         "(default neighbor_gap)")
     p.add_argument("--engines", action="store_true",
                    help="run the generational-vs-event engine differential "
-                        "on the golden corpus (all backends x the captured/"
-                        "neighbor_gap gap policies x fault slice + degraded "
-                        "cells + binary/JSON identity; interp is event-"
-                        "engine only) and exit")
+                        "on the golden corpus (all backends x both gap "
+                        "policies x fault slice + degraded cells + "
+                        "binary/JSON identity) and exit")
     _add_degrade_flags(p, spec_only=True)
     p.set_defaults(fn=cmd_validate)
 

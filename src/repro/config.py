@@ -287,14 +287,9 @@ TRACE_MODES = (TRACE_NAIVE, TRACE_SELF_CORRECTING)
 #   record on the same source node: the record injects at that neighbor's
 #   *replayed* injection time plus the captured inter-send delta, keeping it
 #   anchored to the node's corrected local timeline.
-# * ``interp``        — ``neighbor_gap`` with the delta rescaled by the
-#   node-local time-warp observed between the two most recent surviving
-#   (dependency-intact) injections on that node.  Event engine only: the
-#   warp is measured online, so ``engine="generational"`` refuses it.
 GAP_POLICY_CAPTURED = "captured"
 GAP_POLICY_NEIGHBOR = "neighbor_gap"
-GAP_POLICY_INTERP = "interp"
-GAP_POLICIES = (GAP_POLICY_CAPTURED, GAP_POLICY_NEIGHBOR, GAP_POLICY_INTERP)
+GAP_POLICIES = (GAP_POLICY_CAPTURED, GAP_POLICY_NEIGHBOR)
 
 # Which replay implementation executes the trace:
 #
@@ -308,11 +303,10 @@ GAP_POLICIES = (GAP_POLICY_CAPTURED, GAP_POLICY_NEIGHBOR, GAP_POLICY_INTERP)
 #   timing arithmetic (:mod:`repro.onoc.timing`) and the dependency plan
 #   (:mod:`repro.core.plan` — which records are roots, dependents or
 #   anchored) are shared with the event engine; only scheduling differs.
-#   Orders of magnitude fewer Python dispatches; optical targets only, and
-#   it refuses the options only the event engine implements (the ``interp``
-#   gap policy, ``awgr_occupancy_hint``).  Its equivalence contract with the
-#   event engine is specified in ``docs/TRACE_FORMAT.md`` and enforced by
-#   :mod:`repro.validate.engines`.
+#   Orders of magnitude fewer Python dispatches; optical targets only, where
+#   it accepts every ``TraceConfig`` the event engine does.  Its equivalence
+#   contract with the event engine is specified in ``docs/TRACE_FORMAT.md``
+#   and enforced by :mod:`repro.validate.engines`.
 ENGINE_EVENT = "event"
 ENGINE_GENERATIONAL = "generational"
 REPLAY_ENGINES = (ENGINE_EVENT, ENGINE_GENERATIONAL)
@@ -342,12 +336,6 @@ class TraceConfig:
     # byte-identical replay path — and the mitigation policy applied to it.
     fault_events: tuple = ()
     mitigation: str = MITIGATION_NONE
-    # Online AWGR wavelength-occupancy hint (event engine only): reserve the
-    # (src, dst) λ-lane at dependency-release time instead of injection time.
-    # Closes the single-pass radix→awgr capture-ordering gap without the
-    # iterate cost, but is workload-specific — see the awgr-occupancy-hint
-    # note in tests/golden/envelopes.json — hence default-off.
-    awgr_occupancy_hint: bool = False
 
     def __post_init__(self) -> None:
         _require(self.mode in TRACE_MODES,
@@ -381,12 +369,12 @@ class TraceConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to run one experiment: system + both networks + trace."""
+    """Everything needed to run one experiment: system + both networks (a
+    replay takes its :class:`TraceConfig` as an argument)."""
 
     system: SystemConfig = field(default_factory=SystemConfig)
     noc: NocConfig = field(default_factory=NocConfig)
     onoc: OnocConfig = field(default_factory=OnocConfig)
-    trace: TraceConfig = field(default_factory=TraceConfig)
     seed: int = 42
 
     def __post_init__(self) -> None:

@@ -36,10 +36,8 @@ intentional deviations remain:
   (segment contention between overlapping circuits is not modelled).
 
 The differential harness in :mod:`repro.validate.engines` bounds both.
-What the solver cannot compute exactly it refuses: the ``interp`` gap
-policy (its anchor deltas depend on the replayed timeline, so they are not
-known up front) and the AWGR occupancy hint raise ``ValueError`` pointing
-at ``engine='event'``.
+On an optical target every ``TraceConfig`` the event engine accepts is
+solved here too: each gap policy's anchor deltas are captured constants.
 
 Out-of-core replay: :func:`stream_naive_summary` replays a *binary* trace
 (:mod:`repro.core.tracebin`) chunk by chunk with per-resource carry state,
@@ -54,7 +52,6 @@ from typing import Optional
 import numpy as np
 
 from repro.config import (
-    GAP_POLICY_INTERP,
     ONOC_CIRCUIT_MESH,
     ONOC_TOPOLOGIES,
     OnocConfig,
@@ -428,10 +425,9 @@ def replay_trace_generational(
     optical backends (the event engine remains the path for electrical
     targets and network-in-the-loop experiments).  Honours ``cfg.mode``,
     ``keep_dep_fraction`` / ``dep_drop_seed`` (same RNG stream as the event
-    engine) and the ``captured`` / ``neighbor_gap`` degraded-gap policies;
-    options only the event engine implements are refused, never
-    approximated.  ``extra`` reports ``{"engine": "generational",
-    "iterations": horizon batches, "converged": True}``.
+    engine) and both degraded-gap policies.  ``extra`` reports
+    ``{"engine": "generational", "iterations": horizon batches,
+    "converged": True}``.
 
     ``timing`` is ``onoc``'s timing object when the caller already holds
     one — :func:`~repro.core.replay.replay_trace` does, having priced it
@@ -444,17 +440,6 @@ def replay_trace_generational(
             "a fault timeseries is priced by replay_trace, on the timing "
             "object it hands this engine: call replay_trace(..., "
             "TraceConfig(engine='generational', fault_events=...))")
-    if cfg.awgr_occupancy_hint:
-        raise ValueError(
-            "awgr_occupancy_hint is event-engine only (use engine='event'): "
-            "the generational windowed solver prices lanes at injection "
-            "time and has no release-order reservation state")
-    if cfg.degraded_gap_policy == GAP_POLICY_INTERP:
-        raise ValueError(
-            "degraded_gap_policy='interp' is event-engine only (use "
-            "engine='event'): its node-local warp is measured online from "
-            "the replayed timeline, so the edge weights the one-pass "
-            "windowed solver needs up front do not exist")
     if onoc.topology not in ONOC_TOPOLOGIES:
         raise ValueError(
             f"generational replay has no model for topology "

@@ -37,7 +37,6 @@ from repro.config import (
     ENGINE_GENERATIONAL,
     GAP_POLICIES,
     GAP_POLICY_CAPTURED,
-    GAP_POLICY_INTERP,
     GAP_POLICY_NEIGHBOR,
     TRACE_NAIVE,
     TRACE_SELF_CORRECTING,
@@ -370,10 +369,6 @@ class SelfCorrectingReplayer(_ReplayerBase):
       schedule instead of dragging it back to capture time.  With *every*
       record degraded this telescopes to exactly naive replay — the graceful
       endpoint of the severity curve.
-    * ``interp`` — like ``neighbor_gap`` but the delta is scaled by a
-      node-local time-warp estimated from the two most recent
-      dependency-intact injections on that node (clamped to ``[0.25, 4]``),
-      interpolating the anchor chain onto the corrected timeline.
 
     Degraded records with no predecessor on their node fall back to the
     captured timestamp (counted in ``FaultExposure.fallback_captured``).
@@ -388,9 +383,6 @@ class SelfCorrectingReplayer(_ReplayerBase):
 
     mode = TRACE_SELF_CORRECTING
 
-    #: Clamp for the ``interp`` policy's node-local time-warp estimate.
-    _WARP_CLAMP = (0.25, 4.0)
-
     def __init__(
         self,
         trace: Trace,
@@ -399,29 +391,14 @@ class SelfCorrectingReplayer(_ReplayerBase):
         keep_dep_fraction: float = 1.0,
         dep_drop_seed: int = 12345,
         degraded_gap_policy: str = GAP_POLICY_NEIGHBOR,
-        awgr_occupancy_hint: bool = False,
     ) -> None:
         super().__init__(trace, sim, net)
-        # Occupancy hint: reserve the (src, dst) λ-lane at dependency-release
-        # time rather than injection time, so release *order* — the proxy the
-        # capture network cannot provide — binds lane occupancy the way the
-        # execution-driven transaction order does.  Only meaningful on
-        # backends with dedicated per-pair lanes; a no-op elsewhere.
-        self._lane_ready: dict[tuple[int, int], int] = {}
-        self._lane_ser = (
-            net.lane_serialization_cycles
-            if awgr_occupancy_hint
-            and hasattr(net, "lane_serialization_cycles")
-            else None)
-        self._hint_deferred = 0
-        self._hint_deferred_cycles = 0
         if not 0.0 <= keep_dep_fraction <= 1.0:
             raise ValueError(f"keep_dep_fraction out of range: {keep_dep_fraction}")
         if degraded_gap_policy not in GAP_POLICIES:
             raise ValueError(
                 f"unknown degraded_gap_policy {degraded_gap_policy!r} "
                 f"(expected one of {GAP_POLICIES})")
-        self._gap_policy = degraded_gap_policy
         # What drives each record is decided once, by ``classify``; the
         # tables below only index its plan by msg_id for the callbacks.
         plan = classify(trace, keep_dep_fraction=keep_dep_fraction,
@@ -445,18 +422,12 @@ class SelfCorrectingReplayer(_ReplayerBase):
             self._dependents.setdefault(records[p].msg_id, []).append(dep)
             self._prereqs_left[dep.msg_id] = prereq[c]
         # Degraded-record machinery: anchor msg_id -> [(record, captured
-        # inter-send delta)], plus interp's per-node (captured, replayed)
-        # injection history for intact records.
+        # inter-send delta)].
         self._anchored: dict[int, list[tuple[TraceRecord, int]]] = {}
         for p, c, delta in zip(plan.a_parent.tolist(), plan.a_child.tolist(),
                                plan.a_delta.tolist()):
             self._anchored.setdefault(records[p].msg_id, []).append(
                 (records[c], delta))
-        self._degraded_ids: set[int] = set()
-        if degraded_gap_policy == GAP_POLICY_INTERP:
-            self._degraded_ids = {
-                r.msg_id for r, d in zip(records, plan.degraded.tolist()) if d}
-        self._warp_hist: dict[int, list[tuple[int, int]]] = {}
         # Bound once: per-correction timeline tracing (opt-in, None normally).
         self._tl = timeline_or_none()
 
@@ -472,40 +443,14 @@ class SelfCorrectingReplayer(_ReplayerBase):
             for i, t in zip(plan.root_order.tolist(),
                             plan.root_time[plan.root_order].tolist()))
         self.sim.run()
-        extra = {}
-        if self._lane_ser is not None:
-            extra["occupancy_hint"] = {
-                "deferred": self._hint_deferred,
-                "deferred_cycles": self._hint_deferred_cycles,
-            }
-        return self._result(t0, extra=extra, plan=plan)
-
-    def _node_warp(self, node: int) -> float:
-        """``interp`` policy: local replayed-vs-captured time dilation on
-        ``node``, from its two most recent dependency-intact injections."""
-        hist = self._warp_hist.get(node)
-        if not hist or len(hist) < 2:
-            return 1.0
-        (c1, t1), (c2, t2) = hist
-        if c2 <= c1:
-            return 1.0
-        lo, hi = self._WARP_CLAMP
-        return min(hi, max(lo, (t2 - t1) / (c2 - c1)))
+        return self._result(t0, plan=plan)
 
     def _send(self, r: TraceRecord) -> None:
         super()._send(r)
         now = self.injections[r.msg_id]
-        if (self._gap_policy == GAP_POLICY_INTERP
-                and r.msg_id not in self._degraded_ids):
-            hist = self._warp_hist.setdefault(r.src, [])
-            hist.append((r.t_inject, now))
-            if len(hist) > 2:
-                hist.pop(0)
         # Release degraded records anchored to this injection: they re-fire
         # the captured inter-send delta after the anchor's *replayed* time.
         for dep, delta in self._anchored.get(r.msg_id, ()):
-            if self._gap_policy == GAP_POLICY_INTERP:
-                delta = max(0, round(delta * self._node_warp(r.src)))
             if self._tl is not None:
                 self._tl.record(now + delta, f"node{dep.src}",
                                 "replay.rederive")
@@ -553,15 +498,6 @@ class SelfCorrectingReplayer(_ReplayerBase):
             self._prereqs_left[dep.msg_id] = left
             if left == 0:
                 start = self._start_time[dep.msg_id]
-                if self._lane_ser is not None:
-                    key = (dep.src, dep.dst)
-                    busy_until = self._lane_ready.get(key, 0)
-                    if busy_until > start:
-                        self._hint_deferred += 1
-                        self._hint_deferred_cycles += busy_until - start
-                        start = busy_until
-                    self._lane_ready[key] = (
-                        start + self._lane_ser(dep.size_bytes))
                 if self._tl is not None:
                     self._tl.record(start, f"node{dep.src}",
                                     "replay.correction")
@@ -628,7 +564,6 @@ def replay_trace(
             keep_dep_fraction=cfg.keep_dep_fraction,
             dep_drop_seed=cfg.dep_drop_seed,
             degraded_gap_policy=cfg.degraded_gap_policy,
-            awgr_occupancy_hint=cfg.awgr_occupancy_hint,
         ).run()
     if overlay is not None:
         result.extra["resilience"] = resilience_extra(overlay)

@@ -4,9 +4,9 @@ Each :class:`BaseExperiment` bundles
 
 * a typed parameter schema (:mod:`repro.exp.schema`),
 * ``compile(params) -> list[SweepTask]`` — the experiment as a flat list of
-  content-addressed sweep tasks, *identical* to the tasks the original
-  hand-written bench scripts built (same functions, same argument shapes),
-  so existing result-cache entries keep hitting,
+  content-addressed sweep tasks, each *identical* to a direct call of its
+  point function with every parameter passed (one call shape per point,
+  whatever the values),
 * ``points`` — the module-level point function(s) those tasks call, under
   their wire alias; :func:`serve_operations` turns the registry's points
   into the serve whitelist, so a node accepts the tasks unchanged, and
@@ -183,11 +183,14 @@ def _gmean(xs: Sequence[float]) -> float:
 
 def _accuracy_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
-    kwargs: dict[str, Any] = {"scale": params["scale"]}
-    if params["engine"] != ENGINE_EVENT:
-        kwargs["engine"] = params["engine"]
     return [
-        SweepTask.make(accuracy_experiment, exp, wl, **kwargs)
+        SweepTask.make(
+            accuracy_experiment,
+            exp,
+            wl,
+            scale=params["scale"],
+            engine=params["engine"],
+        )
         for wl in params["workloads"]
     ]
 
@@ -325,11 +328,8 @@ register(
 
 def _case_study_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
-    kwargs: dict[str, Any] = {}
-    if params["scale"] != 1.0:
-        kwargs["scale"] = params["scale"]
     return [
-        SweepTask.make(case_study, exp, wl, **kwargs)
+        SweepTask.make(case_study, exp, wl, scale=params["scale"])
         for wl in params["workloads"]
     ]
 
@@ -375,11 +375,14 @@ register(
 
 def _simtime_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
-    kwargs: dict[str, Any] = {"engine": params["engine"]}
-    if params["scale"] != 1.0:
-        kwargs["scale"] = params["scale"]
     return [
-        SweepTask.make(simtime_experiment, exp, wl, **kwargs)
+        SweepTask.make(
+            simtime_experiment,
+            exp,
+            wl,
+            engine=params["engine"],
+            scale=params["scale"],
+        )
         for wl in params["workloads"]
     ]
 
@@ -497,9 +500,6 @@ register(
 
 def _ablation_deps_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
-    kwargs: dict[str, Any] = {}
-    if params["scale"] != 1.0:
-        kwargs["scale"] = params["scale"]
     return [
         SweepTask.make(
             ablation_dep_fraction,
@@ -507,7 +507,7 @@ def _ablation_deps_compile(params: dict) -> list[SweepTask]:
             params["workload"],
             params["fractions"],
             gap_policy=policy,
-            **kwargs,
+            scale=params["scale"],
         )
         for policy in params["policies"]
     ]
@@ -760,9 +760,6 @@ register(
 
 def _resilience_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
-    kwargs: dict[str, Any] = {"scale": params["scale"]}
-    if params["engine"] != ENGINE_EVENT:
-        kwargs["engine"] = params["engine"]
     return [
         SweepTask.make(
             resilience_point,
@@ -771,7 +768,8 @@ def _resilience_compile(params: dict) -> list[SweepTask]:
             params["degrade"],
             params["intensity"],
             mitigation,
-            **kwargs,
+            scale=params["scale"],
+            engine=params["engine"],
         )
         for wl in params["workloads"]
         for mitigation in params["mitigations"]

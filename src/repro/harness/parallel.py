@@ -68,8 +68,11 @@ from repro import obs
 #: TraceConfig.fault_events / mitigation and Scenario.degrade; v5: four
 #: unread fields left the encoded configs, and the instrumentation state
 #: left the key — entries carry their snapshot in an ``obs`` field; v6: the
-#: kernel cannot cancel, so ``kernel.events_cancelled`` left the snapshot.)
-CACHE_SALT = "repro-kernel-v6"
+#: kernel cannot cancel, so ``kernel.events_cancelled`` left the snapshot;
+#: v7: the ``interp`` gap policy, the AWGR occupancy-hint field of
+#: ``TraceConfig`` and the unread ``ExperimentConfig.trace`` went, and the
+#: catalogue compiles one call shape per point.)
+CACHE_SALT = "repro-kernel-v7"
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -39,12 +39,3 @@ class OpticalAwgr(FifoChannelNetwork):
     message at a time."""
 
     topology = ONOC_AWGR
-
-    @property
-    def lanes_per_pair(self) -> int:
-        return self.timing.lanes_per_pair
-
-    def lane_serialization_cycles(self, size_bytes: int) -> int:
-        """Serialization on one (src, dst) lane: only its λ subset is
-        available, so bits / (lanes_per_pair * bitrate)."""
-        return self.timing.serialization(size_bytes)

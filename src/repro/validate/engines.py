@@ -6,9 +6,9 @@ per-message equality: both engines resolve the same dependency DAG against
 the same closed-form backend timing, but they may settle on different —
 equally self-consistent — FIFO schedules when contending messages tie (see
 ``docs/TRACE_FORMAT.md`` for the contract and its two documented
-deviations).  What the generational engine cannot solve exactly — the
-``interp`` gap policy, the AWGR occupancy hint — it refuses, so those are
-not cells here.  This module pins the contract over the golden corpus:
+deviations).  On an optical target both engines accept the same
+``TraceConfig`` domain.  This module pins the contract over the golden
+corpus:
 
 * **counts and identities must match exactly** — both engines schedule one
   :class:`repro.core.plan.Plan`, so they must agree on *which* records, not
@@ -28,7 +28,7 @@ not cells here.  This module pins the contract over the golden corpus:
   same trace bytes in, same ``ReplayResult`` out, regardless of container.
 
 The matrix is all four golden scenarios (one per optical backend) x replay
-modes x the two gap policies both engines implement x dependency ablation
+modes x both gap policies x dependency ablation
 x a representative slice of the fault families.  ``repro validate
 --engines`` runs it from the CLI.
 """

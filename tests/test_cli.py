@@ -65,6 +65,13 @@ def test_replay_naive_mode(tmp_path, capsys):
     assert "mode=naive" in out
 
 
+def test_replay_occupancy_hint_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--trace", str(tmp_path / "t.json"),
+              "--occupancy-hint"])
+    assert exc.value.code == 2
+
+
 def test_accuracy_command(capsys):
     # The legacy spellings print the catalogue's rows (exp run <name>).
     out = run_cli(capsys, "accuracy", "--workload", "randshare", *SMALL)

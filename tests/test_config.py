@@ -157,6 +157,21 @@ def test_trace_dep_fraction_range():
     TraceConfig(keep_dep_fraction=1.0)
 
 
+def test_trace_gap_policy_validation():
+    # Two policies, both solved by either replay engine.
+    with pytest.raises(ConfigError, match="unknown degraded_gap_policy"):
+        TraceConfig(degraded_gap_policy="interp")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TraceConfig(awgr_occupancy_hint=True),
+    lambda: ExperimentConfig(trace=TraceConfig()),
+], ids=["trace-occupancy-hint", "experiment-trace"])
+def test_removed_fields_are_refused(build):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        build()
+
+
 # ------------------------------------------------------------ Experiment
 def test_experiment_node_count_consistency():
     with pytest.raises(ConfigError, match="electrical NoC"):

@@ -1,6 +1,6 @@
 """Generational vs event-driven replay: per-commit differential subset.
 
-The full 36-cell matrix (both solvable gap policies + the fault slice) backs
+The full 36-cell matrix (both gap policies + the fault slice) backs
 ``repro validate --engines`` and the CI validation leg; this file runs the
 fast subset on every commit plus targeted unit checks of the generational
 engine's contract — exact schedule equality where the windowed solver
@@ -17,13 +17,15 @@ import pytest
 
 from repro.config import (
     ENGINE_GENERATIONAL,
+    GAP_POLICIES,
     ONOC_TOPOLOGIES,
     OnocConfig,
+    TRACE_MODES,
     TRACE_NAIVE,
     TRACE_SELF_CORRECTING,
     TraceConfig,
 )
-from repro.core import Trace, replay_trace, replay_trace_generational
+from repro.core import Trace, replay_trace
 from repro.core.trace import EndMarker, TraceRecord
 from repro.harness.builders import electrical_factory, optical_factory
 from repro.validate.engines import check_engines
@@ -149,45 +151,24 @@ def test_differential_compares_which_records_not_only_how_many():
         "replayed ids",)
 
 
-# ------------------------------------------- one exact solver, or a refusal
-@pytest.mark.parametrize("option", [
-    pytest.param({"degraded_gap_policy": "interp"}, id="interp"),
-    pytest.param({"awgr_occupancy_hint": True}, id="awgr_occupancy_hint"),
-])
-def test_generational_refuses_event_only_options(option):
-    """Outside its exact domain the generational engine raises — pointing at
-    the event engine — through the dispatcher and when called directly."""
+# ------------------------------------------------------- one replay domain
+@pytest.mark.parametrize("keep", [1.0, 0.7])
+@pytest.mark.parametrize("policy", GAP_POLICIES)
+@pytest.mark.parametrize("mode", TRACE_MODES)
+def test_both_engines_serve_every_trace_config(mode, policy, keep):
+    """On an optical target the generational engine accepts every
+    ``TraceConfig`` the event engine does, and both replay the same
+    records."""
+    from repro.validate.engines import _counts_diff
+
     trace = _chain_trace()
     onoc = OnocConfig(num_nodes=4, topology="awgr")
-    cfg = TraceConfig(engine=ENGINE_GENERATIONAL, **option)
-    with pytest.raises(ValueError, match="engine='event'"):
-        replay_trace(trace, optical_factory(onoc, 3), cfg)
-    with pytest.raises(ValueError, match="engine='event'"):
-        replay_trace_generational(trace, onoc, cfg)
-    # ... and the event engine serves the very same config.
-    ev = replay_trace(trace, optical_factory(onoc, 3),
-                      dataclasses.replace(cfg, engine="event"))
-    assert ev.messages_unreplayed == 0
-
-
-def test_event_engine_interp_unchanged_on_degraded_golden():
-    """``interp`` stays fully supported on the reference engine: its result
-    on the fft->crossbar golden trace with 10% of the dependency edges
-    ablated is pinned (measured at the commit that fenced the policy off
-    the generational engine)."""
-    scenario = GOLDEN_SCENARIOS[0]
-    trace = Trace.from_json(_trace_path(GOLDEN_DIR, scenario).read_text())
-    onoc = OnocConfig(num_nodes=scenario.cores,
-                      num_wavelengths=scenario.wavelengths,
-                      topology=scenario.target)
-    r = replay_trace(
-        trace, optical_factory(onoc, scenario.seed),
-        TraceConfig(degraded_gap_policy="interp", keep_dep_fraction=0.9,
-                    dep_drop_seed=7))
-    assert r.exec_time_estimate == 4394
-    assert r.rederived_records == 324
-    assert r.fault_exposure.policy == "interp"
-    assert r.messages_unreplayed == 0
+    cfg = TraceConfig(mode=mode, degraded_gap_policy=policy,
+                      keep_dep_fraction=keep, dep_drop_seed=7)
+    ev = replay_trace(trace, optical_factory(onoc, 3), cfg)
+    gen = replay_trace(trace, optical_factory(onoc, 3),
+                       dataclasses.replace(cfg, engine=ENGINE_GENERATIONAL))
+    assert _counts_diff(ev, gen) == ()
 
 
 def test_dead_edges_do_not_narrow_the_solver_horizon():

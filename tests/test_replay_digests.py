@@ -7,7 +7,7 @@ difference.  Cells: the four golden traces, ``fft`` with bound edges
 added, and ``fft`` / ``radix`` with records lost (dangling triggers and
 marker causes: stalls, re-derived markers) x the four optical backends x
 both engines x naive, self-correcting, and self-correcting at
-``keep_dep_fraction=0.7`` under each gap policy the engine supports.
+``keep_dep_fraction=0.7`` under each gap policy.
 
 Each cell is replayed from every form a trace can be born in (built from
 records; loaded from its container; built from columns and never touched)
@@ -29,7 +29,6 @@ import pytest
 
 from repro.config import (
     GAP_POLICIES,
-    GAP_POLICY_INTERP,
     ONOC_TOPOLOGIES,
     OnocConfig,
     TraceConfig,
@@ -89,8 +88,6 @@ def _cfgs(engine: str):
     yield "naive", TraceConfig(mode="naive", engine=engine)
     yield "sc", TraceConfig(mode="self_correcting", engine=engine)
     for policy in GAP_POLICIES:
-        if engine == "generational" and policy == GAP_POLICY_INTERP:
-            continue        # refused: event-engine only
         yield f"sc-keep0.7-{policy}", TraceConfig(
             mode="self_correcting", engine=engine, keep_dep_fraction=0.7,
             degraded_gap_policy=policy)

@@ -303,7 +303,7 @@ def test_repro_json_round_trips_faults(tmp_path):
     from repro.validate.scenario import Scenario, ScenarioOutcome
     scen = Scenario("fft", 16, 16, 0.1, "awgr", "crossbar",
                     faults=(DropDepEdges(0.3), TimestampJitter(8.0, 0.05)),
-                    fault_seed=99, gap_policy="interp")
+                    fault_seed=99, gap_policy="captured")
     outcome = ScenarioOutcome(
         scenario=scen, trace_messages=0, ref_exec_time=1, sc_exec_estimate=1,
         naive_exec_estimate=1, sc_exec_error_pct=0.0,

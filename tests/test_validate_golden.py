@@ -109,13 +109,9 @@ def test_iterative_refinement_closes_awgr_outlier():
     Single-pass online self-correction sits at -7.59% against the
     execution-driven reference; five damped fixed-point passes
     (``repro.core.iterate``) must land within 1% — proving the outlier is
-    capture-timing sensitivity, not a missing AWGR contention model.  The
-    ``interp`` degraded-gap policy must remain a no-op on the intact trace.
+    capture-timing sensitivity, not a missing AWGR contention model.
     """
-    import dataclasses
-
-    from repro.config import (GAP_POLICY_INTERP, OnocConfig,
-                              TRACE_SELF_CORRECTING, TraceConfig)
+    from repro.config import OnocConfig, TRACE_SELF_CORRECTING, TraceConfig
     from repro.core import replay_trace
     from repro.core.iterate import IterativeRefiner
     from repro.harness.builders import optical_factory
@@ -130,10 +126,6 @@ def test_iterative_refinement_closes_awgr_outlier():
 
     cfg = TraceConfig(mode=TRACE_SELF_CORRECTING)
     sc = replay_trace(trace, optical_factory(onoc, scenario.seed), cfg)
-    interp = replay_trace(
-        trace, optical_factory(onoc, scenario.seed),
-        dataclasses.replace(cfg, degraded_gap_policy=GAP_POLICY_INTERP))
-    assert interp.exec_time_estimate == sc.exec_time_estimate
 
     refined = IterativeRefiner(
         trace, optical_factory(onoc, scenario.seed),
@@ -143,62 +135,6 @@ def test_iterative_refinement_closes_awgr_outlier():
     assert single_err > 5.0          # the outlier is real...
     assert refined_err < 1.0         # ...and refinement closes it
     assert "notes" in env and "radix-awgr-outlier" in env["notes"]
-
-
-def test_awgr_occupancy_hint_closes_radix_gap():
-    """The online follow-up to the iterate study (``awgr-occupancy-hint``
-    envelope note): reserving each (src, dst) λ-lane at dependency-release
-    time closes the single-pass radix→awgr gap to < 2% without the 5×
-    iterate cost.  The hint is workload-specific (it *hurts* fft/lu — see
-    the note), so it must stay behind a default-off flag: the stock replay
-    of the same scenario must reproduce the envelope exactly, and the flag
-    must be a structural no-op on backends without per-pair lanes."""
-    import dataclasses
-
-    from repro.config import OnocConfig, TRACE_SELF_CORRECTING, TraceConfig
-    from repro.core import replay_trace
-    from repro.harness.builders import optical_factory
-
-    env = json.loads((CHECKED_IN / ENVELOPES_FILE).read_text())
-    assert "awgr-occupancy-hint" in env.get("notes", {})
-    scenario = next(s for s in GOLDEN_SCENARIOS if s.workload == "radix")
-    trace = Trace.from_json(_trace_path(CHECKED_IN, scenario).read_text())
-    ref = env["scenarios"][scenario.name]["ref_exec_time"]
-    onoc = OnocConfig(num_nodes=scenario.cores,
-                      num_wavelengths=scenario.wavelengths,
-                      topology=scenario.target)
-    cfg = TraceConfig(mode=TRACE_SELF_CORRECTING)
-
-    stock = replay_trace(trace, optical_factory(onoc, scenario.seed), cfg)
-    assert (stock.exec_time_estimate
-            == env["scenarios"][scenario.name]["sc_exec_estimate"])
-    assert "occupancy_hint" not in stock.extra
-
-    hinted = replay_trace(
-        trace, optical_factory(onoc, scenario.seed),
-        dataclasses.replace(cfg, awgr_occupancy_hint=True))
-    err = abs(hinted.exec_time_estimate - ref) / ref * 100
-    assert err < 2.0, (hinted.exec_time_estimate, ref)
-    assert hinted.extra["occupancy_hint"]["deferred"] > 0
-    assert hinted.messages_unreplayed == 0
-
-    # No per-pair lanes on the crossbar: the flag must change nothing.
-    fft = next(s for s in GOLDEN_SCENARIOS if s.workload == "fft")
-    fft_trace = Trace.from_json(_trace_path(CHECKED_IN, fft).read_text())
-    fft_onoc = OnocConfig(num_nodes=fft.cores, num_wavelengths=fft.wavelengths,
-                          topology=fft.target)
-    plain = replay_trace(fft_trace, optical_factory(fft_onoc, fft.seed), cfg)
-    flagged = replay_trace(
-        fft_trace, optical_factory(fft_onoc, fft.seed),
-        dataclasses.replace(cfg, awgr_occupancy_hint=True))
-    assert flagged.exec_time_estimate == plain.exec_time_estimate
-    assert "occupancy_hint" not in flagged.extra
-
-    # Event engine only: the generational solver has no release-order state.
-    with pytest.raises(ValueError, match="event-engine only"):
-        replay_trace(trace, optical_factory(onoc, scenario.seed),
-                     dataclasses.replace(cfg, engine="generational",
-                                         awgr_occupancy_hint=True))
 
 
 @pytest.mark.parametrize("scenario", GOLDEN_SCENARIOS,
