@@ -493,11 +493,15 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
     token's parking node).  Only one record chunk, the backend's O(nodes)
     timing object and that O(resources) state are resident — the RSS that
     ``benchmarks/pipeline`` workload ``synth_stream_300k`` measures against
-    the in-memory replay.  Chunks must follow each other in inject-time
-    order, which canonical captures do; a container whose chunks go back in
-    time, or that holds a record :func:`~repro.core.tracebin.load_trace`
-    refuses (a self-send, an empty payload), is refused with a
-    ``ValueError`` naming the chunk.
+    the in-memory replay.  The container is read by the loader's own walk
+    (:func:`~repro.core.tracebin.read_summary`, then
+    :func:`~repro.core.tracebin.iter_chunks`), so what
+    :func:`~repro.core.tracebin.load_trace` refuses block by block — a bad
+    record, a doctored END footer — is refused with the loader's type and
+    text; only ``Trace.validate``'s cross-record checks are out of reach.
+    Chunks must also follow each other in inject-time order, which
+    canonical captures do; a container whose chunks go back in time is
+    refused with a ``ValueError`` naming the chunk.
     """
     from repro.core import tracebin
 
@@ -526,13 +530,6 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
         size, inj = chunk.size_bytes, chunk.t_inject
         if onoc.num_nodes <= int(max(src.max(), dst.max())):
             raise ValueError("target network too small for trace endpoints")
-        # No ``TraceRecord`` is built here, so its checks are made per chunk.
-        if (src == dst).any():
-            raise ValueError(f"bad endpoints in chunk {k}: a record sends "
-                             f"to its own node")
-        if int(size.min()) < 1:
-            raise ValueError(f"bad size in chunk {k}: a record carries "
-                             f"{int(size.min())} bytes")
         # The carried channel state is only valid going forward in time
         # (see ``serve_batch``); order *within* a chunk is the lexsort's job.
         if int(inj.min()) < last_inject:

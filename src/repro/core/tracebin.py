@@ -25,6 +25,14 @@ Block types:
 * ``END``     — JSON footer with record/marker/chunk counts and
   ``exec_time``.  Mandatory: a file without it is truncated.
 
+RECORDS and MARKERS share one count-then-columns codec.  Every reader is a
+fold over one block walk (``_walk``), so framing, JSON-block, per-record
+and footer refusals are made alike by the loader, :func:`read_summary`,
+:func:`iter_chunks` and the streaming replay built on them; only the
+loader makes ``Trace.validate``'s cross-record checks.  :func:`scan_blocks`
+is the same walk reading no RECORDS or MARKERS payload and tolerating
+truncation.
+
 The varint codec is vectorized (NumPy byte-scatter/gather over at most ten
 passes, the maximum encoded length of a u64), so encode and decode cost is
 a handful of array operations per column rather than per value.
@@ -32,6 +40,7 @@ a handful of array operations per column rather than per value.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -168,27 +177,48 @@ _MARKER_COLUMNS = (
 )
 
 
-def _encode_column(a: np.ndarray, coding: str, what: str) -> bytes:
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    if coding == "unsigned":
-        if len(a) and int(a.min()) < 0:
-            raise TraceBinError(f"negative value in unsigned column {what}")
-        u = a.astype(np.uint64)
-    elif coding == "signed":
-        u = _zigzag(a)
-    else:  # sdelta
-        u = _zigzag(np.diff(a, prepend=np.int64(0)))
-    return _encode_varints(u)
+def _encode_columns(spec: tuple, columns: list) -> bytes:
+    """The count-then-columns payload of a RECORDS or MARKERS block: a u32
+    row count, then per ``spec`` column a u32 byte length and its varints."""
+    parts = [_U32.pack(len(columns[0]))]
+    for (name, coding), column in zip(spec, columns):
+        a = np.ascontiguousarray(column, dtype=np.int64)
+        if coding == "unsigned":
+            if len(a) and int(a.min()) < 0:
+                raise TraceBinError(f"negative value in unsigned column {name}")
+            u = a.astype(np.uint64)
+        elif coding == "signed":
+            u = _zigzag(a)
+        else:  # sdelta
+            u = _zigzag(np.diff(a, prepend=np.int64(0)))
+        enc = _encode_varints(u)
+        parts += (_U32.pack(len(enc)), enc)
+    return b"".join(parts)
 
 
-def _decode_column(data: bytes, count: int, coding: str,
-                   what: str) -> np.ndarray:
-    u = _decode_varints(data, count, what)
-    if coding == "unsigned":
-        return u.astype(np.int64)
-    if coding == "signed":
-        return _unzigzag(u)
-    return np.cumsum(_unzigzag(u), dtype=np.int64)
+def _decode_columns(payload: bytes, spec: tuple,
+                    what: str) -> list[np.ndarray]:
+    """The inverse of :func:`_encode_columns`, for a ``what`` block."""
+    if len(payload) < 4:
+        raise TraceBinError(f"truncated trace: short {what} block")
+    count = _U32.unpack_from(payload)[0]
+    off = 4
+    columns = []
+    for name, coding in spec:
+        if off + 4 > len(payload):
+            raise TraceBinError(f"truncated trace: short {what} block")
+        clen = _U32.unpack_from(payload, off)[0]
+        off += 4
+        if off + clen > len(payload):
+            raise TraceBinError(f"truncated trace: short {what} column")
+        u = _decode_varints(payload[off:off + clen], count, name)
+        off += clen
+        columns.append(u.astype(np.int64) if coding == "unsigned"
+                       else _unzigzag(u) if coding == "signed"
+                       else np.cumsum(_unzigzag(u), dtype=np.int64))
+    if off != len(payload):
+        raise TraceBinError(f"corrupt trace: trailing bytes in {what} block")
+    return columns
 
 
 # ------------------------------------------------------------------ writer
@@ -251,13 +281,8 @@ class BinaryTraceWriter:
             key_kind_idx=remap[chunk.key_kind_idx],
             key_src=chunk.key_src - chunk.src,
             key_dst=chunk.key_dst - chunk.dst)
-        out = io.BytesIO()
-        out.write(_U32.pack(len(chunk)))
-        for (name, coding), field in zip(_RECORD_COLUMNS, COLUMNS):
-            enc = _encode_column(getattr(stored, field), coding, name)
-            out.write(_U32.pack(len(enc)))
-            out.write(enc)
-        self._write_block(_BLOCK_RECORDS, out.getvalue())
+        self._write_block(_BLOCK_RECORDS, _encode_columns(
+            _RECORD_COLUMNS, [getattr(stored, field) for field in COLUMNS]))
         self._record_count += len(chunk)
         self._chunk_count += 1
 
@@ -279,13 +304,8 @@ class BinaryTraceWriter:
         cols = np.array(
             [(m.node, m.t_finish, m.cause_id, m.gap) for m in self._markers],
             dtype=np.int64).reshape(len(self._markers), len(_MARKER_COLUMNS))
-        out = io.BytesIO()
-        out.write(_U32.pack(len(self._markers)))
-        for i, (name, coding) in enumerate(_MARKER_COLUMNS):
-            enc = _encode_column(cols[:, i], coding, name)
-            out.write(_U32.pack(len(enc)))
-            out.write(enc)
-        self._write_block(_BLOCK_MARKERS, out.getvalue())
+        self._write_block(_BLOCK_MARKERS,
+                          _encode_columns(_MARKER_COLUMNS, list(cols.T)))
         self._write_block(_BLOCK_END, json.dumps({
             "record_count": self._record_count,
             "marker_count": len(self._markers),
@@ -324,13 +344,6 @@ def write_file(trace: Trace, path: Union[str, Path],
 
 
 # ------------------------------------------------------------------ reader
-def _read_exact(fp: BinaryIO, n: int, what: str) -> bytes:
-    data = fp.read(n)
-    if len(data) != n:
-        raise TraceBinError(f"truncated trace: unexpected EOF in {what}")
-    return data
-
-
 def _check_header(fp: BinaryIO) -> None:
     head = fp.read(_HEADER.size)
     if len(head) < _HEADER.size or head[:len(MAGIC)] != MAGIC:
@@ -343,82 +356,14 @@ def _check_header(fp: BinaryIO) -> None:
             f"(this reader handles version {VERSION})")
 
 
-def _iter_blocks(fp: BinaryIO,
-                 skip_payloads: frozenset[int] = frozenset(),
-                 ) -> Iterator[tuple[int, bytes, int]]:
-    """Yield (type, payload, payload_len); END terminates the stream.
-
-    Payloads for types in ``skip_payloads`` are seeked over and yielded as
-    ``b""`` — this is what makes a summary scan O(block count) in I/O.
-    """
-    saw_end = False
-    while True:
-        head = fp.read(_BLOCK_HEAD.size)
-        if not head:
-            break
-        if len(head) < _BLOCK_HEAD.size:
-            raise TraceBinError("truncated trace: partial block header")
-        btype, length = _BLOCK_HEAD.unpack(head)
-        if btype not in (_BLOCK_META, _BLOCK_KINDS, _BLOCK_RECORDS,
-                         _BLOCK_MARKERS, _BLOCK_END):
-            raise TraceBinError(f"corrupt trace: unknown block type {btype}")
-        if btype in skip_payloads and btype != _BLOCK_END:
-            fp.seek(length, 1)
-            yield btype, b"", length
-        else:
-            yield btype, _read_exact(fp, length, f"block type {btype}"), length
-        if btype == _BLOCK_END:
-            saw_end = True
-            break
-    if not saw_end:
-        raise TraceBinError("truncated trace: missing END block")
-
-
-def _decode_record_block(payload: bytes,
-                         kinds: tuple[str, ...]) -> RecordChunk:
-    if len(payload) < 4:
-        raise TraceBinError("truncated trace: short RECORDS block")
-    count = _U32.unpack_from(payload)[0]
-    off = 4
-    cols = []
-    for name, coding in _RECORD_COLUMNS:
-        if off + 4 > len(payload):
-            raise TraceBinError("truncated trace: short RECORDS block")
-        clen = _U32.unpack_from(payload, off)[0]
-        off += 4
-        if off + clen > len(payload):
-            raise TraceBinError("truncated trace: short RECORDS column")
-        cols.append(_decode_column(payload[off:off + clen], count, coding,
-                                   name))
-        off += clen
-    if off != len(payload):
-        raise TraceBinError("corrupt trace: trailing bytes in RECORDS block")
-    chunk = RecordChunk(*cols, kinds=kinds)
-    chunk.key_src += chunk.src
-    chunk.key_dst += chunk.dst
-    return chunk
-
-
-def _decode_marker_block(payload: bytes) -> list[EndMarker]:
-    if len(payload) < 4:
-        raise TraceBinError("truncated trace: short MARKERS block")
-    count = _U32.unpack_from(payload)[0]
-    off = 4
-    cols = []
-    for name, coding in _MARKER_COLUMNS:
-        if off + 4 > len(payload):
-            raise TraceBinError("truncated trace: short MARKERS block")
-        clen = _U32.unpack_from(payload, off)[0]
-        off += 4
-        cols.append(_decode_column(payload[off:off + clen], count, coding,
-                                   name))
-        off += clen
-    if off != len(payload):
-        raise TraceBinError("corrupt trace: trailing bytes in MARKERS block")
-    node, t_finish, cause_id, gap = (c.tolist() for c in cols)
-    return [EndMarker(node=n, t_finish=t, cause_id=c, gap=g)
-            for n, t, c, g in zip(node, t_finish, cause_id, gap)]
-
+#: Block-type names, for refusal texts and :func:`scan_blocks`.
+_BLOCK_NAMES = {
+    _BLOCK_META: "META",
+    _BLOCK_KINDS: "KINDS",
+    _BLOCK_RECORDS: "RECORDS",
+    _BLOCK_MARKERS: "MARKERS",
+    _BLOCK_END: "END",
+}
 
 #: The END footer's fields, all written by :meth:`BinaryTraceWriter.close`.
 _FOOTER_FIELDS = ("exec_time", "record_count", "marker_count", "chunks")
@@ -434,7 +379,7 @@ def _json_block(payload: bytes, what: str):
     """
     try:
         obj = json.loads(payload.decode())
-    except ValueError as exc:       # UnicodeDecodeError, JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 / JSON, nesting
         raise TraceBinError(
             f"corrupt trace: undecodable {what} block") from exc
     if what == "KINDS":
@@ -447,46 +392,115 @@ def _json_block(payload: bytes, what: str):
     return obj
 
 
-def _parse_kinds(payload: bytes, kinds: list[str]) -> None:
-    kinds.extend(_json_block(payload, "KINDS"))
+def _walk(source: Union[str, Path, BinaryIO],
+          seek: frozenset[int] = frozenset(),
+          count: frozenset[int] = frozenset(),
+          ) -> Iterator[tuple[int, int, object]]:
+    """The container's reading rules, once: yield ``(type, payload_len,
+    body)`` for every block of ``source`` (a path or a seekable binary
+    file object) up to and including END.
+
+    A body is what its payload decodes to — META and END their JSON
+    object, KINDS the whole string table so far, RECORDS a checked
+    :class:`RecordChunk` (kind indices against the table as of that block,
+    then every :class:`TraceRecord` refusal), MARKERS the end markers —
+    except that a type in ``seek`` is seeked over unread (body ``None``)
+    and one in ``count`` yields only its leading u32 row count.  No
+    payload is read before its length is checked against the file size.
+    The footer must agree with the file on all three counts: RECORDS
+    blocks, and records and markers unless their blocks are seeked.  Every
+    refusal is a :class:`TraceBinError` or, for a record, the
+    ``ValueError`` building it would raise.
+    """
+    with (contextlib.nullcontext(source) if hasattr(source, "read")
+          else open(source, "rb")) as fp:
+        _check_header(fp)
+        start = fp.tell()
+        end = fp.seek(0, 2)
+        fp.seek(start)
+        kinds: tuple[str, ...] = ()
+        # What the footer is checked against; None: not read, not checked.
+        seen = {"chunks": 0,
+                "record_count": None if _BLOCK_RECORDS in seek else 0,
+                "marker_count": None if _BLOCK_MARKERS in seek else 0}
+        while True:
+            head = fp.read(_BLOCK_HEAD.size)
+            if len(head) < _BLOCK_HEAD.size:
+                raise TraceBinError("truncated trace: " + (
+                    "partial block header" if head else "missing END block"))
+            btype, length = _BLOCK_HEAD.unpack(head)
+            name = _BLOCK_NAMES.get(btype)
+            if name is None:
+                raise TraceBinError(
+                    f"corrupt trace: unknown block type {btype}")
+            if fp.tell() + length > end:
+                raise TraceBinError(
+                    f"truncated trace: unexpected EOF in block type {btype}")
+            if btype in seek:
+                fp.seek(length, 1)
+                body = rows = None
+            elif btype in count:
+                if length < _U32.size:
+                    raise TraceBinError(f"truncated trace: short {name} block")
+                body = rows = _U32.unpack(fp.read(_U32.size))[0]
+                fp.seek(length - _U32.size, 1)
+            elif btype == _BLOCK_RECORDS:
+                body = RecordChunk(*_decode_columns(
+                    fp.read(length), _RECORD_COLUMNS, name), kinds=kinds)
+                body.key_src += body.src
+                body.key_dst += body.dst
+                body.check()
+                rows = len(body)
+            elif btype == _BLOCK_MARKERS:
+                columns = _decode_columns(fp.read(length), _MARKER_COLUMNS,
+                                          name)
+                body = [EndMarker(*m) for m in zip(*(c.tolist()
+                                                     for c in columns))]
+                rows = len(body)
+            else:
+                body = _json_block(fp.read(length), name)
+                if btype == _BLOCK_KINDS:
+                    body = kinds = kinds + tuple(body)
+            if btype == _BLOCK_RECORDS:
+                seen["chunks"] += 1
+                if rows is not None:
+                    seen["record_count"] += rows
+            elif btype == _BLOCK_MARKERS:
+                seen["marker_count"] = rows
+            elif btype == _BLOCK_END:
+                for field, n in seen.items():
+                    if n is not None and body[field] != n:
+                        raise TraceBinError(
+                            f"corrupt trace: END footer {field} "
+                            f"{body[field]} disagrees with the file's {n}")
+            yield btype, length, body
+            if btype == _BLOCK_END:
+                return
 
 
-def _load_stream(fp: BinaryIO) -> Trace:
-    """The container as a validated trace still held as columns.  Each
-    block is checked as it is decoded, its kind indices against the string
-    table as of that block: what building its records would refuse."""
-    _check_header(fp)
-    meta: dict = {}
-    kinds: list[str] = []
-    blocks: list[RecordChunk] = []
-    markers: list[EndMarker] = []
-    footer: Optional[dict] = None
-    for btype, payload, _ in _iter_blocks(fp):
-        if btype == _BLOCK_META:
-            meta = _json_block(payload, "META")
-        elif btype == _BLOCK_KINDS:
-            _parse_kinds(payload, kinds)
-        elif btype == _BLOCK_RECORDS:
-            blocks.append(_decode_record_block(payload, tuple(kinds)))
-            blocks[-1].check()
-        elif btype == _BLOCK_MARKERS:
-            markers = _decode_marker_block(payload)
-        elif btype == _BLOCK_END:
-            footer = _json_block(payload, "END")
-    assert footer is not None
-    if footer["record_count"] != sum(len(b) for b in blocks) \
-            or footer["marker_count"] != len(markers):
-        raise TraceBinError(
-            "corrupt trace: END footer counts disagree with decoded blocks")
-    trace = Trace.from_chunk(RecordChunk.concat(blocks, tuple(kinds)),
-                             markers, footer["exec_time"], meta)
+def _fold(walk: Iterator[tuple[int, int, object]]) -> tuple[dict, list]:
+    """``walk``'s RECORDS bodies in order, and the last body of every other
+    block type (an empty META, string table and marker list if none)."""
+    last: dict = {_BLOCK_META: {}, _BLOCK_KINDS: (), _BLOCK_MARKERS: []}
+    records = []
+    for btype, _, body in walk:
+        if btype == _BLOCK_RECORDS:
+            records.append(body)
+        else:
+            last[btype] = body
+    return last, records
+
+
+def _load_stream(source: Union[str, Path, BinaryIO]) -> Trace:
+    """The container as a validated trace still held as columns: the walk's
+    blocks concatenated once, then :meth:`Trace.validate`'s cross-record
+    checks, which no out-of-core reader can make."""
+    last, blocks = _fold(_walk(source))
+    trace = Trace.from_chunk(
+        RecordChunk.concat(blocks, last[_BLOCK_KINDS]), last[_BLOCK_MARKERS],
+        last[_BLOCK_END]["exec_time"], last[_BLOCK_META])
     trace.validate()
     return trace
-
-
-def load(fp: BinaryIO) -> Trace:
-    """Read a full :class:`Trace` from a binary file object."""
-    return _load_stream(fp)
 
 
 def loads(data: bytes) -> Trace:
@@ -495,160 +509,83 @@ def loads(data: bytes) -> Trace:
 
 
 def read_file(path: Union[str, Path]) -> Trace:
-    with open(path, "rb") as fp:
-        return _load_stream(fp)
+    return _load_stream(path)
 
 
 def iter_chunks(source: Union[str, Path, BinaryIO]) -> Iterator[RecordChunk]:
     """Stream RECORDS chunks without materialising the whole trace.
 
     Resident memory is O(chunk): each block is read, decoded into column
-    arrays, yielded, and released.  Markers and ``exec_time`` are *not*
-    surfaced here — fetch them first with :func:`read_summary` (a seek-only
-    scan), then stream the records.
+    arrays, checked, yielded, and released.  Markers and ``exec_time`` are
+    *not* surfaced here — fetch them first with :func:`read_summary` (which
+    seeks over record payloads), then stream the records.  The walk refuses
+    what the loader refuses block by block, the END footer included (after
+    the last chunk); only :meth:`Trace.validate`'s cross-record checks are
+    left out.
     """
-    own = not hasattr(source, "read")
-    fp: BinaryIO = open(source, "rb") if own else source  # type: ignore
-    try:
-        _check_header(fp)
-        kinds: list[str] = []
-        for btype, payload, _ in _iter_blocks(fp):
-            if btype == _BLOCK_KINDS:
-                _parse_kinds(payload, kinds)
-            elif btype == _BLOCK_RECORDS:
-                yield _decode_record_block(payload, tuple(kinds))
-    finally:
-        if own:
-            fp.close()
+    for btype, _, body in _walk(source):
+        if btype == _BLOCK_RECORDS:
+            yield body
 
 
 def read_summary(source: Union[str, Path, BinaryIO]) -> dict:
     """Header/footer scan: meta, markers, counts — without decoding records.
 
-    RECORDS payloads are seeked over, so the cost is O(blocks), not O(trace).
-    Returns ``{"meta", "kinds", "markers", "exec_time", "record_count",
-    "marker_count", "chunks", "version"}``.
+    RECORDS payloads are seeked over after their leading row count, so the
+    cost is O(blocks), not O(trace); the footer is checked on all three
+    counts.  Returns ``{"meta", "kinds", "markers", "exec_time",
+    "record_count", "marker_count", "chunks", "version"}``.
     """
-    own = not hasattr(source, "read")
-    fp: BinaryIO = open(source, "rb") if own else source  # type: ignore
-    try:
-        _check_header(fp)
-        meta: dict = {}
-        kinds: list[str] = []
-        markers: list[EndMarker] = []
-        footer: dict = {}
-        chunks = 0
-        for btype, payload, _ in _iter_blocks(
-                fp, skip_payloads=frozenset({_BLOCK_RECORDS})):
-            if btype == _BLOCK_META:
-                meta = _json_block(payload, "META")
-            elif btype == _BLOCK_KINDS:
-                _parse_kinds(payload, kinds)
-            elif btype == _BLOCK_RECORDS:
-                chunks += 1
-            elif btype == _BLOCK_MARKERS:
-                markers = _decode_marker_block(payload)
-            elif btype == _BLOCK_END:
-                footer = _json_block(payload, "END")
-        if footer["chunks"] != chunks:
-            raise TraceBinError(
-                "corrupt trace: END footer chunk count disagrees with file")
-        return {
-            "meta": meta,
-            "kinds": tuple(kinds),
-            "markers": markers,
-            "exec_time": footer["exec_time"],
-            "record_count": footer["record_count"],
-            "marker_count": footer["marker_count"],
-            "chunks": chunks,
-            "version": VERSION,
-        }
-    finally:
-        if own:
-            fp.close()
-
-
-#: Block-type names for :func:`scan_blocks` / ``repro trace info``.
-_BLOCK_NAMES = {
-    _BLOCK_META: "META",
-    _BLOCK_KINDS: "KINDS",
-    _BLOCK_RECORDS: "RECORDS",
-    _BLOCK_MARKERS: "MARKERS",
-    _BLOCK_END: "END",
-}
+    last, counts = _fold(_walk(source, count=frozenset({_BLOCK_RECORDS})))
+    footer = last[_BLOCK_END]
+    return {
+        "meta": last[_BLOCK_META],
+        "kinds": last[_BLOCK_KINDS],
+        "markers": last[_BLOCK_MARKERS],
+        "exec_time": footer["exec_time"],
+        "record_count": footer["record_count"],
+        "marker_count": footer["marker_count"],
+        "chunks": len(counts),
+        "version": VERSION,
+    }
 
 
 def scan_blocks(source: Union[str, Path, BinaryIO]) -> dict:
     """Truncation-tolerant O(header) block scan for inspection tooling.
 
-    Walks the block headers only: RECORDS and MARKERS payloads are never
-    read (let alone decoded), so the scan touches ``12 + 5 * n_blocks``
-    bytes of record data regardless of trace size, and corrupt *payload*
-    bytes cannot make it fail.  Unlike the loading readers this scan does
-    not demand an END block: a truncated file yields whatever prefix of
-    blocks is intact plus ``truncated=True``, which is exactly what you
-    want from ``repro trace info`` when triaging a half-written capture.
-    The magic/version check stays strict, as does the unknown-block check
-    (those are corruption, not truncation).
+    The loaders' walk with RECORDS and MARKERS payloads seeked over unread,
+    so the scan touches ``12 + 5 * n_blocks`` bytes of record data
+    regardless of trace size, and corrupt *payload* bytes cannot make it
+    fail.  Unlike the loading readers this scan does not demand an END
+    block: a truncated file yields whatever prefix of blocks is intact
+    plus ``truncated=True``, which is exactly what you want from ``repro
+    trace info`` when triaging a half-written capture.  Everything else
+    stays strict: magic/version, unknown block types, the JSON blocks and
+    the footer's chunk count (those are corruption, not truncation).
 
     Returns ``{"meta", "kinds" (count), "footer" (dict or None),
     "blocks" ([{"type", "payload_bytes"}, ...]), "truncated",
     "version"}``.
     """
-    own = not hasattr(source, "read")
-    fp: BinaryIO = open(source, "rb") if own else source  # type: ignore
+    last: dict = {_BLOCK_META: {}, _BLOCK_KINDS: (), _BLOCK_END: None}
+    blocks: list[dict] = []
     try:
-        _check_header(fp)
-        pos = fp.tell()
-        file_end = fp.seek(0, 2)
-        fp.seek(pos)
-        meta: dict = {}
-        kinds_count = 0
-        footer: Optional[dict] = None
-        blocks: list[dict] = []
-        truncated = False
-        while True:
-            head = fp.read(_BLOCK_HEAD.size)
-            if not head:
-                break
-            if len(head) < _BLOCK_HEAD.size:
-                truncated = True
-                break
-            btype, length = _BLOCK_HEAD.unpack(head)
-            if btype not in _BLOCK_NAMES:
-                raise TraceBinError(
-                    f"corrupt trace: unknown block type {btype}")
-            if fp.tell() + length > file_end:
-                truncated = True
-                break
-            if btype in (_BLOCK_META, _BLOCK_KINDS, _BLOCK_END):
-                payload = _read_exact(fp, length, f"block type {btype}")
-                block = _json_block(payload, _BLOCK_NAMES[btype])
-                if btype == _BLOCK_META:
-                    meta = block
-                elif btype == _BLOCK_KINDS:
-                    kinds_count += len(block)
-                else:
-                    footer = block
-            else:
-                fp.seek(length, 1)
+        for btype, length, body in _walk(
+                source, seek=frozenset({_BLOCK_RECORDS, _BLOCK_MARKERS})):
+            last[btype] = body
             blocks.append({"type": _BLOCK_NAMES[btype],
                            "payload_bytes": length})
-            if btype == _BLOCK_END:
-                break
-        if footer is None:
-            truncated = True
-        return {
-            "meta": meta,
-            "kinds": kinds_count,
-            "footer": footer,
-            "blocks": blocks,
-            "truncated": truncated,
-            "version": VERSION,
-        }
-    finally:
-        if own:
-            fp.close()
+    except TraceBinError as exc:
+        if not str(exc).startswith("truncated trace"):
+            raise
+    return {
+        "meta": last[_BLOCK_META],
+        "kinds": len(last[_BLOCK_KINDS]),
+        "footer": last[_BLOCK_END],
+        "blocks": blocks,
+        "truncated": last[_BLOCK_END] is None,
+        "version": VERSION,
+    }
 
 
 # -------------------------------------------------------------- detection
@@ -679,9 +616,10 @@ def trace_info(path: Union[str, Path]) -> dict:
     record payloads are never decoded, per-block sizes come straight from
     the 5-byte block heads, and a truncated file still yields the intact
     prefix (``truncated=True``) instead of an error.  Counts and
-    ``exec_time`` come from the END footer, so they are ``None`` for a
-    truncated file.  For JSON the whole file must be parsed (there is no
-    cheap scan — which is part of why the binary format exists).
+    ``exec_time`` come from the END footer (whose chunk count the scan
+    checks), so they are ``None`` for a truncated file.  For JSON the whole
+    file must be parsed (there is no cheap scan — which is part of why the
+    binary format exists).
     """
     path = Path(path)
     if is_binary_trace(path):
@@ -689,9 +627,6 @@ def trace_info(path: Union[str, Path]) -> dict:
         footer = s["footer"]
         chunk_bytes = [b["payload_bytes"] for b in s["blocks"]
                        if b["type"] == "RECORDS"]
-        if footer is not None and footer.get("chunks") != len(chunk_bytes):
-            raise TraceBinError(
-                "corrupt trace: END footer chunk count disagrees with file")
         blocks: dict[str, dict] = {}
         for b in s["blocks"]:
             agg = blocks.setdefault(b["type"], {"count": 0, "bytes": 0})

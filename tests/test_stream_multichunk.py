@@ -34,7 +34,7 @@ from repro.core.trace import EndMarker, Trace, TraceRecord
 from repro.harness.builders import optical_factory
 from repro.resilience import MITIGATIONS, generate_timeseries
 from repro.synth import default_profile, generate, synth_onoc
-from tests.test_tracebin_roundtrip import _block_offsets
+from tests.test_tracebin_roundtrip import _block_offsets, _with_payload
 
 NODES = 16
 MESSAGES = 3000
@@ -303,23 +303,52 @@ def _write_with_bad_record(path, **fields) -> None:
     tracebin.write_file(trace, path, chunk_records=2)
 
 
-@pytest.mark.parametrize("fields, refusal", [
-    ({"src": 3, "dst": 3}, "bad endpoints in chunk 1"),
-    ({"size_bytes": 0}, "bad size in chunk 1"),
-], ids=["self_send", "empty_payload"])
+@pytest.mark.parametrize("fields", [
+    {"src": 3, "dst": 3},
+    {"size_bytes": 0},
+    {"t_inject": 1 << 62, "t_deliver": (1 << 62) + 12},
+    {"bound_id": 0},
+], ids=["self_send", "empty_payload", "time_beyond_2_62",
+        "bound_without_cause"])
 @pytest.mark.parametrize("topology", ("crossbar", "awgr", ONOC_CIRCUIT_MESH))
-def test_records_the_loader_refuses_are_refused(tmp_path, topology, fields,
-                                                refusal):
+def test_records_the_loader_refuses_are_refused(tmp_path, topology, fields):
     """The stream builds no ``TraceRecord``, so it used to replay what
     ``load_trace`` rejects — a self-send priced as a full lap of the
-    serpentine, an empty payload as one cycle.  It now refuses per chunk,
-    naming the chunk."""
+    serpentine, an empty payload as one cycle, a time of 2^62 cycles, a
+    bound with no cause.  The chunk reader runs the loader's per-block
+    check, so both refuse with the loader's type and text."""
     path = tmp_path / "bad.rtrc"
     _write_with_bad_record(path, **fields)
-    with pytest.raises(ValueError, match="bad (endpoints|size) in record 2"):
+    with pytest.raises(ValueError, match="record 2") as loaded:
         tracebin.load_trace(path)
-    with pytest.raises(ValueError, match=refusal):
-        stream_naive_summary(path, synth_onoc(topology, NODES))
+    for reader in (lambda: stream_naive_summary(path,
+                                                synth_onoc(topology, NODES)),
+                   lambda: list(tracebin.iter_chunks(path))):
+        with pytest.raises(ValueError) as got:
+            reader()
+        assert type(got.value) is type(loaded.value)
+        assert str(got.value) == str(loaded.value)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda path: tracebin.loads(path.read_bytes()),
+    tracebin.read_summary,
+    lambda path: list(tracebin.iter_chunks(path)),
+    lambda path: stream_naive_summary(path, synth_onoc("crossbar", NODES)),
+], ids=["loads", "read_summary", "iter_chunks", "stream_naive_summary"])
+@pytest.mark.parametrize("field", ("record_count", "marker_count"))
+def test_every_loading_reader_checks_the_end_footer(tmp_path, field, reader):
+    """A footer count one off is corruption to every loading reader, not
+    only to the loader: each checks all three counts."""
+    blob = tracebin.dumps(_hot_destination_trace(600), chunk_records=200)
+    off, _, length = next(b for b in _block_offsets(blob) if b[1] == 5)
+    footer = json.loads(blob[off + 5:off + 5 + length])
+    footer[field] += 1
+    path = tmp_path / "doctored.rtrc"
+    path.write_bytes(_with_payload(
+        blob, 5, json.dumps(footer, sort_keys=True).encode()))
+    with pytest.raises(tracebin.TraceBinError, match="END footer"):
+        reader(path)
 
 
 def test_negative_endpoints_never_reach_a_container(tmp_path):

@@ -268,9 +268,9 @@ def _validate_records(d: _Doc) -> None:
 
 
 def _raw_column(values: np.ndarray, coding: str) -> bytes:
-    """``tracebin._encode_column`` without the writer's own refusal of a
-    negative value in an unsigned column (it wraps to a 10-byte varint, as
-    a foreign writer could emit)."""
+    """A column of ``tracebin._encode_columns`` without the writer's own
+    refusal of a negative value in an unsigned column (it wraps to a
+    10-byte varint, as a foreign writer could emit)."""
     a = np.asarray(values, dtype=np.int64)
     if coding == "sdelta":
         a = np.diff(a, prepend=np.int64(0))

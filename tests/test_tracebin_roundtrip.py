@@ -11,6 +11,7 @@ dependency DAGs.
 from __future__ import annotations
 
 import io
+import json
 import pathlib
 import struct
 
@@ -240,6 +241,19 @@ def _with_payload(blob: bytes, block_type: int, payload: bytes) -> bytes:
 _META, _END = 1, 5
 
 
+def test_trace_info_refuses_a_wrong_chunk_count(tmp_path):
+    """The scan reads no record payload, but the footer's chunk count is a
+    fact of the block heads: one off is corruption, not truncation."""
+    blob = tracebin.dumps(_sample(), chunk_records=1)
+    off, _, length = next(b for b in _block_offsets(blob) if b[1] == _END)
+    footer = json.loads(blob[off + 5:off + 5 + length])
+    footer["chunks"] += 1
+    path = tmp_path / "doctored.rtrc"
+    path.write_bytes(_with_payload(blob, _END, json.dumps(footer).encode()))
+    with pytest.raises(TraceBinError, match="END footer chunk"):
+        tracebin.trace_info(path)
+
+
 @pytest.mark.parametrize("reader", [
     tracebin.loads,
     lambda blob: tracebin.read_summary(io.BytesIO(blob)),
@@ -251,8 +265,9 @@ _META, _END = 1, 5
     (_META, b"\xff\xfe"),
     (_END, b"{"),
     (_META, b"[1]"),
+    (_META, b"[" * 100_000),
 ], ids=["end-not-object", "end-no-exec_time", "meta-bad-utf8",
-        "end-bad-json", "meta-not-object"])
+        "end-bad-json", "meta-not-object", "meta-nested-too-deep"])
 def test_malformed_json_block_is_a_typed_error(block_type, payload, reader):
     """A damaged META/END JSON payload is corruption like any other: every
     reader reports it as TraceBinError, never a raw decode/lookup error —
