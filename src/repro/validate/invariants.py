@@ -9,17 +9,13 @@ test-suite can assert on specific invariant names.
 
 Trace invariants
 ----------------
-``trace.unique_ids``              msg_ids and semantic keys are unique.
-``trace.referential_integrity``   cause/bound ids resolve to in-trace
-                                  records; a bound edge implies a cause edge.
-``trace.causality``               every injection equals its trigger's
-                                  delivery plus the captured edge gap (roots:
-                                  gap equals the absolute offset); gaps >= 0.
-``trace.acyclicity``              the dependency graph has a schedulable
-                                  topological order (no zero-latency cycles).
-``trace.latency_nonnegative``     no record is delivered before injection.
-``trace.end_marker_consistency``  end-marker causes resolve and ``exec_time``
-                                  equals the latest marker finish.
+``trace.well_formed``             whatever :meth:`Trace.validate` refuses —
+                                  unique ids and keys, resolvable triggers,
+                                  edge gaps, acyclicity, end markers — is
+                                  reported as one violation carrying the
+                                  refusal's text.  There is one definition
+                                  of a well-formed trace, and it is
+                                  ``validate``'s.
 ``trace.channel_monotonicity``    per (src, dst) channel, a message injected
                                   at or after another's delivery is delivered
                                   strictly later (non-overlapping messages
@@ -35,21 +31,22 @@ Trace invariants
 
 Replay invariants
 -----------------
-``replay.conservation``           replayed + unreplayed == len(trace);
-                                  deliveries are a subset of injections;
-                                  counts match the maps.
+Only what a scheduler decides is checked: the counts, latency map, stall
+detail and exec-time estimate of a :class:`ReplayResult` are derived from
+its schedule in one place (``replay._assemble_result``), so re-deriving
+them here would test that function against a copy of itself.
+
+``replay.conservation``           deliveries are a subset of injections,
+                                  injections a subset of the trace.
 ``replay.causality``              self-correcting injections equal the max
                                   over trigger edges of (simulated delivery +
                                   edge gap); naive injections equal captured
-                                  timestamps.
-``replay.stall_accounting``       the typed stall diagnostics agree with the
-                                  unreplayed count (and are absent for naive
-                                  replays, which always replay everything).
-``replay.latency_map_consistency`` ``latencies_by_key`` equals delivery minus
-                                  injection for every delivered message.
-``replay.exec_estimate_consistency`` the execution-time estimate equals the
-                                  end-marker rule applied to the observed
-                                  deliveries.
+                                  timestamps.  Other modes (fixed schedules,
+                                  iterative refinement) inject what they
+                                  were handed and are not held to either.
+``replay.stall_accounting``       naive replays replay everything; a
+                                  self-correcting replay leaves unreplayed
+                                  only the stalled dependents.
 ``replay.channel_monotonicity``   the channel ordering rule above, applied to
                                   the replayed timeline.
 
@@ -68,27 +65,16 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.config import GAP_POLICY_CAPTURED
-from repro.core.replay import (
-    ReplayResult,
-    SelfCorrectingReplayer,
-    _estimate_exec_time,
-)
-from repro.core.trace import EndMarker, Trace, TraceRecord, blocked_msg_ids
+from repro.config import TRACE_NAIVE, TRACE_SELF_CORRECTING
+from repro.core.replay import ReplayResult, SelfCorrectingReplayer
+from repro.core.trace import EndMarker, Trace, TraceRecord
 
 # Invariant names (referenced by tests and repro reports).
-TRACE_UNIQUE_IDS = "trace.unique_ids"
-TRACE_REFERENTIAL = "trace.referential_integrity"
-TRACE_CAUSALITY = "trace.causality"
-TRACE_ACYCLICITY = "trace.acyclicity"
-TRACE_LATENCY = "trace.latency_nonnegative"
-TRACE_END_MARKERS = "trace.end_marker_consistency"
+TRACE_WELL_FORMED = "trace.well_formed"
 TRACE_CHANNEL_ORDER = "trace.channel_monotonicity"
 REPLAY_CONSERVATION = "replay.conservation"
 REPLAY_CAUSALITY = "replay.causality"
 REPLAY_STALLS = "replay.stall_accounting"
-REPLAY_LATENCY_MAP = "replay.latency_map_consistency"
-REPLAY_EXEC_ESTIMATE = "replay.exec_estimate_consistency"
 REPLAY_CHANNEL_ORDER = "replay.channel_monotonicity"
 META_SELF_CONSISTENCY = "metamorphic.self_consistency"
 META_GAP_SCALING = "metamorphic.gap_scaling_monotonicity"
@@ -108,18 +94,11 @@ GAP_SCALING_SLACK_PCT = 0.25
 #: Every structural invariant checked by :func:`check_trace` /
 #: :func:`check_replay` (the metamorphic ones need a network factory).
 ALL_INVARIANTS = (
-    TRACE_UNIQUE_IDS,
-    TRACE_REFERENTIAL,
-    TRACE_CAUSALITY,
-    TRACE_ACYCLICITY,
-    TRACE_LATENCY,
-    TRACE_END_MARKERS,
+    TRACE_WELL_FORMED,
     TRACE_CHANNEL_ORDER,
     REPLAY_CONSERVATION,
     REPLAY_CAUSALITY,
     REPLAY_STALLS,
-    REPLAY_LATENCY_MAP,
-    REPLAY_EXEC_ESTIMATE,
     REPLAY_CHANNEL_ORDER,
 )
 
@@ -164,76 +143,23 @@ class _Collector:
 def check_trace(trace: Trace, strict_fifo: bool = False) -> list[Violation]:
     """Check every structural trace invariant; returns all violations.
 
-    ``strict_fifo=True`` additionally holds every (src, dst) channel to full
+    A :meth:`Trace.validate` refusal is one ``trace.well_formed``
+    violation; the channel check runs either way.  ``strict_fifo=True``
+    additionally holds every (src, dst) channel to full
     FIFO delivery order — pass it when the capture network's
     ``in_order_channels`` capability flag is set (see
     :func:`repro.harness.backend_in_order_channels`).
     """
     out = _Collector()
-    by_id: dict[int, TraceRecord] = {}
-    for r in trace.records:
-        if r.msg_id in by_id:
-            out.add(TRACE_UNIQUE_IDS, f"duplicate msg_id {r.msg_id}", r.msg_id)
-        by_id[r.msg_id] = r
-    seen_keys: set = set()
-    for r in trace.records:
-        if r.key in seen_keys:
-            out.add(TRACE_UNIQUE_IDS, f"duplicate semantic key {r.key}",
-                    r.msg_id)
-        seen_keys.add(r.key)
-
-    for r in trace.records:
-        if r.t_deliver < r.t_inject:
-            out.add(TRACE_LATENCY,
-                    f"delivered at {r.t_deliver} before injection "
-                    f"{r.t_inject}", r.msg_id)
-        if r.bound_id != -1 and r.cause_id == -1:
-            out.add(TRACE_REFERENTIAL, "bound edge without a cause edge",
-                    r.msg_id)
-        for label, trig, gap in (("cause", r.cause_id, r.gap),
-                                 ("bound", r.bound_id, r.bound_gap)):
-            if trig == -1:
-                continue
-            t = by_id.get(trig)
-            if t is None:
-                out.add(TRACE_REFERENTIAL,
-                        f"{label} {trig} not in trace", r.msg_id)
-            elif t.t_deliver + gap != r.t_inject:
-                out.add(TRACE_CAUSALITY,
-                        f"{label} delivered at {t.t_deliver} + gap {gap} "
-                        f"!= injection {r.t_inject}", r.msg_id)
-        if r.gap < 0 or r.bound_gap < 0:
-            out.add(TRACE_CAUSALITY, "negative edge gap", r.msg_id)
-        if r.cause_id == -1 and r.gap != r.t_inject:
-            out.add(TRACE_CAUSALITY,
-                    f"root gap {r.gap} != injection offset {r.t_inject}",
-                    r.msg_id)
-
-    for mid in sorted(blocked_msg_ids(trace.records)):
-        out.add(TRACE_ACYCLICITY, "record sits on a dependency cycle", mid)
-    _check_end_markers(trace, by_id, out)
+    try:
+        trace.validate()
+    except ValueError as exc:
+        out.add(TRACE_WELL_FORMED, str(exc))
     _check_channel_order(
         ((r.src, r.dst, r.t_inject, r.t_deliver, r.msg_id)
          for r in trace.records),
         TRACE_CHANNEL_ORDER, out, strict_fifo=strict_fifo)
     return out.violations
-
-
-def _check_end_markers(trace: Trace, by_id: dict[int, TraceRecord],
-                       out: _Collector) -> None:
-    for m in trace.end_markers:
-        if m.cause_id != -1 and m.cause_id not in by_id:
-            out.add(TRACE_END_MARKERS,
-                    f"end marker node {m.node}: cause {m.cause_id} missing")
-        if m.gap < 0:
-            out.add(TRACE_END_MARKERS,
-                    f"end marker node {m.node}: negative gap {m.gap}")
-    if trace.end_markers:
-        latest = max(m.t_finish for m in trace.end_markers)
-        if latest != trace.exec_time:
-            out.add(TRACE_END_MARKERS,
-                    f"exec_time {trace.exec_time} != latest end marker "
-                    f"{latest}")
 
 
 def _check_channel_order(timeline, invariant: str, out: _Collector,
@@ -306,55 +232,17 @@ def check_replay(trace: Trace, result: ReplayResult,
     out = _Collector()
     by_id = {r.msg_id: r for r in trace.records}
 
-    # replay.conservation
-    if result.messages_replayed + result.messages_unreplayed != len(trace):
-        out.add(REPLAY_CONSERVATION,
-                f"replayed {result.messages_replayed} + unreplayed "
-                f"{result.messages_unreplayed} != trace length {len(trace)}")
-    if result.messages_replayed != len(result.injections):
-        out.add(REPLAY_CONSERVATION,
-                f"messages_replayed {result.messages_replayed} != "
-                f"{len(result.injections)} injections")
+    # replay.conservation: deliveries <= injections <= trace.
+    for mid in result.injections:
+        if mid not in by_id:
+            out.add(REPLAY_CONSERVATION, "injected message not in trace", mid)
     for mid in result.deliveries:
         if mid not in result.injections:
             out.add(REPLAY_CONSERVATION,
                     "delivered without being injected", mid)
-        if mid not in by_id:
-            out.add(REPLAY_CONSERVATION,
-                    "delivered message not in trace", mid)
 
     _check_replay_causality(trace, result, by_id, out)
-    _check_stall_accounting(trace, result, out)
-
-    # replay.latency_map_consistency
-    key_of = {r.msg_id: r.key for r in trace.records}
-    lat_count = 0
-    for mid, t in result.deliveries.items():
-        key = key_of.get(mid)
-        if key is None:
-            continue
-        lat_count += 1
-        expect = t - result.injections.get(mid, 0)
-        if result.latencies_by_key.get(key) != expect:
-            out.add(REPLAY_LATENCY_MAP,
-                    f"latency map says {result.latencies_by_key.get(key)}, "
-                    f"deliver - inject = {expect}", mid)
-    if len(result.latencies_by_key) != lat_count:
-        out.add(REPLAY_LATENCY_MAP,
-                f"{len(result.latencies_by_key)} latency entries for "
-                f"{lat_count} deliveries")
-
-    # replay.exec_estimate_consistency — recompute with the same end-marker
-    # re-derivation the replayer used (non-captured degraded-gap policies
-    # re-derive markers whose cause never delivered).
-    exposure = result.fault_exposure
-    rederive = exposure is not None and exposure.policy != GAP_POLICY_CAPTURED
-    expect = _estimate_exec_time(trace, result.deliveries,
-                                 rederive_markers=rederive)
-    if result.exec_time_estimate != expect:
-        out.add(REPLAY_EXEC_ESTIMATE,
-                f"estimate {result.exec_time_estimate} != end-marker rule "
-                f"applied to deliveries ({expect})")
+    _check_stall_accounting(result, out)
 
     _check_channel_order(
         ((by_id[mid].src, by_id[mid].dst, result.injections[mid],
@@ -368,14 +256,14 @@ def check_replay(trace: Trace, result: ReplayResult,
 def _check_replay_causality(trace: Trace, result: ReplayResult,
                             by_id: dict[int, TraceRecord],
                             out: _Collector) -> None:
-    if result.mode == "naive" or result.mode == "fixed_schedule":
-        if result.mode == "naive":
-            for r in trace.records:
-                got = result.injections.get(r.msg_id)
-                if got is not None and got != r.t_inject:
-                    out.add(REPLAY_CAUSALITY,
-                            f"naive injection {got} != captured timestamp "
-                            f"{r.t_inject}", r.msg_id)
+    if result.mode == TRACE_NAIVE:
+        for r in trace.records:
+            got = result.injections.get(r.msg_id)
+            if got is not None and got != r.t_inject:
+                out.add(REPLAY_CAUSALITY,
+                        f"naive injection {got} != captured timestamp "
+                        f"{r.t_inject}", r.msg_id)
+    if result.mode != TRACE_SELF_CORRECTING:
         return
     # Self-correcting: the DAG earliest-start rule, checkable only for
     # records whose every trigger was delivered in this replay (ablated or
@@ -406,28 +294,16 @@ def _check_replay_causality(trace: Trace, result: ReplayResult,
                     r.msg_id)
 
 
-def _check_stall_accounting(trace: Trace, result: ReplayResult,
-                            out: _Collector) -> None:
-    if result.mode == "naive":
+def _check_stall_accounting(result: ReplayResult, out: _Collector) -> None:
+    if result.mode == TRACE_NAIVE:
         if result.messages_unreplayed != 0 or result.stalled_count != 0:
             out.add(REPLAY_STALLS,
                     "naive replay reported unreplayed/stalled messages")
-        return
-    if result.mode == "self_correcting":
-        if result.stalled_count != result.messages_unreplayed:
-            out.add(REPLAY_STALLS,
-                    f"stalled_count {result.stalled_count} != unreplayed "
-                    f"{result.messages_unreplayed}")
-    if len(result.stalled_msg_ids) > result.stalled_count:
-        out.add(REPLAY_STALLS, "more stalled ids than stalled_count")
-    for mid in result.stalled_msg_ids:
-        if mid in result.injections:
-            out.add(REPLAY_STALLS, "stalled message was injected", mid)
-    for mid, triggers in result.stalled_on.items():
-        for trig in triggers:
-            if trig in result.deliveries:
-                out.add(REPLAY_STALLS,
-                        f"stalled on {trig}, which was delivered", mid)
+    elif (result.mode == TRACE_SELF_CORRECTING
+          and result.stalled_count != result.messages_unreplayed):
+        out.add(REPLAY_STALLS,
+                f"stalled_count {result.stalled_count} != unreplayed "
+                f"{result.messages_unreplayed}")
 
 
 # ---------------------------------------------------------------------------
