@@ -467,11 +467,8 @@ def replay_trace_generational(
         inject, deliver, released, iterations = _solve_windowed(
             cols, model, plan)
         active = np.flatnonzero(released)
-    ids = cols.ids[active].tolist()
     return _assemble_result(
-        trace, cfg.mode,
-        dict(zip(ids, inject[active].tolist())),
-        dict(zip(ids, deliver[active].tolist())),
+        trace, cfg.mode, (active, inject[active]), (active, deliver[active]),
         t0,
         extra={"engine": "generational", "iterations": iterations,
                "converged": True},

@@ -28,7 +28,7 @@ to the *observed* deliveries: ``finish(core) = deliver(last_cause) + gap``.
 from __future__ import annotations
 
 import time as _walltime
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -100,6 +100,11 @@ class ReplayResult:
 
     ``extra`` remains for experiment-level annotations (e.g. the iterative
     refiner's convergence history).
+
+    ``injections``, ``deliveries`` and ``latencies_by_key`` are built on
+    first read from the arrays the engine solved (the semantic keys only
+    for the last); a pickled result carries the dicts, not the arrays or
+    the trace.
     """
 
     mode: str
@@ -120,6 +125,18 @@ class ReplayResult:
     fault_exposure: Optional[FaultExposure] = None
     extra: dict = field(default_factory=dict)
 
+    def __getattr__(self, name: str):
+        # Reached for the first read of a dict left to ``_schedule``.
+        build = self.__dict__.get("_schedule", {}).get(name)
+        if build is None:
+            raise AttributeError(
+                f"'ReplayResult' object has no attribute {name!r}")
+        value = self.__dict__[name] = build()
+        return value
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 def _make_message(r: TraceRecord) -> Message:
     """Rebuild the wire message for a record (id preserved for matching)."""
@@ -131,10 +148,10 @@ def _finish_from_markers(end_markers, deliveries: dict[int, int],
                          node_last: dict[int, tuple[int, int]]) -> int:
     """Latest per-core finish: ``deliver(marker cause) + gap``.
 
-    A marker whose cause message was never delivered falls back to the
+    A marker whose cause is not in ``deliveries`` falls back to the
     captured finish time — unless ``node_last`` names a surviving delivery
-    to that core, as ``(captured t_deliver, msg_id)``: then the finish is
-    re-derived from it, keeping the captured tail offset
+    to that core, as ``(captured t_deliver, replayed t_deliver)``: then the
+    finish is re-derived from it, keeping the captured tail offset
     (``t_finish - captured deliver``).
     """
     best = 0
@@ -146,17 +163,17 @@ def _finish_from_markers(end_markers, deliveries: dict[int, int],
             if d is not None:
                 t = d + m.gap
             elif m.node in node_last:
-                captured, anchor = node_last[m.node]
-                t = max(0, deliveries[anchor] + (m.t_finish - captured))
+                captured, replayed = node_last[m.node]
+                t = max(0, replayed + (m.t_finish - captured))
             else:
                 t = m.t_finish
         best = max(best, t)
     return best
 
 
-def _estimate_exec_time(trace: Trace, deliveries: dict[int, int],
-                        rederive_markers: bool = False) -> int:
-    """Apply end markers to observed deliveries.
+def _estimate_exec_time(trace: Trace, cols: Columns, delivered: np.ndarray,
+                        at: np.ndarray, rederive_markers: bool = False) -> int:
+    """Apply end markers to the deliveries (per record: ``delivered``, ``at``).
 
     With ``rederive_markers`` a marker whose cause never delivered (trace
     damage, record loss) is re-derived from the latest surviving delivery
@@ -165,18 +182,23 @@ def _estimate_exec_time(trace: Trace, deliveries: dict[int, int],
     """
     markers = trace.end_markers
     if not markers:
-        return max(deliveries.values(), default=0)
+        return int(at[delivered].max()) if delivered.any() else 0
+    cause = cols.index_of(np.array([m.cause_id for m in markers],
+                                   dtype=np.int64)).tolist()
+    causes = {m.cause_id: int(at[i]) for m, i in zip(markers, cause)
+              if i >= 0 and delivered[i]}
     node_last: dict[int, tuple[int, int]] = {}
-    if rederive_markers and any(m.cause_id != -1
-                                and m.cause_id not in deliveries
+    if rederive_markers and any(m.cause_id != -1 and m.cause_id not in causes
                                 for m in markers):
         # Per node, the delivered record latest by (t_deliver, msg_id).
-        c = trace.chunk
-        for mid, dst, t in zip(c.msg_id.tolist(), c.dst.tolist(),
-                               c.t_deliver.tolist()):
-            if mid in deliveries:
-                node_last[dst] = max(node_last.get(dst, (t, mid)), (t, mid))
-    return _finish_from_markers(markers, deliveries, node_last)
+        d = np.flatnonzero(delivered)
+        captured = trace.chunk.t_deliver[d]
+        dst = cols.dst[d]
+        order = np.lexsort((cols.ids[d], captured, dst))
+        last = order[np.r_[dst[order][1:] != dst[order][:-1], True]]
+        node_last = dict(zip(dst[last].tolist(), zip(
+            captured[last].tolist(), at[d[last]].tolist())))
+    return _finish_from_markers(markers, causes, node_last)
 
 
 #: Cap on per-message stall detail so a badly broken dependency graph
@@ -187,8 +209,8 @@ _STALL_DETAIL_CAP = 50
 def _assemble_result(
     trace: Trace,
     mode: str,
-    injections: dict[int, int],
-    deliveries: dict[int, int],
+    injections: tuple[np.ndarray, np.ndarray],
+    deliveries: tuple[np.ndarray, np.ndarray],
     t0: float,
     *,
     sim_events: int = 0,
@@ -196,12 +218,12 @@ def _assemble_result(
     plan: Optional[Plan] = None,
 ) -> ReplayResult:
     """The one place a :class:`ReplayResult` is built: both engines hand in
-    the schedule they solved (``msg_id -> time``) and, for a self-correcting
-    run, the :class:`~repro.core.plan.Plan` they scheduled; everything
-    derived from the two — latencies, the exec-time estimate, stall
-    post-mortem, fault exposure — is computed here.  (:func:`replay_trace`
-    adds the resilience payload of a degraded replay: neither engine knows
-    about that.)
+    the schedule they solved (``(record positions, times)`` arrays of the
+    injections and of the deliveries) and, for a self-correcting run, the
+    :class:`~repro.core.plan.Plan` they scheduled; everything derived from
+    the two — latencies, the exec-time estimate, stall post-mortem, fault
+    exposure — is computed here.  (:func:`replay_trace` adds the resilience
+    payload of a degraded replay: neither engine knows about that.)
 
     *Stalled* records are dependents the schedule never injected: their
     cause (or bound) never delivered, because the dependency graph
@@ -210,30 +232,33 @@ def _assemble_result(
     triggers.  *Re-derived* records are the anchored ones it did inject.
     """
     cols = Columns.of(trace)
-    keys = trace.semantic_keys()
-    delivered = cols.index_of(
-        np.fromiter(deliveries, np.int64, len(deliveries)))
+    ids = cols.ids
+    (inj_pos, inj_t), (del_pos, del_t) = injections, deliveries
+    delivered = np.zeros(cols.n, dtype=bool)
+    delivered[del_pos] = True
+    at = np.zeros(cols.n, dtype=np.int64)
+    at[del_pos] = del_t
     diagnostics: dict = {}
     if plan is not None:
-        ids = cols.ids
-        stalled = [] if len(injections) == len(trace) else sorted(
-            mid for mid in ids[plan.dependent].tolist()
-            if mid not in injections)
-        shown = stalled[:_STALL_DETAIL_CAP]
-        shown_at = cols.index_of(np.asarray(shown, dtype=np.int64))
-        rederived = tuple(sorted(
-            mid for mid in ids[plan.anchored].tolist() if mid in injections))
+        injected = np.zeros(cols.n, dtype=bool)
+        injected[inj_pos] = True
+        stalled = np.flatnonzero(plan.dependent & ~injected)
+        shown = stalled[np.argsort(ids[stalled])[:_STALL_DETAIL_CAP]]
+        # Per shown record, its cause and bound, and whether each is a
+        # trigger that never landed: absent (-2) or present but undelivered.
+        idx = np.stack((cols.cause_idx[shown], cols.bound_idx[shown]), 1)
+        waits = (idx != -1) & ~((idx >= 0) & delivered[np.maximum(idx, 0)])
+        triggers = np.stack((cols.cause_id[shown], cols.bound_id[shown]), 1)
+        rederived = tuple(np.sort(ids[plan.anchored & injected]).tolist())
         diagnostics = dict(
             dropped_deps=plan.dropped_deps,
             demoted_cyclic=len(plan.demoted),
             stalled_count=len(stalled),
-            stalled_msg_ids=shown,
+            stalled_msg_ids=ids[shown].tolist(),
             stalled_on={
-                mid: [t for t in triggers
-                      if t != -1 and t not in deliveries]
-                for mid, *triggers in zip(
-                    shown, cols.cause_id[shown_at].tolist(),
-                    cols.bound_id[shown_at].tolist())},
+                mid: [t for t, wait in zip(row, row_waits) if wait]
+                for mid, row, row_waits in zip(
+                    ids[shown].tolist(), triggers.tolist(), waits.tolist())},
             rederived_records=len(rederived),
             fault_exposure=FaultExposure(
                 policy=plan.policy,
@@ -245,26 +270,36 @@ def _assemble_result(
                 rederived_msg_ids=rederived,
             ),
         )
-    return ReplayResult(
+    result = ReplayResult(
         mode=mode,
         exec_time_estimate=_estimate_exec_time(
-            trace, deliveries,
+            trace, cols, delivered, at,
             # Non-captured policies also re-derive end markers whose cause
             # never delivered.
             rederive_markers=(plan is not None
                               and plan.policy != GAP_POLICY_CAPTURED)),
-        latencies_by_key=dict(zip(
-            map(keys.__getitem__, delivered.tolist()),
-            (t - injections[mid] for mid, t in deliveries.items()))),
-        deliveries=deliveries,
-        injections=injections,
-        messages_replayed=len(injections),
-        messages_unreplayed=len(trace) - len(injections),
+        latencies_by_key=None, deliveries=None, injections=None,
+        messages_replayed=len(inj_pos),
+        messages_unreplayed=cols.n - len(inj_pos),
         wall_clock_s=_walltime.perf_counter() - t0,
         sim_events=sim_events,
         extra=dict(extra or {}),
         **diagnostics,
     )
+    # The schedule dicts, in the order each pair of arrays came in, are
+    # built on first read (``ReplayResult.__getattr__``).
+    inject_at = np.zeros(cols.n, dtype=np.int64)
+    inject_at[inj_pos] = inj_t
+    result.__dict__["_schedule"] = {
+        "injections": lambda: dict(zip(ids[inj_pos].tolist(), inj_t.tolist())),
+        "deliveries": lambda: dict(zip(ids[del_pos].tolist(), del_t.tolist())),
+        "latencies_by_key": lambda: dict(zip(
+            map(trace.semantic_keys().__getitem__, del_pos.tolist()),
+            (del_t - inject_at[del_pos]).tolist())),
+    }
+    for name in result._schedule:
+        del result.__dict__[name]
+    return result
 
 
 class _ReplayerBase:
@@ -294,10 +329,13 @@ class _ReplayerBase:
         self.deliveries[msg.id] = msg.deliver_time
 
     def _result(self, t0: float, **kwargs) -> ReplayResult:
+        index_of = Columns.of(self.trace).index_of
         result = _assemble_result(
-            self.trace, self.mode, dict(self.injections),
-            dict(self.deliveries), t0, sim_events=self.sim.event_count,
-            **kwargs)
+            self.trace, self.mode,
+            *((index_of(np.fromiter(times, np.int64, len(times))),
+               np.fromiter(times.values(), np.int64, len(times)))
+              for times in (self.injections, self.deliveries)),
+            t0, sim_events=self.sim.event_count, **kwargs)
         if self._obs is not None:
             self._publish_metrics(result)
         return result

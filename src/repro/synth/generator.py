@@ -20,15 +20,17 @@ decisions are not computed where they are used.  :class:`_Decisions`
 hashes size, latency, fan-out and both gaps for *all chains x the next
 few steps* in one NumPy pass (``uint64`` products wrap mod 2^64, which is
 the scalar hash's mask); the heap merge — the only per-record Python —
-pops an entry, makes the pattern's rng call(s), looks its decisions up
-and appends seven ints to column lists.  Two things stay scalar on
-purpose: ``math.log`` in the gap draw (``np.log`` is not guaranteed the
-same last bit, and a gap is ``int()`` of it) and the pattern call
-(``hotspot`` interleaves ``random()`` and ``integers()`` data-dependently
-on one PCG64 stream).  Every ``chunk_records`` emissions the lists become
-one :class:`~repro.core.trace.RecordChunk`, which
-:func:`generate_to_file` hands to the writer as it is: no
-:class:`~repro.core.trace.TraceRecord` exists between hash and file.
+pops an entry, takes its destination(s), looks its decisions up and
+appends seven ints to column lists.  Two things stay scalar on purpose:
+``math.log`` in the gap draw (``np.log`` is not guaranteed the same last
+bit, and a gap is ``int()`` of it) and the pattern call of ``hotspot``
+(it interleaves ``random()`` and ``integers()`` data-dependently on one
+PCG64 stream) and of the ``src``-determined patterns; ``uniform`` draws
+each chain's destinations in refills (:func:`_draws`).  Every
+``chunk_records`` emissions the lists become one
+:class:`~repro.core.trace.RecordChunk`, which :func:`generate_to_file`
+hands to the writer as it is: no :class:`~repro.core.trace.TraceRecord`
+exists between hash and file.
 
 Resident state is O(chains x live step spread + pending fan-out children
 + nodes + one chunk of column lists): a decision block is dropped when
@@ -56,7 +58,7 @@ from repro.core.trace import EndMarker, RecordChunk, Trace, TraceRecord
 from repro.core.tracebin import BinaryTraceWriter, CHUNK_RECORDS
 from repro.engine.rng import fold, mix64
 from repro.synth.profile import SynthProfile
-from repro.traffic.patterns import PATTERNS
+from repro.traffic.patterns import PATTERNS, uniform_random
 
 #: Upper bound on the (chain, step) cells hashed ahead in one block.
 _BLOCK_CELLS = 16384
@@ -66,6 +68,17 @@ _CTRL_BYTES = 64
 
 #: The generator's kind table; a record's ``kind_idx`` is its heap flag.
 _KINDS = ("data", "ctrl")
+
+#: Destinations a chain of the ``uniform`` pattern draws per refill.
+_DRAWS = 64
+
+
+def _draws(rng: np.random.Generator, n: int) -> Iterator[int]:
+    """Successive ``uniform_random`` destinations, :data:`_DRAWS` at a
+    time: it ignores ``src`` and makes one ``rng.integers(0, n)`` call, and
+    ``integers(0, n, size=k)`` consumes PCG64 exactly as ``k`` such calls."""
+    while True:
+        yield from rng.integers(0, n, size=_DRAWS).tolist()
 
 
 def _unit(prefix: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -199,6 +212,9 @@ def _iter_chunks(profile: SynthProfile, scale: float, seed: int,
     index = np.arange(chains, dtype=np.uint64)
     rngs = [np.random.Generator(np.random.PCG64(s))
             for s in fold(mix64(seed, "chain"), index).tolist()]
+    # A chain's rng serves only its pattern calls, step / fan-out in order.
+    draws = ([_draws(rng, n).__next__ for rng in rngs]
+             if pattern is uniform_random else None)
     decisions = _Decisions(profile, seed, chains, n_messages)
     span, live = decisions.span, decisions.live
 
@@ -224,8 +240,7 @@ def _iter_chunks(profile: SynthProfile, scale: float, seed: int,
                 size = _CTRL_BYTES
             else:
                 t, flag, _, c, step, src, cause_id, gap = entry
-                rng = rngs[c]
-                dst = pattern(src, n, rng)
+                dst = draws[c]() if draws else pattern(src, n, rngs[c])
                 if dst == src:  # e.g. the transpose diagonal
                     dst = (dst + 1) % n
                 block, k = divmod(step, span)
@@ -235,7 +250,7 @@ def _iter_chunks(profile: SynthProfile, scale: float, seed: int,
                     decisions.leave(block)
                 t_deliver = t + latency
                 if fan_gap:
-                    third = pattern(dst, n, rng)
+                    third = draws[c]() if draws else pattern(dst, n, rngs[c])
                     if third == dst:
                         third = (third + 1) % n
                     push(heap, (t_deliver + fan_gap, 1, uid,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import io
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -36,8 +37,10 @@ from repro.synth import (
 from repro.engine.rng import fold, mix64
 from repro.synth import generator
 from repro.synth.generator import (
+    _DRAWS,
     _draw_gaps,
     _draw_size,
+    _draws,
     _size_thresholds,
     _unit,
 )
@@ -212,8 +215,15 @@ def _golden_fit(path: Path):
 _ODD = dict(base_latency=1, gap_mean=1.0, gap_max=3, root_spread=1, chains=5,
             size_mix=((1, .5), (16, .2), (700, .3)), fanout_prob=0.6)
 
+#: Four chains of ~1500 destination draws each: many fan-out steps draw
+#: their two destinations from two different refills.
+_STRADDLE = dict(chains=4, fanout_prob=0.5)
+
 IDENTITY_GRID = [
     pytest.param(lambda: default_profile(1024, 20_000), 1.0, id="uniform-1024"),
+    pytest.param(lambda: default_profile(1000, 20_000), 1.0, id="uniform-1000"),
+    pytest.param(lambda: default_profile(64, 6000, **_STRADDLE), 1.0,
+                 id="uniform-fanout-straddles-refill"),
     pytest.param(lambda: default_profile(1024, 20_000, pattern="hotspot"),
                  1.0, id="hotspot-1024"),
     *(pytest.param(lambda g=g: _golden_fit(g), 20.0,
@@ -242,6 +252,44 @@ def test_every_record_equals_the_per_record_reference(make_profile, scale):
     assert len(got) == len(want) == profile.scaled_messages(scale)
     for a, b in zip(got, want):
         assert a == b           # frozen dataclass: every field, key included
+
+
+def test_fanout_draws_straddle_a_refill_on_the_grid():
+    """Per chain, the destination draws in the order the merge makes them
+    (a chain step's, then its fan-out child's): count the fan-out steps
+    whose first draw is the last of a refill."""
+    records = list(_iter_records_reference(
+        default_profile(64, 6000, **_STRADDLE), seed=5))
+    fans = {r.cause_id for r in records if r.kind == "ctrl"}
+    chain, used, straddles = {}, {}, 0
+    for r in records:
+        if r.kind == "data":
+            c = chain[r.msg_id] = chain.get(r.cause_id, r.msg_id)
+            fan = r.msg_id in fans
+            straddles += fan and used.get(c, 0) % _DRAWS == _DRAWS - 1
+            used[c] = used.get(c, 0) + 1 + fan
+    assert min(used.values()) > 10 * _DRAWS
+    assert straddles >= 10
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 37, 1000, 1024, 2**31 + 1,
+                               2**32 - 1, 2**32, 2**32 + 1, 2**33 + 5])
+def test_batched_integers_are_the_scalar_stream(n):
+    """``integers(0, n, size=k)`` consumes PCG64 exactly as ``k`` scalar
+    ``integers(0, n)`` calls (2^31 + 1 rejects about half its candidates),
+    odd ``k`` included, so a refill leaves the stream where the calls
+    would.  A NumPy that changes bounded-integer consumption fails here
+    before any container digest does."""
+    batched, scalar = (np.random.Generator(np.random.PCG64(7))
+                       for _ in range(2))
+    for k in (1, 2, 7, 64, 3):
+        assert batched.integers(0, n, size=k).tolist() == [
+            int(scalar.integers(0, n)) for _ in range(k)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+    draws = _draws(np.random.Generator(np.random.PCG64(9)), n)
+    scalar = np.random.Generator(np.random.PCG64(9))
+    assert list(itertools.islice(draws, 3 * _DRAWS + 5)) == [
+        int(scalar.integers(0, n)) for _ in range(3 * _DRAWS + 5)]
 
 
 def test_golden_corpus_is_on_the_grid():

@@ -14,14 +14,16 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 
-from repro.config import TraceConfig
+from repro.config import GAP_POLICIES, TraceConfig
 from repro.core import Trace, TraceRecord, load_trace, replay_trace, tracebin
 from repro.core.trace import RecordChunk, blocked_msg_ids
 from repro.harness.builders import optical_factory
+from repro.harness.parallel import decode_value, encode_value
 from repro.synth import default_profile, generate_to_file, synth_onoc
 from tests.test_core_plan import CYCLE, FORK, LOST, TAINTED
 from tests.test_core_replay import _cyclic_trace
@@ -186,6 +188,45 @@ def test_a_chunk_born_trace_pickles_and_copies_as_columns(builds):
         loaded.recordz
     assert [f.name for f in dataclasses.fields(Trace)] == [
         "records", "end_markers", "exec_time", "meta"]
+
+
+# ------------------------------------- a result's schedule is arrays too
+_SCHEDULE = ("latencies_by_key", "deliveries", "injections")
+
+
+@pytest.mark.parametrize("policy", GAP_POLICIES)
+@pytest.mark.parametrize("engine", ["generational", "event"])
+def test_a_result_is_arrays_until_read(engine, policy):
+    """The schedule dicts of a replay result are built on first read, and
+    nothing can tell: an untouched result equals, replaces, pickles and
+    round-trips through the result-cache codec as a result whose dicts
+    were read — and a pickled one carries neither arrays nor the trace."""
+    born = _progressive_kinds_trace()
+    lossy = dataclasses.replace(
+        born, records=[r for r in born.records if r.msg_id % 11 != 3])
+    factory = optical_factory(synth_onoc("crossbar", NODES), 1)
+    cfg = TraceConfig(mode="self_correcting", engine=engine,
+                      keep_dep_fraction=0.7, degraded_gap_policy=policy)
+    eager = replay_trace(lossy, factory, cfg)
+    for name in _SCHEDULE:
+        getattr(eager, name)
+    assert eager.stalled_count or eager.rederived_records
+
+    def untouched():
+        result = replay_trace(lossy, factory, cfg)
+        assert not set(_SCHEDULE) & set(vars(result))
+        result.wall_clock_s = eager.wall_clock_s
+        return result
+
+    assert untouched() == eager
+    assert dataclasses.replace(untouched()) == eager
+    blob = pickle.dumps(untouched())
+    assert b"repro.core.trace" not in blob and b"numpy" not in blob
+    assert pickle.loads(blob) == eager
+    assert decode_value(json.loads(json.dumps(
+        encode_value(untouched())))) == eager
+    with pytest.raises(AttributeError, match="no attribute 'deliveriez'"):
+        untouched().deliveriez
 
 
 # ------------------------------------------------- the can-fire fixpoint
