@@ -59,19 +59,8 @@ from repro.config import (
     ExperimentConfig,
     TraceConfig,
 )
-from repro.core import replay_trace
-from repro.harness import (
-    SweepRunner,
-    cache_clear,
-    cache_info,
-    default_cache_dir,
-    electrical_factory,
-    experiment_from_params,
-    format_table,
-    optical_factory,
-    run_execution_driven,
-)
-from repro.traffic import PATTERNS
+from repro.harness.parallel import default_cache_dir
+from repro.traffic.patterns import PATTERNS
 
 
 def _common_params(args: argparse.Namespace) -> dict:
@@ -84,6 +73,8 @@ def _common_params(args: argparse.Namespace) -> dict:
 
 def build_experiment(args: argparse.Namespace) -> ExperimentConfig:
     """Experiment config from common CLI flags."""
+    from repro.harness.builders import experiment_from_params
+
     return experiment_from_params(**_common_params(args))
 
 
@@ -143,7 +134,9 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
                         f"({default_cache_dir()}) or $REPRO_CACHE_DIR")
 
 
-def _runner(args: argparse.Namespace) -> SweepRunner:
+def _runner(args: argparse.Namespace):
+    from repro.harness.parallel import SweepRunner
+
     cache_dir = args.cache_dir
     if cache_dir is None and getattr(args, "cache", False):
         cache_dir = default_cache_dir()
@@ -152,6 +145,8 @@ def _runner(args: argparse.Namespace) -> SweepRunner:
 
 
 def cmd_capture(args: argparse.Namespace) -> int:
+    from repro.harness.builders import run_execution_driven
+
     exp = build_experiment(args)
     res, trace, _ = run_execution_driven(exp, args.workload, args.network,
                                          scale=args.scale)
@@ -173,6 +168,8 @@ _NETWORK_CHOICES = ("electrical", *ONOC_TOPOLOGIES)
 
 
 def _target_factory(args: argparse.Namespace, exp: ExperimentConfig):
+    from repro.harness.builders import electrical_factory, optical_factory
+
     if args.target == "electrical":
         return electrical_factory(exp.noc, exp.seed)
     onoc = replace(exp.onoc, topology=args.target)
@@ -194,7 +191,7 @@ def _resolve_degrade(spec: str, trace, cores: int, seed: int,
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    from repro.core import load_trace
+    from repro.core import load_trace, replay_trace
 
     trace = load_trace(pathlib.Path(args.trace))   # JSON or binary, by magic
     cores = trace.meta.get("num_cores", args.cores)
@@ -229,6 +226,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.core import load_trace, tracebin
+    from repro.harness.tables import format_table
 
     src = pathlib.Path(args.file)
     if args.trace_op == "info":
@@ -272,6 +270,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from repro.core import is_binary_trace, load_trace
     from repro.core.tracebin import CHUNK_RECORDS
+    from repro.harness.tables import format_table
     from repro.synth import (
         SynthProfile,
         default_profile,
@@ -329,6 +328,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core import load_trace, profile_trace, sharing_summary
+    from repro.harness.tables import format_table
 
     trace = load_trace(pathlib.Path(args.trace))   # JSON or binary, by magic
     meta = ", ".join(f"{k}={v}" for k, v in trace.meta.items())
@@ -522,6 +522,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    from repro.harness.parallel import cache_clear, cache_info
+    from repro.harness.tables import format_table
+
     cache_dir = args.dir or default_cache_dir()
     if args.clear:
         removed = cache_clear(cache_dir)
@@ -543,6 +546,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from repro.harness.tables import format_table
+
     exp = build_experiment(args)
     print(format_table([
         {"parameter": "cores", "value": exp.system.num_cores},
@@ -560,6 +565,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_exp_list(args: argparse.Namespace) -> int:
     from repro import exp as E
+    from repro.harness.tables import format_table
 
     rows = []
     for name in E.experiment_names():
@@ -598,6 +604,7 @@ def run_catalogue(args: argparse.Namespace, config: str,
     ``overrides``, run it and print the catalogue's rows: the one function
     behind ``exp run`` and its legacy spellings."""
     from repro import exp as E
+    from repro.harness.tables import format_table
 
     cfg = E.resolve_config(config, overrides)
     tasks = E.compile_config(cfg)

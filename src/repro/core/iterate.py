@@ -118,7 +118,8 @@ class IterativeRefiner:
         for k in range(self.max_iterations):
             t0 = _walltime.perf_counter()
             sim, net = self.network_factory()
-            result = FixedScheduleReplayer(self.trace, sim, net, schedule).run()
+            result = FixedScheduleReplayer(
+                self.trace, sim, net, schedule, mode="fixed_schedule").run()
             wall = _walltime.perf_counter() - t0
             est = result.exec_time_estimate
             rel = (

@@ -349,40 +349,36 @@ class _ReplayerBase:
         scope.distribution("wall_clock_s").observe(result.wall_clock_s)
 
 
-class NaiveReplayer(_ReplayerBase):
-    """Replay captured absolute timestamps (baseline trace methodology)."""
-
-    mode = TRACE_NAIVE
-
-    def run(self) -> ReplayResult:
-        t0 = _walltime.perf_counter()
-        self.sim.schedule_many(
-            (r.t_inject, self._send, (r,)) for r in self.trace.records)
-        self.sim.run()
-        return self._result(t0)
-
-
 class FixedScheduleReplayer(_ReplayerBase):
-    """Replay an explicit per-message schedule (used by the offline
-    iterative refinement loop)."""
-
-    mode = "fixed_schedule"
+    """Replay a fixed per-message schedule, by default the captured
+    absolute timestamps — the baseline trace methodology, ``mode="naive"``.
+    The offline iterative refinement loop passes each rebuilt schedule
+    under its own ``mode``."""
 
     def __init__(self, trace: Trace, sim: Simulator, net: NetworkAdapter,
-                 schedule: dict[int, int]) -> None:
+                 schedule: Optional[dict[int, int]] = None,
+                 mode: str = TRACE_NAIVE) -> None:
+        self.mode = mode
         super().__init__(trace, sim, net)
-        missing = [r.msg_id for r in trace.records if r.msg_id not in schedule]
-        if missing:
-            raise ValueError(f"schedule missing msg_ids {missing[:5]}...")
+        if schedule is not None:
+            missing = [r.msg_id for r in trace.records
+                       if r.msg_id not in schedule]
+            if missing:
+                raise ValueError(f"schedule missing msg_ids {missing[:5]}...")
         self.schedule = schedule
 
     def run(self) -> ReplayResult:
         t0 = _walltime.perf_counter()
+        sched = self.schedule
         self.sim.schedule_many(
-            (self.schedule[r.msg_id], self._send, (r,))
+            (r.t_inject if sched is None else sched[r.msg_id], self._send, (r,))
             for r in self.trace.records)
         self.sim.run()
         return self._result(t0)
+
+
+#: Replaying the captured timestamps is the fixed-schedule replay's default.
+NaiveReplayer = FixedScheduleReplayer
 
 
 class SelfCorrectingReplayer(_ReplayerBase):

@@ -51,6 +51,11 @@ def mix64(*parts) -> int:
     return x
 
 
+def unit(*parts) -> float:
+    """Uniform [0, 1) draw hashed from ``parts`` (:func:`mix64` / 2^64)."""
+    return mix64(*parts) / 2.0**64
+
+
 class RngFactory:
     """Factory of named, independent ``numpy.random.Generator`` streams."""
 

@@ -31,19 +31,17 @@ MAX_EXEC_CYCLES = 50_000_000
 
 
 def make_electrical(
-    cfg: NocConfig, seed: int, keep_per_message_latency: bool = False
+    cfg: NocConfig, seed: int
 ) -> tuple[Simulator, ElectricalNetwork]:
     sim = Simulator(seed=seed)
     attach_kernel_probe(sim)        # no-op when obs is off
-    return sim, ElectricalNetwork(sim, cfg, keep_per_message_latency)
+    return sim, ElectricalNetwork(sim, cfg)
 
 
-def make_optical(
-    cfg: OnocConfig, seed: int, keep_per_message_latency: bool = False
-) -> tuple[Simulator, NetworkAdapter]:
+def make_optical(cfg: OnocConfig, seed: int) -> tuple[Simulator, NetworkAdapter]:
     sim = Simulator(seed=seed)
     attach_kernel_probe(sim)
-    return sim, build_optical_network(sim, cfg, keep_per_message_latency)
+    return sim, build_optical_network(sim, cfg)
 
 
 def electrical_factory(cfg: NocConfig, seed: int) -> NetworkFactory:

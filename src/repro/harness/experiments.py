@@ -212,12 +212,7 @@ def latency_fidelity_rows(
 def area_rows(exp: ExperimentConfig) -> list[dict]:
     """Area of the electrical baseline and every optical architecture
     (Table 5), as flat table rows."""
-    from repro.onoc import (
-        awgr_ring_census,
-        crossbar_ring_census,
-        mesh_ring_census,
-    )
-    from repro.onoc.swmr import swmr_ring_census
+    from repro.onoc.network import BACKENDS
     from repro.power import electrical_area, optical_area
 
     def flat(report, rings_count=""):
@@ -227,15 +222,10 @@ def area_rows(exp: ExperimentConfig) -> list[dict]:
                 "breakdown_mm2": detail,
                 "total_mm2": round(report.total_mm2, 3)}
 
-    o = exp.onoc
     rows = [flat(electrical_area(exp.noc))]
-    for topology, census in (
-        ("crossbar", crossbar_ring_census(o.num_nodes, o.num_wavelengths)),
-        ("swmr_crossbar", swmr_ring_census(o.num_nodes, o.num_wavelengths)),
-        ("awgr", awgr_ring_census(o.num_nodes, o.num_wavelengths)),
-        ("circuit_mesh", mesh_ring_census(o.num_nodes, o.num_wavelengths)),
-    ):
-        cfg = replace(o, topology=topology)
+    for cls in BACKENDS:
+        cfg = replace(exp.onoc, topology=cls.topology)
+        census = cls.ring_census(cfg)
         rows.append(flat(optical_area(cfg, census), census.total))
     return rows
 

@@ -93,6 +93,76 @@ class Message:
         )
 
 
+class NetworkBase:
+    """The :class:`NetworkAdapter` plumbing every backend shares.
+
+    The endpoint refusals, the inject and deliver stamps,
+    :class:`~repro.stats.NetworkStats`, the obs probe and the
+    ``on_delivery`` -> delivery-handler funnel exist here once.  A backend
+    moves a validated, stamped message in :meth:`_inject` and hands it back
+    to :meth:`_deliver` when it arrives.  ``flit_bytes`` sizes the
+    ``flits_delivered`` count; ``probe`` names the ``net.<probe>`` obs scope
+    (``None``: the backend publishes none).
+    """
+
+    #: Whether same-(src, dst) messages always deliver in injection order.
+    in_order_channels = False
+
+    def __init__(self, sim, num_nodes: int, flit_bytes: int,
+                 probe: Optional[str] = None) -> None:
+        # Imported here: modules that only name message kinds load no obs.
+        from repro.obs.probes import net_probe
+
+        self.sim = sim
+        self.num_nodes = num_nodes
+        self.flit_bytes = flit_bytes
+        self.stats = NetworkStats()
+        self._delivery_handler: Optional[Callable[[Message], None]] = None
+        # None unless repro.obs instrumentation was enabled at build time.
+        self._probe = None if probe is None else net_probe(probe)
+
+    def send(self, msg: Message) -> None:
+        """Inject ``msg`` at the current simulated time."""
+        n = self.num_nodes
+        if not (0 <= msg.src < n and 0 <= msg.dst < n):
+            raise ValueError(f"message endpoints out of range: {msg}")
+        if msg.src == msg.dst:
+            raise ValueError(f"self-send not routed through the network: {msg}")
+        msg.inject_time = self.sim.now
+        self.stats.messages_sent += 1
+        if self._probe is not None:
+            self._probe.on_inject(self.sim.now, msg)
+        self._inject(msg)
+
+    def set_delivery_handler(self, fn: Callable[[Message], None]) -> None:
+        """Register a global callback invoked at each delivery (after the
+        message's own ``on_delivery``)."""
+        self._delivery_handler = fn
+
+    def _inject(self, msg: Message) -> None:
+        """Start moving a validated, stamped message."""
+        raise NotImplementedError
+
+    def _count_delivery(self, msg: Message, hops: int) -> None:
+        st = self.stats
+        st.messages_delivered += 1
+        st.bytes_delivered += msg.size_bytes
+        st.flits_delivered += max(1, -(-msg.size_bytes // self.flit_bytes))
+        st.latency.record(msg.id, msg.latency)
+        st.hop_count.add(hops)
+
+    def _deliver(self, msg: Message, hops: int = 1) -> None:
+        """``msg`` arrived after ``hops`` network hops: stamp, count, notify."""
+        msg.deliver_time = self.sim.now
+        self._count_delivery(msg, hops)
+        if self._probe is not None:
+            self._probe.on_deliver(self.sim.now, msg)
+        if msg.on_delivery is not None:
+            msg.on_delivery(msg)
+        if self._delivery_handler is not None:
+            self._delivery_handler(msg)
+
+
 @runtime_checkable
 class NetworkAdapter(Protocol):
     """What the system model / replayers require of an interconnect."""

@@ -29,42 +29,31 @@ from typing import Callable, Optional
 
 from repro.config import NocConfig
 from repro.engine import Simulator
-from repro.net import Message
+from repro.net import Message, NetworkBase
 from repro.noc.flit import Flit
 from repro.noc.interface import NetworkInterface
 from repro.noc.router import Router
 from repro.noc.topology import LOCAL, Topology
-from repro.obs.probes import net_probe
-from repro.stats import NetworkStats, LatencyRecorder
 
 # Event priorities: transfers land before the tick evaluates the cycle.
 _PRIO_TRANSFER = 0
 _PRIO_TICK = 10
 
 
-class ElectricalNetwork:
-    """Cycle-level wormhole NoC implementing :class:`repro.net.NetworkAdapter`."""
+class ElectricalNetwork(NetworkBase):
+    """Cycle-level wormhole NoC implementing :class:`repro.net.NetworkAdapter`.
 
-    #: Wormhole VC arbitration can interleave same-pair messages whose
-    #: flights overlap, so delivery order is not guaranteed to match
-    #: injection order.
-    in_order_channels = False
+    Wormhole VC arbitration can interleave same-pair messages whose flights
+    overlap, so delivery order is not guaranteed to match injection order
+    (``in_order_channels`` stays False).
+    """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: NocConfig,
-        keep_per_message_latency: bool = False,
-    ) -> None:
-        self.sim = sim
+    def __init__(self, sim: Simulator, cfg: NocConfig) -> None:
+        super().__init__(sim, cfg.num_nodes, cfg.flit_bytes, "electrical")
         self.cfg = cfg
         self.topo = Topology(cfg)
         self.routers = [Router(n, cfg, self.topo, self) for n in range(cfg.num_nodes)]
         self.nis = [NetworkInterface(n, cfg, self) for n in range(cfg.num_nodes)]
-        self.stats = NetworkStats(
-            latency=LatencyRecorder(keep_per_message=keep_per_message_latency)
-        )
-        self._delivery_handler: Optional[Callable[[Message], None]] = None
         # Active set keyed by each component's ``key``: routers 0..N-1,
         # NIs N..2N-1.
         self._active: dict[int, object] = {}
@@ -88,29 +77,10 @@ class ElectricalNetwork:
                     far.flit_arrive, far.credit_arrive, far_port, (node, port)
                 )
             self._links.append(row)
-        # None unless repro.obs instrumentation was enabled at build time.
-        self._probe = net_probe("electrical")
 
-    # ------------------------------------------------------ adapter API
-    @property
-    def num_nodes(self) -> int:
-        return self.cfg.num_nodes
-
-    def send(self, msg: Message) -> None:
-        """Inject ``msg`` at the current cycle (source queueing included)."""
-        n = self.cfg.num_nodes
-        if not (0 <= msg.src < n and 0 <= msg.dst < n):
-            raise ValueError(f"message endpoints out of range: {msg}")
-        if msg.src == msg.dst:
-            raise ValueError(f"self-send not routed through the network: {msg}")
-        msg.inject_time = self.sim.now
-        self.stats.messages_sent += 1
-        if self._probe is not None:
-            self._probe.on_inject(self.sim.now, msg)
+    def _inject(self, msg: Message) -> None:
+        """Queue ``msg`` at its source NI (source queueing included)."""
         self.nis[msg.src].enqueue(msg)
-
-    def set_delivery_handler(self, fn: Callable[[Message], None]) -> None:
-        self._delivery_handler = fn
 
     # -------------------------------------------------------- tick engine
     def wake(self, comp: object) -> None:
@@ -204,19 +174,7 @@ class ElectricalNetwork:
     # ------------------------------------------------------------ delivery
     def deliver(self, msg: Message) -> None:
         """Tail flit reassembled at the destination NI."""
-        msg.deliver_time = self.sim.now
-        st = self.stats
-        st.messages_delivered += 1
-        st.bytes_delivered += msg.size_bytes
-        st.flits_delivered += self.cfg.flits_for_bytes(msg.size_bytes)
-        st.latency.record(msg.id, msg.latency)
-        st.hop_count.add(self.topo.min_hops(msg.src, msg.dst))
-        if self._probe is not None:
-            self._probe.on_deliver(self.sim.now, msg)
-        if msg.on_delivery is not None:
-            msg.on_delivery(msg)
-        if self._delivery_handler is not None:
-            self._delivery_handler(msg)
+        self._deliver(msg, self.topo.min_hops(msg.src, msg.dst))
 
     # ------------------------------------------------------------- queries
     def quiescent(self) -> bool:

@@ -16,9 +16,10 @@ design-space-exploration story.
 
 from __future__ import annotations
 
-from repro.config import ONOC_AWGR
+from repro.config import ONOC_AWGR, OnocConfig
 from repro.onoc.devices import RingCensus
 from repro.onoc.entity import FifoChannelNetwork
+from repro.onoc.loss import LossBudget
 
 
 def awgr_ring_census(num_nodes: int, num_wavelengths: int) -> RingCensus:
@@ -39,3 +40,12 @@ class OpticalAwgr(FifoChannelNetwork):
     message at a time."""
 
     topology = ONOC_AWGR
+    power_label = "awgr"
+
+    @classmethod
+    def ring_census(cls, cfg: OnocConfig) -> RingCensus:
+        return awgr_ring_census(cfg.num_nodes, cfg.num_wavelengths)
+
+    @classmethod
+    def worst_loss_db(cls, cfg: OnocConfig) -> float:
+        return LossBudget(cfg).awgr_worst_loss_db()

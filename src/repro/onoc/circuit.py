@@ -20,7 +20,9 @@ from repro.engine import Simulator
 from repro.net import Message
 from repro.noc.routing import route_port
 from repro.noc.topology import Topology
+from repro.onoc.devices import RingCensus, mesh_link_length_cm, mesh_ring_census
 from repro.onoc.entity import OpticalEntity
+from repro.onoc.loss import LossBudget
 
 
 class _Segment:
@@ -50,6 +52,7 @@ class CircuitSwitchedMesh(OpticalEntity):
     """Photonic circuit-switched mesh implementing the NetworkAdapter API."""
 
     topology = ONOC_CIRCUIT_MESH
+    power_label = "circuit_mesh"
 
     #: Same-pair circuits can reorder: a teardown wakes one segment waiter,
     #: and if that waiter loses the same-cycle re-acquisition race to a
@@ -57,13 +60,8 @@ class CircuitSwitchedMesh(OpticalEntity):
     #: a same-pair circuit that arrived after it.
     in_order_channels = False
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: OnocConfig,
-        keep_per_message_latency: bool = False,
-    ) -> None:
-        super().__init__(sim, cfg, keep_per_message_latency)
+    def __init__(self, sim: Simulator, cfg: OnocConfig) -> None:
+        super().__init__(sim, cfg)
         side = cfg.mesh_side
         # Reuse the electrical topology/routing machinery for the control
         # plane's XY walk; only wiring and port math are borrowed.
@@ -76,6 +74,35 @@ class CircuitSwitchedMesh(OpticalEntity):
         # Power-model counters.
         self.setup_hops_total = 0
         self.circuits_completed = 0
+
+    # ------------------------------------------------------ static facts
+    @classmethod
+    def ring_census(cls, cfg: OnocConfig) -> RingCensus:
+        return mesh_ring_census(cfg.num_nodes, cfg.num_wavelengths)
+
+    @classmethod
+    def worst_loss_db(cls, cfg: OnocConfig) -> float:
+        return LossBudget(cfg).mesh_worst_loss_db()
+
+    @classmethod
+    def laser_channels(cls, cfg: OnocConfig) -> int:
+        """A single shared WDM source feeding the switched fabric."""
+        return 1
+
+    @classmethod
+    def waveguide_cm(cls, cfg: OnocConfig) -> float:
+        """Every link of the ``side x side`` mesh."""
+        side = cfg.mesh_side
+        return 2 * side * (side - 1) * mesh_link_length_cm(cfg)
+
+    def control_plane_pj(self, ecfg) -> float:
+        """One buffered, arbitrated control-router traversal plus one link
+        per reserved setup hop."""
+        per_setup_hop_pj = (
+            ecfg.buffer_write_pj + ecfg.buffer_read_pj + ecfg.crossbar_pj
+            + ecfg.arbitration_pj + ecfg.link_pj
+        )
+        return self.setup_hops_total * per_setup_hop_pj
 
     def _inject(self, msg: Message) -> None:
         walker = _SetupWalker(self._next_cid, msg, self._xy_path(msg.src, msg.dst))

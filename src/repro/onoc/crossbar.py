@@ -17,9 +17,11 @@ grant latency) without simulating individual wavelengths.
 
 from __future__ import annotations
 
-from repro.config import ONOC_CROSSBAR
+from repro.config import ONOC_CROSSBAR, OnocConfig
 from repro.net import Message
+from repro.onoc.devices import RingCensus, crossbar_ring_census
 from repro.onoc.entity import FifoChannelNetwork, _Channel
+from repro.onoc.loss import LossBudget
 
 
 class OpticalCrossbar(FifoChannelNetwork):
@@ -27,6 +29,15 @@ class OpticalCrossbar(FifoChannelNetwork):
     one token-arbitrated FIFO channel per destination."""
 
     topology = ONOC_CROSSBAR
+    power_label = "crossbar"
+
+    @classmethod
+    def ring_census(cls, cfg: OnocConfig) -> RingCensus:
+        return crossbar_ring_census(cfg.num_nodes, cfg.num_wavelengths)
+
+    @classmethod
+    def worst_loss_db(cls, cfg: OnocConfig) -> float:
+        return LossBudget(cfg).crossbar_worst_loss_db()
 
     def _token_travel(self, ch: _Channel, writer: int) -> int:
         """Token travel time from its parking node to ``writer``.

@@ -1,8 +1,9 @@
 """Event-driven optical network entities: the parts every backend shares.
 
-:class:`OpticalEntity` is the :class:`repro.net.NetworkAdapter` boilerplate —
-send validation, stats, the obs probe, the timing object and the delivery
-funnel.  :class:`FifoChannelNetwork` adds the message-granularity
+:class:`OpticalEntity` puts the timing object and the backend's static
+power / area / loss facts on top of the :class:`repro.net.NetworkBase`
+plumbing (send validation, stats, the obs probe, the delivery funnel).
+:class:`FifoChannelNetwork` adds the message-granularity
 model the serpentine backends share: a granted transmission is a
 contention-free circuit, so each FIFO channel (which one is the timing
 object's ``resource`` key) serves its queue one message at a time and a
@@ -19,85 +20,70 @@ checked against and shares nothing with it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
 
 from repro.config import OnocConfig
 from repro.engine import Simulator
-from repro.net import Message
-from repro.obs.probes import net_probe
+from repro.net import Message, NetworkBase
+from repro.onoc.devices import RingCensus, SerpentineLayout
 from repro.onoc.timing import TIMINGS
-from repro.stats import LatencyRecorder, NetworkStats
 
 # Stats-only flit equivalence so electrical/optical throughputs are
 # comparable in the same units.
 FLIT_BYTES_EQUIV = 16
 
 
-class OpticalEntity:
-    """State and adapter API common to all optical backends."""
+class OpticalEntity(NetworkBase):
+    """The timing object and the static facts every optical backend states.
+
+    The static facts are what Tables 4-5 read off the class that
+    ``OnocConfig.topology`` names, so the power and area models branch on
+    no backend: :meth:`ring_census`, :meth:`worst_loss_db`,
+    :meth:`laser_channels`, :meth:`waveguide_cm`, :attr:`power_label`, and
+    the run-dependent :meth:`control_plane_pj`.
+    """
 
     #: ``OnocConfig.topology`` name of the backend: selects the timing class
     #: and names the obs probe.  Set by each concrete network.
     topology: str
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: OnocConfig,
-        keep_per_message_latency: bool = False,
-    ) -> None:
-        self.sim = sim
+    #: Table 4 row label: ``optical_<power_label>_<nodes>n``.
+    power_label: str
+
+    def __init__(self, sim: Simulator, cfg: OnocConfig) -> None:
+        super().__init__(sim, cfg.num_nodes, FLIT_BYTES_EQUIV, self.topology)
         self.cfg = cfg
         self.timing = TIMINGS[self.topology](cfg)
-        self.stats = NetworkStats(
-            latency=LatencyRecorder(keep_per_message=keep_per_message_latency)
-        )
-        self._delivery_handler: Optional[Callable[[Message], None]] = None
-        # None unless repro.obs instrumentation was enabled at build time.
-        self._probe = net_probe(self.topology)
-        # Power-model counter.
-        self.bits_transmitted = 0
 
-    # ------------------------------------------------------ adapter API
     @property
-    def num_nodes(self) -> int:
-        return self.cfg.num_nodes
+    def bits_transmitted(self) -> int:
+        """Payload bits delivered (the power model's dynamic-energy count)."""
+        return self.stats.bytes_delivered * 8
 
-    def send(self, msg: Message) -> None:
-        n = self.cfg.num_nodes
-        if not (0 <= msg.src < n and 0 <= msg.dst < n):
-            raise ValueError(f"message endpoints out of range: {msg}")
-        if msg.src == msg.dst:
-            raise ValueError(f"self-send not routed through the network: {msg}")
-        msg.inject_time = self.sim.now
-        self.stats.messages_sent += 1
-        if self._probe is not None:
-            self._probe.on_inject(self.sim.now, msg)
-        self._inject(msg)
-
-    def set_delivery_handler(self, fn: Callable[[Message], None]) -> None:
-        self._delivery_handler = fn
-
-    def _inject(self, msg: Message) -> None:
-        """Start moving a validated, stamped message."""
+    # ------------------------------------------------------ static facts
+    @classmethod
+    def ring_census(cls, cfg: OnocConfig) -> RingCensus:
+        """Microrings of the backend built for ``cfg`` (static power, area)."""
         raise NotImplementedError
 
-    # ---------------------------------------------------------- delivery
-    def _deliver(self, msg: Message, hops: int = 1) -> None:
-        msg.deliver_time = self.sim.now
-        st = self.stats
-        st.messages_delivered += 1
-        st.bytes_delivered += msg.size_bytes
-        st.flits_delivered += max(1, -(-msg.size_bytes // FLIT_BYTES_EQUIV))
-        st.latency.record(msg.id, msg.latency)
-        st.hop_count.add(hops)  # the serpentine is a single optical hop
-        self.bits_transmitted += msg.size_bytes * 8
-        if self._probe is not None:
-            self._probe.on_deliver(self.sim.now, msg)
-        if msg.on_delivery is not None:
-            msg.on_delivery(msg)
-        if self._delivery_handler is not None:
-            self._delivery_handler(msg)
+    @classmethod
+    def worst_loss_db(cls, cfg: OnocConfig) -> float:
+        """Insertion loss of the backend's worst-case laser-to-detector path."""
+        raise NotImplementedError
+
+    @classmethod
+    def laser_channels(cls, cfg: OnocConfig) -> int:
+        """WDM channels the laser lights continuously."""
+        raise NotImplementedError
+
+    @classmethod
+    def waveguide_cm(cls, cfg: OnocConfig) -> float:
+        """Total data-waveguide length of the floorplan (area)."""
+        raise NotImplementedError
+
+    def control_plane_pj(self, ecfg) -> float:
+        """Electrical control-plane energy of this run, priced by the
+        :class:`~repro.power.electrical.ElectricalEnergyConfig` ``ecfg``."""
+        return 0.0
 
 
 class _Channel:
@@ -130,13 +116,18 @@ class FifoChannelNetwork(OpticalEntity):
     #: deliver in injection order.
     in_order_channels = True
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: OnocConfig,
-        keep_per_message_latency: bool = False,
-    ) -> None:
-        super().__init__(sim, cfg, keep_per_message_latency)
+    @classmethod
+    def laser_channels(cls, cfg: OnocConfig) -> int:
+        """One WDM home channel per node, all lit continuously."""
+        return cfg.num_nodes
+
+    @classmethod
+    def waveguide_cm(cls, cfg: OnocConfig) -> float:
+        """The closed serpentine loop."""
+        return SerpentineLayout(cfg).total_length_cm
+
+    def __init__(self, sim: Simulator, cfg: OnocConfig) -> None:
+        super().__init__(sim, cfg)
         self.layout = self.timing.layout
         self.channels = _Channels()
 

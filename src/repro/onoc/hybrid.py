@@ -15,15 +15,13 @@ plus the routing-decision counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from repro.config import NocConfig, OnocConfig
 from repro.engine import Simulator
-from repro.net import Message
+from repro.net import Message, NetworkBase
 from repro.noc import ElectricalNetwork
 from repro.noc.topology import Topology
 from repro.onoc.network import build_optical_network
-from repro.stats import LatencyRecorder, NetworkStats
 
 
 @dataclass(frozen=True)
@@ -51,47 +49,28 @@ class HybridConfig:
             )
 
 
-class HybridNetwork:
-    """Distance-adaptive two-layer interconnect."""
+class HybridNetwork(NetworkBase):
+    """Distance-adaptive two-layer interconnect.
 
-    #: Messages on one (src, dst) pair always take the same layer (routing
-    #: is by hop distance), but the electrical layer itself reorders, so
-    #: the hybrid cannot promise in-order channels.
-    in_order_channels = False
+    Messages on one (src, dst) pair always take the same layer (routing is
+    by hop distance), but the electrical layer itself reorders, so the
+    hybrid cannot promise in-order channels.
+    """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cfg: HybridConfig,
-        keep_per_message_latency: bool = False,
-    ) -> None:
-        self.sim = sim
+    def __init__(self, sim: Simulator, cfg: HybridConfig) -> None:
+        super().__init__(sim, cfg.noc.num_nodes, cfg.noc.flit_bytes)
         self.cfg = cfg
         self.electrical = ElectricalNetwork(sim, cfg.noc)
         self.optical = build_optical_network(sim, cfg.onoc)
         self.topo = Topology(cfg.noc)
-        self.stats = NetworkStats(
-            latency=LatencyRecorder(keep_per_message=keep_per_message_latency)
-        )
-        self._delivery_handler: Optional[Callable[[Message], None]] = None
         self.sent_electrical = 0
         self.sent_optical = 0
         # Layer delivery funnels into the hybrid's own accounting.
         self.electrical.set_delivery_handler(self._on_layer_delivery)
         self.optical.set_delivery_handler(self._on_layer_delivery)
 
-    # ------------------------------------------------------ adapter API
-    @property
-    def num_nodes(self) -> int:
-        return self.cfg.noc.num_nodes
-
-    def send(self, msg: Message) -> None:
-        n = self.num_nodes
-        if not (0 <= msg.src < n and 0 <= msg.dst < n):
-            raise ValueError(f"message endpoints out of range: {msg}")
-        if msg.src == msg.dst:
-            raise ValueError(f"self-send not routed through the network: {msg}")
-        self.stats.messages_sent += 1
+    # ----------------------------------------------------------- routing
+    def _inject(self, msg: Message) -> None:
         if self.route_optical(msg.src, msg.dst):
             self.sent_optical += 1
             self.optical.send(msg)
@@ -99,10 +78,6 @@ class HybridNetwork:
             self.sent_electrical += 1
             self.electrical.send(msg)
 
-    def set_delivery_handler(self, fn: Callable[[Message], None]) -> None:
-        self._delivery_handler = fn
-
-    # ----------------------------------------------------------- routing
     def route_optical(self, src: int, dst: int) -> bool:
         """The path-adaptive decision: optical iff the electrical route is
         at least ``optical_threshold`` hops."""
@@ -110,14 +85,9 @@ class HybridNetwork:
 
     # ---------------------------------------------------------- delivery
     def _on_layer_delivery(self, msg: Message) -> None:
-        st = self.stats
-        st.messages_delivered += 1
-        st.bytes_delivered += msg.size_bytes
-        st.flits_delivered += self.cfg.noc.flits_for_bytes(msg.size_bytes)
-        st.latency.record(msg.id, msg.latency)
-        st.hop_count.add(self.topo.min_hops(msg.src, msg.dst))
-        # Per-message callbacks already fired inside the layer; only the
-        # hybrid-level global handler remains.
+        self._count_delivery(msg, self.topo.min_hops(msg.src, msg.dst))
+        # The layer stamped the message and fired its own callback; only
+        # the hybrid-level global handler remains.
         if self._delivery_handler is not None:
             self._delivery_handler(msg)
 

@@ -18,9 +18,10 @@ transmission is a contention-free circuit.
 
 from __future__ import annotations
 
-from repro.config import ONOC_SWMR
+from repro.config import ONOC_SWMR, OnocConfig
 from repro.onoc.devices import RingCensus
 from repro.onoc.entity import FifoChannelNetwork
+from repro.onoc.loss import LossBudget
 
 
 def swmr_ring_census(num_nodes: int, num_wavelengths: int) -> RingCensus:
@@ -42,3 +43,12 @@ class OpticalSwmrCrossbar(FifoChannelNetwork):
     back."""
 
     topology = ONOC_SWMR
+    power_label = "swmr"
+
+    @classmethod
+    def ring_census(cls, cfg: OnocConfig) -> RingCensus:
+        return swmr_ring_census(cfg.num_nodes, cfg.num_wavelengths)
+
+    @classmethod
+    def worst_loss_db(cls, cfg: OnocConfig) -> float:
+        return LossBudget(cfg).swmr_worst_loss_db()

@@ -37,8 +37,12 @@ timing object they already hold, in the ``token_travel = None`` idiom, so
 neither scheduler knows the resilience layer exists.
 
 Adding a backend is one timing class here (registered in :data:`TIMINGS`),
-one entity hook in :mod:`repro.onoc` and one topology constant in
-:mod:`repro.config`; degradation comes with the timing class.
+one entity in :mod:`repro.onoc` listed in ``repro.onoc.network.BACKENDS``
+and one topology constant in :mod:`repro.config`; degradation comes with
+the timing class.  The entity states the static facts the power and area
+tables read off its class (ring census, worst-loss path, laser channels,
+waveguide length, Table 4 label, control-plane energy) — see
+:class:`repro.onoc.entity.OpticalEntity`.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import NocConfig, OnocConfig
-from repro.onoc.devices import RingCensus, SerpentineLayout, mesh_link_length_cm
+from repro.onoc.devices import RingCensus
+from repro.onoc.network import backend_class
 
 
 @dataclass(frozen=True)
@@ -79,15 +80,11 @@ def electrical_area(cfg: NocConfig, area_cfg: AreaConfig | None = None,
 
 def optical_area(cfg: OnocConfig, census: RingCensus,
                  area_cfg: AreaConfig | None = None) -> AreaReport:
-    """Optical network area: rings + waveguides + couplers."""
+    """Optical network area: rings + waveguides + couplers, the waveguide
+    length stated by the backend class ``cfg.topology`` names."""
     a = area_cfg or AreaConfig()
     rings = census.total * a.ring_mm2
-    if cfg.topology in ("crossbar", "swmr_crossbar", "awgr"):
-        wg_mm = SerpentineLayout(cfg).total_length_cm * 10.0
-    else:
-        side = cfg.mesh_side
-        hops = 2 * side * (side - 1)
-        wg_mm = hops * mesh_link_length_cm(cfg) * 10.0
+    wg_mm = backend_class(cfg.topology).waveguide_cm(cfg) * 10.0
     waveguides = wg_mm * a.waveguide_mm2_per_mm
     couplers = 2 * a.coupler_mm2   # on/off chip laser coupling
     return AreaReport(

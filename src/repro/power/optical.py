@@ -8,77 +8,30 @@ circuit-switched mesh — the electrical control plane's setup flits.
 
 from __future__ import annotations
 
-from typing import Union
-
-from repro.config import OnocConfig
-from repro.onoc.awgr import OpticalAwgr, awgr_ring_census
-from repro.onoc.circuit import CircuitSwitchedMesh
-from repro.onoc.crossbar import OpticalCrossbar
-from repro.onoc.devices import crossbar_ring_census, mesh_ring_census
+from repro.onoc.entity import OpticalEntity
 from repro.onoc.loss import LossBudget
-from repro.onoc.swmr import OpticalSwmrCrossbar, swmr_ring_census
 from repro.power.electrical import ElectricalEnergyConfig
 from repro.power.report import EnergyReport
 
-OpticalNet = Union[OpticalCrossbar, CircuitSwitchedMesh,
-                   OpticalSwmrCrossbar, OpticalAwgr]
-
 
 def optical_energy_report(
-    net: OpticalNet,
+    net: OpticalEntity,
     duration_cycles: int,
     ctrl_energy_cfg: ElectricalEnergyConfig | None = None,
 ) -> EnergyReport:
-    """Energy of one optical-network run from its counters and loss budget."""
-    cfg: OnocConfig = net.cfg
-    budget = LossBudget(cfg)
+    """Energy of one optical-network run from its counters and the static
+    facts its backend class states (census, worst-loss path, laser
+    channels, control plane)."""
+    cfg = net.cfg
     dev = cfg.devices
-
-    if isinstance(net, OpticalCrossbar):
-        census = crossbar_ring_census(cfg.num_nodes, cfg.num_wavelengths)
-        worst_db = budget.crossbar_worst_loss_db()
-        # One WDM home channel per reader node, all lit continuously.
-        laser_mw = budget.laser_wallplug_mw(
-            worst_db, cfg.num_wavelengths, num_channels=cfg.num_nodes
-        )
-        name = f"optical_crossbar_{cfg.num_nodes}n"
-        ctrl_pj = 0.0
-    elif isinstance(net, OpticalSwmrCrossbar):
-        census = swmr_ring_census(cfg.num_nodes, cfg.num_wavelengths)
-        worst_db = budget.swmr_worst_loss_db()
-        laser_mw = budget.laser_wallplug_mw(
-            worst_db, cfg.num_wavelengths, num_channels=cfg.num_nodes
-        )
-        name = f"optical_swmr_{cfg.num_nodes}n"
-        ctrl_pj = 0.0
-    elif isinstance(net, OpticalAwgr):
-        census = awgr_ring_census(cfg.num_nodes, cfg.num_wavelengths)
-        worst_db = budget.awgr_worst_loss_db()
-        laser_mw = budget.laser_wallplug_mw(
-            worst_db, cfg.num_wavelengths, num_channels=cfg.num_nodes
-        )
-        name = f"optical_awgr_{cfg.num_nodes}n"
-        ctrl_pj = 0.0
-    elif isinstance(net, CircuitSwitchedMesh):
-        census = mesh_ring_census(cfg.num_nodes, cfg.num_wavelengths)
-        worst_db = budget.mesh_worst_loss_db()
-        # A single shared WDM source feeding the switched fabric.
-        laser_mw = budget.laser_wallplug_mw(
-            worst_db, cfg.num_wavelengths, num_channels=1
-        )
-        name = f"optical_circuit_mesh_{cfg.num_nodes}n"
-        ecfg = ctrl_energy_cfg or ElectricalEnergyConfig()
-        per_setup_hop_pj = (
-            ecfg.buffer_write_pj + ecfg.buffer_read_pj + ecfg.crossbar_pj
-            + ecfg.arbitration_pj + ecfg.link_pj
-        )
-        ctrl_pj = net.setup_hops_total * per_setup_hop_pj
-    else:  # pragma: no cover - factory guarantees the union
-        raise TypeError(f"unknown optical network {type(net).__name__}")
+    laser_mw = LossBudget(cfg).laser_wallplug_mw(
+        net.worst_loss_db(cfg), cfg.num_wavelengths,
+        num_channels=net.laser_channels(cfg))
+    census = net.ring_census(cfg)
 
     bits = net.bits_transmitted
     return EnergyReport(
-        name=name,
+        name=f"optical_{net.power_label}_{cfg.num_nodes}n",
         duration_cycles=duration_cycles,
         clock_ghz=cfg.clock_ghz,
         static_mw={
@@ -88,6 +41,7 @@ def optical_energy_report(
         dynamic_pj={
             "modulation": bits * dev.modulation_pj_bit,
             "detection": bits * dev.detection_pj_bit,
-            "control_plane": ctrl_pj,
+            "control_plane": net.control_plane_pj(
+                ctrl_energy_cfg or ElectricalEnergyConfig()),
         },
     )

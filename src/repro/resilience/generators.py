@@ -24,13 +24,8 @@ intensity sweeps degradation monotonically.
 
 from __future__ import annotations
 
-from repro.engine.rng import mix64
+from repro.engine.rng import mix64, unit
 from repro.resilience.timeseries import FaultEvent, FaultTimeseries
-
-
-def _unit(*parts) -> float:
-    """Uniform [0, 1) draw from the hash of ``parts``."""
-    return mix64(*parts) / float(1 << 64)
 
 
 def _check_args(seed: int, num_nodes: int, horizon: int,
@@ -59,11 +54,11 @@ def thermal_drift(seed: int, num_nodes: int, horizon: int,
         raise ValueError(f"steps must be >= 1, got {steps}")
     events: list[FaultEvent] = []
     for node in range(num_nodes):
-        if _unit(seed, "thermal.pick", node) >= affected_fraction:
+        if unit(seed, "thermal.pick", node) >= affected_fraction:
             continue
-        peak = intensity * (0.5 + 0.5 * _unit(seed, "thermal.peak", node))
-        start = int(_unit(seed, "thermal.start", node) * horizon * 0.5)
-        span = max(steps, int(horizon * (0.25 + 0.5 * _unit(
+        peak = intensity * (0.5 + 0.5 * unit(seed, "thermal.peak", node))
+        start = int(unit(seed, "thermal.start", node) * horizon * 0.5)
+        span = max(steps, int(horizon * (0.25 + 0.5 * unit(
             seed, "thermal.span", node))))
         for k in range(1, steps + 1):
             t = min(horizon, start + (span * k) // steps)
@@ -78,7 +73,7 @@ def laser_droop(seed: int, num_nodes: int, horizon: int,
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     events: list[FaultEvent] = []
-    start = int(_unit(seed, "droop.start") * horizon * 0.25)
+    start = int(unit(seed, "droop.start") * horizon * 0.25)
     for k in range(1, steps + 1):
         frac = k / steps
         # Concave in time (droop decelerates), linear in intensity.
@@ -107,9 +102,9 @@ def corruption_bursts(seed: int, num_nodes: int, horizon: int,
         dst = mix64(seed, "burst.dst", b) % (num_nodes - 1)
         if dst >= src:
             dst += 1
-        start = int(_unit(seed, "burst.start", b) * horizon * 0.8)
-        dur = max(1, int(horizon * (0.05 + 0.15 * _unit(seed, "burst.dur", b))))
-        sev = intensity * (0.6 + 0.4 * _unit(seed, "burst.sev", b))
+        start = int(unit(seed, "burst.start", b) * horizon * 0.8)
+        dur = max(1, int(horizon * (0.05 + 0.15 * unit(seed, "burst.dur", b))))
+        sev = intensity * (0.6 + 0.4 * unit(seed, "burst.sev", b))
         target = f"link:{src}-{dst}"
         events.append(FaultEvent(start, target, sev))
         events.append(FaultEvent(min(horizon, start + dur), target, 0.0))
@@ -163,7 +158,14 @@ def timeseries_for_trace(family: str, trace, seed: int, num_nodes: int,
                          intensity: float = 0.5) -> FaultTimeseries:
     """:func:`generate_timeseries` with the horizon tied to ``trace``'s
     injection span, so a (families, seed, nodes, intensity) spec always
-    gives the same trace the same fabric weather."""
-    horizon = max((r.t_inject for r in trace.records), default=1)
+    gives the same trace the same fabric weather.  The span is read off the
+    columns the replay builds anyway, so a container-loaded trace builds no
+    records here."""
+    # Imported here: the CLI's flag parser loads this module for its
+    # family names and must not load the replay core.
+    from repro.core.plan import Columns
+
+    t_inject = Columns.of(trace).t_inject
+    horizon = int(t_inject.max()) if len(t_inject) else 1
     return generate_timeseries(family, seed=seed, num_nodes=num_nodes,
                                horizon=max(1, horizon), intensity=intensity)

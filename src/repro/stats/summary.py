@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.stats.histogram import Histogram
 from repro.stats.online import OnlineStats
@@ -12,15 +11,11 @@ from repro.stats.online import OnlineStats
 class LatencyRecorder:
     """Records end-to-end message latency samples plus a histogram."""
 
-    __slots__ = ("stats", "hist", "by_message")
+    __slots__ = ("stats", "hist")
 
-    def __init__(self, bin_width: int = 2, num_bins: int = 512,
-                 keep_per_message: bool = False) -> None:
+    def __init__(self, bin_width: int = 2, num_bins: int = 512) -> None:
         self.stats = OnlineStats()
         self.hist = Histogram(bin_width=bin_width, num_bins=num_bins)
-        # message-id -> latency; only kept when the accuracy experiments need
-        # per-message matching (costs memory on long runs).
-        self.by_message: Optional[dict[int, int]] = {} if keep_per_message else None
 
     def record(self, msg_id: int, latency: int) -> None:
         """Record one delivered message's end-to-end latency (cycles)."""
@@ -28,8 +23,6 @@ class LatencyRecorder:
             raise ValueError(f"negative latency {latency} for message {msg_id}")
         self.stats.add(latency)
         self.hist.add(latency)
-        if self.by_message is not None:
-            self.by_message[msg_id] = latency
 
     @property
     def mean(self) -> float:

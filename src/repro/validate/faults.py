@@ -60,18 +60,13 @@ from repro.core.trace import (
     TraceRecord,
     blocked_msg_ids,
 )
-from repro.engine.rng import mix64
-
-
-def _unit(*parts) -> float:
-    """Uniform float in [0, 1) derived from :func:`mix64`."""
-    return mix64(*parts) / 2.0**64
+from repro.engine.rng import mix64, unit
 
 
 def _gauss(*parts) -> float:
     """Standard-normal draw derived from :func:`mix64` (Box–Muller)."""
-    u1 = max(_unit(*parts, 1), 1e-12)
-    u2 = _unit(*parts, 2)
+    u1 = max(unit(*parts, 1), 1e-12)
+    u2 = unit(*parts, 2)
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
@@ -176,7 +171,7 @@ class DropDepEdges(FaultModel):
         dropped: list[int] = []
         records: list[TraceRecord] = []
         for r in trace.records:
-            if r.cause_id != -1 and _unit(seed, r.msg_id) < self.fraction:
+            if r.cause_id != -1 and unit(seed, r.msg_id) < self.fraction:
                 dropped.append(r.msg_id)
                 records.append(_clone(r, cause_id=-1, gap=r.t_inject,
                                       bound_id=-1, bound_gap=0))
@@ -366,12 +361,12 @@ class NodeRecordLoss(FaultModel):
     def apply(self, trace: Trace, seed: int) -> tuple[Trace, FaultReport]:
         nodes = sorted({r.src for r in trace.records})
         lost_nodes = tuple(n for n in nodes
-                           if _unit(seed, "node", n) < self.node_fraction)
+                           if unit(seed, "node", n) < self.node_fraction)
         lost_set = set(lost_nodes)
         kept: list[TraceRecord] = []
         removed: list[int] = []
         for r in trace.records:
-            if r.src in lost_set and _unit(seed, r.msg_id) < self.fraction:
+            if r.src in lost_set and unit(seed, r.msg_id) < self.fraction:
                 removed.append(r.msg_id)
             else:
                 kept.append(r)
@@ -412,7 +407,7 @@ class RewireDeps(FaultModel):
         records: list[TraceRecord] = []
         rewired: set[int] = set()
         for r in trace.records:
-            if r.cause_id == -1 or _unit(seed, r.msg_id) >= self.fraction:
+            if r.cause_id == -1 or unit(seed, r.msg_id) >= self.fraction:
                 records.append(r)
                 continue
             hi = bisect_right(deliver_times, r.t_inject)

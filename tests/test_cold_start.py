@@ -39,6 +39,14 @@ NOT_IN_SETUP = (
 )
 
 
+#: What building the CLI's argument parser has no use for: each command
+#: imports its runtime when it runs.
+NOT_IN_PARSER = (
+    "repro.core", "repro.noc", "repro.onoc", "repro.system", "repro.exp",
+    "repro.serve", "repro.validate", "repro.synth",
+)
+
+
 def loaded_after(code: str) -> set[str]:
     """``sys.modules`` of a fresh interpreter that ran ``code``."""
     out = subprocess.run(
@@ -59,6 +67,12 @@ def test_setup_import_set_stays_cold():
     loaded = loaded_after(SETUP_IMPORTS)
     assert "repro.harness.builders" in loaded
     assert sorted(set(NOT_IN_SETUP) & loaded) == []
+
+
+def test_cli_parser_stays_cold():
+    loaded = loaded_after("from repro.cli import make_parser; make_parser()")
+    assert "repro.cli" in loaded
+    assert sorted(set(NOT_IN_PARSER) & loaded) == []
 
 
 @pytest.mark.parametrize("pkg", sorted(PUBLIC["packages"]))

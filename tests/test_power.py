@@ -132,6 +132,48 @@ def test_optical_modulation_scales_with_bits():
     assert r_hi.dynamic_pj["modulation"] > r_lo.dynamic_pj["modulation"]
 
 
+def test_optical_report_reads_the_backend_class_facts():
+    """A backend the power model has never heard of is priced from the
+    facts its class states; nothing in repro.power names a backend."""
+    from repro.onoc.devices import RingCensus
+    from repro.onoc.entity import FifoChannelNetwork
+
+    class ToyBackend(FifoChannelNetwork):
+        topology = "crossbar"           # borrows the crossbar's timing
+        power_label = "toy"
+
+        @classmethod
+        def ring_census(cls, cfg):
+            return RingCensus(modulator_rings=10, detector_rings=0,
+                              switch_rings=0)
+
+        @classmethod
+        def worst_loss_db(cls, cfg):
+            return 0.0
+
+        @classmethod
+        def laser_channels(cls, cfg):
+            return 1
+
+        def control_plane_pj(self, ecfg):
+            return 7.0
+
+    cfg = OnocConfig(num_nodes=16)
+    sim = Simulator(seed=1)
+    net = ToyBackend(sim, cfg)
+    sim.schedule(0, net.send, (Message(0, 5, 64),))
+    sim.run()
+    r = optical_energy_report(net, sim.now)
+    dev = cfg.devices
+    assert r.name == "optical_toy_16n"
+    assert r.static_mw["ring_tuning"] == 10 * dev.ring_tuning_uw * 1e-3
+    assert r.static_mw["laser"] == pytest.approx(
+        10 ** ((dev.detector_sensitivity_dbm + dev.power_margin_db) / 10)
+        * cfg.num_wavelengths / dev.laser_efficiency)
+    assert r.dynamic_pj["modulation"] == 64 * 8 * dev.modulation_pj_bit
+    assert r.dynamic_pj["control_plane"] == 7.0
+
+
 def test_as_row_shape():
     net, t = run_elec(20)
     row = electrical_energy_report(net, t).as_row()

@@ -32,6 +32,7 @@ from repro.config import (
     TRACE_SELF_CORRECTING,
     TraceConfig,
 )
+from repro.core import tracebin
 from repro.core.replay import replay_trace
 from repro.core.trace import Trace
 from repro.engine import Simulator
@@ -45,6 +46,7 @@ from repro.resilience import (
     GENERATOR_FAMILIES,
     TimeseriesError,
     generate_timeseries,
+    timeseries_for_trace,
 )
 from repro.resilience.policies import LEVEL_CAP_PM
 from repro.validate.engines import (
@@ -281,6 +283,22 @@ class TestGenerators:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown degradation family"):
             generate_timeseries("gamma_rays", seed=1, num_nodes=4, horizon=10)
+
+    def test_trace_horizon_builds_no_records(self, tmp_path):
+        """The horizon comes from the columns: a container-loaded trace
+        keeps its record view unbuilt, and its weather equals that of the
+        record-built twin."""
+        scenario = GOLDEN_SCENARIOS[0]
+        assert scenario.workload == "fft"
+        twin, _ = _golden(scenario)
+        path = tmp_path / "fft.rtrc"
+        tracebin.write_file(twin, path)
+        loaded = tracebin.load_trace(path)
+        kw = dict(seed=scenario.seed, num_nodes=scenario.cores, intensity=0.7)
+        series = timeseries_for_trace(ALL_FAMILIES, loaded, **kw)
+        assert "records" not in vars(loaded)
+        assert series == timeseries_for_trace(ALL_FAMILIES, twin, **kw)
+        assert series == _series_for(twin, scenario, intensity=0.7)
 
 
 # ---------------------------------------------------------------------------

@@ -181,20 +181,13 @@ def test_error_report_no_matches():
 
 # ---------------------------------------------------------------- summary
 def test_latency_recorder():
-    r = LatencyRecorder(keep_per_message=True)
+    r = LatencyRecorder()
     r.record(1, 10)
     r.record(2, 20)
     assert r.mean == 15.0
     assert r.count == 2
-    assert r.by_message == {1: 10, 2: 20}
     with pytest.raises(ValueError):
         r.record(3, -1)
-
-
-def test_latency_recorder_without_per_message():
-    r = LatencyRecorder()
-    r.record(1, 10)
-    assert r.by_message is None
 
 
 def test_network_stats_throughput_and_inflight():
