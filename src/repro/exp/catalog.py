@@ -7,9 +7,10 @@ Each :class:`BaseExperiment` bundles
   content-addressed sweep tasks, each *identical* to a direct call of its
   point function with every parameter passed (one call shape per point,
   whatever the values),
-* ``points`` — the module-level point function(s) those tasks call, under
-  their wire alias; :func:`serve_operations` turns the registry's points
-  into the serve whitelist, so a node accepts the tasks unchanged, and
+* ``points`` — the point function(s) those tasks call, under their wire
+  alias, as dotted ``"module:qualname"`` refs (the form a task carries);
+  :func:`serve_operations` turns the registry's points into the serve
+  whitelist, so a node accepts the tasks unchanged, and
 * ``postprocess(params, results) -> (rows, metrics)`` — the table rows the
   bench scripts used to format by hand, plus a flat ``{metric: number}``
   snapshot that makes two runs machine-diffable (``repro exp diff``).
@@ -18,6 +19,12 @@ The compiled tasks execute through any executor with a ``run(tasks)``
 method: :class:`repro.harness.SweepRunner` locally, or
 :class:`repro.exp.serve_exec.ServeExecutor` against a resident
 ``repro.serve`` node.
+
+Reading the catalogue imports no simulator: compile and postprocess
+import the builders when they run, and a point's module is imported by
+whichever process executes its task
+(:func:`repro.harness.parallel.resolve_callable`).  A serve node reads
+its whitelist here without loading the code behind it.
 
 Metric volatility: metrics matching an experiment's ``volatile`` globs
 (wall-clock timings, mostly) are recorded in archives but exempted from
@@ -40,22 +47,6 @@ from repro.config import (
 )
 from repro.exp.config import GateSpec
 from repro.exp.schema import ParamSchema, SchemaError, specs
-from repro.harness.builders import experiment_from_params
-from repro.harness.experiments import (
-    ablation_dep_fraction,
-    ablation_network_mismatch,
-    accuracy_experiment,
-    area_rows,
-    case_study,
-    convergence_experiment,
-    latency_fidelity_rows,
-    load_latency_point,
-    power_experiment,
-    resilience_point,
-    scalability_point,
-    seed_accuracy_point,
-    simtime_experiment,
-)
 from repro.harness.parallel import SweepTask, callable_ref
 
 #: The full application-kernel catalogue (the paper's case study used one
@@ -84,8 +75,9 @@ class BaseExperiment:
     schema: ParamSchema
     compile: Callable[[dict], list[SweepTask]]
     postprocess: Callable[[dict, list], tuple[Rows, Metrics]]
-    #: Wire alias -> point function ``compile`` emits tasks for (a dotted
-    #: ``module:qualname`` string for the lazily imported modules).
+    #: Wire alias -> the ``module:qualname`` ref of the point function
+    #: ``compile`` emits tasks for (a callable also works, but imports its
+    #: module with the catalogue).
     points: dict[str, Union[str, Callable]]
     #: Metric-name globs that are measured wall-clock (never gateable).
     volatile: tuple[str, ...] = field(default_factory=tuple)
@@ -142,6 +134,8 @@ _COMMON = (
 
 
 def _exp_config(params: dict):
+    from repro.harness.builders import experiment_from_params
+
     return experiment_from_params(
         cores=params["cores"],
         seed=params["seed"],
@@ -179,13 +173,14 @@ def _gmean(xs: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 # accuracy (Fig. 4)
 # ---------------------------------------------------------------------------
+_ACCURACY = "repro.harness.experiments:accuracy_experiment"
 
 
 def _accuracy_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
     return [
         SweepTask.make(
-            accuracy_experiment,
+            _ACCURACY,
             exp,
             wl,
             scale=params["scale"],
@@ -238,7 +233,7 @@ register(
         ),
         compile=_accuracy_compile,
         postprocess=_accuracy_post,
-        points={"accuracy": accuracy_experiment},
+        points={"accuracy": _ACCURACY},
     )
 )
 
@@ -246,6 +241,7 @@ register(
 # ---------------------------------------------------------------------------
 # load_latency (Fig. 3)
 # ---------------------------------------------------------------------------
+_LOAD_LATENCY = "repro.harness.experiments:load_latency_point"
 
 
 def _load_latency_compile(params: dict) -> list[SweepTask]:
@@ -257,7 +253,7 @@ def _load_latency_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
     return [
         SweepTask.make(
-            load_latency_point,
+            _LOAD_LATENCY,
             network,
             exp,
             pattern,
@@ -316,7 +312,7 @@ register(
         ),
         compile=_load_latency_compile,
         postprocess=_load_latency_post,
-        points={"load_latency_point": load_latency_point},
+        points={"load_latency_point": _LOAD_LATENCY},
     )
 )
 
@@ -324,12 +320,13 @@ register(
 # ---------------------------------------------------------------------------
 # case_study (Table 3)
 # ---------------------------------------------------------------------------
+_CASE_STUDY = "repro.harness.experiments:case_study"
 
 
 def _case_study_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
     return [
-        SweepTask.make(case_study, exp, wl, scale=params["scale"])
+        SweepTask.make(_CASE_STUDY, exp, wl, scale=params["scale"])
         for wl in params["workloads"]
     ]
 
@@ -363,7 +360,7 @@ register(
         ),
         compile=_case_study_compile,
         postprocess=_case_study_post,
-        points={"casestudy": case_study},
+        points={"casestudy": _CASE_STUDY},
     )
 )
 
@@ -371,13 +368,14 @@ register(
 # ---------------------------------------------------------------------------
 # simtime (Table 2)
 # ---------------------------------------------------------------------------
+_SIMTIME = "repro.harness.experiments:simtime_experiment"
 
 
 def _simtime_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
     return [
         SweepTask.make(
-            simtime_experiment,
+            _SIMTIME,
             exp,
             wl,
             engine=params["engine"],
@@ -416,7 +414,7 @@ register(
         ),
         compile=_simtime_compile,
         postprocess=_simtime_post,
-        points={"simtime": simtime_experiment},
+        points={"simtime": _SIMTIME},
         volatile=("*",),
     )
 )
@@ -425,12 +423,13 @@ register(
 # ---------------------------------------------------------------------------
 # power (Table 4)
 # ---------------------------------------------------------------------------
+_POWER = "repro.harness.experiments:power_experiment"
 
 
 def _power_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
     return [
-        SweepTask.make(power_experiment, exp, wl)
+        SweepTask.make(_POWER, exp, wl)
         for wl in params["workloads"]
     ]
 
@@ -461,7 +460,7 @@ register(
         ),
         compile=_power_compile,
         postprocess=_power_post,
-        points={"power": power_experiment},
+        points={"power": _POWER},
     )
 )
 
@@ -469,10 +468,11 @@ register(
 # ---------------------------------------------------------------------------
 # area (Table 5)
 # ---------------------------------------------------------------------------
+_AREA = "repro.harness.experiments:area_rows"
 
 
 def _area_compile(params: dict) -> list[SweepTask]:
-    return [SweepTask.make(area_rows, _exp_config(params))]
+    return [SweepTask.make(_AREA, _exp_config(params))]
 
 
 def _area_post(params: dict, results: list) -> tuple[Rows, Metrics]:
@@ -488,7 +488,7 @@ register(
         schema=specs(*_COMMON),
         compile=_area_compile,
         postprocess=_area_post,
-        points={"area_rows": area_rows},
+        points={"area_rows": _AREA},
     )
 )
 
@@ -496,13 +496,14 @@ register(
 # ---------------------------------------------------------------------------
 # ablation_deps (Fig. 7)
 # ---------------------------------------------------------------------------
+_ABLATION_DEPS = "repro.harness.experiments:ablation_dep_fraction"
 
 
 def _ablation_deps_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
     return [
         SweepTask.make(
-            ablation_dep_fraction,
+            _ABLATION_DEPS,
             exp,
             params["workload"],
             params["fractions"],
@@ -545,7 +546,7 @@ register(
         ),
         compile=_ablation_deps_compile,
         postprocess=_ablation_deps_post,
-        points={"ablation_deps": ablation_dep_fraction},
+        points={"ablation_deps": _ABLATION_DEPS},
     )
 )
 
@@ -553,13 +554,14 @@ register(
 # ---------------------------------------------------------------------------
 # ablation_mismatch (Fig. 8)
 # ---------------------------------------------------------------------------
+_ABLATION_MISMATCH = "repro.harness.experiments:ablation_network_mismatch"
 
 
 def _ablation_mismatch_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
     return [
         SweepTask.make(
-            ablation_network_mismatch,
+            _ABLATION_MISMATCH,
             exp,
             params["workload"],
             params["wavelength_counts"],
@@ -593,7 +595,7 @@ register(
         ),
         compile=_ablation_mismatch_compile,
         postprocess=_ablation_mismatch_post,
-        points={"ablation_mismatch": ablation_network_mismatch},
+        points={"ablation_mismatch": _ABLATION_MISMATCH},
     )
 )
 
@@ -601,12 +603,13 @@ register(
 # ---------------------------------------------------------------------------
 # scalability (Fig. 9)
 # ---------------------------------------------------------------------------
+_SCALABILITY = "repro.harness.experiments:scalability_point"
 
 
 def _scalability_compile(params: dict) -> list[SweepTask]:
     return [
         SweepTask.make(
-            scalability_point,
+            _SCALABILITY,
             cores,
             params["seed"],
             params["workload"],
@@ -636,7 +639,7 @@ register(
         ),
         compile=_scalability_compile,
         postprocess=_scalability_post,
-        points={"scalability_point": scalability_point},
+        points={"scalability_point": _SCALABILITY},
     )
 )
 
@@ -644,12 +647,13 @@ register(
 # ---------------------------------------------------------------------------
 # seed_sensitivity (Fig. 13)
 # ---------------------------------------------------------------------------
+_SEED_ACCURACY = "repro.harness.experiments:seed_accuracy_point"
 
 
 def _seed_sensitivity_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
     return [
-        SweepTask.make(seed_accuracy_point, exp, wl, seed)
+        SweepTask.make(_SEED_ACCURACY, exp, wl, seed)
         for wl in params["workloads"]
         for seed in params["seeds"]
     ]
@@ -693,7 +697,7 @@ register(
         ),
         compile=_seed_sensitivity_compile,
         postprocess=_seed_sensitivity_post,
-        points={"seed_accuracy_point": seed_accuracy_point},
+        points={"seed_accuracy_point": _SEED_ACCURACY},
     )
 )
 
@@ -701,13 +705,14 @@ register(
 # ---------------------------------------------------------------------------
 # convergence (Fig. 6)
 # ---------------------------------------------------------------------------
+_CONVERGENCE = "repro.harness.experiments:convergence_experiment"
 
 
 def _convergence_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
     return [
         SweepTask.make(
-            convergence_experiment,
+            _CONVERGENCE,
             exp,
             wl,
             max_iterations=params["max_iterations"],
@@ -747,7 +752,7 @@ register(
         ),
         compile=_convergence_compile,
         postprocess=_convergence_post,
-        points={"convergence": convergence_experiment},
+        points={"convergence": _CONVERGENCE},
         volatile=("*.wall_clock_s",),
     )
 )
@@ -756,13 +761,14 @@ register(
 # ---------------------------------------------------------------------------
 # resilience (degradation mitigation)
 # ---------------------------------------------------------------------------
+_RESILIENCE = "repro.harness.experiments:resilience_point"
 
 
 def _resilience_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
     return [
         SweepTask.make(
-            resilience_point,
+            _RESILIENCE,
             exp,
             wl,
             params["degrade"],
@@ -815,7 +821,7 @@ register(
         ),
         compile=_resilience_compile,
         postprocess=_resilience_post,
-        points={"resilience_point": resilience_point},
+        points={"resilience_point": _RESILIENCE},
     )
 )
 
@@ -853,11 +859,12 @@ def _fault_matrix_cells(params: dict):
     return matrix, list(unique.values())
 
 
-def _fault_matrix_compile(params: dict) -> list[SweepTask]:
-    from repro.validate.scenario import run_scenario
+_SCENARIO = "repro.validate.scenario:run_scenario"
 
+
+def _fault_matrix_compile(params: dict) -> list[SweepTask]:
     _, ordered = _fault_matrix_cells(params)
-    return [SweepTask.make(run_scenario, s) for s in ordered]
+    return [SweepTask.make(_SCENARIO, s) for s in ordered]
 
 
 def _fault_matrix_post(params: dict, results: list) -> tuple[Rows, Metrics]:
@@ -908,7 +915,7 @@ register(
         ),
         compile=_fault_matrix_compile,
         postprocess=_fault_matrix_post,
-        points={"scenario": "repro.validate.scenario:run_scenario"},
+        points={"scenario": _SCENARIO},
     )
 )
 
@@ -916,12 +923,13 @@ register(
 # ---------------------------------------------------------------------------
 # latency_error (Fig. 5)
 # ---------------------------------------------------------------------------
+_LATENCY_FIDELITY = "repro.harness.experiments:latency_fidelity_rows"
 
 
 def _latency_error_compile(params: dict) -> list[SweepTask]:
     exp = _exp_config(params)
     return [
-        SweepTask.make(latency_fidelity_rows, exp, wl)
+        SweepTask.make(_LATENCY_FIDELITY, exp, wl)
         for wl in params["workloads"]
     ]
 
@@ -942,7 +950,7 @@ register(
         ),
         compile=_latency_error_compile,
         postprocess=_latency_error_post,
-        points={"latency_fidelity": latency_fidelity_rows},
+        points={"latency_fidelity": _LATENCY_FIDELITY},
     )
 )
 
@@ -950,11 +958,10 @@ register(
 # ---------------------------------------------------------------------------
 # scalability_synth (production-scale synthetic workloads)
 # ---------------------------------------------------------------------------
+_SYNTH_SCALABILITY = "repro.synth.experiment:synth_scalability_point"
 
 
 def _scalability_synth_compile(params: dict) -> list[SweepTask]:
-    from repro.synth.experiment import synth_scalability_point
-
     tasks = []
     for topology in params["topologies"]:
         for nodes in params["node_counts"]:
@@ -962,7 +969,7 @@ def _scalability_synth_compile(params: dict) -> list[SweepTask]:
                 continue  # the mesh needs a square node count
             tasks.append(
                 SweepTask.make(
-                    synth_scalability_point,
+                    _SYNTH_SCALABILITY,
                     nodes,
                     params["messages"],
                     topology,
@@ -996,8 +1003,7 @@ register(
         ),
         compile=_scalability_synth_compile,
         postprocess=_scalability_synth_post,
-        points={"synth_scalability_point":
-                "repro.synth.experiment:synth_scalability_point"},
+        points={"synth_scalability_point": _SYNTH_SCALABILITY},
         volatile=("*.replay_wall_s", "*.msgs_per_s"),
     )
 )

@@ -13,6 +13,7 @@ from typing import Sequence
 
 from repro.config import ExperimentConfig
 from repro.harness.experiments import area_rows
+from repro.harness.parallel import resolve_callable
 
 
 def _md_table(rows: Sequence[dict]) -> str:
@@ -52,7 +53,8 @@ def generate_report(
 
     def section(name: str, wls: Sequence[str]) -> str:
         base = get_experiment(name)
-        (point,) = base.points.values()
+        (ref,) = base.points.values()
+        point = resolve_callable(ref)
         results = [point(exp, wl, scale=scale) for wl in wls]
         rows, _ = base.postprocess({"workloads": list(wls)}, results)
         return _md_table(rows) + "\n"

@@ -10,6 +10,11 @@ sweeps).  Servers can extend the registry at construction time
 repository's experiment surface, derived from the one experiment registry
 (:func:`repro.exp.catalog.serve_operations`).
 
+Importing this module loads no simulator code: the registry holds dotted
+refs, and the config builders are imported by the wrappers that call them.
+A node and a fresh worker that runs ``echo`` therefore load only the
+service plumbing; a worker imports a point's module with its first task.
+
 JSON-friendly wrappers: CLI clients (``repro submit``) send plain-JSON
 parameter objects, so for config-heavy entry points this module provides
 ``*_json`` wrappers that build the dataclasses server-side.  Python clients
@@ -24,7 +29,6 @@ from dataclasses import asdict
 from typing import Any
 
 from repro.exp.catalog import serve_operations
-from repro.harness.builders import experiment_from_params as _experiment_from_params
 
 #: Default alias -> dotted-reference registry: the service plumbing and the
 #: JSON front ends below, plus every point function the experiment
@@ -60,6 +64,8 @@ def resolve_config(**params: Any) -> dict:
     raises ``ConfigError`` in the worker, and the service relays the original
     traceback.
     """
+    from repro.harness.builders import experiment_from_params as _experiment_from_params
+
     exp = _experiment_from_params(**params)
     return asdict(exp)
 
@@ -78,6 +84,7 @@ def run_scenario_json(params: dict, deep: bool = False) -> Any:
 
 def accuracy_json(workload: str, scale: float = 1.0, **params: Any) -> Any:
     """JSON-parameter front end for the accuracy experiment."""
+    from repro.harness.builders import experiment_from_params as _experiment_from_params
     from repro.harness.experiments import accuracy_experiment
 
     exp = _experiment_from_params(**params)

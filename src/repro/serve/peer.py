@@ -51,6 +51,7 @@ class Membership:
         self.members: dict[str, str] = {node: addr}
         self.ring = HashRing([node])
         self.version = 0        # bumps on every change (convergence probe)
+        self.removed = 0        # removals: each moves keys to the survivors
 
     # ------------------------------------------------------------ updates
     def add(self, node: str, addr: str) -> bool:
@@ -69,6 +70,7 @@ class Membership:
         del self.members[node]
         self.ring.remove(node)
         self.version += 1
+        self.removed += 1
         return True
 
     def merge(self, members: list) -> bool:
@@ -145,8 +147,8 @@ class PeerLink:
     async def announce(self, action: str, node: str, addr: str,
                        members: list,
                        timeout_s: float = PEER_CALL_TIMEOUT_S
-                       ) -> Optional[list]:
-        """Send a membership frame; returns the peer's view or None."""
+                       ) -> Optional[dict]:
+        """Send a membership frame; returns the peer's answer or None."""
         try:
             client = await self._ensure()
             event = await asyncio.wait_for(
@@ -156,9 +158,7 @@ class PeerLink:
         except (OSError, asyncio.TimeoutError, ServerClosed):
             await self.aclose()
             return None
-        if event.get("event") != P.EV_MEMBERSHIP:
-            return None
-        return event.get("members")
+        return event if event.get("event") == P.EV_MEMBERSHIP else None
 
     async def forward_submit(
         self,

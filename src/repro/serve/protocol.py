@@ -42,7 +42,8 @@ Fabric ops (node <-> node; protocol v2, see :mod:`repro.serve.peer`):
     Gossip membership.  ``join`` adds the announcing node, ``leave``
     removes it (graceful drain announces this), ``sync`` merges the
     carried member view.  Answered with one ``membership`` event carrying
-    the receiver's full post-merge view.
+    the receiver's full post-merge view, and ``holds``: whether either of
+    its cache tiers holds a result (a joiner peer-fetches only then).
 
 Server -> client events for a ``submit`` (all tagged with ``req``):
 

@@ -41,7 +41,8 @@ verbatim, tagged ``via``), so identical requests entering *any* node
 coalesce on one execution — cross-node single-flight.  Reads go through
 a **two-tier cache**: a hot in-memory LRU (:mod:`repro.serve.lru`) in
 front of the on-disk :class:`ResultCache`, and on a double miss the owner
-asks its peers for the key (**peer-fetch**) before paying for recompute.
+asks its peers for the key (**peer-fetch**) before paying for recompute —
+only while a peer may hold it (:meth:`SimulationServer._peers_may_hold`).
 Membership is gossiped (:mod:`repro.serve.peer`): joins announce
 themselves and propagate, graceful drains announce ``leave`` before
 finishing, and an unreachable forward target is removed locally — the
@@ -130,6 +131,8 @@ class SimulationServer:
         self.membership: Optional[Membership] = None
         self.lru = LRUCache(max_entries=lru_entries)
         self._links: dict[str, PeerLink] = {}
+        # Set when this node joined members that already held results.
+        self._joined_holders = False
 
         self.table = JobTable()
         self.pool: Optional[WorkerPool] = None
@@ -271,11 +274,11 @@ class SimulationServer:
             if addr in announced:
                 continue
             announced.add(addr)
-            view = await self._link(addr).announce(
+            reply = await self._link(addr).announce(
                 P.MEMBER_JOIN, self.node_id, self.membership.self_addr,
                 self.membership.view())
-            if view is not None:
-                self.membership.merge(view)
+            if reply is not None:
+                self._joined(reply)
                 pending.extend(a for _, a in self.membership.view()
                                if a not in announced)
             elif addr in self.seed_peers:
@@ -304,16 +307,22 @@ class SimulationServer:
             assert self.membership is not None
             still: list[str] = []
             for addr in addrs:
-                view = await self._link(addr).announce(
+                reply = await self._link(addr).announce(
                     P.MEMBER_JOIN, self.node_id, self.membership.self_addr,
                     self.membership.view())
-                if view is None:
+                if reply is None:
                     still.append(addr)
                 else:
-                    self.membership.merge(view)
+                    self._joined(reply)
             if not still:
                 return
             addrs = still
+
+    def _joined(self, reply: dict) -> None:
+        """Merge a join answer; a member that already holds results may
+        hold keys this node owns from now on."""
+        self.membership.merge(reply.get("members"))
+        self._joined_holders |= bool(reply.get("holds"))
 
     async def _announce_leave(self) -> None:
         if self.membership is None:
@@ -342,7 +351,7 @@ class SimulationServer:
                     P.MEMBER_SYNC, self.node_id, self.membership.self_addr,
                     view)
                 if reply is not None:
-                    self.membership.merge(reply)
+                    self.membership.merge(reply.get("members"))
 
     # ------------------------------------------------------------- status
     def status(self) -> dict:
@@ -616,7 +625,27 @@ class SimulationServer:
             req, P.EV_MEMBERSHIP, node=self.node_id,
             members=self.membership.view() if self.membership else [],
             version=self.membership.version if self.membership else 0,
-            changed=changed))
+            changed=changed, holds=self._holds_results()))
+
+    def _holds_results(self) -> bool:
+        """Whether either cache tier holds any result (told to joiners)."""
+        return len(self.lru) > 0 or (
+            self.cache is not None
+            and any(self.cache.cache_dir.glob("*.json")))
+
+    def _peers_may_hold(self) -> bool:
+        """Whether a peer may hold a result for a key this node owns.
+
+        A node gains keys only by joining members that already served, or
+        when a member is removed; another node's join moves keys away from
+        it.  On a ring that formed empty and never lost a member, a copy a
+        peer holds was relayed from its owner, whose disk tier keeps it.
+        Without a disk tier an LRU eviction can leave that relayed copy as
+        the only one, so a node without one always asks.
+        """
+        m = self.membership
+        return bool(m is not None and m.others()) and (
+            self.cache is None or self._joined_holders or m.removed > 0)
 
     # ---------------------------------------------------------------- jobs
     async def _run_job(self, job: Job, timeout_s: Optional[float]) -> None:
@@ -629,10 +658,10 @@ class SimulationServer:
             self.table.stats.cache_hits += 1
             self._complete(job, entry)
             return
-        # Peer-fetch before recompute: after a membership change this node
-        # may own keys a peer already computed — ask the fabric before
-        # paying for a worker.  Any failure just reads as a miss.
-        if self.membership is not None and self.membership.others():
+        # Peer-fetch before recompute, while a peer may hold a key this
+        # node owns — ask the fabric before paying for a worker.  Any
+        # failure just reads as a miss.
+        if self._peers_may_hold():
             fetched = await self._peer_fetch(job.key)
             if fetched is not None:
                 job.cached = True

@@ -47,6 +47,21 @@ NOT_IN_PARSER = (
 )
 
 
+#: What a serve node, and a fresh worker that ran ``echo``, have no use
+#: for: the registry holds dotted refs, so the simulator is imported by
+#: the first task that runs it.
+NOT_IN_SERVE_NODE = (
+    "numpy", "repro.harness.builders", "repro.harness.experiments",
+    "repro.system", "repro.noc", "repro.onoc", "repro.core",
+    "repro.validate",
+)
+
+#: A fresh serve worker: the pool module, then its first task's callable.
+WORKER_ECHO = ("import repro.serve.pool; "
+               "from repro.harness.parallel import resolve_callable; "
+               "resolve_callable('repro.serve.ops:echo')")
+
+
 def loaded_after(code: str) -> set[str]:
     """``sys.modules`` of a fresh interpreter that ran ``code``."""
     out = subprocess.run(
@@ -73,6 +88,14 @@ def test_cli_parser_stays_cold():
     loaded = loaded_after("from repro.cli import make_parser; make_parser()")
     assert "repro.cli" in loaded
     assert sorted(set(NOT_IN_PARSER) & loaded) == []
+
+
+@pytest.mark.parametrize("code", ["import repro.serve.server", WORKER_ECHO],
+                         ids=["node", "worker_echo"])
+def test_serve_node_and_worker_stay_cold(code):
+    loaded = loaded_after(code)
+    assert "repro.serve.ops" in loaded
+    assert sorted(set(NOT_IN_SERVE_NODE) & loaded) == []
 
 
 @pytest.mark.parametrize("pkg", sorted(PUBLIC["packages"]))

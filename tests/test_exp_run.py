@@ -128,6 +128,16 @@ def test_every_checked_in_config_compiles_to_whitelisted_tasks():
         assert {t.fn for t in tasks} <= admitted, path
 
 
+def test_every_point_ref_resolves_to_its_function():
+    """Points are dotted refs, imported by whoever runs a task: each must
+    name the module-level function it resolves to."""
+    from repro.exp.catalog import serve_operations
+    from repro.harness.parallel import callable_ref, resolve_callable
+
+    for alias, ref in serve_operations().items():
+        assert callable_ref(resolve_callable(ref)) == ref, alias
+
+
 def test_serve_executor_matches_local_run(runner):
     cfg = resolve_config("area", SMALL)
     local = run_experiment(cfg, runner)
