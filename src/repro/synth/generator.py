@@ -21,12 +21,13 @@ hashes size, latency, fan-out and both gaps for *all chains x the next
 few steps* in one NumPy pass (``uint64`` products wrap mod 2^64, which is
 the scalar hash's mask); the heap merge — the only per-record Python —
 pops an entry, takes its destination(s), looks its decisions up and
-appends seven ints to column lists.  Two things stay scalar on purpose:
+appends seven ints to column lists.  One thing stays scalar on purpose:
 ``math.log`` in the gap draw (``np.log`` is not guaranteed the same last
-bit, and a gap is ``int()`` of it) and the pattern call of ``hotspot``
-(it interleaves ``random()`` and ``integers()`` data-dependently on one
-PCG64 stream) and of the ``src``-determined patterns; ``uniform`` draws
-each chain's destinations in refills (:func:`_draws`).  Every
+bit, and a gap is ``int()`` of it).  The rng patterns make no call per
+message: ``uniform`` draws each chain's destinations in refills
+(:func:`_draws`) and ``hotspot`` turns refills of PCG64's raw outputs
+into its ``random()`` / ``integers()`` values (:func:`_hotspot_draws`);
+only the ``src``-determined patterns keep their call.  Every
 ``chunk_records`` emissions the lists become one
 :class:`~repro.core.trace.RecordChunk`, which :func:`generate_to_file`
 hands to the writer as it is: no :class:`~repro.core.trace.TraceRecord`
@@ -47,6 +48,7 @@ the end markers chain to the last delivery per node.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from pathlib import Path
@@ -58,7 +60,7 @@ from repro.core.trace import EndMarker, RecordChunk, Trace, TraceRecord
 from repro.core.tracebin import BinaryTraceWriter, CHUNK_RECORDS
 from repro.engine.rng import fold, mix64
 from repro.synth.profile import SynthProfile
-from repro.traffic.patterns import PATTERNS, uniform_random
+from repro.traffic.patterns import PATTERNS
 
 #: Upper bound on the (chain, step) cells hashed ahead in one block.
 _BLOCK_CELLS = 16384
@@ -79,6 +81,49 @@ def _draws(rng: np.random.Generator, n: int) -> Iterator[int]:
     ``integers(0, n, size=k)`` consumes PCG64 exactly as ``k`` such calls."""
     while True:
         yield from rng.integers(0, n, size=_DRAWS).tolist()
+
+
+def _hotspot_draws(rng: np.random.Generator, n: int) -> Iterator[int]:
+    """Successive ``hotspot`` destinations from PCG64's raw outputs,
+    :data:`_DRAWS` at a time, consumed exactly as its calls consume them:
+    ``random()`` is ``(u >> 11) * 2**-53`` of one output ``u``;
+    ``integers(0, n)`` is Lemire's method on ``next_uint32`` (the low half
+    of a fresh output, then its buffered high half, which ``random()``
+    leaves alone) for ``n <= 2**32``, on whole outputs above that, and
+    takes nothing for ``n == 1``."""
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(f"hotspot draws emulate PCG64, "
+                        f"not {type(bitgen).__name__}")
+    state = bitgen.state
+    half = state["uinteger"] if state["has_uint32"] else -1
+    raw = itertools.chain.from_iterable(          # endless refills
+        iter(lambda: bitgen.random_raw(_DRAWS).tolist(), None)).__next__
+    wide = n - 1 > 0xFFFFFFFF
+    bits = 64 if wide else 32
+    mask = (1 << bits) - 1
+    floor = ((1 << bits) - n) % n      # Lemire's rejection threshold
+    hot = 0.1 if n > 1 else 1.0        # n == 1 answers 0 either way
+    while True:
+        if (raw() >> 11) * 2.0 ** -53 < hot:
+            yield 0
+            continue
+        while True:
+            if wide:
+                x = raw()
+            elif half < 0:
+                x = raw()
+                x, half = x & 0xFFFFFFFF, x >> 32
+            else:
+                x, half = half, -1
+            m = x * n
+            if m & mask >= floor:
+                break
+        yield m >> bits
+
+
+#: The patterns whose destinations a chain draws as a stream of its rng.
+_STREAMS = {"uniform": _draws, "hotspot": _hotspot_draws}
 
 
 def _unit(prefix: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -208,13 +253,13 @@ def _iter_chunks(profile: SynthProfile, scale: float, seed: int,
     n_messages = profile.scaled_messages(scale)
     n = profile.num_nodes
     chains = min(profile.chains, n_messages)
-    pattern = PATTERNS[profile.pattern]
+    stream = _STREAMS.get(profile.pattern)
+    pattern = None if stream else PATTERNS[profile.pattern]
     index = np.arange(chains, dtype=np.uint64)
     rngs = [np.random.Generator(np.random.PCG64(s))
             for s in fold(mix64(seed, "chain"), index).tolist()]
-    # A chain's rng serves only its pattern calls, step / fan-out in order.
-    draws = ([_draws(rng, n).__next__ for rng in rngs]
-             if pattern is uniform_random else None)
+    # A chain's rng serves only its pattern's draws, step / fan-out in order.
+    draws = [stream(rng, n).__next__ for rng in rngs] if stream else None
     decisions = _Decisions(profile, seed, chains, n_messages)
     span, live = decisions.span, decisions.live
 

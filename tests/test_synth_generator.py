@@ -41,10 +41,11 @@ from repro.synth.generator import (
     _draw_gaps,
     _draw_size,
     _draws,
+    _hotspot_draws,
     _size_thresholds,
     _unit,
 )
-from repro.traffic.patterns import PATTERNS
+from repro.traffic.patterns import PATTERNS, hotspot
 
 _MASK64 = (1 << 64) - 1
 TAGS = ("size", "fan", "fgap", "gap", "root", "src", "chain")
@@ -272,8 +273,12 @@ def test_fanout_draws_straddle_a_refill_on_the_grid():
     assert straddles >= 10
 
 
-@pytest.mark.parametrize("n", [1, 3, 16, 37, 1000, 1024, 2**31 + 1,
-                               2**32 - 1, 2**32, 2**32 + 1, 2**33 + 5])
+#: Bounds of ``integers(0, n)``: every branch of NumPy's bounded draw.
+_BOUNDS = [1, 3, 16, 37, 1000, 1024, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+           2**33 + 5]
+
+
+@pytest.mark.parametrize("n", _BOUNDS)
 def test_batched_integers_are_the_scalar_stream(n):
     """``integers(0, n, size=k)`` consumes PCG64 exactly as ``k`` scalar
     ``integers(0, n)`` calls (2^31 + 1 rejects about half its candidates),
@@ -290,6 +295,52 @@ def test_batched_integers_are_the_scalar_stream(n):
     scalar = np.random.Generator(np.random.PCG64(9))
     assert list(itertools.islice(draws, 3 * _DRAWS + 5)) == [
         int(scalar.integers(0, n)) for _ in range(3 * _DRAWS + 5)]
+
+
+@pytest.mark.parametrize("seed", [9, 21, 4242])
+@pytest.mark.parametrize("n", _BOUNDS)
+def test_hotspot_stream_is_the_scalar_stream(n, seed):
+    """``_hotspot_draws`` reads PCG64's raw outputs as ``hotspot``'s
+    ``random()`` and ``integers(0, n)`` calls do: over three refills and
+    an odd tail, from a fresh stream and from one started after a scalar
+    ``integers`` (which leaves a buffered 32-bit half behind: the next
+    32-bit draw takes it, a 64-bit one ignores it) and a ``random()``
+    (which must not touch it).  2^31 + 1 and 2^32 + 1 reject
+    about half their candidates.  A NumPy that changes ``next_double`` or
+    the buffered ``next_uint32`` fails here before any container digest
+    does."""
+    count = 3 * _DRAWS + 5
+    for midway in (False, True):
+        ours, scalar = (np.random.Generator(np.random.PCG64(seed))
+                        for _ in range(2))
+        if midway:                 # 16 rejects nothing: one half is left
+            for rng in (ours, scalar):
+                rng.integers(0, 16)
+                rng.random()
+            assert ours.bit_generator.state["has_uint32"] == 1
+        assert list(itertools.islice(_hotspot_draws(ours, n), count)) == [
+            hotspot(0, n, scalar) for _ in range(count)]
+
+
+def test_hotspot_stream_refuses_other_bit_generators():
+    with pytest.raises(TypeError, match="PCG64"):
+        next(_hotspot_draws(np.random.Generator(np.random.Philox(3)), 16))
+
+
+def test_stream_patterns_are_never_called(monkeypatch):
+    """``uniform`` and ``hotspot`` destinations come from their streams:
+    with both pattern functions raising, the merge still emits the same
+    records."""
+    profiles = [default_profile(1024, 20_000, pattern=pat)
+                for pat in ("hotspot", "uniform")]
+    want = [list(iter_records(p, seed=5)) for p in profiles]
+
+    def called(*args):
+        raise AssertionError("a stream pattern was called per message")
+
+    for name in ("hotspot", "uniform"):
+        monkeypatch.setitem(PATTERNS, name, called)
+    assert [list(iter_records(p, seed=5)) for p in profiles] == want
 
 
 def test_golden_corpus_is_on_the_grid():
