@@ -138,12 +138,6 @@ class ReplayResult:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _make_message(r: TraceRecord) -> Message:
-    """Rebuild the wire message for a record (id preserved for matching)."""
-    return Message(r.src, r.dst, r.size_bytes, r.kind, payload=r.key,
-                   msg_id=r.msg_id)
-
-
 def _finish_from_markers(end_markers, deliveries: dict[int, int],
                          node_last: dict[int, tuple[int, int]]) -> int:
     """Latest per-core finish: ``deliver(marker cause) + gap``.
@@ -308,9 +302,8 @@ class _ReplayerBase:
     mode = "base"
 
     def __init__(self, trace: Trace, sim: Simulator, net: NetworkAdapter) -> None:
-        if net.num_nodes <= max(
-            (max(r.src, r.dst) for r in trace.records), default=0
-        ):
+        cols = Columns.of(trace)
+        if cols.n and net.num_nodes <= int(max(cols.src.max(), cols.dst.max())):
             raise ValueError("target network too small for trace endpoints")
         self.trace = trace
         self.sim = sim
@@ -322,8 +315,10 @@ class _ReplayerBase:
         net.set_delivery_handler(self._on_deliver)
 
     def _send(self, r: TraceRecord) -> None:
+        # The wire message keeps the record's id, for matching.
         self.injections[r.msg_id] = self.sim.now
-        self.net.send(_make_message(r))
+        self.net.send(Message(r.src, r.dst, r.size_bytes, r.kind,
+                              payload=r.key, msg_id=r.msg_id))
 
     def _on_deliver(self, msg: Message) -> None:
         self.deliveries[msg.id] = msg.deliver_time
@@ -479,12 +474,16 @@ class SelfCorrectingReplayer(_ReplayerBase):
         self.sim.run()
         return self._result(t0, plan=plan)
 
+    # ``_send`` and ``_on_deliver`` run once per replayed message: each is
+    # one level deep and reads the clock once.
     def _send(self, r: TraceRecord) -> None:
-        super()._send(r)
-        now = self.injections[r.msg_id]
+        mid = r.msg_id
+        now = self.injections[mid] = self.sim.now
+        self.net.send(Message(r.src, r.dst, r.size_bytes, r.kind,
+                              payload=r.key, msg_id=mid))
         # Release degraded records anchored to this injection: they re-fire
         # the captured inter-send delta after the anchor's *replayed* time.
-        for dep, delta in self._anchored.get(r.msg_id, ()):
+        for dep, delta in self._anchored.get(mid, ()):
             if self._tl is not None:
                 self._tl.record(now + delta, f"node{dep.src}",
                                 "replay.rederive")
@@ -514,24 +513,26 @@ class SelfCorrectingReplayer(_ReplayerBase):
             shift.observe(start - captured[mid])
 
     def _on_deliver(self, msg: Message) -> None:
-        super()._on_deliver(msg)
-        for dep in self._dependents.get(msg.id, ()):
+        mid, delivered = msg.id, msg.deliver_time
+        self.deliveries[mid] = delivered
+        start_time, prereqs_left = self._start_time, self._prereqs_left
+        for dep in self._dependents.get(mid, ()):
             # Earliest-start rule: each trigger edge contributes
             # deliver + its own capture-measured delay; the max wins.
-            if msg.id != dep.cause_id:
+            if mid != dep.cause_id:
                 edge_gap = dep.bound_gap
-            elif msg.id != dep.bound_id:
+            elif mid != dep.bound_id:
                 edge_gap = dep.gap
             else:       # the bound is the cause: both edges end here
                 edge_gap = max(dep.gap, dep.bound_gap)
-            candidate = msg.deliver_time + edge_gap
-            prev = self._start_time.get(dep.msg_id)
-            if prev is None or candidate > prev:
-                self._start_time[dep.msg_id] = candidate
-            left = self._prereqs_left[dep.msg_id] - 1
-            self._prereqs_left[dep.msg_id] = left
+            dep_id = dep.msg_id
+            candidate = delivered + edge_gap
+            start = start_time.get(dep_id)
+            if start is None or candidate > start:
+                start_time[dep_id] = start = candidate
+            left = prereqs_left[dep_id] - 1
+            prereqs_left[dep_id] = left
             if left == 0:
-                start = self._start_time[dep.msg_id]
                 if self._tl is not None:
                     self._tl.record(start, f"node{dep.src}",
                                     "replay.correction")

@@ -9,15 +9,16 @@ multiples of their period.
 The run loop is the hottest code in the repository — every simulated cycle
 of every experiment goes through it — so it operates directly on the
 queue's heap with hoisted locals: one heap access per event, no attribute
-lookups per iteration.  There is one loop: an attached probe is read into a
-local once and costs an ``is not None`` branch per event, so the
-instrumented run is the measured run.  Firing order is pinned, with and
+lookups per iteration; :meth:`Simulator.schedule` pushes onto that heap
+itself.  There is one loop: an attached probe is read into a local once
+and costs an ``is not None`` branch per event, so the instrumented run is
+the measured run.  Firing order is pinned, with and
 without a probe, by ``tests/test_engine_golden.py``.
 """
 
 from __future__ import annotations
 
-from heapq import heappop
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Iterable, Optional
 
@@ -100,7 +101,10 @@ class Simulator:
                 f"cannot schedule at t={time} < now={self._now} "
                 f"(fn={getattr(fn, '__qualname__', fn)!r})"
             )
-        self._queue.push(time, fn, args, priority)
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(queue._heap, (time, priority, seq, fn, args))
 
     def schedule_after(
         self,
@@ -163,10 +167,14 @@ class Simulator:
         With ``until`` given, the clock is left at ``min(until, last event
         time)``; events scheduled at exactly ``until`` ARE executed (closed
         interval), matching the usual "run N cycles" semantics of cycle
-        simulators.
+        simulators.  An ``until`` before :attr:`now` is refused: the clock
+        never moves backwards.
         """
         if self._running:
             raise SimulationError("re-entrant Simulator.run() call")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until t={until} < now={self._now}")
         self._running = True
         heap = self._queue._heap
         pop = heappop

@@ -30,12 +30,6 @@ MSG_SYNTHETIC = "synthetic"
 _msg_ids = itertools.count()
 
 
-def reset_message_ids() -> None:
-    """Restart the global message-id counter (test isolation helper)."""
-    global _msg_ids
-    _msg_ids = itertools.count()
-
-
 class Message:
     """One end-to-end network message (a packet at the NI boundary).
 
@@ -128,10 +122,10 @@ class NetworkBase:
             raise ValueError(f"message endpoints out of range: {msg}")
         if msg.src == msg.dst:
             raise ValueError(f"self-send not routed through the network: {msg}")
-        msg.inject_time = self.sim.now
+        now = msg.inject_time = self.sim.now
         self.stats.messages_sent += 1
         if self._probe is not None:
-            self._probe.on_inject(self.sim.now, msg)
+            self._probe.on_inject(now, msg)
         self._inject(msg)
 
     def set_delivery_handler(self, fn: Callable[[Message], None]) -> None:
@@ -148,15 +142,15 @@ class NetworkBase:
         st.messages_delivered += 1
         st.bytes_delivered += msg.size_bytes
         st.flits_delivered += max(1, -(-msg.size_bytes // self.flit_bytes))
-        st.latency.record(msg.id, msg.latency)
+        st.latency.record(msg.id, msg.deliver_time - msg.inject_time)
         st.hop_count.add(hops)
 
     def _deliver(self, msg: Message, hops: int = 1) -> None:
         """``msg`` arrived after ``hops`` network hops: stamp, count, notify."""
-        msg.deliver_time = self.sim.now
+        now = msg.deliver_time = self.sim.now
         self._count_delivery(msg, hops)
         if self._probe is not None:
-            self._probe.on_deliver(self.sim.now, msg)
+            self._probe.on_deliver(now, msg)
         if msg.on_delivery is not None:
             msg.on_delivery(msg)
         if self._delivery_handler is not None:

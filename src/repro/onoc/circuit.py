@@ -171,7 +171,7 @@ class CircuitSwitchedMesh(OpticalEntity):
                 msg.inject_time, msg.src, msg.dst, ser)
             ser += int(occ_extra)       # degraded payload streams longer
             lat_extra = int(lat_extra)
-        data_end = now + int(timing.stream_cycles(hops)) + ser
+        data_end = now + timing.stream_cycles(hops) + ser
         self.sim.schedule(data_end + lat_extra, self._deliver, (msg, hops))
         self.sim.schedule(
             data_end + self.cfg.teardown_latency, self._teardown, (walker,)
@@ -180,6 +180,7 @@ class CircuitSwitchedMesh(OpticalEntity):
     def _teardown(self, walker: _SetupWalker) -> None:
         """Release all held segments; wake the head waiter of each FIFO."""
         self.circuits_completed += 1
+        now = self.sim.now
         for key in walker.held:
             seg = self.segments[key]
             assert seg.holder == walker.cid, "teardown of a stolen segment"
@@ -187,7 +188,7 @@ class CircuitSwitchedMesh(OpticalEntity):
             if seg.waiters:
                 nxt = seg.waiters.popleft()
                 # The waiter re-attempts this same segment now that it's free.
-                self.sim.schedule(self.sim.now, self._advance, (nxt,))
+                self.sim.schedule(now, self._advance, (nxt,))
         walker.held.clear()
 
     # ------------------------------------------------------------ queries

@@ -18,15 +18,15 @@ grant latency) without simulating individual wavelengths.
 from __future__ import annotations
 
 from repro.config import ONOC_CROSSBAR, OnocConfig
-from repro.net import Message
 from repro.onoc.devices import RingCensus, crossbar_ring_census
-from repro.onoc.entity import FifoChannelNetwork, _Channel
+from repro.onoc.entity import FifoChannelNetwork
 from repro.onoc.loss import LossBudget
 
 
 class OpticalCrossbar(FifoChannelNetwork):
     """MWSR WDM crossbar implementing :class:`repro.net.NetworkAdapter`:
-    one token-arbitrated FIFO channel per destination."""
+    one token-arbitrated FIFO channel per destination (the token's travel
+    is :class:`~repro.onoc.timing.CrossbarTiming`'s ``token_travel``)."""
 
     topology = ONOC_CROSSBAR
     power_label = "crossbar"
@@ -38,17 +38,3 @@ class OpticalCrossbar(FifoChannelNetwork):
     @classmethod
     def worst_loss_db(cls, cfg: OnocConfig) -> float:
         return LossBudget(cfg).crossbar_worst_loss_db()
-
-    def _token_travel(self, ch: _Channel, writer: int) -> int:
-        """Token travel time from its parking node to ``writer``.
-
-        The token circulates optically, so travel is waveguide propagation
-        over the ring distance plus any configured per-node electrical
-        overhead.  Zero when the writer already holds the token.
-        """
-        return int(self.timing.token_travel(ch.token_at, writer))
-
-    def _acquire(self, ch: _Channel, msg: Message) -> int:
-        travel = self._token_travel(ch, msg.src)
-        ch.token_at = msg.src
-        return travel

@@ -6,15 +6,17 @@ plumbing (send validation, stats, the obs probe, the delivery funnel).
 :class:`FifoChannelNetwork` adds the message-granularity
 model the serpentine backends share: a granted transmission is a
 contention-free circuit, so each FIFO channel (which one is the timing
-object's ``resource`` key) serves its queue one message at a time and a
-backend differs only in what a writer waits for before it may serialize
-(:meth:`FifoChannelNetwork._acquire`).
+object's ``resource`` key) serves its queue one message at a time.  A
+writer on a token-arbitrated channel first waits for the token's travel
+(the timing object's ``token_travel``, ``None`` where the writer owns the
+channel — the idiom the vectorized engine reads too).
 
 Per-message arithmetic comes from :mod:`repro.onoc.timing` — on a degraded
 fabric that includes the timing object's ``penalty`` rule, the only form in
-which a fault timeseries reaches an entity; the scheduling
-here — event queue, FIFO deques — is the reference the vectorized engine is
-checked against and shares nothing with it.
+which a fault timeseries reaches an entity.  Its int calls answer plain
+ints, so an entity hands them to the scheduler as they come.  The
+scheduling here — event queue, FIFO deques — is the reference the
+vectorized engine is checked against and shares nothing with it.
 """
 
 from __future__ import annotations
@@ -137,11 +139,6 @@ class FifoChannelNetwork(OpticalEntity):
         if not ch.busy:
             self._serve_next(ch)
 
-    def _acquire(self, ch: _Channel, msg: Message) -> int:
-        """Cycles the head writer waits, once the channel is free, before it
-        may serialize.  Zero where the writer owns the channel."""
-        return 0
-
     def _serve_next(self, ch: _Channel) -> None:
         """Grant the channel to the next queued writer (FIFO)."""
         if not ch.queue:
@@ -149,19 +146,24 @@ class FifoChannelNetwork(OpticalEntity):
             return
         ch.busy = True
         msg = ch.queue.popleft()
-        timing = self.timing
-        start = self.sim.now + self._acquire(ch, msg)
+        timing, sim = self.timing, self.sim
+        src, dst = msg.src, msg.dst
+        start = sim.now
+        if timing.token_travel is not None:
+            # The token travels from the last writer, which it then stays at.
+            start += timing.token_travel(ch.token_at, src)
+            ch.token_at = src
         ser = timing.serialization(msg.size_bytes)
-        tail = int(timing.tail(msg.src, msg.dst))
+        tail = timing.tail(src, dst)
         if timing.penalty is not None:
             occ_extra, lat_extra = timing.penalty(
-                msg.inject_time, msg.src, msg.dst, ser)
+                msg.inject_time, src, dst, ser)
             ser += int(occ_extra)       # degraded channel held longer
             tail += int(lat_extra)
         release = start + ser
         self.stats.queueing_delay.add(start - msg.inject_time)
-        self.sim.schedule(release + tail, self._deliver, (msg,))
-        self.sim.schedule(release, self._serve_next, (ch,))
+        sim.schedule(release + tail, self._deliver, (msg,))
+        sim.schedule(release, self._serve_next, (ch,))
 
     # ------------------------------------------------------------ queries
     def quiescent(self) -> bool:

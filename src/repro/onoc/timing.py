@@ -20,9 +20,11 @@ Every method takes Python ints or ``ndarray``s alike, so the event entities
 (:mod:`repro.core.generational`) calls it per array off the *same* rules —
 the two engines cannot drift.  Nothing here is sized by node *pairs* except
 what is inherently per pair (:meth:`wavelength_share`): set-up and memory
-are O(nodes) and every per-message vector is O(messages).  Table lookups on
-ints (token travel, mesh flight) return NumPy integer scalars; the event
-entities wrap them in ``int()`` before they reach the scheduler.
+are O(nodes + distinct sizes) and every per-message vector is O(messages).
+An int call is the event path and answers a plain ``int`` off Python
+state — the O(n) position list, the token-travel and mesh-stream lists, the
+serialization of each size seen so far — so an entity schedules what it is
+given and pays per message only for what changes per message.
 
 :meth:`OnocConfig.serialization_cycles`, :meth:`OnocConfig.propagation_cycles`
 and :class:`~repro.onoc.devices.SerpentineLayout` stay the scalar
@@ -81,9 +83,11 @@ def _per_unique(rule, values: np.ndarray) -> np.ndarray:
     return table[inv]
 
 
-def _ring_travel(table: np.ndarray, token_at, writer):
+def _ring_travel(ints: list[int], table: np.ndarray, token_at, writer):
     """Token flight from its parking node to ``writer`` along the ring."""
-    return table[(writer - token_at) % len(table)]
+    if isinstance(token_at, np.ndarray) or isinstance(writer, np.ndarray):
+        return table[(writer - token_at) % len(table)]
+    return ints[(writer - token_at) % len(ints)]
 
 
 class _Timing:
@@ -100,6 +104,7 @@ class _Timing:
 
     def __init__(self, cfg: OnocConfig) -> None:
         self.cfg = cfg
+        self._ser: dict[int, int] = {}   # size -> cycles, as sizes occur
 
     def wavelength_share(self, weights: dict[int, float]) -> np.ndarray:
         """``[src, dst]`` bandwidth-share-weighted sum of the per-wavelength
@@ -123,7 +128,10 @@ class _Timing:
         circuit mesh: streams over its established circuit)."""
         if isinstance(size_bytes, np.ndarray):
             return _per_unique(self._serialization, size_bytes)
-        return self._serialization(size_bytes)
+        ser = self._ser.get(size_bytes)
+        if ser is None:
+            ser = self._ser[size_bytes] = self._serialization(size_bytes)
+        return ser
 
 
 class SerpentineTiming(_Timing):
@@ -143,23 +151,30 @@ class SerpentineTiming(_Timing):
         self.layout = SerpentineLayout(cfg)
         self.num_resources = cfg.num_nodes
         # ``layout.position_cm(k)`` for every node: the float64 products
-        # the scalar definition forms, so array flights match it bit for bit.
+        # the scalar definition forms, as a vector for array calls and as
+        # Python floats for int calls, so both match it bit for bit.
         self._position_cm = np.arange(cfg.num_nodes) * self.layout.spacing_cm
+        self._position_list = self._position_cm.tolist()
+        self._conversions = 2 * cfg.conversion_cycles
 
     def propagation(self, src, dst):
         """Flight cycles ``src -> dst`` along the fixed light direction.
 
-        Two ints: the scalar definition itself,
-        ``cfg.propagation_cycles(layout.distance_cm(src, dst))``, returning
-        a plain ``int``.  Arrays (or an int against an array, broadcast):
-        the same IEEE-754 operations in the same order on the O(n) position
-        vector, bit-identical to the scalar and O(messages) in time and
-        memory — no ``[src, dst]`` table exists.
+        The scalar definition is
+        ``cfg.propagation_cycles(layout.distance_cm(src, dst))``.  Two ints
+        run its IEEE-754 operations in its order on the O(n) position list
+        and return a plain ``int``; arrays (or an int against an array,
+        broadcast) run them on the O(n) position vector, O(messages) in
+        time and memory — no ``[src, dst]`` table exists.
         """
-        if not (isinstance(src, np.ndarray) or isinstance(dst, np.ndarray)):
-            return self.cfg.propagation_cycles(
-                self.layout.distance_cm(src, dst))
         cfg = self.cfg
+        if not (isinstance(src, np.ndarray) or isinstance(dst, np.ndarray)):
+            pos = self._position_list
+            d = pos[dst] - pos[src]
+            if d <= 0:
+                d += self.layout.total_length_cm
+            ns = d / cfg.devices.group_velocity_cm_ns
+            return max(1, math.ceil(ns * cfg.clock_ghz))
         d = self._position_cm[dst] - self._position_cm[src]
         d = np.where(d <= 0, d + self.layout.total_length_cm, d)
         ns = d / cfg.devices.group_velocity_cm_ns
@@ -167,7 +182,7 @@ class SerpentineTiming(_Timing):
 
     def tail(self, src, dst):
         """Delivery minus channel release: flight plus the E/O + O/E pair."""
-        return self.propagation(src, dst) + 2 * self.cfg.conversion_cycles
+        return self.propagation(src, dst) + self._conversions
 
     def resource(self, src, dst):
         """Index of the FIFO channel a ``src -> dst`` message occupies."""
@@ -189,7 +204,7 @@ class CrossbarTiming(SerpentineTiming):
                          + h * cfg.token_hop_cycles)
         # A partial over the table, not a bound method: a model that holds
         # the rule holds n ints, not the timing object.
-        self.token_travel = partial(_ring_travel, travel)
+        self.token_travel = partial(_ring_travel, travel.tolist(), travel)
 
     def resource(self, src, dst):
         return dst
@@ -266,6 +281,9 @@ class CircuitMeshTiming(_Timing):
         self._prop = np.zeros(max(1, 2 * (self.side - 1)) + 1, dtype=np.int64)
         for h in range(1, len(self._prop)):
             self._prop[h] = cfg.propagation_cycles(h * self.link_length_cm)
+        # stream_cycles per hop count, for int calls.
+        self._stream = self.stream_cycles(
+            np.arange(len(self._prop))).tolist()
 
     def hops(self, src, dst):
         """Length of the XY route."""
@@ -281,6 +299,8 @@ class CircuitMeshTiming(_Timing):
     def stream_cycles(self, hops):
         """Path complete to delivery, less serialization: the ack's return,
         the E/O + O/E pair and the flight over the whole circuit."""
+        if not isinstance(hops, np.ndarray):
+            return self._stream[hops]
         cfg = self.cfg
         return (hops * cfg.setup_link_latency + 1
                 + 2 * cfg.conversion_cycles + self._prop[hops])

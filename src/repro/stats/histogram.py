@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 
@@ -38,19 +36,6 @@ class Histogram:
         else:
             self._counts[idx] += 1
         self.count += 1
-
-    def add_many(self, xs: Iterable[int]) -> None:
-        """Bulk accumulate (vectorised for arrays)."""
-        arr = np.asarray(list(xs) if not isinstance(xs, np.ndarray) else xs)
-        if arr.size == 0:
-            return
-        if (arr < 0).any():
-            raise ValueError("histogram samples must be >= 0")
-        idx = arr // self.bin_width
-        over = idx >= self.num_bins
-        self.overflow += int(over.sum())
-        np.add.at(self._counts, idx[~over], 1)
-        self.count += int(arr.size)
 
     @property
     def counts(self) -> np.ndarray:

@@ -4,25 +4,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.stats.histogram import Histogram
 from repro.stats.online import OnlineStats
 
 
 class LatencyRecorder:
-    """Records end-to-end message latency samples plus a histogram."""
+    """Records end-to-end message latency samples (count, mean, spread)."""
 
-    __slots__ = ("stats", "hist")
+    __slots__ = ("stats",)
 
-    def __init__(self, bin_width: int = 2, num_bins: int = 512) -> None:
+    def __init__(self) -> None:
         self.stats = OnlineStats()
-        self.hist = Histogram(bin_width=bin_width, num_bins=num_bins)
 
     def record(self, msg_id: int, latency: int) -> None:
         """Record one delivered message's end-to-end latency (cycles)."""
         if latency < 0:
             raise ValueError(f"negative latency {latency} for message {msg_id}")
         self.stats.add(latency)
-        self.hist.add(latency)
 
     @property
     def mean(self) -> float:
@@ -45,10 +42,6 @@ class NetworkStats:
     # per-hop / arbitration detail
     hop_count: OnlineStats = field(default_factory=OnlineStats)
     queueing_delay: OnlineStats = field(default_factory=OnlineStats)
-
-    def throughput_flits_per_cycle(self, cycles: int) -> float:
-        """Delivered-flit throughput over ``cycles`` (0 for empty runs)."""
-        return self.flits_delivered / cycles if cycles > 0 else 0.0
 
     def in_flight(self) -> int:
         """Messages injected but not yet delivered."""

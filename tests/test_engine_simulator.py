@@ -66,6 +66,21 @@ def test_run_until_leaves_clock_at_until_when_idle():
     assert (sim.now, out) == (100, [100])
 
 
+def test_run_until_in_the_past_is_refused():
+    sim = Simulator()
+    out = []
+    sim.schedule(20, out.append, (20,))
+    sim.run(until=15)
+    with pytest.raises(SimulationError, match="cannot run until t=5 < now=15"):
+        sim.run(until=5)
+    assert sim.now == 15        # the clock did not move backwards
+    with pytest.raises(SimulationError, match="cannot schedule"):
+        sim.schedule(7, out.append, (7,))
+    sim.run(until=15)           # until == now is not the past
+    sim.run()
+    assert (sim.now, out) == (20, [20])
+
+
 def test_schedule_many_matches_individual_schedules():
     a, b = Simulator(), Simulator()
     outa, outb = [], []

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import NocConfig, OnocConfig
 from repro.engine import Simulator
-from repro.net import Message, NetworkAdapter, reset_message_ids
+from repro.net import Message, NetworkAdapter
 from repro.noc import ElectricalNetwork
 from repro.onoc import build_optical_network
 
@@ -35,11 +35,6 @@ def test_latency_requires_delivery():
     m.inject_time = 5
     m.deliver_time = 25
     assert m.latency == 20
-
-
-def test_reset_message_ids():
-    reset_message_ids()
-    assert Message(0, 1, 8).id == 0
 
 
 def test_adapters_satisfy_protocol():

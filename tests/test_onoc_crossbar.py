@@ -39,8 +39,8 @@ def test_token_travel_zero_when_parked_at_writer():
     net = OpticalCrossbar(sim, cfg)
     ch = net.channels[3]
     ch.token_at = 5
-    assert net._token_travel(ch, 5) == 0
-    assert net._token_travel(ch, 6) >= 1
+    assert net.timing.token_travel(ch.token_at, 5) == 0
+    assert net.timing.token_travel(ch.token_at, 6) >= 1
 
 
 def test_token_electrical_overhead_knob():

@@ -3,12 +3,13 @@
 Both replay engines read :mod:`repro.onoc.timing`, so "two independent
 copies agree" no longer guards this arithmetic; these tests do.  Every
 rule is compared with ``OnocConfig.serialization_cycles`` /
-``propagation_cycles``, ``SerpentineLayout`` and the event entities' own
-accessors — exhaustively up to 256 nodes, on sampled rows (wrap-around
-pairs and the ``s == d`` full lap included) at 1024 and 4096 — and every
-method is checked to give the same answer for a Python int as for a
-length-1 array.  Bit identity is the pin: the array form of the
-propagation rule is the scalar definition's own float operations.
+``propagation_cycles``, ``SerpentineLayout`` and the event entities'
+observed latencies — exhaustively up to 256 nodes, on sampled rows
+(wrap-around pairs and the ``s == d`` full lap included) at 1024 and
+4096 — and every method is checked to give the same answer for a Python
+int as for a length-1 array.  Bit identity is the pin: the array form of
+the propagation rule is the scalar definition's own float operations, and
+the int form (the event path) answers exactly ``int``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.config import (
     OnocConfig,
 )
 from repro.engine import Simulator
+from repro.net import Message
 from repro.onoc import OpticalAwgr, OpticalCrossbar, SerpentineLayout
 from repro.onoc.devices import mesh_link_length_cm
 from repro.onoc.timing import TIMINGS, timing_for
@@ -111,23 +113,88 @@ def test_serialization_matches_scalar_rule(topology, n):
     assert timing.serialization(sizes).tolist() == want[::-1] + want
 
 
+def _travel_rule(cfg: OnocConfig, hops: int) -> int:
+    """Token flight over ``hops`` ring hops: the scalar definition."""
+    if not hops:
+        return 0                                  # the writer holds it
+    spacing = SerpentineLayout(cfg).spacing_cm
+    return cfg.propagation_cycles(hops * spacing) + hops * cfg.token_hop_cycles
+
+
 @pytest.mark.parametrize("n", (16, 64, 1024))
 def test_token_travel_matches_the_crossbar_entity(n):
     cfg = _onoc(ONOC_CROSSBAR, n)
-    timing, layout = timing_for(cfg), SerpentineLayout(cfg)
-    net = OpticalCrossbar(Simulator(seed=1), cfg)
+    timing = timing_for(cfg)
     writers = np.arange(n)
     for parked in _rows(n):
-        want = []
-        for w in range(n):
-            hops = (w - parked) % n               # ring distance, wrapping
-            want.append(cfg.propagation_cycles(hops * layout.spacing_cm)
-                        + hops * cfg.token_hop_cycles if hops else 0)
+        want = [_travel_rule(cfg, (w - parked) % n)    # ring distance, wrapping
+                for w in range(n)]
         assert timing.token_travel(parked, writers).tolist() == want
-        ch = net.channels[0]
-        ch.token_at = parked
-        assert [net._token_travel(ch, w) for w in (0, parked, n - 1)] == [
-            want[0], 0, want[n - 1]]
+    # The entity waits exactly that travel before it serializes.
+    for parked, w in ((0, 0), (3, n - 1), (n - 1, 3), (5, 5)):
+        sim = Simulator(seed=1)
+        net = OpticalCrossbar(sim, cfg)
+        dst = (w + 1) % n
+        net.channels[dst].token_at = parked
+        done = []
+        net.set_delivery_handler(done.append)
+        net.send(Message(w, dst, 72))
+        sim.run()
+        assert done[0].latency == (_travel_rule(cfg, (w - parked) % n)
+                                   + timing.serialization(72)
+                                   + timing.tail(w, dst))
+        assert net.channels[dst].token_at == w
+
+
+@pytest.mark.parametrize("n", (16, 64))
+@pytest.mark.parametrize("topology", SERPENTINE)
+def test_int_path_is_the_scalar_definition(topology, n):
+    """The event entities' path: ints (and NumPy integer scalars) in,
+    exactly ``int`` out, equal to the scalar definition for every pair and
+    every size — a cached size answers as its first resolution did."""
+    cfg = _onoc(topology, n)
+    timing, layout = timing_for(cfg), SerpentineLayout(cfg)
+    conversions = 2 * cfg.conversion_cycles
+    for s in range(n):
+        for d in range(n):
+            want = cfg.propagation_cycles(layout.distance_cm(s, d)) + conversions
+            for got in (timing.tail(s, d),
+                        timing.tail(np.int64(s), np.int64(d))):
+                assert type(got) is int and got == want
+            if timing.token_travel is not None:
+                want = _travel_rule(cfg, (d - s) % n)
+                for got in (timing.token_travel(s, d),
+                            timing.token_travel(np.int64(s), np.int64(d))):
+                    assert type(got) is int and got == want
+    if topology == ONOC_AWGR:
+        gbps = timing.lanes_per_pair * cfg.bitrate_gbps
+
+        def rule(size: int) -> int:
+            return max(1, math.ceil(size * 8 / gbps * cfg.clock_ghz))
+    else:
+        rule = cfg.serialization_cycles
+    for size in range(1, 4097):
+        want = rule(size)
+        for got in (timing.serialization(size), timing.serialization(size),
+                    timing.serialization(np.int64(size))):
+            assert type(got) is int and got == want
+    fresh = timing_for(cfg)                       # first resolved from NumPy
+    for size in (1, 72, 4096):
+        for got in (fresh.serialization(np.int32(size)),
+                    fresh.serialization(size)):
+            assert type(got) is int and got == rule(size)
+
+
+@pytest.mark.parametrize("n", (16, 64))
+def test_mesh_stream_int_path_is_the_scalar_definition(n):
+    cfg = _onoc(ONOC_CIRCUIT_MESH, n)
+    timing, link = timing_for(cfg), mesh_link_length_cm(cfg)
+    for h in range(2 * (cfg.mesh_side - 1) + 1):
+        want = (h * cfg.setup_link_latency + 1 + 2 * cfg.conversion_cycles
+                + (cfg.propagation_cycles(h * link) if h else 0))
+        for got in (timing.stream_cycles(h), timing.stream_cycles(np.int64(h))):
+            assert type(got) is int and got == want
+        assert timing.stream_cycles(np.asarray([h])).tolist() == [want]
 
 
 @pytest.mark.parametrize("topology", SERPENTINE)

@@ -90,7 +90,8 @@ def test_histogram_conserves_mass(xs, bin_width, num_bins):
 @given(st.lists(st.integers(0, 200), min_size=1, max_size=300))
 def test_histogram_percentile_monotone(xs):
     h = Histogram(bin_width=2, num_bins=128)
-    h.add_many(xs)
+    for x in xs:
+        h.add(x)
     qs = [h.percentile(q) for q in (10, 50, 90, 99)]
     assert qs == sorted(qs)
 

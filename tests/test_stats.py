@@ -107,17 +107,6 @@ def test_histogram_percentile():
     assert h.percentile(0) >= 0
 
 
-def test_histogram_add_many_matches_add():
-    xs = list(range(0, 200, 3))
-    h1, h2 = Histogram(bin_width=5, num_bins=30), Histogram(bin_width=5, num_bins=30)
-    for x in xs:
-        h1.add(x)
-    h2.add_many(np.array(xs))
-    assert (h1.counts == h2.counts).all()
-    assert h1.overflow == h2.overflow
-    assert h1.count == h2.count
-
-
 def test_histogram_mean_approximation():
     h = Histogram(bin_width=1, num_bins=1000)
     for x in (10, 20, 30):
@@ -190,11 +179,8 @@ def test_latency_recorder():
         r.record(3, -1)
 
 
-def test_network_stats_throughput_and_inflight():
+def test_network_stats_in_flight():
     st = NetworkStats()
     st.messages_sent = 10
     st.messages_delivered = 7
-    st.flits_delivered = 70
     assert st.in_flight() == 3
-    assert st.throughput_flits_per_cycle(100) == pytest.approx(0.7)
-    assert st.throughput_flits_per_cycle(0) == 0.0
