@@ -109,7 +109,7 @@ def critical_chain(trace: Trace) -> tuple[int, int]:
     depth: dict[int, int] = {}
     gaps: dict[int, int] = {}
     best_depth, best_gaps = 0, 0
-    for r in sorted(trace.records, key=lambda r: (r.t_deliver, r.msg_id)):
+    for r in trace.causal_order():
         if r.cause_id == -1:
             d, g = 1, r.gap
         else:

@@ -19,7 +19,7 @@ class TraceCapture:
     """Records dependency-annotated network messages from a system run."""
 
     def __init__(self) -> None:
-        self._sent: list[tuple[Message, Optional[Message], Optional[Message]]] = []
+        self._sent: list[tuple[Message, Optional[Message]]] = []
         self._occurrence: dict[tuple[int, int, str, int], int] = {}
         self._keys: dict[int, SemanticKey] = {}      # msg_id -> key
         self._finishes: list[tuple[int, int, Optional[Message]]] = []
@@ -40,23 +40,21 @@ class TraceCapture:
         # degenerate zero-latency timing) can enter the trace.  Reject it at
         # the send that closes the cycle, naming the protocol transition,
         # instead of leaving it for the post-hoc ``Trace.validate()``
-        # fire-fixpoint to flag anonymously after the run.
-        for role, trig in (("cause", cause), ("bound", payload.bound)):
-            if trig is not None and trig.id not in self._keys:
-                raise RuntimeError(
-                    f"dependency cycle at capture: {msg.kind} "
-                    f"{msg.src}->{msg.dst} (line={payload.line}, "
-                    f"aux={payload.aux}, seq={payload.seq}) names the "
-                    f"not-yet-sent message {trig.id} ({trig.kind}) as its "
-                    f"{role} — the protocol threaded a trigger forward in "
-                    "time"
-                )
+        # cycle check to flag anonymously after the run.
+        if cause is not None and cause.id not in self._keys:
+            raise RuntimeError(
+                f"dependency cycle at capture: {msg.kind} "
+                f"{msg.src}->{msg.dst} (line={payload.line}, "
+                f"aux={payload.aux}, seq={payload.seq}) names the "
+                f"not-yet-sent message {cause.id} ({cause.kind}) as its "
+                "cause — the protocol threaded a trigger forward in time"
+            )
         base = (msg.src, msg.dst, msg.kind,
                 payload.line if payload.line >= 0 else payload.aux)
         occ = self._occurrence.get(base, 0)
         self._occurrence[base] = occ + 1
         self._keys[msg.id] = (*base[:3], base[3], occ)
-        self._sent.append((msg, cause, payload.bound))
+        self._sent.append((msg, cause))
 
     def on_core_finish(self, node: int, finish_time: int,
                        cause: Optional[Message]) -> None:
@@ -74,22 +72,21 @@ class TraceCapture:
         remap = {s[0].id: i for i, s in enumerate(order)}
         remap[-1] = -1
         records: list[TraceRecord] = []
-        for msg, cause, bound in self._sent:
+        for msg, cause in self._sent:
             if msg.deliver_time < 0:
                 raise RuntimeError(
                     f"message {msg} was captured but never delivered — "
                     "network did not drain"
                 )
-            for trig in (cause, bound):
-                if trig is not None and trig.id not in self._keys:
-                    # A trigger outside the captured set would be a
+            gap, cause_id = msg.inject_time, -1
+            if cause is not None:
+                if cause.id not in self._keys:
+                    # A cause outside the captured set would be a
                     # cause-threading bug (all network messages are captured).
                     raise RuntimeError(
                         f"message {msg.id} triggered by uncaptured "
-                        f"message {trig.id}"
+                        f"message {cause.id}"
                     )
-            gap, cause_id, bound_id, bound_gap = msg.inject_time, -1, -1, 0
-            if cause is not None:
                 gap = msg.inject_time - cause.deliver_time
                 cause_id = cause.id
                 if gap < 0:
@@ -97,23 +94,14 @@ class TraceCapture:
                         f"message {msg.id} injected {-gap} cycles before its "
                         "cause was delivered — causality bug"
                     )
-                if bound is not None:
-                    bound_id = bound.id
-                    bound_gap = msg.inject_time - bound.deliver_time
-                    if bound_gap < 0:
-                        raise RuntimeError(
-                            f"message {msg.id} injected before its bound "
-                            "was delivered — causality bug"
-                        )
             head = (self._keys[msg.id], msg.src, msg.dst, msg.size_bytes,
                     msg.kind, msg.inject_time, msg.deliver_time)
             try:
                 records.append(TraceRecord(remap[msg.id], *head,
-                                           remap[cause_id], gap,
-                                           remap[bound_id], bound_gap))
+                                           remap[cause_id], gap))
             except ValueError:
                 # The record's own refusal, naming the id the run gave it.
-                TraceRecord(msg.id, *head, cause_id, gap, bound_id, bound_gap)
+                TraceRecord(msg.id, *head, cause_id, gap)
                 raise
         markers: list[EndMarker] = []
         for node, t_finish, cause in self._finishes:
@@ -134,8 +122,3 @@ class TraceCapture:
                       exec_time=exec_time, meta=dict(meta or {}))
         trace.validate()
         return trace
-
-    # ----------------------------------------------------------- queries
-    @property
-    def messages_captured(self) -> int:
-        return len(self._sent)

@@ -326,7 +326,6 @@ def _solve_windowed(
     inject = np.full(n, _NEG, dtype=np.int64)
     deliver = np.full(n, _NEG, dtype=np.int64)
     contrib = np.where(plan.root, plan.root_time, _NEG)
-    prereq = plan.prereq.copy()
     released = np.zeros(n, dtype=bool)
 
     # Parent-keyed CSRs over the two edge sets: anchor edges fire at parent
@@ -349,16 +348,12 @@ def _solve_windowed(
             released[newly] = True
             inject[newly] = contrib[newly]
             out.append(newly)
+            # An anchored record's one edge: its anchor's release is its own.
             counts = aptr[newly + 1] - aptr[newly]
-            ach = gather_ranges(aptr, a_child, newly)
-            if not len(ach):
-                break
-            adl = gather_ranges(aptr, a_delta, newly)
-            apar = np.repeat(newly, counts)
-            np.maximum.at(contrib, ach, inject[apar] + adl)
-            np.subtract.at(prereq, ach, 1)
-            cand = np.unique(ach)
-            newly = cand[(prereq[cand] == 0) & ~released[cand]]
+            children = gather_ranges(aptr, a_child, newly)
+            contrib[children] = (np.repeat(inject[newly], counts)
+                                 + gather_ranges(aptr, a_delta, newly))
+            newly = children
         if not out:
             return np.empty(0, dtype=np.int64)
         return out[0] if len(out) == 1 else np.concatenate(out)
@@ -398,12 +393,10 @@ def _solve_windowed(
         eidx = gather_ranges(dptr, edge_idx, b)
         if not len(eidx):
             continue
+        # A dependent's one edge: its cause's service releases it.
         dch = d_child[eidx]
-        dpar = np.repeat(b, counts)
-        np.maximum.at(contrib, dch, deliver[dpar] + d_gap[eidx])
-        np.subtract.at(prereq, dch, 1)
-        cand = np.unique(dch)
-        newly = _release(cand[(prereq[cand] == 0) & ~released[cand]])
+        contrib[dch] = deliver[np.repeat(b, counts)] + d_gap[eidx]
+        newly = _release(dch)
         if len(newly):
             frontier = np.concatenate((frontier, newly))
     return inject, deliver, released, rounds

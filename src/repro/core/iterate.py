@@ -78,9 +78,9 @@ class IterativeRefiner:
     def _next_schedule(self, prev: ReplayResult) -> dict[int, int]:
         """Rebuild the full timeline from the previous pass's latencies.
 
-        Records are walked in captured delivery order, which is a
-        topological order of the dependency DAG (a cause is always delivered
-        strictly before its dependents are delivered), so corrected times
+        Records are walked in :meth:`Trace.causal_order` — every cause
+        before its dependents, even where a zero-latency cause ties with a
+        dependent's delivery and sorts after it — so corrected times
         propagate through arbitrarily deep chains in a single rebuild.
         """
         lat = {
@@ -90,20 +90,10 @@ class IterativeRefiner:
         }
         schedule: dict[int, int] = {}
         deliver_new: dict[int, int] = {}
-        for r in sorted(self.trace.records, key=lambda r: (r.t_deliver, r.msg_id)):
-            if r.cause_id == -1:
-                inject = r.t_inject
-            else:
-                d = deliver_new.get(r.cause_id)
-                # A cause missing here would be a replay bug; fall back to
-                # the captured time to stay total.
-                if d is None:
-                    inject = r.t_inject
-                else:
-                    inject = d + r.gap
-                    if r.bound_id != -1 and r.bound_id in deliver_new:
-                        inject = max(inject,
-                                     deliver_new[r.bound_id] + r.bound_gap)
+        for r in self.trace.causal_order():
+            # A root, or a cause missing from the trace: the captured time.
+            d = deliver_new.get(r.cause_id)
+            inject = r.t_inject if d is None else d + r.gap
             schedule[r.msg_id] = inject
             deliver_new[r.msg_id] = inject + lat.get(r.msg_id, r.latency)
         return schedule

@@ -16,9 +16,10 @@ no scheduler.  :func:`classify` decides it, here and nowhere else:
   order — the predecessor may itself be degraded, the chain telescopes,
   which is what makes the all-degraded limit coincide with naive replay.  A
   degraded record with no predecessor becomes a captured-timestamp root;
-* the **can-fire fixpoint** over trigger edges and the **Tarjan demotion**
-  of dependency-cycle members to captured-timestamp roots (hand-built
-  traces only: a validated :class:`Trace` is acyclic).
+* **reachability** from the roots over the edges — a non-root has at most
+  one: a deliver edge from its cause or an anchor edge — and the
+  **demotion** of dependency-cycle members to captured-timestamp roots
+  (hand-built traces only: a validated :class:`Trace` is acyclic).
 
 Both schedulers read the resulting :class:`Plan`: the event-driven
 :class:`~repro.core.replay.SelfCorrectingReplayer` builds its run-time
@@ -28,7 +29,7 @@ diagnostics from its masks.  So the two engines can only ever disagree about
 *scheduling*.
 
 :class:`Columns` is the solver's view of :attr:`Trace.chunk
-<repro.core.trace.Trace.chunk>` plus the trigger indices, memoised on the
+<repro.core.trace.Trace.chunk>` plus the cause indices, memoised on the
 trace; every index in a :class:`Plan` is a position in records order.
 """
 
@@ -44,7 +45,6 @@ from repro.core.trace import (
     IdIndex,
     RecordChunk,
     Trace,
-    _distinct,
     _fires,
     csr,
     gather_ranges,
@@ -59,24 +59,22 @@ __all__ = ["Columns", "Plan", "classify", "csr", "gather_ranges"]
 
 class Columns:
     """The solver's names for the trace's columns (records order), plus
-    each record's trigger indices: -1 none, -2 not in the trace."""
+    each record's cause index: -1 none, -2 not in the trace."""
 
     def __init__(self, chunk: RecordChunk) -> None:
         self.n = len(chunk)
         self.ids, self.src, self.dst = chunk.msg_id, chunk.src, chunk.dst
         self.size, self.t_inject = chunk.size_bytes, chunk.t_inject
         self.cause_id, self.gap = chunk.cause_id, chunk.gap
-        self.bound_id, self.bound_gap = chunk.bound_id, chunk.bound_gap
         #: Record index of each msg_id (-1 for -1, -2 if absent).
         self.index_of = IdIndex(self.ids).of
         self.cause_idx = self.index_of(self.cause_id)
-        self.bound_idx = self.index_of(self.bound_id)
 
     @staticmethod
     def of(trace: Trace) -> "Columns":
         """Columns for ``trace``, memoised on the trace instance: sweeps,
         the validation matrix and iterative refinement replay one capture
-        under many configs, so a record-built trace's chunk and the trigger
+        under many configs, so a record-built trace's chunk and the cause
         indices are a one-time cost.  A hit is :attr:`Trace.chunk`'s — the
         records the chunk was built from are still the trace's."""
         chunk = trace.chunk
@@ -89,56 +87,22 @@ class Columns:
         return held[2]
 
 
-def _cycle_members(nodes, out_edges) -> set:
-    """Nodes of ``nodes`` on a dependency cycle (including self-loops).
-
-    Iterative Tarjan SCC over ``out_edges(node)``; a node is on a cycle iff
-    its strongly connected component has more than one member or it has a
-    self-edge.
-    """
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    scc_stack: list = []
+def _cycle_members(cause: dict) -> set:
+    """The nodes on a dependency cycle (self-loops included) of a graph
+    where each node has at most one out-edge, ``cause[node]`` (absent:
+    none).  Each node's pointer path is walked until it leaves the graph,
+    meets an earlier walk, or comes back to a node of its own: the path
+    from there on is a cycle."""
     members: set = set()
-    counter = 0
-    for start in nodes:
-        if start in index:
-            continue
-        work = [(start, iter(out_edges(start)))]
-        while work:
-            node, it = work[-1]
-            if node not in index:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                scc_stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for succ in it:
-                if succ == node:
-                    members.add(node)          # self-loop
-                elif succ not in index:
-                    work.append((succ, iter(out_edges(succ))))
-                    advanced = True
-                    break
-                elif succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                scc = []
-                while True:
-                    w = scc_stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                if len(scc) > 1:
-                    members.update(scc)
+    walked: set = set()
+    for node in cause:
+        path: dict = {}
+        while node in cause and node not in walked:
+            walked.add(node)
+            path[node] = len(path)
+            node = cause[node]
+        if node in path:
+            members.update(list(path)[path[node]:])
     return members
 
 
@@ -153,8 +117,8 @@ class Plan:
 
     Each record is exactly one of ``root`` (timestamp-driven: true roots,
     ``captured``-policy ablations, degraded records with no predecessor,
-    demoted cycle members), ``dependent`` (waits on its trigger edges) or
-    ``anchored`` (degraded, rides its neighbour anchor).
+    demoted cycle members), ``dependent`` (waits on its cause's delivery)
+    or ``anchored`` (degraded, rides its neighbour anchor).
     """
 
     cols: Columns
@@ -169,11 +133,11 @@ class Plan:
     # cycle members by msg_id.
     root_order: np.ndarray
     root_time: np.ndarray       # schedule time of a root (per record)
-    prereq: np.ndarray          # trigger edges a record waits on (0: roots)
-    # Deliver edges (child fires ``gap`` after the parent's delivery), in
-    # records order of the child, a record's cause edge before its bound
-    # edge; and anchor edges (child fires ``delta`` after the parent's
-    # *injection*).  Only edges into records that can ever fire.
+    # Deliver edges (child fires ``gap`` after its cause's delivery), in
+    # records order of the child; and anchor edges (child fires ``delta``
+    # after the parent's *injection*).  A non-root has at most one edge, so
+    # a record fires exactly when its parent does: an edge is dead only
+    # under a parent that never fires, which no scheduler ever visits.
     d_parent: np.ndarray
     d_child: np.ndarray
     d_gap: np.ndarray
@@ -188,14 +152,11 @@ class Plan:
 
 
 def _deliver_edges(cols: Columns, dependent: np.ndarray):
-    """``(parent, child, gap)`` of the dependents' cause and bound edges
-    whose trigger record is present in the trace, in records order of the
-    child with each record's cause edge before its bound edge."""
+    """``(parent, child, gap)`` of the dependents' cause edges whose cause
+    is present in the trace, in records order of the child."""
     dep = np.flatnonzero(dependent)
-    parent = np.stack((cols.cause_idx[dep], cols.bound_idx[dep]), 1).ravel()
-    present = parent >= 0          # -1: no bound edge, -2: trigger absent
-    return (parent[present], np.repeat(dep, 2)[present],
-            np.stack((cols.gap[dep], cols.bound_gap[dep]), 1).ravel()[present])
+    dep = dep[cols.cause_idx[dep] >= 0]
+    return cols.cause_idx[dep], dep, cols.gap[dep]
 
 
 def classify(trace: Trace, *, keep_dep_fraction: float, dep_drop_seed: int,
@@ -228,8 +189,7 @@ def classify(trace: Trace, *, keep_dep_fraction: float, dep_drop_seed: int,
 
     kept = has_cause & keep_mask
     dropped = has_cause & ~keep_mask
-    missing = (cols.cause_idx == -2) | \
-        ((cols.bound_id != -1) & (cols.bound_idx == -2))
+    missing = cols.cause_idx == -2
 
     if use_anchor:
         degraded = dropped | (kept & (missing | marked)) | (~has_cause & marked)
@@ -260,48 +220,28 @@ def classify(trace: Trace, *, keep_dep_fraction: float, dep_drop_seed: int,
         root_order.append(order[no_pred[order]])
     anchored = degraded & (pred != -1)
 
-    # ---- cycle demotion.  The fixpoint runs over roots and deliver edges
-    # only — anchored records never fire in it — so what it leaves blocked
-    # waits on a missing trigger, on a cycle, or behind an anchored record.
+    # ---- cycle demotion.  Reachability runs over roots and deliver edges
+    # only — anchored records are never reached — so what it leaves blocked
+    # waits on a missing cause, on a cycle, or behind an anchored record.
     d_parent, d_child, d_gap = _deliver_edges(cols, dependent)
     indptr, eorder = csr(d_parent, n)
     dc_csr = d_child[eorder]
+    blocked = dependent & ~_fires(root, indptr, dc_csr)
 
-    prereq = np.zeros(n, dtype=np.int64)
-    prereq[dependent] = 1 + (cols.bound_id[dependent] != -1)
-    prereq[anchored] = 1
-    blocked = dependent & ~_fires(root, prereq, indptr, dc_csr)
-
+    # Of the blocked records, demote the cycle members: a cycle of
+    # zero-latency records would wait on itself forever.  A cycle holds
+    # each member's cause, so no member waits behind a missing cause —
+    # those records stall legitimately, a diagnosable data bug reported
+    # via the ``stalled_*`` fields.  The members' descendants then fire
+    # normally off the demoted roots' deliveries.
     demoted: list[int] = []
     if blocked.any():
-        # Blocked records tainted by a trigger missing from the trace stall
-        # legitimately — a diagnosable data bug, reported via the
-        # ``stalled_*`` fields; the taint spreads through their dependents.
-        taint = np.zeros(n, dtype=bool)
-        frontier = np.flatnonzero(blocked & missing)
-        while len(frontier):
-            taint[frontier] = True
-            children = gather_ranges(indptr, dc_csr, frontier)
-            cand = _distinct(children)
-            frontier = cand[blocked[cand] & ~taint[cand]]
-        # Of the rest, demote the actual cycle members: a cycle of
-        # zero-latency records would wait on itself forever.  Their
-        # descendants then fire normally off the demoted roots' deliveries.
-        sub_idx = np.flatnonzero(blocked & ~taint)
-        if len(sub_idx):
-            sub_ids = set(cols.ids[sub_idx].tolist())
-            trig = {
-                int(cols.ids[i]): tuple(
-                    t for t in (int(cols.cause_id[i]), int(cols.bound_id[i]))
-                    if t in sub_ids)
-                for i in sub_idx
-            }
-            demoted = sorted(_cycle_members(sorted(sub_ids), trig.__getitem__))
+        demoted = sorted(_cycle_members(dict(zip(
+            cols.ids[blocked].tolist(), cols.cause_id[blocked].tolist()))))
         if demoted:
             dem_mask = np.isin(cols.ids, np.asarray(demoted, dtype=np.int64))
             dependent = dependent & ~dem_mask
             root = root | dem_mask
-            prereq[dem_mask] = 0
             d_parent, d_child, d_gap = _deliver_edges(cols, dependent)
             dem_idx = np.flatnonzero(dem_mask)
             root_order.append(
@@ -311,24 +251,10 @@ def classify(trace: Trace, *, keep_dep_fraction: float, dep_drop_seed: int,
     a_parent = pred[a_child]
     a_delta = cols.t_inject[a_child] - cols.t_inject[a_parent]
 
-    # ---- keep only edges whose child can ever fire: a dead edge must not
-    # narrow its parent's horizon slack in the windowed solver.  With
-    # nothing blocked and nothing anchored the first sweep fired every
-    # dependent, so every edge is live and the second sweep is skipped.
-    if blocked.any() or len(a_child):
-        indptr, eorder = csr(np.concatenate([d_parent, a_parent]), n)
-        fires = _fires(root, prereq, indptr,
-                       np.concatenate([d_child, a_child])[eorder])
-        live = fires[d_child]
-        d_parent, d_child, d_gap = d_parent[live], d_child[live], d_gap[live]
-        live = fires[a_child]
-        a_parent, a_child, a_delta = a_parent[live], a_child[live], a_delta[live]
-
     return Plan(
         cols=cols, policy=degraded_gap_policy,
         root=root, dependent=dependent, anchored=anchored, degraded=degraded,
         root_order=np.concatenate(root_order), root_time=root_time,
-        prereq=prereq,
         d_parent=d_parent, d_child=d_child, d_gap=d_gap,
         a_parent=a_parent, a_child=a_child, a_delta=a_delta,
         demoted=demoted,

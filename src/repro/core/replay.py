@@ -5,12 +5,9 @@ Both drive a trace into any :class:`repro.net.NetworkAdapter`:
 * **Naive** replays the captured absolute injection times.  On a network
   different from the capture network this embeds the *capture* network's
   timing into the workload — the inaccuracy the paper identifies.
-* **Self-correcting** re-derives each injection time online with the DAG
-  earliest-start rule: a message is injected at
-  ``max over trigger edges of (deliver(trigger) + edge_gap)`` evaluated in
-  **the current simulation** (one edge for ordinary records; a second,
-  ``bound``, edge for sends released by the later of two arrivals, such as
-  queued directory requests).  The timeline thus continuously corrects
+* **Self-correcting** re-derives each injection time online: a message is
+  injected at ``deliver(cause) + gap``, its cause's delivery evaluated in
+  **the current simulation**.  The timeline thus continuously corrects
   itself to the target network.  Roots (no cause) keep their captured
   offsets.
 
@@ -63,7 +60,7 @@ class FaultExposure:
     * ``ablated`` — dependency edges discarded by ``keep_dep_fraction``;
     * ``marked_degraded`` — records flagged in the trace meta under
       ``DEGRADED_RECORDS_META_KEY`` by the fault-injection layer;
-    * ``missing_triggers`` — kept records whose cause/bound msg_id is absent
+    * ``missing_triggers`` — kept records whose cause msg_id is absent
       from the trace (record loss upstream);
     * ``rederived`` / ``rederived_msg_ids`` — degraded records whose
       injection time was re-derived from a surviving neighbor anchor
@@ -220,10 +217,10 @@ def _assemble_result(
     payload of a degraded replay: neither engine knows about that.)
 
     *Stalled* records are dependents the schedule never injected: their
-    cause (or bound) never delivered, because the dependency graph
-    references msg_ids missing from the trace or because they wait
-    transitively behind such a record; ``stalled_on`` names the undelivered
-    triggers.  *Re-derived* records are the anchored ones it did inject.
+    cause never delivered, because the dependency graph references msg_ids
+    missing from the trace or because they wait transitively behind such a
+    record; ``stalled_on`` names each one's undelivered cause.  *Re-derived*
+    records are the anchored ones it did inject.
     """
     cols = Columns.of(trace)
     ids = cols.ids
@@ -238,11 +235,10 @@ def _assemble_result(
         injected[inj_pos] = True
         stalled = np.flatnonzero(plan.dependent & ~injected)
         shown = stalled[np.argsort(ids[stalled])[:_STALL_DETAIL_CAP]]
-        # Per shown record, its cause and bound, and whether each is a
-        # trigger that never landed: absent (-2) or present but undelivered.
-        idx = np.stack((cols.cause_idx[shown], cols.bound_idx[shown]), 1)
+        # Per shown record, whether its cause never landed: absent (-2) or
+        # present but undelivered.
+        idx = cols.cause_idx[shown]
         waits = (idx != -1) & ~((idx >= 0) & delivered[np.maximum(idx, 0)])
-        triggers = np.stack((cols.cause_id[shown], cols.bound_id[shown]), 1)
         rederived = tuple(np.sort(ids[plan.anchored & injected]).tolist())
         diagnostics = dict(
             dropped_deps=plan.dropped_deps,
@@ -250,9 +246,10 @@ def _assemble_result(
             stalled_count=len(stalled),
             stalled_msg_ids=ids[shown].tolist(),
             stalled_on={
-                mid: [t for t, wait in zip(row, row_waits) if wait]
-                for mid, row, row_waits in zip(
-                    ids[shown].tolist(), triggers.tolist(), waits.tolist())},
+                mid: [cause] if wait else []
+                for mid, cause, wait in zip(
+                    ids[shown].tolist(), cols.cause_id[shown].tolist(),
+                    waits.tolist())},
             rederived_records=len(rederived),
             fault_exposure=FaultExposure(
                 policy=plan.policy,
@@ -437,19 +434,16 @@ class SelfCorrectingReplayer(_ReplayerBase):
         self.dropped_deps = plan.dropped_deps
         self.demoted_cyclic = plan.demoted
         records = trace.records
-        # Trigger msg_id -> the records waiting on its delivery, in plan
-        # order (same-time releases are scheduled in it); per waiting
-        # record, the remaining trigger count and the running
-        # earliest-start maximum.  Keys are the records' own msg_id objects,
-        # not fresh ints off the arrays (peak RSS again, see ``run``).
+        # Cause msg_id -> the records waiting on its delivery, in plan
+        # order (same-time releases are scheduled in it); per released
+        # record, its re-derived injection time.  Keys are the records' own
+        # msg_id objects, not fresh ints off the arrays (peak RSS again, see
+        # ``run``).
         self._dependents: dict[int, list[TraceRecord]] = {}
-        self._prereqs_left: dict[int, int] = {}
         self._start_time: dict[int, int] = {}
-        prereq = plan.prereq.tolist()
         for p, c in zip(plan.d_parent.tolist(), plan.d_child.tolist()):
-            dep = records[c]
-            self._dependents.setdefault(records[p].msg_id, []).append(dep)
-            self._prereqs_left[dep.msg_id] = prereq[c]
+            self._dependents.setdefault(records[p].msg_id, []).append(
+                records[c])
         # Degraded-record machinery: anchor msg_id -> [(record, captured
         # inter-send delta)].
         self._anchored: dict[int, list[tuple[TraceRecord, int]]] = {}
@@ -497,8 +491,7 @@ class SelfCorrectingReplayer(_ReplayerBase):
         super()._publish_metrics(result)
         scope = self._obs
         exposure = result.fault_exposure
-        # ``_start_time`` holds exactly the dependents that fired: the plan
-        # lists no edge into a record that cannot.
+        # ``_start_time`` holds exactly the dependents that fired.
         scope.counter("corrections_applied").inc(len(self._start_time))
         scope.counter("stalled").inc(result.stalled_count)
         scope.counter("dropped_deps").inc(result.dropped_deps)
@@ -515,28 +508,13 @@ class SelfCorrectingReplayer(_ReplayerBase):
     def _on_deliver(self, msg: Message) -> None:
         mid, delivered = msg.id, msg.deliver_time
         self.deliveries[mid] = delivered
-        start_time, prereqs_left = self._start_time, self._prereqs_left
+        start_time = self._start_time
         for dep in self._dependents.get(mid, ()):
-            # Earliest-start rule: each trigger edge contributes
-            # deliver + its own capture-measured delay; the max wins.
-            if mid != dep.cause_id:
-                edge_gap = dep.bound_gap
-            elif mid != dep.bound_id:
-                edge_gap = dep.gap
-            else:       # the bound is the cause: both edges end here
-                edge_gap = max(dep.gap, dep.bound_gap)
-            dep_id = dep.msg_id
-            candidate = delivered + edge_gap
-            start = start_time.get(dep_id)
-            if start is None or candidate > start:
-                start_time[dep_id] = start = candidate
-            left = prereqs_left[dep_id] - 1
-            prereqs_left[dep_id] = left
-            if left == 0:
-                if self._tl is not None:
-                    self._tl.record(start, f"node{dep.src}",
-                                    "replay.correction")
-                self.sim.schedule(start, self._send, (dep,))
+            # The cause landed: the send follows its capture-measured gap.
+            start = start_time[dep.msg_id] = delivered + dep.gap
+            if self._tl is not None:
+                self._tl.record(start, f"node{dep.src}", "replay.correction")
+            self.sim.schedule(start, self._send, (dep,))
 
 
 def replay_trace(

@@ -6,16 +6,13 @@ of a classic network trace, the two fields the self-correction model needs:
 * ``cause_id`` — the message whose *arrival* triggered this send (-1 for
   spontaneous sends at program start),
 * ``gap`` — the network-independent time between that arrival and this send
-  (core compute, cache hits, directory occupancy...), and
-* ``bound_id`` / ``bound_gap`` — optional secondary trigger edge: when a
-  send was released by the *later* of two arrivals (a queued directory
-  request: its own arrival vs the previous transaction's completion), both
-  edges are recorded with their own capture-measured delays and replay uses
-  the classic DAG earliest-start rule
-  ``inject = max(deliver(cause) + gap, deliver(bound) + bound_gap)``.
-  On the capture network both sums equal the captured injection time (the
-  non-binding arm's delay simply absorbs its slack), so the max re-evaluates
-  correctly under any target network's timing.
+  (core compute, cache hits, directory occupancy...).
+
+One trigger per record: the dependency graph of a valid trace is a forest,
+and replay re-derives ``inject = deliver(cause) + gap`` on the target.  The
+second trigger edge both wire formats once carried survives only as two
+fields written -1 / 0; a reader refuses any other value
+(:data:`SECOND_TRIGGER`).
 
 ``key`` is a semantic identity ``(src, dst, kind, line, occurrence)`` that is
 stable across runs of the same workload on different networks, used to match
@@ -62,8 +59,6 @@ class TraceRecord:
     t_deliver: int
     cause_id: int          # msg_id of the trigger, or -1
     gap: int               # t_inject - deliver(cause); t_inject if no cause
-    bound_id: int = -1     # msg_id of the secondary trigger, or -1
-    bound_gap: int = 0     # t_inject - deliver(bound) when bound_id != -1
 
     def __post_init__(self) -> None:
         if self.src < 0 or self.dst < 0 or self.src == self.dst:
@@ -74,13 +69,6 @@ class TraceRecord:
             raise ValueError(f"record {self.msg_id} delivered before injected")
         if self.gap < 0:
             raise ValueError(f"record {self.msg_id} has negative gap {self.gap}")
-        if self.bound_id != -1:
-            if self.cause_id == -1:
-                raise ValueError(
-                    f"record {self.msg_id} has a bound but no cause")
-            if self.bound_gap < 0:
-                raise ValueError(
-                    f"record {self.msg_id} has negative bound_gap")
 
     @property
     def latency(self) -> int:
@@ -105,6 +93,14 @@ class EndMarker:
 
 class TraceBinError(ValueError):
     """Malformed binary trace (bad magic, bad version, truncation, corruption)."""
+
+
+#: The refusal of a record naming a second trigger, for the first such
+#: record (of the first such RECORDS block): a container's two reserved
+#: columns and a JSON row's two trailing fields must hold -1 and 0
+#: (docs/TRACE_FORMAT.md).
+SECOND_TRIGGER = ("record {id} names a second trigger: its two reserved "
+                  "fields must be -1 and 0")
 
 
 # --------------------------------------------------------------------------
@@ -155,42 +151,26 @@ def gather_ranges(indptr: np.ndarray, data: np.ndarray,
     return data[idx]
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of ``x``, sorted.  (``np.unique`` imports
-    ``numpy.ma`` on first use — about a MiB of resident memory the event
-    engine's process would otherwise never load.)"""
-    x = np.sort(x)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
-
-
-def _fires(root: np.ndarray, prereq: np.ndarray, indptr: np.ndarray,
+def _fires(root: np.ndarray, indptr: np.ndarray,
            child_csr: np.ndarray) -> np.ndarray:
-    """Records that can ever fire: the roots, plus every record all
-    ``prereq`` of whose trigger edges (parent-keyed CSR) lead back to one."""
-    left = prereq.copy()
+    """Records that can ever fire: the roots and every record their edges
+    (parent-keyed CSR, at most one edge into a record) reach."""
     fired = root.copy()
     frontier = np.flatnonzero(root)
     while len(frontier):
         children = gather_ranges(indptr, child_csr, frontier)
-        if not len(children):
-            break
-        np.subtract.at(left, children, 1)
-        cand = _distinct(children)
-        frontier = cand[(left[cand] == 0) & ~fired[cand]]
+        frontier = children[~fired[children]]
         fired[frontier] = True
     return fired
 
 
-def _unfired(cause_idx: np.ndarray, bound_idx: np.ndarray) -> np.ndarray:
-    """Mask of the records the can-fire fixpoint never reaches, given each
-    record's trigger *indices* (-1 none, -2 absent: neither is an edge)."""
-    n = len(cause_idx)
-    parent = np.stack((cause_idx, bound_idx), 1).ravel()
-    present = parent >= 0
-    child = np.repeat(np.arange(n, dtype=np.int64), 2)[present]
-    prereq = np.bincount(child, minlength=n)
-    indptr, order = csr(parent[present], n)
-    return ~_fires(prereq == 0, prereq, indptr, child[order])
+def _unfired(cause_idx: np.ndarray) -> np.ndarray:
+    """Mask of the records no root reaches, given each record's cause
+    *index* (-1 none, -2 absent: neither is an edge) — the members of a
+    dependency cycle and everything downstream of one."""
+    edge = cause_idx >= 0
+    indptr, order = csr(cause_idx[edge], len(cause_idx))
+    return ~_fires(~edge, indptr, np.flatnonzero(edge)[order])
 
 
 def _raise_first(checks: list, **columns: np.ndarray) -> None:
@@ -225,8 +205,6 @@ class RecordChunk:
     latency: np.ndarray
     cause_id: np.ndarray
     gap: np.ndarray
-    bound_id: np.ndarray
-    bound_gap: np.ndarray
     key_src: np.ndarray
     key_dst: np.ndarray
     key_kind_idx: np.ndarray
@@ -266,9 +244,7 @@ class RecordChunk:
         """Refuse, first offending record first, what building the records
         would: a kind index outside ``kinds``, a :class:`TraceRecord` check."""
         k = len(self.kinds)
-        has_bound = self.bound_id != -1
-        times = np.stack((self.t_inject, self.latency, self.gap,
-                          self.bound_gap))
+        times = np.stack((self.t_inject, self.latency, self.gap))
         _raise_first([
             ((self.kind_idx < 0) | (self.kind_idx >= k)
              | (self.key_kind_idx < 0) | (self.key_kind_idx >= k),
@@ -278,10 +254,6 @@ class RecordChunk:
             (self.size_bytes < 1, "bad size in record {id}"),
             (self.latency < 0, "record {id} delivered before injected"),
             (self.gap < 0, "record {id} has negative gap {gap}"),
-            (has_bound & (self.cause_id == -1),
-             "record {id} has a bound but no cause"),
-            (has_bound & (self.bound_gap < 0),
-             "record {id} has negative bound_gap"),
             # ... so that ``t_inject + latency`` and ``deliver(trigger) +
             # gap``, the sums the checks make, cannot wrap an int64.
             ((times >= 1 << 62).any(0),
@@ -295,8 +267,7 @@ class RecordChunk:
                        self.dst.tolist(), self.size_bytes.tolist(),
                        [kinds[k] for k in self.kind_idx.tolist()],
                        self.t_inject.tolist(), self.t_deliver.tolist(),
-                       self.cause_id.tolist(), self.gap.tolist(),
-                       self.bound_id.tolist(), self.bound_gap.tolist())
+                       self.cause_id.tolist(), self.gap.tolist())
         except IndexError as exc:
             raise TraceBinError(
                 "corrupt trace: kind index outside string table") from exc
@@ -314,8 +285,7 @@ class RecordChunk:
         cols = np.array(
             [(r.msg_id, r.src, r.dst, r.size_bytes,
               intern(r.kind, len(table)), r.t_inject,
-              r.t_deliver - r.t_inject, r.cause_id, r.gap, r.bound_id,
-              r.bound_gap, r.key[0], r.key[1],
+              r.t_deliver - r.t_inject, r.cause_id, r.gap, r.key[0], r.key[1],
               intern(r.key[2], len(table)), r.key[3], r.key[4])
              for r in records],
             dtype=np.int64,
@@ -324,23 +294,19 @@ class RecordChunk:
         return cls(*np.ascontiguousarray(cols), kinds=tuple(table))
 
 
-#: The sixteen column fields of a :class:`RecordChunk`, in declared order.
+#: The fourteen column fields of a :class:`RecordChunk`, in declared order.
 COLUMNS = tuple(f.name for f in fields(RecordChunk) if f.name != "kinds")
 
 
 def blocked_msg_ids(records: list[TraceRecord]) -> set[int]:
-    """The msg_ids that can never fire: the can-fire fixpoint.
-
-    Propagate "can fire" from the roots over cause and bound edges; a record
-    left unfired sits on a dependency cycle or downstream of one.  A trigger
-    that names no record in ``records`` is ignored, not waited for —
+    """The msg_ids that can never fire: those no root reaches over cause
+    edges — the members of a dependency cycle and their descendants.  A
+    cause that names no record in ``records`` is ignored, not waited for —
     reporting absent triggers is the caller's business.
     """
-    ids, cause_id, bound_id = np.array(
-        [(r.msg_id, r.cause_id, r.bound_id) for r in records],
-        dtype=np.int64).reshape(len(records), 3).T
-    index = IdIndex(ids)
-    return set(ids[_unfired(index.of(cause_id), index.of(bound_id))].tolist())
+    ids, cause_id = np.array([(r.msg_id, r.cause_id) for r in records],
+                             dtype=np.int64).reshape(len(records), 2).T
+    return set(ids[_unfired(IdIndex(ids).of(cause_id))].tolist())
 
 
 @dataclass
@@ -400,7 +366,7 @@ class Trace:
 
         Array checks on :attr:`chunk` that refuse what a walk over the
         records would, in its order: every :class:`TraceRecord` refusal,
-        duplicates, then per record its cause, gap and bound checks.
+        duplicates, then per record its cause and gap checks.
         """
         c = self.chunk
         c.check()
@@ -418,10 +384,9 @@ class Trace:
         keys = keys[:, np.lexsort(keys)]
         if (keys[:, 1:] == keys[:, :-1]).all(0).any():
             raise ValueError("duplicate semantic keys in trace")
-        cause_idx, bound_idx = index.of(c.cause_id), index.of(c.bound_id)
+        cause_idx = index.of(c.cause_id)
         has_cause = c.cause_id != -1
         cause_at = t_deliver[np.maximum(cause_idx, 0)]
-        bound_at = t_deliver[np.maximum(bound_idx, 0)]
         _raise_first([
             (cause_idx == -2, "record {id}: cause {cause} not in trace"),
             (has_cause & (cause_at > t_inject),
@@ -431,17 +396,14 @@ class Trace:
              "record {id}: gap {gap} inconsistent"),
             (~has_cause & (c.gap != t_inject),
              "root record {id}: gap != t_inject"),
-            (bound_idx == -2, "record {id}: bound {bound} not in trace"),
-            ((c.bound_id != -1) & (bound_at + c.bound_gap != t_inject),
-             "record {id}: bound_gap {bound_gap} inconsistent"),
         ], id=ids, cause=c.cause_id, t_inject=t_inject, cause_at=cause_at,
-            gap=c.gap, bound=c.bound_id, bound_gap=c.bound_gap)
+            gap=c.gap)
         # The per-edge checks above admit cycles, but only of zero-latency,
         # equal-timestamp records (along an edge ``t_inject`` grows strictly
-        # unless the trigger's latency is zero) — a shape no real network
+        # unless the cause's latency is zero) — a shape no real network
         # captures and one that would stall the self-correcting replayer
-        # forever.  With every trigger present, nothing else stays unfired.
-        cyclic = (sorted(ids[_unfired(cause_idx, bound_idx)].tolist())
+        # forever.  With every cause present, nothing else stays unfired.
+        cyclic = (sorted(ids[_unfired(cause_idx)].tolist())
                   if (c.latency == 0).any() else [])
         if cyclic:
             raise ValueError(
@@ -467,15 +429,30 @@ class Trace:
         records = self.__dict__.get("records")
         return len(self.chunk if records is None else records)
 
-    def dependency_depth(self) -> int:
-        """Longest cause chain (records processed in causal order)."""
-        depth: dict[int, int] = {}
-        best = 0
+    def causal_order(self) -> list[TraceRecord]:
+        """The records in captured ``(t_deliver, msg_id)`` order, except that
+        a record follows its cause wherever a zero-latency tie sorts the
+        cause later: a walk in this order meets every present cause before
+        its dependents.  (A dependency cycle, possible only in an
+        unvalidated trace, has no such order; its members keep the walk's.)"""
+        by_id = {r.msg_id: r for r in self.records}
+        seen: set[int] = set()
+        out: list[TraceRecord] = []
         for r in sorted(self.records, key=lambda r: (r.t_deliver, r.msg_id)):
-            d = depth.get(r.cause_id, 0) + 1 if r.cause_id != -1 else 1
-            depth[r.msg_id] = d
-            best = max(best, d)
-        return best
+            chain = []
+            while r is not None and r.msg_id not in seen:
+                seen.add(r.msg_id)
+                chain.append(r)
+                r = by_id.get(r.cause_id)
+            out.extend(reversed(chain))
+        return out
+
+    def dependency_depth(self) -> int:
+        """Longest cause chain, in records."""
+        depth: dict[int, int] = {}
+        for r in self.causal_order():
+            depth[r.msg_id] = depth.get(r.cause_id, 0) + 1
+        return max(depth.values(), default=0)
 
     def roots(self) -> list[TraceRecord]:
         return [r for r in self.records if r.cause_id == -1]
@@ -491,8 +468,7 @@ class Trace:
             "exec_time": self.exec_time,
             "records": [
                 [r.msg_id, list(r.key), r.src, r.dst, r.size_bytes, r.kind,
-                 r.t_inject, r.t_deliver, r.cause_id, r.gap, r.bound_id,
-                 r.bound_gap]
+                 r.t_inject, r.t_deliver, r.cause_id, r.gap, -1, 0]
                 for r in self.records
             ],
             "end_markers": [
@@ -504,15 +480,18 @@ class Trace:
     @staticmethod
     def from_json(text: str) -> "Trace":
         obj = json.loads(text)
+        # A row's two trailing fields are the second trigger's; older
+        # files lack them.
+        second = next((row for row in obj["records"]
+                       if row[10:] not in ([], [-1, 0])), None)
+        if second is not None:
+            raise ValueError(SECOND_TRIGGER.format(id=second[0]))
         records = [
             TraceRecord(
                 msg_id=row[0],
                 key=(row[1][0], row[1][1], row[1][2], row[1][3], row[1][4]),
                 src=row[2], dst=row[3], size_bytes=row[4], kind=row[5],
                 t_inject=row[6], t_deliver=row[7], cause_id=row[8], gap=row[9],
-                # Older trace files lack the bound columns.
-                bound_id=row[10] if len(row) > 10 else -1,
-                bound_gap=row[11] if len(row) > 11 else 0,
             )
             for row in obj["records"]
         ]

@@ -18,7 +18,8 @@ Block types:
 * ``KINDS``   — JSON list of *new* kind strings, appended to an incremental
   string table shared by the record ``kind`` and semantic-key kind columns.
 * ``RECORDS`` — one chunk of records, column-major: a u32 record count, then
-  16 columns, each a u32 byte length followed by a varint stream.  Signed
+  16 columns, each a u32 byte length followed by a varint stream (two are
+  reserved: written -1 / 0, and any other value is refused).  Signed
   columns are zigzag-encoded; ``msg_id`` and ``t_inject`` are delta-coded
   (the delta base resets each chunk, so chunks decode independently).
 * ``MARKERS`` — the end markers, same columnar shape (4 columns).
@@ -52,6 +53,7 @@ import numpy as np
 
 from repro.core.trace import (
     COLUMNS,
+    SECOND_TRIGGER,
     EndMarker,
     RecordChunk,
     Trace,
@@ -147,7 +149,8 @@ def _unzigzag(u: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- columns
 #: (name, coding) in on-disk order, which is the order of ``RecordChunk``'s
-#: column fields.  ``key_src``/``key_dst`` are stored relative to
+#: column fields with the two reserved ones between ``gap`` and
+#: ``key_src``.  ``key_src``/``key_dst`` are stored relative to
 #: ``src``/``dst`` (usually zero), ``msg_id``/``t_inject`` as zigzag
 #: deltas; everything non-negative by Trace validation is raw.
 _RECORD_COLUMNS = (
@@ -168,6 +171,14 @@ _RECORD_COLUMNS = (
     ("key_line", "signed"),
     ("key_occ", "signed"),
 )
+
+#: The reserved columns — a second trigger edge this model does not have —
+#: and the one value each is written with and must hold.  Written, such a
+#: column is one byte per row: the value's varint (zigzag -1 is 1).
+_RESERVED = {"bound_id": (-1, b"\x01"), "bound_gap": (0, b"\x00")}
+_RESERVED_AT = [i for i, (name, _) in enumerate(_RECORD_COLUMNS)
+                if name in _RESERVED]
+_KEPT_AT = [i for i in range(len(_RECORD_COLUMNS)) if i not in _RESERVED_AT]
 
 _MARKER_COLUMNS = (
     ("node", "unsigned"),
@@ -196,29 +207,58 @@ def _encode_columns(spec: tuple, columns: list) -> bytes:
     return b"".join(parts)
 
 
-def _decode_columns(payload: bytes, spec: tuple,
-                    what: str) -> list[np.ndarray]:
-    """The inverse of :func:`_encode_columns`, for a ``what`` block."""
+def _decode_columns(payload: bytes, spec: tuple, what: str,
+                    decode: Optional[list] = None) -> list:
+    """The inverse of :func:`_encode_columns`, for a ``what`` block; with
+    ``decode`` (column positions), the framing is checked whole but only
+    those columns are decoded, the others left as their bytes."""
     if len(payload) < 4:
         raise TraceBinError(f"truncated trace: short {what} block")
     count = _U32.unpack_from(payload)[0]
     off = 4
     columns = []
-    for name, coding in spec:
+    payload = memoryview(payload)           # column slices copy nothing
+    for i, (name, coding) in enumerate(spec):
         if off + 4 > len(payload):
             raise TraceBinError(f"truncated trace: short {what} block")
         clen = _U32.unpack_from(payload, off)[0]
         off += 4
         if off + clen > len(payload):
             raise TraceBinError(f"truncated trace: short {what} column")
-        u = _decode_varints(payload[off:off + clen], count, name)
+        raw = payload[off:off + clen]
         off += clen
+        if decode is not None and i not in decode:
+            columns.append(raw)
+            continue
+        u = _decode_varints(raw, count, name)
         columns.append(u.astype(np.int64) if coding == "unsigned"
                        else _unzigzag(u) if coding == "signed"
                        else np.cumsum(_unzigzag(u), dtype=np.int64))
     if off != len(payload):
         raise TraceBinError(f"corrupt trace: trailing bytes in {what} block")
     return columns
+
+
+def _decode_records(payload: bytes, counting: bool):
+    """A RECORDS payload's columns less the reserved ones — or, when
+    ``counting``, only its row count, decoding no column — after refusing
+    a block whose reserved columns hold anything but their one value.
+    (Reserved bytes other than the writer's are decoded, with ``msg_id``,
+    to name the first record whose value differs, if one does.)"""
+    columns = _decode_columns(payload, _RECORD_COLUMNS, "RECORDS",
+                              [] if counting else _KEPT_AT)
+    count = _U32.unpack_from(payload)[0]
+    if any(columns[i] != byte * count
+           for i, (_, byte) in zip(_RESERVED_AT, _RESERVED.values())):
+        decoded = _decode_columns(payload, _RECORD_COLUMNS, "RECORDS",
+                                  [0, *_RESERVED_AT])
+        second = np.logical_or.reduce(
+            [decoded[i] != value
+             for i, (value, _) in zip(_RESERVED_AT, _RESERVED.values())])
+        if second.any():
+            raise TraceBinError(
+                SECOND_TRIGGER.format(id=int(decoded[0][second.argmax()])))
+    return count if counting else [columns[i] for i in _KEPT_AT]
 
 
 # ------------------------------------------------------------------ writer
@@ -281,8 +321,11 @@ class BinaryTraceWriter:
             key_kind_idx=remap[chunk.key_kind_idx],
             key_src=chunk.key_src - chunk.src,
             key_dst=chunk.key_dst - chunk.dst)
-        self._write_block(_BLOCK_RECORDS, _encode_columns(
-            _RECORD_COLUMNS, [getattr(stored, field) for field in COLUMNS]))
+        columns = [getattr(stored, field) for field in COLUMNS]
+        for i, (value, _) in zip(_RESERVED_AT, _RESERVED.values()):
+            columns.insert(i, np.full(len(chunk), value, dtype=np.int64))
+        self._write_block(_BLOCK_RECORDS,
+                          _encode_columns(_RECORD_COLUMNS, columns))
         self._record_count += len(chunk)
         self._chunk_count += 1
 
@@ -394,7 +437,7 @@ def _json_block(payload: bytes, what: str):
 
 def _walk(source: Union[str, Path, BinaryIO],
           seek: frozenset[int] = frozenset(),
-          count: frozenset[int] = frozenset(),
+          count_records: bool = False,
           ) -> Iterator[tuple[int, int, object]]:
     """The container's reading rules, once: yield ``(type, payload_len,
     body)`` for every block of ``source`` (a path or a seekable binary
@@ -402,15 +445,17 @@ def _walk(source: Union[str, Path, BinaryIO],
 
     A body is what its payload decodes to — META and END their JSON
     object, KINDS the whole string table so far, RECORDS a checked
-    :class:`RecordChunk` (kind indices against the table as of that block,
-    then every :class:`TraceRecord` refusal), MARKERS the end markers —
-    except that a type in ``seek`` is seeked over unread (body ``None``)
-    and one in ``count`` yields only its leading u32 row count.  No
-    payload is read before its length is checked against the file size.
-    The footer must agree with the file on all three counts: RECORDS
-    blocks, and records and markers unless their blocks are seeked.  Every
-    refusal is a :class:`TraceBinError` or, for a record, the
-    ``ValueError`` building it would raise.
+    :class:`RecordChunk` (first the reserved columns, :data:`SECOND_TRIGGER`;
+    then kind indices against the table as of that block, then every
+    :class:`TraceRecord` refusal), MARKERS the end markers — except that a
+    type in ``seek`` is seeked over unread (body ``None``), and with
+    ``count_records`` a RECORDS block is checked for its framing and
+    reserved columns only and yields its row count.  No payload is read
+    before its length is checked against the file size.  The footer must
+    agree with the file on all three counts: RECORDS blocks, and records
+    and markers unless their blocks are seeked.  Every refusal is a
+    :class:`TraceBinError` or, for a record, the ``ValueError`` building it
+    would raise.
     """
     with (contextlib.nullcontext(source) if hasattr(source, "read")
           else open(source, "rb")) as fp:
@@ -439,14 +484,11 @@ def _walk(source: Union[str, Path, BinaryIO],
             if btype in seek:
                 fp.seek(length, 1)
                 body = rows = None
-            elif btype in count:
-                if length < _U32.size:
-                    raise TraceBinError(f"truncated trace: short {name} block")
-                body = rows = _U32.unpack(fp.read(_U32.size))[0]
-                fp.seek(length - _U32.size, 1)
+            elif btype == _BLOCK_RECORDS and count_records:
+                body = rows = _decode_records(fp.read(length), True)
             elif btype == _BLOCK_RECORDS:
-                body = RecordChunk(*_decode_columns(
-                    fp.read(length), _RECORD_COLUMNS, name), kinds=kinds)
+                body = RecordChunk(*_decode_records(fp.read(length), False),
+                                   kinds=kinds)
                 body.key_src += body.src
                 body.key_dst += body.dst
                 body.check()
@@ -531,12 +573,12 @@ def iter_chunks(source: Union[str, Path, BinaryIO]) -> Iterator[RecordChunk]:
 def read_summary(source: Union[str, Path, BinaryIO]) -> dict:
     """Header/footer scan: meta, markers, counts — without decoding records.
 
-    RECORDS payloads are seeked over after their leading row count, so the
-    cost is O(blocks), not O(trace); the footer is checked on all three
-    counts.  Returns ``{"meta", "kinds", "markers", "exec_time",
-    "record_count", "marker_count", "chunks", "version"}``.
+    Of a RECORDS payload only the framing and the two reserved columns are
+    checked; the footer is checked on all three counts.
+    Returns ``{"meta", "kinds", "markers", "exec_time", "record_count",
+    "marker_count", "chunks", "version"}``.
     """
-    last, counts = _fold(_walk(source, count=frozenset({_BLOCK_RECORDS})))
+    last, counts = _fold(_walk(source, count_records=True))
     footer = last[_BLOCK_END]
     return {
         "meta": last[_BLOCK_META],

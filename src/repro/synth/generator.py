@@ -227,17 +227,16 @@ def _chunk(profile: SynthProfile, first: int,
     """The records ``first, first + 1, ...`` from the merge's seven column
     lists; every other column of the container follows from them (the
     semantic key of a synthetic message is ``(src, dst, kind, msg_id,
-    0)``, nothing has a secondary trigger)."""
+    0)``)."""
     src, dst, size, kind, t_inject, cause_id, gap = (
         np.array(col, dtype=np.int64) for col in cols)
     msg_id = np.arange(first, first + len(src), dtype=np.int64)
-    zeros = np.zeros(len(src), dtype=np.int64)
     return RecordChunk(
         msg_id=msg_id, src=src, dst=dst, size_bytes=size, kind_idx=kind,
         t_inject=t_inject, latency=_latency(profile, size),
-        cause_id=cause_id, gap=gap, bound_id=zeros - 1, bound_gap=zeros,
-        key_src=src, key_dst=dst, key_kind_idx=kind, key_line=msg_id,
-        key_occ=zeros, kinds=_KINDS)
+        cause_id=cause_id, gap=gap, key_src=src, key_dst=dst,
+        key_kind_idx=kind, key_line=msg_id,
+        key_occ=np.zeros(len(src), dtype=np.int64), kinds=_KINDS)
 
 
 def _iter_chunks(profile: SynthProfile, scale: float, seed: int,

@@ -124,11 +124,8 @@ class FullSystem:
     # ------------------------------------------------------------- sending
     def send_protocol(self, src: int, dst: int, kind: str,
                       payload: ProtPayload) -> None:
-        """Send a protocol message, normalising its causal trigger(s)."""
+        """Send a protocol message, normalising its causal trigger."""
         payload.cause = derive_cause(payload.cause)
-        payload.bound = derive_cause(payload.bound)
-        if payload.bound is payload.cause:
-            payload.bound = None
         msg = Message(src, dst, message_size(self.cfg, kind), kind, payload)
         if src == dst:
             payload.local = True

@@ -66,13 +66,12 @@ class Txn:
         "need_owner_data",
         "need_mem",
         "cause",
-        "bound",
         "finishing",
         "prev_owner",
     )
 
     def __init__(self, line: int, requester: int, is_write: bool,
-                 seq: int, cause: Message, bound: Message | None) -> None:
+                 seq: int, cause: Message) -> None:
         self.line = line
         self.requester = requester
         self.is_write = is_write
@@ -81,9 +80,6 @@ class Txn:
         self.need_owner_data = False
         self.need_mem = False
         self.cause = cause          # latest message that advanced this txn
-        # Secondary lower bound for dequeued transactions: the request's own
-        # arrival (txn start = max(arrival, previous completion)).
-        self.bound = bound
         self.finishing = False
         self.prev_owner = -1
 
@@ -154,17 +150,13 @@ class HomeSlice:
         line, r = payload.line, payload.requester
         is_write = req.kind == MSG_REQ_WRITE
         trigger = inherited_cause if inherited_cause is not None else req
-        # NOTE: a dequeued request's own arrival is deliberately NOT recorded
-        # as a secondary bound edge.  In this protocol a queued transaction
-        # starts exactly at the previous transaction's finish (its request
-        # always arrived earlier), so the bound edge is inactive at capture —
-        # and its measured slack is capture-network-dependent, which measured
-        # 3-5x *worse* replay accuracy when threaded through (see
-        # EXPERIMENTS.md, "two-trigger ablation").  The trace format and the
-        # replayers fully support bound edges for protocols that need them.
-        bound = None
+        # A dequeued request's own arrival is deliberately not a second
+        # trigger: a queued transaction starts exactly at the previous one's
+        # finish (its request always arrived earlier), and threading that
+        # edge measured 3-5x *worse* replay accuracy (EXPERIMENTS.md,
+        # "Two-trigger ablation").  A record has one cause.
         entry = self._entry(line)
-        txn = Txn(line, r, is_write, seq=entry.seq, cause=trigger, bound=bound)
+        txn = Txn(line, r, is_write, seq=entry.seq, cause=trigger)
         entry.seq += 1
         self.txns[line] = txn
 
@@ -178,7 +170,7 @@ class HomeSlice:
                     entry.owner,
                     MSG_FETCH_INV if is_write else MSG_FETCH,
                     ProtPayload(line=line, requester=r, seq=txn.seq,
-                                cause=trigger, bound=bound),
+                                cause=trigger),
                 )
             # owner == r: its eviction WRITEBACK is already in flight and
             # will serve as the data arrival.
@@ -190,7 +182,7 @@ class HomeSlice:
                 self.sys.send_protocol(
                     self.node, s, MSG_INV,
                     ProtPayload(line=line, requester=r, seq=txn.seq,
-                                cause=trigger, bound=bound),
+                                cause=trigger),
                 )
             if r not in entry.sharers:
                 self._ensure_data(txn, trigger)
@@ -209,8 +201,7 @@ class HomeSlice:
             self.node,
             self.sys.memctrl_of(txn.line),
             MSG_MEM_READ,
-            ProtPayload(line=txn.line, requester=self.node, cause=trigger,
-                        bound=txn.bound),
+            ProtPayload(line=txn.line, requester=self.node, cause=trigger),
         )
 
     # ------------------------------------------------------ txn advancing
@@ -311,7 +302,7 @@ class HomeSlice:
             MSG_RESP_DATA,
             ProtPayload(line=line, requester=txn.requester,
                         aux=1 if txn.is_write else 0, seq=txn.seq,
-                        cause=txn.cause, bound=txn.bound),
+                        cause=txn.cause),
         )
         del self.txns[line]
         q = self.waiting.get(line)

@@ -3,8 +3,8 @@
 Every protocol message carries a :class:`ProtPayload` whose ``cause`` field
 threads the *causal trigger* through the system: the network message whose
 arrival (transitively) provoked this send.  The trace-capture layer reads it
-to annotate trace records with dependency edges — the information the paper's
-self-correction model adds over plain timestamped traces.
+to annotate each trace record with its one dependency edge — the information
+the paper's self-correction model adds over plain timestamped traces.
 
 Cause-threading rule: when a handler processes network message X and sends Y,
 Y's cause is X; when it processes a *local* (same-node, off-network) message
@@ -64,10 +64,6 @@ class ProtPayload:
     overtakes the RESP_DATA granting ownership is deferred, a stale one is
     dropped).
     ``cause`` — causal-trigger network message (see module docstring).
-    ``bound`` — optional *secondary* trigger: a message whose delivery also
-    lower-bounds this send (a queued directory request is released by
-    ``max(its own arrival, previous transaction's completion)``; whichever
-    arm was not binding on the capture network would otherwise be lost).
     ``local`` — True for same-node messages that never touch the network.
     """
 
@@ -76,7 +72,6 @@ class ProtPayload:
     aux: int = 0
     seq: int = -1
     cause: Optional[Message] = None
-    bound: Optional[Message] = None
     local: bool = False
 
 

@@ -11,7 +11,7 @@ replayer's degradation accounting against it.
 
 Fault catalogue
 ---------------
-``drop_deps``   :class:`DropDepEdges` — strip the cause/bound annotation from
+``drop_deps``   :class:`DropDepEdges` — strip the cause annotation from
                 a fraction of dependent records (the trace-side generalization
                 of the replayer's ``keep_dep_fraction`` ablation).  Stripped
                 records are flagged in ``Trace.meta`` under
@@ -88,7 +88,7 @@ class FaultReport:
     seed: int
     records_before: int
     records_after: int
-    dropped_edges: tuple[int, ...] = ()    # records whose cause/bound was stripped
+    dropped_edges: tuple[int, ...] = ()    # records whose cause was stripped
     removed_records: tuple[int, ...] = ()  # records deleted from the trace
     shifted_records: tuple[int, ...] = ()  # records whose timestamps moved
     rewired_records: tuple[int, ...] = ()  # records whose cause was rewired
@@ -152,7 +152,7 @@ class DropDepEdges(FaultModel):
     """Strip the dependency annotation from ``fraction`` of dependent records.
 
     Damaged records become structural roots (``cause_id = -1``, ``gap =
-    t_inject``, bound cleared) and are flagged in the trace meta so the
+    t_inject``) and are flagged in the trace meta so the
     replayer knows they are degraded rather than genuine program-start sends.
     """
 
@@ -173,8 +173,7 @@ class DropDepEdges(FaultModel):
         for r in trace.records:
             if r.cause_id != -1 and unit(seed, r.msg_id) < self.fraction:
                 dropped.append(r.msg_id)
-                records.append(_clone(r, cause_id=-1, gap=r.t_inject,
-                                      bound_id=-1, bound_gap=0))
+                records.append(_clone(r, cause_id=-1, gap=r.t_inject))
             else:
                 records.append(r)
         report = FaultReport(
@@ -215,58 +214,26 @@ class TimestampJitter(FaultModel):
                             + noise * self.sigma_cycles))
 
     def apply(self, trace: Trace, seed: int) -> tuple[Trace, FaultReport]:
-        by_id = {r.msg_id: r for r in trace.records}
         new_deliver: dict[int, int] = {}
         new_records: dict[int, TraceRecord] = {}
-
-        def build(r: TraceRecord) -> None:
+        for r in trace.causal_order():
             latency = max(1, round(max(1, r.latency) * (1.0 + self.skew)
                                    + _gauss(seed, r.msg_id, "lat")
                                    * self.sigma_cycles))
             noise = _gauss(seed, r.msg_id, "gap")
-            cause = by_id.get(r.cause_id, None) if r.cause_id != -1 else None
+            cause_at = new_deliver.get(r.cause_id)
             if r.cause_id == -1:
-                inject = self._stretch(r.gap, noise)
-                gap, bound_id, bound_gap = inject, -1, 0
-            elif cause is None:
+                inject = gap = self._stretch(r.gap, noise)
+            elif cause_at is None:
                 # Cause already missing (composed after a record-loss fault):
                 # keep the stale annotation, jitter the absolute stamp.
-                inject = self._stretch(r.t_inject, noise)
-                gap, bound_id, bound_gap = r.gap, r.bound_id, r.bound_gap
+                inject, gap = self._stretch(r.t_inject, noise), r.gap
             else:
-                inject = new_deliver[r.cause_id] + self._stretch(r.gap, noise)
-                bound_id = r.bound_id
-                if bound_id != -1 and bound_id in new_deliver:
-                    inject = max(
-                        inject,
-                        new_deliver[bound_id]
-                        + self._stretch(r.bound_gap,
-                                        _gauss(seed, r.msg_id, "bound")))
-                elif bound_id != -1:
-                    bound_id = -1          # bound lost earlier in the chain
-                gap = inject - new_deliver[r.cause_id]
-                bound_gap = (inject - new_deliver[bound_id]
-                             if bound_id != -1 else 0)
+                gap = self._stretch(r.gap, noise)
+                inject = cause_at + gap
             new_deliver[r.msg_id] = inject + latency
             new_records[r.msg_id] = _clone(
-                r, t_inject=inject, t_deliver=inject + latency, gap=gap,
-                bound_id=bound_id, bound_gap=bound_gap)
-
-        # Iterative causal-order worklist (deep chains overflow recursion).
-        order = sorted(trace.records, key=lambda r: (r.t_inject, r.msg_id))
-        for root in order:
-            stack = [root.msg_id]
-            while stack:
-                mid = stack[-1]
-                rec = by_id[mid]
-                pending = [t for t in (rec.cause_id, rec.bound_id)
-                           if t != -1 and t in by_id and t not in new_deliver]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                if mid not in new_records:
-                    build(rec)
-                stack.pop()
+                r, t_inject=inject, t_deliver=inject + latency, gap=gap)
 
         markers: list[EndMarker] = []
         for m in trace.end_markers:
@@ -283,6 +250,7 @@ class TimestampJitter(FaultModel):
         exec_time = max((m.t_finish for m in markers),
                         default=max(new_deliver.values(), default=0))
 
+        order = sorted(trace.records, key=lambda r: (r.t_inject, r.msg_id))
         records = [new_records[r.msg_id] for r in order]
         shifted = tuple(r.msg_id for r in order
                         if new_records[r.msg_id].t_inject != r.t_inject)
@@ -421,8 +389,7 @@ class RewireDeps(FaultModel):
             rewired.add(r.msg_id)
             records.append(_clone(
                 r, cause_id=new_cause,
-                gap=r.t_inject - originals[new_cause].t_deliver,
-                bound_id=-1, bound_gap=0))
+                gap=r.t_inject - originals[new_cause].t_deliver))
         # Revert any rewire that manufactured a cycle (pre-existing damage,
         # e.g. from composed record-loss faults, is left alone).
         pre_existing = blocked_msg_ids(trace.records)

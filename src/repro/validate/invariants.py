@@ -62,7 +62,7 @@ harness and the property tests):
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from repro.config import TRACE_NAIVE, TRACE_SELF_CORRECTING
@@ -265,8 +265,8 @@ def _check_replay_causality(trace: Trace, result: ReplayResult,
                         f"{r.t_inject}", r.msg_id)
     if result.mode != TRACE_SELF_CORRECTING:
         return
-    # Self-correcting: the DAG earliest-start rule, checkable only for
-    # records whose every trigger was delivered in this replay (ablated or
+    # Self-correcting: ``deliver(cause) + gap``, checkable only for
+    # records whose cause was delivered in this replay (ablated or
     # demoted records legitimately used their captured timestamps instead).
     # Records re-derived from a neighbor anchor (degraded-gap policies) are
     # exempt: their injection is anchor-relative by design.
@@ -281,11 +281,6 @@ def _check_replay_causality(trace: Trace, result: ReplayResult,
         if cause_t is None:
             continue
         expected = cause_t + r.gap
-        if r.bound_id != -1:
-            bound_t = result.deliveries.get(r.bound_id)
-            if bound_t is None:
-                continue
-            expected = max(expected, bound_t + r.bound_gap)
         got = result.injections[r.msg_id]
         if got != expected and got != r.t_inject:
             out.add(REPLAY_CAUSALITY,
@@ -322,48 +317,14 @@ def scale_trace_gaps(trace: Trace, k: int) -> Trace:
     """
     if k < 0:
         raise ValueError(f"scale factor must be >= 0, got {k}")
-    by_id = {r.msg_id: r for r in trace.records}
     new_deliver: dict[int, int] = {}
     new_records: dict[int, TraceRecord] = {}
-
-    def build(mid: int) -> int:
-        if mid in new_deliver:
-            return new_deliver[mid]
-        r = by_id[mid]
-        if r.cause_id == -1:
-            inject = k * r.gap
-            gap = inject
-            bound_gap = 0
-        else:
-            inject = build(r.cause_id) + k * r.gap
-            if r.bound_id != -1:
-                inject = max(inject, build(r.bound_id) + k * r.bound_gap)
-            gap = inject - new_deliver[r.cause_id]
-            bound_gap = (inject - new_deliver[r.bound_id]
-                         if r.bound_id != -1 else 0)
-        deliver = inject + r.latency
-        new_deliver[mid] = deliver
-        new_records[mid] = TraceRecord(
-            msg_id=r.msg_id, key=r.key, src=r.src, dst=r.dst,
-            size_bytes=r.size_bytes, kind=r.kind, t_inject=inject,
-            t_deliver=deliver, cause_id=r.cause_id, gap=gap,
-            bound_id=r.bound_id, bound_gap=bound_gap)
-        return deliver
-
-    # Iterative worklist (deep cause chains overflow Python recursion).
-    order = sorted(trace.records, key=lambda r: (r.t_inject, r.msg_id))
-    for r in order:
-        stack = [r.msg_id]
-        while stack:
-            mid = stack[-1]
-            rec = by_id[mid]
-            pending = [t for t in (rec.cause_id, rec.bound_id)
-                       if t != -1 and t not in new_deliver]
-            if pending:
-                stack.extend(pending)
-                continue
-            build(mid)
-            stack.pop()
+    for r in trace.causal_order():
+        inject = k * r.gap + (0 if r.cause_id == -1
+                              else new_deliver[r.cause_id])
+        new_deliver[r.msg_id] = inject + r.latency
+        new_records[r.msg_id] = replace(
+            r, t_inject=inject, t_deliver=inject + r.latency, gap=k * r.gap)
 
     markers = []
     for m in trace.end_markers:
@@ -374,7 +335,8 @@ def scale_trace_gaps(trace: Trace, k: int) -> Trace:
             markers.append(EndMarker(m.node, finish, m.cause_id, k * m.gap))
     exec_time = max((m.t_finish for m in markers), default=0)
     scaled = Trace(
-        records=[new_records[r.msg_id] for r in order],
+        records=[new_records[r.msg_id] for r in
+                 sorted(trace.records, key=lambda r: (r.t_inject, r.msg_id))],
         end_markers=markers, exec_time=exec_time,
         meta={**trace.meta, "gap_scale": k})
     scaled.validate()

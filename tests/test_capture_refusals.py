@@ -18,9 +18,9 @@ from repro.net import Message
 from repro.system.protocol import ProtPayload
 
 
-def msg(mid, src=0, dst=1, inject=0, deliver=10, cause=None, bound=None):
+def msg(mid, src=0, dst=1, inject=0, deliver=10, cause=None):
     m = Message(src, dst, 64, "req_read", msg_id=mid,
-                payload=ProtPayload(line=mid, cause=cause, bound=bound))
+                payload=ProtPayload(line=mid, cause=cause))
     m.inject_time, m.deliver_time = inject, deliver
     return m
 
@@ -32,12 +32,6 @@ def undelivered():
 def cause_late():
     a = msg(100, inject=0, deliver=20)
     return [a, msg(101, inject=5, deliver=30, cause=a)]
-
-
-def bound_late():
-    a = msg(100, inject=0, deliver=5)
-    b = msg(101, inject=0, deliver=20)
-    return [a, b, msg(102, inject=10, deliver=30, cause=a, bound=b)]
 
 
 def self_addressed():
@@ -67,9 +61,6 @@ CASES = {
     "cause_late": (cause_late, RuntimeError,
                    "message 101 injected 15 cycles before its cause was "
                    "delivered — causality bug"),
-    "bound_late": (bound_late, RuntimeError,
-                   "message 102 injected before its bound was delivered — "
-                   "causality bug"),
     "self_addressed": (self_addressed, ValueError, "bad endpoints in record 101"),
     "delivered_early": (delivered_early, ValueError,
                         "record 100 delivered before injected"),
@@ -110,13 +101,13 @@ def test_end_marker_refusal_comes_after_the_records():
 
 
 def test_finalize_numbers_records_in_injection_order():
-    """Ids are canonicalised to 0..n-1 by (injection time, run id); causes,
-    bounds and end markers follow the renumbering."""
+    """Ids are canonicalised to 0..n-1 by (injection time, run id); causes
+    and end markers follow the renumbering."""
     cap = TraceCapture()
     a = msg(500, inject=4, deliver=9)
     b = msg(300, src=1, dst=0, inject=4, deliver=8)
     c = msg(900, src=2, dst=3, inject=1, deliver=3)
-    d = msg(700, src=1, dst=2, inject=12, deliver=20, cause=a, bound=b)
+    d = msg(700, src=1, dst=2, inject=12, deliver=20, cause=a)
     for m in (a, b, c, d):
         cap.on_network_send(m)
     cap.on_core_finish(1, 25, d)
@@ -124,5 +115,5 @@ def test_finalize_numbers_records_in_injection_order():
     assert [(r.msg_id, r.src, r.dst, r.t_inject) for r in trace.records] == [
         (0, 2, 3, 1), (1, 1, 0, 4), (2, 0, 1, 4), (3, 1, 2, 12)]
     last = trace.records[3]
-    assert (last.cause_id, last.gap, last.bound_id, last.bound_gap) == (2, 3, 1, 4)
+    assert (last.cause_id, last.gap) == (2, 3)
     assert [(m.node, m.cause_id, m.gap) for m in trace.end_markers] == [(1, 3, 5)]

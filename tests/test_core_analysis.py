@@ -23,6 +23,8 @@ from repro.core import (
 )
 from repro.harness import run_execution_driven
 
+from tests.test_core_trace import zero_latency_tie
+
 
 def rec(mid, src, dst, t_in, t_del, cause=-1, gap=None, kind="req_read"):
     return TraceRecord(
@@ -59,6 +61,11 @@ def test_critical_chain_picks_deepest():
     tr.records.append(rec(99, 2, 3, 0, 9))
     depth, _ = critical_chain(tr)
     assert depth == 3
+
+
+def test_critical_chain_follows_a_cause_that_ties_its_dependent():
+    # A's gap is its injection time 5; B and C add nothing.
+    assert critical_chain(zero_latency_tie()) == (3, 5)
 
 
 def test_dependency_fanout_linear():

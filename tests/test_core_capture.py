@@ -106,8 +106,9 @@ def test_capture_rejects_forward_cause_naming_the_transition():
     that closed the cycle, not wait for post-hoc validation."""
     from repro.system.protocol import ProtPayload
     cap = TraceCapture()
-    cap.on_network_send(Message(0, 1, 64, "req_read",
-                                payload=ProtPayload(line=7)))
+    first = Message(0, 1, 64, "req_read", payload=ProtPayload(line=7))
+    first.inject_time, first.deliver_time = 0, 10
+    cap.on_network_send(first)
     future = Message(1, 0, 64, "resp_data", payload=ProtPayload(line=7))
     offender = Message(0, 2, 64, "req_write",
                        payload=ProtPayload(line=7, aux=0, seq=4,
@@ -121,20 +122,7 @@ def test_capture_rejects_forward_cause_naming_the_transition():
     assert f"message {future.id} (resp_data)" in text
     assert "cause" in text
     # The offender was rejected, not half-recorded.
-    assert cap.messages_captured == 1
-
-
-def test_capture_rejects_forward_bound_too():
-    from repro.system.protocol import ProtPayload
-    cap = TraceCapture()
-    trigger = Message(1, 0, 64, "resp_data", payload=ProtPayload(line=3))
-    cap.on_network_send(trigger)
-    future = Message(2, 0, 64, "resp_data", payload=ProtPayload(line=3))
-    with pytest.raises(RuntimeError, match="as its bound"):
-        cap.on_network_send(Message(0, 1, 64, "req_read",
-                                    payload=ProtPayload(line=3,
-                                                        cause=trigger,
-                                                        bound=future)))
+    assert len(cap.finalize()) == 1
 
 
 def test_capture_rejects_self_cycle():

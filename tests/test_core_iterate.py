@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import (
@@ -13,6 +15,8 @@ from repro.config import (
 )
 from repro.core import IterativeRefiner
 from repro.harness import optical_factory, run_execution_driven
+
+from tests.test_core_trace import zero_latency_tie
 
 
 def small_exp(seed=5):
@@ -101,3 +105,12 @@ def test_undamped_variant_runs(setting):
     r = IterativeRefiner(trace, optical_factory(exp.onoc, exp.seed),
                          max_iterations=3, damping=1.0).run()
     assert r.extra["iterations"] >= 1
+
+
+def test_rebuild_meets_a_cause_that_ties_its_dependent():
+    """A root measured at 10 cycles moves its zero-gap dependent from the
+    captured 5 to 15, although the dependent sorts first by delivery."""
+    prev = SimpleNamespace(injections={9: 5, 1: 5, 0: 5},
+                           deliveries={9: 15, 1: 15, 0: 16})
+    refiner = IterativeRefiner(zero_latency_tie(), network_factory=None)
+    assert refiner._next_schedule(prev) == {9: 5, 1: 15, 0: 25}

@@ -20,13 +20,12 @@ from tests.test_properties_trace import traces
 NODES = 4
 
 
-def rec(mid, src, t_in, cause=-1, gap=None, bound=-1, bound_gap=0):
+def rec(mid, src, t_in, cause=-1, gap=None):
     dst = (src + 1) % NODES
     return TraceRecord(
         msg_id=mid, key=(src, dst, "synthetic", mid, 0), src=src, dst=dst,
         size_bytes=8, kind="synthetic", t_inject=t_in, t_deliver=t_in + 10,
-        cause_id=cause, gap=(t_in if cause == -1 else gap),
-        bound_id=bound, bound_gap=bound_gap)
+        cause_id=cause, gap=(t_in if cause == -1 else gap))
 
 
 def trace_of(*records, marked=None) -> Trace:
@@ -50,7 +49,6 @@ def view(plan) -> dict:
         dependent=ids[plan.dependent].tolist(),
         anchored=ids[plan.anchored].tolist(),
         degraded=ids[plan.degraded].tolist(),
-        prereq={int(ids[i]): int(k) for i, k in enumerate(plan.prereq) if k},
         deliver=list(zip(ids[plan.d_parent].tolist(),
                          ids[plan.d_child].tolist(), plan.d_gap.tolist())),
         anchor=list(zip(ids[plan.a_parent].tolist(),
@@ -73,13 +71,20 @@ LOST = (rec(0, 0, 0), rec(1, 0, 30, cause=99, gap=5),
 # 7 and 4 wait on each other (listed 7 first); 3 hangs off 4.
 CYCLE = (rec(0, 0, 0), rec(7, 1, 20, cause=4, gap=0),
          rec(4, 2, 20, cause=7, gap=0), rec(3, 1, 40, cause=4, gap=10))
-# 5 and 6 wait on each other too, but 5 also waits on 4, whose trigger is
-# missing: a diagnosable stall, not a cycle to demote.
+# 5 and 6 wait behind 4, whose trigger is missing: a diagnosable stall,
+# not a cycle to demote.
 TAINTED = (rec(0, 0, 0), rec(4, 1, 10, cause=99, gap=1),
-           rec(5, 2, 20, cause=6, gap=0, bound=4, bound_gap=0),
-           rec(6, 3, 20, cause=5, gap=0))
+           rec(5, 2, 20, cause=4, gap=0), rec(6, 3, 20, cause=5, gap=0))
 
-EMPTY = dict(dependent=[], anchored=[], degraded=[], prereq={}, deliver=[],
+# 9 and 8 wait on each other, 3 on itself; 5 -> 6 hang off the first cycle
+# and 2 off the second, 4 behind 1, whose trigger (77) is missing.
+TWO_CYCLES = (rec(0, 0, 0), rec(9, 1, 20, cause=8, gap=0),
+              rec(8, 2, 20, cause=9, gap=0), rec(5, 3, 30, cause=9, gap=0),
+              rec(6, 0, 30, cause=5, gap=0), rec(3, 1, 40, cause=3, gap=0),
+              rec(2, 2, 50, cause=3, gap=0), rec(1, 3, 50, cause=77, gap=0),
+              rec(4, 0, 60, cause=1, gap=0))
+
+EMPTY = dict(dependent=[], anchored=[], degraded=[], deliver=[],
              anchor=[], demoted=[], dropped_deps=0, marked_degraded=0,
              missing_triggers=0, fallback_captured=0)
 
@@ -87,14 +92,14 @@ CASES = [
     pytest.param(
         trace_of(*FORK), GAP_POLICY_NEIGHBOR, 1.0,
         dict(roots=[0, 3], root_times=[0, 40], dependent=[1, 2],
-             prereq={1: 1, 2: 1}, deliver=[(0, 1, 5), (0, 2, 9)]),
+             deliver=[(0, 1, 5), (0, 2, 9)]),
         id="intact"),
     pytest.param(
         trace_of(*FORK), GAP_POLICY_NEIGHBOR, 0.0,
         # 1 rides its node-0 predecessor 0; 2 has none on node 1 and falls
         # back to its captured timestamp, after the classification roots.
         dict(roots=[0, 3, 2], root_times=[0, 40, 20], anchored=[1],
-             degraded=[1, 2], prereq={1: 1}, anchor=[(0, 1, 30)],
+             degraded=[1, 2], anchor=[(0, 1, 30)],
              dropped_deps=2, fallback_captured=1),
         id="ablated-neighbor_gap"),
     pytest.param(
@@ -115,34 +120,31 @@ CASES = [
         # Flagged root 3 anchors to 2, the send before it on node 1; the
         # flagged id 77 is not in the trace and counts for nothing.
         dict(roots=[0], root_times=[0], dependent=[1, 2], anchored=[3],
-             degraded=[3], prereq={1: 1, 2: 1, 3: 1},
-             deliver=[(0, 1, 5), (0, 2, 9)], anchor=[(2, 3, 20)],
+             degraded=[3], deliver=[(0, 1, 5), (0, 2, 9)], anchor=[(2, 3, 20)],
              marked_degraded=1),
         id="marked-root-anchored"),
     pytest.param(
         trace_of(*FORK, marked=[0]), GAP_POLICY_NEIGHBOR, 1.0,
         dict(roots=[3, 0], root_times=[40, 0], dependent=[1, 2],
-             degraded=[0], prereq={1: 1, 2: 1},
-             deliver=[(0, 1, 5), (0, 2, 9)], marked_degraded=1,
+             degraded=[0], deliver=[(0, 1, 5), (0, 2, 9)], marked_degraded=1,
              fallback_captured=1),
         id="marked-root-no-predecessor"),
     pytest.param(
         trace_of(*FORK, marked=[3]), GAP_POLICY_CAPTURED, 1.0,
         dict(roots=[0, 3], root_times=[0, 40], dependent=[1, 2],
-             prereq={1: 1, 2: 1}, deliver=[(0, 1, 5), (0, 2, 9)],
-             marked_degraded=1),
+             deliver=[(0, 1, 5), (0, 2, 9)], marked_degraded=1),
         id="marked-root-captured"),
     pytest.param(
         trace_of(*LOST), GAP_POLICY_CAPTURED, 1.0,
         # 1 stalls on the absent 99 and 2 behind it: both stay dependents,
-        # and no edge into a record that cannot fire is listed.
+        # 2's edge hanging off a parent that never fires.
         dict(roots=[0], root_times=[0], dependent=[1, 2],
-             prereq={1: 1, 2: 1}, missing_triggers=1),
+             deliver=[(1, 2, 2)], missing_triggers=1),
         id="missing-trigger-captured"),
     pytest.param(
         trace_of(*LOST), GAP_POLICY_NEIGHBOR, 1.0,
         dict(roots=[0], root_times=[0], dependent=[2], anchored=[1],
-             degraded=[1], prereq={1: 1, 2: 1}, deliver=[(1, 2, 2)],
+             degraded=[1], deliver=[(1, 2, 2)],
              anchor=[(0, 1, 30)], missing_triggers=1),
         id="missing-trigger-neighbor_gap"),
     pytest.param(
@@ -150,32 +152,38 @@ CASES = [
         # The cycle members become captured-timestamp roots, by msg_id;
         # their descendant 3 then fires off 4's delivery.
         dict(roots=[0, 4, 7], root_times=[0, 20, 20], dependent=[3],
-             prereq={3: 1}, deliver=[(4, 3, 10)], demoted=[4, 7]),
+             deliver=[(4, 3, 10)], demoted=[4, 7]),
         id="cycle-demoted"),
     pytest.param(
         trace_of(*TAINTED), GAP_POLICY_CAPTURED, 1.0,
         dict(roots=[0], root_times=[0], dependent=[4, 5, 6],
-             prereq={4: 1, 5: 2, 6: 1}, missing_triggers=1),
+             deliver=[(4, 5, 0), (5, 6, 0)], missing_triggers=1),
         id="blocked-but-tainted"),
+    pytest.param(
+        trace_of(*TWO_CYCLES), GAP_POLICY_CAPTURED, 1.0,
+        # Only the members of the 2-cycle and of the self-loop are demoted,
+        # whichever record a pointer walk starts from.
+        dict(roots=[0, 3, 8, 9], root_times=[0, 40, 20, 20],
+             dependent=[5, 6, 2, 1, 4],
+             deliver=[(9, 5, 0), (5, 6, 0), (3, 2, 0), (1, 4, 0)],
+             demoted=[3, 8, 9], missing_triggers=1),
+        id="cycles-demoted-tails-kept"),
+    pytest.param(
+        trace_of(rec(0, 0, 0), rec(1, 1, 0), rec(2, 2, 40, cause=1, gap=30),
+                 rec(3, 3, 40, cause=0, gap=30),
+                 rec(4, 0, 40, cause=1, gap=30)), GAP_POLICY_NEIGHBOR, 1.0,
+        # Deliver edges come in records order of the child, whatever order
+        # their causes come in: the order the event queue releases
+        # same-time children in.
+        dict(roots=[0, 1], root_times=[0, 0], dependent=[2, 3, 4],
+             deliver=[(1, 2, 30), (0, 3, 30), (1, 4, 30)]),
+        id="deliver-edges-in-child-order"),
 ]
 
 
 @pytest.mark.parametrize("trace, policy, keep, expected", CASES)
 def test_classification_table(trace, policy, keep, expected):
     assert view(plan_of(trace, policy, keep)) == {**EMPTY, **expected}
-
-
-def test_bound_edge_follows_its_records_cause_edge():
-    """Deliver edges come in records order of the child, a record's cause
-    edge before its bound edge — the order the event queue releases
-    same-time children in."""
-    trace = trace_of(
-        rec(0, 0, 0), rec(1, 1, 0),
-        rec(2, 2, 40, cause=1, gap=30, bound=0, bound_gap=31),
-        rec(3, 3, 40, cause=0, gap=32))
-    got = view(plan_of(trace, GAP_POLICY_NEIGHBOR))
-    assert got["deliver"] == [(1, 2, 30), (0, 2, 31), (0, 3, 32)]
-    assert got["prereq"] == {2: 2, 3: 1}
 
 
 @pytest.mark.parametrize("seed", [7, 12345])
@@ -254,28 +262,25 @@ def test_plan_is_a_consistent_partition(case):
     assert plan.dropped_deps == sum(
         r.cause_id != -1 and not k for r, k in zip(records, kept))
     assert plan.missing_triggers == sum(
-        k and any(t != -1 and t not in ids for t in (r.cause_id, r.bound_id))
+        k and r.cause_id != -1 and r.cause_id not in ids
         for r, k in zip(records, kept))
     assert plan.marked_degraded == len(
         ids & set(trace.meta[DEGRADED_RECORDS_META_KEY]))
     assert plan.fallback_captured == int((plan.degraded & plan.root).sum())
     assert plan.demoted == []           # generated traces are acyclic
 
-    # Roots wait on nothing; a record with listed in-edges waits on exactly
-    # those; every deliver edge is one the child record names.
+    # Roots wait on nothing, any other record on at most one edge; every
+    # deliver edge is the cause edge the child record names.
     in_edges = np.bincount(
         np.concatenate([plan.d_child, plan.a_child]), minlength=n)
-    assert not plan.prereq[plan.root].any()
     assert not in_edges[plan.root].any()
-    listed = in_edges > 0
-    assert (in_edges[listed] == plan.prereq[listed]).all()
+    assert (in_edges <= 1).all()
     assert plan.dependent[plan.d_child].all()
     assert plan.anchored[plan.a_child].all()
     for p, c, gap in zip(plan.d_parent.tolist(), plan.d_child.tolist(),
                          plan.d_gap.tolist()):
         child = records[c]
-        assert (records[p].msg_id, gap) in ((child.cause_id, child.gap),
-                                            (child.bound_id, child.bound_gap))
+        assert (records[p].msg_id, gap) == (child.cause_id, child.gap)
 
     # An anchor is the send before its child on the same source node.
     for p, c, delta in zip(plan.a_parent.tolist(), plan.a_child.tolist(),
@@ -289,20 +294,3 @@ def test_plan_is_a_consistent_partition(case):
             r.src == child.src
             and (anchor.t_inject, anchor.msg_id) < (r.t_inject, r.msg_id)
             < (child.t_inject, child.msg_id) for r in records)
-
-    # Every listed edge leads into a record that can fire: release the
-    # roots and follow the edges until nothing moves.
-    parents = np.concatenate([plan.d_parent, plan.a_parent]).tolist()
-    children = np.concatenate([plan.d_child, plan.a_child]).tolist()
-    left = plan.prereq.tolist()
-    fired = set(plan.root_order.tolist())
-    frontier = list(fired)
-    while frontier:
-        p = frontier.pop()
-        for q, c in zip(parents, children):
-            if q == p:
-                left[c] -= 1
-                if left[c] == 0:
-                    fired.add(c)
-                    frontier.append(c)
-    assert set(children) <= fired

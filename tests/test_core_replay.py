@@ -84,11 +84,8 @@ def test_self_correcting_respects_causality(setting):
     for rec in trace.records:
         if rec.cause_id != -1:
             expected = r.deliveries[rec.cause_id] + rec.gap
-            if rec.bound_id != -1:
-                expected = max(expected,
-                               r.deliveries[rec.bound_id] + rec.bound_gap)
             assert r.injections[rec.msg_id] == expected, (
-                f"record {rec.msg_id} not gap-aligned to its trigger edges"
+                f"record {rec.msg_id} not gap-aligned to its cause"
             )
 
 
@@ -208,12 +205,11 @@ def _orphan_trace():
     truncated dependency graph reaching the replayer."""
     from repro.core.trace import Trace, TraceRecord
 
-    def rec(msg_id, cause_id, t_inject, gap, bound_id=-1, bound_gap=0):
+    def rec(msg_id, cause_id, t_inject, gap):
         return TraceRecord(
             msg_id=msg_id, key=(0, 1, "data", msg_id, 0), src=0, dst=1,
             size_bytes=64, kind="data", t_inject=t_inject,
-            t_deliver=t_inject + 10, cause_id=cause_id, gap=gap,
-            bound_id=bound_id, bound_gap=bound_gap)
+            t_deliver=t_inject + 10, cause_id=cause_id, gap=gap)
 
     records = [
         rec(0, -1, 0, 0),
@@ -270,15 +266,14 @@ def test_no_stall_diagnostics_on_clean_replay(setting, self_correct):
 
 
 # ------------------------------------------------- degenerate dependency graphs
-def _rec(msg_id, cause_id, t_inject, gap, t_deliver=None, src=0, dst=1,
-         bound_id=-1, bound_gap=0):
+def _rec(msg_id, cause_id, t_inject, gap, t_deliver=None, src=0, dst=1):
     from repro.core.trace import TraceRecord
 
     return TraceRecord(
         msg_id=msg_id, key=(src, dst, "data", msg_id, 0), src=src, dst=dst,
         size_bytes=64, kind="data", t_inject=t_inject,
         t_deliver=t_inject + 10 if t_deliver is None else t_deliver,
-        cause_id=cause_id, gap=gap, bound_id=bound_id, bound_gap=bound_gap)
+        cause_id=cause_id, gap=gap)
 
 
 def _cyclic_trace():

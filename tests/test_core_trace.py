@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core import EndMarker, Trace, TraceRecord
-from repro.core.trace import latencies_by_key
+from repro.core.trace import SECOND_TRIGGER, latencies_by_key
 
 
 def rec(msg_id, t_inject, t_deliver, cause_id=-1, gap=None, src=0, dst=1,
@@ -103,6 +105,39 @@ def test_json_roundtrip():
     assert again.meta == t.meta
     assert again.records == t.records
     assert again.end_markers == t.end_markers
+
+
+def test_legacy_json_without_bound_columns_loads():
+    """A row of a file written before the two trailing fields existed."""
+    t = chain_trace()
+    obj = json.loads(t.to_json())
+    assert all(row[10:] == [-1, 0] for row in obj["records"])
+    obj["records"] = [row[:10] for row in obj["records"]]
+    assert Trace.from_json(json.dumps(obj)).records == t.records
+
+
+@pytest.mark.parametrize("tail", [[0, 3], [-1, 5], [-1], [-1, 0, 0]])
+def test_json_row_naming_a_second_trigger_is_refused(tail):
+    obj = json.loads(chain_trace().to_json())
+    obj["records"][1][10:] = tail
+    with pytest.raises(ValueError) as refused:
+        Trace.from_json(json.dumps(obj))
+    assert str(refused.value) == SECOND_TRIGGER.format(id=1)
+
+
+def zero_latency_tie():
+    """A(9) -> B(1) -> C(0): A and B are delivered at t=5, and B sorts
+    before its cause in ``(t_deliver, msg_id)`` order."""
+    a = rec(9, 5, 5, src=2, dst=3)
+    b = rec(1, 5, 5, cause_id=9, gap=0, src=3, dst=0)
+    c = rec(0, 5, 6, cause_id=1, gap=0, src=0, dst=1)
+    t = Trace(records=[c, b, a], end_markers=[], exec_time=0)
+    t.validate()
+    return t
+
+
+def test_dependency_depth_follows_a_cause_that_ties_its_dependent():
+    assert zero_latency_tie().dependency_depth() == 3
 
 
 def test_from_json_validates():

@@ -172,23 +172,24 @@ def test_both_engines_serve_every_trace_config(mode, policy, keep):
 
 
 def test_dead_edges_do_not_narrow_the_solver_horizon():
-    """Record 1 can never fire (its bound trigger 77 is not in the trace),
-    so its zero-gap edge from record 0 must not shrink record 0's horizon
-    slack: records 0 and 3 leave in one batch, their children in a second.
-    Pins why ``classify`` keeps a reachability sweep."""
-    def rec(msg_id, cause_id, t_inject, gap, src, dst, bound_id=-1):
+    """Record 1 can never fire (its cause 77 is not in the trace), so its
+    zero-gap edge to record 5 is dead.  With one cause per record an edge
+    is dead only under a parent that never fires, which never joins the
+    frontier: records 0 and 3 leave in one batch, their children in a
+    second, with no reachability sweep to prune the edge."""
+    def rec(msg_id, cause_id, t_inject, gap, src, dst):
         return TraceRecord(
             msg_id=msg_id, key=(src, dst, "data", msg_id, 0), src=src,
             dst=dst, size_bytes=64, kind="data", t_inject=t_inject,
-            t_deliver=t_inject + 10, cause_id=cause_id, gap=gap,
-            bound_id=bound_id)
+            t_deliver=t_inject + 10, cause_id=cause_id, gap=gap)
 
     trace = Trace(records=[
         rec(0, -1, 0, 0, 0, 1),
-        rec(1, 0, 20, 0, 1, 2, bound_id=77),
+        rec(1, 77, 20, 0, 1, 2),
         rec(2, 0, 1020, 1000, 1, 3),
         rec(3, -1, 50, 50, 2, 3),
         rec(4, 3, 70, 0, 3, 0),
+        rec(5, 1, 30, 0, 2, 0),
     ], end_markers=[], exec_time=0)
     onoc = OnocConfig(num_nodes=4, topology="crossbar")
     cfg = TraceConfig(degraded_gap_policy="captured")
@@ -198,4 +199,4 @@ def test_dead_edges_do_not_narrow_the_solver_horizon():
     assert gen.extra["iterations"] == 2
     assert gen.injections == ev.injections
     assert gen.deliveries == ev.deliveries
-    assert gen.stalled_on == ev.stalled_on == {1: [77]}
+    assert gen.stalled_on == ev.stalled_on == {1: [77], 5: [1]}

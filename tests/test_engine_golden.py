@@ -84,24 +84,24 @@ def run_scenario(probed: bool) -> list[tuple[int, str]]:
     return fired
 
 
-def _rec(msg_id, src, dst, t_inject, t_deliver, cause_id, gap,
-         bound_id=-1, bound_gap=0, size=64, kind="data"):
+def _rec(msg_id, src, dst, t_inject, t_deliver, cause_id, gap, size=64,
+         kind="data"):
     return TraceRecord(
         msg_id=msg_id, key=(src, dst, kind, msg_id, 0), src=src, dst=dst,
         size_bytes=size, kind=kind, t_inject=t_inject, t_deliver=t_deliver,
-        cause_id=cause_id, gap=gap, bound_id=bound_id, bound_gap=bound_gap)
+        cause_id=cause_id, gap=gap)
 
 
 def golden_trace() -> Trace:
-    """Hand-built dependency trace: chains, fan-out, a bound edge,
-    same-time contention on the target channels."""
+    """Hand-built dependency trace: chains, fan-out, same-time contention
+    on the target channels."""
     recs = [
         _rec(0, 0, 1, 0, 9, -1, 0),
         _rec(1, 1, 2, 12, 20, 0, 3),
         _rec(2, 2, 3, 25, 33, 1, 5),
         _rec(3, 0, 2, 0, 10, -1, 0, size=8, kind="ctrl"),
         _rec(4, 2, 0, 14, 22, 3, 4),
-        _rec(5, 3, 0, 40, 52, 2, 7, bound_id=4, bound_gap=18),
+        _rec(5, 3, 0, 40, 52, 2, 7),
         _rec(6, 1, 3, 12, 24, 0, 3, size=256),
         _rec(7, 3, 1, 30, 41, 6, 6),
         _rec(8, 0, 3, 60, 70, 5, 8),

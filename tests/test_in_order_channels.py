@@ -52,8 +52,7 @@ def _rec(msg_id, t_inject, t_deliver, src=0, dst=1):
     return TraceRecord(
         msg_id=msg_id, key=(src, dst, "req_read", 0, msg_id), src=src,
         dst=dst, size_bytes=8, kind="req_read", t_inject=t_inject,
-        t_deliver=t_deliver, cause_id=-1, gap=t_inject, bound_id=-1,
-        bound_gap=0)
+        t_deliver=t_deliver, cause_id=-1, gap=t_inject)
 
 
 def _trace(*records):

@@ -3,11 +3,11 @@
 A sha256 over every field of the result except ``wall_clock_s`` — dict
 insertion order and value types included (``repr``), so a reordered
 ``latencies_by_key`` or a NumPy scalar where an ``int`` was is a
-difference.  Cells: the four golden traces, ``fft`` with bound edges
-added, and ``fft`` / ``radix`` with records lost (dangling triggers and
-marker causes: stalls, re-derived markers) x the four optical backends x
-both engines x naive, self-correcting, and self-correcting at
-``keep_dep_fraction=0.7`` under each gap policy.
+difference.  Cells: the four golden traces, and ``fft`` / ``radix`` with
+records lost (dangling triggers and marker causes: stalls, re-derived
+markers) x the four optical backends x both engines x naive,
+self-correcting, and self-correcting at ``keep_dep_fraction=0.7`` under
+each gap policy.
 
 Each cell is replayed from every form a trace can be born in (built from
 records; loaded from its container; built from columns and never touched)
@@ -42,21 +42,6 @@ DIGESTS_FILE = GOLDEN_DIR / "replay_digests.json"
 SCENARIOS = {s.workload: s for s in GOLDEN_SCENARIOS}
 
 
-def _with_bounds(trace: Trace) -> Trace:
-    """Every third dependent also waits on its cause's cause (delivered
-    earlier still, so the edge is consistent and the trace stays valid)."""
-    by_id = {r.msg_id: r for r in trace.records}
-    records = []
-    for i, r in enumerate(trace.records):
-        grand = by_id[r.cause_id].cause_id if r.cause_id != -1 else -1
-        if i % 3 == 0 and grand != -1:
-            r = dataclasses.replace(
-                r, bound_id=grand,
-                bound_gap=r.t_inject - by_id[grand].t_deliver)
-        records.append(r)
-    return dataclasses.replace(trace, records=records)
-
-
 def _lossy(trace: Trace) -> Trace:
     """Every eleventh record lost: its dependents name an absent trigger,
     and so do the end markers it caused.  Not a valid trace any more."""
@@ -66,7 +51,6 @@ def _lossy(trace: Trace) -> Trace:
 
 VARIANTS = {
     **{w: (w, None) for w in SCENARIOS},
-    "fft+bounds": ("fft", _with_bounds),
     "fft-lossy": ("fft", _lossy),
     "radix-lossy": ("radix", _lossy),
 }

@@ -30,7 +30,7 @@ from repro.config import (
     TraceConfig,
 )
 from repro.core import replay_trace, stream_naive_summary, tracebin
-from repro.core.trace import EndMarker, Trace, TraceRecord
+from repro.core.trace import SECOND_TRIGGER, EndMarker, Trace, TraceRecord
 from repro.harness.builders import optical_factory
 from repro.resilience import MITIGATIONS, generate_timeseries
 from repro.synth import default_profile, generate, synth_onoc
@@ -297,10 +297,27 @@ def _unchecked_record(good: TraceRecord, **fields) -> TraceRecord:
 
 
 def _write_with_bad_record(path, **fields) -> None:
-    """Four records in two chunks; record 2 (chunk 1) carries ``fields``."""
+    """Four records in two chunks; record 2 (chunk 1) carries ``fields``.
+    No record has the reserved columns (``bound_id`` / ``bound_gap``), so
+    those are written into the container's bytes."""
+    reserved = {name: fields.pop(name) for name in tracebin._RESERVED
+                if name in fields}
     trace = _hot_destination_trace(4)
     trace.records[2] = _unchecked_record(trace.records[2], **fields)
     tracebin.write_file(trace, path, chunk_records=2)
+    if not reserved:
+        return
+    blob = path.read_bytes()
+    off, btype, length = [b for b in _block_offsets(blob)
+                          if b[1] == tracebin._BLOCK_RECORDS][1]
+    columns = tracebin._decode_columns(
+        blob[off + 5:off + 5 + length], tracebin._RECORD_COLUMNS, "RECORDS")
+    names = [name for name, _ in tracebin._RECORD_COLUMNS]
+    for name, value in reserved.items():
+        columns[names.index(name)][0] = value
+    payload = tracebin._encode_columns(tracebin._RECORD_COLUMNS, columns)
+    path.write_bytes(blob[:off] + struct.pack("<BI", btype, len(payload))
+                     + payload + blob[off + 5 + length:])
 
 
 @pytest.mark.parametrize("fields", [
@@ -315,8 +332,9 @@ def test_records_the_loader_refuses_are_refused(tmp_path, topology, fields):
     """The stream builds no ``TraceRecord``, so it used to replay what
     ``load_trace`` rejects — a self-send priced as a full lap of the
     serpentine, an empty payload as one cycle, a time of 2^62 cycles, a
-    bound with no cause.  The chunk reader runs the loader's per-block
-    check, so both refuse with the loader's type and text."""
+    second trigger (here on a record without a cause).  The chunk reader
+    runs the loader's per-block check, so both refuse with the loader's
+    type and text."""
     path = tmp_path / "bad.rtrc"
     _write_with_bad_record(path, **fields)
     with pytest.raises(ValueError, match="record 2") as loaded:
@@ -330,12 +348,31 @@ def test_records_the_loader_refuses_are_refused(tmp_path, topology, fields):
         assert str(got.value) == str(loaded.value)
 
 
-@pytest.mark.parametrize("reader", [
+LOADING_READERS = pytest.mark.parametrize("reader", [
     lambda path: tracebin.loads(path.read_bytes()),
     tracebin.read_summary,
     lambda path: list(tracebin.iter_chunks(path)),
     lambda path: stream_naive_summary(path, synth_onoc("crossbar", NODES)),
 ], ids=["loads", "read_summary", "iter_chunks", "stream_naive_summary"])
+
+
+@LOADING_READERS
+@pytest.mark.parametrize("column, value", [
+    ("bound_id", 0), ("bound_id", -2), ("bound_gap", 3)])
+def test_a_second_trigger_is_refused_by_every_loading_reader(
+        tmp_path, reader, column, value):
+    """A container's two reserved RECORDS columns hold -1 / 0.  Any other
+    value is one typed refusal of the shared block walk, so every loading
+    reader makes it alike — the summary too, which decodes no column but
+    those and ``msg_id``."""
+    path = tmp_path / "second-trigger.rtrc"
+    _write_with_bad_record(path, **{column: value})
+    with pytest.raises(tracebin.TraceBinError) as refused:
+        reader(path)
+    assert str(refused.value) == SECOND_TRIGGER.format(id=2)
+
+
+@LOADING_READERS
 @pytest.mark.parametrize("field", ("record_count", "marker_count"))
 def test_every_loading_reader_checks_the_end_footer(tmp_path, field, reader):
     """A footer count one off is corruption to every loading reader, not

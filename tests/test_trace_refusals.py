@@ -7,8 +7,9 @@ records order, and for that record the first failing check.  The corpus
 in ``tests/golden/trace_refusals.json`` holds, for each golden trace x
 each damage below, the exception type and full message from
 
-* ``records`` — building the ``TraceRecord`` s and calling
-  ``Trace.validate()``,
+* ``records`` — ``Trace.from_json`` of the damaged document: refusing a
+  row that names a second trigger, building the ``TraceRecord`` s and
+  calling ``Trace.validate()``,
 * ``load`` — ``tracebin.loads`` of the same damage as one RECORDS block,
 * ``load_chunked`` — the same in blocks of ``CHUNK`` records, each kind
   entering the string table before the block that first uses it.
@@ -29,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.core import tracebin
-from repro.core.trace import EndMarker, Trace, TraceRecord
+from repro.core.trace import Trace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CORPUS_FILE = GOLDEN_DIR / "trace_refusals.json"
@@ -262,9 +263,9 @@ def _outcome(fn):
 
 
 def _validate_records(d: _Doc) -> None:
-    Trace(records=[TraceRecord(**r) for r in d.rows],
-          end_markers=[EndMarker(*m) for m in d.markers],
-          exec_time=d.exec_time, meta=d.meta).validate()
+    Trace.from_json(json.dumps({
+        "meta": d.meta, "exec_time": d.exec_time, "end_markers": d.markers,
+        "records": [[r[f] for f in _FIELDS] for r in d.rows]}))
 
 
 def _raw_column(values: np.ndarray, coding: str) -> bytes:

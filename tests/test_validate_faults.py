@@ -44,25 +44,23 @@ from repro.validate.faults import (
 SEED = 1234
 
 
-def _rec(msg_id, t_inject, t_deliver, cause_id=-1, gap=None, src=0,
-         bound_id=-1, bound_gap=0):
+def _rec(msg_id, t_inject, t_deliver, cause_id=-1, gap=None, src=0):
     if gap is None:
         gap = t_inject if cause_id == -1 else 0
     return TraceRecord(
         msg_id=msg_id, key=(src, (src + 1) % 3, "req_read", 0, msg_id),
         src=src, dst=(src + 1) % 3, size_bytes=8, kind="req_read",
-        t_inject=t_inject, t_deliver=t_deliver, cause_id=cause_id, gap=gap,
-        bound_id=bound_id, bound_gap=bound_gap)
+        t_inject=t_inject, t_deliver=t_deliver, cause_id=cause_id, gap=gap)
 
 
 def _trace() -> Trace:
-    """12 records over 3 source nodes: per-node chains, one bound edge."""
+    """12 records over 3 source nodes: per-node chains."""
     records = [
         _rec(0, 0, 10, src=0),
         _rec(1, 15, 30, cause_id=0, gap=5, src=0),
         _rec(2, 30, 50, cause_id=1, gap=0, src=0),
         _rec(3, 2, 12, src=1),
-        _rec(4, 20, 35, cause_id=3, gap=8, src=1, bound_id=0, bound_gap=10),
+        _rec(4, 20, 35, cause_id=3, gap=8, src=1),
         _rec(5, 40, 55, cause_id=4, gap=5, src=1),
         _rec(6, 4, 14, src=2),
         _rec(7, 20, 38, cause_id=6, gap=6, src=2),
@@ -94,7 +92,6 @@ def test_drop_deps_report_matches_injected_damage():
     for mid in dropped:
         r = by_id[mid]
         assert r.cause_id == -1 and r.gap == r.t_inject
-        assert r.bound_id == -1 and r.bound_gap == 0
     for r in trace.records:          # undamaged records pass through intact
         if r.msg_id not in dropped:
             assert by_id[r.msg_id] == r
@@ -213,7 +210,6 @@ def test_rewire_report_matches_rewired_edges_and_balances():
             # New cause delivered in time, gap recomputed to balance.
             assert deliver[r.cause_id] <= r.t_inject
             assert r.gap == r.t_inject - deliver[r.cause_id]
-            assert r.bound_id == -1 and r.bound_gap == 0
         else:
             assert r == orig[r.msg_id]
     assert report.records_before == report.records_after == len(trace)

@@ -30,14 +30,14 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def _rec(msg_id, t_inject, t_deliver, cause_id=-1, gap=None, src=0, dst=1,
-         kind="req_read", occ=None, bound_id=-1, bound_gap=0):
+         kind="req_read", occ=None):
     if gap is None:
         gap = t_inject if cause_id == -1 else 0
     occ = msg_id if occ is None else occ
     return TraceRecord(
         msg_id=msg_id, key=(src, dst, kind, 0, occ), src=src, dst=dst,
         size_bytes=8, kind=kind, t_inject=t_inject, t_deliver=t_deliver,
-        cause_id=cause_id, gap=gap, bound_id=bound_id, bound_gap=bound_gap)
+        cause_id=cause_id, gap=gap)
 
 
 def _chain_trace():

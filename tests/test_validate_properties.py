@@ -30,13 +30,6 @@ def traces(draw):
         gap = draw(st.integers(min_value=0, max_value=50))
         t_inject = gap if cause_id == -1 else deliver[cause_id] + gap
         latency = draw(st.integers(min_value=1, max_value=30))
-        bound_id, bound_gap = -1, 0
-        if cause_id != -1 and len(deliver) > 1 and draw(st.booleans()):
-            candidates = [m for m in sorted(deliver)
-                          if m != cause_id and deliver[m] <= t_inject]
-            if candidates:
-                bound_id = draw(st.sampled_from(candidates))
-                bound_gap = t_inject - deliver[bound_id]
         src = draw(st.integers(min_value=0, max_value=3))
         dst = draw(st.integers(min_value=0, max_value=3).filter(
             lambda d, s=src: d != s))
@@ -44,8 +37,7 @@ def traces(draw):
             msg_id=i, key=(src, dst, "req_read", 0, i), src=src, dst=dst,
             size_bytes=draw(st.integers(min_value=1, max_value=256)),
             kind="req_read", t_inject=t_inject,
-            t_deliver=t_inject + latency, cause_id=cause_id, gap=gap,
-            bound_id=bound_id, bound_gap=bound_gap))
+            t_deliver=t_inject + latency, cause_id=cause_id, gap=gap))
         deliver[i] = t_inject + latency
     markers = []
     if records:

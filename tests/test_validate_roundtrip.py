@@ -16,15 +16,14 @@ from repro.core.trace import EndMarker, Trace, TraceRecord
 
 
 def _rec(msg_id, t_inject, t_deliver, cause_id=-1, gap=None, occ=None,
-         src=0, dst=1, bound_id=-1, bound_gap=0):
+         src=0, dst=1):
     if gap is None:
         gap = t_inject if cause_id == -1 else 0
     return TraceRecord(
         msg_id=msg_id, key=(src, dst, "req_read", 0,
                             msg_id if occ is None else occ),
         src=src, dst=dst, size_bytes=8, kind="req_read",
-        t_inject=t_inject, t_deliver=t_deliver, cause_id=cause_id, gap=gap,
-        bound_id=bound_id, bound_gap=bound_gap)
+        t_inject=t_inject, t_deliver=t_deliver, cause_id=cause_id, gap=gap)
 
 
 def test_empty_trace_round_trips():
@@ -47,13 +46,18 @@ def test_single_root_round_trips_exactly():
 
 
 def test_bound_edges_round_trip():
+    """A record has one cause: a row carries the second trigger's two
+    fields as -1 / 0 both ways, and a row naming a bound edge is refused."""
     r0 = _rec(0, 0, 10)
     r1 = _rec(1, 2, 8, occ=1)
-    r2 = _rec(2, 12, 20, cause_id=0, gap=2, bound_id=1, bound_gap=4, occ=2)
+    r2 = _rec(2, 12, 20, cause_id=0, gap=2, occ=2)
     trace = Trace(records=[r0, r1, r2], end_markers=[], exec_time=0)
-    back = Trace.from_json(trace.to_json())
-    assert back.records[2].bound_id == 1
-    assert back.records[2].bound_gap == 4
+    obj = json.loads(trace.to_json())
+    assert [row[10:] for row in obj["records"]] == [[-1, 0]] * 3
+    assert Trace.from_json(json.dumps(obj)).records == trace.records
+    obj["records"][2][10:] = [1, 4]
+    with pytest.raises(ValueError, match="second trigger"):
+        Trace.from_json(json.dumps(obj))
 
 
 def test_legacy_ten_column_rows_load_without_bound_edges():
@@ -61,8 +65,7 @@ def test_legacy_ten_column_rows_load_without_bound_edges():
     obj = json.loads(trace.to_json())
     obj["records"] = [row[:10] for row in obj["records"]]
     back = Trace.from_json(json.dumps(obj))
-    assert back.records[0].bound_id == -1
-    assert back.records[0].bound_gap == 0
+    assert back.to_json() == trace.to_json()
 
 
 def test_duplicate_semantic_keys_rejected_on_load():
