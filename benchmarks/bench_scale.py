@@ -6,19 +6,20 @@ gets there.  For each trace size on the ladder (10^4 - 10^6 messages at
 1024 nodes) it:
 
 * **streams the trace into the binary container** with
-  ``generate_to_file`` — generation never materializes the record list,
-  so the bench itself is O(chunk) too;
-* **replays it out-of-core** (``stream_naive_summary``) in a fresh
-  subprocess, sampling peak RSS via ``/proc/self/status`` VmHWM (reset at
-  exec, so the child measures only itself);
+  ``generate_to_file`` in a fresh subprocess, sampling its peak RSS via
+  ``/proc/self/status`` VmHWM (reset at exec, so the child measures only
+  itself) — generation never materializes the record list;
+* **replays it out-of-core** (``stream_naive_summary``) in another fresh
+  subprocess, sampling its peak RSS the same way;
 * **replays it fully in memory** (load + naive generational) in another
   subprocess, as the contrast curve, and times the self-correcting replay
   on both engines (``speedup_x`` = event / generational wall clock).
 
-The gates: streaming peak RSS must grow *sublinearly* in trace size — the
-last/first RSS ratio stays below the last/first file-size ratio — and the
-generational engine must not be slower than the event engine (at least
-``SPEEDUP_FLOOR``x on the full ladder).  The checked-in
+The gates: the generator's and the streaming replay's peak RSS must each
+grow *sublinearly* in trace size — the last/first RSS ratio stays below
+the last/first file-size ratio — and the generational engine must not
+be slower than the event engine (at least ``SPEEDUP_FLOOR``x on the full
+ladder).  The checked-in
 ``benchmarks/results/BENCH_scale.json`` records the full ladder; CI re-runs
 the two-point smoke shape per commit and the full ladder nightly.
 
@@ -42,7 +43,6 @@ import timeit
 from repro.config import OnocConfig, TraceConfig
 from repro.core import load_trace, replay_trace
 from repro.harness.builders import optical_factory
-from repro.synth import default_profile, generate_to_file
 
 NODES = 1024
 TOPOLOGY = "crossbar"
@@ -59,13 +59,8 @@ SMOKE_SIZES = (10_000, 40_000)
 LADDER_SIZES = (10_000, 100_000, 1_000_000)
 
 
-def build_trace(n_messages: int, path: pathlib.Path) -> dict:
-    profile = default_profile(NODES, n_messages, pattern="uniform")
-    return generate_to_file(profile, path, seed=SEED)
-
-
 # --------------------------------------------------------------------------
-# Peak RSS + replay wall clock, fresh subprocess per point
+# Peak RSS + generation / replay wall clock, fresh subprocess per point
 # --------------------------------------------------------------------------
 
 _RSS_CHILD = r"""
@@ -86,7 +81,12 @@ def peak_rss_kib():
 mode, path = sys.argv[1], sys.argv[2]
 onoc = OnocConfig(num_nodes=%(nodes)d)
 t0 = time.perf_counter()
-if mode == "stream":
+if mode == "generate":
+    from repro.synth import default_profile, generate_to_file
+    profile = default_profile(%(nodes)d, int(sys.argv[3]), pattern="uniform")
+    t0 = time.perf_counter()           # the generator's time, not its import
+    n = generate_to_file(profile, path, seed=%(seed)d)["messages"]
+elif mode == "stream":
     from repro.core import stream_naive_summary
     summary = stream_naive_summary(path, onoc)
     n = summary["messages"]
@@ -104,10 +104,10 @@ print(json.dumps({"messages": n, "rss_kib": peak_rss_kib(),
 """
 
 
-def _child(mode: str, path: pathlib.Path) -> dict:
+def _child(mode: str, path: pathlib.Path, *args: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", _RSS_CHILD % {"nodes": NODES},
-         mode, str(path)],
+        [sys.executable, "-c", _RSS_CHILD % {"nodes": NODES, "seed": SEED},
+         mode, str(path), *args],
         capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src"),
              "PATH": "/usr/bin:/bin"})
@@ -132,14 +132,15 @@ def measure_speedup(path: pathlib.Path) -> float:
 def measure_point(n_messages: int, tmp: pathlib.Path,
                   full_replay_max: int) -> dict:
     path = tmp / f"synth{n_messages}.rtrc"
-    gen = build_trace(n_messages, path)
+    gen = _child("generate", path, str(n_messages))
     stream = _child("stream", path)
     assert stream["messages"] == gen["messages"], (stream, gen)
     row = {
         "messages": gen["messages"],
-        "file_bytes": gen["file_bytes"],
-        "gen_wall_s": round(gen["wall_clock_s"], 3),
-        "gen_msgs_per_s": round(gen["messages"] / gen["wall_clock_s"]),
+        "file_bytes": path.stat().st_size,
+        "gen_wall_s": round(gen["wall_s"], 3),
+        "gen_msgs_per_s": round(gen["messages"] / gen["wall_s"]),
+        "gen_rss_kib": gen["rss_kib"],
         "stream_rss_kib": stream["rss_kib"],
         "stream_wall_s": stream["wall_s"],
         "stream_msgs_per_s": round(stream["messages"] / stream["wall_s"]),
@@ -170,8 +171,12 @@ def run(sizes: list[int],
             last["file_bytes"] / first["file_bytes"], 3),
         "rss_growth_x": round(
             last["stream_rss_kib"] / first["stream_rss_kib"], 3),
+        "gen_rss_growth_x": round(
+            last["gen_rss_kib"] / first["gen_rss_kib"], 3),
     }
-    report["sublinear"] = report["rss_growth_x"] < report["trace_growth_x"]
+    report["sublinear"] = (
+        max(report["rss_growth_x"], report["gen_rss_growth_x"])
+        < report["trace_growth_x"])
     report["speedup_x"] = min(p["speedup_x"] for p in points
                               if "speedup_x" in p)
     return report
@@ -180,13 +185,17 @@ def run(sizes: list[int],
 # ------------------------------------------------------------------ pytest
 
 def test_scale_smoke(results_dir):
-    """CI smoke gate: streaming peak RSS grows sublinearly in trace size."""
+    """CI smoke gate: generation and streaming replay peak RSS grow
+    sublinearly in trace size."""
     report = run(list(SMOKE_SIZES))
     (results_dir / "scale_smoke.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     assert [p["messages"] for p in report["points"]] == list(SMOKE_SIZES)
     assert all(p["stream_msgs_per_s"] > 0 for p in report["points"])
-    # The 4x trace must not cost 4x the memory to stream-replay.
+    # The 4x trace must not cost 4x the memory to generate or to
+    # stream-replay.
+    assert report["gen_rss_growth_x"] < report["trace_growth_x"], report
+    assert report["rss_growth_x"] < report["trace_growth_x"], report
     assert report["sublinear"], report
     # The full in-memory contrast must be the hungrier path at the top of
     # the smoke ladder, or the streaming path isn't buying anything.

@@ -289,7 +289,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         else:
             profile = default_profile(args.nodes, args.messages,
                                       pattern=args.pattern)
-        chunk = args.chunk_records or CHUNK_RECORDS
+        chunk = (CHUNK_RECORDS if args.chunk_records is None
+                 else args.chunk_records)
         out = generate_to_file(profile, args.out, scale=args.scale,
                                seed=args.seed, chunk_records=chunk)
         print(f"generated {out['messages']} messages -> {out['path']} "

@@ -7,10 +7,10 @@ tunable fan-out, compute-gap distributions, and sharing patterns (reusing
 :data:`repro.traffic.PATTERNS`), fitted to a captured corpus trace via
 :func:`fit_profile` and emitted either in memory (:func:`generate`) or
 straight into the chunked binary container (:func:`generate_to_file`) so
-million-message traces never fully materialize.  The generator hashes
-its decisions in NumPy blocks ahead of a heap merge and writes column
-chunks, not records: resident state is O(chains x the step spread
-between the slowest and the fastest chain + one chunk), and
+million-message traces never fully materialize.  The generator computes
+chains' records in NumPy blocks, a calendar merge orders them, and it
+writes column chunks, not records: resident state is O(chains x the step
+spread between the slowest and the fastest chain + one chunk), and
 :func:`iter_records` decodes those chunks for callers that want records.
 
 Quality gates: ``tests/test_synth_properties.py`` (byte-determinism, the
@@ -19,8 +19,8 @@ full invariant catalogue, profile fidelity under
 record equal to the per-record reference generator, container bytes and
 the benchmark spine's digests), ``tests/test_synth_engines.py`` (event vs
 generational agreement at 64 and 1024 nodes), and
-``benchmarks/bench_scale.py`` (replay throughput, peak RSS vs trace size
-and generational-vs-event speedup).  See the "Synthetic traces" section
+``benchmarks/bench_scale.py`` (generation and replay peak RSS vs trace
+size, generational-vs-event speedup).  See the "Synthetic traces" section
 of ``docs/TRACE_FORMAT.md``.
 """
 

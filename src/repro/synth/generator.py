@@ -1,43 +1,26 @@
-"""Streaming synthetic trace generator (block-hashed, heap-merged, columnar).
+"""Streaming synthetic trace generator (block-computed, calendar-merged).
 
 The generator turns a :class:`~repro.synth.profile.SynthProfile` into a
 valid dependency-annotated trace of any size without ever holding the
 trace in memory: each chain is an independent sequential process whose
 next injection time is always known (last delivery + a drawn gap), so a
-heap merge across chains emits records *already in canonical
+calendar merge across chains emits records *already in canonical
 ``(t_inject, msg_id)`` order* — exactly what the streaming readers and
 ``stream_naive_summary`` assume.
 
 Determinism: every random decision is a pure splitmix64 hash of
-``(seed, tag, chain, step)`` — the per-decision discipline shared with
-``repro.validate.faults`` and ``repro.resilience.generators`` — plus one
-PCG64 stream per chain for the destination patterns that need an rng
-(consumed in fixed per-chain order).  Same profile + same seed therefore
-means byte-identical binary output, which the property suite pins.
+``(seed, tag, chain, step)`` (as in ``repro.validate.faults``) plus one
+PCG64 stream per chain for the patterns that need an rng, consumed in
+fixed per-chain order: same profile + seed, byte-identical output.
 
-Because a hashed decision depends on nothing the merge produces, the
-decisions are not computed where they are used.  :class:`_Decisions`
-hashes size, latency, fan-out and both gaps for *all chains x the next
-few steps* in one NumPy pass (``uint64`` products wrap mod 2^64, which is
-the scalar hash's mask); the heap merge — the only per-record Python —
-pops an entry, takes its destination(s), looks its decisions up and
-appends seven ints to column lists.  One thing stays scalar on purpose:
-``math.log`` in the gap draw (``np.log`` is not guaranteed the same last
-bit, and a gap is ``int()`` of it).  The rng patterns make no call per
-message: ``uniform`` draws each chain's destinations in refills
-(:func:`_draws`) and ``hotspot`` turns refills of PCG64's raw outputs
-into its ``random()`` / ``integers()`` values (:func:`_hotspot_draws`);
-only the ``src``-determined patterns keep their call.  Every
-``chunk_records`` emissions the lists become one
-:class:`~repro.core.trace.RecordChunk`, which :func:`generate_to_file`
-hands to the writer as it is: no :class:`~repro.core.trace.TraceRecord`
-exists between hash and file.
-
-Resident state is O(chains x live step spread + pending fan-out children
-+ nodes + one chunk of column lists): a decision block is dropped when
-the last chain leaves it, so what is held is the spread between the
-slowest and the fastest chain, never the trace
-(``benchmarks/bench_scale.py`` gates the RSS).
+Nothing about a chain's own records depends on the merge, so
+:class:`_Decisions` computes them in NumPy blocks of all chains x
+``span`` steps, and the merge — the only per-record Python — decides the
+order and nothing else.  Each chunk's columns are gathered into a
+:class:`~repro.core.trace.RecordChunk`: no ``TraceRecord`` exists
+between hash and file.  Resident state is O(chains x live step spread +
+pending children + nodes + one chunk), never the trace
+(``benchmarks/bench_scale.py`` gates the generator's peak RSS).
 
 Capture invariants hold by construction: roots carry ``gap ==
 t_inject``, every dependent injects at exactly ``cause.t_deliver + gap``
@@ -47,12 +30,14 @@ the end markers chain to the last delivery per node.
 
 from __future__ import annotations
 
+import array
+import functools
 import heapq
 import itertools
 import math
 import time
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -68,19 +53,19 @@ _BLOCK_CELLS = 16384
 #: A fan-out child is a fixed-size control message.
 _CTRL_BYTES = 64
 
-#: The generator's kind table; a record's ``kind_idx`` is its heap flag.
+#: The generator's kind table: a chain record is "data", a fan-out child
+#: "ctrl".
 _KINDS = ("data", "ctrl")
 
-#: Destinations a chain of the ``uniform`` pattern draws per refill.
+#: Raw PCG64 outputs a ``hotspot`` chain reads per refill.
 _DRAWS = 64
 
 
-def _draws(rng: np.random.Generator, n: int) -> Iterator[int]:
-    """Successive ``uniform_random`` destinations, :data:`_DRAWS` at a
-    time: it ignores ``src`` and makes one ``rng.integers(0, n)`` call, and
+def _draws(rng: np.random.Generator, n: int) -> Callable[[int], np.ndarray]:
+    """A chain's next ``k`` ``uniform_random`` destinations in one call: it
+    ignores ``src`` and makes one ``integers(0, n)`` call, and
     ``integers(0, n, size=k)`` consumes PCG64 exactly as ``k`` such calls."""
-    while True:
-        yield from rng.integers(0, n, size=_DRAWS).tolist()
+    return functools.partial(rng.integers, 0, n)
 
 
 def _hotspot_draws(rng: np.random.Generator, n: int) -> Iterator[int]:
@@ -122,8 +107,11 @@ def _hotspot_draws(rng: np.random.Generator, n: int) -> Iterator[int]:
         yield m >> bits
 
 
-#: The patterns whose destinations a chain draws as a stream of its rng.
-_STREAMS = {"uniform": _draws, "hotspot": _hotspot_draws}
+#: The patterns whose destinations a chain draws from its rng, as one call
+#: per chain answering its next ``k``.  Every other pattern ignores its rng.
+_STREAMS = {"uniform": _draws, "hotspot": lambda rng, n: functools.partial(
+    lambda it, k: np.fromiter(itertools.islice(it, k), np.int64, k),
+    _hotspot_draws(rng, n))}
 
 
 def _unit(prefix: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -134,17 +122,23 @@ def _unit(prefix: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return fold(prefix, steps).astype(np.float64) / float(1 << 64)
 
 
-def _draw_gaps(profile: SynthProfile, units: list[float]) -> list[int]:
-    """Truncated-exponential compute gaps, one per unit draw: mean
-    ~``gap_mean``, >= 1, clipped at ``gap_max``.  ``u == 1.0`` (see
-    :func:`_unit`) has no logarithm and takes the limit of its
-    neighbours."""
+def _draw_gaps(profile: SynthProfile, units) -> np.ndarray:
+    """Truncated-exponential compute gaps ``min(gap_max, 1 + int(-math.log(1
+    - u) * scale))``: mean ~``gap_mean``, >= 1.  ``np.log`` may differ from
+    ``math.log`` in the last bit, which moves ``int()`` only near an
+    integer, so cells within 1e-9 (relative) of one are redrawn with
+    ``math.log``.  ``u == 1.0`` (see :func:`_unit`) has no logarithm and
+    takes the limit of its neighbours."""
+    units = np.asarray(units, dtype=np.float64)
     scale = max(0.0, profile.gap_mean - 1.0)
-    gap_max = profile.gap_max
-    limit = gap_max if scale > 0.0 else 1
-    log = math.log
-    return [min(gap_max, 1 + int(-log(1.0 - u) * scale)) if u < 1.0
-            else limit for u in units]
+    top = units >= 1.0
+    scaled = -np.log(np.where(top, 1.0, 1.0 - units)) * scale
+    near = np.abs(scaled - np.rint(scaled)) < 1e-9 * scaled
+    scaled[near] = [-math.log(1.0 - u) * scale for u in units[near].tolist()]
+    gaps = np.minimum(np.minimum(scaled, profile.gap_max).astype(np.int64)
+                      + 1, profile.gap_max)
+    gaps[top] = profile.gap_max if scale > 0.0 else 1
+    return gaps
 
 
 def _size_thresholds(profile: SynthProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -172,146 +166,212 @@ def _latency(profile: SynthProfile, size):
     return profile.base_latency + size // 16
 
 
-class _Decisions:
-    """The hashed decisions of every ``(chain, step)``, a block ahead.
+def _away(dst, src, n: int):
+    """``dst``, moved one node on where it equals ``src`` (ints or arrays):
+    the generator sends no message to itself."""
+    return np.where(dst == src, (dst + 1) % n, dst)
 
-    Block ``b`` covers steps ``[b * span, (b + 1) * span)`` of all chains:
-    ``enter(b)`` hashes it into ``live[b]``, a chain-major flat list of
-    ``(size, latency, gap, fan_gap)`` with ``fan_gap == 0`` meaning "no
-    fan-out child" (a drawn gap is >= 1); ``leave(b)`` is called once per
-    chain, after its last step in the block, and the block goes with the
-    last one.  ``span`` is sized by the trace, so a 100-message trace does
-    not pay for :data:`_BLOCK_CELLS` cells.
+
+class _Decisions:
+    """Every chain's records, a block of steps at a time.
+
+    Block ``b`` is steps ``[b * span, (b + 1) * span)`` of all chains,
+    step-major (chain ``c`` at step ``s`` is cell ``s * chains + c``).
+    ``enter(b)`` appends the merge's per-cell times (the chain's next
+    injection; its fan-out child's, or 0) to ``next_t`` / ``kid_t`` and
+    keeps both records' columns for :meth:`chunk` to gather from;
+    :meth:`drop` frees the oldest ``live`` blocks (cells from ``first``
+    on).  ``span`` covers twice the trace's cells, up to
+    :data:`_BLOCK_CELLS`, so a short trace's chains rarely outrun one block.
     """
 
-    def __init__(self, profile: SynthProfile, seed: int, chains: int,
-                 n_messages: int) -> None:
-        self.span = max(1, min(_BLOCK_CELLS, n_messages) // chains)
-        self.live: dict[int, list[tuple[int, int, int, int]]] = {}
-        self._inside: dict[int, int] = {}
+    def __init__(self, profile: SynthProfile, scale: float,
+                 seed: int) -> None:
+        self.n_messages = profile.scaled_messages(scale)
+        self.chains = chains = min(profile.chains, self.n_messages)
+        self.span = max(1, min(_BLOCK_CELLS, 2 * self.n_messages) // chains)
+        self.live, self.first = range(0), 0
+        self.next_t, self.kid_t = array.array("q"), array.array("q")
+        self._blocks: list[tuple[int, np.ndarray]] = []  # last t, columns
         self._profile = profile
-        self._chains = chains
         self._sizes = _size_thresholds(profile)
+        n = profile.num_nodes
+        index = np.arange(chains, dtype=np.uint64)
         # The hash state after ``(seed, tag, chain)``, per decision tag
         # and chain: a decision folds only its ``step`` into it.
-        index = np.arange(chains, dtype=np.uint64)[:, None]
         self._size_at, self._fan_at, self._fgap_at, self._gap_at = (
-            fold(mix64(seed, tag), index)
+            fold(mix64(seed, tag), index[:, None])
             for tag in ("size", "fan", "fgap", "gap"))
+        # Per chain: next injection, its gap (a root's: its t_inject), src.
+        self._t = self._gap = (fold(mix64(seed, "root"), index)
+                               % profile.root_spread).astype(np.int64)
+        self._src = (fold(mix64(seed, "src"), index) % n).astype(np.int64)
+        # A chain's rng serves only its pattern's draws; under any other
+        # pattern a destination is a function of its source.
+        stream = _STREAMS.get(profile.pattern)
+        self._streams = stream and [
+            stream(np.random.Generator(np.random.PCG64(s)), n)
+            for s in fold(mix64(seed, "chain"), index).tolist()]
+        if not stream:
+            pattern = PATTERNS[profile.pattern]
+            self._next = _away(np.array([pattern(v, n, None)
+                                         for v in range(n)]), np.arange(n), n)
 
-    def enter(self, block: int) -> list[tuple[int, int, int, int]]:
+    def enter(self, block: int) -> int:
+        """Compute ``block``, the one after ``live``; return its end cell."""
         profile, span = self._profile, self.span
-        steps = np.arange(block * span, (block + 1) * span,
-                          dtype=np.uint64)[None, :]
-        size = _draw_size(self._sizes, _unit(self._size_at, steps)).ravel()
-        fan = (_unit(self._fan_at, steps) < profile.fanout_prob).ravel()
-        fan_gap = np.zeros(len(fan), dtype=np.int64)
-        fan_gap[fan] = _draw_gaps(
-            profile, _unit(self._fgap_at, steps).ravel()[fan].tolist())
-        gap = _draw_gaps(profile,
-                         _unit(self._gap_at, steps).ravel().tolist())
-        rows = list(zip(size.tolist(), _latency(profile, size).tolist(),
-                        gap, fan_gap.tolist()))
-        self.live[block] = rows
-        self._inside[block] = self._chains
-        return rows
+        steps = np.arange(block * span, (block + 1) * span, dtype=np.uint64)
+        size = _draw_size(self._sizes, _unit(self._size_at, steps))
+        fan = _unit(self._fan_at, steps) < profile.fanout_prob
+        fan_gap = np.where(fan, _draw_gaps(profile,
+                                           _unit(self._fgap_at, steps)), 0)
+        gap = _draw_gaps(profile, _unit(self._gap_at, steps))
+        delivered = _latency(profile, size)
+        next_t = self._t[:, None] + np.cumsum(delivered + gap, axis=1)
+        t = next_t - delivered - gap
+        kid_t = np.where(fan, t + delivered + fan_gap, 0)
+        src, dst, third = self._destinations(fan)
+        carried = np.concatenate((self._gap[:, None], gap[:, :-1]), axis=1)
+        self._t, self._gap, self._src = next_t[:, -1], gap[:, -1], dst[:, -1]
 
-    def leave(self, block: int) -> None:
-        self._inside[block] -= 1
-        if not self._inside[block]:
-            del self.live[block], self._inside[block]
+        # A chain record's columns, then its fan-out child's.
+        table = np.stack((src, dst, size, t, carried, dst, third,
+                          np.full_like(size, _CTRL_BYTES), kid_t, fan_gap)
+                         ).transpose(0, 2, 1).reshape(10, -1)
+        self._blocks.append((int(max(t.max(), kid_t.max())), table))
+        self.next_t.frombytes(next_t.T.tobytes())
+        self.kid_t.frombytes(kid_t.T.tobytes())
+        self.live = range(self.live.start, block + 1)
+        return (block + 1) * span * self.chains
 
+    def _destinations(self, fan: np.ndarray):
+        """``(src, dst, third)`` per cell: a source is its chain's previous
+        destination, and a destination (or fan-out third) equal to the node
+        it leaves moves one node on (:func:`_away`)."""
+        if not self._streams:
+            dst = np.empty(fan.shape, dtype=np.int64)
+            node = self._src
+            for k in range(fan.shape[1]):
+                node = dst[:, k] = self._next[node]
+            return self._sources(dst), dst, self._next[dst]
+        n, span = self._profile.num_nodes, fan.shape[1]
+        counts = span + fan.sum(axis=1)
+        drawn = np.concatenate(
+            [take(k) for take, k in zip(self._streams, counts.tolist())])
+        # A chain draws each step's destination, then its fan-out third.
+        at = ((np.cumsum(counts) - counts)[:, None] + np.arange(span)
+              + np.cumsum(fan, axis=1) - fan)
+        raw = dst = drawn[at]
+        # ``dst[k]`` moves on iff ``raw[k] == dst[k - 1]``: iterate to the
+        # fixed point, one pass per link of the longest run of moves.
+        while True:
+            src = self._sources(dst)
+            moved = _away(raw, src, n)
+            if np.array_equal(moved, dst):
+                return src, dst, _away(
+                    drawn[np.minimum(at + 1, len(drawn) - 1)], dst, n)
+            dst = moved
 
-def _chunk(profile: SynthProfile, first: int,
-           *cols: list[int]) -> RecordChunk:
-    """The records ``first, first + 1, ...`` from the merge's seven column
-    lists; every other column of the container follows from them (the
-    semantic key of a synthetic message is ``(src, dst, kind, msg_id,
-    0)``)."""
-    src, dst, size, kind, t_inject, cause_id, gap = (
-        np.array(col, dtype=np.int64) for col in cols)
-    msg_id = np.arange(first, first + len(src), dtype=np.int64)
-    return RecordChunk(
-        msg_id=msg_id, src=src, dst=dst, size_bytes=size, kind_idx=kind,
-        t_inject=t_inject, latency=_latency(profile, size),
-        cause_id=cause_id, gap=gap, key_src=src, key_dst=dst,
-        key_kind_idx=kind, key_line=msg_id,
-        key_occ=np.zeros(len(src), dtype=np.int64), kinds=_KINDS)
+    def _sources(self, dst: np.ndarray) -> np.ndarray:
+        return np.concatenate((self._src[:, None], dst[:, :-1]), axis=1)
+
+    def drop(self, t: int) -> int:
+        """Free the oldest blocks whose records all inject before ``t``
+        (the caller has flushed every such record); return ``first``."""
+        cells = self.span * self.chains
+        while self._blocks and self._blocks[0][0] < t:
+            del self._blocks[0], self.next_t[:cells], self.kid_t[:cells]
+            self.live = self.live[1:]
+            self.first += cells
+        return self.first
+
+    def chunk(self, pairs: list[int], first: int) -> RecordChunk:
+        """Records ``first, first + 1, ...`` from the merge's flat ``(cell,
+        cause_id)`` pairs (a fan-out child's cell is ``~`` its parent's); a
+        synthetic message's semantic key is ``(src, dst, kind, msg_id, 0)``."""
+        cell, cause_id = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        kid = cell < 0
+        at = np.where(kid, ~cell, cell) - self.first
+        cols = np.empty((10, len(at)), dtype=np.int64)
+        for b, (_, table) in enumerate(self._blocks):
+            mine = at // table.shape[1] == b
+            cols[:, mine] = table.take(at[mine] - b * table.shape[1], 1)
+        src, dst, size, t, gap = np.where(kid, cols[5:], cols[:5])
+        kind = kid.astype(np.int64)
+        msg_id = np.arange(first, first + len(src), dtype=np.int64)
+        return RecordChunk(
+            msg_id=msg_id, src=src, dst=dst, size_bytes=size, kind_idx=kind,
+            t_inject=t, latency=_latency(self._profile, size),
+            cause_id=np.ascontiguousarray(cause_id),
+            gap=gap, key_src=src, key_dst=dst,
+            key_kind_idx=kind, key_line=msg_id,
+            key_occ=np.zeros(len(src), dtype=np.int64), kinds=_KINDS)
 
 
 def _iter_chunks(profile: SynthProfile, scale: float, seed: int,
                  chunk_records: int) -> Iterator[RecordChunk]:
     """The trace as column chunks of ``chunk_records`` records (the last
-    one shorter), in canonical ``(t_inject, msg_id)`` order.
-
-    ``msg_id`` is the emission index, so causes always precede dependents
-    and the stream is sorted by construction.
-    """
+    one shorter), in canonical ``(t_inject, msg_id)`` order: ``msg_id`` is
+    the emission index, so causes always precede dependents.  A bad
+    ``chunk_records`` or scale is refused here, before the first chunk."""
     if chunk_records < 1:
         raise ValueError("chunk_records must be positive")
-    n_messages = profile.scaled_messages(scale)
-    n = profile.num_nodes
-    chains = min(profile.chains, n_messages)
-    stream = _STREAMS.get(profile.pattern)
-    pattern = None if stream else PATTERNS[profile.pattern]
-    index = np.arange(chains, dtype=np.uint64)
-    rngs = [np.random.Generator(np.random.PCG64(s))
-            for s in fold(mix64(seed, "chain"), index).tolist()]
-    # A chain's rng serves only its pattern's draws, step / fan-out in order.
-    draws = [stream(rng, n).__next__ for rng in rngs] if stream else None
-    decisions = _Decisions(profile, seed, chains, n_messages)
-    span, live = decisions.span, decisions.live
+    return _merge(_Decisions(profile, scale, seed), chunk_records)
 
-    # Heap entries start (t_inject, flag, uid): flag orders chain steps
-    # before children on injection-time ties; uid makes the order total
-    # and deterministic.  A chain entry continues (c, step, src, cause_id,
-    # gap), a child entry (src, dst, cause_id, gap).
-    t0 = (fold(mix64(seed, "root"), index) % profile.root_spread).tolist()
-    src0 = (fold(mix64(seed, "src"), index) % n).tolist()
-    heap = [(t0[c], 0, c, c, 0, src0[c], -1, t0[c]) for c in range(chains)]
-    heapq.heapify(heap)
-    uid = chains
+
+def _merge(decisions: _Decisions,
+           chunk_records: int) -> Iterator[RecordChunk]:
+    """Which record comes next: per pending injection cycle, the chain
+    records then the fan-out children due, as flat ``(cell, cause_id)``
+    lists in push order, and a heap of the pending cycles.  That is the
+    order of a heap of ``(t_inject, is_child, push index)``: a record
+    pushes only cycles two or more past its own (latency, gap >= 1), so a
+    popped cycle is complete, and its pairs are the emitted records."""
+    next_t, kid_t = decisions.next_t, decisions.kid_t
+    n_messages, chains = decisions.n_messages, decisions.chains
+    cells = decisions.span * chains
+    calendar: dict[int, list[list[int]]] = {}
+    for c, t in enumerate(decisions._t.tolist()):     # the chains' roots
+        calendar.setdefault(t, [[], []])[0].extend((c, -1))
+    cycles = list(calendar)
+    heapq.heapify(cycles)
     pop, push = heapq.heappop, heapq.heappush
-
-    for first in range(0, n_messages, chunk_records):
-        cols = tuple([] for _ in range(7))
-        (add_src, add_dst, add_size, add_kind, add_t, add_cause,
-         add_gap) = (c.append for c in cols)
-        for msg_id in range(first, min(first + chunk_records, n_messages)):
-            entry = pop(heap)
-            if entry[1]:
-                t, flag, _, src, dst, cause_id, gap = entry
-                size = _CTRL_BYTES
-            else:
-                t, flag, _, c, step, src, cause_id, gap = entry
-                dst = draws[c]() if draws else pattern(src, n, rngs[c])
-                if dst == src:  # e.g. the transpose diagonal
-                    dst = (dst + 1) % n
-                block, k = divmod(step, span)
-                rows = live.get(block) or decisions.enter(block)
-                size, latency, next_gap, fan_gap = rows[c * span + k]
-                if k + 1 == span:
-                    decisions.leave(block)
-                t_deliver = t + latency
-                if fan_gap:
-                    third = draws[c]() if draws else pattern(dst, n, rngs[c])
-                    if third == dst:
-                        third = (third + 1) % n
-                    push(heap, (t_deliver + fan_gap, 1, uid,
-                                dst, third, msg_id, fan_gap))
-                    uid += 1
-                push(heap, (t_deliver + next_gap, 0, uid,
-                            c, step + 1, dst, msg_id, next_gap))
-                uid += 1
-            add_src(src)
-            add_dst(dst)
-            add_size(size)
-            add_kind(flag)
-            add_t(t)
-            add_cause(cause_id)
-            add_gap(gap)
-
-        yield _chunk(profile, first, *cols)
+    out: list[int] = []
+    first = m = off = end = 0       # m: the next msg_id to hand out
+    flush = min(chunk_records, n_messages)   # where the next chunk ends
+    while True:
+        t = pop(cycles)
+        due, kids = calendar.pop(t)
+        out += due
+        for cell in due[::2]:
+            if cell >= end:
+                end = decisions.enter(cell // cells)
+            i = cell - off
+            at = next_t[i]
+            pending = calendar.get(at)
+            if pending is None:
+                calendar[at] = pending = [[], []]
+                push(cycles, at)
+            pending[0] += (cell + chains, m)
+            at = kid_t[i]
+            if at:
+                pending = calendar.get(at)
+                if pending is None:
+                    calendar[at] = pending = [[], []]
+                    push(cycles, at)
+                pending[1] += (~cell, m)
+            m += 1
+        out += kids
+        m += len(kids) >> 1
+        while m >= flush:
+            size = flush - first
+            yield decisions.chunk(out[:2 * size], first)
+            del out[:2 * size]
+            if flush == n_messages:
+                return
+            first, flush = flush, min(flush + chunk_records, n_messages)
+            # Every record before cycle ``t`` is flushed once a chunk is.
+            off = decisions.drop(t)
 
 
 def iter_records(profile: SynthProfile, scale: float = 1.0,
@@ -341,15 +401,13 @@ class _Markers:
         self.last_deliver[chunk.dst[lead]] = t_deliver[lead]
         self.last_msg[chunk.dst[lead]] = chunk.msg_id[lead]
 
-    def finish(self) -> list[EndMarker]:
-        out = []
-        for node in range(len(self.last_deliver)):
-            if self.last_msg[node] == -1:
-                out.append(EndMarker(node, 0, -1, 0))
-            else:
-                out.append(EndMarker(node, int(self.last_deliver[node]) + 10,
-                                     int(self.last_msg[node]), 10))
-        return out
+    def finish(self) -> tuple[list[EndMarker], int]:
+        """The end markers and the trace's ``exec_time``."""
+        ends = [EndMarker(node, 0, -1, 0) if msg == -1
+                else EndMarker(node, t + 10, msg, 10)
+                for node, (t, msg) in enumerate(zip(
+                    self.last_deliver.tolist(), self.last_msg.tolist()))]
+        return ends, max((m.t_finish for m in ends), default=0)
 
 
 def _meta(profile: SynthProfile, scale: float, seed: int) -> dict:
@@ -375,11 +433,8 @@ def generate(profile: SynthProfile, scale: float = 1.0,
     for chunk in _iter_chunks(profile, scale, seed, CHUNK_RECORDS):
         markers.see(chunk)
         chunks.append(chunk)
-    ends = markers.finish()
-    trace = Trace.from_chunk(
-        RecordChunk.concat(chunks, _KINDS), ends,
-        max((m.t_finish for m in ends), default=0),
-        _meta(profile, scale, seed))
+    trace = Trace.from_chunk(RecordChunk.concat(chunks, _KINDS),
+                             *markers.finish(), _meta(profile, scale, seed))
     trace.validate()
     return trace
 
@@ -399,15 +454,15 @@ def generate_to_file(profile: SynthProfile, path: Union[str, Path],
     t0 = time.perf_counter()
     markers = _Markers(profile.num_nodes)
     n = 0
+    chunks = _iter_chunks(profile, scale, seed, chunk_records)  # refuses first
     with open(path, "wb") as fp:
         writer = BinaryTraceWriter(fp, meta=_meta(profile, scale, seed))
-        for chunk in _iter_chunks(profile, scale, seed, chunk_records):
+        for chunk in chunks:
             markers.see(chunk)
             writer.add_chunk(chunk)
             n += len(chunk)
-        ends = markers.finish()
+        ends, exec_time = markers.finish()
         writer.add_markers(ends)
-        exec_time = max((m.t_finish for m in ends), default=0)
         writer.close(exec_time)
     return {
         "path": str(path),

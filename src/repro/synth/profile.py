@@ -103,6 +103,9 @@ class SynthProfile:
              f"root_spread must be >= 1, got {self.root_spread}")
 
     def scaled_messages(self, scale: float) -> int:
+        if not 0 < scale < float("inf"):   # nan fails both
+            raise ValueError(
+                f"scale must be positive and finite, got {scale!r}")
         return max(1, int(round(self.messages * scale)))
 
     # ------------------------------------------------------------- (de)JSON

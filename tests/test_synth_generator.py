@@ -1,14 +1,15 @@
-"""The block-hashed, columnar generator against its per-record definition.
+"""The block-computed, calendar-merged generator against its per-record
+definition.
 
-``repro.synth.generator`` hashes every ``(chain, step)`` decision in
-NumPy blocks ahead of the heap merge and writes ``RecordChunk`` columns
+``repro.synth.generator`` computes every chain's records in NumPy blocks,
+orders them with a calendar merge and writes ``RecordChunk`` columns
 straight into the container.  All of it is the same arithmetic as the
 definitions kept here as references — the four-part hash, one float
-accumulation per ``size_mix`` entry, and the per-record generator as it
-stood before the rewrite — so the pin is equality: every field of every
-record on a grid of profile shapes, the container bytes against
-``tracebin.dumps(generate(...))``, and the four container digests the
-benchmark spine checks.
+accumulation per ``size_mix`` entry, the ``math.log`` gap draw, and the
+per-record heap generator as it stood before the block rewrite — so the
+pin is equality: every field of every record on a grid of profile
+shapes, the container bytes against ``tracebin.dumps(generate(...))``,
+and the four container digests the benchmark spine checks.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import tracebin
+from repro import cli
 from repro.core.trace import Trace, TraceRecord
 from repro.synth import (
     default_profile,
@@ -198,13 +201,66 @@ def test_unit_draw_of_one_takes_the_gap_limit():
     assert (top.astype(np.float64) / float(1 << 64)).tolist() == [1.0, 1.0]
     below = math.nextafter(1.0, 0.0)
     p = default_profile(16, 100)
-    assert _draw_gaps(p, [below, 1.0]) == [p.gap_max, p.gap_max]
+    assert _draw_gaps(p, [below, 1.0]).tolist() == [p.gap_max, p.gap_max]
     flat = replace(p, gap_mean=1.0)               # scale 0: every draw is 1
-    assert _draw_gaps(flat, [0.0, below, 1.0]) == [1, 1, 1]
+    assert _draw_gaps(flat, [0.0, below, 1.0]).tolist() == [1, 1, 1]
     wide = replace(p, gap_max=10**6)              # the clip is out of reach
-    assert _draw_gaps(wide, [0.25, below, 1.0]) == [
+    assert _draw_gaps(wide, [0.25, below, 1.0]).tolist() == [
         1 + int(-math.log(0.75) * 17.0), 1 + int(-math.log(2.0 ** -53) * 17.0),
         10**6]
+
+
+def _draw_gap_reference(profile, u):
+    """The gap draw as the scalar definition: ``math.log``, one unit at a
+    time."""
+    scale = max(0.0, profile.gap_mean - 1.0)
+    if u == 1.0:
+        return profile.gap_max if scale > 0.0 else 1
+    return min(profile.gap_max, 1 + int(-math.log(1.0 - u) * scale))
+
+
+def test_vectorised_gap_draw_is_the_scalar_definition():
+    """``np.log`` over 2 * 10^6 hashed units draws the gaps ``math.log``
+    draws, at the default scale (17) and a small one.  ``np.log`` may
+    differ in the last bit; only where the scaled value is near an integer
+    can that move ``int()``, and those cells are redrawn with ``math.log``."""
+    prefix = fold(mix64(7, "gap"), np.arange(2, dtype=np.uint64))[:, None]
+    units = _unit(prefix, np.arange(10**6, dtype=np.uint64)).ravel()
+    for profile in (default_profile(16, 100),
+                    default_profile(16, 100, gap_mean=1.5, gap_max=7)):
+        want = [_draw_gap_reference(profile, u) for u in units.tolist()]
+        assert _draw_gaps(profile, units).tolist() == want
+
+
+def test_gap_draw_redraws_the_guard_band_with_math_log(monkeypatch):
+    """Units whose scaled value lies a few ulps either side of an integer:
+    every one is in the guard band, is redrawn with ``math.log``, and
+    draws the scalar definition's gap."""
+    profile = default_profile(16, 100)
+    scale = profile.gap_mean - 1.0
+    units = []
+    for k in range(1, 90):
+        u = -math.expm1(-k / scale)       # -log(1 - u) * scale is ~k
+        for _ in range(4):
+            u = math.nextafter(u, 0.0)
+        for _ in range(9):
+            units.append(u)
+            u = math.nextafter(u, 1.0)
+    scaled = -np.log(1.0 - np.array(units)) * scale
+    assert (np.abs(scaled - np.rint(scaled)) < 1e-9 * scaled).all()
+    want = [_draw_gap_reference(profile, u) for u in units]
+    assert len(set(want)) > 80 and {w - k for w, k in zip(
+        want, np.repeat(np.arange(1, 90), 9).tolist())} == {0, 1}
+
+    calls = []
+
+    def log(x):
+        calls.append(x)
+        return math.log(x)
+
+    monkeypatch.setattr(generator, "math", SimpleNamespace(log=log))
+    assert _draw_gaps(profile, units).tolist() == want
+    assert len(calls) == len(units)
 
 
 # ----------------------------------------------- identity, record by record
@@ -216,8 +272,14 @@ def _golden_fit(path: Path):
 _ODD = dict(base_latency=1, gap_mean=1.0, gap_max=3, root_spread=1, chains=5,
             size_mix=((1, .5), (16, .2), (700, .3)), fanout_prob=0.6)
 
+#: Every decision ties: each cycle's bucket holds many chain steps and
+#: children at once, and a push lands exactly two cycles on.
+_TIES = dict(root_spread=1, base_latency=1, gap_mean=1.0, gap_max=1,
+             fanout_prob=0.9)
+
 #: Four chains of ~1500 destination draws each: many fan-out steps draw
-#: their two destinations from two different refills.
+#: their two destinations across a 64-draw boundary (a refill edge of the
+#: hotspot stream).
 _STRADDLE = dict(chains=4, fanout_prob=0.5)
 
 IDENTITY_GRID = [
@@ -241,6 +303,10 @@ IDENTITY_GRID = [
                   "tornado")),
     pytest.param(lambda: default_profile(256, 40), 1.0,
                  id="fewer-messages-than-chains"),
+    pytest.param(lambda: default_profile(64, 5000, **_TIES), 1.0,
+                 id="ties-everywhere"),
+    pytest.param(lambda: default_profile(64, 5000, chains=1), 1.0,
+                 id="one-chain"),
     pytest.param(lambda: default_profile(256, 12_000), 0.37, id="scaled-down"),
 ]
 
@@ -256,9 +322,9 @@ def test_every_record_equals_the_per_record_reference(make_profile, scale):
 
 
 def test_fanout_draws_straddle_a_refill_on_the_grid():
-    """Per chain, the destination draws in the order the merge makes them
-    (a chain step's, then its fan-out child's): count the fan-out steps
-    whose first draw is the last of a refill."""
+    """Per chain, the destination draws in the order they are made (a
+    chain step's, then its fan-out child's): count the fan-out steps whose
+    first draw is the last of a 64-draw run."""
     records = list(_iter_records_reference(
         default_profile(64, 6000, **_STRADDLE), seed=5))
     fans = {r.cause_id for r in records if r.kind == "ctrl"}
@@ -282,19 +348,20 @@ _BOUNDS = [1, 3, 16, 37, 1000, 1024, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
 def test_batched_integers_are_the_scalar_stream(n):
     """``integers(0, n, size=k)`` consumes PCG64 exactly as ``k`` scalar
     ``integers(0, n)`` calls (2^31 + 1 rejects about half its candidates),
-    odd ``k`` included, so a refill leaves the stream where the calls
-    would.  A NumPy that changes bounded-integer consumption fails here
-    before any container digest does."""
+    odd ``k`` included, so a block's one call per chain leaves the stream
+    where the calls would.  A NumPy that changes bounded-integer
+    consumption fails here before any container digest does."""
     batched, scalar = (np.random.Generator(np.random.PCG64(7))
                        for _ in range(2))
     for k in (1, 2, 7, 64, 3):
         assert batched.integers(0, n, size=k).tolist() == [
             int(scalar.integers(0, n)) for _ in range(k)]
         assert batched.bit_generator.state == scalar.bit_generator.state
-    draws = _draws(np.random.Generator(np.random.PCG64(9)), n)
+    take = _draws(np.random.Generator(np.random.PCG64(9)), n)
     scalar = np.random.Generator(np.random.PCG64(9))
-    assert list(itertools.islice(draws, 3 * _DRAWS + 5)) == [
-        int(scalar.integers(0, n)) for _ in range(3 * _DRAWS + 5)]
+    sizes = (5, 64, 1, 70, 3)          # one call per chain per block
+    assert [x for k in sizes for x in take(k).tolist()] == [
+        int(scalar.integers(0, n)) for _ in range(sum(sizes))]
 
 
 @pytest.mark.parametrize("seed", [9, 21, 4242])
@@ -352,8 +419,10 @@ def test_blocks_are_hashed_once_and_dropped_behind_the_slowest_chain(
         monkeypatch):
     """Blocks four steps wide under a ~1100-step trace, so the chains drift
     across several blocks at once: each block is entered exactly once (a
-    dropped block is never needed again) and the live set follows the
-    spread between the slowest and the fastest chain, not the trace."""
+    dropped block is never needed again) and, with chunks of 16 records,
+    the live set follows the spread between the slowest and the fastest
+    chain, not the trace.  A block outlives its chains until the chunk
+    holding its last record is flushed, so the chunks are kept small."""
     spies = []
 
     class Spy(generator._Decisions):
@@ -363,16 +432,18 @@ def test_blocks_are_hashed_once_and_dropped_behind_the_slowest_chain(
             spies.append(self)
 
         def enter(self, block):
-            rows = super().enter(block)
+            end = super().enter(block)
             self.entered.append(block)
             self.peak = max(self.peak, len(self.live))
-            return rows
+            return end
 
     profile = default_profile(64, 20_000, chains=16)
     want = list(_iter_records_reference(profile, seed=3))
     monkeypatch.setattr(generator, "_BLOCK_CELLS", 64)
     monkeypatch.setattr(generator, "_Decisions", Spy)
-    assert list(iter_records(profile, seed=3)) == want
+    got = [r for chunk in generator._iter_chunks(profile, 1.0, 3, 16)
+           for r in chunk.to_records()]
+    assert got == want
     (spy,) = spies
     assert spy.span == 4
     assert len(spy.entered) > 250
@@ -412,6 +483,56 @@ def test_streamed_container_is_the_dumped_trace(tmp_path, chunk_records,
         # KINDS block; a large first chunk names both at once.
         assert types.count("KINDS") == (2 if size == 7 else 1)
         assert summary["kinds"] == ("data", "ctrl")
+
+
+@pytest.mark.parametrize("chunk_records", [1, 3])
+def test_chunk_boundaries_inside_one_cycle(tmp_path, chunk_records):
+    """On the tie-heavy profile a cycle's bucket holds many records, so
+    most chunk boundaries fall inside one: the container is still the
+    dumped trace, record for record the reference's."""
+    profile = default_profile(16, 600, **_TIES)
+    path = tmp_path / "ties.rtrc"
+    generate_to_file(profile, path, seed=4, chunk_records=chunk_records)
+    trace = generate(profile, seed=4)
+    assert path.read_bytes() == tracebin.dumps(trace, chunk_records)
+    assert trace.records == list(_iter_records_reference(profile, seed=4))
+    t = [r.t_inject for r in trace.records]
+    inside = [i for i in range(chunk_records, len(t), chunk_records)
+              if t[i] == t[i - 1]]
+    assert len(inside) > len(t) // chunk_records // 2
+
+
+def _refused_file(tmp_path):
+    path = tmp_path / "keep.rtrc"
+    generate_to_file(default_profile(16, 100), path, seed=1)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("chunk_records", [0, -5])
+def test_refused_chunk_size_leaves_the_file_alone(tmp_path, chunk_records):
+    path, before = _refused_file(tmp_path)
+    with pytest.raises(ValueError, match="chunk_records must be positive"):
+        generate_to_file(default_profile(16, 100), path,
+                         chunk_records=chunk_records)
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError, match="chunk_records must be positive"):
+        cli.main(["synth", "generate", "--out", str(path), "--nodes", "16",
+                  "--messages", "100", "--chunk-records", str(chunk_records)])
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
+def test_a_scale_that_is_not_positive_and_finite_is_refused(tmp_path, scale):
+    profile = default_profile(16, 100)
+    path, before = _refused_file(tmp_path)
+    for call in (lambda: profile.scaled_messages(scale),
+                 lambda: generate(profile, scale=scale),
+                 lambda: list(iter_records(profile, scale=scale)),
+                 lambda: generate_to_file(profile, path, scale=scale)):
+        with pytest.raises(ValueError, match=f"scale must be positive and "
+                                             f"finite, got {scale!r}"):
+            call()
+    assert path.read_bytes() == before
 
 
 def test_chunks_with_their_own_kind_tables_land_in_call_order(tmp_path):
