@@ -25,23 +25,13 @@ def main(argv: list[str]) -> None:
     rows = []
     for wl in names:
         print(f"running {wl} on both networks ...", flush=True)
-        r = case_study(exp, wl)
-        rows.append({
-            "workload": r.workload,
-            "exec_electrical": r.exec_electrical,
-            "exec_optical": r.exec_optical,
-            "speedup": round(r.speedup, 3),
-            "lat_elec": round(r.avg_latency_electrical, 1),
-            "lat_opt": round(r.avg_latency_optical, 1),
-            "lat_cut_%": round(r.latency_reduction_pct, 1),
-        })
+        rows.append(case_study(exp, wl))
     print()
     print(format_table(rows, title="Case study: ONOC vs electrical baseline"))
 
     headline = names[0]
     print(f"\nenergy for '{headline}' ...")
-    rep_e, rep_o = power_experiment(exp, headline)
-    print(format_table([rep_e.as_row(), rep_o.as_row()],
+    print(format_table(power_experiment(exp, headline),
                        title="Energy over the run"))
     print("\nNote the ONOC's static power (laser + ring tuning) dominating "
           "at this utilisation\n— the energy-proportionality caveat recorded "

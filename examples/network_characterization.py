@@ -14,12 +14,12 @@ import sys
 from dataclasses import replace
 
 from repro import default_16core_config
-from repro.harness import format_table, load_latency_sweep
 from repro.config import ONOC_CIRCUIT_MESH
+from repro.exp import resolve_config, run_experiment
+from repro.harness import SweepRunner, format_table
 from repro.noc import ElectricalNetwork
 from repro.onoc import (
     LossBudget,
-    build_optical_network,
     crossbar_ring_census,
     mesh_ring_census,
 )
@@ -35,25 +35,18 @@ def main(argv: list[str]) -> None:
     exp = default_16core_config()
     mesh_onoc = replace(exp.onoc, topology=ONOC_CIRCUIT_MESH)
 
-    networks = [
-        ("electrical mesh", lambda sim: ElectricalNetwork(sim, exp.noc)),
-        ("optical crossbar", lambda sim: build_optical_network(sim, exp.onoc)),
-        ("optical circuit mesh",
-         lambda sim: build_optical_network(sim, mesh_onoc)),
-    ]
-    rows = []
-    for name, make in networks:
-        print(f"sweeping {name} ...", flush=True)
-        for p in load_latency_sweep(make, pattern, RATES, seed=exp.seed,
-                                    warmup=300, measure=1500):
-            rows.append({
-                "network": name,
-                "rate": p.injection_rate,
-                "avg_latency": round(p.avg_latency, 1),
-                "p99": p.p99_latency,
-                "throughput": round(p.throughput_flits_cycle, 3),
-                "saturated": p.saturated,
-            })
+    # The catalogue's Fig. 3 experiment: each series stops just past its
+    # first saturated rate.
+    sweep = resolve_config("load_latency", {
+        "patterns": [pattern],
+        "networks": ["electrical", exp.onoc.topology, ONOC_CIRCUIT_MESH],
+        "labels": ["electrical mesh", "optical crossbar",
+                   "optical circuit mesh"],
+        "rates": RATES, "warmup": 300, "measure": 1500, "seed": exp.seed,
+    })
+    print("sweeping the electrical mesh, the optical crossbar and the "
+          "optical circuit mesh ...", flush=True)
+    rows = run_experiment(sweep, SweepRunner(workers=1)).rows
     print()
     print(format_table(rows, title=f"Load-latency under '{pattern}' traffic"))
 

@@ -11,9 +11,10 @@ Each :class:`BaseExperiment` bundles
   alias, as dotted ``"module:qualname"`` refs (the form a task carries);
   :func:`serve_operations` turns the registry's points into the serve
   whitelist, so a node accepts the tasks unchanged, and
-* ``postprocess(params, results) -> (rows, metrics)`` — the table rows the
-  bench scripts used to format by hand, plus a flat ``{metric: number}``
-  snapshot that makes two runs machine-diffable (``repro exp diff``).
+* ``key`` — the columns that name a row of the table the points return;
+  :meth:`BaseExperiment.tabulate` flattens the rows into a flat
+  ``{metric: number}`` snapshot that makes two runs machine-diffable
+  (``repro exp diff``).
 
 The compiled tasks execute through any executor with a ``run(tasks)``
 method: :class:`repro.harness.SweepRunner` locally, or
@@ -36,11 +37,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.config import (
     ENGINE_EVENT,
     ENGINE_GENERATIONAL,
+    GAP_POLICIES,
     MITIGATIONS,
     ONOC_TOPOLOGIES,
     REPLAY_ENGINES,
@@ -74,17 +76,31 @@ class BaseExperiment:
     description: str
     schema: ParamSchema
     compile: Callable[[dict], list[SweepTask]]
-    postprocess: Callable[[dict, list], tuple[Rows, Metrics]]
     #: Wire alias -> the ``module:qualname`` ref of the point function
     #: ``compile`` emits tasks for (a callable also works, but imports its
     #: module with the catalogue).
     points: dict[str, Union[str, Callable]]
+    #: The columns that name a row; every other number in it is a metric.
+    key: tuple[str, ...]
+    #: ``(params, results) -> rows`` for a table that combines points; by
+    #: default the rows the points returned, concatenated.
+    postprocess: Optional[Callable[[dict, list], Rows]] = None
     #: Metric-name globs that are measured wall-clock (never gateable).
     volatile: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def default_gate(self) -> GateSpec:
         return GateSpec(0.0, {pattern: None for pattern in self.volatile})
+
+    def tabulate(self, params: dict, results: list) -> tuple[Rows, Metrics]:
+        """The table of a run's point results, and its metrics."""
+        if self.postprocess is not None:
+            rows = self.postprocess(params, results)
+        else:
+            rows = [
+                row for r in results for row in ([r] if isinstance(r, dict) else r)
+            ]
+        return rows, metrics_from_rows(rows, self.key)
 
 
 _REGISTRY: dict[str, BaseExperiment] = {}
@@ -143,13 +159,28 @@ def _exp_config(params: dict):
     )
 
 
+def _per_workload(
+    ref: Union[str, Callable], *kwargs: str
+) -> Callable[[dict], list[SweepTask]]:
+    """A compile emitting ``ref(exp, workload, **{k: params[k]})`` per
+    workload, ``exp`` built from the common parameters."""
+
+    def compile(params: dict) -> list[SweepTask]:
+        exp = _exp_config(params)
+        passed = {k: params[k] for k in kwargs}
+        return [SweepTask.make(ref, exp, wl, **passed) for wl in params["workloads"]]
+
+    return compile
+
+
 def metrics_from_rows(
     rows: Sequence[dict], key_cols: Sequence[str]
 ) -> Metrics:
     """Flatten table rows into ``{"<key>.<column>": value}`` metrics.
 
     ``key_cols`` name the identifying columns (joined with ``.``); every
-    other numeric, non-bool cell becomes one metric.
+    other numeric, non-bool cell becomes one metric.  Two rows that name
+    the same metric are refused: one would silently hide the other.
     """
     out: Metrics = {}
     for row in rows:
@@ -162,6 +193,8 @@ def metrics_from_rows(
             if not isinstance(val, (int, float)):
                 continue
             name = f"{key}.{col}" if key else col
+            if name in out:
+                raise ValueError(f"two rows name the metric {name!r}")
             out[name] = val
     return out
 
@@ -176,33 +209,8 @@ def _gmean(xs: Sequence[float]) -> float:
 _ACCURACY = "repro.harness.experiments:accuracy_experiment"
 
 
-def _accuracy_compile(params: dict) -> list[SweepTask]:
-    exp = _exp_config(params)
-    return [
-        SweepTask.make(
-            _ACCURACY,
-            exp,
-            wl,
-            scale=params["scale"],
-            engine=params["engine"],
-        )
-        for wl in params["workloads"]
-    ]
-
-
-def _accuracy_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    rows = [
-        {
-            "workload": r.workload,
-            "ref_exec": r.ref_exec_time,
-            "naive_est": r.naive_estimate,
-            "naive_err_%": round(r.naive.exec_time_error_pct, 2),
-            "selfcorr_est": r.self_correcting_estimate,
-            "selfcorr_err_%": round(r.self_correcting.exec_time_error_pct, 2),
-            "messages": r.extra["trace_messages"],
-        }
-        for r in results
-    ]
+def _accuracy_post(params: dict, results: list) -> Rows:
+    rows = list(results)
     gmean_naive = _gmean([r["naive_err_%"] + 1 for r in rows]) - 1
     gmean_sc = _gmean([r["selfcorr_err_%"] + 1 for r in rows]) - 1
     rows.append(
@@ -216,7 +224,7 @@ def _accuracy_post(params: dict, results: list) -> tuple[Rows, Metrics]:
             "messages": "",
         }
     )
-    return rows, metrics_from_rows(rows, ("workload",))
+    return rows
 
 
 register(
@@ -226,14 +234,15 @@ register(
         "self-correcting replay error against the execution-driven "
         "ONOC reference (Fig. 4).",
         schema=specs(
-            ("workloads", "list[str]", ALL_WORKLOADS),
+            ("workloads", "list[str]", ALL_WORKLOADS, ALL_WORKLOADS),
             *_COMMON,
             ("scale", "float", 1.0, None, "workload scale factor"),
             ("engine", "str", ENGINE_EVENT, REPLAY_ENGINES, "replay engine"),
         ),
-        compile=_accuracy_compile,
-        postprocess=_accuracy_post,
+        compile=_per_workload(_ACCURACY, "scale", "engine"),
         points={"accuracy": _ACCURACY},
+        key=("workload",),
+        postprocess=_accuracy_post,
     )
 )
 
@@ -268,30 +277,19 @@ def _load_latency_compile(params: dict) -> list[SweepTask]:
     ]
 
 
-def _load_latency_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    rows: Rows = []
+def _load_latency_post(params: dict, results: list) -> Rows:
+    """Each series under its label, cut just past its first saturated
+    point (latency is unbounded there)."""
     labels = dict(zip(params["networks"], params["labels"]))
-    n_rates = len(params["rates"])
-    i = 0
-    for pattern in params["patterns"]:
-        for network in params["networks"]:
-            series = results[i : i + n_rates]
-            i += n_rates
-            for p in series:
-                rows.append(
-                    {
-                        "pattern": pattern,
-                        "network": labels[network],
-                        "rate": p.injection_rate,
-                        "avg_latency": round(p.avg_latency, 1),
-                        "p99": p.p99_latency,
-                        "throughput": round(p.throughput_flits_cycle, 3),
-                        "saturated": p.saturated,
-                    }
-                )
-                if p.saturated:
-                    break
-    return rows, metrics_from_rows(rows, ("pattern", "network", "rate"))
+    rows: Rows = []
+    saturated: set = set()
+    for row in results:
+        series = (row["pattern"], row["network"])
+        if series not in saturated:
+            rows.append({**row, "network": labels[row["network"]]})
+            if row["saturated"]:
+                saturated.add(series)
+    return rows
 
 
 register(
@@ -302,7 +300,12 @@ register(
         "first saturated point (Fig. 3).",
         schema=specs(
             ("patterns", "list[str]", ("uniform", "transpose", "hotspot")),
-            ("networks", "list[str]", ("electrical", "crossbar")),
+            (
+                "networks",
+                "list[str]",
+                ("electrical", "crossbar"),
+                ("electrical", *ONOC_TOPOLOGIES),
+            ),
             ("labels", "list[str]", ("electrical", "optical")),
             ("rates", "list[float]", (0.02, 0.05, 0.1, 0.2, 0.3, 0.45)),
             ("message_bytes", "int", 64),
@@ -311,8 +314,9 @@ register(
             *_COMMON,
         ),
         compile=_load_latency_compile,
-        postprocess=_load_latency_post,
         points={"load_latency_point": _LOAD_LATENCY},
+        key=("pattern", "network", "rate"),
+        postprocess=_load_latency_post,
     )
 )
 
@@ -322,31 +326,6 @@ register(
 # ---------------------------------------------------------------------------
 _CASE_STUDY = "repro.harness.experiments:case_study"
 
-
-def _case_study_compile(params: dict) -> list[SweepTask]:
-    exp = _exp_config(params)
-    return [
-        SweepTask.make(_CASE_STUDY, exp, wl, scale=params["scale"])
-        for wl in params["workloads"]
-    ]
-
-
-def _case_study_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    rows = [
-        {
-            "workload": r.workload,
-            "exec_electrical": r.exec_electrical,
-            "exec_optical": r.exec_optical,
-            "speedup_x": round(r.speedup, 3),
-            "lat_elec": round(r.avg_latency_electrical, 1),
-            "lat_opt": round(r.avg_latency_optical, 1),
-            "lat_reduction_%": round(r.latency_reduction_pct, 1),
-        }
-        for r in results
-    ]
-    return rows, metrics_from_rows(rows, ("workload",))
-
-
 register(
     BaseExperiment(
         name="case_study",
@@ -354,13 +333,13 @@ register(
         "executed through the full system on the ONOC vs the electrical "
         "baseline (Table 3).",
         schema=specs(
-            ("workloads", "list[str]", ALL_WORKLOADS),
+            ("workloads", "list[str]", ALL_WORKLOADS, ALL_WORKLOADS),
             *_COMMON,
             ("scale", "float", 1.0),
         ),
-        compile=_case_study_compile,
-        postprocess=_case_study_post,
+        compile=_per_workload(_CASE_STUDY, "scale"),
         points={"casestudy": _CASE_STUDY},
+        key=("workload",),
     )
 )
 
@@ -370,36 +349,6 @@ register(
 # ---------------------------------------------------------------------------
 _SIMTIME = "repro.harness.experiments:simtime_experiment"
 
-
-def _simtime_compile(params: dict) -> list[SweepTask]:
-    exp = _exp_config(params)
-    return [
-        SweepTask.make(
-            _SIMTIME,
-            exp,
-            wl,
-            engine=params["engine"],
-            scale=params["scale"],
-        )
-        for wl in params["workloads"]
-    ]
-
-
-def _simtime_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    rows = [
-        {
-            "workload": r.workload,
-            "exec_driven_s": round(r.exec_driven_s, 3),
-            "capture_run_s": round(r.capture_overhead_s, 3),
-            "naive_replay_s": round(r.naive_replay_s, 3),
-            "selfcorr_replay_s": round(r.self_correcting_s, 3),
-            "replay_speedup_x": round(r.replay_speedup, 2),
-        }
-        for r in results
-    ]
-    return rows, metrics_from_rows(rows, ("workload",))
-
-
 register(
     BaseExperiment(
         name="simtime",
@@ -407,14 +356,14 @@ register(
         "execution-driven vs capture run vs both replay modes (Table 2). "
         "Every metric is a wall-clock measurement, so none are gateable.",
         schema=specs(
-            ("workloads", "list[str]", ALL_WORKLOADS),
+            ("workloads", "list[str]", ALL_WORKLOADS, ALL_WORKLOADS),
             *_COMMON,
             ("scale", "float", 1.0),
             ("engine", "str", ENGINE_EVENT, REPLAY_ENGINES),
         ),
-        compile=_simtime_compile,
-        postprocess=_simtime_post,
+        compile=_per_workload(_SIMTIME, "engine", "scale"),
         points={"simtime": _SIMTIME},
+        key=("workload",),
         volatile=("*",),
     )
 )
@@ -425,42 +374,18 @@ register(
 # ---------------------------------------------------------------------------
 _POWER = "repro.harness.experiments:power_experiment"
 
-
-def _power_compile(params: dict) -> list[SweepTask]:
-    exp = _exp_config(params)
-    return [
-        SweepTask.make(_POWER, exp, wl)
-        for wl in params["workloads"]
-    ]
-
-
-def _power_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    rows: Rows = []
-    for wl, (rep_e, rep_o) in zip(params["workloads"], results):
-        for rep in (rep_e, rep_o):
-            row = {"workload": wl, **rep.as_row()}
-            row["static_pct"] = round(
-                100
-                * rep.static_energy_pj
-                / (rep.static_energy_pj + rep.total_dynamic_pj),
-                1,
-            )
-            rows.append(row)
-    return rows, metrics_from_rows(rows, ("workload", "network"))
-
-
 register(
     BaseExperiment(
         name="power",
         description="Energy of the case-study run on each network: static "
         "vs dynamic breakdown, ONOC vs electrical (Table 4).",
         schema=specs(
-            ("workloads", "list[str]", ("fft", "randshare")),
+            ("workloads", "list[str]", ("fft", "randshare"), ALL_WORKLOADS),
             *_COMMON,
         ),
-        compile=_power_compile,
-        postprocess=_power_post,
+        compile=_per_workload(_POWER),
         points={"power": _POWER},
+        key=("workload", "network"),
     )
 )
 
@@ -470,25 +395,15 @@ register(
 # ---------------------------------------------------------------------------
 _AREA = "repro.harness.experiments:area_rows"
 
-
-def _area_compile(params: dict) -> list[SweepTask]:
-    return [SweepTask.make(_AREA, _exp_config(params))]
-
-
-def _area_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    rows = results[0]
-    return rows, metrics_from_rows(rows, ("network",))
-
-
 register(
     BaseExperiment(
         name="area",
         description="DSENT-class area of the electrical baseline and every "
         "optical architecture (Table 5).",
         schema=specs(*_COMMON),
-        compile=_area_compile,
-        postprocess=_area_post,
+        compile=lambda params: [SweepTask.make(_AREA, _exp_config(params))],
         points={"area_rows": _AREA},
+        key=("network",),
     )
 )
 
@@ -514,22 +429,15 @@ def _ablation_deps_compile(params: dict) -> list[SweepTask]:
     ]
 
 
-def _ablation_deps_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    by_policy = dict(zip(params["policies"], results))
-    policies = params["policies"]
-    rows = [
-        {
-            "kept_deps": frac,
-            **{
-                f"{policy}_exec_err_%": round(rep.exec_time_error_pct, 2)
-                for policy in policies
-                for f2, rep in by_policy[policy]
-                if f2 == frac
-            },
-        }
-        for frac, _ in by_policy[policies[0]]
-    ]
-    return rows, metrics_from_rows(rows, ("kept_deps",))
+def _ablation_deps_post(params: dict, results: list) -> Rows:
+    """One row per kept fraction, one error column per policy."""
+    by_frac: dict[float, dict] = {}
+    for per_policy in results:
+        for row in per_policy:
+            frac = row["kept_deps"]
+            column = f"{row['gap_policy']}_exec_err_%"
+            by_frac.setdefault(frac, {"kept_deps": frac})[column] = row["exec_err_%"]
+    return list(by_frac.values())
 
 
 register(
@@ -540,13 +448,14 @@ register(
         schema=specs(
             ("workload", "str", "randshare"),
             ("fractions", "list[float]", (1.0, 0.75, 0.5, 0.25, 0.0)),
-            ("policies", "list[str]", ("captured", "neighbor_gap")),
+            ("policies", "list[str]", ("captured", "neighbor_gap"), GAP_POLICIES),
             *_COMMON,
             ("scale", "float", 1.0),
         ),
         compile=_ablation_deps_compile,
-        postprocess=_ablation_deps_post,
         points={"ablation_deps": _ABLATION_DEPS},
+        key=("kept_deps",),
+        postprocess=_ablation_deps_post,
     )
 )
 
@@ -569,20 +478,6 @@ def _ablation_mismatch_compile(params: dict) -> list[SweepTask]:
     ]
 
 
-def _ablation_mismatch_post(
-    params: dict, results: list
-) -> tuple[Rows, Metrics]:
-    rows = [
-        {
-            "wavelengths": wl,
-            "naive_err_%": round(n.exec_time_error_pct, 2),
-            "selfcorr_err_%": round(s.exec_time_error_pct, 2),
-        }
-        for wl, n, s in results[0]
-    ]
-    return rows, metrics_from_rows(rows, ("wavelengths",))
-
-
 register(
     BaseExperiment(
         name="ablation_mismatch",
@@ -594,8 +489,8 @@ register(
             *_COMMON,
         ),
         compile=_ablation_mismatch_compile,
-        postprocess=_ablation_mismatch_post,
         points={"ablation_mismatch": _ABLATION_MISMATCH},
+        key=("wavelengths",),
     )
 )
 
@@ -620,10 +515,6 @@ def _scalability_compile(params: dict) -> list[SweepTask]:
     ]
 
 
-def _scalability_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    return list(results), metrics_from_rows(results, ("cores",))
-
-
 register(
     BaseExperiment(
         name="scalability",
@@ -638,8 +529,8 @@ register(
             ("accuracy_max_cores", "int", 36),
         ),
         compile=_scalability_compile,
-        postprocess=_scalability_post,
         points={"scalability_point": _SCALABILITY},
+        key=("cores",),
     )
 )
 
@@ -659,18 +550,13 @@ def _seed_sensitivity_compile(params: dict) -> list[SweepTask]:
     ]
 
 
-def _seed_sensitivity_post(
-    params: dict, results: list
-) -> tuple[Rows, Metrics]:
-    by_workload: dict[str, list] = {}
-    for r in results:
-        by_workload.setdefault(r.workload, []).append(r)
+def _seed_sensitivity_post(params: dict, results: list) -> Rows:
+    """Mean and max of each mode's error over the seeds, per workload."""
     rows = []
     for wl in params["workloads"]:
-        naive_errs = [r.naive.exec_time_error_pct for r in by_workload[wl]]
-        sc_errs = [
-            r.self_correcting.exec_time_error_pct for r in by_workload[wl]
-        ]
+        runs = [r for r in results if r["workload"] == wl]
+        naive_errs = [r["naive_err_%"] for r in runs]
+        sc_errs = [r["selfcorr_err_%"] for r in runs]
         rows.append(
             {
                 "workload": wl,
@@ -681,7 +567,7 @@ def _seed_sensitivity_post(
                 "selfcorr_max_%": round(max(sc_errs), 2),
             }
         )
-    return rows, metrics_from_rows(rows, ("workload",))
+    return rows
 
 
 register(
@@ -691,13 +577,14 @@ register(
         "self-correcting gap must be structural, not a lucky seed "
         "(Fig. 13).",
         schema=specs(
-            ("workloads", "list[str]", ("lu", "randshare")),
+            ("workloads", "list[str]", ("lu", "randshare"), ALL_WORKLOADS),
             ("seeds", "list[int]", (7, 11, 23)),
             *_COMMON,
         ),
         compile=_seed_sensitivity_compile,
-        postprocess=_seed_sensitivity_post,
         points={"seed_accuracy_point": _SEED_ACCURACY},
+        key=("workload",),
+        postprocess=_seed_sensitivity_post,
     )
 )
 
@@ -707,38 +594,6 @@ register(
 # ---------------------------------------------------------------------------
 _CONVERGENCE = "repro.harness.experiments:convergence_experiment"
 
-
-def _convergence_compile(params: dict) -> list[SweepTask]:
-    exp = _exp_config(params)
-    return [
-        SweepTask.make(
-            _CONVERGENCE,
-            exp,
-            wl,
-            max_iterations=params["max_iterations"],
-        )
-        for wl in params["workloads"]
-    ]
-
-
-def _convergence_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    rows = []
-    for wl, (history, ref) in zip(params["workloads"], results):
-        for h in history:
-            rows.append(
-                {
-                    "workload": wl,
-                    "iteration": h.iteration,
-                    "estimate": h.exec_time_estimate,
-                    "ref_exec": ref,
-                    "err_%": round(
-                        abs(h.exec_time_estimate - ref) / ref * 100, 2
-                    ),
-                }
-            )
-    return rows, metrics_from_rows(rows, ("workload", "iteration"))
-
-
 register(
     BaseExperiment(
         name="convergence",
@@ -746,13 +601,13 @@ register(
         "fixed-point pass count, against the execution-driven reference "
         "(Fig. 6).",
         schema=specs(
-            ("workloads", "list[str]", ("lu", "radix", "randshare")),
+            ("workloads", "list[str]", ("lu", "radix", "randshare"), ALL_WORKLOADS),
             ("max_iterations", "int", 8),
             *_COMMON,
         ),
-        compile=_convergence_compile,
-        postprocess=_convergence_post,
+        compile=_per_workload(_CONVERGENCE, "max_iterations"),
         points={"convergence": _CONVERGENCE},
+        key=("workload", "iteration"),
         volatile=("*.wall_clock_s",),
     )
 )
@@ -782,8 +637,10 @@ def _resilience_compile(params: dict) -> list[SweepTask]:
     ]
 
 
-def _resilience_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    rows = [
+def _resilience_post(params: dict, results: list) -> Rows:
+    """The point's scalars and penalty totals (its curve stays in the
+    archived results)."""
+    return [
         {
             "workload": r["workload"],
             "mitigation": r["mitigation"],
@@ -799,7 +656,6 @@ def _resilience_post(params: dict, results: list) -> tuple[Rows, Metrics]:
         }
         for r in results
     ]
-    return rows, metrics_from_rows(rows, ("workload", "mitigation"))
 
 
 register(
@@ -810,18 +666,19 @@ register(
         "self-correcting replay runs, and the policies' typed penalties "
         "are compared against the pristine replay.",
         schema=specs(
-            ("workloads", "list[str]", ("fft", "radix")),
+            ("workloads", "list[str]", ("fft", "radix"), ALL_WORKLOADS),
             ("degrade", "str",
              "thermal_drift+laser_droop+corruption_bursts"),
             ("intensity", "float", 0.9),
-            ("mitigations", "list[str]", MITIGATIONS),
+            ("mitigations", "list[str]", MITIGATIONS, MITIGATIONS),
             *_COMMON,
             ("scale", "float", 0.25),
             ("engine", "str", ENGINE_EVENT, REPLAY_ENGINES),
         ),
         compile=_resilience_compile,
-        postprocess=_resilience_post,
         points={"resilience_point": _RESILIENCE},
+        key=("workload", "mitigation"),
+        postprocess=_resilience_post,
     )
 )
 
@@ -867,7 +724,7 @@ def _fault_matrix_compile(params: dict) -> list[SweepTask]:
     return [SweepTask.make(_SCENARIO, s) for s in ordered]
 
 
-def _fault_matrix_post(params: dict, results: list) -> tuple[Rows, Metrics]:
+def _fault_matrix_post(params: dict, results: list) -> Rows:
     from repro.validate.differential import check_fault_matrix_smooth
 
     matrix, ordered = _fault_matrix_cells(params)
@@ -890,7 +747,7 @@ def _fault_matrix_post(params: dict, results: list) -> tuple[Rows, Metrics]:
                     "breaches": len(breaches),
                 }
             )
-    return rows, metrics_from_rows(rows, ("family", "severity"))
+    return rows
 
 
 register(
@@ -914,8 +771,9 @@ register(
             ("max_slope", "float", 900.0),
         ),
         compile=_fault_matrix_compile,
-        postprocess=_fault_matrix_post,
         points={"scenario": _SCENARIO},
+        key=("family", "severity"),
+        postprocess=_fault_matrix_post,
     )
 )
 
@@ -925,32 +783,23 @@ register(
 # ---------------------------------------------------------------------------
 _LATENCY_FIDELITY = "repro.harness.experiments:latency_fidelity_rows"
 
-
-def _latency_error_compile(params: dict) -> list[SweepTask]:
-    exp = _exp_config(params)
-    return [
-        SweepTask.make(_LATENCY_FIDELITY, exp, wl)
-        for wl in params["workloads"]
-    ]
-
-
-def _latency_error_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    rows = [row for per_workload in results for row in per_workload]
-    return rows, metrics_from_rows(rows, ("workload", "mode"))
-
-
 register(
     BaseExperiment(
         name="latency_error",
         description="Per-message network-latency fidelity of both replay "
         "modes on the ONOC (Fig. 5).",
         schema=specs(
-            ("workloads", "list[str]", ("fft", "lu", "prodcons", "randshare")),
+            (
+                "workloads",
+                "list[str]",
+                ("fft", "lu", "prodcons", "randshare"),
+                ALL_WORKLOADS,
+            ),
             *_COMMON,
         ),
-        compile=_latency_error_compile,
-        postprocess=_latency_error_post,
+        compile=_per_workload(_LATENCY_FIDELITY),
         points={"latency_fidelity": _LATENCY_FIDELITY},
+        key=("workload", "mode"),
     )
 )
 
@@ -981,10 +830,6 @@ def _scalability_synth_compile(params: dict) -> list[SweepTask]:
     return tasks
 
 
-def _scalability_synth_post(params: dict, results: list) -> tuple[Rows, Metrics]:
-    return list(results), metrics_from_rows(results, ("topology", "nodes"))
-
-
 register(
     BaseExperiment(
         name="scalability_synth",
@@ -995,15 +840,15 @@ register(
         "are deterministic and gateable; wall-clock throughput is volatile.",
         schema=specs(
             ("node_counts", "list[int]", (1024, 4096)),
-            ("topologies", "list[str]", ONOC_TOPOLOGIES),
+            ("topologies", "list[str]", ONOC_TOPOLOGIES, ONOC_TOPOLOGIES),
             ("messages", "int", 50_000),
             ("pattern", "str", "uniform"),
             ("seed", "int", 7),
             ("engine", "str", ENGINE_GENERATIONAL, REPLAY_ENGINES),
         ),
         compile=_scalability_synth_compile,
-        postprocess=_scalability_synth_post,
         points={"synth_scalability_point": _SYNTH_SCALABILITY},
+        key=("topology", "nodes"),
         volatile=("*.replay_wall_s", "*.msgs_per_s"),
     )
 )

@@ -3,7 +3,7 @@
 ``run_experiment`` is the one sequencing point of the layer::
 
     resolved config --compile--> SweepTask list --executor--> results
-        --postprocess--> (rows, metrics) --write_archive--> archive dir
+        --tabulate--> (rows, metrics) --write_archive--> archive dir
 
 The executor is anything with ``run(tasks) -> results`` in submission
 order: a :class:`repro.harness.SweepRunner` (local, cached, optionally
@@ -50,7 +50,7 @@ class ServeExecutor:
     goes through :meth:`ServeClient.submit`; the node executes (or recalls
     from the shared content-addressed cache) and returns the result.  Tasks
     run one at a time from this client — concurrency is the node's job, and
-    submission order must be preserved for postprocessing.
+    submission order must be preserved for tabulation.
     """
 
     def __init__(self, client: Any, timeout_s: Optional[float] = None) -> None:
@@ -104,7 +104,7 @@ def run_experiment(
     archive_root: Union[None, str, Path] = None,
     baseline_out: Union[None, str, Path] = None,
 ) -> RunOutcome:
-    """Compile, execute, postprocess, and (optionally) archive.
+    """Compile, execute, tabulate, and (optionally) archive.
 
     With ``archive_root`` set, a timestamped archive directory is written
     under it; ``baseline_out`` additionally writes the manifest alone to a
@@ -115,7 +115,7 @@ def run_experiment(
     t0 = time.perf_counter()
     results = executor.run(tasks)
     elapsed = time.perf_counter() - t0
-    rows, metrics = base.postprocess(resolved.parameters, results)
+    rows, metrics = base.tabulate(resolved.parameters, results)
 
     stats = getattr(executor, "last_stats", None)
     obs_snapshot = getattr(executor, "last_metrics", None)

@@ -58,48 +58,54 @@ class ParamSpec:
 
         ``int`` is accepted where ``float`` is declared (YAML writes ``1``
         for ``1.0``); ``bool`` is *not* accepted as an int.  Lists and
-        tuples are accepted for list kinds and canonicalized to tuples.
+        tuples are accepted for list kinds and canonicalized to tuples; each
+        item is checked against ``choices``, and a repeated item is refused
+        (each list item names a table row or column).
         """
         ctx = f"{where}: " if where else ""
-        if self.kind.startswith("list["):
-            item_kind = self.kind[5:-1]
-            if not isinstance(value, (list, tuple)):
-                raise SchemaError(
-                    f"{ctx}parameter {self.name!r} expects {self.kind}, "
-                    f"got {type(value).__name__} ({value!r})"
-                )
-            return tuple(
-                self._coerce_scalar(v, item_kind, ctx, index=i)
-                for i, v in enumerate(value)
-            )
-        out = self._coerce_scalar(value, self.kind, ctx)
-        if self.choices is not None and out not in self.choices:
+        if not self.kind.startswith("list["):
+            return self._item(value, self.kind, ctx)
+        if not isinstance(value, (list, tuple)):
             raise SchemaError(
-                f"{ctx}parameter {self.name!r} must be one of "
-                f"{self.choices}, got {out!r}"
+                f"{ctx}parameter {self.name!r} expects {self.kind}, "
+                f"got {type(value).__name__} ({value!r})"
             )
-        return out
+        items: list = []
+        for i, v in enumerate(value):
+            item = self._item(v, self.kind[5:-1], ctx, index=i)
+            if item in items:
+                raise SchemaError(f"{ctx}parameter {self.name!r} repeats {item!r}")
+            items.append(item)
+        return tuple(items)
 
-    def _coerce_scalar(
+    def _item(
         self, value: Any, kind: str, ctx: str, index: Optional[int] = None
     ) -> Any:
-        at = f"{self.name!r}[{index}]" if index is not None else f"{self.name!r}"
-        if kind == "bool":
-            if isinstance(value, bool):
-                return value
-        elif kind == "int":
-            if isinstance(value, int) and not isinstance(value, bool):
-                return value
-        elif kind == "float":
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return float(value)
-        elif kind == "str":
-            if isinstance(value, str):
-                return value
-        raise SchemaError(
-            f"{ctx}parameter {at} expects {kind}, "
-            f"got {type(value).__name__} ({value!r})"
-        )
+        """One scalar or list item: coerced to ``kind``, checked against
+        ``choices``."""
+        at = f"{ctx}parameter {self.name!r}"
+        if index is not None:
+            at += f"[{index}]"
+        out = _coerce_scalar(value, kind, at)
+        if self.choices is not None and out not in self.choices:
+            raise SchemaError(f"{at} must be one of {self.choices}, got {out!r}")
+        return out
+
+
+def _coerce_scalar(value: Any, kind: str, at: str) -> Any:
+    if kind == "bool":
+        if isinstance(value, bool):
+            return value
+    elif kind == "int":
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    elif kind == "float":
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif kind == "str":
+        if isinstance(value, str):
+            return value
+    raise SchemaError(f"{at} expects {kind}, got {type(value).__name__} ({value!r})")
 
 
 @dataclass(frozen=True)

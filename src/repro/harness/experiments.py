@@ -1,9 +1,15 @@
-"""One driver per reconstructed table/figure (ids match DESIGN.md)."""
+"""One point function per reconstructed table/figure (ids match DESIGN.md).
+
+Each returns the table row(s) it measures, already rounded, for
+:mod:`repro.exp.catalog` to tabulate.  Each is module-level and takes config
+dataclasses or primitives, so a call ships to SweepRunner workers and is
+content-hashed into the result cache.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import replace
+from typing import Optional, Sequence
 
 from repro.config import (
     ENGINE_EVENT,
@@ -12,12 +18,7 @@ from repro.config import (
     TRACE_SELF_CORRECTING,
     TraceConfig,
 )
-from repro.core import (
-    IterationInfo,
-    IterativeRefiner,
-    compare_to_reference,
-    replay_trace,
-)
+from repro.core import IterativeRefiner, compare_to_reference, replay_trace
 from repro.harness.builders import (
     experiment_from_params,
     make_electrical,
@@ -25,13 +26,8 @@ from repro.harness.builders import (
     optical_factory,
     run_execution_driven,
 )
-from repro.power import (
-    EnergyReport,
-    electrical_energy_report,
-    optical_energy_report,
-)
-from repro.stats import ErrorReport
-from repro.traffic import SyntheticTrafficGenerator, TrafficResult
+from repro.power import electrical_energy_report, optical_energy_report
+from repro.traffic import SyntheticTrafficGenerator
 
 
 def _capture_and_reference(
@@ -59,79 +55,21 @@ def _capture_and_reference(
             optical_factory(exp.onoc, exp.seed))
 
 
+def _replay_both(trace, factory, engine: str = ENGINE_EVENT):
+    """The naive and the self-correcting replay of ``trace``, in that order."""
+    return [replay_trace(trace, factory, TraceConfig(mode=mode, engine=engine))
+            for mode in (TRACE_NAIVE, TRACE_SELF_CORRECTING)]
+
+
+def _both_networks(exp: ExperimentConfig, workload: str, scale: float):
+    """``(result, network)`` of a plain execution-driven run on the
+    electrical baseline, then on the ONOC."""
+    return [run_execution_driven(exp, workload, target, capture=False,
+                                 scale=scale)[::2]
+            for target in ("electrical", "optical")]
+
+
 # ---------------------------------------------------------------- Fig. 3
-def load_latency_sweep(
-    make_network: Callable,
-    pattern: str,
-    rates: Sequence[float],
-    seed: int = 1,
-    message_bytes: int = 64,
-    warmup: int = 500,
-    measure: int = 3000,
-) -> list[TrafficResult]:
-    """Latency vs offered load for one network/pattern (one Fig. 3 series).
-
-    Stops sweeping past the first saturated point (latency is unbounded
-    there, so higher rates add no information).
-    """
-    out: list[TrafficResult] = []
-    for rate in rates:
-        from repro.engine import Simulator
-
-        sim = Simulator(seed=seed)
-        net = make_network(sim)
-        gen = SyntheticTrafficGenerator(sim, net, pattern, rate,
-                                        message_bytes=message_bytes)
-        res = gen.run(warmup=warmup, measure=measure)
-        out.append(res)
-        if res.saturated:
-            break
-    return out
-
-
-# ---------------------------------------------------------------- Fig. 4/5
-@dataclass
-class AccuracyRow:
-    """Accuracy of both trace modes for one workload (Fig. 4 + Fig. 5)."""
-
-    workload: str
-    ref_exec_time: int
-    naive: ErrorReport
-    self_correcting: ErrorReport
-    naive_estimate: int
-    self_correcting_estimate: int
-    extra: dict = field(default_factory=dict)
-
-
-def accuracy_experiment(
-    exp: ExperimentConfig, workload: str, scale: float = 1.0,
-    engine: str = ENGINE_EVENT,
-) -> AccuracyRow:
-    """Capture on the electrical baseline, replay both modes on the ONOC,
-    compare against the execution-driven ONOC reference."""
-    trace, _, ref_res, ref_trace, factory = _capture_and_reference(
-        exp, workload, scale)
-    naive = replay_trace(trace, factory,
-                         TraceConfig(mode=TRACE_NAIVE, engine=engine))
-    sc = replay_trace(trace, factory,
-                      TraceConfig(mode=TRACE_SELF_CORRECTING, engine=engine))
-    return AccuracyRow(
-        workload=workload,
-        ref_exec_time=ref_res.exec_time_cycles,
-        naive=compare_to_reference(naive, ref_trace),
-        self_correcting=compare_to_reference(sc, ref_trace),
-        naive_estimate=naive.exec_time_estimate,
-        self_correcting_estimate=sc.exec_time_estimate,
-        extra={"trace_messages": len(trace)},
-    )
-
-
-# ------------------------------------------------- parallel sweep points
-#
-# Module-level, fully-picklable task functions: one simulation per call,
-# every argument a config dataclass or primitive, so they can be shipped to
-# SweepRunner workers and content-hashed into the result cache.
-
 def load_latency_point(
     network: str,
     exp: ExperimentConfig,
@@ -140,7 +78,7 @@ def load_latency_point(
     message_bytes: int = 64,
     warmup: int = 500,
     measure: int = 3000,
-) -> TrafficResult:
+) -> dict:
     """One (network, pattern, rate) load-latency simulation.
 
     ``network`` is ``"electrical"`` or an optical topology name
@@ -154,9 +92,66 @@ def load_latency_point(
         sim, net = make_optical(onoc, exp.seed)
     gen = SyntheticTrafficGenerator(sim, net, pattern, rate,
                                    message_bytes=message_bytes)
-    return gen.run(warmup=warmup, measure=measure)
+    res = gen.run(warmup=warmup, measure=measure)
+    return {
+        "pattern": pattern,
+        "network": network,
+        "rate": res.injection_rate,
+        "avg_latency": round(res.avg_latency, 1),
+        "p99": res.p99_latency,
+        "throughput": round(res.throughput_flits_cycle, 3),
+        "saturated": res.saturated,
+    }
 
 
+# ------------------------------------------------------------ Fig. 4/13
+def _accuracy(exp: ExperimentConfig, workload: str, scale: float = 1.0,
+              engine: str = ENGINE_EVENT):
+    """Capture on the electrical baseline, replay both modes on the ONOC,
+    compare against the execution-driven ONOC reference: returns
+    ``(trace, ref_res, [naive, sc], [naive_report, sc_report])``."""
+    trace, _, ref_res, ref_trace, factory = _capture_and_reference(
+        exp, workload, scale)
+    runs = _replay_both(trace, factory, engine)
+    return trace, ref_res, runs, [compare_to_reference(r, ref_trace)
+                                  for r in runs]
+
+
+def accuracy_experiment(
+    exp: ExperimentConfig, workload: str, scale: float = 1.0,
+    engine: str = ENGINE_EVENT,
+) -> dict:
+    """Accuracy of both trace modes for one workload (one Fig. 4 row)."""
+    trace, ref_res, (naive, sc), (naive_rep, sc_rep) = _accuracy(
+        exp, workload, scale, engine)
+    return {
+        "workload": workload,
+        "ref_exec": ref_res.exec_time_cycles,
+        "naive_est": naive.exec_time_estimate,
+        "naive_err_%": round(naive_rep.exec_time_error_pct, 2),
+        "selfcorr_est": sc.exec_time_estimate,
+        "selfcorr_err_%": round(sc_rep.exec_time_error_pct, 2),
+        "messages": len(trace),
+    }
+
+
+def seed_accuracy_point(
+    exp: ExperimentConfig, workload: str, seed: int
+) -> dict:
+    """One (workload, seed) accuracy run of the Fig. 13 robustness sweep.
+
+    The errors stay unrounded: the table reports their mean over seeds.
+    """
+    _, _, _, (naive_rep, sc_rep) = _accuracy(exp.with_seed(seed), workload)
+    return {
+        "workload": workload,
+        "seed": seed,
+        "naive_err_%": naive_rep.exec_time_error_pct,
+        "selfcorr_err_%": sc_rep.exec_time_error_pct,
+    }
+
+
+# ---------------------------------------------------------------- Fig. 9
 def scalability_point(
     cores: int, seed: int, workload: str, with_accuracy: bool = True,
     engine: str = ENGINE_EVENT,
@@ -166,23 +161,15 @@ def scalability_point(
     cs = case_study(exp, workload)
     entry: dict = {
         "cores": cores,
-        "exec_electrical": cs.exec_electrical,
-        "exec_optical": cs.exec_optical,
-        "speedup_x": round(cs.speedup, 3),
+        "exec_electrical": cs["exec_electrical"],
+        "exec_optical": cs["exec_optical"],
+        "speedup_x": cs["speedup_x"],
     }
     if with_accuracy:
         acc = accuracy_experiment(exp, workload, engine=engine)
-        entry["naive_err_%"] = round(acc.naive.exec_time_error_pct, 2)
-        entry["selfcorr_err_%"] = round(
-            acc.self_correcting.exec_time_error_pct, 2)
+        entry["naive_err_%"] = acc["naive_err_%"]
+        entry["selfcorr_err_%"] = acc["selfcorr_err_%"]
     return entry
-
-
-def seed_accuracy_point(
-    exp: ExperimentConfig, workload: str, seed: int
-) -> AccuracyRow:
-    """One (workload, seed) accuracy run of the Fig. 13 robustness sweep."""
-    return accuracy_experiment(exp.with_seed(seed), workload)
 
 
 # ---------------------------------------------------------------- Fig. 5
@@ -237,8 +224,9 @@ def convergence_experiment(
     scale: float = 1.0,
     max_iterations: int = 10,
     damping: float = 0.5,
-) -> tuple[list[IterationInfo], int]:
-    """Offline iterative self-correction history + the reference exec time."""
+) -> list[dict]:
+    """Offline iterative self-correction: one row per pass, its estimate
+    against the execution-driven reference."""
     trace, _, ref_res, _, factory = _capture_and_reference(
         exp, workload, scale, reference="result")
     refiner = IterativeRefiner(
@@ -247,107 +235,74 @@ def convergence_experiment(
         max_iterations=max_iterations,
         damping=damping,
     )
-    result = refiner.run()
-    return result.extra["history"], ref_res.exec_time_cycles
+    ref = ref_res.exec_time_cycles
+    return [
+        {"workload": workload, "iteration": h.iteration,
+         "estimate": h.exec_time_estimate, "ref_exec": ref,
+         "err_%": round(abs(h.exec_time_estimate - ref) / ref * 100, 2)}
+        for h in refiner.run().extra["history"]
+    ]
 
 
 # ---------------------------------------------------------------- Table 2
-@dataclass
-class SimTimeRow:
-    """Wall-clock cost of each methodology for one workload (Table 2)."""
-
-    workload: str
-    exec_driven_s: float
-    naive_replay_s: float
-    self_correcting_s: float
-    capture_overhead_s: float     # execution-driven run with capture enabled
-
-    @property
-    def replay_speedup(self) -> float:
-        """Execution-driven time over self-correcting replay time."""
-        return (
-            self.exec_driven_s / self.self_correcting_s
-            if self.self_correcting_s > 0 else float("inf")
-        )
-
-
 def simtime_experiment(
     exp: ExperimentConfig, workload: str, scale: float = 1.0,
     engine: str = ENGINE_EVENT,
-) -> SimTimeRow:
+) -> dict:
     """Wall-clock comparison on the *optical* target network: full-system
     execution-driven vs trace replays ("not substantially extend the total
     simulation time")."""
     trace, cap_res, ref_res, _, factory = _capture_and_reference(
         exp, workload, scale, reference="result")
-    naive = replay_trace(trace, factory,
-                         TraceConfig(mode=TRACE_NAIVE, engine=engine))
-    sc = replay_trace(trace, factory,
-                      TraceConfig(mode=TRACE_SELF_CORRECTING, engine=engine))
-    return SimTimeRow(
-        workload=workload,
-        exec_driven_s=ref_res.wall_clock_s,
-        naive_replay_s=naive.wall_clock_s,
-        self_correcting_s=sc.wall_clock_s,
-        capture_overhead_s=cap_res.wall_clock_s,
-    )
+    naive, sc = _replay_both(trace, factory, engine)
+    exec_s, sc_s = ref_res.wall_clock_s, sc.wall_clock_s
+    return {
+        "workload": workload,
+        "exec_driven_s": round(exec_s, 3),
+        "capture_run_s": round(cap_res.wall_clock_s, 3),
+        "naive_replay_s": round(naive.wall_clock_s, 3),
+        "selfcorr_replay_s": round(sc_s, 3),
+        "replay_speedup_x": round(
+            exec_s / sc_s if sc_s > 0 else float("inf"), 2),
+    }
 
 
 # ---------------------------------------------------------------- Table 3
-@dataclass
-class CaseStudyRow:
-    """ONOC vs electrical baseline for one application (Table 3)."""
-
-    workload: str
-    exec_electrical: int
-    exec_optical: int
-    avg_latency_electrical: float
-    avg_latency_optical: float
-    messages: int
-
-    @property
-    def speedup(self) -> float:
-        return self.exec_electrical / self.exec_optical
-
-    @property
-    def latency_reduction_pct(self) -> float:
-        if self.avg_latency_electrical == 0:
-            return 0.0
-        return (1 - self.avg_latency_optical / self.avg_latency_electrical) * 100
-
-
 def case_study(
     exp: ExperimentConfig, workload: str, scale: float = 1.0
-) -> CaseStudyRow:
+) -> dict:
     """The paper's headline comparison: the application on the ONOC vs the
     baseline electrical NoC, both execution-driven."""
-    res_e, _, _ = run_execution_driven(exp, workload, "electrical",
-                                       capture=False, scale=scale)
-    res_o, _, _ = run_execution_driven(exp, workload, "optical",
-                                       capture=False, scale=scale)
-    return CaseStudyRow(
-        workload=workload,
-        exec_electrical=res_e.exec_time_cycles,
-        exec_optical=res_o.exec_time_cycles,
-        avg_latency_electrical=res_e.avg_network_latency,
-        avg_latency_optical=res_o.avg_network_latency,
-        messages=res_o.messages,
-    )
+    (res_e, _), (res_o, _) = _both_networks(exp, workload, scale)
+    lat_e, lat_o = res_e.avg_network_latency, res_o.avg_network_latency
+    return {
+        "workload": workload,
+        "exec_electrical": res_e.exec_time_cycles,
+        "exec_optical": res_o.exec_time_cycles,
+        "speedup_x": round(res_e.exec_time_cycles / res_o.exec_time_cycles,
+                           3),
+        "lat_elec": round(lat_e, 1),
+        "lat_opt": round(lat_o, 1),
+        "lat_reduction_%": round((1 - lat_o / lat_e) * 100 if lat_e else 0.0,
+                                 1),
+    }
 
 
 # ---------------------------------------------------------------- Table 4
 def power_experiment(
     exp: ExperimentConfig, workload: str, scale: float = 1.0
-) -> tuple[EnergyReport, EnergyReport]:
-    """Energy of the case-study run on each network (Table 4)."""
-    res_e, _, net_e = run_execution_driven(exp, workload, "electrical",
-                                           capture=False, scale=scale)
-    res_o, _, net_o = run_execution_driven(exp, workload, "optical",
-                                           capture=False, scale=scale)
-    return (
-        electrical_energy_report(net_e, res_e.exec_time_cycles),
-        optical_energy_report(net_o, res_o.exec_time_cycles),
-    )
+) -> list[dict]:
+    """Energy of the case-study run on each network (Table 4): one row
+    per network, its static share of the energy included."""
+    (res_e, net_e), (res_o, net_o) = _both_networks(exp, workload, scale)
+    rows = []
+    for rep in (electrical_energy_report(net_e, res_e.exec_time_cycles),
+                optical_energy_report(net_o, res_o.exec_time_cycles)):
+        static = rep.static_energy_pj
+        rows.append({"workload": workload, **rep.as_row(),
+                     "static_pct": round(
+                         100 * static / (static + rep.total_dynamic_pj), 1)})
+    return rows
 
 
 # ---------------------------------------------------------------- Fig. 7
@@ -357,21 +312,25 @@ def ablation_dep_fraction(
     fractions: Sequence[float],
     scale: float = 1.0,
     gap_policy: Optional[str] = None,
-) -> list[tuple[float, ErrorReport]]:
+) -> list[dict]:
     """Accuracy vs fraction of dependency edges kept (annotation-completeness
-    sensitivity).  ``gap_policy`` selects the degraded-gap policy applied to
-    the ablated records (default: the TraceConfig default, ``neighbor_gap``).
+    sensitivity), one row per fraction.  ``gap_policy`` selects the
+    degraded-gap policy applied to the ablated records (default: the
+    TraceConfig default, ``neighbor_gap``).
     """
     trace, _, _, ref_trace, factory = _capture_and_reference(
         exp, workload, scale)
-    out = []
+    rows = []
     for frac in fractions:
         cfg = TraceConfig(mode=TRACE_SELF_CORRECTING, keep_dep_fraction=frac)
         if gap_policy is not None:
             cfg = replace(cfg, degraded_gap_policy=gap_policy)
-        res = replay_trace(trace, factory, cfg)
-        out.append((frac, compare_to_reference(res, ref_trace)))
-    return out
+        rep = compare_to_reference(replay_trace(trace, factory, cfg),
+                                   ref_trace)
+        rows.append({"kept_deps": frac,
+                     "gap_policy": cfg.degraded_gap_policy,
+                     "exec_err_%": round(rep.exec_time_error_pct, 2)})
+    return rows
 
 
 # ------------------------------------------------------------- resilience
@@ -435,27 +394,23 @@ def ablation_network_mismatch(
     workload: str,
     wavelength_counts: Sequence[int],
     scale: float = 1.0,
-) -> list[tuple[int, ErrorReport, ErrorReport]]:
+) -> list[dict]:
     """Accuracy vs capture/target speed mismatch.
 
     The target ONOC's bandwidth is swept via its wavelength count; for each
     point the electrical-captured trace is replayed naive and self-correcting
-    against a fresh execution-driven reference on that ONOC.  Returns
-    ``(wavelengths, naive_report, self_correcting_report)`` triples.
+    against a fresh execution-driven reference on that ONOC.  One row per
+    wavelength count.
     """
     trace, *_ = _capture_and_reference(exp, workload, scale, reference=None)
-    out = []
+    rows = []
     for wl_count in wavelength_counts:
         onoc = replace(exp.onoc, num_wavelengths=wl_count)
         _, ref_trace, _ = run_execution_driven(
             replace(exp, onoc=onoc), workload, "optical", scale=scale)
-        factory = optical_factory(onoc, exp.seed)
-        naive = replay_trace(trace, factory, TraceConfig(mode=TRACE_NAIVE))
-        sc = replay_trace(trace, factory,
-                          TraceConfig(mode=TRACE_SELF_CORRECTING))
-        out.append((
-            wl_count,
-            compare_to_reference(naive, ref_trace),
-            compare_to_reference(sc, ref_trace),
-        ))
-    return out
+        naive, sc = (compare_to_reference(r, ref_trace) for r in
+                     _replay_both(trace, optical_factory(onoc, exp.seed)))
+        rows.append({"wavelengths": wl_count,
+                     "naive_err_%": round(naive.exec_time_error_pct, 2),
+                     "selfcorr_err_%": round(sc.exec_time_error_pct, 2)})
+    return rows

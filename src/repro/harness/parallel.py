@@ -71,8 +71,9 @@ from repro import obs
 #: kernel cannot cancel, so ``kernel.events_cancelled`` left the snapshot;
 #: v7: the ``interp`` gap policy, the AWGR occupancy-hint field of
 #: ``TraceConfig`` and the unread ``ExperimentConfig.trace`` went, and the
-#: catalogue compiles one call shape per point.)
-CACHE_SALT = "repro-kernel-v7"
+#: catalogue compiles one call shape per point; v8: a point function returns
+#: its table rows, so cached values change shape under unchanged tasks.)
+CACHE_SALT = "repro-kernel-v8"
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

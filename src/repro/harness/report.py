@@ -47,7 +47,7 @@ def generate_report(
                  f"seed {exp.seed}, workload scale {scale}.\n")
 
     # Every section is a catalogue experiment: its point function run on
-    # the caller's ``exp``, its rows the catalogue's own postprocess rows.
+    # the caller's ``exp``, its rows the catalogue's own table.
     # (Imported here so repro.harness -> repro.exp stays a call-time edge.)
     from repro.exp.catalog import get_experiment
 
@@ -56,7 +56,7 @@ def generate_report(
         (ref,) = base.points.values()
         point = resolve_callable(ref)
         results = [point(exp, wl, scale=scale) for wl in wls]
-        rows, _ = base.postprocess({"workloads": list(wls)}, results)
+        rows, _ = base.tabulate({"workloads": list(wls)}, results)
         return _md_table(rows) + "\n"
 
     lines.append("## Case study: ONOC vs electrical baseline\n")

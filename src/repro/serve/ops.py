@@ -83,7 +83,8 @@ def run_scenario_json(params: dict, deep: bool = False) -> Any:
 
 
 def accuracy_json(workload: str, scale: float = 1.0, **params: Any) -> Any:
-    """JSON-parameter front end for the accuracy experiment."""
+    """JSON-parameter front end for the accuracy experiment: its table row
+    for ``workload``."""
     from repro.harness.builders import experiment_from_params as _experiment_from_params
     from repro.harness.experiments import accuracy_experiment
 

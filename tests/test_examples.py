@@ -50,3 +50,10 @@ def test_design_space_exploration():
     assert "design point" in out
     assert "passive AWGR" in out
     assert "error_%" in out
+
+
+def test_network_characterization():
+    out = run_example("network_characterization.py", "transpose")
+    assert "Load-latency under 'transpose' traffic" in out
+    assert "optical circuit mesh" in out
+    assert "Photonic physical layer" in out

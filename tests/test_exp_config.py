@@ -68,6 +68,36 @@ def test_choices_enforced():
         s.coerce("warp")
 
 
+def test_list_items_checked_against_choices():
+    s = ParamSpec("workloads", "list[str]", ("fft",), ("fft", "lu"))
+    assert s.coerce(["lu", "fft"]) == ("lu", "fft")
+    with pytest.raises(SchemaError, match=r"'workloads'\[1\] must be one of"):
+        s.coerce(["fft", "fftt"])
+
+
+def test_list_refuses_a_repeated_item():
+    s = ParamSpec("rates", "list[float]", ())
+    with pytest.raises(SchemaError, match=r"parameter 'rates' repeats 0\.5"):
+        s.coerce([0.5, 0.1, 0.5])
+    with pytest.raises(SchemaError, match="repeats 1.0"):
+        s.coerce([1, 1.0])
+
+
+@pytest.mark.parametrize("experiment, overrides, refused", [
+    ("accuracy", {"workloads": ["fft", "fftt"]}, "'fftt'"),
+    ("resilience", {"mitigations": ["nope"]}, "'nope'"),
+    ("load_latency", {"networks": ["electrical", "crossbra"]}, "'crossbra'"),
+    ("scalability_synth", {"topologies": ["awg"]}, "'awg'"),
+    ("ablation_deps", {"policies": ["interp"]}, "'interp'"),
+    ("load_latency", {"labels": ["x", "x"]}, "'labels' repeats 'x'"),
+])
+def test_catalogue_list_parameters_refused_at_resolve(
+        experiment, overrides, refused):
+    """A typo or a repeated row name is refused before any task exists."""
+    with pytest.raises(SchemaError, match=refused):
+        resolve_config(experiment, overrides)
+
+
 def test_schema_rejects_unknown_parameter():
     sch = specs(("cores", "int", 16), ("seed", "int", 7))
     with pytest.raises(SchemaError, match="unknown parameter"):

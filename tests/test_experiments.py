@@ -10,12 +10,15 @@ row here fails ``test_every_registered_experiment_has_a_case``.
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import pytest
 
 from repro.exp import (
     compile_config,
     experiment_names,
+    metrics_from_rows,
     resolve_config,
     run_experiment,
 )
@@ -25,56 +28,55 @@ SMALL = {"cores": 4, "seed": 5, "wavelengths": 16}
 
 
 # ------------------------------------------------- per-experiment checks
-# Each takes the run's raw point results (``RunOutcome.results``).
-def check_accuracy(results):
-    (row,) = results
-    assert row.workload == "randshare"
-    assert row.ref_exec_time > 0
-    assert row.self_correcting.exec_time_error_pct <= row.naive.exec_time_error_pct
-    assert row.extra["trace_messages"] > 0
+# Each takes the run's table rows (``RunOutcome.rows``).
+def check_accuracy(rows):
+    row, gmean = rows
+    assert row["workload"] == "randshare"
+    assert row["ref_exec"] > 0
+    assert row["selfcorr_err_%"] <= row["naive_err_%"]
+    assert row["messages"] > 0
+    assert gmean["workload"] == "gmean" and gmean["ref_exec"] == ""
 
 
-def check_simtime(results):
-    (row,) = results
-    assert row.exec_driven_s > 0
-    assert row.naive_replay_s > 0
-    assert row.self_correcting_s > 0
-    assert row.replay_speedup > 0
+def check_simtime(rows):
+    (row,) = rows
+    assert row["exec_driven_s"] > 0
+    assert row["naive_replay_s"] > 0
+    assert row["selfcorr_replay_s"] > 0
+    assert row["replay_speedup_x"] > 0
 
 
-def check_case_study(results):
-    (row,) = results
-    assert row.exec_electrical > 0 and row.exec_optical > 0
-    assert row.speedup == pytest.approx(row.exec_electrical / row.exec_optical)
-    assert row.messages > 0
+def check_case_study(rows):
+    (row,) = rows
+    assert row["exec_electrical"] > 0 and row["exec_optical"] > 0
+    assert row["speedup_x"] == pytest.approx(
+        row["exec_electrical"] / row["exec_optical"], abs=5e-4)
 
 
-def check_power(results):
-    ((r_e, r_o),) = results
-    assert r_e.total_energy_uj > 0
-    assert r_o.total_energy_uj > 0
-    assert "laser" in r_o.static_mw
+def check_power(rows):
+    r_e, r_o = rows
+    assert r_e["total_uj"] > 0
+    assert r_o["total_uj"] > 0
+    assert r_e["network"] != r_o["network"]
+    assert 0 < r_o["static_pct"] <= 100
 
 
-def check_convergence(results):
-    ((history, ref),) = results
-    assert 1 <= len(history) <= 4
-    assert ref > 0
+def check_convergence(rows):
+    assert 1 <= len(rows) <= 4
+    assert [r["iteration"] for r in rows] == list(range(len(rows)))
+    assert all(r["ref_exec"] > 0 for r in rows)
 
 
-def check_ablation_deps(results):
-    (rows,) = results
-    assert len(rows) == 2
-    full_err = rows[0][1].exec_time_error_pct
-    none_err = rows[1][1].exec_time_error_pct
+def check_ablation_deps(rows):
+    assert [r["kept_deps"] for r in rows] == [1.0, 0.0]
+    full_err, none_err = (r["neighbor_gap_exec_err_%"] for r in rows)
     assert full_err < none_err
 
 
-def check_ablation_mismatch(results):
-    (rows,) = results
-    assert len(rows) == 2
-    for _, naive_rep, sc_rep in rows:
-        assert sc_rep.exec_time_error_pct <= naive_rep.exec_time_error_pct + 1.0
+def check_ablation_mismatch(rows):
+    assert [r["wavelengths"] for r in rows] == [4, 64]
+    for r in rows:
+        assert r["selfcorr_err_%"] <= r["naive_err_%"] + 1.0
 
 
 #: name -> (parameter overrides on the schema defaults, check or None).
@@ -136,4 +138,35 @@ def test_registered_experiment_runs(name):
     for metric, value in out.metrics.items():
         assert isinstance(value, (int, float)) and math.isfinite(value), metric
     if check is not None:
-        check(out.results)
+        check(out.rows)
+
+
+def test_load_latency_series_stops_at_saturation():
+    """A series is cut just past its first saturated point: latency is
+    unbounded there, so higher rates add no row."""
+    cfg = resolve_config("load_latency", {
+        **SMALL, "patterns": ["uniform"], "networks": ["electrical"],
+        "labels": ["mesh"], "rates": [0.05, 0.9, 0.95],
+        "warmup": 200, "measure": 1000})
+    rows = run_experiment(cfg, SweepRunner(workers=1)).rows
+    assert 1 <= len(rows) <= 3
+    assert all(not r["saturated"] for r in rows[:-1])
+    assert rows[-1]["saturated"] or len(rows) == 3
+    assert {r["network"] for r in rows} == {"mesh"}
+
+
+def test_metrics_from_rows_refuses_a_repeated_metric():
+    rows = [{"network": "x", "avg_latency": 13.5},
+            {"network": "x", "avg_latency": 10.5}]
+    with pytest.raises(ValueError, match="'x.avg_latency'"):
+        metrics_from_rows(rows, ("network",))
+
+
+def test_dry_run_refuses_a_misspelt_workload():
+    """The typo fails the dry run, before any worker sees it."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "exp", "run", "accuracy",
+         "--set", 'workloads=["fft","fftt"]', "--dry-run"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "'fftt'" in proc.stderr and "key=" not in proc.stdout

@@ -15,12 +15,10 @@ from repro.config import (
 )
 from repro.harness import (
     format_table,
-    load_latency_sweep,
     make_electrical,
     make_optical,
     run_execution_driven,
 )
-from repro.noc import ElectricalNetwork
 
 
 @pytest.fixture(scope="module")
@@ -50,17 +48,6 @@ def test_run_execution_driven_targets(exp):
 def test_run_execution_driven_no_capture(exp):
     _, trace, _ = run_execution_driven(exp, "lu", "electrical", capture=False)
     assert trace is None
-
-
-def test_load_latency_sweep_stops_at_saturation(exp):
-    pts = load_latency_sweep(
-        lambda sim: ElectricalNetwork(sim, exp.noc),
-        "uniform", rates=[0.05, 0.9, 0.95],
-        warmup=200, measure=1000,
-    )
-    # must not continue past the first saturated point
-    assert all(not p.saturated for p in pts[:-1])
-    assert len(pts) <= 3
 
 
 def test_factories(exp):

@@ -27,11 +27,12 @@ from repro.harness import (
     cache_info,
     decode_value,
     encode_value,
-    load_latency_point,
+    make_optical,
     task,
 )
 from repro.harness.parallel import CodecError, callable_ref, resolve_callable
 from repro.stats import ErrorReport
+from repro.traffic import SyntheticTrafficGenerator, TrafficResult
 
 
 def tiny_exp(seed: int = 5) -> ExperimentConfig:
@@ -56,9 +57,11 @@ def touch_and_square(x: int, marker_dir: str) -> int:
     return x * x
 
 
-def traffic_point(exp: ExperimentConfig, rate: float):
-    return load_latency_point("crossbar", exp, "uniform", rate,
-                              warmup=50, measure=300)
+def traffic_point(exp: ExperimentConfig, rate: float) -> TrafficResult:
+    """A real network simulation whose result is a dataclass."""
+    sim, net = make_optical(exp.onoc, exp.seed)
+    return SyntheticTrafficGenerator(sim, net, "uniform", rate).run(
+        warmup=50, measure=300)
 
 
 # ----------------------------------------------------------------- codec
