@@ -87,7 +87,13 @@ class NocConfig:
 
     def flits_for_bytes(self, size_bytes: int) -> int:
         """Number of flits a payload of ``size_bytes`` occupies (>= 1)."""
-        return max(1, math.ceil(size_bytes / self.flit_bytes))
+        return flit_count(size_bytes, self.flit_bytes)
+
+
+def flit_count(size_bytes: int, flit_bytes: int) -> int:
+    """``ceil(size_bytes / flit_bytes)``, at least 1, in integer arithmetic
+    (a float quotient rounds from 2**53 bytes on): the one flit-count rule."""
+    return max(1, -(-size_bytes // flit_bytes))
 
 
 # --------------------------------------------------------------------------

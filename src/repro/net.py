@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
+from repro.config import flit_count
 from repro.stats import NetworkStats
 
 # Message kinds used by the coherence protocol and the replayers.
@@ -141,7 +142,7 @@ class NetworkBase:
         st = self.stats
         st.messages_delivered += 1
         st.bytes_delivered += msg.size_bytes
-        st.flits_delivered += max(1, -(-msg.size_bytes // self.flit_bytes))
+        st.flits_delivered += flit_count(msg.size_bytes, self.flit_bytes)
         st.latency.record(msg.id, msg.deliver_time - msg.inject_time)
         st.hop_count.add(hops)
 

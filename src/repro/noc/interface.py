@@ -14,6 +14,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.config import NocConfig
 from repro.net import Message
 from repro.noc.flit import Flit, Packet
+from repro.noc.topology import LOCAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.network import ElectricalNetwork
@@ -58,24 +59,22 @@ class NetworkInterface:
         self.queue.append(msg)
         self.net.wake(self)
 
-    def credit_arrive(self, vc: int) -> None:
-        """Router freed a LOCAL input buffer slot on ``vc``."""
-        self.credits[vc] += 1
-        if self.credits[vc] > self.cfg.vc_depth:
-            raise RuntimeError(f"NI {self.node} credit overflow on vc {vc}")
-        self.net.wake(self)
+    def cycle(self, now: int) -> bool:
+        """Inject up to one flit at ``now``; True if injection work remains.
 
-    def cycle(self) -> bool:
-        """Inject up to one flit; returns True if injection work remains."""
+        The flit lands in the router's LOCAL input one link latency later;
+        the router's credit for it lands in ``credits`` through the bucket.
+        """
         if self._flits is None:
             if not self.queue:
                 return False
-            self._start_packet(self.queue.popleft())
+            self._start_packet(self.queue.popleft(), now)
         assert self._flits is not None and self._vc is not None
         if self.credits[self._vc] > 0:
             flit = self._flits[self._flit_idx]
             self.credits[self._vc] -= 1
-            self.net.inject_flit(self.node, self._vc, flit)
+            self.net._landing[now + self.cfg.link_latency].append(
+                (self.net.routers[self.node], LOCAL, self._vc, flit))
             self._flit_idx += 1
             if self._flit_idx == len(self._flits):
                 self._flits = None
@@ -83,11 +82,11 @@ class NetworkInterface:
                 self._msg = None
         return bool(self.queue) or self._flits is not None
 
-    def _start_packet(self, msg: Message) -> None:
+    def _start_packet(self, msg: Message, now: int) -> None:
         num_flits = self.cfg.flits_for_bytes(msg.size_bytes)
         packet = Packet(msg.src, msg.dst, num_flits, message=msg)
-        packet.inject_time = self.net.sim.now
-        self.net.stats.queueing_delay.add(self.net.sim.now - msg.inject_time)
+        packet.inject_time = now
+        self.net.stats.queueing_delay.add(now - msg.inject_time)
         self._flits = packet.make_flits()
         self._flit_idx = 0
         # Deepest-credit VC first; ties break toward the lowest VC index.

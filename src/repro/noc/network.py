@@ -1,43 +1,60 @@
 """The electrical NoC: routers + links + NIs behind the NetworkAdapter API.
 
 Orchestration: components (routers, NIs) that have work are kept in an
-*active set*; a single network tick event per cycle runs ``cycle()`` on each
-active component in deterministic (sorted-key) order and reschedules itself
-only while anything remains active.
+*active set*; a single network tick event per cycle reads the clock once and
+runs ``cycle(now)`` on each active component in deterministic (sorted-key)
+order, and reschedules itself only while anything remains active.
 
 Flit and credit transfers do not cost a kernel event each.  A transfer is
 appended to the *landing bucket* of the absolute cycle it lands on, and the
 first transfer for a cycle schedules one ``_land(t)`` event with sub-tick
-priority that delivers the whole bucket in append order, so state landed by
-time *t* is visible to the tick at *t*.  This is the per-transfer event
+priority that applies the whole bucket in append order, so state landed by
+time *t* is visible to the tick at *t*.  A bucket entry is ``(component,
+port, vc, flit)``: a flit into a router's input buffer, a credit for a
+router's output VC (``flit`` None), or a credit for an NI (``port`` None
+too); ``_land`` applies each in place.  This is the per-transfer event
 order exactly: a bucket's append order is the order the events would have
 been scheduled in, every ``(port, vc)`` buffer has one upstream, credits are
-counters, ``wake`` is idempotent, and every latency is >= 1 (config
+counters, waking is idempotent, and every latency is >= 1 (config
 validation), so a landing never targets its own cycle.  The one exception is
 ejection: ``NetworkInterface.flit_eject`` keeps its own kernel event,
 because ``flit_eject -> deliver -> msg.on_delivery`` re-enters the system
 model and must keep its place among that model's same-cycle events.
 
 Which router input a link feeds, and which output a credit returns to, is
-wiring: it is resolved per ``(node, port)`` at construction, not asked of
-the topology per flit.
+wiring: it is resolved per ``(node, port)`` at construction
+(``Router.links``), not asked of the topology per flit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.config import NocConfig
 from repro.engine import Simulator
 from repro.net import Message, NetworkBase
-from repro.noc.flit import Flit
 from repro.noc.interface import NetworkInterface
-from repro.noc.router import Router
+from repro.noc.router import PRIO_TRANSFER, Router
 from repro.noc.topology import LOCAL, Topology
 
-# Event priorities: transfers land before the tick evaluates the cycle.
-_PRIO_TRANSFER = 0
+# Event priority of the tick: transfers (PRIO_TRANSFER) land before it.
 _PRIO_TICK = 10
+
+
+class _Landing(dict):
+    """Landing buckets: absolute cycle -> ``[(comp, port, vc, flit), ...]``
+    in send order.  ``landing[t].append(entry)`` is the one way in: the
+    first transfer for ``t`` creates its bucket and schedules ``_land(t)``."""
+
+    __slots__ = ("net",)
+
+    def __init__(self, net: "ElectricalNetwork") -> None:
+        super().__init__()
+        self.net = net
+
+    def __missing__(self, t: int) -> list:
+        bucket = self[t] = []
+        net = self.net
+        net.sim.schedule(t, net._land, (t,), priority=PRIO_TRANSFER)
+        return bucket
 
 
 class ElectricalNetwork(NetworkBase):
@@ -61,22 +78,12 @@ class ElectricalNetwork(NetworkBase):
         self._in_tick = False
         # Per-directed-link flit counters for utilisation reports.
         self.link_flits: dict[tuple[int, int], int] = {}
-        # Landing buckets: absolute cycle -> [(fn, args), ...] in send order.
-        self._landing: dict[int, list[tuple[Callable[..., None], tuple]]] = {}
-        # Wiring: _links[node][port] is the far end of the link on that port
-        # — (flit_arrive, credit_arrive, far_port, link_flits key), the
-        # neighbouring router's two landing methods and the port it sees
-        # this link on — or None for LOCAL and for a dead port.
-        self._links: list[list[Optional[tuple]]] = []
-        for node in range(cfg.num_nodes):
-            row: list[Optional[tuple]] = [None] * self.topo.num_ports
-            for port in self.topo.output_ports(node):
-                nbr, far_port = self.topo.neighbor(node, port)
-                far = self.routers[nbr]
-                row[port] = (
-                    far.flit_arrive, far.credit_arrive, far_port, (node, port)
-                )
-            self._links.append(row)
+        self._landing = _Landing(self)
+        for r in self.routers:
+            r.links[LOCAL] = (self.nis[r.node], None, None)
+            for port in self.topo.output_ports(r.node):
+                nbr, far_port = self.topo.neighbor(r.node, port)
+                r.links[port] = (self.routers[nbr], far_port, (r.node, port))
 
     def _inject(self, msg: Message) -> None:
         """Queue ``msg`` at its source NI (source queueing included)."""
@@ -95,81 +102,61 @@ class ElectricalNetwork(NetworkBase):
     def _tick(self) -> None:
         self._tick_scheduled = False
         self._in_tick = True
+        now = self.sim.now
         try:
             # Swap first: a wake() made from inside a cycle() lands in the
             # set the next tick reads, beside this tick's survivors.
             active, self._active = self._active, {}
             for key in sorted(active):
                 comp = active[key]
-                if comp.cycle():  # type: ignore[attr-defined]
+                if comp.cycle(now):  # type: ignore[attr-defined]
                     self._active[key] = comp
         finally:
             self._in_tick = False
         if self._active and not self._tick_scheduled:
             self._tick_scheduled = True
-            self.sim.schedule(self.sim.now + 1, self._tick, priority=_PRIO_TICK)
+            self.sim.schedule(now + 1, self._tick, priority=_PRIO_TICK)
 
     # -------------------------------------------------- transfer plumbing
-    def _land_at(self, t: int, fn: Callable[..., None], args: tuple) -> None:
-        """Deliver ``fn(*args)`` with the other transfers landing at ``t``."""
-        bucket = self._landing.get(t)
-        if bucket is None:
-            self._landing[t] = [(fn, args)]
-            self.sim.schedule(t, self._land, (t,), priority=_PRIO_TRANSFER)
-        else:
-            bucket.append((fn, args))
-
     def _land(self, t: int) -> None:
-        for fn, args in self._landing.pop(t):
-            fn(*args)
-
-    def inject_flit(self, node: int, vc: int, flit: Flit) -> None:
-        """NI -> router LOCAL input port, one link latency away."""
-        self._land_at(
-            self.sim.now + self.cfg.link_latency,
-            self.routers[node].flit_arrive,
-            (LOCAL, vc, flit),
-        )
-
-    def send_flit(self, node: int, out_port: int, out_vc: int, flit: Flit) -> None:
-        """Router output -> downstream input buffer (or NI ejection)."""
-        now = self.sim.now
-        if out_port == LOCAL:
-            self.sim.schedule(
-                now + self.cfg.link_latency,
-                self.nis[node].flit_eject,
-                (flit,),
-                priority=_PRIO_TRANSFER,
-            )
-            # The NI sink always has room; recycle the ejection credit so the
-            # LOCAL output VC can be atomically re-allocated.
-            self._land_at(
-                now + self.cfg.credit_latency,
-                self.routers[node].credit_arrive,
-                (LOCAL, out_vc),
-            )
-        else:
-            link = self._links[node][out_port]
-            if link is None:
-                raise RuntimeError(
-                    f"router {node} routed out dead port {out_port} — routing bug"
-                )
-            flit_arrive, _, in_port, key = link
-            self._land_at(
-                now + self.cfg.link_latency, flit_arrive, (in_port, out_vc, flit)
-            )
-            self.link_flits[key] = self.link_flits.get(key, 0) + 1
-
-    def return_credit(self, node: int, in_port: int, in_vc: int) -> None:
-        """Input buffer slot at ``node`` freed: credit the upstream sender."""
-        t = self.sim.now + self.cfg.credit_latency
-        if in_port == LOCAL:
-            self._land_at(t, self.nis[node].credit_arrive, (in_vc,))
-        else:
-            link = self._links[node][in_port]
-            assert link is not None, "credit for a dead port"
-            _, credit_arrive, out_port, _ = link
-            self._land_at(t, credit_arrive, (out_port, in_vc))
+        """Apply the bucket of cycle ``t``, in place and in send order."""
+        active = self._active
+        depth = self.cfg.vc_depth
+        ready = t + self.cfg.router_latency
+        for comp, port, vc, flit in self._landing.pop(t):
+            if flit is not None:        # a flit into router input (port, vc)
+                ivc = comp.input_vcs[port][vc]
+                flits = ivc.flits
+                if len(flits) >= depth:
+                    raise RuntimeError(
+                        f"router {comp.node} input ({port},{vc}) overflow — "
+                        "credit protocol violated"
+                    )
+                flit.ready_time = ready
+                if not flits and ivc.out_vc is None:
+                    comp._waiting += 1
+                flits.append(flit)
+                comp._buffered += 1
+                comp._arrivals.append(ready)
+                active[comp.key] = comp
+            elif port is not None:      # a credit for router output (port, vc)
+                credits = comp.credits[port]
+                credits[vc] += 1
+                if credits[vc] > comp._credit_cap[port]:
+                    raise RuntimeError(
+                        f"router {comp.node} credit overflow on ({port},{vc})"
+                    )
+                if comp._buffered:      # it can only unblock a buffered flit
+                    active[comp.key] = comp
+            else:                       # a credit for the NI's LOCAL VC
+                credits = comp.credits
+                credits[vc] += 1
+                if credits[vc] > depth:
+                    raise RuntimeError(f"NI {comp.node} credit overflow on vc {vc}")
+                active[comp.key] = comp
+        if active and not self._tick_scheduled:
+            self._tick_scheduled = True
+            self.sim.schedule(t, self._tick, priority=_PRIO_TICK)
 
     # ------------------------------------------------------------ delivery
     def deliver(self, msg: Message) -> None:
@@ -178,10 +165,18 @@ class ElectricalNetwork(NetworkBase):
 
     # ------------------------------------------------------------- queries
     def quiescent(self) -> bool:
-        """True when nothing is queued, buffered, or in flight."""
+        """True when nothing is queued, buffered, landing or in flight, and
+        every credit is back home."""
+        nvcs = self.cfg.num_vcs
+        home = [self.cfg.vc_depth] * nvcs
         return (
             self.stats.in_flight() == 0
             and not self._active
-            and all(ni.backlog == 0 for ni in self.nis)
-            and all(r.buffered_flits() == 0 for r in self.routers)
+            and not self._landing
+            and all(ni.backlog == 0 and ni.credits == home for ni in self.nis)
+            and all(
+                r.buffered_flits() == 0 and not r._arrivals
+                and r.credits == [[cap] * nvcs for cap in r._credit_cap]
+                for r in self.routers
+            )
         )

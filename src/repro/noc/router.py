@@ -29,6 +29,24 @@ in all input buffers (``cycle`` returns at once at 0, and a credit landing
 on an empty router wakes nobody), ``_waiting`` counts the non-empty input
 VCs that hold no output VC (the VA walk runs only when one exists).
 
+Ready gate: every arrival's ``ready_time`` joins the ``_arrivals`` FIFO
+(landings come in time order, so it is monotone), and each cycle moves
+the ones that have come due into ``_ready``, the count of buffered flits
+that have cleared the pipeline.  A grant needs ``flits[0].ready_time <=
+now``, and a walk that grants nothing moves no pointer, so the SA walk runs
+only while ``_ready`` is non-zero, and stops once the grants have taken
+every ready flit: skipping what cannot grant changes nothing.  This is not
+sleeping until a flit is ready: the router stays in the active set and VA
+runs every cycle, and SA visits slots in the moving-pointer order, no
+slot skipped.
+
+A grant writes its transfers itself: the flit and the upstream credit are
+appended to the network's landing bucket (``ElectricalNetwork._landing``)
+through ``links``, the wiring resolved at construction, and an ejected
+flit is handed to the NI's own kernel event.  The clock is handed down:
+``cycle(now)`` reads no clock.  Deterministic routes are resolved once
+per destination (``_routes``), the legal output-VC tuples once per router.
+
 Deadlock freedom:
 
 * mesh XY/YX — dimension-ordered, safe with any VC count;
@@ -55,6 +73,9 @@ if TYPE_CHECKING:  # pragma: no cover
 # NI reassembly buffer always sinks flits at link rate.
 EJECT_CREDITS = 1 << 30
 
+# Kernel priority of a transfer: it lands before the tick evaluates its cycle.
+PRIO_TRANSFER = 0
+
 
 class InputVC:
     """State of one (input port, VC) buffer."""
@@ -67,10 +88,6 @@ class InputVC:
         self.flits: deque[Flit] = deque()
         self.route_out: Optional[int] = None   # output port chosen by RC
         self.out_vc: Optional[int] = None      # output VC granted by VA
-
-    def reset_packet_state(self) -> None:
-        self.route_out = None
-        self.out_vc = None
 
 
 class Router:
@@ -85,12 +102,19 @@ class Router:
         "input_vcs",
         "out_alloc",
         "credits",
+        "links",
         "_credit_cap",
         "_va_rr",
         "_sa_rr",
         "_all_ivcs",
         "_buffered",
         "_waiting",
+        "_arrivals",
+        "_ready",
+        "_adaptive",
+        "_routes",
+        "_vcs",
+        "_dateline",
         "flits_routed",
     )
 
@@ -114,65 +138,53 @@ class Router:
         self._credit_cap = [cfg.vc_depth] * nports
         self._credit_cap[LOCAL] = EJECT_CREDITS
         self.credits = [[cap] * nvcs for cap in self._credit_cap]
+        # links[port]: the far end of the link on that port — (router, the
+        # port it sees this link on, link_flits key) — or (NI, None, None)
+        # on LOCAL, None on a dead port.  Filled in by the network.
+        self.links: list[Optional[tuple]] = [None] * nports
         self._va_rr = 0
         self._sa_rr = 0
         # Flattened, fixed slot order for the two arbitration walks.
         self._all_ivcs = [ivc for port_vcs in self.input_vcs for ivc in port_vcs]
         self._buffered = 0     # flits in all input buffers
         self._waiting = 0      # non-empty input VCs with out_vc is None
+        self._arrivals: deque[int] = deque()   # ready times not yet come due
+        self._ready = 0        # buffered flits that have cleared the pipeline
+        self._adaptive = cfg.routing == ROUTING_ADAPTIVE and topo.kind == MESH
+        self._routes: dict[int, int] = {}      # dst -> deterministic route
+        self._dateline = [crosses_dateline(topo, node, p) for p in range(nports)]
+        # Legal output VCs, indexed by a flag: the dateline class on a
+        # torus/ring (lower half = class 0); on an adaptive mesh whether the
+        # port is the escape route (VC 0 only on the XY escape path).
+        if topo.kind != MESH:
+            half = nvcs // 2
+            self._vcs = (tuple(range(half)), tuple(range(half, nvcs)))
+        elif self._adaptive:
+            self._vcs = (tuple(range(1, nvcs)), (*range(1, nvcs), 0))
+        else:
+            self._vcs = (tuple(range(nvcs)),) * 2
         self.flits_routed = 0
 
-    # ------------------------------------------------------------ interface
-    def flit_arrive(self, port: int, vc: int, flit: Flit) -> None:
-        """A flit lands in input buffer (port, vc) as its link transfer lands."""
-        ivc = self.input_vcs[port][vc]
-        flits = ivc.flits
-        if len(flits) >= self.cfg.vc_depth:
-            raise RuntimeError(
-                f"router {self.node} input ({port},{vc}) overflow — "
-                "credit protocol violated"
-            )
-        flit.ready_time = self.net.sim.now + self.cfg.router_latency
-        if not flits and ivc.out_vc is None:
-            self._waiting += 1
-        flits.append(flit)
-        self._buffered += 1
-        self.net.wake(self)
+    # ------------------------------------------------------------- routing
+    def _route(self, dst: int) -> int:
+        """Deterministic (escape) route to ``dst``, resolved once."""
+        port = self._routes.get(dst)
+        if port is None:
+            port = self._routes[dst] = route_port(
+                self.topo, self.cfg.routing, self.node, dst)
+        return port
 
-    def credit_arrive(self, port: int, vc: int) -> None:
-        """A downstream buffer slot freed up on output (port, vc)."""
-        credits = self.credits[port]
-        credits[vc] += 1
-        if credits[vc] > self._credit_cap[port]:
-            raise RuntimeError(
-                f"router {self.node} credit overflow on ({port},{vc})"
-            )
-        # A credit can only unblock a buffered flit.
-        if self._buffered:
-            self.net.wake(self)
-
-    # ------------------------------------------------------------- VC rules
-    def _vc_candidates(self, packet, out_port: int) -> list[int]:
+    def _vc_candidates(self, packet, out_port: int) -> tuple[int, ...]:
         """Legal output VCs for ``packet`` leaving through ``out_port``."""
-        nvcs = self.cfg.num_vcs
         if self.topo.kind != MESH:
-            # Dateline classes: lower half = class 0, upper half = class 1.
-            half = nvcs // 2
-            cls = packet.vc_class or (
-                1 if crosses_dateline(self.topo, self.node, out_port) else 0
-            )
-            return list(range(half, nvcs)) if cls else list(range(half))
-        if self.cfg.routing == ROUTING_ADAPTIVE:
-            escape = route_port(self.topo, self.cfg.routing, self.node, packet.dst)
-            cands = list(range(1, nvcs))
-            if out_port == escape:
-                cands.append(0)
-            return cands
-        return list(range(nvcs))
+            return self._vcs[packet.vc_class or self._dateline[out_port]]
+        if self._adaptive:
+            return self._vcs[out_port == self._route(packet.dst)]
+        return self._vcs[0]
 
     def _choose_route(self, ivc: InputVC, packet) -> int:
         """Route computation for the head flit of ``packet``."""
-        if self.cfg.routing == ROUTING_ADAPTIVE and self.topo.kind == MESH:
+        if self._adaptive:
             cands = productive_ports(self.topo, self.node, packet.dst)
             if not cands:
                 return LOCAL
@@ -183,7 +195,7 @@ class Router:
             def credit_score(p: int) -> int:
                 return sum(self.credits[p][1:])
             return max(cands, key=lambda p: (credit_score(p), -p))
-        return route_port(self.topo, self.cfg.routing, self.node, packet.dst)
+        return self._route(packet.dst)
 
     # ----------------------------------------------------------- allocation
     def _try_vc_alloc(self, ivc: InputVC) -> bool:
@@ -193,30 +205,32 @@ class Router:
         if ivc.route_out is None:
             ivc.route_out = self._choose_route(ivc, packet)
         out_port = ivc.route_out
+        alloc, credits = self.out_alloc[out_port], self.credits[out_port]
+        cap = self._credit_cap[out_port]
         for v in self._vc_candidates(packet, out_port):
-            if (
-                self.out_alloc[out_port][v] is None
-                and self.credits[out_port][v] == self._credit_cap[out_port]
-            ):
-                self.out_alloc[out_port][v] = (ivc.port, ivc.vc)
+            if alloc[v] is None and credits[v] == cap:
+                alloc[v] = (ivc.port, ivc.vc)
                 ivc.out_vc = v
                 self._waiting -= 1
                 return True
         # Adaptive fallback: if no adaptive VC anywhere, retry via escape
         # route next cycle by re-running route computation.
-        if self.cfg.routing == ROUTING_ADAPTIVE and self.topo.kind == MESH:
+        if self._adaptive:
             ivc.route_out = None
         return False
 
     # ------------------------------------------------------------ main loop
-    def cycle(self) -> bool:
-        """One clock edge; returns True if work remains pending.
+    def cycle(self, now: int) -> bool:
+        """The clock edge at ``now``; returns True if work remains pending.
 
         Both walks follow the moving-pointer order of the module docstring.
         """
         if not self._buffered:
             return False
-        now = self.net.sim.now
+        arrivals = self._arrivals
+        while arrivals and arrivals[0] <= now:
+            arrivals.popleft()
+            self._ready += 1
         ivcs = self._all_ivcs
         n = len(ivcs)
 
@@ -231,7 +245,9 @@ class Router:
                         if not self._waiting:
                             break
 
-        # --- Switch allocation + traversal --------------------------------
+        # --- Switch allocation + traversal (gated on a ready flit) --------
+        if not self._ready:
+            return True
         used_in = used_out = 0      # bitmasks over input / output ports
         rr = self._sa_rr
         for i in range(n):
@@ -244,41 +260,61 @@ class Router:
                 continue
             out_port = ivc.route_out
             assert out_port is not None
-            if used_in >> ivc.port & 1 or used_out >> out_port & 1:
+            in_port = ivc.port
+            if used_in >> in_port & 1 or used_out >> out_port & 1:
                 continue
-            if self.credits[out_port][out_vc] <= 0:
+            credits = self.credits[out_port]
+            if credits[out_vc] <= 0:
                 continue
-            self._traverse(ivc, flit, out_port, out_vc)
             if not used_in:     # the cycle's first grant moves the pointer
                 rr = self._sa_rr = (rr + i + 1) % n
-            used_in |= 1 << ivc.port
+            used_in |= 1 << in_port
             used_out |= 1 << out_port
 
+            # Grant: the flit leaves its buffer for the switch.
+            ivc.flits.popleft()
+            self._buffered -= 1
+            self._ready -= 1
+            credits[out_vc] -= 1
+            self.flits_routed += 1
+            if flit.is_head and self._dateline[out_port]:
+                flit.packet.vc_class = 1
+            if flit.is_tail:
+                # Release the output VC; the input VC becomes ready for the
+                # next packet's head, which may already be queued behind
+                # this tail (the NI streams packets back to back into LOCAL).
+                self.out_alloc[out_port][out_vc] = None
+                ivc.route_out = ivc.out_vc = None
+                if ivc.flits:
+                    self._waiting += 1
+
+            # Its transfers, in send order: the flit downstream (an ejected
+            # one as the NI's own kernel event), then the credit upstream.
+            net = self.net
+            landing = net._landing
+            link = self.links[out_port]
+            if link is None:
+                raise RuntimeError(f"router {self.node} routed out dead port "
+                                   f"{out_port} — routing bug")
+            far, far_port, key = link
+            if key is None:
+                net.sim.schedule(now + self.cfg.link_latency, far.flit_eject,
+                                 (flit,), priority=PRIO_TRANSFER)
+                # The NI sink always has room; recycle the ejection credit so
+                # the LOCAL output VC can be atomically re-allocated.
+                back = landing[now + self.cfg.credit_latency]
+                back.append((self, LOCAL, out_vc, None))
+            else:
+                landing[now + self.cfg.link_latency].append(
+                    (far, far_port, out_vc, flit))
+                net.link_flits[key] = net.link_flits.get(key, 0) + 1
+                back = landing[now + self.cfg.credit_latency]
+            up, up_port, _ = self.links[in_port]
+            back.append((up, up_port, ivc.vc, None))
+            if not self._ready:     # the rest of the walk can grant nothing
+                break
+
         return self._buffered > 0
-
-    def _traverse(self, ivc: InputVC, flit: Flit, out_port: int, out_vc: int) -> None:
-        """Move one granted flit through the switch onto the output link."""
-        ivc.flits.popleft()
-        self._buffered -= 1
-        self.credits[out_port][out_vc] -= 1
-        self.flits_routed += 1
-        packet = flit.packet
-
-        if flit.is_head and self.topo.kind != MESH:
-            if crosses_dateline(self.topo, self.node, out_port):
-                packet.vc_class = 1
-
-        if flit.is_tail:
-            # Release the output VC; the input VC becomes ready for the next
-            # packet's head, which may already be queued behind this tail
-            # (the NI streams packets back to back into LOCAL).
-            self.out_alloc[out_port][out_vc] = None
-            ivc.reset_packet_state()
-            if ivc.flits:
-                self._waiting += 1
-
-        self.net.send_flit(self.node, out_port, out_vc, flit)
-        self.net.return_credit(self.node, ivc.port, ivc.vc)
 
     # ------------------------------------------------------------- queries
     def buffered_flits(self) -> int:

@@ -70,6 +70,23 @@ def test_flits_for_bytes():
     assert cfg.flits_for_bytes(72) == 5
 
 
+@pytest.mark.parametrize("size", [1, 16, 17, 2**53 - 1, 2**53, 2**53 + 1,
+                                  2**60 + 3])
+def test_one_flit_count_rule_at_any_size(size):
+    """The NI's flit count and the delivery counter use one integer rule; a
+    float quotient is off by one flit from 2**53 + 1 bytes on."""
+    from repro.engine import Simulator
+    from repro.net import Message, NetworkBase
+
+    cfg = NocConfig(flit_bytes=16)
+    assert cfg.flits_for_bytes(size) == max(1, (size + 15) // 16)
+    net = NetworkBase(Simulator(), cfg.num_nodes, cfg.flit_bytes)
+    msg = Message(0, 1, size)
+    msg.inject_time, msg.deliver_time = 0, 1
+    net._count_delivery(msg, 1)
+    assert net.stats.flits_delivered == cfg.flits_for_bytes(size)
+
+
 # ------------------------------------------------------------------ ONoC
 def test_onoc_defaults_valid():
     cfg = OnocConfig()

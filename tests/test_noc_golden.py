@@ -63,7 +63,10 @@ def _sends(n: int, load: str) -> list[tuple[int, int, int, int]]:
 
 
 def _check_counters(net: ElectricalNetwork) -> None:
-    """The router's occupancy counters equal what they summarise."""
+    """The router's occupancy counters equal what they summarise: after the
+    tick at ``now``, ``_ready`` counts the buffered flits that have cleared
+    the pipeline and ``_arrivals`` holds the others' ready times, in order."""
+    now = net.sim.now
     for r in net.routers:
         assert r._buffered == r.buffered_flits(), f"router {r.node}"
         waiting = sum(
@@ -71,6 +74,10 @@ def _check_counters(net: ElectricalNetwork) -> None:
             if ivc.flits and ivc.out_vc is None
         )
         assert r._waiting == waiting, f"router {r.node}"
+        ready = [f.ready_time for ivc in r._all_ivcs for f in ivc.flits]
+        assert r._ready == sum(1 for t in ready if t <= now), f"router {r.node}"
+        assert list(r._arrivals) == sorted(t for t in ready if t > now), \
+            f"router {r.node}"
 
 
 def _digest(cfg: NocConfig, load: str, after_tick=None) -> str:

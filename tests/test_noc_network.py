@@ -191,7 +191,7 @@ def test_wake_from_inside_a_tick_reaches_the_next_tick():
             self.key = key
             self.then = then
 
-        def cycle(self):
+        def cycle(self, now):
             cycled.append((sim.now, self.key))
             if self.then is not None:
                 net.wake(self.then)
@@ -201,4 +201,17 @@ def test_wake_from_inside_a_tick_reaches_the_next_tick():
     sim.schedule(5, net.wake, (first,))
     sim.run()
     assert cycled == [(5, 1001), (6, 1000)]
+    assert net.quiescent()
+
+
+def test_quiescent_waits_for_the_last_credits():
+    """A lone message's last credits are still in flight when its delivery
+    handler runs: the network is not quiescent then, only once they land."""
+    sim = Simulator()
+    net = ElectricalNetwork(sim, NocConfig())
+    seen = []
+    net.set_delivery_handler(lambda m: seen.append((sim.now, net.quiescent())))
+    sim.schedule(0, net.send, (Message(0, 15, 64),))
+    sim.run()
+    assert seen == [(32, False)]
     assert net.quiescent()

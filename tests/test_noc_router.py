@@ -101,13 +101,18 @@ def test_dateline_vc_class_on_torus():
     # 3 -> 0 wraps east on a 4x4 torus: the packet must move to VC class 1.
     msg = Message(3, 0, 16)
     sim.schedule(0, net.send, (msg,))
-    orig_send_flit = net.send_flit
+    orig_land = net._land
 
-    def spy(node, out_port, out_vc, flit):
-        captured.setdefault((node, out_port), out_vc)
-        orig_send_flit(node, out_port, out_vc, flit)
+    def spy(t):
+        # A flit landing at (router, port) left the router on that link's
+        # other end, through the port the topology names.
+        for far, far_port, out_vc, flit in net._landing[t]:
+            if flit is not None and far_port != LOCAL:
+                node, out_port = net.topo.neighbor(far.node, far_port)
+                captured.setdefault((node, out_port), out_vc)
+        orig_land(t)
 
-    net.send_flit = spy
+    net._land = spy
     sim.run()
     # The wrap hop out of router 3 must use the upper VC class (vc 1).
     assert captured[(3, EAST)] == 1
@@ -150,10 +155,28 @@ def test_local_input_overflow_raises_like_any_port():
     flit beyond that on LOCAL is a broken credit protocol, not a longer
     queue."""
     cfg = NocConfig()
-    _, net = make_net(cfg)
+    sim, net = make_net(cfg)
     r = net.routers[0]
-    flits = Packet(0, 1, cfg.vc_depth + 1).make_flits()
-    for flit in flits[:cfg.vc_depth]:
-        r.flit_arrive(LOCAL, 0, flit)
+    for flit in Packet(0, 1, cfg.vc_depth + 1).make_flits():
+        net._landing[1].append((r, LOCAL, 0, flit))
     with pytest.raises(RuntimeError, match=r"input \(0,0\) overflow"):
-        r.flit_arrive(LOCAL, 0, flits[-1])
+        sim.run()
+    assert r._buffered == cfg.vc_depth
+
+
+def test_unready_flits_skip_switch_allocation_not_vc_allocation():
+    """The SA walk is gated on a flit that has cleared the pipeline: a router
+    holding only younger flits grants nothing and keeps its SA pointer, while
+    VA still allocates that cycle."""
+    sim, net = make_net()
+    r = net.routers[0]
+    r._sa_rr = 7
+    for flit in Packet(0, 1, 2).make_flits():
+        net._landing[1].append((r, LOCAL, 0, flit))
+    sim.run(until=1)
+    ivc = r.input_vcs[LOCAL][0]
+    assert (r._buffered, r._ready, list(r._arrivals)) == (2, 0, [4, 4])
+    assert ivc.route_out == EAST and ivc.out_vc is not None
+    assert r.flits_routed == 0 and r._sa_rr == 7
+    sim.run(until=4)    # the head clears the pipeline: slot 0, three steps on
+    assert (r.flits_routed, r._sa_rr, r._ready) == (1, 1, 1)
