@@ -216,13 +216,6 @@ class Registry:
         """Fold another registry into this one."""
         self.merge_snapshot(other.snapshot())
 
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "Registry":
-        """Reconstruct a registry from a snapshot."""
-        reg = cls()
-        reg.merge_snapshot(snap)
-        return reg
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Registry({len(self._metrics)} metrics)"
 

@@ -22,15 +22,6 @@ def db_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_db(mw: float) -> float:
-    """mW -> dBm."""
-    if mw <= 0:
-        raise ValueError(f"power must be > 0 mW, got {mw}")
-    import math
-
-    return 10.0 * math.log10(mw)
-
-
 @dataclass(frozen=True)
 class PathLoss:
     """Loss decomposition for one optical path (all in dB)."""

@@ -11,7 +11,11 @@ calendar merge across chains emits records *already in canonical
 Determinism: every random decision is a pure splitmix64 hash of
 ``(seed, tag, chain, step)`` (as in ``repro.validate.faults``) plus one
 PCG64 stream per chain for the patterns that need an rng, consumed in
-fixed per-chain order: same profile + seed, byte-identical output.
+fixed per-chain order: same profile + seed, byte-identical output.  The
+streams cost nothing per chain but one ``random_raw`` call per block:
+every chain's ``SeedSequence`` hashing is one NumPy pass, and
+:class:`_Streams` converts the raw words for all chains at once into
+what ``integers(0, n)`` / ``random()`` calls would have returned.
 
 Nothing about a chain's own records depends on the merge, so
 :class:`_Decisions` computes them in NumPy blocks of all chains x
@@ -31,15 +35,15 @@ the end markers chain to the last delivery per node.
 from __future__ import annotations
 
 import array
-import functools
 import heapq
-import itertools
 import math
+import os
 import time
 from pathlib import Path
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.core.trace import EndMarker, RecordChunk, Trace, TraceRecord
 from repro.core.tracebin import BinaryTraceWriter, CHUNK_RECORDS
@@ -57,61 +61,174 @@ _CTRL_BYTES = 64
 #: "ctrl".
 _KINDS = ("data", "ctrl")
 
-#: Raw PCG64 outputs a ``hotspot`` chain reads per refill.
-_DRAWS = 64
+_M32 = 0xFFFFFFFF
 
 
-def _draws(rng: np.random.Generator, n: int) -> Callable[[int], np.ndarray]:
-    """A chain's next ``k`` ``uniform_random`` destinations in one call: it
-    ignores ``src`` and makes one ``integers(0, n)`` call, and
-    ``integers(0, n, size=k)`` consumes PCG64 exactly as ``k`` such calls."""
-    return functools.partial(rng.integers, 0, n)
+#: ``SeedSequence``'s hash constants (``numpy/random/bit_generator.pyx``):
+#: its ``hashmix`` call ``i`` XORs in ``init * mult**i`` and multiplies by
+#: the next one, the pool's sequence and the output's.
+_MIXING, _DRAWING = (
+    np.array([init * mult**i % 2**32 for i in range(17)], np.uint32)[:, None]
+    for init, mult in ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)))
 
 
-def _hotspot_draws(rng: np.random.Generator, n: int) -> Iterator[int]:
-    """Successive ``hotspot`` destinations from PCG64's raw outputs,
-    :data:`_DRAWS` at a time, consumed exactly as its calls consume them:
-    ``random()`` is ``(u >> 11) * 2**-53`` of one output ``u``;
-    ``integers(0, n)`` is Lemire's method on ``next_uint32`` (the low half
-    of a fresh output, then its buffered high half, which ``random()``
-    leaves alone) for ``n <= 2**32``, on whole outputs above that, and
-    takes nothing for ``n == 1``."""
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        raise TypeError(f"hotspot draws emulate PCG64, "
-                        f"not {type(bitgen).__name__}")
-    state = bitgen.state
-    half = state["uinteger"] if state["has_uint32"] else -1
-    raw = itertools.chain.from_iterable(          # endless refills
-        iter(lambda: bitgen.random_raw(_DRAWS).tolist(), None)).__next__
-    wide = n - 1 > 0xFFFFFFFF
-    bits = 64 if wide else 32
-    mask = (1 << bits) - 1
-    floor = ((1 << bits) - n) % n      # Lemire's rejection threshold
-    hot = 0.1 if n > 1 else 1.0        # n == 1 answers 0 either way
-    while True:
-        if (raw() >> 11) * 2.0 ** -53 < hot:
-            yield 0
-            continue
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of every uint64
+    seed ``s``, a row each: its 32-bit halves and two zeros hashed into a
+    pool, mixed all-to-all, then drawn out as eight words."""
+    def hashmix(v, const):              # one hash per row of ``const[1:]``
+        v = (v ^ const[:-1]) * const[1:]
+        return v ^ (v >> 16)
+
+    pool = hashmix(np.stack((seeds & _M32, seeds >> 32, 0 * seeds, 0 * seeds)
+                            ).astype(np.uint32), _MIXING[:5])
+    for i in range(4):
+        j = [k for k in range(4) if k != i]
+        r = (pool[j] * np.uint32(0xCA01F9DD) - np.uint32(0x4973F715)
+             * hashmix(pool[i], _MIXING[4 + 3 * i:8 + 3 * i]))
+        pool[j] = r ^ (r >> 16)
+    words = hashmix(pool[[0, 1, 2, 3] * 2], _DRAWING[:9])
+    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _Seeded(ISeedSequence):
+    """A ``SeedSequence`` whose state words :func:`_seed_words` computed."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+#: ``hotspot``'s parse: the state after a word, by the word's ``hot * 4 +
+#: low half kept * 2 + high half kept``, as a map of the state before it
+#: coded ``sum(after[s] << 2 * s)``; ``_THEN[a, b]`` is ``b``, then ``a``.
+_SHIFT = 2 * np.arange(4, dtype=np.uint8)
+_NEXT = (np.array([[3, 0, 3, 3], [3, 0, 3, 0], [3, 0, 3, 2], [3, 0, 3, 1],
+                   [0, 1, 2, 3], [0, 1, 2, 0], [0, 1, 2, 2], [0, 1, 2, 1]],
+                  np.uint8) << _SHIFT).sum(1, dtype=np.uint8)
+_MAPS = np.arange(256, dtype=np.uint8)[:, None] >> _SHIFT & 3
+_THEN = (_MAPS[:, _MAPS] << _SHIFT).sum(-1, dtype=np.uint8)
+
+
+class _Streams:
+    """Every chain's PCG64 stream read as ``uniform`` or ``hotspot``
+    destinations, a block of all chains at a time: one ``random_raw`` call
+    per chain, then NumPy on the words, consumed as the calls consume them.
+    ``random()`` is ``(u >> 11) * 2**-53`` of a word ``u``; ``integers(0,
+    n)`` takes nothing for ``n == 1``, whole words above 2^32, and else
+    Lemire's method on ``next_uint32``: a fresh word's low half, then its
+    buffered high half, which ``random()`` leaves be.  Chain ``c``'s unread
+    stream is halves ``[_at[c], 2 * _end[c])`` of ``_words``, an odd ``_at``
+    holding the buffered half (``half`` starts a chain with one).  Words
+    are drawn ahead, enough unless Lemire rejects (then the block is read
+    again with more).  ``hotspot`` parses the words: before one a chain
+    decides with no buffered half (state 0), with one Lemire keeps (1) or
+    rejects (2), or awaits an integer word (3); a word's hot test and its
+    halves' verdicts map each state to the next (:data:`_NEXT`), and a
+    doubling scan composes the maps along each chain."""
+
+    def __init__(self, bitgens: list, n: int, hotspot: bool,
+                 half=None) -> None:
+        self._bitgens, self._n, self._narrow = bitgens, n, n - 1 <= _M32
+        self._hot = hotspot and (0.1 if n > 1 else 1.0)  # n == 1: 0 anyway
+        half = np.full(len(bitgens), -1 if half is None else half, np.int64)
+        self._words = (half[half >= 0] << 32).astype(np.uint64)
+        self._end = np.cumsum(half >= 0)
+        self._at = 2 * self._end - (half >= 0)
+
+    def take(self, counts: np.ndarray) -> np.ndarray:
+        """Every chain's next ``counts[c]`` destinations, chain after chain."""
+        if not counts.any() or self._n == 1 and not self._hot:
+            return np.zeros(counts.sum(), np.int64)
+        per = 1 if self._hot or not self._narrow else 2  # elements per word
+        need = counts + (counts + 1) // 2 if self._hot else counts
         while True:
-            if wide:
-                x = raw()
-            elif half < 0:
-                x = raw()
-                x, half = x & 0xFFFFFFFF, x >> 32
-            else:
-                x, half = half, -1
-            m = x * n
-            if m & mask >= floor:
+            unread = per * self._end - (per * self._at + 1) // 2
+            self._refill(np.maximum(need - unread + per - 1, 0) // per)
+            w, end, held = self._words, self._end, self._at % 2 == 1
+            start = self._at // 2
+            lengths = end - start
+            if per == 2:        # each word's low, then high half
+                value, emit = self._lemire(w.astype("<u8", copy=False).view(
+                    "<u4").astype(np.uint64))
+                at = np.arange(len(emit))
+                emit &= at >= np.repeat(self._at, 2 * lengths)
+            else:               # a buffered half's word is not read
+                at, first = np.arange(len(w)), np.repeat(start, lengths)
+                own = (at == first) & np.repeat(held, lengths)
+                hi, hi_ok = self._lemire(w >> 32 if self._narrow else w)
+                value, emit = hi, hi_ok & ~own
+            if self._hot:
+                lo, lo_ok = self._lemire(w & _M32)
+                lo_ok &= self._narrow & ~own
+                hot = (w >> 11) * 2.0**-53 < self._hot
+                maps = np.where(own, 0xE4, _NEXT[hot * 4 + lo_ok * 2 + hi_ok])
+                d = 1
+                while d < lengths.max():
+                    maps[d:] = np.where(at[d:] - first[d:] >= d,
+                                        _THEN[maps[d:], maps[:-d]], maps[d:])
+                    d *= 2
+                s0 = np.where(own & self._narrow, 2 - hi_ok, 0)[first]
+                state = maps >> 2 * s0 & 3
+                pre = np.where(at == first, s0, np.roll(state, 1))
+                # The held half is the high one of the latest awaited word
+                # whose low half was kept.  Emitted: 0 if hot, the held half
+                # if deciding from 1, if awaited the low, else high half.
+                last = np.maximum.accumulate(np.where(
+                    (pre == 3) & lo_ok | own, at, -1))
+                emit = np.where(pre == 3, lo_ok | hi_ok,
+                                hot | (pre == 1)) & ~own
+                value = np.where(pre == 3, np.where(lo_ok, lo, hi),
+                                 np.where(hot, 0, hi[last]))
+            done = np.concatenate(([0], np.cumsum(emit)))
+            skip = (per * self._at + 1) // 2       # a chain's first unread
+            e = np.searchsorted(done[1:], done[skip] + counts)
+            e = np.where(counts > 0, e, skip - 1)     # and last read element
+            if (e < per * end).all():
                 break
-        yield m >> bits
+            need = need + np.where(e < per * end, 0, counts + 2)
+        if per == 2:
+            self._at = e + 1
+        else:       # word e, consumed, takes over the buffered half
+            keep = (state[e] % 3 > 0 if self._hot and self._narrow
+                    else held) & (counts > 0)
+            w[e[keep]] = w[(last[e] if self._hot else start)[keep]]
+            self._at = np.where(counts > 0, 2 * e + 2 - keep, self._at)
+        return value[emit & (at <= np.repeat(e, per * lengths))]
 
+    def _lemire(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(x * n) >> bits``, and whether Lemire's method keeps it: not
+        where the low ``bits`` of the product fall under ``(2^bits - n) %
+        n``.  Above 32 bits the high word of the 128-bit product is summed
+        from 32-bit limbs; the wrapped product is its low word."""
+        n = np.uint64(self._n)
+        low = x * n
+        if self._narrow:
+            return (low >> 32).astype(np.int64), (
+                low & _M32) >= (2**32 - self._n) % self._n
+        xl, xh, nl, nh = x & _M32, x >> 32, n & _M32, n >> 32
+        cross = (xl * nl >> 32) + (xh * nl & _M32) + xl * nh
+        high = xh * nh + (xh * nl >> 32) + (cross >> 32)
+        return high.astype(np.int64), low >= (2**64 - self._n) % self._n
 
-#: The patterns whose destinations a chain draws from its rng, as one call
-#: per chain answering its next ``k``.  Every other pattern ignores its rng.
-_STREAMS = {"uniform": _draws, "hotspot": lambda rng, n: functools.partial(
-    lambda it, k: np.fromiter(itertools.islice(it, k), np.int64, k),
-    _hotspot_draws(rng, n))}
+    def _refill(self, more: np.ndarray) -> None:
+        """Chain ``c``'s unread words (from a buffered half's), then
+        ``more[c]`` fresh ones."""
+        first = self._at // 2
+        left = self._end - first
+        unread = np.arange(len(self._words)) >= np.repeat(
+            first, np.diff(self._end, prepend=0))
+        chain = np.arange(len(more))
+        order = np.argsort(np.concatenate((chain.repeat(left),
+                                           chain.repeat(more))), kind="stable")
+        self._words = np.concatenate([self._words[unread]] + [
+            bitgen.random_raw(k) for bitgen, k in zip(self._bitgens,
+                                                      more.tolist()) if k]
+            )[order]
+        self._end = np.cumsum(left + more)
+        self._at = 2 * (self._end - left - more) + self._at % 2
 
 
 def _unit(prefix: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -197,22 +314,23 @@ class _Decisions:
         self._sizes = _size_thresholds(profile)
         n = profile.num_nodes
         index = np.arange(chains, dtype=np.uint64)
-        # The hash state after ``(seed, tag, chain)``, per decision tag
-        # and chain: a decision folds only its ``step`` into it.
-        self._size_at, self._fan_at, self._fgap_at, self._gap_at = (
-            fold(mix64(seed, tag), index[:, None])
-            for tag in ("size", "fan", "fgap", "gap"))
+        # The hash state after ``(seed, tag, chain)``, per tag and chain: a
+        # decision folds only its ``step`` into one of the first four.
+        prefix = fold(np.array([mix64(seed, tag) for tag in (
+            "size", "fan", "fgap", "gap", "root", "src", "chain")],
+            np.uint64)[:, None], index)
+        self._prefix = prefix[:4, :, None]
         # Per chain: next injection, its gap (a root's: its t_inject), src.
-        self._t = self._gap = (fold(mix64(seed, "root"), index)
-                               % profile.root_spread).astype(np.int64)
-        self._src = (fold(mix64(seed, "src"), index) % n).astype(np.int64)
-        # A chain's rng serves only its pattern's draws; under any other
+        self._t = self._gap = (prefix[4] % profile.root_spread).astype(
+            np.int64)
+        self._src = (prefix[5] % n).astype(np.int64)
+        # A chain's PCG64 serves only these patterns' draws; under any other
         # pattern a destination is a function of its source.
-        stream = _STREAMS.get(profile.pattern)
-        self._streams = stream and [
-            stream(np.random.Generator(np.random.PCG64(s)), n)
-            for s in fold(mix64(seed, "chain"), index).tolist()]
-        if not stream:
+        self._streams = profile.pattern in ("uniform", "hotspot") and _Streams(
+            [np.random.PCG64(_Seeded(words))
+             for words in _seed_words(prefix[6])],
+            n, profile.pattern == "hotspot")
+        if not self._streams:
             pattern = PATTERNS[profile.pattern]
             self._next = _away(np.array([pattern(v, n, None)
                                          for v in range(n)]), np.arange(n), n)
@@ -221,11 +339,11 @@ class _Decisions:
         """Compute ``block``, the one after ``live``; return its end cell."""
         profile, span = self._profile, self.span
         steps = np.arange(block * span, (block + 1) * span, dtype=np.uint64)
-        size = _draw_size(self._sizes, _unit(self._size_at, steps))
-        fan = _unit(self._fan_at, steps) < profile.fanout_prob
-        fan_gap = np.where(fan, _draw_gaps(profile,
-                                           _unit(self._fgap_at, steps)), 0)
-        gap = _draw_gaps(profile, _unit(self._gap_at, steps))
+        units = _unit(self._prefix, steps)
+        size = _draw_size(self._sizes, units[0])
+        fan = units[1] < profile.fanout_prob
+        fan_gap, gap = _draw_gaps(profile, units[2:])
+        fan_gap = np.where(fan, fan_gap, 0)
         delivered = _latency(profile, size)
         next_t = self._t[:, None] + np.cumsum(delivered + gap, axis=1)
         t = next_t - delivered - gap
@@ -256,8 +374,7 @@ class _Decisions:
             return self._sources(dst), dst, self._next[dst]
         n, span = self._profile.num_nodes, fan.shape[1]
         counts = span + fan.sum(axis=1)
-        drawn = np.concatenate(
-            [take(k) for take, k in zip(self._streams, counts.tolist())])
+        drawn = self._streams.take(counts)
         # A chain draws each step's destination, then its fan-out third.
         at = ((np.cumsum(counts) - counts)[:, None] + np.arange(span)
               + np.cumsum(fan, axis=1) - fan)
@@ -449,21 +566,34 @@ def generate_to_file(profile: SynthProfile, path: Union[str, Path],
     ``tracebin.dumps(generate(...))`` at equal ``chunk_records``), one
     column chunk of ``chunk_records`` records at a time — the path that
     makes >=10^6-message traces cheap.  Returns a summary dict.
+
+    What :func:`generate` refuses is refused with its error before the
+    offending chunk is written, and the file is written beside ``path`` and
+    moved there once complete, so a refusal leaves ``path`` as it was.
     """
     path = Path(path)
     t0 = time.perf_counter()
     markers = _Markers(profile.num_nodes)
     n = 0
     chunks = _iter_chunks(profile, scale, seed, chunk_records)  # refuses first
-    with open(path, "wb") as fp:
-        writer = BinaryTraceWriter(fp, meta=_meta(profile, scale, seed))
-        for chunk in chunks:
-            markers.see(chunk)
-            writer.add_chunk(chunk)
-            n += len(chunk)
-        ends, exec_time = markers.finish()
-        writer.add_markers(ends)
-        writer.close(exec_time)
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "wb") as fp:
+            writer = BinaryTraceWriter(fp, meta=_meta(profile, scale, seed))
+            for chunk in chunks:
+                chunk.check()
+                if (chunk.t_inject < 0).any():      # wrapped past 2^63
+                    generate(profile, scale, seed)  # raises its refusal
+                markers.see(chunk)
+                writer.add_chunk(chunk)
+                n += len(chunk)
+            ends, exec_time = markers.finish()
+            writer.add_markers(ends)
+            writer.close(exec_time)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     return {
         "path": str(path),
         "messages": n,

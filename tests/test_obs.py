@@ -142,7 +142,9 @@ def test_merge_with_empty_is_identity():
 def test_registry_from_snapshot_roundtrip():
     a = _filled([3, 1, 4, 1, 5])
     json.dumps(a)  # snapshots must be pure JSON
-    assert Registry.from_snapshot(a).snapshot() == a
+    reg = Registry()
+    reg.merge_snapshot(a)
+    assert reg.snapshot() == a
 
 
 # ---------------------------------------------------------------- timeline

@@ -17,9 +17,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import io
-import itertools
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -40,14 +40,15 @@ from repro.synth import (
 from repro.engine.rng import fold, mix64
 from repro.synth import generator
 from repro.synth.generator import (
-    _DRAWS,
+    _Seeded,
+    _Streams,
     _draw_gaps,
     _draw_size,
-    _draws,
-    _hotspot_draws,
+    _seed_words,
     _size_thresholds,
     _unit,
 )
+from repro.synth.profile import SynthProfile
 from repro.traffic.patterns import PATTERNS, hotspot
 
 _MASK64 = (1 << 64) - 1
@@ -277,9 +278,8 @@ _ODD = dict(base_latency=1, gap_mean=1.0, gap_max=3, root_spread=1, chains=5,
 _TIES = dict(root_spread=1, base_latency=1, gap_mean=1.0, gap_max=1,
              fanout_prob=0.9)
 
-#: Four chains of ~1500 destination draws each: many fan-out steps draw
-#: their two destinations across a 64-draw boundary (a refill edge of the
-#: hotspot stream).
+#: Four chains of ~1500 destination draws each, half of the steps fanning
+#: out: a block asks each chain for a different, often odd, count.
 _STRADDLE = dict(chains=4, fanout_prob=0.5)
 
 IDENTITY_GRID = [
@@ -289,6 +289,8 @@ IDENTITY_GRID = [
                  id="uniform-fanout-straddles-refill"),
     pytest.param(lambda: default_profile(1024, 20_000, pattern="hotspot"),
                  1.0, id="hotspot-1024"),
+    pytest.param(lambda: default_profile(1000, 20_000, pattern="hotspot"),
+                 1.0, id="hotspot-1000"),
     *(pytest.param(lambda g=g: _golden_fit(g), 20.0,
                    id=f"fit-{g.name.split('-')[0]}-x20") for g in GOLDEN),
     pytest.param(lambda: default_profile(64, 6000, **_ODD), 1.0,
@@ -321,22 +323,35 @@ def test_every_record_equals_the_per_record_reference(make_profile, scale):
         assert a == b           # frozen dataclass: every field, key included
 
 
-def test_fanout_draws_straddle_a_refill_on_the_grid():
-    """Per chain, the destination draws in the order they are made (a
-    chain step's, then its fan-out child's): count the fan-out steps whose
-    first draw is the last of a 64-draw run."""
-    records = list(_iter_records_reference(
-        default_profile(64, 6000, **_STRADDLE), seed=5))
-    fans = {r.cause_id for r in records if r.kind == "ctrl"}
-    chain, used, straddles = {}, {}, 0
-    for r in records:
-        if r.kind == "data":
-            c = chain[r.msg_id] = chain.get(r.cause_id, r.msg_id)
-            fan = r.msg_id in fans
-            straddles += fan and used.get(c, 0) % _DRAWS == _DRAWS - 1
-            used[c] = used.get(c, 0) + 1 + fan
-    assert min(used.values()) > 10 * _DRAWS
-    assert straddles >= 10
+def _block_draws(n, seed, hot):
+    """``_Streams.take`` against ``hotspot(0, n, rng)`` (``hot``) or
+    ``integers(0, n)`` calls, one scalar stream per chain, over eight
+    blocks of ragged per-chain counts (zeros and odd counts included, so
+    that buffered halves and words drawn ahead cross blocks): from fresh
+    streams, and from streams of which three start after an ``integers``
+    (which leaves a buffered 32-bit half behind: the next 32-bit draw takes
+    it, a 64-bit one ignores it) and a ``random()`` (which must not touch
+    it)."""
+    rng = np.random.default_rng([n, seed])
+    counts = rng.integers(0, 7, (8, 5)) * (rng.random((8, 5)) < 0.7)
+    draw = ((lambda g: hotspot(0, n, g)) if hot
+            else (lambda g: int(g.integers(0, n))))
+    for midway in (False, True):
+        bitgens = [np.random.PCG64(seed + c) for c in range(5)]
+        scalar = [np.random.Generator(np.random.PCG64(seed + c))
+                  for c in range(5)]
+        for c in range(0, 5, 2) if midway else ():
+            for g in (np.random.Generator(bitgens[c]), scalar[c]):
+                g.integers(0, 16)          # 16 rejects nothing: a half is left
+                g.random()
+        state = [b.state for b in bitgens]
+        assert [s["has_uint32"] for s in state] == [midway, 0] * 2 + [midway]
+        streams = _Streams(bitgens, n, hot, [
+            s["uinteger"] if s["has_uint32"] else -1 for s in state])
+        for block in counts:
+            assert streams.take(block).tolist() == [
+                draw(scalar[c]) for c, k in enumerate(block.tolist())
+                for _ in range(k)]
 
 
 #: Bounds of ``integers(0, n)``: every branch of NumPy's bounded draw.
@@ -348,50 +363,57 @@ _BOUNDS = [1, 3, 16, 37, 1000, 1024, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
 def test_batched_integers_are_the_scalar_stream(n):
     """``integers(0, n, size=k)`` consumes PCG64 exactly as ``k`` scalar
     ``integers(0, n)`` calls (2^31 + 1 rejects about half its candidates),
-    odd ``k`` included, so a block's one call per chain leaves the stream
-    where the calls would.  A NumPy that changes bounded-integer
-    consumption fails here before any container digest does."""
+    odd ``k`` included.  A NumPy that changes bounded-integer consumption
+    fails here before any container digest does; so does one that changes
+    the buffered ``next_uint32`` or Lemire's method, which the generator's
+    ``uniform`` block draws convert raw words with."""
     batched, scalar = (np.random.Generator(np.random.PCG64(7))
                        for _ in range(2))
     for k in (1, 2, 7, 64, 3):
         assert batched.integers(0, n, size=k).tolist() == [
             int(scalar.integers(0, n)) for _ in range(k)]
         assert batched.bit_generator.state == scalar.bit_generator.state
-    take = _draws(np.random.Generator(np.random.PCG64(9)), n)
-    scalar = np.random.Generator(np.random.PCG64(9))
-    sizes = (5, 64, 1, 70, 3)          # one call per chain per block
-    assert [x for k in sizes for x in take(k).tolist()] == [
-        int(scalar.integers(0, n)) for _ in range(sum(sizes))]
+    for seed in (9, 21, 4242):
+        _block_draws(n, seed, hot=False)
 
 
 @pytest.mark.parametrize("seed", [9, 21, 4242])
 @pytest.mark.parametrize("n", _BOUNDS)
 def test_hotspot_stream_is_the_scalar_stream(n, seed):
-    """``_hotspot_draws`` reads PCG64's raw outputs as ``hotspot``'s
-    ``random()`` and ``integers(0, n)`` calls do: over three refills and
-    an odd tail, from a fresh stream and from one started after a scalar
-    ``integers`` (which leaves a buffered 32-bit half behind: the next
-    32-bit draw takes it, a 64-bit one ignores it) and a ``random()``
-    (which must not touch it).  2^31 + 1 and 2^32 + 1 reject
-    about half their candidates.  A NumPy that changes ``next_double`` or
-    the buffered ``next_uint32`` fails here before any container digest
-    does."""
-    count = 3 * _DRAWS + 5
-    for midway in (False, True):
-        ours, scalar = (np.random.Generator(np.random.PCG64(seed))
-                        for _ in range(2))
-        if midway:                 # 16 rejects nothing: one half is left
-            for rng in (ours, scalar):
-                rng.integers(0, 16)
-                rng.random()
-            assert ours.bit_generator.state["has_uint32"] == 1
-        assert list(itertools.islice(_hotspot_draws(ours, n), count)) == [
-            hotspot(0, n, scalar) for _ in range(count)]
+    """The generator's ``hotspot`` block draws read PCG64's raw words as
+    ``hotspot``'s ``random()`` and ``integers(0, n)`` calls do.  2^31 + 1
+    and 2^32 + 1 reject about half their candidates.  A NumPy that changes
+    ``next_double`` or the buffered ``next_uint32`` fails here before any
+    container digest does."""
+    _block_draws(n, seed, hot=True)
 
 
-def test_hotspot_stream_refuses_other_bit_generators():
-    with pytest.raises(TypeError, match="PCG64"):
-        next(_hotspot_draws(np.random.Generator(np.random.Philox(3)), 16))
+def test_seed_words_are_numpys_seed_sequence():
+    """All chains' ``SeedSequence`` hashing in one pass: the state words
+    and the seeded ``PCG64`` equal NumPy's for seeds at the 32- and 64-bit
+    edges and 2,500 hashed ones."""
+    edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+    seeds = np.array(edges, np.uint64)
+    seeds = np.concatenate((seeds, fold(mix64(3, "chain"),
+                                        np.arange(2500, dtype=np.uint64))))
+    words = _seed_words(seeds)
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for s, row in zip(seeds.tolist(), words):
+        want = np.random.SeedSequence(s).generate_state(4, np.uint64)
+        assert row.tolist() == want.tolist()
+        assert (np.random.PCG64(_Seeded(row)).state
+                == np.random.PCG64(s).state)
+
+
+@pytest.mark.parametrize("pattern", ["uniform", "hotspot"])
+def test_block_draws_across_many_small_blocks(monkeypatch, pattern):
+    """Blocks four steps wide: every chain's buffered half and words drawn
+    ahead cross hundreds of block boundaries, and the records are still the
+    reference's."""
+    profile = default_profile(1000, 6000, chains=16, pattern=pattern)
+    monkeypatch.setattr(generator, "_BLOCK_CELLS", 64)
+    assert list(iter_records(profile, seed=7)) == list(
+        _iter_records_reference(profile, seed=7))
 
 
 def test_stream_patterns_are_never_called(monkeypatch):
@@ -533,6 +555,34 @@ def test_a_scale_that_is_not_positive_and_finite_is_refused(tmp_path, scale):
                                              f"finite, got {scale!r}"):
             call()
     assert path.read_bytes() == before
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("fields", [
+    dict(base_latency=2**62),
+    dict(gap_max=2**62, gap_mean=2.0**62),
+    dict(gap_max=2**63 - 1, gap_mean=1e19),
+    # One chain whose second injection time wraps past 2^63: no record
+    # has a time ``check`` refuses, but it injects before its cause.
+    dict(chains=1, messages=3, root_spread=2**62 - 7,
+         base_latency=2**62 - 100, gap_max=2**62 - 1, gap_mean=2.0**63,
+         fanout_prob=0.0)],
+    ids=["latency-2^62", "gap-2^62", "gap-2^63", "wrapped-time"])
+def test_streamed_file_refuses_what_generate_refuses(tmp_path, fields):
+    """The container writer refuses with ``generate``'s error and leaves
+    the path as it was: no file, or the one that was there."""
+    profile = SynthProfile(**{**dict(num_nodes=64, messages=2000, chains=8),
+                              **fields})
+    with pytest.raises(ValueError) as refused:
+        generate(profile)
+    path, before = _refused_file(tmp_path)
+    for target in (tmp_path / "new.rtrc", path):
+        with pytest.raises(type(refused.value),
+                           match=re.escape(str(refused.value))):
+            generate_to_file(profile, target)
+    assert not (tmp_path / "new.rtrc").exists()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.rtrc"]
 
 
 def test_chunks_with_their_own_kind_tables_land_in_call_order(tmp_path):
