@@ -69,8 +69,9 @@ from repro.onoc.timing import timing_for
 
 __all__ = ["replay_trace_generational", "stream_naive_summary"]
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
 #: Sentinel for "not scheduled"; quarter of int64 min so sums stay negative.
-_NEG = np.iinfo(np.int64).min // 4
+_NEG = _INT64_MIN // 4
 
 
 # --------------------------------------------------------------------------
@@ -125,6 +126,17 @@ def _release_sorted(inj_s: np.ndarray, occ_s: np.ndarray,
     if carry_s is not None:
         x = np.maximum(x, carry_s)
     return _segmented_cummax(x, seg_start) + c_incl
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for ``0 <= keys < bound``, as
+    stable sorts of 16-bit digits, least significant first — NumPy's radix
+    path, one pass per digit."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, max(bound - 1, 1).bit_length(), 16):
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 # --------------------------------------------------------------------------
@@ -185,7 +197,7 @@ class _FifoModel:
         """
         inj = inject[b]
         res = self.res[b]
-        order = np.argsort(res, kind="stable")
+        order = _stable_order(res, self.res_size)
         bs, inj_s, res_s = b[order], inj[order], res[order]
         seg_start = np.empty(len(bs), dtype=bool)
         seg_start[0] = True
@@ -512,7 +524,7 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
     total_bytes = 0
     latency_sum = 0
     max_deliver = 0
-    last_inject = 0
+    last = (0, _INT64_MIN)          # (t_inject, msg_id) of the last served
     for k, chunk in enumerate(tracebin.iter_chunks(path)):
         if not len(chunk):
             continue            # an empty RECORDS block: nothing to serve
@@ -520,25 +532,30 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
         size, inj = chunk.size_bytes, chunk.t_inject
         if onoc.num_nodes <= int(max(src.max(), dst.max())):
             raise ValueError("target network too small for trace endpoints")
-        # The carried channel state is only valid going forward in time
-        # (see ``serve_batch``); order *within* a chunk is the lexsort's job.
-        if int(inj.min()) < last_inject:
+        # The carried channel state is only valid going forward in the
+        # service order (see ``serve_batch``): a chunk's first message in
+        # (inject, msg_id) order must follow the previous chunk's last.
+        order = np.lexsort((mid, inj))
+        head, tail = order[0], order[-1]
+        if (int(inj[head]), int(mid[head])) < last:
             raise ValueError(
-                f"chunk {k} injects at {int(inj.min())}, before the previous "
-                f"chunk's last injection at {last_inject}: streaming replay "
+                f"chunk {k} injects at {int(inj[head])}, before the previous "
+                f"chunk's last injection at {last[0]}: streaming replay "
                 f"needs chunks in inject-time order (load the trace and "
                 f"replay it in memory instead)")
-        last_inject = int(inj.max())
+        last = (int(inj[tail]), int(mid[tail]))
         model = _model_for(timing, mid, src, dst, size)
         state = model.begin(state)
         deliver = np.empty(len(mid), dtype=np.int64)
-        model.serve_batch(np.lexsort((mid, inj)), inj, deliver)
+        model.serve_batch(order, inj, deliver)
+        del order       # not resident while the next chunk decodes
         messages += len(mid)
         total_bytes += int(size.sum())
         latency_sum += int((deliver - inj).sum())
         max_deliver = max(max_deliver, int(deliver.max()))
         if len(marker_causes):
-            hit = np.isin(mid, marker_causes)
+            hit = marker_causes[np.minimum(np.searchsorted(marker_causes, mid),
+                                           len(marker_causes) - 1)] == mid
             for m, d in zip(mid[hit].tolist(), deliver[hit].tolist()):
                 cause_deliveries[m] = d
 

@@ -34,9 +34,12 @@ loader makes ``Trace.validate``'s cross-record checks.  :func:`scan_blocks`
 is the same walk reading no RECORDS or MARKERS payload and tolerating
 truncation.
 
-The varint codec is vectorized (NumPy byte-scatter/gather over at most ten
-passes, the maximum encoded length of a u64), so encode and decode cost is
-a handful of array operations per column rather than per value.
+The varint codec is vectorized, one pass per byte position (at most ten,
+the longest encoding of a u64) with no boolean compress inside a pass: the
+decoder gathers byte ``i`` of every varint at once, zeroes it where the
+varint is shorter and ORs it in (a column of one-byte varints is its own
+bytes); the encoder writes an ``(n, longest)`` byte grid and compresses it
+once.  A value of 2^64 or more is refused as an oversized varint.
 """
 
 from __future__ import annotations
@@ -83,56 +86,63 @@ _VARINT_MAX_LEN = 10
 
 # ----------------------------------------------------------------- varints
 def _encode_varints(values: np.ndarray) -> bytes:
-    """LEB128-encode a uint64 array, vectorized (one pass per output byte)."""
-    v = np.ascontiguousarray(values, dtype=np.uint64)
-    n = len(v)
-    if n == 0:
-        return b""
-    lengths = np.ones(n, dtype=np.int64)
-    tmp = v >> np.uint64(7)
-    while tmp.any():
-        lengths += tmp != 0
-        tmp >>= np.uint64(7)
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    out = np.zeros(int(offsets[-1] + lengths[-1]), dtype=np.uint8)
-    shifted = v.copy()
-    for i in range(int(lengths.max())):
-        live = lengths > i
-        cont = lengths > i + 1
-        out[offsets[live] + i] = (
-            (shifted[live] & np.uint64(0x7F))
-            | (cont[live].astype(np.uint64) << np.uint64(7))
-        ).astype(np.uint8)
-        shifted >>= np.uint64(7)
-    return out.tobytes()
+    """LEB128-encode a uint64 array, vectorized: byte ``i`` of every value
+    is column ``i`` of an ``(n, longest)`` grid, compressed once."""
+    rest = np.ascontiguousarray(values, dtype=np.uint64)
+    lengths = np.ones(len(rest), dtype=np.int64)
+    grid = [(rest & np.uint64(0x7F)).astype(np.uint8)]
+    rest = rest >> np.uint64(7)
+    while (more := rest != 0).any():
+        grid[-1] |= more.view(np.uint8) << np.uint8(7)
+        lengths += more
+        grid.append((rest & np.uint64(0x7F)).astype(np.uint8))
+        rest >>= np.uint64(7)
+    if len(grid) == 1:                  # every value fits in one byte
+        return grid[0].tobytes()
+    grid = np.stack(grid, axis=1)
+    return grid[np.arange(grid.shape[1]) < lengths[:, None]].tobytes()
 
 
 def _decode_varints(data: bytes, count: int, what: str) -> np.ndarray:
-    """Decode exactly ``count`` varints spanning exactly ``data``."""
+    """Decode exactly ``count`` varints spanning exactly ``data``: byte
+    ``i`` of every varint is gathered at once (from the payload bits,
+    zero-padded past the end), zeroed where the varint is shorter and ORed
+    in, one pass per byte position into preallocated arrays; a column of
+    one-byte varints is its own bytes."""
     if count == 0:
         if data:
             raise TraceBinError(f"corrupt trace: trailing bytes in {what}")
         return np.zeros(0, dtype=np.uint64)
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero((buf & 0x80) == 0)
+    if len(buf) == count and int(buf.max()) < 0x80:
+        return buf.astype(np.uint64)
+    ends = np.flatnonzero(buf < 0x80)
     if len(ends) < count:
         raise TraceBinError(f"truncated varint stream in {what}")
     ends = ends[:count]
-    starts = np.empty(count, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    if int(lengths.max()) > _VARINT_MAX_LEN:
+    at = np.empty(count, dtype=np.int64)      # byte i of every varint
+    at[0] = 0
+    np.add(ends[:-1], 1, out=at[1:])
+    longest = int((ends - at).max()) + 1
+    if longest > _VARINT_MAX_LEN:
         raise TraceBinError(f"corrupt trace: oversized varint in {what}")
     if int(ends[-1]) + 1 != len(buf):
         raise TraceBinError(f"corrupt trace: trailing bytes in {what}")
-    vals = np.zeros(count, dtype=np.uint64)
-    for i in range(int(lengths.max())):
-        live = lengths > i
-        vals[live] |= (
-            buf[starts[live] + i].astype(np.uint64) & np.uint64(0x7F)
-        ) << np.uint64(7 * i)
+    # A tenth byte carries bit 63 alone: anything more is >= 2**64.
+    if (longest == _VARINT_MAX_LEN
+            and int(buf[ends[ends - at == 9]].max()) > 1):
+        raise TraceBinError(f"corrupt trace: oversized varint in {what}")
+    low = np.zeros(len(buf) + longest, dtype=np.uint8)
+    np.bitwise_and(buf, 0x7F, out=low[:len(buf)])
+    vals = low[at].astype(np.uint64)
+    byte = np.empty(count, dtype=np.uint8)
+    wide = np.empty(count, dtype=np.uint64)
+    for i in range(1, longest):
+        at += 1
+        np.take(low, at, out=byte)
+        byte *= at <= ends
+        np.left_shift(byte, np.uint64(7 * i), out=wide)
+        vals |= wide
     return vals
 
 
@@ -143,8 +153,8 @@ def _zigzag(a: np.ndarray) -> np.ndarray:
 
 
 def _unzigzag(u: np.ndarray) -> np.ndarray:
-    return (u >> np.uint64(1)).astype(np.int64) ^ -(
-        (u & np.uint64(1)).astype(np.int64))
+    return (u >> np.uint64(1)).view(np.int64) ^ -(
+        (u & np.uint64(1)).view(np.int64))
 
 
 # ---------------------------------------------------------------- columns
@@ -231,7 +241,7 @@ def _decode_columns(payload: bytes, spec: tuple, what: str,
             columns.append(raw)
             continue
         u = _decode_varints(raw, count, name)
-        columns.append(u.astype(np.int64) if coding == "unsigned"
+        columns.append(u.view(np.int64) if coding == "unsigned"
                        else _unzigzag(u) if coding == "signed"
                        else np.cumsum(_unzigzag(u), dtype=np.int64))
     if off != len(payload):
@@ -248,7 +258,7 @@ def _decode_records(payload: bytes, counting: bool):
     columns = _decode_columns(payload, _RECORD_COLUMNS, "RECORDS",
                               [] if counting else _KEPT_AT)
     count = _U32.unpack_from(payload)[0]
-    if any(columns[i] != byte * count
+    if any(columns[i].tobytes() != byte * count
            for i, (_, byte) in zip(_RESERVED_AT, _RESERVED.values())):
         decoded = _decode_columns(payload, _RECORD_COLUMNS, "RECORDS",
                                   [0, *_RESERVED_AT])

@@ -76,7 +76,14 @@ __all__ = [
 
 def _per_unique(rule, values: np.ndarray) -> np.ndarray:
     """Apply the scalar ``rule`` to an int array via a unique-value table
-    (scalar-exact: the same ``math.ceil`` chain as a per-message call)."""
+    (scalar-exact: the same ``math.ceil`` chain as a per-message call) —
+    indexed by value when every value is below the array's length, so no
+    sort is needed, else by ``np.unique``'s inverse."""
+    if len(values) and 0 <= values.min() and values.max() < len(values):
+        uniq = np.flatnonzero(np.bincount(values))
+        table = np.zeros(int(uniq[-1]) + 1, dtype=np.int64)
+        table[uniq] = [rule(v) for v in uniq.tolist()]
+        return table[values]
     uniq, inv = np.unique(values, return_inverse=True)
     table = np.fromiter((rule(int(v)) for v in uniq),
                         dtype=np.int64, count=len(uniq))

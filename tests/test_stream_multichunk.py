@@ -287,6 +287,38 @@ def test_chunks_going_back_in_time_are_refused(tmp_path):
         assert unsorted[key] == summary[key], key
 
 
+def test_a_tie_across_a_chunk_border_is_ordered_by_msg_id(tmp_path):
+    """Both engines serve same-cycle messages by ``msg_id``.  Two messages
+    to node 5 at cycle 10, id 1 in chunk 0 and id 0 in chunk 1, would be
+    served in file order by the carry — one cycle later than the in-memory
+    replay answers — so the stream refuses the container instead."""
+    records = [TraceRecord(
+        msg_id=i, key=(src, 5, "data", i, 0), src=src, dst=5, size_bytes=64,
+        kind="data", t_inject=10, t_deliver=22, cause_id=-1, gap=10)
+        for i, src in ((1, 3), (0, 12))]
+    trace = Trace(records=records, end_markers=[], exec_time=30, meta={})
+    trace.validate()
+    onoc = synth_onoc("crossbar", NODES)
+    result = replay_trace(
+        trace, optical_factory(onoc, 7),
+        TraceConfig(mode=TRACE_NAIVE, engine="generational"))
+    assert result.exec_time_estimate == 19
+    split = tmp_path / "split.rtrc"
+    tracebin.write_file(trace, split, chunk_records=1)
+    with pytest.raises(ValueError,
+                       match="^chunk 1 injects at 10, before the previous "
+                             "chunk's last injection at 10: .*inject-time"):
+        stream_naive_summary(split, onoc)
+    # In one chunk the scan's own sort puts id 0 first.
+    whole = tmp_path / "whole.rtrc"
+    tracebin.write_file(trace, whole)
+    assert stream_naive_summary(whole, onoc)["exec_time_estimate"] == 19
+    # Ids in order across the border: the carry serves them as the replay.
+    trace.records.reverse()
+    tracebin.write_file(trace, split, chunk_records=1)
+    assert stream_naive_summary(split, onoc)["exec_time_estimate"] == 19
+
+
 def _unchecked_record(good: TraceRecord, **fields) -> TraceRecord:
     """``good`` with ``fields`` overwritten *past* ``__post_init__`` — the
     record a foreign writer could put in a container."""
