@@ -1,10 +1,11 @@
 """Shared benchmark infrastructure.
 
-Every benchmark regenerates one table/figure from DESIGN.md's experiment
-index: it runs the experiment once (``benchmark.pedantic(..., rounds=1)`` —
-these are minutes-long simulations, not microbenchmarks), prints the
+``bench_catalogue.py`` regenerates every figure of DESIGN.md's experiment
+index: it runs each experiment once (``benchmark.pedantic(..., rounds=1)``
+— these are minutes-long simulations, not microbenchmarks), prints the
 paper-style table, and persists it under ``benchmarks/results/`` so
-EXPERIMENTS.md can reference the regenerated numbers.
+EXPERIMENTS.md can reference the regenerated numbers.  The standalone
+benches share the argparse and JSON-report helpers below.
 """
 
 from __future__ import annotations
@@ -15,16 +16,9 @@ import pathlib
 
 import pytest
 
-from repro.config import default_16core_config
 from repro.harness import SweepRunner
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def exp_cfg():
-    """The paper-style 16-core configuration used by every experiment."""
-    return default_16core_config().with_seed(7)
 
 
 @pytest.fixture(scope="session")

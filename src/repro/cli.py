@@ -17,7 +17,7 @@ Subcommands::
     submit     submit a job to a running service and print the result
     cache      inspect or clear the sweep result cache
     metrics    pretty-print a metrics JSON written with --metrics-out
-    info       print the resolved configuration (Table-1 style)
+    info       print the resolved configuration (Table 1)
     exp        declarative experiment layer: list the catalog and configs,
                run a catalogue experiment by name or a YAML/JSON config
                (archiving provenance), diff two archives (``--gate`` for CI
@@ -547,20 +547,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    from repro.harness.tables import format_table
+    from repro.harness.tables import config_rows, format_table
 
-    exp = build_experiment(args)
-    print(format_table([
-        {"parameter": "cores", "value": exp.system.num_cores},
-        {"parameter": "baseline NoC",
-         "value": f"{exp.noc.width}x{exp.noc.height} {exp.noc.topology}"},
-        {"parameter": "ONOC",
-         "value": f"{exp.onoc.num_nodes}-node {exp.onoc.topology}, "
-                  f"{exp.onoc.num_wavelengths} λ"},
-        {"parameter": "channel bandwidth",
-         "value": f"{exp.onoc.channel_gbps} Gb/s"},
-        {"parameter": "seed", "value": exp.seed},
-    ], title="Resolved configuration"))
+    print(format_table(config_rows(build_experiment(args)),
+                       title="Table 1: Simulated system configuration"))
     return 0
 
 
@@ -918,7 +908,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="metrics JSON file")
     p.set_defaults(fn=cmd_metrics)
 
-    p = sub.add_parser("info", help="print the resolved configuration")
+    p = sub.add_parser("info", help="print the resolved configuration (Table 1)")
     _add_common(p)
     _add_obs_flags(p)
     p.set_defaults(fn=cmd_info)

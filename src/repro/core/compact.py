@@ -15,8 +15,8 @@ exploiting the dependency graph itself:
 
 Both return a *valid* :class:`~repro.core.trace.Trace` (``validate()`` is
 re-run), so compacted traces flow through every replayer unchanged.  The
-accuracy cost vs compression ratio is measured by
-``benchmarks/bench_fig11_compaction.py``.
+accuracy cost vs compression ratio is the catalogue's ``compaction``
+experiment (Fig. 11, ``benchmarks/experiments/fig11_compaction.yaml``).
 """
 
 from __future__ import annotations

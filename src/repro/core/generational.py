@@ -495,12 +495,12 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
     token's parking node).  Only one record chunk, the backend's O(nodes)
     timing object and that O(resources) state are resident — the RSS that
     ``benchmarks/pipeline`` workload ``synth_stream_300k`` measures against
-    the in-memory replay.  The container is read by the loader's own walk
-    (:func:`~repro.core.tracebin.read_summary`, then
-    :func:`~repro.core.tracebin.iter_chunks`), so what
-    :func:`~repro.core.tracebin.load_trace` refuses block by block — a bad
-    record, a doctored END footer — is refused with the loader's type and
-    text; only ``Trace.validate``'s cross-record checks are out of reach.
+    the in-memory replay.  The loader's own walk reads the container: once
+    seeking over RECORDS for the markers and footer, then as
+    :func:`~repro.core.tracebin.iter_chunks`, one decode per payload; so
+    what :func:`~repro.core.tracebin.load_trace` refuses block by block — a
+    bad record, a doctored END footer — is refused with the loader's type
+    and text; only ``Trace.validate``'s cross-record checks are out of reach.
     Chunks must also follow each other in inject-time order, which
     canonical captures do; a container whose chunks go back in time is
     refused with a ``ValueError`` naming the chunk.
@@ -511,8 +511,9 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
         raise ValueError(
             f"streaming replay has no model for topology {onoc.topology!r}")
     t0 = _walltime.perf_counter()
-    summary = tracebin.read_summary(path)
-    markers = summary["markers"]
+    last, _ = tracebin._fold(tracebin._walk(
+        path, seek=frozenset({tracebin._BLOCK_RECORDS})))
+    markers, footer = last[tracebin._BLOCK_MARKERS], last[tracebin._BLOCK_END]
     marker_causes = np.asarray(
         sorted({m.cause_id for m in markers if m.cause_id != -1}),
         dtype=np.int64)
@@ -569,7 +570,7 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
         "exec_time_estimate": best,
         "mean_latency": (latency_sum / messages) if messages else 0.0,
         "max_deliver": max_deliver,
-        "captured_exec_time": summary["exec_time"],
-        "chunks": summary["chunks"],
+        "captured_exec_time": footer["exec_time"],
+        "chunks": footer["chunks"],
         "wall_clock_s": _walltime.perf_counter() - t0,
     }

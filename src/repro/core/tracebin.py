@@ -28,9 +28,9 @@ Block types:
 
 RECORDS and MARKERS share one count-then-columns codec.  Every reader is a
 fold over one block walk (``_walk``), so framing, JSON-block, per-record
-and footer refusals are made alike by the loader, :func:`read_summary`,
-:func:`iter_chunks` and the streaming replay built on them; only the
-loader makes ``Trace.validate``'s cross-record checks.  :func:`scan_blocks`
+and footer refusals are made alike by the loader, :func:`iter_chunks` and
+the streaming replay built on it; only the loader makes
+``Trace.validate``'s cross-record checks.  :func:`scan_blocks`
 is the same walk reading no RECORDS or MARKERS payload and tolerating
 truncation.
 
@@ -249,14 +249,12 @@ def _decode_columns(payload: bytes, spec: tuple, what: str,
     return columns
 
 
-def _decode_records(payload: bytes, counting: bool):
-    """A RECORDS payload's columns less the reserved ones — or, when
-    ``counting``, only its row count, decoding no column — after refusing
+def _decode_records(payload: bytes) -> list[np.ndarray]:
+    """A RECORDS payload's columns less the reserved ones, after refusing
     a block whose reserved columns hold anything but their one value.
     (Reserved bytes other than the writer's are decoded, with ``msg_id``,
     to name the first record whose value differs, if one does.)"""
-    columns = _decode_columns(payload, _RECORD_COLUMNS, "RECORDS",
-                              [] if counting else _KEPT_AT)
+    columns = _decode_columns(payload, _RECORD_COLUMNS, "RECORDS", _KEPT_AT)
     count = _U32.unpack_from(payload)[0]
     if any(columns[i].tobytes() != byte * count
            for i, (_, byte) in zip(_RESERVED_AT, _RESERVED.values())):
@@ -268,7 +266,7 @@ def _decode_records(payload: bytes, counting: bool):
         if second.any():
             raise TraceBinError(
                 SECOND_TRIGGER.format(id=int(decoded[0][second.argmax()])))
-    return count if counting else [columns[i] for i in _KEPT_AT]
+    return [columns[i] for i in _KEPT_AT]
 
 
 # ------------------------------------------------------------------ writer
@@ -447,7 +445,6 @@ def _json_block(payload: bytes, what: str):
 
 def _walk(source: Union[str, Path, BinaryIO],
           seek: frozenset[int] = frozenset(),
-          count_records: bool = False,
           ) -> Iterator[tuple[int, int, object]]:
     """The container's reading rules, once: yield ``(type, payload_len,
     body)`` for every block of ``source`` (a path or a seekable binary
@@ -458,10 +455,8 @@ def _walk(source: Union[str, Path, BinaryIO],
     :class:`RecordChunk` (first the reserved columns, :data:`SECOND_TRIGGER`;
     then kind indices against the table as of that block, then every
     :class:`TraceRecord` refusal), MARKERS the end markers — except that a
-    type in ``seek`` is seeked over unread (body ``None``), and with
-    ``count_records`` a RECORDS block is checked for its framing and
-    reserved columns only and yields its row count.  No payload is read
-    before its length is checked against the file size.  The footer must
+    type in ``seek`` is seeked over unread (body ``None``).  No payload is
+    read before its length is checked against the file size.  The footer must
     agree with the file on all three counts: RECORDS blocks, and records
     and markers unless their blocks are seeked.  Every refusal is a
     :class:`TraceBinError` or, for a record, the ``ValueError`` building it
@@ -491,35 +486,29 @@ def _walk(source: Union[str, Path, BinaryIO],
             if fp.tell() + length > end:
                 raise TraceBinError(
                     f"truncated trace: unexpected EOF in block type {btype}")
+            if btype == _BLOCK_RECORDS:
+                seen["chunks"] += 1
             if btype in seek:
                 fp.seek(length, 1)
-                body = rows = None
-            elif btype == _BLOCK_RECORDS and count_records:
-                body = rows = _decode_records(fp.read(length), True)
+                body = None
             elif btype == _BLOCK_RECORDS:
-                body = RecordChunk(*_decode_records(fp.read(length), False),
+                body = RecordChunk(*_decode_records(fp.read(length)),
                                    kinds=kinds)
                 body.key_src += body.src
                 body.key_dst += body.dst
                 body.check()
-                rows = len(body)
+                seen["record_count"] += len(body)
             elif btype == _BLOCK_MARKERS:
                 columns = _decode_columns(fp.read(length), _MARKER_COLUMNS,
                                           name)
                 body = [EndMarker(*m) for m in zip(*(c.tolist()
                                                      for c in columns))]
-                rows = len(body)
+                seen["marker_count"] = len(body)
             else:
                 body = _json_block(fp.read(length), name)
                 if btype == _BLOCK_KINDS:
                     body = kinds = kinds + tuple(body)
-            if btype == _BLOCK_RECORDS:
-                seen["chunks"] += 1
-                if rows is not None:
-                    seen["record_count"] += rows
-            elif btype == _BLOCK_MARKERS:
-                seen["marker_count"] = rows
-            elif btype == _BLOCK_END:
+            if btype == _BLOCK_END:
                 for field, n in seen.items():
                     if n is not None and body[field] != n:
                         raise TraceBinError(
@@ -569,37 +558,15 @@ def iter_chunks(source: Union[str, Path, BinaryIO]) -> Iterator[RecordChunk]:
 
     Resident memory is O(chunk): each block is read, decoded into column
     arrays, checked, yielded, and released.  Markers and ``exec_time`` are
-    *not* surfaced here — fetch them first with :func:`read_summary` (which
-    seeks over record payloads), then stream the records.  The walk refuses
-    what the loader refuses block by block, the END footer included (after
-    the last chunk); only :meth:`Trace.validate`'s cross-record checks are
-    left out.
+    *not* surfaced here — fetch them first from a :func:`_walk` that seeks
+    over record payloads, then stream the records.  The walk refuses what
+    the loader refuses block by block, the END footer included (after the
+    last chunk); only :meth:`Trace.validate`'s cross-record checks are left
+    out.
     """
     for btype, _, body in _walk(source):
         if btype == _BLOCK_RECORDS:
             yield body
-
-
-def read_summary(source: Union[str, Path, BinaryIO]) -> dict:
-    """Header/footer scan: meta, markers, counts — without decoding records.
-
-    Of a RECORDS payload only the framing and the two reserved columns are
-    checked; the footer is checked on all three counts.
-    Returns ``{"meta", "kinds", "markers", "exec_time", "record_count",
-    "marker_count", "chunks", "version"}``.
-    """
-    last, counts = _fold(_walk(source, count_records=True))
-    footer = last[_BLOCK_END]
-    return {
-        "meta": last[_BLOCK_META],
-        "kinds": last[_BLOCK_KINDS],
-        "markers": last[_BLOCK_MARKERS],
-        "exec_time": footer["exec_time"],
-        "record_count": footer["record_count"],
-        "marker_count": footer["marker_count"],
-        "chunks": len(counts),
-        "version": VERSION,
-    }
 
 
 def scan_blocks(source: Union[str, Path, BinaryIO]) -> dict:

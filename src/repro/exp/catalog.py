@@ -34,9 +34,10 @@ Metric volatility: metrics matching an experiment's ``volatile`` globs
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.config import (
@@ -152,23 +153,23 @@ _COMMON = (
 def _exp_config(params: dict):
     from repro.harness.builders import experiment_from_params
 
-    return experiment_from_params(
-        cores=params["cores"],
-        seed=params["seed"],
-        wavelengths=params["wavelengths"],
-    )
+    return experiment_from_params(**{name: params[name] for name, *_ in _COMMON})
 
 
-def _per_workload(
-    ref: Union[str, Callable], *kwargs: str
-) -> Callable[[dict], list[SweepTask]]:
-    """A compile emitting ``ref(exp, workload, **{k: params[k]})`` per
-    workload, ``exp`` built from the common parameters."""
+def _tasks(ref: str, *args: str, **kwargs: str) -> Callable[[dict], list[SweepTask]]:
+    """A compile emitting ``ref(exp, *args, **kwargs)``: ``exp`` built from
+    the common parameters, every other argument the parameter it names; a
+    name marked ``*`` names a list parameter, passed one item per task (one
+    task per combination, the first marked name outermost)."""
 
     def compile(params: dict) -> list[SweepTask]:
         exp = _exp_config(params)
-        passed = {k: params[k] for k in kwargs}
-        return [SweepTask.make(ref, exp, wl, **passed) for wl in params["workloads"]]
+        loops = [n for n in (*args, *kwargs.values()) if n[0] == "*"]
+        rows = [{**params, **dict(zip(loops, items))}
+                for items in itertools.product(*(params[n[1:]] for n in loops))]
+        return [SweepTask.make(ref, exp, *(r[n] for n in args),
+                               **{k: r[n] for k, n in kwargs.items()})
+                for r in rows]
 
     return compile
 
@@ -239,10 +240,47 @@ register(
             ("scale", "float", 1.0, None, "workload scale factor"),
             ("engine", "str", ENGINE_EVENT, REPLAY_ENGINES, "replay engine"),
         ),
-        compile=_per_workload(_ACCURACY, "scale", "engine"),
+        compile=_tasks(_ACCURACY, "*workloads", scale="scale", engine="engine"),
         points={"accuracy": _ACCURACY},
         key=("workload",),
         postprocess=_accuracy_post,
+    )
+)
+
+
+# ---------------------------------------------------------------------------
+# architectures (Fig. 12)
+# ---------------------------------------------------------------------------
+def _architectures_compile(params: dict) -> list[SweepTask]:
+    """The accuracy point once per optical topology: the electrical capture
+    reads no ``exp.onoc``, so every task replays the same trace."""
+    exp, kw = _exp_config(params), {k: params[k] for k in ("scale", "engine")}
+    return [SweepTask.make(_ACCURACY, replace(exp, onoc=replace(exp.onoc, topology=t)),
+                           params["workload"], **kw) for t in params["topologies"]]
+
+
+def _architectures_post(params: dict, results: list) -> Rows:
+    return [{"architecture": t, **row} for t, row in zip(params["topologies"], results)]
+
+
+register(
+    BaseExperiment(
+        name="architectures",
+        description="One electrically captured trace replayed onto every "
+        "optical architecture, each against its own execution-driven "
+        "reference (Fig. 12).",
+        schema=specs(
+            ("workload", "str", "radix"),
+            ("topologies", "list[str]",
+             ("crossbar", "swmr_crossbar", "awgr", "circuit_mesh"), ONOC_TOPOLOGIES),
+            *_COMMON,
+            ("scale", "float", 1.0),
+            ("engine", "str", ENGINE_EVENT, REPLAY_ENGINES),
+        ),
+        compile=_architectures_compile,
+        points={"accuracy": _ACCURACY},
+        key=("architecture",),
+        postprocess=_architectures_post,
     )
 )
 
@@ -337,7 +375,7 @@ register(
             *_COMMON,
             ("scale", "float", 1.0),
         ),
-        compile=_per_workload(_CASE_STUDY, "scale"),
+        compile=_tasks(_CASE_STUDY, "*workloads", scale="scale"),
         points={"casestudy": _CASE_STUDY},
         key=("workload",),
     )
@@ -361,7 +399,7 @@ register(
             ("scale", "float", 1.0),
             ("engine", "str", ENGINE_EVENT, REPLAY_ENGINES),
         ),
-        compile=_per_workload(_SIMTIME, "engine", "scale"),
+        compile=_tasks(_SIMTIME, "*workloads", engine="engine", scale="scale"),
         points={"simtime": _SIMTIME},
         key=("workload",),
         volatile=("*",),
@@ -383,7 +421,7 @@ register(
             ("workloads", "list[str]", ("fft", "randshare"), ALL_WORKLOADS),
             *_COMMON,
         ),
-        compile=_per_workload(_POWER),
+        compile=_tasks(_POWER, "*workloads"),
         points={"power": _POWER},
         key=("workload", "network"),
     )
@@ -401,7 +439,7 @@ register(
         description="DSENT-class area of the electrical baseline and every "
         "optical architecture (Table 5).",
         schema=specs(*_COMMON),
-        compile=lambda params: [SweepTask.make(_AREA, _exp_config(params))],
+        compile=_tasks(_AREA),
         points={"area_rows": _AREA},
         key=("network",),
     )
@@ -412,21 +450,6 @@ register(
 # ablation_deps (Fig. 7)
 # ---------------------------------------------------------------------------
 _ABLATION_DEPS = "repro.harness.experiments:ablation_dep_fraction"
-
-
-def _ablation_deps_compile(params: dict) -> list[SweepTask]:
-    exp = _exp_config(params)
-    return [
-        SweepTask.make(
-            _ABLATION_DEPS,
-            exp,
-            params["workload"],
-            params["fractions"],
-            gap_policy=policy,
-            scale=params["scale"],
-        )
-        for policy in params["policies"]
-    ]
 
 
 def _ablation_deps_post(params: dict, results: list) -> Rows:
@@ -452,7 +475,8 @@ register(
             *_COMMON,
             ("scale", "float", 1.0),
         ),
-        compile=_ablation_deps_compile,
+        compile=_tasks(_ABLATION_DEPS, "workload", "fractions",
+                       gap_policy="*policies", scale="scale"),
         points={"ablation_deps": _ABLATION_DEPS},
         key=("kept_deps",),
         postprocess=_ablation_deps_post,
@@ -466,18 +490,6 @@ register(
 _ABLATION_MISMATCH = "repro.harness.experiments:ablation_network_mismatch"
 
 
-def _ablation_mismatch_compile(params: dict) -> list[SweepTask]:
-    exp = _exp_config(params)
-    return [
-        SweepTask.make(
-            _ABLATION_MISMATCH,
-            exp,
-            params["workload"],
-            params["wavelength_counts"],
-        )
-    ]
-
-
 register(
     BaseExperiment(
         name="ablation_mismatch",
@@ -488,7 +500,7 @@ register(
             ("wavelength_counts", "list[int]", (4, 16, 64, 256)),
             *_COMMON,
         ),
-        compile=_ablation_mismatch_compile,
+        compile=_tasks(_ABLATION_MISMATCH, "workload", "wavelength_counts"),
         points={"ablation_mismatch": _ABLATION_MISMATCH},
         key=("wavelengths",),
     )
@@ -541,15 +553,6 @@ register(
 _SEED_ACCURACY = "repro.harness.experiments:seed_accuracy_point"
 
 
-def _seed_sensitivity_compile(params: dict) -> list[SweepTask]:
-    exp = _exp_config(params)
-    return [
-        SweepTask.make(_SEED_ACCURACY, exp, wl, seed)
-        for wl in params["workloads"]
-        for seed in params["seeds"]
-    ]
-
-
 def _seed_sensitivity_post(params: dict, results: list) -> Rows:
     """Mean and max of each mode's error over the seeds, per workload."""
     rows = []
@@ -581,7 +584,7 @@ register(
             ("seeds", "list[int]", (7, 11, 23)),
             *_COMMON,
         ),
-        compile=_seed_sensitivity_compile,
+        compile=_tasks(_SEED_ACCURACY, "*workloads", "*seeds"),
         points={"seed_accuracy_point": _SEED_ACCURACY},
         key=("workload",),
         postprocess=_seed_sensitivity_post,
@@ -605,7 +608,7 @@ register(
             ("max_iterations", "int", 8),
             *_COMMON,
         ),
-        compile=_per_workload(_CONVERGENCE, "max_iterations"),
+        compile=_tasks(_CONVERGENCE, "*workloads", max_iterations="max_iterations"),
         points={"convergence": _CONVERGENCE},
         key=("workload", "iteration"),
         volatile=("*.wall_clock_s",),
@@ -617,24 +620,6 @@ register(
 # resilience (degradation mitigation)
 # ---------------------------------------------------------------------------
 _RESILIENCE = "repro.harness.experiments:resilience_point"
-
-
-def _resilience_compile(params: dict) -> list[SweepTask]:
-    exp = _exp_config(params)
-    return [
-        SweepTask.make(
-            _RESILIENCE,
-            exp,
-            wl,
-            params["degrade"],
-            params["intensity"],
-            mitigation,
-            scale=params["scale"],
-            engine=params["engine"],
-        )
-        for wl in params["workloads"]
-        for mitigation in params["mitigations"]
-    ]
 
 
 def _resilience_post(params: dict, results: list) -> Rows:
@@ -675,7 +660,8 @@ register(
             ("scale", "float", 0.25),
             ("engine", "str", ENGINE_EVENT, REPLAY_ENGINES),
         ),
-        compile=_resilience_compile,
+        compile=_tasks(_RESILIENCE, "*workloads", "degrade", "intensity",
+                       "*mitigations", scale="scale", engine="engine"),
         points={"resilience_point": _RESILIENCE},
         key=("workload", "mitigation"),
         postprocess=_resilience_post,
@@ -797,7 +783,7 @@ register(
             ),
             *_COMMON,
         ),
-        compile=_per_workload(_LATENCY_FIDELITY),
+        compile=_tasks(_LATENCY_FIDELITY, "*workloads"),
         points={"latency_fidelity": _LATENCY_FIDELITY},
         key=("workload", "mode"),
     )
@@ -850,5 +836,53 @@ register(
         points={"synth_scalability_point": _SYNTH_SCALABILITY},
         key=("topology", "nodes"),
         volatile=("*.replay_wall_s", "*.msgs_per_s"),
+    )
+)
+
+
+# ---------------------------------------------------------------------------
+# hybrid (Fig. 10)
+# ---------------------------------------------------------------------------
+_HYBRID = "repro.harness.experiments:hybrid_point"
+
+register(
+    BaseExperiment(
+        name="hybrid",
+        description="Path-adaptive opto-electronic hybrid swept over its "
+        "distance threshold: execution time, optical traffic share and "
+        "energy, and the self-correcting replay error onto each hybrid "
+        "(Fig. 10).",
+        schema=specs(
+            ("workload", "str", "fft"),
+            ("thresholds", "list[int]", (0, 2, 3, 4, 7)),
+            *_COMMON,
+            ("scale", "float", 1.0),
+        ),
+        compile=_tasks(_HYBRID, "workload", "*thresholds", scale="scale"),
+        points={"hybrid": _HYBRID},
+        key=("threshold",),
+    )
+)
+
+
+# ---------------------------------------------------------------------------
+# compaction (Fig. 11)
+# ---------------------------------------------------------------------------
+_COMPACTION = "repro.harness.experiments:compaction_rows"
+
+register(
+    BaseExperiment(
+        name="compaction",
+        description="Trace compaction vs replay accuracy: leaf control "
+        "messages dropped, leaf bursts coalesced per window (Fig. 11).",
+        schema=specs(
+            ("workload", "str", "radix"),
+            ("windows", "list[int]", (16, 128)),
+            *_COMMON,
+            ("scale", "float", 1.0),
+        ),
+        compile=_tasks(_COMPACTION, "workload", "windows", scale="scale"),
+        points={"compaction": _COMPACTION},
+        key=("variant",),
     )
 )

@@ -19,14 +19,19 @@ from repro.config import (
     TraceConfig,
 )
 from repro.core import IterativeRefiner, compare_to_reference, replay_trace
+from repro.core import TraceCapture, coalesce_leaves, filter_leaf_control
+from repro.engine import Simulator
 from repro.harness.builders import (
+    MAX_EXEC_CYCLES,
     experiment_from_params,
     make_electrical,
     make_optical,
     optical_factory,
     run_execution_driven,
 )
+from repro.onoc import HybridConfig, HybridNetwork
 from repro.power import electrical_energy_report, optical_energy_report
+from repro.system import FullSystem, build_workload
 from repro.traffic import SyntheticTrafficGenerator
 
 
@@ -413,4 +418,53 @@ def ablation_network_mismatch(
         rows.append({"wavelengths": wl_count,
                      "naive_err_%": round(naive.exec_time_error_pct, 2),
                      "selfcorr_err_%": round(sc.exec_time_error_pct, 2)})
+    return rows
+
+
+# --------------------------------------------------------------- Fig. 10
+def hybrid_point(exp: ExperimentConfig, workload: str, threshold: int,
+                 scale: float = 1.0) -> dict:
+    """One Fig. 10 row: ``workload`` executed on the path-adaptive hybrid (a
+    message whose mesh route is ``threshold`` hops or more rides the ONOC),
+    and the electrical capture replayed self-correcting onto that hybrid."""
+    cfg = HybridConfig(noc=exp.noc, onoc=exp.onoc, optical_threshold=threshold)
+
+    def factory():
+        sim = Simulator(seed=exp.seed)
+        return sim, HybridNetwork(sim, cfg)
+
+    (sim, net), cap = factory(), TraceCapture()
+    programs = build_workload(workload, exp.system.num_cores, exp.seed, scale)
+    t = FullSystem(sim, exp.system, net, programs, capture=cap).run(
+        max_cycles=MAX_EXEC_CYCLES).exec_time_cycles
+    _, trace, _ = run_execution_driven(exp, workload, scale=scale)
+    rep = compare_to_reference(replay_trace(trace, factory), cap.finalize())
+    energy = (electrical_energy_report(net.electrical, t).total_energy_uj
+              + optical_energy_report(net.optical, t).total_energy_uj)
+    return {"threshold": threshold, "exec_time": t,
+            "optical_frac_%": round(100 * net.optical_fraction, 1),
+            "avg_latency": round(net.stats.latency.mean, 1),
+            "energy_uj": round(energy, 3),
+            "selfcorr_err_%": round(rep.exec_time_error_pct, 2)}
+
+
+# --------------------------------------------------------------- Fig. 11
+def compaction_rows(exp: ExperimentConfig, workload: str,
+                    windows: Sequence[int], scale: float = 1.0) -> list[dict]:
+    """Trace compaction vs replay accuracy, one Fig. 11 row per variant:
+    the capture as is, its leaf control messages dropped, and its leaf
+    bursts coalesced per window, each replayed self-correcting against the
+    execution-driven ONOC reference."""
+    trace, _, _, ref_trace, factory = _capture_and_reference(exp, workload, scale)
+    variants = [("uncompacted", trace, None),
+                ("filter_leaf_control", *filter_leaf_control(trace)),
+                *((f"coalesce(w={w})", *coalesce_leaves(trace, window=w))
+                  for w in windows)]
+    rows = []
+    for name, variant, stats in variants:
+        rep = compare_to_reference(replay_trace(variant, factory), ref_trace)
+        rows.append({"variant": name, "records": len(variant),
+                     "record_ratio": round(stats.record_ratio, 4) if stats else 1.0,
+                     "byte_ratio": round(stats.byte_ratio, 4) if stats else 1.0,
+                     "exec_err_%": round(rep.exec_time_error_pct, 2)})
     return rows

@@ -89,9 +89,10 @@ def test_scalability_compiles_to_legacy_tasks(tmp_path):
 
 
 # ------------------------------------------------------- serve whitelist
-#: The hand-written whitelist as of the last commit that kept one (PR 13):
-#: wire clients and cached content keys depend on every pair.
-OPERATIONS_AT_PR13 = {
+#: A literal copy of the whitelist (the hand-written one, then every point
+#: alias registered since): wire clients and cached content keys depend on
+#: every pair.
+OPERATIONS = {
     "echo": "repro.serve.ops:echo",
     "resolve_config": "repro.serve.ops:resolve_config",
     "scenario": "repro.validate.scenario:run_scenario",
@@ -111,6 +112,8 @@ OPERATIONS_AT_PR13 = {
     "area_rows": "repro.harness.experiments:area_rows",
     "resilience_point": "repro.harness.experiments:resilience_point",
     "synth_scalability_point": "repro.synth.experiment:synth_scalability_point",
+    "hybrid": "repro.harness.experiments:hybrid_point",
+    "compaction": "repro.harness.experiments:compaction_rows",
 }
 
 
@@ -118,7 +121,7 @@ def test_every_checked_in_config_compiles_to_whitelisted_tasks():
     """The whitelist is derived from the catalogue's ``points``; this is the
     guard that a registration's points cover what its compile emits."""
     operations = SimulationServer(port=0).operations
-    assert OPERATIONS_AT_PR13.items() <= operations.items()
+    assert OPERATIONS.items() <= operations.items()
     admitted = set(operations.values())
     configs = discover_configs("benchmarks/experiments")
     assert len(configs) >= 36

@@ -79,6 +79,28 @@ def check_ablation_mismatch(rows):
         assert r["selfcorr_err_%"] <= r["naive_err_%"] + 1.0
 
 
+def check_hybrid(rows):
+    pure_optical, pure_electrical = rows
+    assert pure_optical["optical_frac_%"] == 100.0
+    assert pure_electrical["optical_frac_%"] == 0.0
+    assert all(r["exec_time"] > 0 and r["energy_uj"] > 0 for r in rows)
+    assert all(r["selfcorr_err_%"] >= 0 for r in rows)
+
+
+def check_compaction(rows):
+    assert [r["variant"] for r in rows] == [
+        "uncompacted", "filter_leaf_control", "coalesce(w=16)"]
+    assert rows[0]["records"] >= rows[1]["records"]
+    assert all(r["record_ratio"] <= 1.0 for r in rows)
+
+
+def check_architectures(rows):
+    assert [r["architecture"] for r in rows] == ["awgr", "circuit_mesh"]
+    # One trace replayed onto both: the same message count.
+    assert rows[0]["messages"] == rows[1]["messages"] > 0
+    assert all(r["selfcorr_err_%"] <= r["naive_err_%"] + 1.0 for r in rows)
+
+
 #: name -> (parameter overrides on the schema defaults, check or None).
 CASES = {
     "accuracy": ({**SMALL, "workloads": ["randshare"], "scale": 0.5},
@@ -114,6 +136,14 @@ CASES = {
     "fault_matrix": (
         {"cores": 4, "families": ["drop_deps"], "severities": [0.0, 0.5]},
         None),
+    "hybrid": ({**SMALL, "workload": "prodcons", "thresholds": [0, 3],
+                "scale": 0.5}, check_hybrid),
+    "compaction": ({**SMALL, "workload": "randshare", "windows": [16],
+                    "scale": 0.5}, check_compaction),
+    "architectures": (
+        {**SMALL, "workload": "randshare",
+         "topologies": ["awgr", "circuit_mesh"], "scale": 0.5},
+        check_architectures),
     "scalability_synth": (
         {"node_counts": [16], "topologies": ["crossbar", "circuit_mesh"],
          "messages": 400},

@@ -382,10 +382,9 @@ def test_records_the_loader_refuses_are_refused(tmp_path, topology, fields):
 
 LOADING_READERS = pytest.mark.parametrize("reader", [
     lambda path: tracebin.loads(path.read_bytes()),
-    tracebin.read_summary,
     lambda path: list(tracebin.iter_chunks(path)),
     lambda path: stream_naive_summary(path, synth_onoc("crossbar", NODES)),
-], ids=["loads", "read_summary", "iter_chunks", "stream_naive_summary"])
+], ids=["loads", "iter_chunks", "stream_naive_summary"])
 
 
 @LOADING_READERS
@@ -395,8 +394,7 @@ def test_a_second_trigger_is_refused_by_every_loading_reader(
         tmp_path, reader, column, value):
     """A container's two reserved RECORDS columns hold -1 / 0.  Any other
     value is one typed refusal of the shared block walk, so every loading
-    reader makes it alike — the summary too, which decodes no column but
-    those and ``msg_id``."""
+    reader makes it alike."""
     path = tmp_path / "second-trigger.rtrc"
     _write_with_bad_record(path, **{column: value})
     with pytest.raises(tracebin.TraceBinError) as refused:
@@ -418,6 +416,20 @@ def test_every_loading_reader_checks_the_end_footer(tmp_path, field, reader):
         blob, 5, json.dumps(footer, sort_keys=True).encode()))
     with pytest.raises(tracebin.TraceBinError, match="END footer"):
         reader(path)
+
+
+def test_the_stream_decodes_each_records_payload_once(tmp_path, monkeypatch):
+    """The stream reads the markers and the footer from a walk that seeks
+    over every RECORDS payload, so a pass decodes each payload once: in
+    the chunk it replays."""
+    path = tmp_path / "three.rtrc"
+    tracebin.write_file(_hot_destination_trace(600), path, chunk_records=200)
+    calls = []
+    decode = tracebin._decode_records
+    monkeypatch.setattr(tracebin, "_decode_records",
+                        lambda *args: calls.append(1) or decode(*args))
+    summary = stream_naive_summary(path, synth_onoc("crossbar", NODES))
+    assert summary["chunks"] == len(calls) == 3
 
 
 def test_negative_endpoints_never_reach_a_container(tmp_path):
@@ -465,7 +477,7 @@ def test_empty_records_block_is_skipped_by_the_stream(tmp_path, topology,
     path = tmp_path / "holes.rtrc"
     path.write_bytes(_with_empty_blocks(
         tracebin.dumps(trace, chunk_records=200), where))
-    assert tracebin.read_summary(path)["chunks"] == 3 + len(where)
+    assert tracebin.scan_blocks(path)["footer"]["chunks"] == 3 + len(where)
     assert [len(c) for c in tracebin.iter_chunks(path)].count(0) == len(where)
     loaded = tracebin.load_trace(path)
     assert loaded.records == trace.records
@@ -491,7 +503,7 @@ def test_a_container_of_only_empty_blocks_is_an_empty_trace(tmp_path, engine,
     empty = Trace(records=[], end_markers=[], exec_time=0, meta={})
     path = tmp_path / "empty.rtrc"
     path.write_bytes(_with_empty_blocks(tracebin.dumps(empty), {0}))
-    assert tracebin.read_summary(path)["chunks"] == 1
+    assert tracebin.scan_blocks(path)["footer"]["chunks"] == 1
     loaded = tracebin.load_trace(path)
     assert len(loaded) == 0 and loaded.records == []
     onoc = synth_onoc("crossbar", NODES)

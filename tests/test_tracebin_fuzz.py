@@ -8,9 +8,10 @@ under a fixed, derandomized example budget, and checks three properties:
 
 1. every reader returns or raises ``TraceBinError`` / ``ValueError``,
    nothing else;
-2. if ``loads`` accepts, ``read_summary`` and ``iter_chunks`` accept and
-   agree with it on counts and columns (and ``scan_blocks`` sees a whole
-   container);
+2. if ``loads`` accepts, the streaming replay's two walks (the header
+   walk that seeks over every RECORDS payload, then ``iter_chunks``) accept
+   and agree with it on counts, markers and columns (and ``scan_blocks``
+   sees a whole container);
 3. if those two accept, ``loads`` accepts or refuses exactly as
    ``Trace.validate`` refuses the trace they read — the cross-record
    checks no out-of-core reader can make.
@@ -130,30 +131,33 @@ def test_damaged_containers_are_refused_alike(scratch, blob):
     scratch.write_bytes(blob)
     onoc = synth_onoc("crossbar", 4)
     trace, refusal = _outcome(lambda: tracebin.loads(blob))
-    summary, _ = _outcome(lambda: tracebin.read_summary(io.BytesIO(blob)))
+    head, _ = _outcome(lambda: tracebin._fold(tracebin._walk(
+        io.BytesIO(blob), seek=frozenset({tracebin._BLOCK_RECORDS})))[0])
     chunks, _ = _outcome(lambda: list(tracebin.iter_chunks(io.BytesIO(blob))))
     scan, _ = _outcome(lambda: tracebin.scan_blocks(io.BytesIO(blob)))
     _outcome(lambda: tracebin.trace_info(scratch))
     _outcome(lambda: stream_naive_summary(scratch, onoc))
 
     if trace is not None:                                       # property 2
-        assert summary is not None and chunks is not None
+        assert head is not None and chunks is not None
         assert scan is not None and not scan["truncated"]
-        assert summary["record_count"] == len(trace) == sum(map(len, chunks))
-        assert summary["chunks"] == len(chunks) == scan["footer"]["chunks"]
-        assert summary["markers"] == trace.end_markers
-        assert summary["marker_count"] == len(trace.end_markers)
-        assert summary["exec_time"] == trace.exec_time
-        assert summary["meta"] == trace.meta == scan["meta"]
-        assert summary["kinds"] == trace.chunk.kinds
-        streamed = RecordChunk.concat(chunks, summary["kinds"])
+        footer, kinds = head[tracebin._BLOCK_END], head[tracebin._BLOCK_KINDS]
+        assert footer["record_count"] == len(trace) == sum(map(len, chunks))
+        assert footer["chunks"] == len(chunks) == scan["footer"]["chunks"]
+        assert head[tracebin._BLOCK_MARKERS] == trace.end_markers
+        assert footer["marker_count"] == len(trace.end_markers)
+        assert footer["exec_time"] == trace.exec_time
+        assert head[tracebin._BLOCK_META] == trace.meta == scan["meta"]
+        assert kinds == trace.chunk.kinds
+        streamed = RecordChunk.concat(chunks, kinds)
         for name in COLUMNS:
             assert np.array_equal(getattr(streamed, name),
                                   getattr(trace.chunk, name)), name
-    elif summary is not None and chunks is not None:            # property 3
+    elif head is not None and chunks is not None:               # property 3
         rebuilt = Trace.from_chunk(
-            RecordChunk.concat(chunks, summary["kinds"]), summary["markers"],
-            summary["exec_time"], summary["meta"])
+            RecordChunk.concat(chunks, head[tracebin._BLOCK_KINDS]),
+            head[tracebin._BLOCK_MARKERS], head[tracebin._BLOCK_END]["exec_time"],
+            head[tracebin._BLOCK_META])
         with pytest.raises(ValueError) as again:
             rebuilt.validate()
         assert type(again.value) is type(refusal)

@@ -195,7 +195,7 @@ def test_trace_info_tolerates_truncation_after_meta(tmp_path):
     with pytest.raises(TraceBinError, match="missing END"):
         Trace.from_binary(blob[:cut])
     with pytest.raises(TraceBinError):
-        tracebin.read_summary(path)
+        list(tracebin.iter_chunks(path))
 
 
 def test_trace_info_tolerates_mid_block_truncation(tmp_path):
@@ -256,9 +256,9 @@ def test_trace_info_refuses_a_wrong_chunk_count(tmp_path):
 
 @pytest.mark.parametrize("reader", [
     tracebin.loads,
-    lambda blob: tracebin.read_summary(io.BytesIO(blob)),
+    lambda blob: list(tracebin.iter_chunks(io.BytesIO(blob))),
     lambda blob: tracebin.scan_blocks(io.BytesIO(blob)),
-], ids=["loads", "read_summary", "scan_blocks"])
+], ids=["loads", "iter_chunks", "scan_blocks"])
 @pytest.mark.parametrize("block_type,payload", [
     (_END, b"[]"),
     (_END, b'{"record_count": 2, "marker_count": 2, "chunks": 1}'),
