@@ -496,8 +496,8 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
     timing object and that O(resources) state are resident — the RSS that
     ``benchmarks/pipeline`` workload ``synth_stream_300k`` measures against
     the in-memory replay.  The loader's own walk reads the container: once
-    seeking over RECORDS for the markers and footer, then as
-    :func:`~repro.core.tracebin.iter_chunks`, one decode per payload; so
+    seeking over RECORDS for the markers and footer, then over MARKERS for
+    the chunks, one decode per payload; so
     what :func:`~repro.core.tracebin.load_trace` refuses block by block — a
     bad record, a doctored END footer — is refused with the loader's type
     and text; only ``Trace.validate``'s cross-record checks are out of reach.
@@ -526,7 +526,9 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
     latency_sum = 0
     max_deliver = 0
     last = (0, _INT64_MIN)          # (t_inject, msg_id) of the last served
-    for k, chunk in enumerate(tracebin.iter_chunks(path)):
+    walk = tracebin._walk(path, seek=frozenset({tracebin._BLOCK_MARKERS}))
+    for k, chunk in enumerate(
+            b for t, _, b in walk if t == tracebin._BLOCK_RECORDS):
         if not len(chunk):
             continue            # an empty RECORDS block: nothing to serve
         mid, src, dst = chunk.msg_id, chunk.src, chunk.dst

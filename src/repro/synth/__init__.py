@@ -8,9 +8,9 @@ tunable fan-out, compute-gap distributions, and sharing patterns (reusing
 :func:`fit_profile` and emitted either in memory (:func:`generate`) or
 straight into the chunked binary container (:func:`generate_to_file`) so
 million-message traces never fully materialize.  The generator computes
-chains' records in NumPy blocks, a calendar merge orders them, and it
-writes column chunks, not records: resident state is O(chains x the step
-spread between the slowest and the fastest chain + one chunk), and
+chains' records in NumPy blocks, a merge ranks each block's final ones at
+once, and it writes column chunks, not records: resident state is O(chains
+x the step spread between the slowest and the fastest chain + one chunk), and
 :func:`iter_records` decodes those chunks for callers that want records.
 
 Quality gates: ``tests/test_synth_properties.py`` (byte-determinism, the

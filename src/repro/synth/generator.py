@@ -1,11 +1,11 @@
-"""Streaming synthetic trace generator (block-computed, calendar-merged).
+"""Streaming synthetic trace generator (block-computed, rank-merged).
 
 The generator turns a :class:`~repro.synth.profile.SynthProfile` into a
 valid dependency-annotated trace of any size without ever holding the
 trace in memory: each chain is an independent sequential process whose
 next injection time is always known (last delivery + a drawn gap), so a
-calendar merge across chains emits records *already in canonical
-``(t_inject, msg_id)`` order* — exactly what the streaming readers and
+merge across chains emits records *already in canonical ``(t_inject,
+msg_id)`` order* — exactly what the streaming readers and
 ``stream_naive_summary`` assume.
 
 Determinism: every random decision is a pure splitmix64 hash of
@@ -19,12 +19,12 @@ what ``integers(0, n)`` / ``random()`` calls would have returned.
 
 Nothing about a chain's own records depends on the merge, so
 :class:`_Decisions` computes them in NumPy blocks of all chains x
-``span`` steps, and the merge — the only per-record Python — decides the
-order and nothing else.  Each chunk's columns are gathered into a
-:class:`~repro.core.trace.RecordChunk`: no ``TraceRecord`` exists
-between hash and file.  Resident state is O(chains x live step spread +
-pending children + nodes + one chunk), never the trace
-(``benchmarks/bench_scale.py`` gates the generator's peak RSS).
+``span`` steps, and after each block the merge sorts, in NumPy, every
+pending record that injects before all chains' next steps (:func:`_rank`).
+No ``TraceRecord`` exists between hash and file.  Resident state is
+O(chains x the step spread between the slowest and the fastest chain +
+nodes + one chunk), never the trace (``benchmarks/bench_scale.py`` gates
+the generator's peak RSS).
 
 Capture invariants hold by construction: roots carry ``gap ==
 t_inject``, every dependent injects at exactly ``cause.t_deliver + gap``
@@ -34,8 +34,7 @@ the end markers chain to the last delivery per node.
 
 from __future__ import annotations
 
-import array
-import heapq
+import itertools
 import math
 import os
 import time
@@ -52,7 +51,7 @@ from repro.synth.profile import SynthProfile
 from repro.traffic.patterns import PATTERNS
 
 #: Upper bound on the (chain, step) cells hashed ahead in one block.
-_BLOCK_CELLS = 16384
+_BLOCK_CELLS = 32768
 
 #: A fan-out child is a fixed-size control message.
 _CTRL_BYTES = 64
@@ -258,15 +257,16 @@ def _draw_gaps(profile: SynthProfile, units) -> np.ndarray:
     return gaps
 
 
+def _capped(t: np.ndarray) -> np.ndarray:
+    """``t``, or 2^62 where it is 2^62 or more or has wrapped below 0."""
+    return np.where((t >= 0) & (t < 1 << 62), t, 1 << 62)
+
+
 def _size_thresholds(profile: SynthProfile) -> tuple[np.ndarray, np.ndarray]:
     """``(cumulative shares, sizes)`` of ``size_mix``, in its order."""
     total = sum(w for _, w in profile.size_mix)
-    acc = 0.0
-    shares = []
-    for _, weight in profile.size_mix:
-        acc += weight / total
-        shares.append(acc)
-    return np.array(shares), np.array([s for s, _ in profile.size_mix])
+    return (np.cumsum([w / total for _, w in profile.size_mix]),  # in order
+            np.array([s for s, _ in profile.size_mix]))
 
 
 def _draw_size(thresholds: tuple[np.ndarray, np.ndarray],
@@ -292,24 +292,20 @@ def _away(dst, src, n: int):
 class _Decisions:
     """Every chain's records, a block of steps at a time.
 
-    Block ``b`` is steps ``[b * span, (b + 1) * span)`` of all chains,
-    step-major (chain ``c`` at step ``s`` is cell ``s * chains + c``).
-    ``enter(b)`` appends the merge's per-cell times (the chain's next
-    injection; its fan-out child's, or 0) to ``next_t`` / ``kid_t`` and
-    keeps both records' columns for :meth:`chunk` to gather from;
-    :meth:`drop` frees the oldest ``live`` blocks (cells from ``first``
-    on).  ``span`` covers twice the trace's cells, up to
-    :data:`_BLOCK_CELLS`, so a short trace's chains rarely outrun one block.
-    """
+    Block ``b`` is steps ``[b * span, (b + 1) * span)`` of all chains.
+    ``enter(b)`` appends its chain records, then its fan-out children, to
+    :attr:`pending`, one column per record: ``(src, dst, size, t_inject,
+    gap, is_child, chain, step, cause)``, a child holding its parent's step
+    and, once the merge has emitted the parent, its msg_id as ``cause``.
+    ``span`` covers twice the trace's cells, up to :data:`_BLOCK_CELLS`,
+    so a short trace's chains rarely outrun one block."""
 
     def __init__(self, profile: SynthProfile, scale: float,
                  seed: int) -> None:
         self.n_messages = profile.scaled_messages(scale)
         self.chains = chains = min(profile.chains, self.n_messages)
         self.span = max(1, min(_BLOCK_CELLS, 2 * self.n_messages) // chains)
-        self.live, self.first = range(0), 0
-        self.next_t, self.kid_t = array.array("q"), array.array("q")
-        self._blocks: list[tuple[int, np.ndarray]] = []  # last t, columns
+        self.pending = np.empty((9, 0), np.int64)
         self._profile = profile
         self._sizes = _size_thresholds(profile)
         n = profile.num_nodes
@@ -321,8 +317,8 @@ class _Decisions:
             np.uint64)[:, None], index)
         self._prefix = prefix[:4, :, None]
         # Per chain: next injection, its gap (a root's: its t_inject), src.
-        self._t = self._gap = (prefix[4] % profile.root_spread).astype(
-            np.int64)
+        self._gap = (prefix[4] % profile.root_spread).astype(np.int64)
+        self._t = _capped(self._gap)
         self._src = (prefix[5] % n).astype(np.int64)
         # A chain's PCG64 serves only these patterns' draws; under any other
         # pattern a destination is a function of its source.
@@ -335,32 +331,31 @@ class _Decisions:
             self._next = _away(np.array([pattern(v, n, None)
                                          for v in range(n)]), np.arange(n), n)
 
-    def enter(self, block: int) -> int:
-        """Compute ``block``, the one after ``live``; return its end cell."""
+    def enter(self, block: int) -> None:
+        """Compute ``block``, the one after the last entered."""
         profile, span = self._profile, self.span
         steps = np.arange(block * span, (block + 1) * span, dtype=np.uint64)
         units = _unit(self._prefix, steps)
         size = _draw_size(self._sizes, units[0])
         fan = units[1] < profile.fanout_prob
         fan_gap, gap = _draw_gaps(profile, units[2:])
-        fan_gap = np.where(fan, fan_gap, 0)
-        delivered = _latency(profile, size)
-        next_t = self._t[:, None] + np.cumsum(delivered + gap, axis=1)
-        t = next_t - delivered - gap
-        kid_t = np.where(fan, t + delivered + fan_gap, 0)
+        # A chain's times stop at 2^62, past every window, from the first
+        # that large on; capped parts let a sum wrap once at most, below 0.
+        latency = _capped(_latency(profile, size))
+        next_t = self._t[:, None] + np.cumsum(latency + _capped(gap), axis=1)
+        next_t[~np.logical_and.accumulate(_capped(next_t) == next_t, 1)] = (
+            1 << 62)
+        t = np.concatenate((self._t[:, None], next_t[:, :-1]), axis=1)
         src, dst, third = self._destinations(fan)
         carried = np.concatenate((self._gap[:, None], gap[:, :-1]), axis=1)
         self._t, self._gap, self._src = next_t[:, -1], gap[:, -1], dst[:, -1]
-
-        # A chain record's columns, then its fan-out child's.
-        table = np.stack((src, dst, size, t, carried, dst, third,
-                          np.full_like(size, _CTRL_BYTES), kid_t, fan_gap)
-                         ).transpose(0, 2, 1).reshape(10, -1)
-        self._blocks.append((int(max(t.max(), kid_t.max())), table))
-        self.next_t.frombytes(next_t.T.tobytes())
-        self.kid_t.frombytes(kid_t.T.tobytes())
-        self.live = range(self.live.start, block + 1)
-        return (block + 1) * span * self.chains
+        chain, step = np.arange(self.chains)[:, None], steps.astype(np.int64)
+        kid_t = _capped(t + latency + _capped(fan_gap))
+        cells = np.stack(np.broadcast_arrays(
+            src, dst, size, t, carried, 0, chain, step, -1)).reshape(9, -1)
+        kids = np.stack([np.broadcast_to(v, fan.shape)[fan] for v in (
+            dst, third, _CTRL_BYTES, kid_t, fan_gap, 1, chain, step, -1)])
+        self.pending = np.concatenate((self.pending, cells, kids), axis=1)
 
     def _destinations(self, fan: np.ndarray):
         """``(src, dst, third)`` per cell: a source is its chain's previous
@@ -392,38 +387,6 @@ class _Decisions:
     def _sources(self, dst: np.ndarray) -> np.ndarray:
         return np.concatenate((self._src[:, None], dst[:, :-1]), axis=1)
 
-    def drop(self, t: int) -> int:
-        """Free the oldest blocks whose records all inject before ``t``
-        (the caller has flushed every such record); return ``first``."""
-        cells = self.span * self.chains
-        while self._blocks and self._blocks[0][0] < t:
-            del self._blocks[0], self.next_t[:cells], self.kid_t[:cells]
-            self.live = self.live[1:]
-            self.first += cells
-        return self.first
-
-    def chunk(self, pairs: list[int], first: int) -> RecordChunk:
-        """Records ``first, first + 1, ...`` from the merge's flat ``(cell,
-        cause_id)`` pairs (a fan-out child's cell is ``~`` its parent's); a
-        synthetic message's semantic key is ``(src, dst, kind, msg_id, 0)``."""
-        cell, cause_id = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        kid = cell < 0
-        at = np.where(kid, ~cell, cell) - self.first
-        cols = np.empty((10, len(at)), dtype=np.int64)
-        for b, (_, table) in enumerate(self._blocks):
-            mine = at // table.shape[1] == b
-            cols[:, mine] = table.take(at[mine] - b * table.shape[1], 1)
-        src, dst, size, t, gap = np.where(kid, cols[5:], cols[:5])
-        kind = kid.astype(np.int64)
-        msg_id = np.arange(first, first + len(src), dtype=np.int64)
-        return RecordChunk(
-            msg_id=msg_id, src=src, dst=dst, size_bytes=size, kind_idx=kind,
-            t_inject=t, latency=_latency(self._profile, size),
-            cause_id=np.ascontiguousarray(cause_id),
-            gap=gap, key_src=src, key_dst=dst,
-            key_kind_idx=kind, key_line=msg_id,
-            key_occ=np.zeros(len(src), dtype=np.int64), kinds=_KINDS)
-
 
 def _iter_chunks(profile: SynthProfile, scale: float, seed: int,
                  chunk_records: int) -> Iterator[RecordChunk]:
@@ -438,57 +401,93 @@ def _iter_chunks(profile: SynthProfile, scale: float, seed: int,
 
 def _merge(decisions: _Decisions,
            chunk_records: int) -> Iterator[RecordChunk]:
-    """Which record comes next: per pending injection cycle, the chain
-    records then the fan-out children due, as flat ``(cell, cause_id)``
-    lists in push order, and a heap of the pending cycles.  That is the
-    order of a heap of ``(t_inject, is_child, push index)``: a record
-    pushes only cycles two or more past its own (latency, gap >= 1), so a
-    popped cycle is complete, and its pairs are the emitted records."""
-    next_t, kid_t = decisions.next_t, decisions.kid_t
+    """The records in a heap's ``(t_inject, is_child, parent's msg_id)``
+    order (roots first, in chain order), a block's window at a time.
+
+    Once a block is entered, a pending record that injects before the
+    horizon ``min(decisions._t)`` is final: a later chain step injects at
+    the horizon or later, a fan-out child after its parent.  :func:`_rank`
+    orders the window by ``(t_inject, is_child)``, then the parents', up to
+    one emitted before (by msg_id; a root's parent's: ``chain - chains``);
+    chain ``c``'s window steps, ``done[c]`` on, sit in consecutive slots."""
     n_messages, chains = decisions.n_messages, decisions.chains
-    cells = decisions.span * chains
-    calendar: dict[int, list[list[int]]] = {}
-    for c, t in enumerate(decisions._t.tolist()):     # the chains' roots
-        calendar.setdefault(t, [[], []])[0].extend((c, -1))
-    cycles = list(calendar)
-    heapq.heapify(cycles)
-    pop, push = heapq.heappop, heapq.heappush
-    out: list[int] = []
-    first = m = off = end = 0       # m: the next msg_id to hand out
-    flush = min(chunk_records, n_messages)   # where the next chunk ends
-    while True:
-        t = pop(cycles)
-        due, kids = calendar.pop(t)
-        out += due
-        for cell in due[::2]:
-            if cell >= end:
-                end = decisions.enter(cell // cells)
-            i = cell - off
-            at = next_t[i]
-            pending = calendar.get(at)
-            if pending is None:
-                calendar[at] = pending = [[], []]
-                push(cycles, at)
-            pending[0] += (cell + chains, m)
-            at = kid_t[i]
-            if at:
-                pending = calendar.get(at)
-                if pending is None:
-                    calendar[at] = pending = [[], []]
-                    push(cycles, at)
-                pending[1] += (~cell, m)
-            m += 1
-        out += kids
-        m += len(kids) >> 1
-        while m >= flush:
-            size = flush - first
-            yield decisions.chunk(out[:2 * size], first)
-            del out[:2 * size]
-            if flush == n_messages:
-                return
-            first, flush = flush, min(flush + chunk_records, n_messages)
-            # Every record before cycle ``t`` is flushed once a chunk is.
-            off = decisions.drop(t)
+    done = np.zeros(chains, np.int64)   # per chain: its first step not emitted
+    last = np.arange(chains) - chains   # ... and the msg_id of the one before
+    first = fill = 0                    # the chunk's first msg_id; filled
+    out = np.empty((7, min(chunk_records, n_messages)), np.int64)
+    for block in itertools.count():
+        decisions.enter(block)
+        pool, m = decisions.pending, first + fill   # m: the next msg_id
+        inside = pool[3] < decisions._t.min()   # <= 2^62: 2 * t + 1 fits
+        if not inside.any():                    # the next time is 2^62 on
+            raise ValueError(f"record {m} has a time beyond 2^62 cycles")
+        src, dst, size, t, gap, kid, chain, step, cause = pool[:, inside]
+        own = kid == 0
+        count = np.bincount(chain[own], minlength=chains)
+        floor = np.cumsum(count) - count        # chain c's first slot
+        origin = floor - done                   # + step: its slot
+        slot = np.zeros(len(src) + 1, np.int64)   # the last: out of window
+        slot[(origin[chain] + step)[own]] = np.flatnonzero(own)
+        up = origin[chain] + step + kid     # - d: the ancestor d links up
+        term = np.where((kid == 1) & (step < done[chain]), cause, last[chain])
+        ids = m + _rank(2 * t + kid, up, floor[chain], slot, term - m)
+        up -= 1                                 # the parent's slot
+        up[up < floor[chain]] = -1              # past the window: ``term``
+        cause = np.where(up < 0, np.maximum(term, -1), ids[slot[up]])
+        order, at = np.empty_like(ids), 0
+        order[ids - m] = np.arange(len(ids))
+        while at < len(order):  # out: src dst size kind t cause gap rows
+            k = min(out.shape[1] - fill, len(order) - at)
+            for row, col in zip(out, (src, dst, size, kid, t, cause, gap)):
+                col.take(order[at:at + k], out=row[fill:fill + k])
+            at, fill = at + k, fill + k
+            if fill == out.shape[1]:    # key: (src, dst, kind, msg_id, 0)
+                msg_id = np.arange(first, first + fill)
+                yield RecordChunk(msg_id, *out[:5], _latency(
+                    decisions._profile, out[2]), *out[5:], out[0], out[1],
+                    out[3], msg_id, 0 * msg_id, kinds=_KINDS)
+                first, fill = first + fill, 0
+                if first == n_messages:
+                    return
+                out = np.empty((7, min(chunk_records, n_messages - first)),
+                               np.int64)
+        # The chains' last emitted steps; children of this window's records.
+        last[count > 0] = ids[slot[(floor + count - 1)[count > 0]]]
+        rest = decisions.pending = pool[:, ~inside]
+        c, s = rest[6], rest[7]
+        now = (rest[5] == 1) & (s >= done[c]) & (s < done[c] + count[c])
+        rest[8, now] = ids[slot[(origin[c] + s)[now]]]
+        done += count
+
+
+def _rank(key: np.ndarray, up: np.ndarray, floor: np.ndarray,
+          slot: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Each record's place in the order of its ``key`` then its ancestors'.
+
+    Bucket-start ranks: first by ``key``, then by prefix doubling over the
+    records still tied: round ``d`` (1, 2, 4, ...) ranks one by its rank
+    and its ancestor's ``d`` links up, the record in ``slot[up - d]`` while
+    that is at least ``floor``, and past it ``term`` (below every rank, as
+    a whole sequence of terminals).  Distinct records never tie for good:
+    two with one parent differ in ``is_child``."""
+    rank, tied, d = np.zeros(len(key), np.int64), np.arange(len(key)), 0
+    while len(tied):
+        if d:
+            at = up[tied] - d
+            at[at < floor[tied]] = -1           # past the window: ``term``
+            second = np.where(at < 0, term[tied], rank[slot[at]])
+            low = int(second.min())
+            key = rank[tied] * (int(second.max()) - low + 1) + (second - low)
+        sort = np.argsort(key)
+        tied, key = tied[sort], key[sort]
+        head, pos = rank[tied], np.arange(len(tied))
+        new = np.r_[True, key[1:] != key[:-1]]
+        rank[tied] = head + np.maximum.accumulate(np.where(new, pos, 0)) - (
+            np.maximum.accumulate(np.where(np.r_[True, head[1:] != head[:-1]],
+                                           pos, 0)))
+        tied = tied[~(new & np.r_[new[1:], True])]
+        d = 2 * d or 1
+    return rank
 
 
 def iter_records(profile: SynthProfile, scale: float = 1.0,
@@ -509,14 +508,15 @@ class _Markers:
     def see(self, chunk: RecordChunk) -> None:
         """Per destination, the first record to reach its latest delivery
         — and only a strictly later delivery displaces an earlier chunk's."""
-        t_deliver = chunk.t_deliver
-        # Stable, so among equal deliveries the earliest record leads.
-        order = np.lexsort((-t_deliver, chunk.dst))
-        dst = chunk.dst[order]
-        lead = order[np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])]
-        lead = lead[t_deliver[lead] > self.last_deliver[chunk.dst[lead]]]
-        self.last_deliver[chunk.dst[lead]] = t_deliver[lead]
-        self.last_msg[chunk.dst[lead]] = chunk.msg_id[lead]
+        t_deliver, dst = chunk.t_deliver, chunk.dst
+        best = np.full_like(self.last_deliver, -1)
+        np.maximum.at(best, dst, t_deliver)
+        lead = np.full_like(best, len(dst))     # the first to deliver then
+        hit = np.flatnonzero(t_deliver == best[dst])
+        np.minimum.at(lead, dst[hit], hit)
+        later = best > self.last_deliver
+        self.last_deliver[later] = best[later]
+        self.last_msg[later] = chunk.msg_id[lead[later]]
 
     def finish(self) -> tuple[list[EndMarker], int]:
         """The end markers and the trace's ``exec_time``."""
@@ -582,8 +582,6 @@ def generate_to_file(profile: SynthProfile, path: Union[str, Path],
             writer = BinaryTraceWriter(fp, meta=_meta(profile, scale, seed))
             for chunk in chunks:
                 chunk.check()
-                if (chunk.t_inject < 0).any():      # wrapped past 2^63
-                    generate(profile, scale, seed)  # raises its refusal
                 markers.see(chunk)
                 writer.add_chunk(chunk)
                 n += len(chunk)

@@ -432,6 +432,25 @@ def test_the_stream_decodes_each_records_payload_once(tmp_path, monkeypatch):
     assert summary["chunks"] == len(calls) == 3
 
 
+def test_the_stream_decodes_each_marker_once(tmp_path, monkeypatch):
+    """The header walk decodes the markers and checks their count; the
+    chunk pass seeks over them, so a pass builds one ``EndMarker`` per
+    marker."""
+    trace = _hot_destination_trace(600)
+    path = tmp_path / "three.rtrc"
+    tracebin.write_file(trace, path, chunk_records=200)
+    built = []
+
+    class Spy(EndMarker):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tracebin, "EndMarker", Spy)
+    stream_naive_summary(path, synth_onoc("crossbar", NODES))
+    assert len(built) == len(trace.end_markers) == NODES
+
+
 def test_negative_endpoints_never_reach_a_container(tmp_path):
     """The third ``TraceRecord`` endpoint check needs no stream-side twin:
     ``src`` / ``dst`` are unsigned columns and the writer refuses them."""

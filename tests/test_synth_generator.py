@@ -1,8 +1,8 @@
-"""The block-computed, calendar-merged generator against its per-record
+"""The block-computed, rank-merged generator against its per-record
 definition.
 
 ``repro.synth.generator`` computes every chain's records in NumPy blocks,
-orders them with a calendar merge and writes ``RecordChunk`` columns
+ranks each block's final window in NumPy and writes ``RecordChunk`` columns
 straight into the container.  All of it is the same arithmetic as the
 definitions kept here as references — the four-part hash, one float
 accumulation per ``size_mix`` entry, the ``math.log`` gap draw, and the
@@ -282,6 +282,11 @@ _TIES = dict(root_spread=1, base_latency=1, gap_mean=1.0, gap_max=1,
 #: out: a block asks each chain for a different, often odd, count.
 _STRADDLE = dict(chains=4, fanout_prob=0.5)
 
+#: Every chain in lockstep: one size, unit gaps, one root cycle, so a
+#: cycle's ties run back to the roots and chain order decides them all.
+_LOCKSTEP = dict(root_spread=1, base_latency=1, gap_mean=1.0, gap_max=1,
+                 size_mix=((64, 1.0),))
+
 IDENTITY_GRID = [
     pytest.param(lambda: default_profile(1024, 20_000), 1.0, id="uniform-1024"),
     pytest.param(lambda: default_profile(1000, 20_000), 1.0, id="uniform-1000"),
@@ -307,6 +312,9 @@ IDENTITY_GRID = [
                  id="fewer-messages-than-chains"),
     pytest.param(lambda: default_profile(64, 5000, **_TIES), 1.0,
                  id="ties-everywhere"),
+    *(pytest.param(lambda f=f: default_profile(64, 5000, fanout_prob=f,
+                                               **_LOCKSTEP), 1.0,
+                   id=f"lockstep-fanout-{f}") for f in (0.0, 0.5)),
     pytest.param(lambda: default_profile(64, 5000, chains=1), 1.0,
                  id="one-chain"),
     pytest.param(lambda: default_profile(256, 12_000), 0.37, id="scaled-down"),
@@ -440,11 +448,10 @@ def test_golden_corpus_is_on_the_grid():
 def test_blocks_are_hashed_once_and_dropped_behind_the_slowest_chain(
         monkeypatch):
     """Blocks four steps wide under a ~1100-step trace, so the chains drift
-    across several blocks at once: each block is entered exactly once (a
-    dropped block is never needed again) and, with chunks of 16 records,
-    the live set follows the spread between the slowest and the fastest
-    chain, not the trace.  A block outlives its chains until the chunk
-    holding its last record is flushed, so the chunks are kept small."""
+    across several blocks at once: each block is entered exactly once and
+    in order, and the pending pool follows the spread between the slowest
+    and the fastest chain, not the trace: a record leaves it once it
+    injects before the slowest chain's next step."""
     spies = []
 
     class Spy(generator._Decisions):
@@ -454,10 +461,9 @@ def test_blocks_are_hashed_once_and_dropped_behind_the_slowest_chain(
             spies.append(self)
 
         def enter(self, block):
-            end = super().enter(block)
+            super().enter(block)
             self.entered.append(block)
-            self.peak = max(self.peak, len(self.live))
-            return end
+            self.peak = max(self.peak, self.pending.shape[1])
 
     profile = default_profile(64, 20_000, chains=16)
     want = list(_iter_records_reference(profile, seed=3))
@@ -470,8 +476,8 @@ def test_blocks_are_hashed_once_and_dropped_behind_the_slowest_chain(
     assert spy.span == 4
     assert len(spy.entered) > 250
     assert spy.entered == list(range(len(spy.entered)))
-    assert 3 <= spy.peak <= 16
-    assert min(spy.live) > len(spy.entered) - 16  # the rest are long gone
+    cells = spy.span * spy.chains
+    assert 3 * cells <= spy.peak <= 16 * cells < len(want) // 16
 
 
 # ---------------------------------------------------------- container bytes
@@ -583,6 +589,25 @@ def test_streamed_file_refuses_what_generate_refuses(tmp_path, fields):
     assert not (tmp_path / "new.rtrc").exists()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.rtrc"]
+
+
+def test_times_past_2_62_beyond_the_last_record_are_not_refused():
+    """A block computes steps past the trace's end.  Here their times pass
+    2^62 from the fifth step on, and the chain's next time after the block
+    wraps past 2^63, while the four records the trace holds stay below
+    2^62: the trace is generated as the reference generates it.  One
+    record more, whose time is past 2^62, is refused with the record
+    check's text."""
+    profile = SynthProfile(num_nodes=64, messages=4, chains=1,
+                           base_latency=2**60, gap_mean=1.0, gap_max=1,
+                           size_mix=((64, 1.0),), fanout_prob=0.0,
+                           root_spread=1)
+    assert generator._Decisions(profile, 1.0, 0).span == 8
+    assert list(iter_records(profile)) == list(
+        _iter_records_reference(profile))
+    with pytest.raises(ValueError,
+                       match=r"^record 4 has a time beyond 2\^62 cycles$"):
+        generate(replace(profile, messages=5))
 
 
 def test_chunks_with_their_own_kind_tables_land_in_call_order(tmp_path):
