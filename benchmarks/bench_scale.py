@@ -15,6 +15,11 @@ gets there.  For each trace size on the ladder (10^4 - 10^6 messages at
   subprocess, as the contrast curve, and times the self-correcting replay
   on both engines (``speedup_x`` = event / generational wall clock).
 
+On the full ladder each of the three child modes runs ``CHILDREN`` times
+per rung: a wall clock is the median over them and a peak RSS the maximum,
+so one slow start-up neither makes a rung look slower nor lets a gate read
+a lower peak than any single child had.  The smoke shape runs one child.
+
 The gates: the generator's and the streaming replay's peak RSS must each
 grow *sublinearly* in trace size — the last/first RSS ratio stays below
 the last/first file-size ratio — and the generational engine must not
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -54,6 +60,10 @@ FULL_REPLAY_MAX = 200_000
 #: What the standalone full ladder demands of ``speedup_x`` (measured 8-11x
 #: at 10^4 and 10^5 messages); the smoke shape only demands "not slower".
 SPEEDUP_FLOOR = 5.0
+
+#: Fresh children per rung and mode on the full ladder (median wall clock,
+#: maximum peak RSS); the smoke shape runs one.
+CHILDREN = 3
 
 SMOKE_SIZES = (10_000, 40_000)
 LADDER_SIZES = (10_000, 100_000, 1_000_000)
@@ -115,6 +125,16 @@ def _child(mode: str, path: pathlib.Path, *args: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def _children(n: int, mode: str, path: pathlib.Path, *args: str) -> dict:
+    """``n`` fresh runs of one mode: the median wall clock and the maximum
+    peak RSS."""
+    runs = [_child(mode, path, *args) for _ in range(n)]
+    assert len({r["messages"] for r in runs}) == 1, runs
+    return {"messages": runs[0]["messages"],
+            "rss_kib": max(r["rss_kib"] for r in runs),
+            "wall_s": statistics.median(r["wall_s"] for r in runs)}
+
+
 def measure_speedup(path: pathlib.Path) -> float:
     """Event / generational wall clock (best of two each) of the
     self-correcting replay of one ladder trace."""
@@ -131,10 +151,10 @@ def measure_speedup(path: pathlib.Path) -> float:
 
 
 def measure_point(n_messages: int, tmp: pathlib.Path,
-                  full_replay_max: int) -> dict:
+                  full_replay_max: int, children: int) -> dict:
     path = tmp / f"synth{n_messages}.rtrc"
-    gen = _child("generate", path, str(n_messages))
-    stream = _child("stream", path)
+    gen = _children(children, "generate", path, str(n_messages))
+    stream = _children(children, "stream", path)
     assert stream["messages"] == gen["messages"], (stream, gen)
     row = {
         "messages": gen["messages"],
@@ -147,7 +167,7 @@ def measure_point(n_messages: int, tmp: pathlib.Path,
         "stream_msgs_per_s": round(stream["messages"] / stream["wall_s"]),
     }
     if n_messages <= full_replay_max:
-        full = _child("full", path)
+        full = _children(children, "full", path)
         row["full_rss_kib"] = full["rss_kib"]
         row["full_wall_s"] = full["wall_s"]
         row["speedup_x"] = measure_speedup(path)
@@ -155,13 +175,13 @@ def measure_point(n_messages: int, tmp: pathlib.Path,
     return row
 
 
-def run(sizes: list[int],
-        full_replay_max: int = FULL_REPLAY_MAX) -> dict:
+def run(sizes: list[int], full_replay_max: int = FULL_REPLAY_MAX,
+        children: int = CHILDREN) -> dict:
     points = []
     with tempfile.TemporaryDirectory() as tmp:
         for n in sizes:
             points.append(measure_point(n, pathlib.Path(tmp),
-                                        full_replay_max))
+                                        full_replay_max, children))
     first, last = points[0], points[-1]
     report = {
         "nodes": NODES,
@@ -188,7 +208,7 @@ def run(sizes: list[int],
 def test_scale_smoke(results_dir):
     """CI smoke gate: generation and streaming replay peak RSS grow
     sublinearly in trace size."""
-    report = run(list(SMOKE_SIZES))
+    report = run(list(SMOKE_SIZES), children=1)
     (results_dir / "scale_smoke.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     assert [p["messages"] for p in report["points"]] == list(SMOKE_SIZES)
@@ -221,7 +241,8 @@ def main() -> int:
     if args.smoke:
         args.sizes = ",".join(str(s) for s in SMOKE_SIZES)
     sizes = [int(s) for s in args.sizes.split(",")]
-    report = run(sizes, full_replay_max=int(args.full_replay_max))
+    report = run(sizes, full_replay_max=int(args.full_replay_max),
+                 children=1 if args.smoke else CHILDREN)
     write_json_report(report, args.out)
     floor = 1.0 if args.smoke else SPEEDUP_FLOOR
     return 0 if report["sublinear"] and report["speedup_x"] >= floor else 1

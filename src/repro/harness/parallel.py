@@ -165,6 +165,21 @@ def decode_value(obj: Any) -> Any:
     return obj
 
 
+def _canonical(obj: Any) -> Any:
+    """``encode_value(decode_value(obj))`` in one walk over untagged JSON and
+    ``tuple`` tags; any other tag (a ``dc`` fills defaults) takes the trip."""
+    if isinstance(obj, list):
+        return [_canonical(x) for x in obj]
+    if not isinstance(obj, dict):
+        return encode_value(obj)
+    if all(isinstance(k, str) for k in obj):
+        if _TAG not in obj:
+            return {k: _canonical(v) for k, v in obj.items()}
+        if obj[_TAG] == "tuple":
+            return {_TAG: "tuple", "v": [_canonical(x) for x in obj["v"]]}
+    return encode_value(decode_value(obj))
+
+
 def resolve_callable(ref: str) -> Any:
     """Import ``"module:qualname"`` and return the attribute."""
     mod_name, _, qualname = ref.partition(":")

@@ -9,16 +9,21 @@ Bounded two ways: entry count and approximate payload bytes (measured at
 insertion as the compact-JSON length of the encoded value).  Eviction is
 least-recently-*used*: both hits and stores refresh recency.
 
+That text is kept beside the value for :meth:`LRUCache.lookup`: each entry
+is resident twice, and a cache full to ``max_bytes`` holds up to that much
+text on top of the structures, which the bound does not count.
+
 Single-threaded by design — it lives on the server's asyncio loop, like
 the :class:`repro.serve.jobs.JobTable` — so there are no locks.
 """
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Optional
+
+from repro.serve import protocol as P
 
 #: Default bounds: plenty for the dedup-heavy request mixes the fabric
 #: sees, small enough to never matter next to worker-process memory.
@@ -50,7 +55,7 @@ class LRUCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = LRUStats()
-        self._entries: OrderedDict[str, tuple[Any, int]] = OrderedDict()
+        self._entries: OrderedDict[str, tuple[Any, str]] = OrderedDict()
         self._bytes = 0
 
     def __len__(self) -> int:
@@ -70,13 +75,18 @@ class LRUCache:
         Payloads are never None (a job's encoded result is always a JSON
         structure), so None unambiguously means miss.
         """
+        entry = self.lookup(key)
+        return None if entry is None else entry[0]
+
+    def lookup(self, key: str) -> Optional[tuple[Any, str]]:
+        """:meth:`get`, paired with the compact JSON :meth:`put` measured."""
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return entry[0]
+        return entry
 
     def put(self, key: str, encoded: Any) -> None:
         """Insert/refresh ``key``; evicts LRU entries to stay in bounds.
@@ -84,19 +94,18 @@ class LRUCache:
         A payload larger than ``max_bytes`` on its own is simply not
         cached (the disk tier still has it).
         """
-        size = len(json.dumps(encoded, separators=(",", ":"),
-                              sort_keys=True, default=str))
-        if size > self.max_bytes:
+        text = P.dumps(encoded)
+        if len(text) > self.max_bytes:
             return
         old = self._entries.pop(key, None)
         if old is not None:
-            self._bytes -= old[1]
-        self._entries[key] = (encoded, size)
-        self._bytes += size
+            self._bytes -= len(old[1])
+        self._entries[key] = (encoded, text)
+        self._bytes += len(text)
         while (len(self._entries) > self.max_entries
                or self._bytes > self.max_bytes):
-            _, (_, evicted_size) = self._entries.popitem(last=False)
-            self._bytes -= evicted_size
+            _, (_, evicted) = self._entries.popitem(last=False)
+            self._bytes -= len(evicted)
             self.stats.evictions += 1
 
     def clear(self) -> int:

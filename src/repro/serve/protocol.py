@@ -153,10 +153,22 @@ class RemoteError:
         return f"{self.type}: {self.message}"
 
 
+def dumps(obj: Any) -> str:
+    """The frames' JSON text: compact, keys sorted."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
 def encode_frame(obj: dict) -> bytes:
     """One NDJSON frame: compact JSON + newline."""
-    line = json.dumps(obj, separators=(",", ":"), sort_keys=True)
-    return line.encode("utf-8") + b"\n"
+    return dumps(obj).encode("utf-8") + b"\n"
+
+
+def encode_event_with(req: Any, event: str, text: str, **fields: Any) -> bytes:
+    """Decodes as ``encode_frame(event_frame(req, event, **fields, **obj))``
+    where ``text`` is ``dumps(obj)``; ``obj`` is not encoded again."""
+    head = dumps(event_frame(req, event, **fields))[:-1]
+    tail = text[1:] if text == "{}" else "," + text[1:]
+    return (head + tail).encode("utf-8") + b"\n"
 
 
 def decode_frame(line: bytes) -> dict:

@@ -62,6 +62,7 @@ from repro import obs
 from repro.harness.parallel import (
     ResultCache,
     SweepTask,
+    _canonical,
     answers,
     decode_value,
     encode_value,
@@ -412,9 +413,10 @@ class SimulationServer:
         wlock = asyncio.Lock()
         stream_tasks: set[asyncio.Task] = set()
 
-        async def send(frame: dict) -> None:
+        async def send(frame) -> None:     # an event, or encoded frames
             async with wlock:
-                writer.write(P.encode_frame(frame))
+                writer.write(frame if isinstance(frame, bytes)
+                             else P.encode_frame(frame))
                 await writer.drain()
 
         line = first
@@ -437,13 +439,7 @@ class SimulationServer:
         req = frame.get("req")
         op = frame.get("op")
         if op == P.OP_SUBMIT:
-            # Each submit gets its own streaming task so long jobs never
-            # block other requests on the connection.
-            t = asyncio.ensure_future(self._handle_submit(req, frame, send))
-            stream_tasks.add(t)
-            self._stream_tasks.add(t)
-            t.add_done_callback(stream_tasks.discard)
-            t.add_done_callback(self._stream_tasks.discard)
+            await self._submit(req, frame, send, stream_tasks)
         elif op == P.OP_PING:
             await send(P.event_frame(req, P.EV_PONG,
                                      version=P.PROTOCOL_VERSION))
@@ -480,12 +476,22 @@ class SimulationServer:
                 ref = fn        # full dotted ref of a registered op
             else:
                 raise KeyError(f"unknown operation {fn!r}")
-        args = decode_value(frame.get("args") or [])
-        kwargs = decode_value(frame.get("kwargs") or {})
-        return SweepTask(fn=ref, args=encode_value(tuple(args)),
-                         kwargs=encode_value(dict(kwargs)))
+        args = frame.get("args") or []
+        if isinstance(args, list):      # a plain list spells the tuple
+            args = {"$": "tuple", "v": args}
+        kwargs = frame.get("kwargs") or {}
+        enc_args, enc_kwargs = _canonical(args), _canonical(kwargs)
+        # Any other shape takes the decode -> tuple()/dict() -> encode trip.
+        if not isinstance(enc_args, dict) or enc_args.get("$") != "tuple":
+            enc_args = encode_value(tuple(decode_value(args)))
+        if (not isinstance(enc_kwargs, dict)
+                or enc_kwargs.get("$") not in (None, "dict")):
+            enc_kwargs = encode_value(dict(decode_value(kwargs)))
+        return SweepTask(fn=ref, args=enc_args, kwargs=enc_kwargs)
 
-    async def _handle_submit(self, req, frame: dict, send) -> None:
+    async def _submit(self, req, frame: dict, send,
+                      stream_tasks: set) -> None:
+        """Shed, refuse or answer a submit from the LRU; else stream its job."""
         if self.draining:
             self.table.stats.shed += 1
             self._count("shed")
@@ -501,19 +507,27 @@ class SimulationServer:
 
         # Hot tier: an LRU hit answers immediately on any node — owner or
         # not — without touching admission control, the ring, or a worker.
-        entry = self.lru.get(key)
-        if answers(entry, self._with_obs):
+        hit = self.lru.lookup(key)
+        if hit is not None and answers(hit[0], self._with_obs):
             self.table.stats.lru_hits += 1
             self._count("lru_hits")
-            self._merge_obs(entry)
-            await send(P.event_frame(req, P.EV_ACCEPTED, job=key[:12],
-                                     deduped=False, depth=self.table.depth,
-                                     tier="lru"))
-            await send(P.event_frame(req, P.EV_DONE, job=key[:12],
-                                     **entry,
-                                     cached=True, attempts=0, elapsed_s=0.0))
+            self._merge_obs(hit[0])
+            await send(P.encode_frame(P.event_frame(
+                req, P.EV_ACCEPTED, job=key[:12], deduped=False,
+                depth=self.table.depth, tier="lru"))
+                + P.encode_event_with(req, P.EV_DONE, hit[1], job=key[:12],
+                                      cached=True, attempts=0, elapsed_s=0.0))
             return
 
+        t = asyncio.ensure_future(
+            self._handle_submit(req, frame, send, task, key))
+        stream_tasks.add(t)
+        self._stream_tasks.add(t)
+        t.add_done_callback(stream_tasks.discard)
+        t.add_done_callback(self._stream_tasks.discard)
+
+    async def _handle_submit(self, req, frame: dict, send, task: SweepTask,
+                             key: str) -> None:
         # Routing: a submit for a key another node owns is forwarded there
         # (cross-node single-flight), unless it already *was* forwarded —
         # the fwd marker breaks loops while membership views disagree.

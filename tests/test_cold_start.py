@@ -61,6 +61,34 @@ WORKER_ECHO = ("import repro.serve.pool; "
                "from repro.harness.parallel import resolve_callable; "
                "resolve_callable('repro.serve.ops:echo')")
 
+#: A node that canonicalised, then answered from its LRU, a plain
+#: ``scenario_json`` submit: the walk decodes no untagged payload into a
+#: class, so the scenario's parameters stay a dict.
+NODE_SUBMIT = "exec(%r)" % """
+import asyncio
+from repro.serve import protocol as P
+from repro.serve.server import SimulationServer
+
+async def main():
+    node = SimulationServer(port=0, workers=1)
+    await node.start()
+    params = {"workload": "fft", "cores": 16, "seed": 1, "scale": 0.25,
+              "capture": "electrical", "target": "crossbar"}
+    frame = P.submit_frame(1, "scenario_json", [params], {})
+    key = node._canonical_task(frame).cache_key()
+    node.lru.put(key, {"result": params, "obs": None})
+    reader, writer = await asyncio.open_connection("127.0.0.1", node.port)
+    writer.write(P.encode_frame(frame))
+    await writer.drain()
+    await reader.readline()
+    done = P.decode_frame(await reader.readline())
+    assert done["event"] == "done" and done["result"] == params, done
+    writer.close()
+    await node.aclose()
+
+asyncio.run(main())
+"""
+
 
 def loaded_after(code: str) -> set[str]:
     """``sys.modules`` of a fresh interpreter that ran ``code``."""
@@ -90,8 +118,9 @@ def test_cli_parser_stays_cold():
     assert sorted(set(NOT_IN_PARSER) & loaded) == []
 
 
-@pytest.mark.parametrize("code", ["import repro.serve.server", WORKER_ECHO],
-                         ids=["node", "worker_echo"])
+@pytest.mark.parametrize(
+    "code", ["import repro.serve.server", WORKER_ECHO, NODE_SUBMIT],
+    ids=["node", "worker_echo", "node_submit"])
 def test_serve_node_and_worker_stay_cold(code):
     loaded = loaded_after(code)
     assert "repro.serve.ops" in loaded
