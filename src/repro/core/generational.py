@@ -13,8 +13,8 @@ NumPy array-wide operations instead:
    front, so a *windowed sweep* (:func:`_solve_windowed`) computes the
    event engine's schedule exactly in one pass: released messages advance
    through safe time horizons (min frontier inject + a per-backend lower
-   bound on latency), each horizon batch is FIFO-served with the
-   closed-form recurrence against per-resource carry state, and
+   bound on latency), each horizon batch is FIFO-served in one pass of
+   the closed-form recurrence against per-resource carry state, and
    deliveries release dependent records — no fixed-point iteration.
 3. **Assemble** the :class:`ReplayResult` through the same function the
    event replayers use (:func:`repro.core.replay._assemble_result`), which
@@ -79,53 +79,32 @@ _NEG = _INT64_MIN // 4
 # --------------------------------------------------------------------------
 
 def _segmented_cummax(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
-    """Per-segment running maximum (segments marked by ``seg_start``)."""
+    """Per-segment running maximum (segments marked by ``seg_start``),
+    computed in place over ``x``, which is returned."""
     m = len(x)
     if m == 0:
-        return x.copy()
-    seg_id = np.cumsum(seg_start) - 1
-    nseg = int(seg_id[-1]) + 1
+        return x
+    band = np.cumsum(seg_start, dtype=np.int64)
+    nseg = int(band[-1])
     lo = int(x.min())
     span = int(x.max()) - lo + 1
     if nseg <= 1:
-        return np.maximum.accumulate(x)
+        return np.maximum.accumulate(x, out=x)
     if span < (1 << 62) // nseg:
         # Offset each segment into a disjoint band: the previous segment's
         # running max is strictly below the next band's floor, so one global
         # accumulate resets at every boundary.
-        shifted = (x - lo) + seg_id * span
-        return np.maximum.accumulate(shifted) - seg_id * span + lo
-    out = np.empty_like(x)
+        band *= span
+        x -= lo
+        x += band
+        np.maximum.accumulate(x, out=x)
+        x -= band
+        x += lo
+        return x
     bounds = np.flatnonzero(seg_start).tolist() + [m]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        out[a:b] = np.maximum.accumulate(x[a:b])
-    return out
-
-
-def _release_sorted(inj_s: np.ndarray, occ_s: np.ndarray,
-                    seg_start: np.ndarray,
-                    carry_s: Optional[np.ndarray] = None) -> np.ndarray:
-    """Closed form of the FIFO channel recurrence, per segment:
-
-        release[k] = max(inject[k], release[k-1]) + occ[k]
-
-    (``release[-1]`` = ``carry`` when given, else effectively 0 — injections
-    are non-negative, matching channels that start idle).  With C the
-    segmented inclusive cumsum of occ, the recurrence telescopes to
-    ``release[k] = max(carry, max_{j<=k}(inject[j] - C[j-1])) + C[k]``.
-    """
-    m = len(inj_s)
-    if m == 0:
-        return inj_s.copy()
-    idx = np.arange(m, dtype=np.int64)
-    start_idx = np.maximum.accumulate(np.where(seg_start, idx, 0))
-    ctot = np.cumsum(occ_s)
-    base = (ctot - occ_s)[start_idx]
-    c_incl = ctot - base
-    x = inj_s - (c_incl - occ_s)
-    if carry_s is not None:
-        x = np.maximum(x, carry_s)
-    return _segmented_cummax(x, seg_start) + c_incl
+        np.maximum.accumulate(x[a:b], out=x[a:b])
+    return x
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -187,7 +166,9 @@ class _FifoModel:
 
     def serve_batch(self, b: np.ndarray, inject: np.ndarray,
                     deliver: np.ndarray) -> None:
-        """FIFO-serve one batch against the carried channel state.
+        """FIFO-serve one batch against the carried channel state: one
+        cumsum of occupancy and one segmented running maximum over the
+        batch in channel order, the carry entering at each channel's head.
 
         ``b`` must arrive sorted by (inject, msg_id) and every later batch
         must inject no earlier than this one — the windowed solver, the
@@ -195,18 +176,21 @@ class _FifoModel:
         guarantee both, which is what lets the per-resource closed form run
         incrementally with just a carried last-release time.
         """
-        inj = inject[b]
         res = self.res[b]
         order = _stable_order(res, self.res_size)
-        bs, inj_s, res_s = b[order], inj[order], res[order]
+        bs, res_s = b[order], res[order]
+        inj_s = inject[bs]
         seg_start = np.empty(len(bs), dtype=bool)
         seg_start[0] = True
-        seg_start[1:] = res_s[1:] != res_s[:-1]
+        np.not_equal(res_s[1:], res_s[:-1], out=seg_start[1:])
         # One message per resource is the common small-batch case: every
         # element is both head and tail of its segment.
         single = bool(seg_start.all())
-        tails = (slice(None) if single else np.flatnonzero(
-            np.concatenate((seg_start[1:], [True]))))
+        if single:
+            heads = tails = slice(None)
+        else:
+            heads = np.flatnonzero(seg_start)
+            tails = np.append(heads[1:] - 1, len(bs) - 1)
         ser_s = self.ser[bs]
         occ_s = ser_s
         if self.token_travel is not None:
@@ -215,7 +199,7 @@ class _FifoModel:
             src_s = self.src[bs]
             prev = np.empty_like(src_s)
             prev[1:] = src_s[:-1]
-            prev[seg_start] = self._token_at[res_s[seg_start]]
+            prev[heads] = self._token_at[res_s[heads]]
             self._token_at[res_s[tails]] = src_s[tails]
             occ_s = self.token_travel(prev, src_s) + ser_s
         lat_x = None
@@ -227,12 +211,21 @@ class _FifoModel:
             # The recurrence collapses to a single elementwise step.
             release_s = np.maximum(inj_s, self._carry[res_s]) + occ_s
         else:
-            release_s = _release_sorted(inj_s, occ_s, seg_start,
-                                        carry_s=self._carry[res_s])
+            # release[k] = max(inject[k], release[k-1]) + occ[k] per segment
+            # (release[-1] = carry) telescopes, with G the cumsum of occ, to
+            # segmented cummax(inject - G + occ, lifted at heads) + G.
+            g = np.cumsum(occ_s)
+            lift = self._carry[res_s[heads]] - inj_s[heads]
+            x = np.subtract(inj_s, g, out=inj_s)   # inj_s is not read again
+            x += occ_s
+            x[heads] += np.maximum(lift, 0)
+            release_s = _segmented_cummax(x, seg_start)
+            release_s += g
         self._carry[res_s[tails]] = release_s[tails]
-        deliver[bs] = release_s + self.extra[bs]
+        release_s += self.extra[bs]
         if lat_x is not None:
-            deliver[bs] += lat_x       # detour flight delays delivery only
+            release_s += lat_x         # detour flight delays delivery only
+        deliver[bs] = release_s
 
     def scan(self, inject: np.ndarray, active_idx: np.ndarray) -> np.ndarray:
         """Deliver times of the active messages served from idle channels:
@@ -501,6 +494,8 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
     what :func:`~repro.core.tracebin.load_trace` refuses block by block — a
     bad record, a doctored END footer — is refused with the loader's type
     and text; only ``Trace.validate``'s cross-record checks are out of reach.
+    A chunk's rows are looked up only against the end markers' causes
+    inside its msg_id range, so a chunk that holds none searches nothing.
     Chunks must also follow each other in inject-time order, which
     canonical captures do; a container whose chunks go back in time is
     refused with a ``ValueError`` naming the chunk.
@@ -556,9 +551,13 @@ def stream_naive_summary(path, onoc: OnocConfig) -> dict:
         total_bytes += int(size.sum())
         latency_sum += int((deliver - inj).sum())
         max_deliver = max(max_deliver, int(deliver.max()))
-        if len(marker_causes):
-            hit = marker_causes[np.minimum(np.searchsorted(marker_causes, mid),
-                                           len(marker_causes) - 1)] == mid
+        # The causes inside the chunk's msg_id range, by two searches.
+        near = marker_causes[
+            np.searchsorted(marker_causes, mid.min()):
+            np.searchsorted(marker_causes, mid.max(), side="right")]
+        if len(near):
+            hit = near[np.minimum(np.searchsorted(near, mid),
+                                  len(near) - 1)] == mid
             for m, d in zip(mid[hit].tolist(), deliver[hit].tolist()):
                 cause_deliveries[m] = d
 

@@ -173,6 +173,29 @@ def _unfired(cause_idx: np.ndarray) -> np.ndarray:
     return ~_fires(~edge, indptr, np.flatnonzero(edge)[order])
 
 
+def _has_duplicate_rows(columns: tuple) -> bool:
+    """Whether two positions hold equal values in every one of the int64
+    ``columns``.  Offset by its minimum, a column needs the bit length of
+    its span; while the spans fit 63 bits together, each row packs into one
+    int64 and one sort brings equal rows together — else a lexsort does."""
+    if len(columns[0]) < 2:
+        return False
+    lows = [int(col.min()) for col in columns]
+    widths = [(int(col.max()) - lo).bit_length()
+              for col, lo in zip(columns, lows)]
+    if sum(widths) > 63:
+        keys = np.stack(columns)
+        keys = keys[:, np.lexsort(keys)]
+        return bool((keys[:, 1:] == keys[:, :-1]).all(0).any())
+    packed = columns[0] - lows[0]
+    part = np.empty_like(packed)
+    for col, lo, width in zip(columns[1:], lows[1:], widths[1:]):
+        packed <<= width
+        packed |= np.subtract(col, lo, out=part)
+    packed.sort()
+    return bool((packed[1:] == packed[:-1]).any())
+
+
 def _raise_first(checks: list, **columns: np.ndarray) -> None:
     """Raise what a per-record loop making ``checks`` in order would: for
     the first record any mask flags, the refusal of the first mask flagging
@@ -374,15 +397,14 @@ class Trace:
         index = IdIndex(ids)
         if (index.sorted[1:] == index.sorted[:-1]).any():
             raise ValueError("duplicate msg_ids in trace")
-        # A lexsort of the five key columns brings equal keys together;
+        # One sort of the packed key columns brings equal keys together;
         # kinds compare as strings, so a table naming one twice is folded.
         first: dict[str, int] = {}
         fold = [first.setdefault(kind, i) for i, kind in enumerate(c.kinds)]
         kind = (c.key_kind_idx if len(first) == len(fold)
                 else np.asarray(fold, dtype=np.int64)[c.key_kind_idx])
-        keys = np.stack((c.key_src, c.key_dst, kind, c.key_line, c.key_occ))
-        keys = keys[:, np.lexsort(keys)]
-        if (keys[:, 1:] == keys[:, :-1]).all(0).any():
+        if _has_duplicate_rows(
+                (c.key_src, c.key_dst, kind, c.key_line, c.key_occ)):
             raise ValueError("duplicate semantic keys in trace")
         cause_idx = index.of(c.cause_id)
         has_cause = c.cause_id != -1

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import EndMarker, Trace, TraceRecord
-from repro.core.trace import SECOND_TRIGGER, latencies_by_key
+from repro.core.trace import (
+    COLUMNS,
+    SECOND_TRIGGER,
+    RecordChunk,
+    latencies_by_key,
+)
 
 
 def rec(msg_id, t_inject, t_deliver, cause_id=-1, gap=None, src=0, dst=1,
@@ -159,3 +166,73 @@ def test_end_marker_validation():
         EndMarker(node=-1, t_finish=5, cause_id=-1, gap=5)
     with pytest.raises(ValueError):
         EndMarker(node=0, t_finish=5, cause_id=-1, gap=-2)
+
+
+# ------------------------------------------------- duplicate semantic keys
+#
+# ``Trace.validate`` packs the five key columns into one int64 when their
+# spans fit 63 bits and lexsorts them otherwise; either way it must answer
+# what a set of ``(src, dst, kind string, line, occurrence)`` tuples does.
+
+_KEY_COLUMNS = ("key_src", "key_dst", "key_kind_idx", "key_line", "key_occ")
+
+
+@st.composite
+def keyed_chunks(draw, wide: bool) -> RecordChunk:
+    """Root records whose keys come from small pools, so that duplicates
+    are common; ``wide`` stretches ``key_line`` and ``key_src`` past 63
+    bits of packed key.  The kinds table may name one kind twice."""
+    n = draw(st.integers(0, 24))
+    kinds = tuple(draw(st.lists(st.sampled_from(("load", "store", "inv")),
+                                min_size=1, max_size=4)))
+    lines = ([-(1 << 62), -7, 0, 3, (1 << 62) - 1] if wide
+             else [-7, -1, 0, 3])
+
+    def column(pool):
+        return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+    keys = {"key_src": column([0, 1, 2]), "key_dst": column([0, 1]),
+            "key_kind_idx": column(range(len(kinds))),
+            "key_line": column(lines), "key_occ": column([0, 1])}
+    if wide and n >= 2:
+        keys["key_line"][0], keys["key_line"][-1] = lines[0], lines[-1]
+        keys["key_src"][0], keys["key_src"][-1] = 0, 1
+    msg_id = list(range(n))
+    if n >= 2 and draw(st.booleans()):
+        msg_id[draw(st.integers(1, n - 1))] = draw(st.integers(0, n - 1))
+    t = np.arange(n, dtype=np.int64)
+    columns = {"msg_id": msg_id, "src": [0] * n, "dst": [1] * n,
+               "size_bytes": [8] * n, "kind_idx": [0] * n, "t_inject": t,
+               "latency": [1] * n, "cause_id": [-1] * n, "gap": t, **keys}
+    return RecordChunk(*(np.asarray(columns[name], dtype=np.int64)
+                         for name in COLUMNS), kinds=kinds)
+
+
+def _packed_bits(chunk: RecordChunk) -> int:
+    kind = np.asarray([chunk.kinds.index(k) for k in chunk.kinds],
+                      dtype=np.int64)[chunk.key_kind_idx]
+    columns = [getattr(chunk, name) for name in _KEY_COLUMNS[:2]]
+    columns += [kind, chunk.key_line, chunk.key_occ]
+    return sum((int(c.max()) - int(c.min())).bit_length() for c in columns)
+
+
+@pytest.mark.parametrize("wide", (False, True), ids=("packed", "lexsort"))
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_duplicate_keys_are_refused_as_a_set_of_tuples_would(data, wide):
+    chunk = data.draw(keyed_chunks(wide))
+    n = len(chunk)
+    if n >= 2:
+        assert (_packed_bits(chunk) > 63) == wide
+    keys = {(s, d, chunk.kinds[k], line, occ) for s, d, k, line, occ in zip(
+        *(getattr(chunk, name).tolist() for name in _KEY_COLUMNS))}
+    trace = Trace.from_chunk(chunk, [], exec_time=0)
+    if len(set(chunk.msg_id.tolist())) < n:
+        with pytest.raises(ValueError, match="^duplicate msg_ids in trace$"):
+            trace.validate()
+    elif len(keys) < n:
+        with pytest.raises(ValueError,
+                           match="^duplicate semantic keys in trace$"):
+            trace.validate()
+    else:
+        trace.validate()

@@ -151,6 +151,55 @@ def test_tiny_chunks_still_agree(synth_trace, tmp_path):
         assert tiny[key] == ref[key], key
 
 
+#: msg_ids in file order, four records per chunk.  The end markers' causes
+#: 1, 9 and 23 sit in the first, a middle and the last chunk; chunk 1 holds
+#: none, and chunk 0's id range [0, 20] brackets cause 9, held by chunk 2.
+_SPREAD_IDS = (0, 1, 2, 20, 3, 4, 5, 6, 7, 8, 9, 10,
+               11, 12, 13, 14, 15, 16, 17, 18, 19, 21, 22, 23)
+_SPREAD_CAUSES = {2: 1, 5: 9, 9: 23}      # node -> cause msg_id
+
+
+def _marker_spread_trace(last: int) -> Trace:
+    """Roots to one hot destination, captured 1000 cycles long, so every
+    replayed delivery differs from its captured one; the marker of node
+    ``last`` finishes far after its cause and decides the estimate."""
+    records = [TraceRecord(
+        msg_id=m, key=(1 + i % (NODES - 1), 0, "data", m, 0),
+        src=1 + i % (NODES - 1), dst=0, size_bytes=64, kind="data",
+        t_inject=10 * i, t_deliver=10 * i + 1000, cause_id=-1, gap=10 * i)
+        for i, m in enumerate(_SPREAD_IDS)]
+    deliver = {r.msg_id: r.t_deliver for r in records}
+    markers = [EndMarker(node, 0, -1, 0) for node in range(NODES)
+               if node not in _SPREAD_CAUSES]
+    for node, cause in _SPREAD_CAUSES.items():
+        gap = 100_000 if node == last else 0
+        markers.append(EndMarker(node, deliver[cause] + gap, cause, gap))
+    trace = Trace(records=records, end_markers=markers,
+                  exec_time=max(m.t_finish for m in markers), meta={})
+    trace.validate()
+    return trace
+
+
+@pytest.mark.parametrize("last", sorted(_SPREAD_CAUSES))
+def test_marker_causes_spread_over_chunks(tmp_path, last):
+    """The stream looks up each chunk's rows only against the causes inside
+    its msg_id range; wherever a cause sits, its replayed delivery — not
+    its captured one — must end up in the estimate."""
+    trace = _marker_spread_trace(last)
+    path = tmp_path / "spread.rtrc"
+    tracebin.write_file(trace, path, chunk_records=4)
+    onoc = synth_onoc("crossbar", NODES)
+    summary = stream_naive_summary(path, onoc)
+    result = replay_trace(
+        trace, optical_factory(onoc, 7),
+        TraceConfig(mode=TRACE_NAIVE, engine="generational"))
+    assert summary["chunks"] == 6
+    assert summary["exec_time_estimate"] == result.exec_time_estimate
+    cause = _SPREAD_CAUSES[last]
+    assert result.exec_time_estimate == result.deliveries[cause] + 100_000
+    assert result.deliveries[cause] != 10 * _SPREAD_IDS.index(cause) + 1000
+
+
 def _pinned_at(trace: Trace, result) -> Trace:
     """The same messages as timestamp-driven roots at ``result``'s
     schedule, in canonical (t_inject, msg_id) order."""
