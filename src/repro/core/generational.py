@@ -64,7 +64,7 @@ from repro.core.replay import (
     _assemble_result,
     _finish_from_markers,
 )
-from repro.core.trace import Trace
+from repro.core.trace import Trace, _stable_order
 from repro.onoc.timing import timing_for
 
 __all__ = ["replay_trace_generational", "stream_naive_summary"]
@@ -105,17 +105,6 @@ def _segmented_cummax(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
     for a, b in zip(bounds[:-1], bounds[1:]):
         np.maximum.accumulate(x[a:b], out=x[a:b])
     return x
-
-
-def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for ``0 <= keys < bound``, as
-    stable sorts of 16-bit digits, least significant first — NumPy's radix
-    path, one pass per digit."""
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    for shift in range(16, max(bound - 1, 1).bit_length(), 16):
-        digit = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-    return order
 
 
 # --------------------------------------------------------------------------
@@ -336,9 +325,9 @@ def _solve_windowed(
     # Parent-keyed CSRs over the two edge sets: anchor edges fire at parent
     # release, deliver edges at parent service.
     has_anchors = bool(len(plan.a_parent))
-    aptr, aord = csr(plan.a_parent, n)
-    a_child = plan.a_child[aord]
-    a_delta = plan.a_delta[aord]
+    if has_anchors:
+        aptr, aord = csr(plan.a_parent, n)
+        a_child, a_delta = plan.a_child[aord], plan.a_delta[aord]
     dptr, dord = csr(plan.d_parent, n)
     d_child = plan.d_child[dord]
     d_gap = plan.d_gap[dord]

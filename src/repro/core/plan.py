@@ -45,7 +45,7 @@ from repro.core.trace import (
     IdIndex,
     RecordChunk,
     Trace,
-    _fires,
+    _rooted,
     csr,
     gather_ranges,
 )
@@ -167,7 +167,9 @@ def classify(trace: Trace, *, keep_dep_fraction: float, dep_drop_seed: int,
     records replay their captured timestamp as roots, and a kept record
     whose trigger is missing stays a dependent and stalls, diagnosed.  The
     other policies differ only in how a scheduler prices an anchor edge,
-    so they share one plan.
+    so they share one plan.  Reachability follows each dependent's cause
+    index by pointer doubling (:func:`~repro.core.trace._rooted`), in
+    rounds logarithmic in the depth of the cause forest; no CSR is built.
     """
     cols = Columns.of(trace)
     n = cols.n
@@ -224,9 +226,8 @@ def classify(trace: Trace, *, keep_dep_fraction: float, dep_drop_seed: int,
     # only — anchored records are never reached — so what it leaves blocked
     # waits on a missing cause, on a cycle, or behind an anchored record.
     d_parent, d_child, d_gap = _deliver_edges(cols, dependent)
-    indptr, eorder = csr(d_parent, n)
-    dc_csr = d_child[eorder]
-    blocked = dependent & ~_fires(root, indptr, dc_csr)
+    blocked = dependent & ~_rooted(
+        root, np.where(dependent, cols.cause_idx, -1))
 
     # Of the blocked records, demote the cycle members: a cycle of
     # zero-latency records would wait on itself forever.  A cycle holds

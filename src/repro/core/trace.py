@@ -108,18 +108,25 @@ SECOND_TRIGGER = ("record {id} names a second trigger: its two reserved "
 # --------------------------------------------------------------------------
 
 class IdIndex:
-    """msg_id -> record index, by binary search over the sorted ids."""
+    """msg_id -> record index.  Ids that are ``0..n-1`` in order — every
+    captured and every generated trace's — are their own indices; any
+    other ids (hand-built, or gapped by a fault) are binary-searched in
+    sorted order."""
 
     def __init__(self, ids: np.ndarray) -> None:
-        self.order = np.argsort(ids, kind="stable")
-        self.sorted = ids[self.order]
+        self.dense = bool((ids == np.arange(len(ids))).all())
+        self.order = None if self.dense else np.argsort(ids, kind="stable")
+        self.sorted = ids if self.dense else ids[self.order]
 
     def of(self, query: np.ndarray) -> np.ndarray:
         """Record index of each msg_id: -1 for the -1 sentinel, -2 if the
         ids hold no such record."""
         out = np.full(query.shape, -2, dtype=np.int64)
         none = query == -1
-        if len(self.sorted):
+        if self.dense:
+            np.copyto(out, query,
+                      where=(query >= 0) & (query < len(self.sorted)))
+        elif len(self.sorted):
             pos = np.searchsorted(self.sorted, query)
             pos_c = np.minimum(pos, len(self.sorted) - 1)
             hit = (self.sorted[pos_c] == query) & ~none
@@ -128,9 +135,22 @@ class IdIndex:
         return out
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for ``0 <= keys < bound``, as
+    stable sorts of 16-bit digits, least significant first — NumPy's radix
+    path, one pass per digit."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, max(bound - 1, 1).bit_length(), 16):
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
 def csr(parents: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group edge indices by parent: returns (indptr, edge_order)."""
-    order = np.argsort(parents, kind="stable")
+    """Group edge indices by parent (``0 <= parents < n_nodes``): returns
+    (indptr, edge_order), each parent's edges in their given order — the
+    stable sort, by :func:`_stable_order`'s radix digits."""
+    order = _stable_order(parents, n_nodes)
     counts = np.bincount(parents, minlength=n_nodes)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return indptr, order
@@ -151,26 +171,29 @@ def gather_ranges(indptr: np.ndarray, data: np.ndarray,
     return data[idx]
 
 
-def _fires(root: np.ndarray, indptr: np.ndarray,
-           child_csr: np.ndarray) -> np.ndarray:
-    """Records that can ever fire: the roots and every record their edges
-    (parent-keyed CSR, at most one edge into a record) reach."""
-    fired = root.copy()
-    frontier = np.flatnonzero(root)
-    while len(frontier):
-        children = gather_ranges(indptr, child_csr, frontier)
-        frontier = children[~fired[children]]
-        fired[frontier] = True
-    return fired
+def _rooted(root: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Records that can ever fire: those whose chain of parents (``parent``
+    < 0: no edge; a self-loop is an edge) ends at a ``root`` — a root has
+    no edge.  Pointer doubling: every record points to its parent, or to
+    itself, and ``up = up[up]`` doubles the reach each round, so a chain of
+    depth d ends in about log2(d) rounds.  A record on or below a cycle
+    only ever points into its chain or the cycle, never at a root; a cycle
+    may never settle, so the round bound (reach 2**rounds > n) ends the
+    loop."""
+    up = np.where(parent >= 0, parent, np.arange(len(parent)))
+    for _ in range(len(parent).bit_length()):
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            break
+        up = nxt
+    return root[up]
 
 
 def _unfired(cause_idx: np.ndarray) -> np.ndarray:
     """Mask of the records no root reaches, given each record's cause
     *index* (-1 none, -2 absent: neither is an edge) — the members of a
     dependency cycle and everything downstream of one."""
-    edge = cause_idx >= 0
-    indptr, order = csr(cause_idx[edge], len(cause_idx))
-    return ~_fires(~edge, indptr, np.flatnonzero(edge)[order])
+    return ~_rooted(cause_idx < 0, cause_idx)
 
 
 def _has_duplicate_rows(columns: tuple) -> bool:
