@@ -2,8 +2,8 @@
 
 An input-queued virtual-channel wormhole network in the Garnet/Popnet
 tradition: per-hop routers with a ``router_latency``-stage pipeline,
-credit-based VC flow control, dimension-order or minimal-adaptive routing,
-and mesh / torus / ring topologies.
+credit-based VC flow control and XY dimension-order routing on a 2-D
+mesh.
 """
 
 from repro import lazy_exports

@@ -25,7 +25,6 @@ class Packet:
         "num_flits",
         "message",
         "inject_time",
-        "vc_class",
     )
 
     def __init__(
@@ -43,9 +42,6 @@ class Packet:
         self.num_flits = num_flits
         self.message = message
         self.inject_time: int = -1
-        # Dateline VC class for torus/ring deadlock avoidance; flipped to 1
-        # when the packet crosses the wrap-around link of a dimension.
-        self.vc_class = 0
 
     def make_flits(self) -> list["Flit"]:
         """Serialise the packet into its flit train."""

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import MESH, RING
 from repro.noc.network import ElectricalNetwork
 from repro.noc.topology import EAST, NORTH, SOUTH, WEST
 
-_MESH_PORT_NAMES = {NORTH: "N", EAST: "E", SOUTH: "S", WEST: "W"}
-_RING_PORT_NAMES = {1: "CW", 2: "CCW"}
+_PORT_NAMES = {NORTH: "N", EAST: "E", SOUTH: "S", WEST: "W"}
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ class LinkReport:
     mean_utilization: float
     max_utilization: float
     imbalance: float            # max / mean (1.0 = perfectly even)
-    bisection_flits: int        # flits crossing the vertical mid-cut (mesh)
+    bisection_flits: int        # flits crossing the vertical mid-cut
 
     def hottest(self, k: int = 5) -> list[LinkLoad]:
         return sorted(self.links, key=lambda ld: -ld.flits)[:k]
@@ -54,10 +52,9 @@ def analyze_links(net: ElectricalNetwork, cycles: int) -> LinkReport:
     """
     if cycles <= 0:
         raise ValueError(f"cycles must be > 0, got {cycles}")
-    names = _RING_PORT_NAMES if net.cfg.topology == RING else _MESH_PORT_NAMES
     loads = [
         LinkLoad(src_node=node, out_port=port,
-                 port_name=names.get(port, str(port)), flits=flits,
+                 port_name=_PORT_NAMES[port], flits=flits,
                  utilization=flits / cycles)
         for (node, port), flits in sorted(net.link_flits.items())
     ]
@@ -67,12 +64,11 @@ def analyze_links(net: ElectricalNetwork, cycles: int) -> LinkReport:
 
     # Bisection estimate: flits on east/west links crossing the mid column.
     bisection = 0
-    if net.cfg.topology == MESH and net.cfg.width > 1:
-        mid = net.cfg.width // 2
-        for (node, port), flits in net.link_flits.items():
-            x = node % net.cfg.width
-            if (port == EAST and x == mid - 1) or (port == WEST and x == mid):
-                bisection += flits
+    mid = net.cfg.width // 2
+    for (node, port), flits in net.link_flits.items():
+        x = node % net.cfg.width
+        if (port == EAST and x == mid - 1) or (port == WEST and x == mid):
+            bisection += flits
     return LinkReport(
         cycles=cycles,
         links=loads,

@@ -44,16 +44,10 @@ A grant writes its transfers itself: the flit and the upstream credit are
 appended to the network's landing bucket (``ElectricalNetwork._landing``)
 through ``links``, the wiring resolved at construction, and an ejected
 flit is handed to the NI's own kernel event.  The clock is handed down:
-``cycle(now)`` reads no clock.  Deterministic routes are resolved once
-per destination (``_routes``), the legal output-VC tuples once per router.
+``cycle(now)`` reads no clock.  XY routes are resolved once per
+destination (``_routes``); VA tries every output VC, lowest first.
 
-Deadlock freedom:
-
-* mesh XY/YX — dimension-ordered, safe with any VC count;
-* mesh adaptive — Duato: VCs >= 1 are fully adaptive (minimal), VC 0 is an
-  escape channel restricted to the XY route;
-* torus/ring — dateline: the VC space is split into two classes and a packet
-  moves to class 1 when its path crosses a wrap-around link.
+Deadlock freedom: XY is dimension-ordered, safe with any VC count.
 """
 
 from __future__ import annotations
@@ -61,9 +55,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, TYPE_CHECKING
 
-from repro.config import MESH, NocConfig, ROUTING_ADAPTIVE
+from repro.config import NocConfig
 from repro.noc.flit import Flit
-from repro.noc.routing import crosses_dateline, productive_ports, route_port
+from repro.noc.routing import route_port
 from repro.noc.topology import LOCAL, Topology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,10 +105,8 @@ class Router:
         "_waiting",
         "_arrivals",
         "_ready",
-        "_adaptive",
         "_routes",
         "_vcs",
-        "_dateline",
         "flits_routed",
     )
 
@@ -150,73 +142,32 @@ class Router:
         self._waiting = 0      # non-empty input VCs with out_vc is None
         self._arrivals: deque[int] = deque()   # ready times not yet come due
         self._ready = 0        # buffered flits that have cleared the pipeline
-        self._adaptive = cfg.routing == ROUTING_ADAPTIVE and topo.kind == MESH
-        self._routes: dict[int, int] = {}      # dst -> deterministic route
-        self._dateline = [crosses_dateline(topo, node, p) for p in range(nports)]
-        # Legal output VCs, indexed by a flag: the dateline class on a
-        # torus/ring (lower half = class 0); on an adaptive mesh whether the
-        # port is the escape route (VC 0 only on the XY escape path).
-        if topo.kind != MESH:
-            half = nvcs // 2
-            self._vcs = (tuple(range(half)), tuple(range(half, nvcs)))
-        elif self._adaptive:
-            self._vcs = (tuple(range(1, nvcs)), (*range(1, nvcs), 0))
-        else:
-            self._vcs = (tuple(range(nvcs)),) * 2
+        self._routes: dict[int, int] = {}      # dst -> XY output port
+        self._vcs = tuple(range(nvcs))         # VA's candidate order
         self.flits_routed = 0
 
     # ------------------------------------------------------------- routing
     def _route(self, dst: int) -> int:
-        """Deterministic (escape) route to ``dst``, resolved once."""
+        """Route computation: the XY output port toward ``dst``, resolved once."""
         port = self._routes.get(dst)
         if port is None:
-            port = self._routes[dst] = route_port(
-                self.topo, self.cfg.routing, self.node, dst)
+            port = self._routes[dst] = route_port(self.topo, self.node, dst)
         return port
-
-    def _vc_candidates(self, packet, out_port: int) -> tuple[int, ...]:
-        """Legal output VCs for ``packet`` leaving through ``out_port``."""
-        if self.topo.kind != MESH:
-            return self._vcs[packet.vc_class or self._dateline[out_port]]
-        if self._adaptive:
-            return self._vcs[out_port == self._route(packet.dst)]
-        return self._vcs[0]
-
-    def _choose_route(self, ivc: InputVC, packet) -> int:
-        """Route computation for the head flit of ``packet``."""
-        if self._adaptive:
-            cands = productive_ports(self.topo, self.node, packet.dst)
-            if not cands:
-                return LOCAL
-            if len(cands) == 1:
-                return cands[0]
-            # Pick the productive port with the most downstream credit on
-            # adaptive VCs; ties break toward the lower port number.
-            def credit_score(p: int) -> int:
-                return sum(self.credits[p][1:])
-            return max(cands, key=lambda p: (credit_score(p), -p))
-        return self._route(packet.dst)
 
     # ----------------------------------------------------------- allocation
     def _try_vc_alloc(self, ivc: InputVC) -> bool:
         """Attempt VA for the packet at the head of ``ivc``."""
-        head = ivc.flits[0]
-        packet = head.packet
         if ivc.route_out is None:
-            ivc.route_out = self._choose_route(ivc, packet)
+            ivc.route_out = self._route(ivc.flits[0].packet.dst)
         out_port = ivc.route_out
         alloc, credits = self.out_alloc[out_port], self.credits[out_port]
         cap = self._credit_cap[out_port]
-        for v in self._vc_candidates(packet, out_port):
+        for v in self._vcs:
             if alloc[v] is None and credits[v] == cap:
                 alloc[v] = (ivc.port, ivc.vc)
                 ivc.out_vc = v
                 self._waiting -= 1
                 return True
-        # Adaptive fallback: if no adaptive VC anywhere, retry via escape
-        # route next cycle by re-running route computation.
-        if self._adaptive:
-            ivc.route_out = None
         return False
 
     # ------------------------------------------------------------ main loop
@@ -277,8 +228,6 @@ class Router:
             self._ready -= 1
             credits[out_vc] -= 1
             self.flits_routed += 1
-            if flit.is_head and self._dateline[out_port]:
-                flit.packet.vc_class = 1
             if flit.is_tail:
                 # Release the output VC; the input VC becomes ready for the
                 # next packet's head, which may already be queued behind

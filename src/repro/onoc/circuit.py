@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.config import MESH, NocConfig, ONOC_CIRCUIT_MESH, OnocConfig, ROUTING_XY
+from repro.config import NocConfig, ONOC_CIRCUIT_MESH, OnocConfig
 from repro.engine import Simulator
 from repro.net import Message
 from repro.noc.routing import route_port
@@ -65,8 +65,7 @@ class CircuitSwitchedMesh(OpticalEntity):
         side = cfg.mesh_side
         # Reuse the electrical topology/routing machinery for the control
         # plane's XY walk; only wiring and port math are borrowed.
-        self._ctl_cfg = NocConfig(topology=MESH, width=side, height=side,
-                                  routing=ROUTING_XY)
+        self._ctl_cfg = NocConfig(width=side, height=side)
         self.topo = Topology(self._ctl_cfg)
         self.segments: dict[tuple[int, int], _Segment] = {}
         self.link_length_cm = self.timing.link_length_cm
@@ -120,7 +119,7 @@ class CircuitSwitchedMesh(OpticalEntity):
         path: list[tuple[int, int]] = []
         cur = src
         while cur != dst:
-            port = route_port(self.topo, ROUTING_XY, cur, dst)
+            port = route_port(self.topo, cur, dst)
             path.append((cur, port))
             nb = self.topo.neighbor(cur, port)
             assert nb is not None, "XY routed off the mesh"

@@ -57,19 +57,14 @@ class AreaReport:
 
 def electrical_area(cfg: NocConfig, area_cfg: AreaConfig | None = None,
                     link_mm: float = 2.0) -> AreaReport:
-    """Electrical NoC area: buffers + crossbars + links."""
+    """Electrical mesh area: 5-port routers' buffers + crossbars + links."""
     a = area_cfg or AreaConfig()
     n = cfg.num_nodes
-    ports = 5 if cfg.topology in ("mesh", "torus") else 3
+    ports = 5
     buffers = n * ports * cfg.num_vcs * cfg.vc_depth * a.router_buffer_mm2_per_flit
     crossbars = n * ports * ports * a.router_crossbar_mm2_per_port2
     # Count directed links once per direction.
-    if cfg.topology == "mesh":
-        links = 2 * (cfg.width - 1) * cfg.height + 2 * (cfg.height - 1) * cfg.width
-    elif cfg.topology == "torus":
-        links = 2 * n * 2
-    else:
-        links = 2 * n
+    links = 2 * (cfg.width - 1) * cfg.height + 2 * (cfg.height - 1) * cfg.width
     link_area = links * link_mm * a.link_mm2_per_mm
     return AreaReport(
         name=f"electrical_{cfg.topology}_{cfg.width}x{cfg.height}",

@@ -24,32 +24,29 @@ def test_noc_defaults_valid():
 
 
 def test_noc_bad_topology():
-    with pytest.raises(ConfigError, match="unknown topology"):
+    with pytest.raises(ConfigError, match="XY-wormhole mesh"):
         NocConfig(topology="hypercube")
 
 
-def test_noc_ring_requires_height_one():
-    with pytest.raises(ConfigError, match="height == 1"):
-        NocConfig(topology="ring", width=8, height=2)
+@pytest.mark.parametrize("field,value", [
+    ("topology", "torus"), ("topology", "ring"), ("topology", "Mesh"),
+    ("routing", "yx"), ("routing", "adaptive"),
+])
+def test_noc_only_the_xy_mesh_is_legal(field, value):
+    with pytest.raises(ConfigError, match="XY-wormhole mesh"):
+        NocConfig(**{field: value})
 
 
-def test_noc_ring_valid():
-    cfg = NocConfig(topology="ring", width=8, height=1, num_vcs=2)
-    assert cfg.num_nodes == 8
+def test_serve_resolve_config_refuses_a_non_mesh_noc():
+    """A remote client's ``noc`` dict reaches ``NocConfig`` unfiltered."""
+    from repro.serve.ops import resolve_config
 
-
-def test_noc_torus_needs_two_vcs():
-    with pytest.raises(ConfigError, match="dateline"):
-        NocConfig(topology="torus", num_vcs=1)
-
-
-def test_noc_adaptive_needs_two_vcs():
-    with pytest.raises(ConfigError, match="escape"):
-        NocConfig(routing="adaptive", num_vcs=1)
+    with pytest.raises(ConfigError, match="XY-wormhole mesh"):
+        resolve_config(noc={"topology": "torus"})
 
 
 def test_noc_bad_routing():
-    with pytest.raises(ConfigError, match="unknown routing"):
+    with pytest.raises(ConfigError, match="XY-wormhole mesh"):
         NocConfig(routing="random_walk")
 
 

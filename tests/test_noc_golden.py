@@ -29,17 +29,11 @@ DIGESTS_FILE = Path(__file__).parent / "golden" / "noc_digests.json"
 
 CONFIGS = {
     "mesh": NocConfig(),
-    "torus": NocConfig(topology="torus"),
-    "ring": NocConfig(topology="ring", width=8, height=1),
-    "yx": NocConfig(routing="yx"),
-    "adaptive": NocConfig(routing="adaptive"),
     "4vc": NocConfig(num_vcs=4, vc_depth=2),
     "2x2": NocConfig(width=2, height=2),
     "8x2": NocConfig(width=8, height=2),
     "8x8": NocConfig(width=8, height=8),
     "lat232": NocConfig(router_latency=2, link_latency=2, credit_latency=3),
-    "torus-4vc": NocConfig(topology="torus", num_vcs=4),
-    "adaptive-4vc": NocConfig(routing="adaptive", num_vcs=4, vc_depth=2),
 }
 
 LOADS = ("light", "heavy", "burst")

@@ -1,31 +1,23 @@
-"""Routing-function tests: minimality, dimension order, datelines."""
+"""Routing-function tests: minimality, dimension order, live ports."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.config import NocConfig
-from repro.noc.routing import crosses_dateline, productive_ports, route_port
-from repro.noc.topology import CCW, CW, EAST, LOCAL, NORTH, SOUTH, Topology, WEST
+from repro.noc.routing import route_port
+from repro.noc.topology import EAST, LOCAL, NORTH, SOUTH, Topology, WEST
 
 
 def mesh(w=4, h=4):
     return Topology(NocConfig(width=w, height=h))
 
 
-def torus():
-    return Topology(NocConfig(topology="torus"))
-
-
-def ring(n=8):
-    return Topology(NocConfig(topology="ring", width=n, height=1))
-
-
-def walk(topo, algorithm, src, dst, max_steps=64):
+def walk(topo, src, dst, max_steps=64):
     """Follow route_port until ejection; returns hop count."""
     cur, hops = src, 0
     while True:
-        port = route_port(topo, algorithm, cur, dst)
+        port = route_port(topo, cur, dst)
         if port == LOCAL:
             return hops
         nb = topo.neighbor(cur, port)
@@ -35,83 +27,39 @@ def walk(topo, algorithm, src, dst, max_steps=64):
         assert hops <= max_steps, "routing loop"
 
 
-@pytest.mark.parametrize("algorithm", ["xy", "yx"])
-def test_mesh_routes_are_minimal(algorithm):
+def test_mesh_routes_are_minimal():
     t = mesh()
     for s in range(16):
         for d in range(16):
-            assert walk(t, algorithm, s, d) == t.min_hops(s, d)
+            assert walk(t, s, d) == t.min_hops(s, d)
+
+
+@pytest.mark.parametrize("w,h", [(9, 1), (1, 9)])
+def test_line_routes_are_minimal(w, h):
+    t = mesh(w, h)
+    for s in range(9):
+        for d in range(9):
+            assert walk(t, s, d) == t.min_hops(s, d) == abs(s - d)
 
 
 def test_xy_goes_x_first():
     t = mesh()
-    # from (0,0) to (2,2): first hop must be EAST under XY, NORTH under YX
-    assert route_port(t, "xy", 0, t.node_at(2, 2)) == EAST
-    assert route_port(t, "yx", 0, t.node_at(2, 2)) == NORTH
+    # from (0,0) to (2,2): the first hop is EAST, and once x matches, NORTH
+    assert route_port(t, 0, 2 * 4 + 2) == EAST
+    assert route_port(t, 2, 2 * 4 + 2) == NORTH
+    # from (3,3) to (1,0): WEST first, then SOUTH
+    assert route_port(t, 15, 1) == WEST
+    assert route_port(t, 13, 1) == SOUTH
 
 
 def test_route_to_self_is_local():
     t = mesh()
-    assert route_port(t, "xy", 5, 5) == LOCAL
+    assert route_port(t, 5, 5) == LOCAL
 
 
-def test_torus_routes_are_minimal():
-    t = torus()
-    for s in range(16):
-        for d in range(16):
-            assert walk(t, "xy", s, d) == t.min_hops(s, d)
-
-
-def test_ring_routes_are_minimal():
-    t = ring(9)
-    for s in range(9):
-        for d in range(9):
-            assert walk(t, "xy", s, d) == t.min_hops(s, d)
-
-
-def test_productive_ports_mesh():
-    t = mesh()
-    ports = productive_ports(t, 0, t.node_at(2, 2))
-    assert set(ports) == {EAST, NORTH}
-    assert productive_ports(t, 5, 5) == []
-    # single-dimension moves offer one port
-    assert productive_ports(t, 0, 3) == [EAST]
-
-
-def test_productive_ports_ring_equidistant():
-    t = ring(8)
-    assert productive_ports(t, 0, 4) == [CW, CCW]
-    assert productive_ports(t, 0, 3) == [CW]
-    assert productive_ports(t, 0, 5) == [CCW]
-
-
-def test_productive_ports_subset_of_live_ports():
+def test_route_port_uses_live_ports():
     t = mesh(3, 3)
     for s in range(9):
         for d in range(9):
-            for p in productive_ports(t, s, d):
-                assert t.neighbor(s, p) is not None
-
-
-def test_crosses_dateline_mesh_never():
-    t = mesh()
-    for node in range(16):
-        for port in t.output_ports(node):
-            assert not crosses_dateline(t, node, port)
-
-
-def test_crosses_dateline_torus_edges_only():
-    t = torus()
-    assert crosses_dateline(t, 3, EAST)       # x == width-1 wrapping east
-    assert crosses_dateline(t, 0, WEST)
-    assert crosses_dateline(t, 12, NORTH)     # y == height-1
-    assert crosses_dateline(t, 0, SOUTH)
-    assert not crosses_dateline(t, 1, EAST)
-    assert not crosses_dateline(t, 5, NORTH)
-
-
-def test_crosses_dateline_ring():
-    t = ring(8)
-    assert crosses_dateline(t, 7, CW)
-    assert crosses_dateline(t, 0, CCW)
-    assert not crosses_dateline(t, 3, CW)
+            if s != d:
+                assert t.neighbor(s, route_port(t, s, d)) is not None

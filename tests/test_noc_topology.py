@@ -7,19 +7,11 @@ from collections import deque
 import pytest
 
 from repro.config import NocConfig
-from repro.noc.topology import CCW, CW, EAST, NORTH, SOUTH, Topology, WEST
+from repro.noc.topology import EAST, NORTH, SOUTH, Topology, WEST
 
 
 def mesh(w=4, h=4):
     return Topology(NocConfig(width=w, height=h))
-
-
-def torus(w=4, h=4):
-    return Topology(NocConfig(topology="torus", width=w, height=h))
-
-
-def ring(n=8):
-    return Topology(NocConfig(topology="ring", width=n, height=1))
 
 
 def test_mesh_edges_have_no_wrap():
@@ -32,41 +24,27 @@ def test_mesh_edges_have_no_wrap():
 
 def test_mesh_interior_neighbors():
     t = mesh()
-    node = t.node_at(1, 1)  # 5
-    assert t.neighbor(node, EAST) == (t.node_at(2, 1), WEST)
-    assert t.neighbor(node, NORTH) == (t.node_at(1, 2), SOUTH)
-    assert t.neighbor(node, WEST) == (t.node_at(0, 1), EAST)
-    assert t.neighbor(node, SOUTH) == (t.node_at(1, 0), NORTH)
+    node = 1 * 4 + 1  # (1,1)
+    assert t.neighbor(node, EAST) == (1 * 4 + 2, WEST)
+    assert t.neighbor(node, NORTH) == (2 * 4 + 1, SOUTH)
+    assert t.neighbor(node, WEST) == (1 * 4 + 0, EAST)
+    assert t.neighbor(node, SOUTH) == (0 * 4 + 1, NORTH)
 
 
-def test_torus_wraps():
-    t = torus()
-    assert t.neighbor(0, WEST) == (3, EAST)
-    assert t.neighbor(0, SOUTH) == (12, NORTH)
-    assert t.neighbor(15, EAST) == (12, WEST)
-
-
-def test_ring_wiring():
-    t = ring(5)
-    assert t.neighbor(4, CW) == (0, CCW)
-    assert t.neighbor(0, CCW) == (4, CW)
-    assert t.num_ports == 3
-
-
-def test_neighbor_symmetry_all_topologies():
-    for t in (mesh(3, 5), torus(4, 4), ring(6)):
+def test_neighbor_symmetry():
+    for t in (mesh(3, 5), mesh(4, 4), mesh(6, 1), mesh(1, 6)):
         for node in range(t.num_nodes):
             for port in t.output_ports(node):
                 nbr, in_port = t.neighbor(node, port)
                 back = t.neighbor(nbr, in_port)
-                assert back == (node, port), (t.kind, node, port)
+                assert back == (node, port), (t.width, t.height, node, port)
 
 
 def test_coord_roundtrip():
     t = mesh(5, 3)
     for node in range(t.num_nodes):
         c = t.coord(node)
-        assert t.node_at(c.x, c.y) == node
+        assert c.y * t.width + c.x == node
 
 
 def test_min_hops_mesh_is_manhattan():
@@ -75,20 +53,6 @@ def test_min_hops_mesh_is_manhattan():
     assert t.min_hops(0, 0) == 0
     assert t.min_hops(0, 3) == 3
     assert t.min_hops(5, 10) == t.min_hops(10, 5)
-
-
-def test_min_hops_torus_uses_wrap():
-    t = torus()
-    assert t.min_hops(0, 3) == 1       # wrap west
-    assert t.min_hops(0, 12) == 1      # wrap south
-    assert t.min_hops(0, 15) == 2
-
-
-def test_min_hops_ring():
-    t = ring(8)
-    assert t.min_hops(0, 1) == 1
-    assert t.min_hops(0, 7) == 1
-    assert t.min_hops(0, 4) == 4
 
 
 def bfs_hops(t, src):
@@ -107,11 +71,11 @@ def bfs_hops(t, src):
 
 
 def test_min_hops_matches_bfs():
-    for t in (mesh(4, 4), torus(4, 4), ring(8)):
+    for t in (mesh(4, 4), mesh(5, 3), mesh(8, 1), mesh(1, 8)):
         for s in range(t.num_nodes):
             sp = bfs_hops(t, s)
             for d in range(t.num_nodes):
-                assert t.min_hops(s, d) == sp[d], (t.kind, s, d)
+                assert t.min_hops(s, d) == sp[d], (t.width, t.height, s, d)
 
 
 def test_mesh_out_degree():
@@ -121,11 +85,13 @@ def test_mesh_out_degree():
     assert degs.count(2) == 4 and degs.count(3) == 8 and degs.count(4) == 4
 
 
-def test_torus_1wide_dimension_skips_self_links():
-    t = Topology(NocConfig(topology="torus", width=1, height=4))
-    assert t.neighbor(0, EAST) is None
-    assert t.neighbor(0, WEST) is None
-    assert t.neighbor(0, NORTH) is not None
+def test_one_wide_mesh_has_no_side_links():
+    t = mesh(1, 4)
+    for node in range(4):
+        assert t.neighbor(node, EAST) is None
+        assert t.neighbor(node, WEST) is None
+    assert t.neighbor(0, NORTH) == (1, SOUTH)
+    assert t.neighbor(0, SOUTH) is None
 
 
 def test_node_range_checks():
@@ -135,4 +101,4 @@ def test_node_range_checks():
     with pytest.raises(ValueError):
         t.neighbor(0, 9)
     with pytest.raises(ValueError):
-        t.node_at(4, 0)
+        t.min_hops(0, 16)

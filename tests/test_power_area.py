@@ -40,11 +40,12 @@ def test_electrical_area_grows_with_network():
     assert big.total_mm2 > small.total_mm2
 
 
-@pytest.mark.parametrize("topology", ["mesh", "torus", "ring"])
-def test_electrical_area_all_topologies(topology):
-    cfg = (NocConfig(topology=topology, width=8, height=1, num_vcs=2)
-           if topology == "ring" else NocConfig(topology=topology))
-    assert electrical_area(cfg).total_mm2 > 0
+@pytest.mark.parametrize("w,h,links", [(4, 4, 48), (8, 1, 14), (1, 1, 0)])
+def test_electrical_area_counts_directed_mesh_links(w, h, links):
+    rep = electrical_area(NocConfig(width=w, height=h), link_mm=1.0)
+    assert rep.components["links"] == pytest.approx(
+        links * AreaConfig().link_mm2_per_mm)
+    assert rep.name == f"electrical_mesh_{w}x{h}"
 
 
 def test_optical_area_ring_count_dominates_mwsr():

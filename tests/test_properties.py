@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import NocConfig
 from repro.engine import EventQueue, Simulator
-from repro.noc.routing import productive_ports, route_port
+from repro.noc.routing import route_port
 from repro.noc.topology import LOCAL, Topology
 from repro.stats import Histogram, OnlineStats
 from repro.stats.error import mean_absolute_percentage_error
@@ -113,15 +113,9 @@ def test_mape_of_uniform_scaling(xs, k):
 # ----------------------------------------------------------------- routing
 @st.composite
 def topo_and_pair(draw):
-    kind = draw(st.sampled_from(["mesh", "torus", "ring"]))
-    if kind == "ring":
-        n = draw(st.integers(3, 12))
-        cfg = NocConfig(topology="ring", width=n, height=1)
-    else:
-        w = draw(st.integers(2, 6))
-        h = draw(st.integers(2, 6))
-        cfg = NocConfig(topology=kind, width=w, height=h)
-    t = Topology(cfg)
+    w = draw(st.integers(1, 6))
+    h = draw(st.integers(1, 6))
+    t = Topology(NocConfig(width=w, height=h))
     s = draw(st.integers(0, t.num_nodes - 1))
     d = draw(st.integers(0, t.num_nodes - 1))
     return t, s, d
@@ -133,7 +127,7 @@ def test_route_walk_reaches_destination_minimally(args):
     t, s, d = args
     cur, hops = s, 0
     while cur != d:
-        port = route_port(t, "xy", cur, d)
+        port = route_port(t, cur, d)
         assert port != LOCAL
         nb = t.neighbor(cur, port)
         assert nb is not None
@@ -145,12 +139,14 @@ def test_route_walk_reaches_destination_minimally(args):
 
 @given(topo_and_pair())
 @settings(max_examples=200)
-def test_productive_ports_reduce_distance(args):
+def test_route_port_reduces_distance(args):
     t, s, d = args
-    for p in productive_ports(t, s, d):
-        nb = t.neighbor(s, p)
-        assert nb is not None
-        assert t.min_hops(nb[0], d) == t.min_hops(s, d) - 1
+    if s == d:
+        assert route_port(t, s, d) == LOCAL
+        return
+    nb = t.neighbor(s, route_port(t, s, d))
+    assert nb is not None
+    assert t.min_hops(nb[0], d) == t.min_hops(s, d) - 1
 
 
 # -------------------------------------------------------------- simulator
